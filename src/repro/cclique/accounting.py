@@ -15,30 +15,38 @@ bound.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cclique.spec import DEFAULT_SPEC, ModelSpec
 
 
-@dataclasses.dataclass
 class RoundBreakdown:
-    """Labelled breakdown of rounds charged to a :class:`Clique`."""
+    """Labelled breakdown of rounds charged to a :class:`Clique`.
 
-    entries: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
+    Charges are summed per label as they arrive: a polylogarithmic algorithm
+    charges the same few dozen labels thousands of times, and a result that
+    keeps its clique should not keep one record per charge.
+    """
+
+    def __init__(self) -> None:
+        self._by_label: Dict[str, float] = {}
+        self._total = 0.0
 
     def add(self, label: str, rounds: float) -> None:
-        self.entries.append((label, rounds))
+        self._by_label[label] = self._by_label.get(label, 0.0) + rounds
+        self._total += rounds
+
+    @property
+    def entries(self) -> List[Tuple[str, float]]:
+        """``(label, rounds)`` per label, in order of first charge."""
+        return list(self._by_label.items())
 
     def by_label(self) -> Dict[str, float]:
         """Aggregate rounds per label."""
-        totals: Dict[str, float] = {}
-        for label, rounds in self.entries:
-            totals[label] = totals.get(label, 0.0) + rounds
-        return totals
+        return dict(self._by_label)
 
     def total(self) -> float:
-        return sum(rounds for _, rounds in self.entries)
+        return self._total
 
     def formatted(self) -> str:
         """Human-readable multi-line summary (used by examples/benchmarks)."""

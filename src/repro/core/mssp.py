@@ -21,7 +21,10 @@ import numpy as np
 
 from repro.cclique.accounting import Clique
 from repro.core.results import MSSPResult
-from repro.distance.products import matrix_from_edges
+from repro.distance.products import (
+    augmented_matrix_from_arrays,
+    union_edge_arrays,
+)
 from repro.distance.source_detection import source_detection
 from repro.graphs.graph import Graph
 from repro.hopsets.construction import HopsetResult, build_hopset
@@ -90,16 +93,9 @@ def mssp(
 
         # Build the augmented weight matrix of G ∪ H and run source detection
         # with hop bound β.
-        union_edges = {}
-        for u, v, w in graph.edges():
-            union_edges[(u, v)] = min(union_edges.get((u, v), math.inf), float(w))
-            union_edges[(v, u)] = min(union_edges.get((v, u), math.inf), float(w))
-        for u, v, w in hopset.edges:
-            union_edges[(u, v)] = min(union_edges.get((u, v), math.inf), float(w))
-            union_edges[(v, u)] = min(union_edges.get((v, u), math.inf), float(w))
-
         semiring = augmented_semiring_for(n, max(1.0, graph.max_weight()) * n)
-        W_union = matrix_from_edges(n, union_edges, semiring)
+        W_union = augmented_matrix_from_arrays(
+            n, union_edge_arrays(graph, hopset.edges), semiring)
 
         detection = source_detection(
             W_union,

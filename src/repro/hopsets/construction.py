@@ -30,8 +30,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.cclique.accounting import Clique
 from repro.distance.hitting_set import greedy_hitting_set
 from repro.distance.k_nearest import KNearestResult, k_nearest
-from repro.distance.products import matrix_from_edges
+from repro.distance.products import (
+    EdgeArrays,
+    augmented_matrix_from_arrays,
+    both_directions,
+    concat_edge_arrays,
+    symmetric_edge_arrays,
+    union_edge_arrays,
+)
 from repro.graphs.graph import Graph
+from repro.matmul.matrix import SemiringMatrix, to_csr
+from repro.matmul.output_sensitive import output_sensitive_mm
 from repro.semiring.augmented import augmented_semiring_for
 
 
@@ -168,32 +177,27 @@ def build_hopset(
         # Step 4: levelled construction of the A1-A1 edges.
         # ------------------------------------------------------------------
         semiring = augmented_semiring_for(n, max(1.0, graph.max_weight()) * n)
-        executed_levels = 0
-        a1_edges: Dict[Tuple[int, int], float] = {}
+        # G ∪ H₀ never changes across the levels: its edge arrays are built
+        # once and each level appends only its own A₁-A₁ edges.
+        base_edges = union_edge_arrays(
+            graph, ((u, v, w) for (u, v), w in hopset_edges.items()))
+        a1_edges = symmetric_edge_arrays(())
         for _ in range(levels):
-            executed_levels += 1
-            union_edges = _union_edge_dict(graph, hopset_edges, a1_edges)
-            W_union = matrix_from_edges(n, union_edges, semiring)
+            W_union = augmented_matrix_from_arrays(
+                n, concat_edge_arrays(base_edges, a1_edges), semiring)
             detection = _bounded_source_detection(
                 W_union,
-                semiring,
                 hitting_set,
                 4 * beta,
                 clique,
                 execution=execution,
                 early_stop=early_stop,
             )
-            new_a1_edges: Dict[Tuple[int, int], float] = {}
-            for v in hitting_set:
-                for u, (dist, _hops) in detection[v].items():
-                    if u == v or u not in hitting:
-                        continue
-                    _add_edge(new_a1_edges, v, u, dist)
-            a1_edges = new_a1_edges
+            a1_edges = _a1_edges(detection, hitting_set)
             # Each A1 node tells the other endpoint about the edge (1 round).
             clique.charge_broadcast(label="level-edge-announce")
 
-        for (u, v), w in a1_edges.items():
+        for u, v, w in zip(*(part.tolist() for part in a1_edges)):
             _add_edge(hopset_edges, u, v, w)
 
     edges = [(u, v, w) for (u, v), w in sorted(hopset_edges.items())]
@@ -207,7 +211,7 @@ def build_hopset(
         k=k,
         rounds=clique.rounds - start_rounds,
         clique=clique,
-        levels=executed_levels,
+        levels=levels,
         k_nearest_result=knn,
     )
 
@@ -249,36 +253,30 @@ def _add_edge(edges: Dict[Tuple[int, int], float], u: int, v: int, w: float) -> 
         edges[key] = w
 
 
-def _union_edge_dict(
-    graph: Graph,
-    hopset_edges: Dict[Tuple[int, int], float],
-    extra_edges: Dict[Tuple[int, int], float],
-) -> Dict[Tuple[int, int], float]:
-    """Edge dictionary of ``G ∪ H`` (both directions, minimum weights)."""
-    union: Dict[Tuple[int, int], float] = {}
-    for u, v, w in graph.edges():
-        union[(u, v)] = min(union.get((u, v), math.inf), float(w))
-        union[(v, u)] = min(union.get((v, u), math.inf), float(w))
-    for source in (hopset_edges, extra_edges):
-        for (u, v), w in source.items():
-            union[(u, v)] = min(union.get((u, v), math.inf), float(w))
-            union[(v, u)] = min(union.get((v, u), math.inf), float(w))
-    return union
+def _a1_edges(detection: SemiringMatrix, hitting_set: Sequence[int]) -> EdgeArrays:
+    """The level's A₁-A₁ edges, both directions: every off-diagonal entry
+    of the A₁ rows of the source-detection table (whose columns are A₁
+    already), weighted by the detected distance, read off the encoded
+    arrays."""
+    table = to_csr(detection.restrict_rows(hitting_set))
+    src, dst = table.row_ids(), table.indices
+    weight, _hops = table.semiring.decode_array(table.data)
+    apart = src != dst
+    return both_directions(src[apart], dst[apart], weight[apart])
 
 
 def _bounded_source_detection(
-    W_union,
-    semiring,
+    W_union: SemiringMatrix,
     sources: Sequence[int],
     hop_bound: int,
     clique: Clique,
     execution: str,
     early_stop: bool,
-) -> List[Dict[int, Tuple[float, int]]]:
-    """(S, d, |S|)-source detection with optional early stabilisation stop."""
-    from repro.matmul.output_sensitive import output_sensitive_mm
+) -> SemiringMatrix:
+    """(S, d, |S|)-source detection with optional early stabilisation stop.
 
-    n = W_union.n
+    Returns the detection table as a matrix (rows: nodes, columns: sources).
+    """
     source_list = sorted(set(sources))
     current = W_union.restrict_columns(source_list)
     for _ in range(hop_bound):
@@ -297,8 +295,4 @@ def _bounded_source_detection(
                 current = updated
                 break
         current = updated
-
-    out: List[Dict[int, Tuple[float, int]]] = []
-    for v in range(n):
-        out.append({u: (entry[0], int(entry[1])) for u, entry in current.rows[v].items()})
-    return out
+    return current

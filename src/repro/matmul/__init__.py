@@ -2,14 +2,15 @@
 
 This package contains the paper's Section 2 in executable form:
 
-* :mod:`repro.matmul.matrix` — sparse matrices over a semiring, densities
-  ρ, row filtering.
+* :mod:`repro.matmul.matrix` — sparse matrices over a semiring in their
+  two representations (per-row dictionaries and the encoded CSR arrays the
+  product chain stays in), densities ρ, row filtering.
 * :mod:`repro.matmul.kernels` — the local product kernels (sparse-dict,
   CSR, dense) behind the :class:`~repro.matmul.kernels.KernelDispatch`
   cost model.
-* :mod:`repro.matmul.csr` — the vectorised CSR kernel layer (numpy
-  gathers + segmented min-reductions for the min-plus family and the
-  Boolean semiring).
+* :mod:`repro.matmul.csr` — the vectorised CSR kernels (numpy gathers +
+  segmented min-reductions for the min-plus family and the Boolean
+  semiring).
 * :mod:`repro.matmul.partition` — the constructive partition lemmas
   (Lemmas 5-7) and the cube partitioning of Lemma 9.
 * :mod:`repro.matmul.balancing` — the balancing tools (Lemmas 10, 12, 13).
@@ -23,9 +24,8 @@ This package contains the paper's Section 2 in executable form:
   multiplication with on-the-fly output sparsification.
 """
 
-from repro.matmul.matrix import SemiringMatrix
+from repro.matmul.matrix import CSRMatrix, SemiringMatrix, from_csr, to_csr
 from repro.matmul.results import MatMulResult
-from repro.matmul.csr import CSRMatrix, from_csr, to_csr
 from repro.matmul.kernels import KERNEL_NAMES, KernelDispatch, local_product
 from repro.matmul.dense import dense_mm
 from repro.matmul.sparse_clt18 import sparse_mm_clt18

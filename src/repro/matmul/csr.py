@@ -1,20 +1,19 @@
-"""CSR-encoded kernels for the min-plus family and the Boolean semiring.
+"""CSR kernels for the min-plus family and the Boolean semiring.
 
 The dictionary kernels in :mod:`repro.matmul.kernels` pay Python interpreter
 overhead per elementary product, which caps every theorem-level routine
 (k-nearest, source detection, MSSP, hopsets, APSP) well below what the
-hardware allows.  This module stores a :class:`~repro.matmul.matrix.
-SemiringMatrix` in compressed-sparse-row form — ``indptr``/``indices``/
-``data`` numpy arrays — and evaluates semiring products entirely with
-vectorised numpy primitives:
+hardware allows.  The kernels here work on the encoded arrays of
+:class:`~repro.matmul.matrix.CSRMatrix` — ``indptr``/``indices``/``data`` —
+and evaluate semiring products entirely with vectorised numpy primitives:
 
-* min-plus matrices become ``float64`` data;
-* augmented min-plus matrices become ``int64`` data through the
+* min-plus matrices are ``float64`` data;
+* augmented min-plus matrices are ``int64`` data through the
   order/addition-preserving encoding of
   :class:`repro.semiring.augmented.AugmentedMinPlusSemiring`, so integer
   addition of codes equals component-wise semiring multiplication and
   integer comparison equals the lexicographic order;
-* Boolean matrices become all-zero ``int64`` data (only the pattern
+* Boolean matrices are all-zero ``int64`` data (only the pattern
   matters; min-reduction over zeros is "or" of the pattern).
 
 The core product expands every elementary product ``S[i,k] · T[k,j]`` into
@@ -27,10 +26,12 @@ block is sparse.  Row blocks bound both the candidate arrays and the
 accumulator memory.  Either way the result is bit-identical to
 :func:`repro.matmul.kernels.sparse_dict_product` (property-tested).
 
-CSR encodings are cached on the source matrix (``matrix._cache``) and
-invalidated on mutation, so build-once / multiply-many workloads — the
-filtered squarings of Theorem 18, the hop iterations of Theorem 19, the
-subcube products of Theorems 8/14 — convert each operand once.
+Operands and results stay in arrays (the array-resident contract of
+:mod:`repro.matmul.matrix`): an operand built from dictionaries is encoded
+once and the encoding cached on it, a product comes back array-resident —
+ρ-filtered on the codes, never decoded here — so the filtered squarings of
+Theorem 18, the hop iterations of Theorem 19 and the subcube products of
+Theorems 8/14 chain without touching a Python dictionary.
 """
 
 from __future__ import annotations
@@ -39,11 +40,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.matmul.matrix import SemiringMatrix
-from repro.semiring.augmented import AugmentedEntry, AugmentedMinPlusSemiring
-from repro.semiring.base import Semiring
-from repro.semiring.boolean import BooleanSemiring
-from repro.semiring.minplus import MinPlusSemiring
+from repro.matmul.matrix import (  # noqa: F401  (re-exported: original home)
+    CSRMatrix,
+    SemiringMatrix,
+    csr_supported,
+    decode_values,
+    dict_rows,
+    from_csr,
+    min_per_position,
+    smallest_per_row,
+    to_csr,
+)
 
 #: Target number of candidate elementary products held in memory at once.
 _CANDIDATE_BUDGET = 1 << 18
@@ -56,150 +63,8 @@ _BUFFER_BUDGET = 1 << 20
 _SPARSE_BLOCK_RATIO = 0.05
 
 
-class CSRMatrix:
-    """A semiring matrix in compressed-sparse-row numpy form.
-
-    ``data`` holds the kind-specific encoding described in the module
-    docstring; ``kind`` is one of ``"minplus"``, ``"augmented"``,
-    ``"boolean"``.  Column indices are sorted within each row.
-    """
-
-    __slots__ = ("n", "indptr", "indices", "data", "semiring", "kind")
-
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray, semiring: Semiring, kind: str):
-        self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.semiring = semiring
-        self.kind = kind
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    def infinity(self) -> Any:
-        """The "absent entry" marker of this kind's encoding."""
-        if self.kind == "minplus":
-            return np.inf
-        if self.kind == "augmented":
-            return self.semiring.inf_code
-        return 1  # boolean: data is 0 where present
-
-    def dense(self) -> np.ndarray:
-        """Densify to an ``n x n`` array of the kind's encoding."""
-        dtype = np.float64 if self.kind == "minplus" else np.int64
-        out = np.full(self.n * self.n, self.infinity(), dtype=dtype)
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        out[rows * self.n + self.indices] = self.data
-        return out.reshape(self.n, self.n)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CSRMatrix(n={self.n}, nnz={self.nnz}, kind={self.kind!r})"
-
-
-def csr_supported(semiring: Semiring) -> bool:
-    """Whether the CSR kernels can encode this semiring's values."""
-    return isinstance(
-        semiring, (MinPlusSemiring, AugmentedMinPlusSemiring, BooleanSemiring)
-    )
-
-
-def _kind_of(semiring: Semiring) -> str:
-    if isinstance(semiring, AugmentedMinPlusSemiring):
-        return "augmented"
-    if isinstance(semiring, BooleanSemiring):
-        return "boolean"
-    if isinstance(semiring, MinPlusSemiring):
-        return "minplus"
-    raise TypeError(f"CSR kernels do not support the {semiring.name} semiring")
-
-
-def to_csr(M: SemiringMatrix) -> CSRMatrix:
-    """Encode a matrix as CSR (cached on the matrix, see matrix docs)."""
-    cached = M._cache.get("csr")
-    if cached is not None:
-        return cached
-    kind = _kind_of(M.semiring)
-    n = M.n
-    lengths = np.fromiter((len(row) for row in M.rows), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    if kind == "minplus":
-        data = np.empty(total, dtype=np.float64)
-    elif kind == "augmented":
-        data = np.empty(total, dtype=np.int64)
-    else:
-        data = np.zeros(total, dtype=np.int64)
-    encode = M.semiring.encode if kind == "augmented" else None
-    pos = 0
-    for row in M.rows:
-        count = len(row)
-        if not count:
-            continue
-        cols = np.fromiter(row.keys(), dtype=np.int64, count=count)
-        order = np.argsort(cols)
-        indices[pos:pos + count] = cols[order]
-        if kind == "minplus":
-            data[pos:pos + count] = np.fromiter(
-                row.values(), dtype=np.float64, count=count
-            )[order]
-        elif kind == "augmented":
-            data[pos:pos + count] = np.fromiter(
-                (encode(v) for v in row.values()), dtype=np.int64, count=count
-            )[order]
-        pos += count
-    result = CSRMatrix(n, indptr, indices, data, M.semiring, kind)
-    M._cache["csr"] = result
-    return result
-
-
-def from_csr(csr: CSRMatrix) -> SemiringMatrix:
-    """Decode a CSR matrix back into a :class:`SemiringMatrix`."""
-    result = SemiringMatrix(csr.n, csr.semiring)
-    for i in range(csr.n):
-        lo, hi = int(csr.indptr[i]), int(csr.indptr[i + 1])
-        if lo == hi:
-            continue
-        result.rows[i] = _decode_row(
-            csr.indices[lo:hi], csr.data[lo:hi], csr.semiring, csr.kind
-        )
-    return result
-
-
-def _decode_row(cols: np.ndarray, vals: np.ndarray, semiring: Semiring,
-                kind: str) -> Dict[int, Any]:
-    """Decode one row's (cols, encoded vals) into a sparse-dict row."""
-    if kind == "minplus":
-        return dict(zip(cols.tolist(), vals.tolist()))
-    if kind == "augmented":
-        weights, hops = np.divmod(vals, semiring.hop_base)
-        return dict(zip(
-            cols.tolist(),
-            map(AugmentedEntry, weights.tolist(), hops.tolist()),
-        ))
-    return dict.fromkeys(cols.tolist(), True)
-
-
-def _keep_smallest(cols: np.ndarray, vals: np.ndarray,
-                   keep: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices/values of the ``keep`` smallest entries by (value, column).
-
-    ``cols`` must be ascending, so a stable sort on values breaks ties
-    towards the smaller column — the Section 2.2.2 cutoff rule
-    :meth:`SemiringMatrix.filter_rows` implements.
-    """
-    if cols.size <= keep:
-        return cols, vals
-    chosen = np.argsort(vals, kind="stable")[:keep]
-    return cols[chosen], vals[chosen]
-
-
 # ----------------------------------------------------------------------
-# candidate expansion + segmented min-reduction
+# candidate expansion
 # ----------------------------------------------------------------------
 def _expand(s_rows: np.ndarray, s_cols: np.ndarray, s_vals: np.ndarray,
             B: CSRMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -222,21 +87,6 @@ def _expand(s_rows: np.ndarray, s_cols: np.ndarray, s_vals: np.ndarray,
     cand_vals = np.repeat(s_vals, counts) + B.data[gather]
     cand_mids = np.repeat(s_cols, counts)
     return cand_rows, cand_cols, cand_vals, cand_mids
-
-
-def _reduce_min(cand_rows: np.ndarray, cand_cols: np.ndarray,
-                cand_vals: np.ndarray,
-                n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum candidate value per (row, col); rows/cols come back sorted."""
-    keys = cand_rows * n + cand_cols
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    mins = np.minimum.reduceat(cand_vals[order], starts)
-    out_keys = sorted_keys[starts]
-    return out_keys // n, out_keys % n, mins
-
-
 
 
 def _row_blocks(A: CSRMatrix, B: CSRMatrix) -> List[Tuple[int, int]]:
@@ -264,74 +114,61 @@ def _row_blocks(A: CSRMatrix, B: CSRMatrix) -> List[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 # products
 # ----------------------------------------------------------------------
+def _block_candidates(A: CSRMatrix, B: CSRMatrix, start: int, stop: int):
+    """Candidate arrays of rows ``[start, stop)`` of ``A · B`` (or ``None``)."""
+    lo, hi = int(A.indptr[start]), int(A.indptr[stop])
+    if lo == hi:
+        return None
+    s_rows = np.repeat(
+        np.arange(start, stop, dtype=np.int64),
+        np.diff(A.indptr[start:stop + 1]),
+    )
+    candidates = _expand(s_rows, A.indices[lo:hi], A.data[lo:hi], B)
+    return candidates if candidates[0].size else None
+
+
+def _assemble(A: CSRMatrix, blocks: List[Tuple[np.ndarray, ...]]) -> SemiringMatrix:
+    """The array-resident matrix of per-block ``(rows, cols, vals)`` triples."""
+    if not blocks:
+        return SemiringMatrix(A.n, A.semiring)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return from_csr(CSRMatrix.from_triples(A.n, rows, cols, vals, A.semiring))
+
+
 def csr_product(S: SemiringMatrix, T: SemiringMatrix,
                 keep: Optional[int] = None) -> SemiringMatrix:
     """Compute ``S · T`` with the CSR kernels (optionally ρ-filtered).
 
     Bit-identical to ``sparse_dict_product`` followed by ``filter_rows``;
-    the filtering happens on the encoded arrays before any decoding.
+    the filtering happens block by block on the encoded arrays and the
+    result is array-resident.
     """
     if keep is not None and not S.semiring.is_ordered():
         raise TypeError("row filtering requires an ordered semiring")
     A = to_csr(S)
     B = to_csr(T)
     n = A.n
-    result = SemiringMatrix(n, S.semiring)
-    if A.nnz == 0 or B.nnz == 0:
-        return result
     infinity = A.infinity()
+    blocks: List[Tuple[np.ndarray, ...]] = []
     for start, stop in _row_blocks(A, B):
-        lo, hi = int(A.indptr[start]), int(A.indptr[stop])
-        if lo == hi:
+        candidates = _block_candidates(A, B, start, stop)
+        if candidates is None:
             continue
-        s_rows = np.repeat(
-            np.arange(start, stop, dtype=np.int64),
-            np.diff(A.indptr[start:stop + 1]),
-        )
-        cand_rows, cand_cols, cand_vals, _ = _expand(
-            s_rows, A.indices[lo:hi], A.data[lo:hi], B
-        )
-        if not cand_rows.size:
-            continue
+        cand_rows, cand_cols, cand_vals, _ = candidates
         cells = (stop - start) * n
         if cand_rows.size >= _SPARSE_BLOCK_RATIO * cells:
             # Dense accumulator: one vectorised min-scatter per block.
             buffer = np.full(cells, infinity, dtype=A.data.dtype)
             np.minimum.at(buffer, (cand_rows - start) * n + cand_cols, cand_vals)
-            buffer = buffer.reshape(stop - start, n)
-            for local in range(stop - start):
-                row_vals = buffer[local]
-                cols = np.flatnonzero(row_vals < infinity)
-                if not cols.size:
-                    continue
-                vals = row_vals[cols]
-                if keep is not None:
-                    cols, vals = _keep_smallest(cols, vals, keep)
-                result.rows[start + local] = _decode_row(
-                    cols, vals, A.semiring, A.kind
-                )
+            present = np.flatnonzero(buffer < infinity)
+            rows, cols, vals = present // n + start, present % n, buffer[present]
         else:
-            rows_out, cols_out, vals_out = _reduce_min(
-                cand_rows, cand_cols, cand_vals, n
-            )
-            _fill_rows(result, rows_out, cols_out, vals_out, start, stop, A, keep)
-    return result
-
-
-def _fill_rows(result: SemiringMatrix, rows_out: np.ndarray,
-               cols_out: np.ndarray, vals_out: np.ndarray,
-               start: int, stop: int, A: CSRMatrix,
-               keep: Optional[int]) -> None:
-    """Scatter reduced (row, col, val) triples into the result's dict rows."""
-    bounds = np.searchsorted(rows_out, np.arange(start, stop + 1))
-    for i in range(start, stop):
-        a, b = bounds[i - start], bounds[i - start + 1]
-        if a == b:
-            continue
-        cols, vals = cols_out[a:b], vals_out[a:b]
+            rows, cols, vals = min_per_position(cand_rows, cand_cols, cand_vals, n)
         if keep is not None:
-            cols, vals = _keep_smallest(cols, vals, keep)
-        result.rows[i] = _decode_row(cols, vals, A.semiring, A.kind)
+            chosen = smallest_per_row(rows, vals, keep)
+            rows, cols, vals = rows[chosen], cols[chosen], vals[chosen]
+        blocks.append((rows, cols, vals))
+    return _assemble(A, blocks)
 
 
 def csr_witnessed_product(
@@ -339,33 +176,22 @@ def csr_witnessed_product(
 ) -> Tuple[SemiringMatrix, List[Dict[int, int]]]:
     """``S · T`` with per-entry witnesses (min-plus family only).
 
-    Returns the product and ``witnesses[i][j] = w`` with ``w`` the smallest
-    middle index achieving the minimum — the same tie-break as the
-    dictionary kernel in :mod:`repro.matmul.witness`.
+    Returns the (array-resident) product and ``witnesses[i][j] = w`` with
+    ``w`` the smallest middle index achieving the minimum — the same
+    tie-break as the dictionary kernel in :mod:`repro.matmul.witness`.
     """
     A = to_csr(S)
     B = to_csr(T)
     if A.kind == "boolean":
         raise TypeError("witnessed products require an ordered (min) semiring")
     n = A.n
-    product = SemiringMatrix(n, S.semiring)
-    witnesses: List[Dict[int, int]] = [dict() for _ in range(n)]
-    if A.nnz == 0 or B.nnz == 0:
-        return product, witnesses
     infinity = A.infinity()
+    blocks: List[Tuple[np.ndarray, ...]] = []
     for start, stop in _row_blocks(A, B):
-        lo, hi = int(A.indptr[start]), int(A.indptr[stop])
-        if lo == hi:
+        candidates = _block_candidates(A, B, start, stop)
+        if candidates is None:
             continue
-        s_rows = np.repeat(
-            np.arange(start, stop, dtype=np.int64),
-            np.diff(A.indptr[start:stop + 1]),
-        )
-        cand_rows, cand_cols, cand_vals, cand_mids = _expand(
-            s_rows, A.indices[lo:hi], A.data[lo:hi], B
-        )
-        if not cand_rows.size:
-            continue
+        cand_rows, cand_cols, cand_vals, cand_mids = candidates
         # Two min-scatters: first the values, then — among the candidates
         # that achieve the minimum (exact compare: the winning candidate is
         # bitwise equal to the scattered minimum) — the smallest middle
@@ -377,20 +203,15 @@ def csr_witnessed_product(
         achieving = cand_vals == value_buffer[keys]
         witness_buffer = np.full(cells, np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(witness_buffer, keys[achieving], cand_mids[achieving])
-        value_buffer = value_buffer.reshape(stop - start, n)
-        witness_buffer = witness_buffer.reshape(stop - start, n)
-        for local in range(stop - start):
-            row_vals = value_buffer[local]
-            cols = np.flatnonzero(row_vals < infinity)
-            if not cols.size:
-                continue
-            product.rows[start + local] = _decode_row(
-                cols, row_vals[cols], A.semiring, A.kind
-            )
-            witnesses[start + local] = dict(
-                zip(cols.tolist(), witness_buffer[local][cols].tolist())
-            )
-    return product, witnesses
+        present = np.flatnonzero(value_buffer < infinity)
+        blocks.append((present // n + start, present % n,
+                       value_buffer[present], witness_buffer[present]))
+    product = _assemble(A, [block[:3] for block in blocks])
+    if not blocks:
+        return product, [dict() for _ in range(n)]
+    csr = to_csr(product)
+    witnesses = np.concatenate([block[3] for block in blocks])
+    return product, dict_rows(csr.indptr, csr.indices.tolist(), witnesses.tolist())
 
 
 def csr_submatrix_product(
@@ -450,14 +271,8 @@ def csr_submatrix_product(
         cand_vals = cand_vals[allowed]
         if not cand_rows.size:
             continue
-        rows_out, cols_out, vals_out = _reduce_min(cand_rows, cand_cols, cand_vals, n)
-        if A.kind == "minplus":
-            values: List[Any] = vals_out.tolist()
-        elif A.kind == "augmented":
-            weights, hops = np.divmod(vals_out, A.semiring.hop_base)
-            values = list(map(AugmentedEntry, weights.tolist(), hops.tolist()))
-        else:
-            values = [True] * len(vals_out)
+        rows_out, cols_out, vals_out = min_per_position(cand_rows, cand_cols, cand_vals, n)
+        values = decode_values(vals_out, A.semiring, A.kind)
         out.update(zip(zip(rows_out.tolist(), cols_out.tolist()), values))
     return out
 

@@ -3,9 +3,10 @@
 Two layers live here:
 
 * **Array kernels** — numpy (and optionally numba) implementations of the
-  dense min-plus product over the encodings the CSR layer already defines
-  (``float64`` with ``inf`` for plain min-plus, order-preserving ``int64``
-  codes for the augmented semiring):
+  dense min-plus product over the encodings of
+  :class:`~repro.matmul.matrix.CSRMatrix` (``float64`` with ``inf`` for
+  plain min-plus, order-preserving ``int64`` codes for the augmented
+  semiring):
 
   - :func:`minplus_matmul_arrays` — the original row-block broadcast
     kernel (the ``"dense"`` dispatch tier): one ``(block, n, n)``
@@ -40,9 +41,8 @@ from typing import Optional
 import numpy as np
 
 from repro.cclique.accounting import Clique
-from repro.matmul.matrix import SemiringMatrix
+from repro.matmul.matrix import CSRMatrix, SemiringMatrix, from_csr, to_csr
 from repro.matmul.results import MatMulResult
-from repro.semiring.augmented import AugmentedMinPlusSemiring
 from repro.semiring.base import Semiring
 
 try:  # optional perf extra — never required
@@ -85,38 +85,14 @@ def to_dense_array(M: SemiringMatrix) -> np.ndarray:
     missing entries; augmented matrices become ``int64`` arrays of the
     order-preserving encoding with the infinity code for missing entries.
     """
-    semiring = M.semiring
-    if isinstance(semiring, AugmentedMinPlusSemiring):
-        array = np.full((M.n, M.n), semiring.inf_code, dtype=np.int64)
-        for i, j, value in M.entries():
-            array[i, j] = semiring.encode(value)
-        return array
-    array = np.full((M.n, M.n), np.inf, dtype=np.float64)
-    for i, j, value in M.entries():
-        array[i, j] = value
-    return array
+    return to_csr(M).dense()
 
 
 def from_dense_array(
     array: np.ndarray, semiring: Semiring
 ) -> SemiringMatrix:
-    """Decode a dense numpy array back into a :class:`SemiringMatrix`."""
-    n = array.shape[0]
-    result = SemiringMatrix(n, semiring)
-    if isinstance(semiring, AugmentedMinPlusSemiring):
-        inf_code = semiring.inf_code
-        for i in range(n):
-            row = array[i]
-            nonzero = np.nonzero(row < inf_code)[0]
-            result.rows[i] = {
-                int(j): semiring.decode(int(row[j])) for j in nonzero
-            }
-        return result
-    for i in range(n):
-        row = array[i]
-        nonzero = np.nonzero(np.isfinite(row))[0]
-        result.rows[i] = {int(j): float(row[j]) for j in nonzero}
-    return result
+    """Wrap a dense numpy array as an (array-resident) :class:`SemiringMatrix`."""
+    return from_csr(CSRMatrix.from_dense(array, semiring))
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,17 @@ model, only communication costs rounds.  Five kernels provide that local
 computation:
 
 * ``dict`` — the reference dictionary-based sparse semiring product: a pure
-  Python triple loop, works for any semiring, cost proportional to the
-  number of elementary products.  Always available, slowest per product,
-  and the bit-exact baseline every other tier is property-tested against.
+  Python triple loop over ``rows``, works for any semiring, cost
+  proportional to the number of elementary products.  Always available,
+  slowest per product, and the bit-exact baseline every other tier is
+  property-tested against.  It reads and writes dictionaries, so it decodes
+  an array-resident operand and its result has to be encoded again by the
+  next vectorised product.
 * ``csr`` — the vectorised sparse kernels of :mod:`repro.matmul.csr`:
-  operands are converted (once, cached on the matrix) to CSR numpy arrays
-  and the product is evaluated with gathers and segmented min-reductions.
-  Available for the min-plus family (floats / augmented int64 encoding)
-  and the Boolean semiring; typically 5-50x faster than ``dict`` on sparse
-  inputs.
+  gathers and segmented min-reductions over the operands' encoded CSR
+  arrays, result returned array-resident.  Available for the min-plus
+  family (floats / augmented int64 encoding) and the Boolean semiring;
+  typically 10-50x faster than ``dict`` on sparse inputs.
 * ``dense`` — the row-block dense broadcast kernel
   (:func:`repro.matmul.dense.minplus_matmul_arrays`): densify both
   operands and take a full ``n³`` min-plus, one ``(block, n, n)``
@@ -29,14 +31,22 @@ computation:
   (:func:`repro.matmul.dense.minplus_jit`).  Only offered when numba is
   importable (the optional ``perf`` extra); never required.
 
+Every vectorised tier takes its operands' encoded arrays (encoding a
+dictionary-built operand once, cached on it) and returns an array-resident
+:class:`~repro.matmul.matrix.SemiringMatrix`: ``keep=`` filters on the
+codes before anything is decoded, and a chain of products never builds a
+Python dictionary (see :mod:`repro.matmul.matrix` for the contract).
+
 :class:`KernelDispatch` picks between them per call from estimated costs:
 the number of elementary products ``Σ_k colnnz_S(k) · rownnz_T(k)`` (the
 work of the sparse kernels) against the dense ``n³`` FLOP count, each
-weighted by a per-kernel cost-per-operation plus fixed setup and conversion
-charges.  Cost estimates are memoized per operand pair (keyed on identity,
-shape, nnz, and conversion-cache state), so iterated call chains — repeated
-squaring, the per-subcube schedules of the faithful execution modes — pay
-the O(n) estimate once instead of on every ``select()``.  The choice never
+weighted by a per-kernel cost-per-operation plus fixed setup charges, and
+conversion charged to the tier that forces it — encoding to the vectorised
+tiers for an operand with no arrays yet, decoding to ``dict`` for an
+array-resident one.  The product estimate is memoized on the left operand
+(in its ``_cache``, dropped on mutation like every cached statistic), so
+iterated call chains — the per-subcube schedules of the faithful execution
+modes — pay it once instead of on every ``select()``.  The choice never
 affects the result — all tiers are bit-identical on their common domain
 (property-tested).
 
@@ -47,19 +57,18 @@ use this; an env-pinned kernel that cannot handle the semiring or operation
 at hand falls back to the cost model over the kernels that can, while an
 explicitly passed one raises).
 
-``benchmarks/bench_primitives.py --json`` measures the kernels on fixed
-seeds/sizes and writes ``BENCH_PR2.json``; see the README's Performance
-section for how to read it.
+To measure the kernels, run ``python3 bench/run.py --workload paper-algos
+--trace 1`` (``bench/README.md``): its ``matmul.local_product.*.s`` metrics
+time one product under each pin, and ``matmul.filtered_mm.s``,
+``distance.*.s``, ``hopsets.build_hopset.s`` and ``core.*.s`` the routines
+built on them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.matmul import csr as _csr
 from repro.matmul import dense as _dense
@@ -89,27 +98,25 @@ DENSE_TIERS = ("dense", "dense-blocked", "jit")
 class KernelDispatch:
     """Cost-model kernel selection for the local products.
 
-    The unit is "one Python-level dictionary product" ≈ a few hundred
-    nanoseconds; the other constants are measured relative to it on the
-    ``bench_primitives`` workloads.  The absolute values only matter near
-    the crossover points, where all kernels are within a small factor of
-    each other anyway.
+    The unit is "one Python-level dictionary product" ≈ a microsecond for
+    the augmented semiring; the other constants are measured relative to it
+    on the products of the ``paper-algos`` benchmark workload (n=96) and a
+    synthetic n=16..384 ladder.  The absolute values only matter near the
+    crossover points, where all kernels are within a small factor of each
+    other anyway.
     """
-
-    #: Maximum memoized cost entries kept (LRU); see :meth:`costs`.
-    COST_CACHE_SIZE = 128
 
     def __init__(
         self,
         dict_op: float = 1.0,
-        csr_op: float = 0.05,
-        csr_setup: float = 4000.0,
-        csr_convert_per_nnz: float = 0.25,
-        dense_op: float = 0.012,
-        dense_setup: float = 4000.0,
-        dense_per_cell: float = 0.08,
-        dense_blocked_op: float = 0.005,
-        jit_op: float = 0.0015,
+        csr_op: float = 0.03,
+        csr_setup: float = 150.0,
+        csr_convert_per_nnz: float = 0.3,
+        dense_op: float = 0.004,
+        dense_setup: float = 150.0,
+        dense_per_cell: float = 0.02,
+        dense_blocked_op: float = 0.002,
+        jit_op: float = 0.0006,
     ):
         self.dict_op = dict_op
         self.csr_op = csr_op
@@ -120,7 +127,6 @@ class KernelDispatch:
         self.dense_per_cell = dense_per_cell
         self.dense_blocked_op = dense_blocked_op
         self.jit_op = jit_op
-        self._cost_cache: "OrderedDict[Tuple, Dict[str, float]]" = OrderedDict()
         #: Per-kernel selection counts; surfaced as
         #: ``repro_kernel_selected_total{kernel=...}`` on the obs registry.
         self.selections: Dict[str, int] = {}
@@ -143,26 +149,23 @@ class KernelDispatch:
     @staticmethod
     def estimated_products(S: SemiringMatrix, T: SemiringMatrix) -> int:
         """Estimated elementary products ``Σ_k colnnz_S(k) · rownnz_T(k)``."""
-        col = np.asarray(S.col_nnz(), dtype=np.int64)
-        rows = np.fromiter(
-            (len(row) for row in T.rows), dtype=np.int64, count=T.n
-        )
-        return int(col @ rows)
+        return int(S._col_counts() @ T._row_counts())
 
-    def _cost_key(self, S: SemiringMatrix, T: SemiringMatrix,
-                  products_scale: float) -> Tuple:
-        # Identity plus shape/nnz/conversion-state: a mutation through
-        # set()/add_entry() changes nnz (or clears the CSR cache) and so
-        # misses this key.  A same-nnz in-place rewrite could alias, but the
-        # estimate only steers kernel choice — results are unaffected.
-        return (
-            id(S), id(T), S.n, S.nnz(), T.nnz(), products_scale,
-            "csr" in S._cache, "csr" in T._cache,
-        )
+    def _memoized_products(self, S: SemiringMatrix, T: SemiringMatrix) -> int:
+        """:meth:`estimated_products`, memoized on ``S`` for its last ``T``.
 
-    def clear_cost_cache(self) -> None:
-        """Drop all memoized cost estimates."""
-        self._cost_cache.clear()
+        The memo lives in ``S._cache`` and names ``T`` by a token object in
+        ``T._cache``, so mutating either operand drops it with their other
+        cached statistics, and a freed operand can never be mistaken for a
+        new one (the memo keeps the token, not an ``id``, alive).
+        """
+        token = T._cache.get("token")
+        if token is None:
+            token = T._cache["token"] = object()
+        memo = S._cache.get("products")
+        if memo is None or memo[0] is not token:
+            memo = S._cache["products"] = (token, self.estimated_products(S, T))
+        return memo[1]
 
     def _record_selection(self, choice: str) -> str:
         """Count the selected tier (dict bump + a registry series per tier).
@@ -189,40 +192,32 @@ class KernelDispatch:
 
         ``products_scale`` scales the elementary-product estimate for
         restricted products that only touch a fraction of the cube (the
-        subcube calls of the faithful execution modes).  Memoized per
-        operand pair (LRU of :attr:`COST_CACHE_SIZE`): iterated squaring
-        and per-subcube schedules re-``select()`` over the same operands,
-        and the O(n) product estimate only needs to be paid once per pair.
+        subcube calls of the faithful execution modes).  Conversion between
+        the two representations is charged to whoever forces it: the
+        vectorised tiers pay to encode an operand that has no arrays yet,
+        the ``dict`` tier pays to decode an array-resident one.
         """
-        key = self._cost_key(S, T, products_scale)
-        cached = self._cost_cache.get(key)
-        if cached is not None:
-            self._cost_cache.move_to_end(key)
-            return dict(cached)
-
-        products = self.estimated_products(S, T) * products_scale
+        products = self._memoized_products(S, T) * products_scale
+        operands = (S,) if S is T else (S, T)
         nnz = S.nnz() + T.nnz()
         n = S.n
-        out = {"dict": products * self.dict_op}
+        decode = sum(op.nnz() for op in operands if not op.materialised)
+        out = {"dict": products * self.dict_op + decode * self.csr_convert_per_nnz}
+        encode = (
+            sum(op.nnz() for op in operands if not op.encoded)
+            * self.csr_convert_per_nnz
+        )
         if self.csr_eligible(S.semiring):
-            convert = 0.0
-            for operand in (S, T):
-                if "csr" not in operand._cache:
-                    convert += operand.nnz() * self.csr_convert_per_nnz
             out["csr"] = (
-                self.csr_setup + convert + products * self.csr_op + nnz * 0.05
+                self.csr_setup + encode + products * self.csr_op + nnz * 0.05
             )
         if self.dense_eligible(S.semiring):
-            densify = self.dense_setup + 2 * n * n * self.dense_per_cell
+            densify = self.dense_setup + encode + 2 * n * n * self.dense_per_cell
             cube = float(n) ** 3
             out["dense"] = densify + cube * self.dense_op
             out["dense-blocked"] = densify + cube * self.dense_blocked_op
             if self.jit_eligible(S.semiring):
                 out["jit"] = densify + cube * self.jit_op
-
-        self._cost_cache[key] = dict(out)
-        if len(self._cost_cache) > self.COST_CACHE_SIZE:
-            self._cost_cache.popitem(last=False)
         return out
 
     # -- selection ------------------------------------------------------
@@ -314,9 +309,8 @@ def local_product(
     if choice == "csr":
         return _csr.csr_product(S, T, keep=keep)
     if choice in DENSE_TIERS:
-        product = _numpy_product(S, T, variant=choice)
-    else:
-        product = sparse_dict_product(S, T)
+        return _numpy_product(S, T, variant=choice, keep=keep)
+    product = sparse_dict_product(S, T)
     if keep is not None:
         product = product.filter_rows(keep)
     return product
@@ -330,9 +324,9 @@ def sparse_dict_product(S: SemiringMatrix, T: SemiringMatrix) -> SemiringMatrix:
     zero = semiring.zero
     result = SemiringMatrix(S.n, semiring)
     t_rows = T.rows
-    for i in range(S.n):
+    for i, s_row in enumerate(S.rows):
         out_row: Dict[int, Any] = {}
-        for k, s_ik in S.rows[i].items():
+        for k, s_ik in s_row.items():
             t_row = t_rows[k]
             if not t_row:
                 continue
@@ -388,8 +382,9 @@ def _dict_submatrix_product(
     cols = set(col_set)
     mids = set(mid_set)
     out: Dict[Tuple[int, int], Any] = {}
+    s_rows, t_rows = S.rows, T.rows
     for i in row_set:
-        s_row = S.rows[i]
+        s_row = s_rows[i]
         if not s_row:
             continue
         if len(s_row) <= len(mids):
@@ -397,7 +392,7 @@ def _dict_submatrix_product(
         else:
             mid_items = [(k, s_row[k]) for k in mids if k in s_row]
         for k, s_ik in mid_items:
-            t_row = T.rows[k]
+            t_row = t_rows[k]
             if not t_row:
                 continue
             if len(t_row) <= len(cols):
@@ -415,11 +410,13 @@ def _dict_submatrix_product(
 
 
 def _numpy_product(S: SemiringMatrix, T: SemiringMatrix,
-                   variant: str = "dense") -> SemiringMatrix:
-    """Densify, run one of the dense-array tiers, and decode back."""
-    semiring = S.semiring
-    # Densify through the cached CSR encoding (vectorised scatter) rather
-    # than the per-entry Python loop of to_dense_array.
+                   variant: str = "dense",
+                   keep: Optional[int] = None) -> SemiringMatrix:
+    """Densify, run one of the dense-array tiers, ρ-filter on the codes.
+
+    Sums involving an absent entry land at or above the encoding's
+    infinity, which :meth:`CSRMatrix.from_dense` drops.
+    """
     A = _csr.to_csr(S).dense()
     B = _csr.to_csr(T).dense()
     if variant == "dense-blocked":
@@ -428,11 +425,7 @@ def _numpy_product(S: SemiringMatrix, T: SemiringMatrix,
         C = _dense.minplus_jit(A, B)
     else:
         C = _dense.minplus_matmul_arrays(A, B)
-    if isinstance(semiring, AugmentedMinPlusSemiring):
-        # Any sum involving the infinity code exceeds it; clamp back.
-        np.minimum(C, semiring.inf_code, out=C)
-        C[C >= semiring.inf_code] = semiring.inf_code
-    return from_dense_array(C, semiring)
+    return _csr.from_csr(_csr.CSRMatrix.from_dense(C, S.semiring, keep))
 
 
 def iterated_squaring(

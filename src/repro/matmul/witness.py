@@ -75,11 +75,12 @@ def witnessed_product(
 
     product = SemiringMatrix(S.n, semiring)
     witnesses: List[Dict[int, int]] = [dict() for _ in range(S.n)]
-    for i in range(S.n):
+    t_rows = T.rows
+    for i, s_row in enumerate(S.rows):
         out_row: Dict[int, Any] = {}
         wit_row = witnesses[i]
-        for w, s_iw in sorted(S.rows[i].items()):
-            t_row = T.rows[w]
+        for w, s_iw in sorted(s_row.items()):
+            t_row = t_rows[w]
             if not t_row:
                 continue
             for j, t_wj in t_row.items():

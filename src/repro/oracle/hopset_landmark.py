@@ -31,31 +31,10 @@ from typing import Dict, List
 import numpy as np
 
 from repro.cclique.accounting import Clique
+from repro.distance.products import union_edge_arrays
 from repro.graphs.graph import Graph
 from repro.hopsets import build_hopset
 from repro.oracle.build import default_ball_size
-
-
-def union_edge_arrays(graph: Graph, hopset_edges):
-    """Directed ``(src, dst, weight)`` arrays for every edge of G ∪ H."""
-    src: List[int] = []
-    dst: List[int] = []
-    weight: List[float] = []
-    for u in range(graph.n):
-        for v, w in graph.neighbors(u).items():
-            src.append(u)
-            dst.append(v)
-            weight.append(float(w))
-    for u, v, w in hopset_edges:
-        src.append(int(u))
-        dst.append(int(v))
-        weight.append(float(w))
-        src.append(int(v))
-        dst.append(int(u))
-        weight.append(float(w))
-    return (np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(weight, dtype=np.float64))
 
 
 def landmark_table(graph: Graph, hopset_edges, landmarks: np.ndarray):

@@ -15,12 +15,17 @@ Because hop counts of two multiplied entries add to at most ``2 n`` we pick
 addition of encodings, and lexicographic comparison equals integer
 comparison.  This lets the matmul kernels run min-plus products on int64
 arrays while remaining bit-exact with the tuple semantics.
+:meth:`AugmentedMinPlusSemiring.encode_array` / ``decode_array`` are the
+vectorised form of the codec — the one :mod:`repro.matmul.matrix` uses to
+move whole matrices between dict rows and encoded arrays.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple, Tuple
+
+import numpy as np
 
 from repro.semiring.base import Semiring
 
@@ -109,6 +114,35 @@ class AugmentedMinPlusSemiring(Semiring):
             return self._zero
         weight, hops = divmod(int(code), self.hop_base)
         return AugmentedEntry(weight, hops)
+
+    def encode_array(self, weights: np.ndarray, hops: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`encode`: ``int64`` codes of ``(weights, hops)``."""
+        weights = np.asarray(weights, dtype=np.float64)
+        hops = np.asarray(hops, dtype=np.float64)
+        infinite = np.isinf(weights) | np.isinf(hops)
+        if infinite.any():
+            weights = np.where(infinite, 0.0, weights)
+            hops = np.where(infinite, 0.0, hops)
+        if (weights < 0).any():
+            raise ValueError(
+                f"weights must be non-negative, got {weights.min()}"
+            )
+        if (hops >= self.hop_base).any():
+            raise ValueError(
+                f"hop count {hops.max()} exceeds hop_base {self.hop_base}; "
+                "construct the semiring with a larger hop_base"
+            )
+        codes = weights.astype(np.int64) * self.hop_base + hops.astype(np.int64)
+        codes[infinite] = self._inf_code
+        return codes
+
+    def decode_array(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`decode` of finite codes: ``(weights, hops)``.
+
+        Matrices never store the additive identity, so callers drop codes at
+        or above :attr:`inf_code` before decoding.
+        """
+        return np.divmod(codes, self.hop_base)
 
     @property
     def inf_code(self) -> int:

@@ -68,6 +68,18 @@ class TestClique:
         clique.charge(2, "b")
         assert clique.rounds == 5
 
+    def test_repeated_labels_keep_one_record(self):
+        """A result that keeps its clique keeps one record per label, not
+        one per charge (thousands, in the hop-iteration loops)."""
+        clique = Clique(16)
+        with clique.phase("loop"):
+            for _ in range(1000):
+                clique.charge(2, "a")
+                clique.charge(1, "b")
+        assert clique.breakdown.entries == [("loop/a", 2000.0), ("loop/b", 1000.0)]
+        assert clique.breakdown.by_label() == dict(clique.breakdown.entries)
+        assert clique.rounds == 3000
+
     def test_negative_charge_rejected(self):
         clique = Clique(16)
         with pytest.raises(ValueError):

@@ -196,50 +196,8 @@ class TestBlockedTiers:
 # cost memoization (the iterated-squaring select() hot path)
 # ----------------------------------------------------------------------
 class TestCostMemoization:
-    def test_costs_memoized_per_operand_pair(self):
-        dispatch = KernelDispatch()
-        S = random_matrix(12, 40, 9)
-        T = random_matrix(12, 40, 10)
-        first = dispatch.costs(S, T)
-        assert len(dispatch._cost_cache) == 1
-        second = dispatch.costs(S, T)
-        assert second == first
-        assert len(dispatch._cost_cache) == 1  # served from cache
-
-    def test_costs_return_value_is_a_copy(self):
-        dispatch = KernelDispatch()
-        S = random_matrix(10, 30, 11)
-        out = dispatch.costs(S, S)
-        out["dict"] = -1.0
-        assert dispatch.costs(S, S)["dict"] != -1.0
-
-    def test_mutation_misses_the_cache(self):
-        dispatch = KernelDispatch()
-        S = SemiringMatrix(5, MIN_PLUS)
-        S.set(0, 1, 2.0)
-        dispatch.costs(S, S)
-        S.set(2, 3, 4.0)  # changes nnz -> new cost key
-        dispatch.costs(S, S)
-        assert len(dispatch._cost_cache) == 2
-
-    def test_cache_is_bounded_lru(self):
-        dispatch = KernelDispatch()
-        mats = [random_matrix(6, 10, 100 + i) for i in
-                range(dispatch.COST_CACHE_SIZE + 5)]
-        for M in mats:
-            dispatch.costs(M, M)
-        assert len(dispatch._cost_cache) == dispatch.COST_CACHE_SIZE
-
-    def test_clear_cost_cache(self):
-        dispatch = KernelDispatch()
-        S = random_matrix(8, 20, 13)
-        dispatch.costs(S, S)
-        dispatch.clear_cost_cache()
-        assert len(dispatch._cost_cache) == 0
-
-    def test_select_uses_memoized_costs(self, monkeypatch):
-        dispatch = KernelDispatch()
-        S = random_matrix(12, 40, 14)
+    @staticmethod
+    def counting_estimates(monkeypatch):
         calls = {"n": 0}
         original = KernelDispatch.estimated_products
 
@@ -249,6 +207,60 @@ class TestCostMemoization:
 
         monkeypatch.setattr(KernelDispatch, "estimated_products",
                             staticmethod(counting))
+        return calls
+
+    def test_costs_memoized_per_operand_pair(self, monkeypatch):
+        calls = self.counting_estimates(monkeypatch)
+        dispatch = KernelDispatch()
+        S = random_matrix(12, 40, 9)
+        T = random_matrix(12, 40, 10)
+        first = dispatch.costs(S, T)
+        assert dispatch.costs(S, T) == first
+        assert calls["n"] == 1  # served from the memo on S
+        dispatch.costs(S, S)  # another right operand: estimated afresh
+        assert calls["n"] == 2
+
+    def test_costs_return_value_is_a_copy(self):
+        dispatch = KernelDispatch()
+        S = random_matrix(10, 30, 11)
+        out = dispatch.costs(S, S)
+        out["dict"] = -1.0
+        assert dispatch.costs(S, S)["dict"] != -1.0
+
+    def test_mutation_misses_the_cache(self, monkeypatch):
+        calls = self.counting_estimates(monkeypatch)
+        dispatch = KernelDispatch()
+        S = SemiringMatrix(5, MIN_PLUS)
+        T = SemiringMatrix(5, MIN_PLUS)
+        S.set(0, 1, 2.0)
+        T.set(1, 2, 2.0)
+        before = dispatch.costs(S, T)
+        T.set(1, 3, 4.0)  # mutating either operand drops the memo
+        assert dispatch.costs(S, T)["dict"] == 2 * before["dict"]
+        S.set(2, 1, 4.0)
+        assert dispatch.costs(S, T)["dict"] == 4 * before["dict"]
+        assert calls["n"] == 3
+
+    def test_memo_does_not_alias_a_freed_operand(self):
+        """The squaring loops free and allocate same-shape matrices; a new
+        operand that reuses a freed one's ``id`` must not be served the old
+        estimate."""
+        dispatch = KernelDispatch()
+        S = SemiringMatrix(8, MIN_PLUS, [{0: 1.0, 1: 1.0} for _ in range(8)])
+        for trial in range(50):
+            # Same n and nnz every time; only the layout (and so the
+            # product count) differs.
+            rows = [dict() for _ in range(8)]
+            rows[5 * (trial % 2)] = {j: 1.0 for j in range(4)}
+            T = SemiringMatrix(8, MIN_PLUS, rows)
+            expected = 0 if trial % 2 else 8 * 4
+            assert dispatch.costs(S, T)["dict"] == expected
+            del T, rows
+
+    def test_select_uses_memoized_costs(self, monkeypatch):
+        calls = self.counting_estimates(monkeypatch)
+        dispatch = KernelDispatch()
+        S = random_matrix(12, 40, 14)
         for _ in range(5):
             dispatch.select(S, S)
         assert calls["n"] == 1
