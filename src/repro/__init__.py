@@ -18,15 +18,18 @@ Leitersdorf, *Fast Approximate Shortest Paths in the Congested Clique*
 * the prior-work baselines those results are compared against —
   :mod:`repro.baselines`;
 * a build-once / query-many distance-oracle subsystem with on-disk
-  artifacts, an LRU-cached query engine, and CLI integration —
-  :mod:`repro.oracle`;
+  artifacts, a query engine with an array-resident answer cache, and
+  CLI integration — :mod:`repro.oracle`;
 * an async serving subsystem — multi-artifact registry, stretch-budget
   routing, and a coalescing :class:`~repro.serve.DistanceServer` with a
-  load generator — :mod:`repro.serve` (imported lazily: library users
-  who never serve pay no asyncio import cost);
+  load generator — :mod:`repro.serve`;
 * a network tier over it — framed binary wire protocol with HTTP/JSON
   fallback, per-process workers, a failover-capable front tier, and a
-  local cluster manager — :mod:`repro.net` (also lazy).
+  local cluster manager — :mod:`repro.net`.
+
+Every submodule and re-exported name is imported on first access, so
+``import repro.net.worker`` loads the serving modules only and
+``from repro import graphs`` never imports asyncio.
 
 Quick start::
 
@@ -37,69 +40,50 @@ Quick start::
     print(result.rounds, result.estimates[0][5])
 """
 
-from repro import baselines, cclique, core, distance, graphs, hopsets, matmul, oracle, semiring
-from repro.cclique import Clique
-from repro.core import (
-    apsp_unweighted,
-    apsp_weighted,
-    approximate_diameter,
-    exact_sssp,
-    mssp,
-)
-from repro.distance import k_nearest, source_detection, distance_through_sets
-from repro.graphs import Graph
-from repro.hopsets import build_hopset
-from repro.matmul import (
-    SemiringMatrix,
-    dense_mm,
-    filtered_mm,
-    output_sensitive_mm,
-    sparse_mm_clt18,
-)
+__version__ = "1.6.0"
 
-__version__ = "1.4.0"
+#: Submodules, imported on first access.
+_SUBMODULES = frozenset({
+    "baselines", "cclique", "core", "distance", "graphs", "hopsets",
+    "matmul", "net", "oracle", "semiring", "serve",
+})
+#: Re-exported names and the submodule each lives in.
+_EXPORTS = {
+    "Clique": "cclique",
+    "apsp_unweighted": "core",
+    "apsp_weighted": "core",
+    "approximate_diameter": "core",
+    "exact_sssp": "core",
+    "mssp": "core",
+    "k_nearest": "distance",
+    "source_detection": "distance",
+    "distance_through_sets": "distance",
+    "Graph": "graphs",
+    "build_hopset": "hopsets",
+    "SemiringMatrix": "matmul",
+    "dense_mm": "matmul",
+    "filtered_mm": "matmul",
+    "output_sensitive_mm": "matmul",
+    "sparse_mm_clt18": "matmul",
+}
 
 
 def __getattr__(name: str):
-    # Lazy submodule export (PEP 562): ``repro.serve`` pulls in asyncio
-    # and the serving stack, ``repro.net`` additionally sockets and
-    # multiprocessing — pure library users never need either.
-    if name in ("serve", "net"):
-        import importlib
+    # Lazy exports (PEP 562): importing ``repro`` — which every
+    # ``import repro.x.y`` does first — loads nothing else.  A serving
+    # worker imports ``repro.net.worker`` and never pays for the
+    # simulator, the matmul kernels or the paper's algorithms; a library
+    # user who never serves never pays for asyncio or sockets.
+    import importlib
 
-        module = importlib.import_module(f"repro.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"repro.{name}")
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(f"repro.{_EXPORTS[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "Graph",
-    "Clique",
-    "SemiringMatrix",
-    "apsp_unweighted",
-    "apsp_weighted",
-    "approximate_diameter",
-    "exact_sssp",
-    "mssp",
-    "k_nearest",
-    "source_detection",
-    "distance_through_sets",
-    "build_hopset",
-    "dense_mm",
-    "filtered_mm",
-    "output_sensitive_mm",
-    "sparse_mm_clt18",
-    "baselines",
-    "cclique",
-    "core",
-    "distance",
-    "graphs",
-    "hopsets",
-    "matmul",
-    "net",
-    "oracle",
-    "semiring",
-    "serve",
-    "__version__",
-]
+__all__ = [*_EXPORTS, *sorted(_SUBMODULES), "__version__"]

@@ -20,8 +20,11 @@ respawns dead processes with per-worker exponential backoff, and
 SIGKILLs-then-respawns *stuck* workers — alive processes whose event
 loop has stalled (``stuck_after`` consecutive probe failures), which is
 exactly the failure mode the chaos layer's ``stuck_worker`` fault
-manufactures.  Supervision is off by default so tests that assert on
-dead workers keep their semantics.
+manufactures.  A freshly spawned worker gets a *startup grace*: until its
+first 200 since the spawn (bounded by ``start_timeout``) failed probes
+are not counted towards ``stuck_after`` — a spawn-context process that
+is still importing numpy is starting, not stuck.  Supervision is off by
+default so tests that assert on dead workers keep their semantics.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ class Cluster:
     capacity:
         Per-worker registry LRU capacity (resident engines).
     start_timeout:
-        Seconds to wait for every worker's ``/healthz`` to answer.
+        Seconds to wait for every worker's ``/healthz`` to answer; also
+        the longest a respawned worker may take to answer its first 200
+        before the supervisor counts it as stuck.
     supervise:
         Start the self-healing supervisor thread with the fleet.
     supervise_interval / stuck_after / respawn_backoff /
@@ -105,6 +110,12 @@ class Cluster:
         SIGKILLed, and the initial/capped exponential backoff between
         respawns of the same worker slot.
     """
+
+    # The supervisor's view of the outside world, as attributes so its
+    # state machine can be stepped under a fake clock and probe.
+    _clock = staticmethod(time.monotonic)
+    _sleep = staticmethod(time.sleep)
+    _probe = staticmethod(_http_get)
 
     def __init__(self, artifact_paths: Sequence[str], num_workers: int = 2,
                  host: str = "127.0.0.1", base_port: int = 0, *,
@@ -138,11 +149,13 @@ class Cluster:
         self._processes: List[Optional[multiprocessing.Process]] = \
             [None] * num_workers
         # Supervisor state: last /healthz status + consecutive failures
-        # per worker, respawn backoff bookkeeping, and the thread itself.
+        # per worker, the end of each slot's startup grace (0.0 = not in
+        # grace), respawn backoff bookkeeping, and the thread itself.
         self.respawns = 0
         self.stuck_kills = 0
         self._last_healthz: List[Optional[int]] = [None] * num_workers
         self._healthz_failures = [0] * num_workers
+        self._grace_until = [0.0] * num_workers
         self._next_respawn = [0.0] * num_workers
         self._backoff = [respawn_backoff] * num_workers
         self._supervisor: Optional[threading.Thread] = None
@@ -178,37 +191,44 @@ class Cluster:
             daemon=True,
         )
         process.start()
+        self._grace_until[index] = self._clock() + self.start_timeout
         self._processes[index] = process
 
     def wait_healthy(self, timeout: Optional[float] = None) -> None:
-        """Block until every live worker answers ``/healthz`` with 200.
+        """Block until every worker answers ``/healthz`` with 200.
+
+        A dead or missing worker fails the wait at once — unless the
+        supervisor is running, in which case the slot is being respawned
+        (or backing off) and the wait carries on until the replacement
+        answers or the timeout expires.
 
         Failure messages carry the whole fleet's status — pid, port,
         liveness, exit code, and last ``/healthz`` answer per worker —
         so a dead-on-arrival fleet is diagnosable from the exception
         alone, without re-running under a debugger.
         """
-        deadline = time.monotonic() + (timeout or self.start_timeout)
+        deadline = self._clock() + (timeout or self.start_timeout)
         for index, port in enumerate(self.ports):
             while True:
                 process = self._processes[index]
-                if process is None or not process.is_alive():
+                if process is not None and process.is_alive():
+                    status = self._probe(self.host, port, "/healthz")
+                    self._last_healthz[index] = status
+                    if status == 200:
+                        break
+                elif not self._supervising():
                     raise NetError(
                         f"worker {index} (port {port}) exited during startup "
                         f"(exitcode={getattr(process, 'exitcode', None)}); "
                         f"fleet: {json.dumps(self.worker_status())}")
-                status = _http_get(self.host, port, "/healthz")
-                self._last_healthz[index] = status
-                if status == 200:
-                    break
-                if time.monotonic() >= deadline:
+                if self._clock() >= deadline:
                     fleet = json.dumps(self.worker_status())
                     self.stop()
                     raise NetError(
                         f"worker {index} (port {port}) not healthy within "
                         f"{timeout or self.start_timeout:.1f}s; "
                         f"fleet: {fleet}")
-                time.sleep(0.05)
+                self._sleep(0.05)
 
     def worker_status(self) -> List[Dict[str, object]]:
         """Per-worker status (pid, port, liveness, last ``/healthz``)."""
@@ -228,9 +248,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # supervision (self-healing)
     # ------------------------------------------------------------------
+    def _supervising(self) -> bool:
+        return self._supervisor is not None and self._supervisor.is_alive()
+
     def start_supervisor(self) -> None:
         """Start the background probe/respawn thread (idempotent)."""
-        if self._supervisor is not None and self._supervisor.is_alive():
+        if self._supervising():
             return
         self._supervisor_stop.clear()
         self._supervisor = threading.Thread(
@@ -261,13 +284,18 @@ class Cluster:
         process = self._processes[index]
         dead = process is None or not process.is_alive()
         if not dead:
-            status = _http_get(self.host, self.ports[index], "/healthz")
+            status = self._probe(self.host, self.ports[index], "/healthz")
             self._last_healthz[index] = status
             if status == 200:
-                # Healthy: forgive history so future faults back off fresh.
+                # Healthy: forgive history so future faults back off fresh,
+                # and end the startup grace — from here on a silent
+                # worker is a stuck one.
                 self._healthz_failures[index] = 0
                 self._backoff[index] = self.respawn_backoff
+                self._grace_until[index] = 0.0
                 return
+            if self._clock() < self._grace_until[index]:
+                return  # still starting: no 200 yet since the spawn
             self._healthz_failures[index] += 1
             if self._healthz_failures[index] < self.stuck_after:
                 return
@@ -285,7 +313,7 @@ class Cluster:
             self._processes[index] = None
             dead = True
         if dead:
-            now = time.monotonic()
+            now = self._clock()
             if now < self._next_respawn[index]:
                 return  # still backing off this slot
             backoff = self._backoff[index]

@@ -18,7 +18,6 @@ Only stdlib is used; the scraper speaks minimal HTTP/1.1 because every
 
 from __future__ import annotations
 
-import http.client
 import json
 from typing import Any, Dict, List, Tuple
 
@@ -116,6 +115,10 @@ def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
 def fetch_text(host: str, port: int, path: str = "/metricsz",
                timeout: float = 5.0) -> str:
     """GET an endpoint's raw body over HTTP (Prometheus text by default)."""
+    # Imported here: only a scraper needs http.client (and the email
+    # parser it drags in); every worker imports this module.
+    import http.client
+
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         conn.request("GET", path)

@@ -7,7 +7,7 @@ fleet.  Four metric kinds:
 
 * :class:`Counter` — monotone float/int totals (queries served, frames
   decoded, retries).  Supports *callback* backing: a tier that already
-  keeps its own counter (``QueryEngine._queries``, ``LRUCache.hits``)
+  keeps its own counter (``QueryEngine._queries``, ``AnswerCache.hits``)
   registers a read function instead of paying an increment on its hot
   path — the registry reads the live value at snapshot time, so
   migrating existing stats onto the registry costs the hot path nothing.

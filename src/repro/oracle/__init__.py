@@ -19,8 +19,8 @@ build/serve split used by production shortest-path systems:
   on-disk format (compressed ``.npz`` payload + JSON metadata sidecar with
   a payload checksum) that round-trips through ``save``/``load``.
 * :mod:`repro.oracle.engine` — :class:`QueryEngine` serving ``dist``,
-  ``batch`` and ``k_nearest`` queries with an LRU cache and latency
-  percentiles via ``stats()``.
+  ``batch`` and ``k_nearest`` queries with an array-resident answer
+  cache (:class:`AnswerCache`) and latency percentiles via ``stats()``.
 
 Quick start::
 
@@ -35,77 +35,56 @@ Quick start::
     print(engine.dist(0, 42), engine.stats()["latency"]["p50_us"])
 """
 
-from repro.oracle.artifact import (
-    FORMAT_VERSION,
-    ArtifactError,
-    OracleArtifact,
-    artifact_paths,
-)
-from repro.oracle.build import BuildReport, OracleBuilder, build_oracle
-from repro.oracle.cache import LatencyRecorder, LRUCache, RowBlockCache
-from repro.oracle.engine import QueryEngine, measure_throughput
-from repro.oracle.sharding import (
-    SHARD_MANIFEST_SUFFIX,
-    SHARD_MANIFEST_VERSION,
-    ShardedOracleArtifact,
-    load_artifact,
-    shard_artifact,
-    shard_manifest_path,
-    write_sharded_artifact,
-)
-from repro.oracle.strategies import (
-    QUERY_KINDS,
-    REGISTRY,
-    STRATEGY_NAMES,
-    CostEstimate,
-    StrategyRegistry,
-    StrategySpec,
-    StretchGuarantee,
-    get_strategy,
-    register_strategy,
-)
-from repro.oracle.planner import (
-    FleetPlan,
-    PlanChoice,
-    PlanError,
-    execute_plan,
-    parse_budget,
-    plan_fleet,
-)
+#: Public names and the submodule each lives in, imported on first
+#: access (PEP 562): a serving worker needs ``engine``/``sharding``/
+#: ``artifact``/``strategies``/``cache`` and must not pay for ``build``
+#: and ``planner``, which pull in the simulator and every algorithm.
+_EXPORTS = {
+    "FORMAT_VERSION": "artifact",
+    "ArtifactError": "artifact",
+    "OracleArtifact": "artifact",
+    "artifact_paths": "artifact",
+    "BuildReport": "build",
+    "OracleBuilder": "build",
+    "build_oracle": "build",
+    "AnswerCache": "cache",
+    "LatencyRecorder": "cache",
+    "RowBlockCache": "cache",
+    "QueryEngine": "engine",
+    "measure_throughput": "engine",
+    "SHARD_MANIFEST_SUFFIX": "sharding",
+    "SHARD_MANIFEST_VERSION": "sharding",
+    "ShardedOracleArtifact": "sharding",
+    "load_artifact": "sharding",
+    "shard_artifact": "sharding",
+    "shard_manifest_path": "sharding",
+    "write_sharded_artifact": "sharding",
+    "QUERY_KINDS": "strategies",
+    "REGISTRY": "strategies",
+    "STRATEGY_NAMES": "strategies",
+    "CostEstimate": "strategies",
+    "StrategyRegistry": "strategies",
+    "StrategySpec": "strategies",
+    "StretchGuarantee": "strategies",
+    "get_strategy": "strategies",
+    "register_strategy": "strategies",
+    "FleetPlan": "planner",
+    "PlanChoice": "planner",
+    "PlanError": "planner",
+    "execute_plan": "planner",
+    "parse_budget": "planner",
+    "plan_fleet": "planner",
+}
 
-__all__ = [
-    "ArtifactError",
-    "BuildReport",
-    "CostEstimate",
-    "FORMAT_VERSION",
-    "FleetPlan",
-    "LRUCache",
-    "LatencyRecorder",
-    "OracleArtifact",
-    "OracleBuilder",
-    "PlanChoice",
-    "PlanError",
-    "QUERY_KINDS",
-    "QueryEngine",
-    "REGISTRY",
-    "RowBlockCache",
-    "SHARD_MANIFEST_SUFFIX",
-    "SHARD_MANIFEST_VERSION",
-    "STRATEGY_NAMES",
-    "ShardedOracleArtifact",
-    "StrategyRegistry",
-    "StrategySpec",
-    "StretchGuarantee",
-    "artifact_paths",
-    "build_oracle",
-    "execute_plan",
-    "get_strategy",
-    "load_artifact",
-    "measure_throughput",
-    "parse_budget",
-    "plan_fleet",
-    "register_strategy",
-    "shard_artifact",
-    "shard_manifest_path",
-    "write_sharded_artifact",
-]
+
+def __getattr__(name: str):
+    import importlib
+
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"repro.oracle.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

@@ -2,9 +2,19 @@
 
 :class:`QueryEngine` wraps a loaded
 :class:`~repro.oracle.artifact.OracleArtifact` and answers distance
-queries in microseconds.  All strategies share the same front end — an LRU
-cache over normalised pairs, per-query latency recording, and a
-``stats()`` snapshot — and differ only in the per-strategy kernels:
+queries in microseconds.  All strategies share the same front end — an
+array-resident answer cache (:class:`~repro.oracle.cache.AnswerCache`:
+4-way set-associative over the pair code ``lo * n + hi``, LRU within a
+set, preallocated at ``24 × cache_size`` bytes), per-query latency
+recording, and a ``stats()`` snapshot — and differ only in the
+per-strategy kernels.  A batch is coded, probed, deduplicated, gathered
+and filled in a fixed number of numpy calls whatever its size; no
+per-pair Python runs between the caller's arrays and the answers.  The
+cache only ever stores what a kernel returned, so answers are
+bit-identical with it on, off, or thrashing.  To see what it costs and
+saves on the wire path, run ``python3 bench/run.py --workload wire-batch
+--trace 1`` and read ``oracle.engine.self_ms`` and
+``oracle.engine.cache_hit_ratio.*``.
 
 Which kernel family serves an artifact is the strategy's declared
 ``query_kind`` (:mod:`repro.oracle.strategies`), so registered strategies
@@ -43,7 +53,7 @@ import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.oracle.artifact import OracleArtifact
-from repro.oracle.cache import LatencyRecorder, LRUCache, RowBlockCache
+from repro.oracle.cache import AnswerCache, LatencyRecorder, RowBlockCache
 from repro.oracle.sharding import ShardedOracleArtifact
 from repro.oracle.strategies import get_strategy
 
@@ -81,7 +91,7 @@ class QueryEngine:
         self.artifact = artifact
         self.n = artifact.n
         self.strategy = artifact.strategy
-        self.cache = LRUCache(cache_size)
+        self.cache = AnswerCache(cache_size)
         self.latency = LatencyRecorder(latency_window)
         self._queries = 0
         self._batch_sizes: Dict[int, int] = {}
@@ -89,13 +99,17 @@ class QueryEngine:
         self._sharded = isinstance(artifact, ShardedOracleArtifact)
 
         self.query_kind = get_strategy(self.strategy).query_kind
+        # The kernels are looked up on the class and kept as plain
+        # functions: bound methods stored on the instance would make every
+        # engine a reference cycle, and a dropped or evicted engine would
+        # keep its tables and maps until the cyclic collector runs.
+        suffix = self.query_kind + ("_sharded" if self._sharded else "")
+        self._kernels = tuple(getattr(type(self), f"_{role}_{suffix}")
+                              for role in ("point", "point_batch", "row"))
         if self._sharded:
             self._init_sharded(artifact, block_rows, block_capacity)
         elif self.query_kind == "dense":
             self._dist_matrix = np.asarray(artifact.arrays["dist"], dtype=np.float64)
-            self._point = self._point_dense
-            self._point_batch = self._point_batch_dense
-            self._row = self._row_dense
         else:  # "landmark" and the "spanner" overlay on top of it
             self._landmark_dist = np.asarray(
                 artifact.arrays["landmark_dist"], dtype=np.float64
@@ -113,15 +127,9 @@ class QueryEngine:
                     u = int(u)
                     self._ball[v][u] = float(d)
                     self._rev_ball[u].append((v, float(d)))
-            self._point = self._point_landmark
-            self._point_batch = self._point_batch_landmark
-            self._row = self._row_landmark
             if self.query_kind == "spanner":
                 self._init_spanner_overlay(
                     lambda name: np.asarray(artifact.arrays[name]))
-                self._point = self._point_spanner
-                self._point_batch = self._point_batch_spanner
-                self._row = self._row_spanner
 
         self._register_metrics()
 
@@ -150,7 +158,7 @@ class QueryEngine:
         """Expose engine state on the process registry via weakref callbacks.
 
         Every series reads the counters the hot paths already maintain
-        (``self._queries``, the LRU hit/miss totals, shard-fault counts),
+        (``self._queries``, the answer-cache hit/miss totals, shard-fault counts),
         so instrumentation adds zero work per query; the latency recorder
         is *attached*, not copied, so ``/metricsz`` sees the live window.
         """
@@ -163,11 +171,11 @@ class QueryEngine:
         ).set_function(lambda e: e._queries, self)
         registry.counter(
             "repro_engine_cache_hits_total",
-            "Answer-LRU hits", labels=labels,
+            "Answer-cache hits", labels=labels,
         ).set_function(lambda e: e.cache.hits, self)
         registry.counter(
             "repro_engine_cache_misses_total",
-            "Answer-LRU misses", labels=labels,
+            "Answer-cache misses", labels=labels,
         ).set_function(lambda e: e.cache.misses, self)
         registry.counter(
             "repro_engine_shard_faults_total",
@@ -215,22 +223,13 @@ class QueryEngine:
 
         if self.query_kind == "dense":
             self._dist_rows = block_cache("dist")
-            self._point = self._point_dense_sharded
-            self._point_batch = self._point_batch_dense_sharded
-            self._row = self._row_dense_sharded
         else:  # "landmark" and the "spanner" overlay on top of it
             self._num_landmarks = artifact.array_shape("landmark_dist")[1]
             self._ld_rows = block_cache("landmark_dist")
             self._ball_idx_rows = block_cache("ball_idx")
             self._ball_dist_rows = block_cache("ball_dist")
-            self._point = self._point_landmark_sharded
-            self._point_batch = self._point_batch_landmark_sharded
-            self._row = self._row_landmark_sharded
             if self.query_kind == "spanner":
                 self._init_spanner_overlay(artifact.common)
-                self._point = self._point_spanner_sharded
-                self._point_batch = self._point_batch_spanner_sharded
-                self._row = self._row_spanner_sharded
 
     # ------------------------------------------------------------------
     # public query API
@@ -244,18 +243,26 @@ class QueryEngine:
         if u == v:
             self.latency.record(time.perf_counter_ns() - started)
             return 0.0
-        key = (u, v) if u < v else (v, u)
+        if u > v:
+            u, v = v, u
+        key = u * self.n + v
+        if type(key) is not int:
+            # numpy node ids: a fixed-width product could have wrapped.
+            u, v = int(u), int(v)
+            key = u * self.n + v
         value = self.cache.get(key)
-        if value is LRUCache.MISS:
-            value = self._point(key[0], key[1])
+        if value is None:
+            value = self._point(u, v)
             self.cache.put(key, value)
         self.latency.record(time.perf_counter_ns() - started)
         return value
 
-    def batch(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    def batch(self, pairs: Union[Sequence[Tuple[int, int]], np.ndarray]
+              ) -> np.ndarray:
         """Estimated distances for many ``(u, v)`` pairs.
 
-        Each pair goes through the same cache as :meth:`dist`, but all
+        ``pairs`` is a sequence of pairs or a ``(k, 2)`` integer array
+        (an int64 array is used as it is).  Each pair goes through the same cache as :meth:`dist`, but all
         cache misses are resolved with one vectorised gather over the
         strategy's tables instead of a per-pair Python loop, so cold
         batches run at numpy speed and repeated batches over a working
@@ -266,20 +273,20 @@ class QueryEngine:
         that honestly.
         """
         started = time.perf_counter_ns()
-        count = len(pairs)
+        nodes = np.asarray(pairs, dtype=np.int64)
+        count = len(nodes)
         if count == 0:
             return np.zeros(0, dtype=np.float64)
-        lo = np.empty(count, dtype=np.int64)
-        hi = np.empty(count, dtype=np.int64)
-        for index, (u, v) in enumerate(pairs):
-            if u > v:
-                u, v = v, u
-            lo[index] = u
-            hi[index] = v
-        if int(lo.min()) < 0 or int(hi.max()) >= self.n:
-            for u, v in pairs:
-                self._check_node(u)
-                self._check_node(v)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValueError(
+                f"pairs must be a sequence of (u, v) pairs or a (k, 2) "
+                f"array, got shape {nodes.shape}")
+        lo = np.minimum(nodes[:, 0], nodes[:, 1])
+        hi = np.maximum(nodes[:, 0], nodes[:, 1])
+        bad = np.flatnonzero((lo < 0) | (hi >= self.n))
+        if bad.size:
+            for node in nodes[bad[0]].tolist():
+                self._check_node(node)
         self._queries += count
         bucket = 1 << (count - 1).bit_length()
         self._batch_sizes[bucket] = self._batch_sizes.get(bucket, 0) + 1
@@ -300,38 +307,34 @@ class QueryEngine:
         — callers such as :meth:`batch` and the serving layer
         (:mod:`repro.serve`) wrap this core with their own bookkeeping.
         """
-        count = len(lo)
-        out = np.zeros(count, dtype=np.float64)
-        cache = self.cache
-        miss_positions = []
-        for index in range(count):
-            low, high = int(lo[index]), int(hi[index])
-            if low == high:
-                continue
-            value = cache.get((low, high))
-            if value is LRUCache.MISS:
-                miss_positions.append(index)
-            else:
-                out[index] = value
-        if len(miss_positions) == 1:
-            # Single-miss fast path: no dedup machinery for point lookups.
-            index = miss_positions[0]
-            low, high = int(lo[index]), int(hi[index])
-            value = self._point(low, high)
-            out[index] = value
-            cache.put((low, high), value)
-        elif miss_positions:
-            miss = np.asarray(miss_positions, dtype=np.int64)
-            miss_lo, miss_hi = lo[miss], hi[miss]
+        proper = lo != hi
+        if proper.all():
+            return self._resolve(lo, hi)
+        # Self-pairs are 0 by definition and never touch the cache.
+        out = np.zeros(len(lo), dtype=np.float64)
+        out[proper] = self._resolve(lo[proper], hi[proper])
+        return out
+
+    def _resolve(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Answers for proper pairs: one probe, one gather, one fill."""
+        n = self.n
+        keys = lo * np.int64(n) + hi
+        hit, out = self.cache.probe(keys)
+        miss = np.flatnonzero(~hit)
+        if miss.size == 1:
+            # Single-miss fast path: the point kernel reads hot rows
+            # through the block cache instead of a one-element gather.
+            key = keys.item(miss.item())
+            value = self._point(key // n, key % n)
+            out[miss] = value
+            self.cache.put(key, value)
+        elif miss.size:
             # Deduplicate the gather: each distinct missing pair is
             # resolved once, then scattered to every occurrence.
-            keys = miss_lo * np.int64(self.n) + miss_hi
-            _, first, inverse = np.unique(keys, return_index=True,
-                                          return_inverse=True)
-            values = self._point_batch(miss_lo[first], miss_hi[first])
+            codes, inverse = np.unique(keys[miss], return_inverse=True)
+            values = self._point_batch(codes // n, codes % n)
             out[miss] = values[inverse]
-            for index, value in zip(first.tolist(), values.tolist()):
-                cache.put((int(miss_lo[index]), int(miss_hi[index])), value)
+            self.cache.fill(codes, values)
         return out
 
     def k_nearest(self, u: int, k: int) -> List[Tuple[int, float]]:
@@ -425,7 +428,7 @@ class QueryEngine:
         """Purge every cache that may hold data derived from ``rows``.
 
         Called by the serving layer when a gather touching ``rows``
-        produced impossible distances (NaN/negative).  The answer LRU is
+        produced impossible distances (NaN/negative).  The answer cache is
         cleared wholesale (its keys are pairs, not rows — there is no
         cheap way to tell which entries are tainted), the row-block
         caches drop only the blocks covering ``rows``, and — for sharded
@@ -451,6 +454,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # strategy kernels
     # ------------------------------------------------------------------
+    def _point(self, u: int, v: int) -> float:
+        return self._kernels[0](self, u, v)
+
+    def _point_batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return self._kernels[1](self, us, vs)
+
+    def _row(self, u: int) -> np.ndarray:
+        return self._kernels[2](self, u)
+
     def _point_dense(self, u: int, v: int) -> float:
         return float(self._dist_matrix[u, v])
 

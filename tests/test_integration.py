@@ -149,3 +149,45 @@ class TestFullPipelines:
         ):
             assert hasattr(repro, name), name
         assert repro.__version__
+
+    def test_every_exported_name_resolves(self):
+        """``__all__`` is served lazily: each name must still import."""
+        import repro
+        import repro.oracle
+
+        for module in (repro, repro.oracle):
+            for name in module.__all__:
+                assert getattr(module, name) is not None, name
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    def test_version_is_single_sourced(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+    def test_a_worker_imports_only_what_it_serves(self):
+        """``import repro.net.worker`` must not load the simulator, the
+        kernels or the paper's algorithms (a respawned worker pays for
+        every module it imports before it can answer ``/healthz``)."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("import sys, repro.net.worker; "
+                "print(' '.join(m for m in sys.modules if m.startswith('repro.')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, text=True,
+            capture_output=True,
+            env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        ).stdout.split()
+        loaded = {name.split(".")[1] for name in out}
+        assert loaded == {"net", "serve", "oracle", "obs", "chaos"}
+        assert "repro.oracle.build" not in out
+        assert "repro.oracle.planner" not in out

@@ -1,5 +1,5 @@
-"""Tests for the query engine: point/batch/k-nearest answers, the LRU cache,
-and the latency statistics."""
+"""Tests for the query engine: point/batch/k-nearest answers, the answer
+cache, and the latency statistics."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import all_pairs_dijkstra, random_weighted_graph
-from repro.oracle import LRUCache, LatencyRecorder, QueryEngine, build_oracle
+from repro.oracle import AnswerCache, LatencyRecorder, QueryEngine, build_oracle
 
 
 @pytest.fixture(scope="module")
@@ -185,26 +185,48 @@ class TestBatchDeduplication:
         assert list(core) == [engine.dist(u, v) for u, v in pairs]
 
 
-class TestLRUCache:
+class TestEngineLifetime:
+    def test_dropped_engine_is_freed_without_the_cyclic_collector(self, graph):
+        """An engine (its answer table, its maps) must go when the last
+        reference goes — the registry evicts engines to bound residency."""
+        import gc
+        import weakref
+
+        artifact = build_oracle(graph, strategy="landmark-mssp", epsilon=0.5)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = QueryEngine(artifact)
+            engine.batch([(0, 5), (3, 9)])
+            engine.dist(2, 7)
+            engine.k_nearest(0, 3)
+            alive = weakref.ref(engine)
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+class TestAnswerCache:
     def test_eviction_order_is_least_recently_used(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is LRUCache.MISS
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
+        cache = AnswerCache(capacity=2)  # one set of two ways
+        cache.put(1, 1.0)
+        cache.put(2, 2.0)
+        assert cache.get(1) == 1.0  # refresh 1
+        cache.put(3, 3.0)  # evicts 2
+        assert cache.get(2) is None
+        assert cache.get(1) == 1.0
+        assert cache.get(3) == 3.0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUCache(capacity=-1)
+            AnswerCache(capacity=-1)
 
     def test_hit_rate(self):
-        cache = LRUCache(capacity=4)
-        cache.put("x", 1)
-        cache.get("x")
-        cache.get("y")
+        cache = AnswerCache(capacity=4)
+        cache.put(7, 1.0)
+        cache.get(7)
+        cache.get(8)
         assert cache.hit_rate == pytest.approx(0.5)
 
 

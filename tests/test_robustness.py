@@ -273,7 +273,134 @@ class TestQuarantine:
         assert stats["quarantines"] == 1
 
 
+class _FakeProcess:
+    """Stands in for a spawned worker: alive until killed."""
+
+    pid = 4242
+    exitcode = None
+
+    def __init__(self):
+        self.alive = True
+
+    def start(self):
+        pass
+
+    def is_alive(self):
+        return self.alive
+
+    def kill(self):
+        self.alive = False
+
+    terminate = kill
+
+    def join(self, timeout=None):
+        pass
+
+
+class _FakeContext:
+    def __init__(self):
+        self.spawned = []
+
+    def Process(self, **_kwargs):
+        self.spawned.append(_FakeProcess())
+        return self.spawned[-1]
+
+
+class _SteppedCluster:
+    """A one-worker :class:`Cluster` on a fake clock, probe and processes,
+    so the supervisor's decisions can be stepped one probe at a time."""
+
+    def __init__(self, **kwargs):
+        from repro.net.cluster import Cluster
+
+        self.now = 1000.0
+        self.status = None          # what /healthz answers (None = refused)
+        self.context = _FakeContext()
+        self.cluster = Cluster(["unused.npz"], num_workers=1, **kwargs)
+        self.cluster._context = self.context
+        self.cluster._clock = lambda: self.now
+        self.cluster._probe = lambda host, port, path: self.status
+
+    def probe(self, times=1, step=0.25):
+        for _ in range(times):
+            self.now += step
+            self.cluster._check_worker(0)
+
+
 class TestSupervisor:
+    def test_starting_worker_is_not_counted_as_stuck(self):
+        fleet = _SteppedCluster(stuck_after=3, start_timeout=60.0,
+                                respawn_backoff=0.1)
+        cluster = fleet.cluster
+        cluster._spawn(0)
+        # Still importing numpy: refuses /healthz for far more probes
+        # than stuck_after, but has not answered a first 200 yet.
+        fleet.probe(times=50)
+        assert cluster.stuck_kills == 0 and cluster.respawns == 0
+        assert fleet.context.spawned[0].is_alive()
+
+        fleet.status = 200          # first 200 since spawn ends the grace
+        fleet.probe()
+        fleet.status = None         # ... so silence now means stuck
+        fleet.probe(times=2)
+        assert cluster.stuck_kills == 0
+        fleet.probe()
+        assert cluster.stuck_kills == 1 and cluster.respawns == 1
+        assert not fleet.context.spawned[0].is_alive()
+
+        # The replacement gets a grace of its own.
+        assert len(fleet.context.spawned) == 2
+        fleet.probe(times=50)
+        assert cluster.stuck_kills == 1 and cluster.respawns == 1
+        assert fleet.context.spawned[1].is_alive()
+
+    def test_startup_grace_is_bounded_by_start_timeout(self):
+        fleet = _SteppedCluster(stuck_after=3, start_timeout=5.0,
+                                respawn_backoff=0.1)
+        cluster = fleet.cluster
+        cluster._spawn(0)
+        fleet.probe(times=19)       # 4.75 s of silence: inside the grace
+        assert cluster.stuck_kills == 0
+        fleet.probe(times=2)        # past start_timeout: failures count
+        assert cluster.stuck_kills == 0
+        fleet.probe()
+        assert cluster.stuck_kills == 1 and cluster.respawns == 1
+
+    def test_wait_healthy_waits_through_a_respawn(self):
+        from repro.net.cluster import NetError
+
+        fleet = _SteppedCluster(start_timeout=30.0)
+        cluster = fleet.cluster
+        naps = []
+
+        def sleep(seconds):
+            # While wait_healthy naps the supervisor respawns the slot
+            # and, three naps later, the replacement comes up.
+            naps.append(seconds)
+            fleet.now += seconds
+            if len(naps) == 2:
+                cluster._spawn(0)
+            if len(naps) == 5:
+                fleet.status = 200
+
+        cluster._sleep = sleep
+        cluster._supervising = lambda: True
+        assert cluster._processes[0] is None    # killed, not yet respawned
+        cluster.wait_healthy(timeout=10.0)
+        assert len(naps) == 5
+        assert cluster.worker_status()[0]["last_healthz"] == 200
+
+        # Without a supervisor nobody will refill the slot: fail at once.
+        cluster._supervising = lambda: False
+        cluster._processes[0] = None
+        with pytest.raises(NetError, match="exited during startup"):
+            cluster.wait_healthy(timeout=10.0)
+
+        # With one, the wait is still bounded by its timeout.
+        cluster._supervising = lambda: True
+        with pytest.raises(NetError, match="not healthy within"):
+            cluster.wait_healthy(timeout=1.0)
+
     def test_supervisor_respawns_a_killed_worker(self, tmp_path):
         from repro.net.cluster import Cluster
 
