@@ -1,11 +1,11 @@
 """Shared experiment harness for the benchmark suite.
 
-Every experiment in EXPERIMENTS.md corresponds to one function here that
-returns a list of result rows (plain dictionaries).  The pytest-benchmark
+Every experiment corresponds to one function here that returns a list of
+result rows (plain dictionaries).  The pytest-benchmark
 files under ``benchmarks/`` call these functions (so ``pytest benchmarks/
 --benchmark-only`` regenerates every experiment), and the standalone
 ``benchmarks/run_experiments.py`` script prints the same rows as
-paper-vs-measured tables for EXPERIMENTS.md.
+paper-vs-measured tables (to stdout; no results file is committed).
 
 The paper has no empirical tables of its own — its claims are theorem
 statements — so each experiment reports, side by side:

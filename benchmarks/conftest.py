@@ -6,7 +6,7 @@ quantity of interest is the *simulated Congested Clique round count*, which
 is deterministic, not the wall-clock time.  The measured rows are attached
 to ``benchmark.extra_info`` so they appear in the pytest-benchmark output
 and JSON exports, and ``benchmarks/run_experiments.py`` prints the same rows
-as the paper-vs-measured tables recorded in EXPERIMENTS.md.
+as paper-vs-measured tables.
 """
 
 from __future__ import annotations

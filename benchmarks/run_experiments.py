@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every paper-vs-measured table recorded in EXPERIMENTS.md.
+"""Regenerate every paper-vs-measured table.
 
 Runs all experiments from :mod:`benchmarks._harness` (the same code paths
 the pytest-benchmark suite exercises) and prints the tables to stdout.

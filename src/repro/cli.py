@@ -504,6 +504,19 @@ def cmd_oracle_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serving subcommands
 # ----------------------------------------------------------------------
+def _gather_options(args: argparse.Namespace) -> dict:
+    """The ``ServerConfig`` fields ``DistanceServer.gather()`` reads.
+
+    All a wire worker can use: it answers frames through ``gather()``,
+    which never parks a request in the coalescing window.
+    """
+    return {
+        "max_batch": args.max_batch,
+        "queue_capacity": args.queue_capacity,
+        "overload_policy": args.policy,
+    }
+
+
 def _serve_config(args: argparse.Namespace):
     from repro.serve import ServerConfig
 
@@ -511,12 +524,7 @@ def _serve_config(args: argparse.Namespace):
         window = "auto"
     else:
         window = float(args.window_ms) / 1000.0
-    return ServerConfig(
-        coalesce_window=window,
-        max_batch=args.max_batch,
-        queue_capacity=args.queue_capacity,
-        overload_policy=args.policy,
-    )
+    return ServerConfig(coalesce_window=window, **_gather_options(args))
 
 
 def _serve_registry(args: argparse.Namespace):
@@ -779,7 +787,6 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
     the one-command proof that the fleet answers correctly over TCP.
     """
     import asyncio
-    import dataclasses
     import os
     import signal
 
@@ -798,6 +805,7 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
     from repro.oracle import ArtifactError
     from repro.serve import (
         RegistryError,
+        ServerConfig,
         StretchRouter,
         count_mismatches,
         run_closed_loop,
@@ -805,7 +813,8 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        config_kwargs = dataclasses.asdict(_serve_config(args))
+        config_kwargs = _gather_options(args)
+        ServerConfig(**config_kwargs)  # reject bad values here, not in N workers
         cluster = Cluster(args.artifacts, num_workers=args.workers,
                           host=args.host, base_port=args.worker_base_port,
                           config_kwargs=config_kwargs,
@@ -1171,7 +1180,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=cmd_oracle_bench)
 
-    def _add_serving_options(sub_parser: argparse.ArgumentParser) -> None:
+    def _add_serving_options(sub_parser: argparse.ArgumentParser,
+                             window: bool = True) -> None:
         sub_parser.add_argument(
             "artifacts", nargs="+",
             help="artifact files, directories to scan, or manifest JSONs",
@@ -1180,11 +1190,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--capacity", type=int, default=4,
             help="max engines resident at once (LRU-evicted beyond)",
         )
-        sub_parser.add_argument(
-            "--window-ms", type=str, default="1.0", dest="window_ms",
-            help="coalescing window in milliseconds (0 disables coalescing; "
-                 "'auto' sizes it from the observed arrival rate)",
-        )
+        if window:
+            # Only where per-pair dist() callers exist to be coalesced; a
+            # wire worker answers whole frames through gather().
+            sub_parser.add_argument(
+                "--window-ms", type=str, default="1.0", dest="window_ms",
+                help="coalescing window in milliseconds (0 disables "
+                     "coalescing; 'auto' sizes it from the observed arrival "
+                     "rate)",
+            )
         sub_parser.add_argument("--max-batch", type=int, default=1024,
                                 dest="max_batch", help="max keys per engine gather")
         sub_parser.add_argument("--queue-capacity", type=int, default=8192,
@@ -1300,7 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="spawn N worker processes + a front tier on one address",
     )
-    _add_serving_options(net_serve)
+    _add_serving_options(net_serve, window=False)
     net_serve.add_argument("--workers", type=int, default=2,
                            help="worker processes to spawn")
     net_serve.add_argument("--port", type=int, default=0,
@@ -1377,7 +1391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="net serve with a fault plan active fleet-wide")
     chaos_run.add_argument("--plan", required=True,
                            help="plan JSON, a path, or @path")
-    _add_serving_options(chaos_run)
+    _add_serving_options(chaos_run, window=False)
     chaos_run.add_argument("--workers", type=int, default=2)
     chaos_run.add_argument("--port", type=int, default=0)
     chaos_run.add_argument("--host", default="127.0.0.1")

@@ -1,7 +1,7 @@
 """Synthetic graph generators used by tests, examples, and benchmarks.
 
-All generators are deterministic given a ``seed`` so that every benchmark
-table in EXPERIMENTS.md is exactly regenerable.  Weights are non-negative
+All generators are deterministic given a ``seed`` so that every table
+``benchmarks/run_experiments.py`` prints is exactly regenerable.  Weights are non-negative
 integers, matching the paper's assumption that weights are integers bounded
 by a polynomial in ``n`` (Section 1.5).
 """

@@ -94,7 +94,9 @@ class Cluster:
         ``P, P+1, ...``.
     config_kwargs:
         Forwarded to :class:`~repro.serve.server.ServerConfig` in each
-        worker (e.g. ``{"coalesce_window": 0.0}``).
+        worker (e.g. ``{"max_batch": 512}``; a worker answers through
+        ``gather()``, which reads ``max_batch``, ``queue_capacity`` and
+        ``overload_policy`` and never enters the coalescing window).
     capacity:
         Per-worker registry LRU capacity (resident engines).
     start_timeout:

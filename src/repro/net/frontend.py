@@ -54,7 +54,6 @@ from repro.net.protocol import (
     ERR_OVERLOADED,
     ERR_ROUTING,
     ERR_SHUTTING_DOWN,
-    ERR_UNSUPPORTED_VERSION,
     MSG_ERROR,
     MSG_PING,
     MSG_PONG,
@@ -261,11 +260,6 @@ class WorkerLink:
         self.failures = 0
         self.consecutive_failures = 0
         self.breaker = CircuitBreaker()
-        # Feature negotiation: a peer that rejects a v2/v3 frame with
-        # ERR_UNSUPPORTED_VERSION downgrades the link, which never sends
-        # that field again — deadline first (v3), then trace (v2).
-        self.trace_capable = True
-        self.deadline_capable = True
         self.trace_sink: Optional[Callable[[Dict[str, Any]], None]] = None
 
     @property
@@ -357,32 +351,16 @@ class WorkerLink:
         """Send one batched request; returns the distance array.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant; the
-        remaining budget is computed at send time and travels as the v3
-        relative-seconds header field, so the receiving worker can stop
-        working the moment nobody is waiting.
+        remaining budget is computed at send time and travels as the
+        frame's relative-seconds FLAG_DEADLINE field, so the receiving
+        worker can stop working the moment nobody is waiting.
         """
         payload = pack_request(pairs, multiplicative, additive, artifact)
-        send_trace = trace if self.trace_capable else None
-        send_budget = None
-        if deadline is not None and self.deadline_capable:
-            send_budget = max(0.0, deadline - time.monotonic())
-        while True:
-            try:
-                return await self._roundtrip(MSG_REQUEST, payload, timeout,
-                                             trace=send_trace,
-                                             deadline=send_budget)
-            except ProtocolError as exc:
-                if exc.code != ERR_UNSUPPORTED_VERSION or (
-                        send_trace is None and send_budget is None):
-                    raise
-                # Old peer: negotiate down one feature per retry —
-                # deadline (v3) first, then trace (v2) — and re-send.
-                if send_budget is not None:
-                    self.deadline_capable = False
-                    send_budget = None
-                else:
-                    self.trace_capable = False
-                    send_trace = None
+        budget = None
+        if deadline is not None:
+            budget = max(0.0, deadline - time.monotonic())
+        return await self._roundtrip(MSG_REQUEST, payload, timeout,
+                                     trace=trace, deadline=budget)
 
     async def ping(self, timeout: Optional[float] = None) -> bool:
         try:

@@ -8,7 +8,7 @@ all speak exactly these bytes, so the framing rules live in one place.
 **Binary frames.**  Every message is one frame::
 
     +-------+---------+------+----------+--------+---------+---------+
-    | magic | version | type | reserved | req id | length  | payload |
+    | magic | version | type | flags    | req id | length  | payload |
     | 4 B   | 1 B     | 1 B  | 2 B      | 4 B    | 4 B     | ...     |
     +-------+---------+------+----------+--------+---------+---------+
 
@@ -47,24 +47,12 @@ import numpy as np
 
 #: First bytes of every binary frame; anything else is HTTP fallback.
 MAGIC = b"RNET"
-#: Wire protocol version of a plain frame.  Untraced frames are
-#: byte-identical to what version-1-only builds emit, so a new client
-#: talking to an old worker (or vice versa) interoperates as long as no
-#: trace rides along.
+#: The one wire protocol version.  Which optional sections a frame
+#: carries is decided by its flags (below), never by the version byte; a
+#: reader rejects any other version with ERR_UNSUPPORTED_VERSION.
 PROTOCOL_VERSION = 1
-#: Version stamped on frames that carry a trace blob (see FLAG_TRACE).
-#: Old builds reject it with ERR_UNSUPPORTED_VERSION, which the sender
-#: treats as "peer cannot trace" and retries untraced — genuine version
-#: negotiation with no handshake round-trip.
-TRACE_PROTOCOL_VERSION = 2
-#: Version stamped on frames that carry a deadline budget (see
-#: FLAG_DEADLINE).  Same negotiation story as version 2: an old peer
-#: rejects it with ERR_UNSUPPORTED_VERSION and the sender downgrades to
-#: the best version the peer speaks and retries, losing the deadline
-#: (and trace) but not the request.
-DEADLINE_PROTOCOL_VERSION = 3
 
-#: Bit in the (previously reserved, always-zero) u16 header field:
+#: Bit in the u16 flags field of the header (zero on a plain frame):
 #: a trace blob precedes the payload.
 FLAG_TRACE = 0x0001
 #: Bit in the flags field: a float64 deadline budget (seconds the
@@ -80,7 +68,7 @@ _TRACE_HEAD = struct.Struct("!H")
 #: on FLAG_DEADLINE frames.
 _DEADLINE_HEAD = struct.Struct("!d")
 
-#: magic(4) version(1) type(1) reserved(2) req_id(4) payload_length(4).
+#: magic(4) version(1) type(1) flags(2) req_id(4) payload_length(4).
 HEADER = struct.Struct("!4sBBHII")
 #: multiplicative(f64) additive(f64) hint_len(u16) pair_count(u32).
 _REQUEST_HEAD = struct.Struct("!ddHI")
@@ -177,11 +165,11 @@ class Request:
 class Frame(tuple):
     """One decoded frame: unpacks as ``(type, req_id, payload)``.
 
-    A plain-tuple subclass so every historical ``ftype, req_id, payload =
-    frame`` site keeps working; the optional trace blob (a version-2
-    frame's FLAG_TRACE prefix) rides along as the ``trace`` attribute
-    and the optional deadline budget (a version-3 frame's FLAG_DEADLINE
-    prefix, in seconds) as ``deadline`` — both ``None`` when absent.
+    A plain-tuple subclass so every ``ftype, req_id, payload = frame``
+    site keeps working; the optional trace blob (a FLAG_TRACE frame's
+    prefix) rides along as the ``trace`` attribute and the optional
+    deadline budget (a FLAG_DEADLINE frame's prefix, in seconds) as
+    ``deadline`` — both ``None`` when absent.
     """
 
     def __new__(cls, ftype: int, req_id: int, payload: bytes,
@@ -196,27 +184,17 @@ class Frame(tuple):
 def encode_frame(ftype: int, req_id: int, payload: bytes = b"",
                  trace: Optional[bytes] = None,
                  deadline: Optional[float] = None) -> bytes:
-    """Encode one frame; ``trace``/``deadline`` upgrade its version.
+    """Encode one frame; ``trace``/``deadline`` add flagged sections.
 
-    Untraced, deadline-free frames stay byte-identical to version-1
-    builds.  A traced frame sets FLAG_TRACE in the former reserved
-    field and prefixes the payload with a u16 blob length plus the
-    blob; a ``deadline`` (remaining budget in seconds — a relative
-    duration, never a wall-clock instant) stamps version 3, sets
-    FLAG_DEADLINE, and prepends a float64 budget before the trace
-    prefix (when both ride along) and the payload.
+    A plain frame has zero flags and nothing but the payload after the
+    header.  A ``deadline`` (remaining budget in seconds — a relative
+    duration, never a wall-clock instant) sets FLAG_DEADLINE and
+    prepends a float64 budget; a ``trace`` sets FLAG_TRACE and prepends
+    a u16 blob length plus the blob, after the budget when both ride
+    along.
     """
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD "
-            f"({MAX_PAYLOAD})", req_id)
-    if not trace and deadline is None:
-        return HEADER.pack(MAGIC, PROTOCOL_VERSION, ftype, 0, req_id,
-                           len(payload)) + payload
     flags = 0
     prefix = b""
-    version = PROTOCOL_VERSION
     if deadline is not None:
         budget = float(deadline)
         if not math.isfinite(budget) or budget < 0.0:
@@ -226,7 +204,6 @@ def encode_frame(ftype: int, req_id: int, payload: bytes = b"",
                 f"got {budget}", req_id)
         flags |= FLAG_DEADLINE
         prefix += _DEADLINE_HEAD.pack(budget)
-        version = DEADLINE_PROTOCOL_VERSION
     if trace:
         if len(trace) > 0xFFFF:
             raise ProtocolError(
@@ -234,14 +211,13 @@ def encode_frame(ftype: int, req_id: int, payload: bytes = b"",
                 f"the u16 length prefix", req_id)
         flags |= FLAG_TRACE
         prefix += _TRACE_HEAD.pack(len(trace)) + trace
-        version = max(version, TRACE_PROTOCOL_VERSION)
-    body = prefix + payload
+    body = prefix + payload if prefix else payload
     if len(body) > MAX_PAYLOAD:
         raise ProtocolError(
             ERR_BAD_FRAME,
-            f"flagged payload of {len(body)} bytes exceeds MAX_PAYLOAD "
+            f"payload of {len(body)} bytes exceeds MAX_PAYLOAD "
             f"({MAX_PAYLOAD})", req_id)
-    return HEADER.pack(MAGIC, version, ftype, flags, req_id,
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, ftype, flags, req_id,
                        len(body)) + body
 
 
@@ -339,8 +315,9 @@ async def read_frame(reader: asyncio.StreamReader, *, preread: bytes = b"",
                      ) -> Optional[Frame]:
     """Read one frame; returns a :class:`Frame` or None on clean EOF.
 
-    The result unpacks as ``(type, req_id, payload)``; a version-2
-    frame's trace blob is split off into ``frame.trace``.  EOF *between*
+    The result unpacks as ``(type, req_id, payload)``; a flagged frame's
+    deadline budget and trace blob are split off into ``frame.deadline``
+    and ``frame.trace``.  EOF *between*
     frames is a clean close (None); EOF *inside* a frame is a truncated
     frame and raises :class:`ProtocolError`, as do bad magic, an
     unsupported version byte, and an oversized length prefix.
@@ -361,13 +338,11 @@ async def read_frame(reader: asyncio.StreamReader, *, preread: bytes = b"",
     if magic != MAGIC:
         raise ProtocolError(ERR_BAD_FRAME,
                             f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version not in (PROTOCOL_VERSION, TRACE_PROTOCOL_VERSION,
-                       DEADLINE_PROTOCOL_VERSION):
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             ERR_UNSUPPORTED_VERSION,
             f"unsupported protocol version {version} "
-            f"(this build speaks {PROTOCOL_VERSION}.."
-            f"{DEADLINE_PROTOCOL_VERSION})", req_id)
+            f"(this build speaks {PROTOCOL_VERSION})", req_id)
     if length > max_payload:
         raise ProtocolError(
             ERR_BAD_FRAME,
@@ -382,7 +357,7 @@ async def read_frame(reader: asyncio.StreamReader, *, preread: bytes = b"",
             f"{length} bytes", req_id)
     trace: Optional[bytes] = None
     deadline: Optional[float] = None
-    if version >= DEADLINE_PROTOCOL_VERSION and flags & FLAG_DEADLINE:
+    if flags & FLAG_DEADLINE:
         if len(payload) < _DEADLINE_HEAD.size:
             raise ProtocolError(
                 ERR_BAD_FRAME, "deadline frame too short for its budget "
@@ -394,7 +369,7 @@ async def read_frame(reader: asyncio.StreamReader, *, preread: bytes = b"",
                 f"deadline budget {deadline} is not a finite non-negative "
                 f"duration", req_id)
         payload = payload[_DEADLINE_HEAD.size:]
-    if version >= TRACE_PROTOCOL_VERSION and flags & FLAG_TRACE:
+    if flags & FLAG_TRACE:
         if len(payload) < _TRACE_HEAD.size:
             raise ProtocolError(
                 ERR_BAD_FRAME, "traced frame too short for its trace-length "

@@ -16,8 +16,8 @@ fan-out nearly free), serves until SIGTERM/SIGINT, then drains.
 
 Per-worker observability: ``GET /healthz`` answers liveness (and flips
 to ``draining`` during shutdown); ``GET /statsz`` returns the wire
-counters plus the full ``DistanceServer.stats()`` snapshot — including
-the coalescing window *actually in effect*, not just the configured one.
+counters plus the full ``DistanceServer.stats()`` snapshot (whose
+coalescing block stays idle: ``gather()`` never enters the window).
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ class NetServiceBase:
         request) opens a local :class:`TraceContext` under the same id;
         the spans the handler records travel back in the response frame's
         trace blob — responses carry a trace exactly when the request
-        did, so version-1 peers never see a version-2 frame.
+        did.
         """
         trace: Optional[TraceContext] = None
         payload = unpack_trace_blob(trace_blob)
@@ -538,9 +538,9 @@ class DistanceWorker(NetServiceBase):
     def stats(self) -> Dict[str, object]:
         stats = super().stats()
         stats["worker_id"] = self.worker_id
-        # Includes the adaptive coalescing window actually in effect
-        # (stats["server"]["coalescing"]["window_s"]) next to the
-        # configured knob — /statsz is where operators read the truth.
+        # The full DistanceServer snapshot.  Its "coalescing" block is
+        # idle here: a worker answers whole frames through gather(),
+        # which never parks a request in the window.
         stats["server"] = self.server.stats()
         # Residency per loaded engine (resident vs mapped bytes, shard
         # faults) so a fleet's memory story is one /statsz sweep away,

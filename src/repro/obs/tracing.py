@@ -1,8 +1,8 @@
 """Sampled cross-tier request tracing for the oracle/serving/net stack.
 
 A sampled ``dist()`` call carries a 16-hex-digit trace id across the
-wire (see ``repro.net.protocol``: traced frames use protocol version 2
-with the ``FLAG_TRACE`` bit, negotiated down for old peers).  Each tier
+wire (see ``repro.net.protocol``: a traced frame sets the ``FLAG_TRACE``
+bit and carries the blob ahead of its payload).  Each tier
 appends named spans to the trace as the request passes through:
 
 * ``client.coalesce`` — time a key waits in the client's coalescing

@@ -13,7 +13,19 @@ An artifact is a pair of files living next to each other:
 
 The split keeps the metadata greppable/human-readable while the bulk data
 stays binary and compressed.  ``save``/``load`` round-trip exactly; loading
-verifies the version, the checksum, and the per-strategy array schema.
+verifies the version, the checksum, and the per-strategy array schema
+(names *and* shapes — :func:`check_schema`, shared with the sharded format).
+
+A loaded :class:`OracleArtifact` is served through the **row-access
+protocol** — ``array_shape`` / ``row`` / ``rows`` / ``gather`` /
+``iter_shards`` / ``common`` — which is all
+:class:`~repro.oracle.engine.QueryEngine` knows about an artifact.  Here
+the accessors are plain indexing over the resident arrays: the one-shard
+case (``iter_shards`` yields one block starting at row 0, nothing is
+mapped, nothing faults, nothing can be quarantined because the payload
+was checksummed whole at load) of what
+:class:`~repro.oracle.sharding.ShardedOracleArtifact` answers shard by
+shard from memory maps.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +68,49 @@ def artifact_paths(path: PathLike) -> Tuple[Path, Path]:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def check_schema(artifact, values: bool = True) -> None:
+    """Check a payload's array names and shapes against its strategy.
+
+    ``artifact`` is either representation — the check reads only
+    ``array_names``/``array_shape`` (and, for the CSR extent, ``common``).
+    ``values=False`` skips that one data-reading check, so a sharded
+    artifact can run the rest from its manifest without opening a shard.
+    """
+    spec = get_strategy(artifact.strategy)
+    n = artifact.n
+    present = artifact.array_names
+    missing = [name for name in spec.required_arrays if name not in present]
+    if missing:
+        raise ArtifactError(
+            f"artifact for strategy {artifact.strategy!r} is missing payload "
+            f"arrays {missing}; present: {present}"
+        )
+    shapes = {name: artifact.array_shape(name) for name in spec.required_arrays}
+
+    def expect(name: str, shape: Tuple[int, ...], why: str) -> None:
+        if shapes[name] != shape:
+            raise ArtifactError(
+                f"payload array {name!r} of the {artifact.strategy!r} "
+                f"artifact (n={n}) has shape {shapes[name]}, expected "
+                f"{shape}: {why}"
+            )
+
+    for name in spec.row_sharded_arrays:
+        expect(name, (n,) + shapes[name][1:], "one row per node")
+    if "dist" in shapes:
+        expect("dist", (n, n), "the all-pairs table is n x n")
+    if "ball_idx" in shapes:
+        expect("ball_dist", shapes["ball_idx"],
+               "ball ids and ball distances pair up slot by slot")
+    if "spanner_indptr" in shapes:
+        expect("spanner_indptr", (n + 1,), "CSR row pointers")
+        edges = shapes["spanner_indices"][:1]
+        if values:
+            edges = (int(artifact.common("spanner_indptr")[-1]),)
+        expect("spanner_indices", edges, "one column per CSR entry")
+        expect("spanner_weights", edges, "one weight per CSR entry")
 
 
 @dataclasses.dataclass
@@ -105,13 +160,47 @@ class OracleArtifact:
 
     def validate(self) -> None:
         """Check the payload matches the strategy's array schema."""
-        spec = get_strategy(self.strategy)
-        missing = [name for name in spec.required_arrays if name not in self.arrays]
-        if missing:
-            raise ArtifactError(
-                f"artifact for strategy {self.strategy!r} is missing payload "
-                f"arrays {missing}; present: {sorted(self.arrays)}"
-            )
+        check_schema(self)
+
+    # ------------------------------------------------------------------
+    # row-access protocol: the one-shard, fully resident case
+    # ------------------------------------------------------------------
+    #: The one thing an engine asks about representation: the rows are
+    #: plain arrays, so a block cache in front of them would be a copy.
+    rows_in_memory = True
+    num_shards = 1
+    mapped_bytes = 0
+    faults = 0
+
+    @property
+    def array_names(self) -> List[str]:
+        return sorted(self.arrays)
+
+    def array_shape(self, name: str) -> Tuple[int, ...]:
+        """Shape of payload array ``name`` (``KeyError`` if absent)."""
+        return tuple(self.arrays[name].shape)
+
+    def row(self, name: str, index: int) -> np.ndarray:
+        return self.arrays[name][index]
+
+    def rows(self, name: str, indices: np.ndarray) -> np.ndarray:
+        return self.arrays[name][indices]
+
+    def gather(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.arrays[name][rows, cols]
+
+    def iter_shards(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
+        yield 0, self.arrays[name]
+
+    def common(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def resident_bytes(self) -> int:
+        return sum(array.nbytes for array in self.arrays.values())
+
+    def quarantine_rows(self, rows: Sequence[int]) -> List[int]:
+        """Nothing to re-verify: the payload was checksummed whole at load."""
+        return []
 
     # ------------------------------------------------------------------
     # persistence
@@ -145,7 +234,6 @@ class OracleArtifact:
         """
         from repro.oracle.sharding import write_sharded_artifact
 
-        self.validate()
         return write_sharded_artifact(self.metadata, self.arrays, path, num_shards)
 
     @classmethod

@@ -1,43 +1,48 @@
 """The serve half of the oracle split: point, batch, and k-nearest queries.
 
-:class:`QueryEngine` wraps a loaded
-:class:`~repro.oracle.artifact.OracleArtifact` and answers distance
-queries in microseconds.  All strategies share the same front end — an
-array-resident answer cache (:class:`~repro.oracle.cache.AnswerCache`:
-4-way set-associative over the pair code ``lo * n + hi``, LRU within a
-set, preallocated at ``24 × cache_size`` bytes), per-query latency
-recording, and a ``stats()`` snapshot — and differ only in the
-per-strategy kernels.  A batch is coded, probed, deduplicated, gathered
-and filled in a fixed number of numpy calls whatever its size; no
-per-pair Python runs between the caller's arrays and the answers.  The
-cache only ever stores what a kernel returned, so answers are
-bit-identical with it on, off, or thrashing.  To see what it costs and
-saves on the wire path, run ``python3 bench/run.py --workload wire-batch
---trace 1`` and read ``oracle.engine.self_ms`` and
-``oracle.engine.cache_hit_ratio.*``.
+:class:`QueryEngine` answers distance queries over a loaded artifact in
+microseconds.  There is **one kernel family over the row-access
+protocol**: the engine knows an artifact only through ``array_shape`` /
+``row`` / ``rows`` / ``gather`` / ``iter_shards`` / ``common``, which a
+memory-mapped :class:`~repro.oracle.sharding.ShardedOracleArtifact`
+answers shard by shard and a resident
+:class:`~repro.oracle.artifact.OracleArtifact` answers by plain indexing —
+a resident artifact is the one-shard case, not a second code path.  The
+kernels are array code throughout; the engine builds no per-node index at
+load, so constructing one costs microseconds and holds no copy of the
+payload.  The single thing it asks about representation is
+``rows_in_memory``, and only to decide whether point reads go through a
+bounded :class:`~repro.oracle.cache.RowBlockCache` (worth it for mapped
+rows, a pointless copy for resident ones).
 
-Which kernel family serves an artifact is the strategy's declared
-``query_kind`` (:mod:`repro.oracle.strategies`), so registered strategies
-plug in without touching this module:
+All strategies share the same front end — an array-resident answer cache
+(:class:`~repro.oracle.cache.AnswerCache`: 4-way set-associative over the
+pair code ``lo * n + hi``, LRU within a set, preallocated at
+``24 × cache_size`` bytes), per-query latency recording, and a ``stats()``
+snapshot.  A batch is coded, probed, deduplicated, gathered and filled in
+a fixed number of numpy calls whatever its size; no per-pair Python runs
+between the caller's arrays and the answers.  The cache only ever stores
+what a kernel returned, so answers are bit-identical with it on, off, or
+thrashing.  To see what it costs and saves on the wire path, run
+``python3 bench/run.py --workload wire-batch --trace 1`` and read
+``oracle.engine.self_ms`` and ``oracle.engine.cache_hit_ratio.*``.
 
-* ``"dense"`` (dense-apsp / exact-fallback) — a single matrix lookup.
+Which kernel triple (``_point`` / ``_point_batch`` / ``_row``) serves an
+artifact is the strategy's declared ``query_kind``
+(:mod:`repro.oracle.strategies`), so registered strategies plug in without
+touching this module:
+
+* ``"dense"`` (dense-apsp / exact-fallback) — a single matrix lookup;
+  batch misses gather elementwise (on a mapped artifact, touching only the
+  pages the requested entries live on).
 * ``"landmark"`` (landmark-mssp / hopset-landmark) — exact ball lookup
   for near pairs, otherwise the best landmark route
   ``min_a  d(u, a) + d(a, v)`` over the landmark table (a vectorised min
   over the landmark axis).
 * ``"spanner"`` (spanner-greedy) — the landmark kernels plus a direct
   spanner-edge override: pairs joined by a spanner edge are answered with
-  at most that edge's weight, read straight from the spanner CSR.
-
-Both artifact representations are served behind the same front end: a
-monolithic :class:`~repro.oracle.artifact.OracleArtifact` keeps its tables
-fully resident, while a :class:`~repro.oracle.sharding.
-ShardedOracleArtifact` stays memory-mapped — point queries read hot rows
-through a bounded :class:`~repro.oracle.cache.RowBlockCache` and batch
-misses gather directly from the mapped shards (one fancy-index per touched
-shard, touching only the pages the requested rows live on).  The sharded
-kernels compute the same float operations in the same order as the
-monolithic ones, so answers are bit-identical between the two paths.
+  at most that edge's weight, found by one ``searchsorted`` over the sorted
+  edge codes of the spanner CSR.
 
 Estimates are always *overestimates* of the true distance (every stored
 table is an overestimate and routes only compose them), so the engine's
@@ -46,8 +51,9 @@ answers inherit the artifact's advertised stretch guarantee unchanged.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,9 +63,9 @@ from repro.oracle.cache import AnswerCache, LatencyRecorder, RowBlockCache
 from repro.oracle.sharding import ShardedOracleArtifact
 from repro.oracle.strategies import get_strategy
 
-#: Rows per cached block and blocks kept per sharded array — the hot-row
-#: working set a sharded engine keeps resident (the serving registry's
-#: cost model mirrors these numbers).
+#: Rows per cached block and blocks kept per row array — the hot-row
+#: working set an engine over a mapped artifact keeps resident (the
+#: serving registry's cost model mirrors these numbers).
 ROW_BLOCK_ROWS = 64
 ROW_BLOCK_CAPACITY = 32
 
@@ -70,7 +76,7 @@ class QueryEngine:
     Parameters
     ----------
     artifact:
-        A validated artifact: an in-memory
+        Anything answering the row-access protocol: an in-memory
         :class:`~repro.oracle.build.OracleBuilder` /
         :meth:`~repro.oracle.artifact.OracleArtifact.load` result, or a
         memory-mapped :class:`~repro.oracle.sharding.ShardedOracleArtifact`.
@@ -79,8 +85,8 @@ class QueryEngine:
     latency_window:
         How many recent per-query latencies feed the percentile stats.
     block_rows / block_capacity:
-        Shape of the hot-row block cache used by the sharded kernels
-        (ignored for monolithic artifacts).
+        Shape of the hot-row block cache in front of point reads on a
+        mapped artifact (unused when the rows are already in memory).
     """
 
     def __init__(self, artifact: Union[OracleArtifact, ShardedOracleArtifact],
@@ -95,64 +101,56 @@ class QueryEngine:
         self.latency = LatencyRecorder(latency_window)
         self._queries = 0
         self._batch_sizes: Dict[int, int] = {}
-        self._block_caches: Dict[str, RowBlockCache] = {}
-        self._sharded = isinstance(artifact, ShardedOracleArtifact)
 
-        self.query_kind = get_strategy(self.strategy).query_kind
+        spec = get_strategy(self.strategy)
+        self.query_kind = spec.query_kind
         # The kernels are looked up on the class and kept as plain
         # functions: bound methods stored on the instance would make every
         # engine a reference cycle, and a dropped or evicted engine would
         # keep its tables and maps until the cyclic collector runs.
-        suffix = self.query_kind + ("_sharded" if self._sharded else "")
-        self._kernels = tuple(getattr(type(self), f"_{role}_{suffix}")
+        self._kernels = tuple(getattr(type(self), f"_{role}_{self.query_kind}")
                               for role in ("point", "point_batch", "row"))
-        if self._sharded:
-            self._init_sharded(artifact, block_rows, block_capacity)
-        elif self.query_kind == "dense":
-            self._dist_matrix = np.asarray(artifact.arrays["dist"], dtype=np.float64)
-        else:  # "landmark" and the "spanner" overlay on top of it
-            self._landmark_dist = np.asarray(
-                artifact.arrays["landmark_dist"], dtype=np.float64
-            )
-            # Balls as per-node dicts for O(1) near-pair lookups, plus the
-            # reverse index (who has u in their ball) for row queries.
-            ball_idx = np.asarray(artifact.arrays["ball_idx"])
-            ball_dist = np.asarray(artifact.arrays["ball_dist"], dtype=np.float64)
-            self._ball: List[Dict[int, float]] = [dict() for _ in range(self.n)]
-            self._rev_ball: List[List[Tuple[int, float]]] = [[] for _ in range(self.n)]
-            for v in range(self.n):
-                for u, d in zip(ball_idx[v], ball_dist[v]):
-                    if u < 0:
-                        continue
-                    u = int(u)
-                    self._ball[v][u] = float(d)
-                    self._rev_ball[u].append((v, float(d)))
-            if self.query_kind == "spanner":
-                self._init_spanner_overlay(
-                    lambda name: np.asarray(artifact.arrays[name]))
+        # Point kernels read one row at a time.  Mapped rows come through a
+        # bounded block cache (a hot row costs a dict hit, not a shard
+        # lookup); rows already in memory are read in place — caching them
+        # would only copy them.
+        self._block_caches: Dict[str, RowBlockCache] = {}
+        self._row_of: Dict[str, Callable[[int], np.ndarray]] = {}
+        for name in spec.row_sharded_arrays:
+            if artifact.rows_in_memory:
+                self._row_of[name] = functools.partial(artifact.row, name)
+            else:
+                cache = RowBlockCache(
+                    lambda start, stop, _name=name: artifact.rows(
+                        _name, np.arange(start, stop, dtype=np.int64)),
+                    artifact.n, block_rows=block_rows, capacity=block_capacity,
+                )
+                self._block_caches[name] = cache
+                self._row_of[name] = cache.row
+        if self.query_kind == "spanner":
+            self._init_spanner_overlay()
 
         self._register_metrics()
 
-    def _init_spanner_overlay(self, fetch) -> None:
+    def _init_spanner_overlay(self) -> None:
         """Index the spanner CSR for the direct-edge override kernels.
 
-        ``fetch(name)`` returns a common payload array — the in-memory
-        dict for monolithic artifacts, :meth:`~repro.oracle.sharding.
-        ShardedOracleArtifact.common` for sharded ones, so both paths
-        index the *identical* bytes and stay bit-compatible.
+        Every query reaches the kernels with ``u <= v``, so the point and
+        batch overrides search one sorted array of ``u * n + v`` codes over
+        the ``u < v`` entries.  A sentinel code above every real one closes
+        the array, so ``searchsorted`` always lands on a valid slot.
         """
-        self._csr_indptr = np.asarray(fetch("spanner_indptr"), dtype=np.int64)
-        self._csr_indices = np.asarray(fetch("spanner_indices"), dtype=np.int64)
-        self._csr_weights = np.asarray(fetch("spanner_weights"), dtype=np.float64)
-        # Normalised-pair edge map: every query reaches the kernels with
-        # u <= v, so one direction suffices for O(1) point overrides.
-        self._edge_map: Dict[Tuple[int, int], float] = {}
-        for u in range(self.n):
-            for slot in range(int(self._csr_indptr[u]),
-                              int(self._csr_indptr[u + 1])):
-                v = int(self._csr_indices[slot])
-                if u < v:
-                    self._edge_map[(u, v)] = float(self._csr_weights[slot])
+        common = self.artifact.common
+        self._csr_indptr = np.asarray(common("spanner_indptr"), dtype=np.int64)
+        self._csr_indices = np.asarray(common("spanner_indices"), dtype=np.int64)
+        self._csr_weights = np.asarray(common("spanner_weights"), dtype=np.float64)
+        sources = np.repeat(np.arange(self.n, dtype=np.int64),
+                            np.diff(self._csr_indptr))
+        upper = np.flatnonzero(sources < self._csr_indices)
+        codes = sources[upper] * self.n + self._csr_indices[upper]
+        order = np.argsort(codes, kind="stable")
+        self._edge_codes = np.append(codes[order], np.iinfo(np.int64).max)
+        self._edge_weights = np.append(self._csr_weights[upper][order], np.inf)
 
     def _register_metrics(self) -> None:
         """Expose engine state on the process registry via weakref callbacks.
@@ -180,11 +178,11 @@ class QueryEngine:
         registry.counter(
             "repro_engine_shard_faults_total",
             "Shard open faults across sharded artifacts", labels=labels,
-        ).set_function(lambda e: e.memory_stats()["shard_faults"], self)
+        ).set_function(lambda e: e.artifact.faults, self)
         registry.gauge(
             "repro_engine_mapped_bytes",
             "Payload bytes memory-mapped (sharded artifacts)", labels=labels,
-        ).set_function(lambda e: e.memory_stats()["mapped_bytes"], self)
+        ).set_function(lambda e: e.artifact.mapped_bytes, self)
         registry.gauge(
             "repro_engine_resident_bytes",
             "Payload bytes resident in memory", labels=labels,
@@ -208,28 +206,6 @@ class QueryEngine:
             "repro_engine_latency_us",
             "Per-query engine latency", labels=labels,
         ).attach(self.latency)
-
-    def _init_sharded(self, artifact: ShardedOracleArtifact, block_rows: int,
-                      block_capacity: int) -> None:
-        """Wire the zero-copy kernels: mapped shards + hot-row block caches."""
-        def block_cache(name: str) -> RowBlockCache:
-            cache = RowBlockCache(
-                lambda start, stop, _name=name: artifact.rows(
-                    _name, np.arange(start, stop, dtype=np.int64)),
-                artifact.n, block_rows=block_rows, capacity=block_capacity,
-            )
-            self._block_caches[name] = cache
-            return cache
-
-        if self.query_kind == "dense":
-            self._dist_rows = block_cache("dist")
-        else:  # "landmark" and the "spanner" overlay on top of it
-            self._num_landmarks = artifact.array_shape("landmark_dist")[1]
-            self._ld_rows = block_cache("landmark_dist")
-            self._ball_idx_rows = block_cache("ball_idx")
-            self._ball_dist_rows = block_cache("ball_dist")
-            if self.query_kind == "spanner":
-                self._init_spanner_overlay(artifact.common)
 
     # ------------------------------------------------------------------
     # public query API
@@ -389,36 +365,30 @@ class QueryEngine:
     def memory_stats(self) -> Dict[str, object]:
         """Resident vs mapped payload bytes (plus shard-fault counters).
 
-        For a monolithic artifact everything is resident and nothing is
-        mapped; for a sharded artifact residency is the common arrays plus
-        the hot-row block caches, while the full payload stays mapped on
-        disk.  ``repro loadgen --report-residency`` and the serving
-        registry's cost model both read this snapshot.
+        Read off the artifact: a resident one holds its whole payload and
+        maps nothing; a mapped one holds its common arrays plus the engine's
+        hot-row block caches (reported under ``row_block_cache``) while the
+        payload stays on disk.  ``repro loadgen --report-residency`` and the
+        serving registry's cost model both read this snapshot.
         """
-        if self._sharded:
-            artifact = self.artifact
-            block_bytes = sum(cache.nbytes
-                              for cache in self._block_caches.values())
-            return {
-                "sharded": True,
-                "num_shards": artifact.num_shards,
-                "shard_faults": artifact.faults,
-                "mapped_bytes": artifact.mapped_bytes,
-                "resident_bytes": artifact.resident_bytes() + block_bytes,
-                "row_block_cache": {
-                    "blocks": sum(len(cache)
-                                  for cache in self._block_caches.values()),
-                    "bytes": block_bytes,
-                    "hits": sum(cache.hits
-                                for cache in self._block_caches.values()),
-                    "misses": sum(cache.misses
-                                  for cache in self._block_caches.values()),
-                },
+        artifact = self.artifact
+        caches = self._block_caches.values()
+        block_bytes = sum(cache.nbytes for cache in caches)
+        stats: Dict[str, object] = {
+            "sharded": not artifact.rows_in_memory,
+            "num_shards": artifact.num_shards,
+            "shard_faults": artifact.faults,
+            "mapped_bytes": artifact.mapped_bytes,
+            "resident_bytes": artifact.resident_bytes() + block_bytes,
+        }
+        if caches:
+            stats["row_block_cache"] = {
+                "blocks": sum(len(cache) for cache in caches),
+                "bytes": block_bytes,
+                "hits": sum(cache.hits for cache in caches),
+                "misses": sum(cache.misses for cache in caches),
             }
-        resident = sum(np.asarray(array).nbytes
-                       for array in self.artifact.arrays.values())
-        return {"sharded": False, "num_shards": 1, "shard_faults": 0,
-                "mapped_bytes": 0, "resident_bytes": resident}
+        return stats
 
     def clear_cache(self) -> None:
         """Drop cached answers (hit/miss counters are kept)."""
@@ -431,25 +401,16 @@ class QueryEngine:
         produced impossible distances (NaN/negative).  The answer cache is
         cleared wholesale (its keys are pairs, not rows — there is no
         cheap way to tell which entries are tainted), the row-block
-        caches drop only the blocks covering ``rows``, and — for sharded
-        artifacts — each implicated shard is quarantined so its next
-        open re-verifies the checksum.  Returns the quarantined shard
-        indices (empty for monolithic artifacts, whose single payload
-        was checksum-verified at load).
+        caches drop only the blocks covering ``rows``, and the artifact
+        quarantines each implicated shard so its next open re-verifies
+        the checksum.  Returns the quarantined shard indices (empty for a
+        resident artifact, whose payload was checksum-verified whole at
+        load).
         """
         self.cache.clear()
-        if not self._sharded:
-            return []
         for cache in self._block_caches.values():
             cache.invalidate_rows(rows)
-        row_array = np.asarray(list(rows), dtype=np.int64)
-        if row_array.size == 0:
-            return []
-        shards = sorted(
-            int(s) for s in np.unique(self.artifact.shard_of_rows(row_array)))
-        for shard in shards:
-            self.artifact.quarantine(shard)
-        return shards
+        return self.artifact.quarantine_rows(rows)
 
     # ------------------------------------------------------------------
     # strategy kernels
@@ -464,135 +425,39 @@ class QueryEngine:
         return self._kernels[2](self, u)
 
     def _point_dense(self, u: int, v: int) -> float:
-        return float(self._dist_matrix[u, v])
+        return float(self._row_of["dist"](u)[v])
 
     def _point_batch_dense(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self._dist_matrix[us, vs]
+        # Elementwise gather straight off the rows: on a mapped artifact
+        # only the pages holding the requested entries are faulted in.
+        return self.artifact.gather("dist", us, vs)
 
     def _row_dense(self, u: int) -> np.ndarray:
-        return self._dist_matrix[u]
+        return self.artifact.row("dist", u)
 
     def _point_landmark(self, u: int, v: int) -> float:
         # Ball distances are exact and routes only compose overestimates,
-        # so a ball hit can never be beaten by a landmark route.
-        near = self._ball[u].get(v)
-        if near is None:
-            near = self._ball[v].get(u)
-        if near is not None:
-            return near
-        return float(np.min(self._landmark_dist[u] + self._landmark_dist[v]))
+        # so a ball hit can never be beaten by a landmark route: probe
+        # u's ball, then v's, then take the best landmark route.
+        ball_idx, ball_dist = self._row_of["ball_idx"], self._row_of["ball_dist"]
+        hit = (ball_idx(u) == v).nonzero()[0]
+        if hit.size:
+            return float(ball_dist(u)[hit[0]])
+        hit = (ball_idx(v) == u).nonzero()[0]
+        if hit.size:
+            return float(ball_dist(v)[hit[0]])
+        landmark_dist = self._row_of["landmark_dist"]
+        return float((landmark_dist(u) + landmark_dist(v)).min())
 
     def _point_batch_landmark(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        # One gather over the (1 + ε) MSSP table resolves every pair's best
-        # landmark route at once; the exact-ball overrides (a sparse O(1)
-        # dict hit per pair) are applied on top, mirroring _point_landmark.
-        count = len(us)
-        out = np.empty(count, dtype=np.float64)
-        chunk = max(1, (1 << 20) // max(1, self._landmark_dist.shape[1]))
-        for start in range(0, count, chunk):
-            stop = min(count, start + chunk)
-            out[start:stop] = np.min(
-                self._landmark_dist[us[start:stop]]
-                + self._landmark_dist[vs[start:stop]],
-                axis=1,
-            )
-        for index, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            near = self._ball[u].get(v)
-            if near is None:
-                near = self._ball[v].get(u)
-            if near is not None:
-                out[index] = near
-        return out
-
-    def _row_landmark(self, u: int) -> np.ndarray:
-        # Best landmark route to every node, then overlay the exact balls.
-        row = np.min(self._landmark_dist + self._landmark_dist[u], axis=1)
-        for v, d in self._ball[u].items():
-            if d < row[v]:
-                row[v] = d
-        for v, d in self._rev_ball[u]:
-            if d < row[v]:
-                row[v] = d
-        row[u] = 0.0
-        return row
-
-    # ------------------------------------------------------------------
-    # spanner kernels: the landmark kernels plus a direct spanner-edge
-    # override.  The override helpers are shared verbatim between the
-    # monolithic and sharded variants, so the two paths stay bit-identical.
-    # ------------------------------------------------------------------
-    def _edge_override_point(self, u: int, v: int, value: float) -> float:
-        direct = self._edge_map.get((u, v))
-        if direct is not None and direct < value:
-            return direct
-        return value
-
-    def _edge_override_batch(self, us: np.ndarray, vs: np.ndarray,
-                             out: np.ndarray) -> np.ndarray:
-        edge_map = self._edge_map
-        for index, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            direct = edge_map.get((u, v))
-            if direct is not None and direct < out[index]:
-                out[index] = direct
-        return out
-
-    def _edge_override_row(self, u: int, row: np.ndarray) -> np.ndarray:
-        for slot in range(int(self._csr_indptr[u]),
-                          int(self._csr_indptr[u + 1])):
-            v = int(self._csr_indices[slot])
-            w = float(self._csr_weights[slot])
-            if w < row[v]:
-                row[v] = w
-        return row
-
-    def _point_spanner(self, u: int, v: int) -> float:
-        return self._edge_override_point(u, v, self._point_landmark(u, v))
-
-    def _point_batch_spanner(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self._edge_override_batch(
-            us, vs, self._point_batch_landmark(us, vs))
-
-    def _row_spanner(self, u: int) -> np.ndarray:
-        return self._edge_override_row(u, self._row_landmark(u))
-
-    # ------------------------------------------------------------------
-    # sharded (memory-mapped) strategy kernels — bit-identical siblings of
-    # the in-memory kernels above
-    # ------------------------------------------------------------------
-    def _point_dense_sharded(self, u: int, v: int) -> float:
-        return float(self._dist_rows.row(u)[v])
-
-    def _point_batch_dense_sharded(self, us: np.ndarray,
-                                   vs: np.ndarray) -> np.ndarray:
-        # Elementwise gather straight off the shard maps: only the pages
-        # holding the requested entries are ever faulted in.
-        return self.artifact.gather("dist", us, vs)
-
-    def _row_dense_sharded(self, u: int) -> np.ndarray:
-        return self.artifact.row("dist", u)
-
-    def _point_landmark_sharded(self, u: int, v: int) -> float:
-        # Same probe order as _point_landmark: u's exact ball, then v's,
-        # then the best landmark route.
-        ball_u = self._ball_idx_rows.row(u)
-        hit = np.nonzero(ball_u == v)[0]
-        if hit.size:
-            return float(self._ball_dist_rows.row(u)[hit[0]])
-        ball_v = self._ball_idx_rows.row(v)
-        hit = np.nonzero(ball_v == u)[0]
-        if hit.size:
-            return float(self._ball_dist_rows.row(v)[hit[0]])
-        return float(np.min(self._ld_rows.row(u) + self._ld_rows.row(v)))
-
-    def _point_batch_landmark_sharded(self, us: np.ndarray,
-                                      vs: np.ndarray) -> np.ndarray:
         # Everything runs inside one ~1M-element chunk loop so transient
-        # gathers stay bounded no matter the batch size — the sharded
-        # path must not spike residency to answer a big batch.
+        # gathers stay bounded no matter the batch size — answering a big
+        # batch must not spike residency on a mapped artifact.
         artifact = self.artifact
         count = len(us)
         out = np.empty(count, dtype=np.float64)
-        chunk = max(1, (1 << 20) // max(1, self._num_landmarks))
+        chunk = max(1, (1 << 20)
+                    // max(1, artifact.array_shape("landmark_dist")[1]))
         for start in range(0, count, chunk):
             stop = min(count, start + chunk)
             us_chunk, vs_chunk = us[start:stop], vs[start:stop]
@@ -601,9 +466,9 @@ class QueryEngine:
                 + artifact.rows("landmark_dist", vs_chunk),
                 axis=1,
             )
-            # Exact-ball overrides, u's ball first then v's, mirroring
-            # _point_landmark / _point_batch_landmark.  Node ids are >= 0,
-            # so the -1 ball padding can never match.
+            # Exact-ball overrides in _point_landmark's order: u's ball
+            # first, then v's.  Node ids are >= 0, so the -1 ball padding
+            # can never match.
             match_u = artifact.rows("ball_idx", us_chunk) == vs_chunk[:, None]
             has_u = match_u.any(axis=1)
             if has_u.any():
@@ -625,41 +490,58 @@ class QueryEngine:
             out[start:stop] = part
         return out
 
-    def _row_landmark_sharded(self, u: int) -> np.ndarray:
-        # A row query genuinely needs every node's best estimate, so it
-        # scans all shards — but one shard at a time, never materialising
-        # the full landmark table.
+    def _row_landmark(self, u: int) -> np.ndarray:
+        # A row query needs every node's best estimate, so it scans all
+        # shards — but one shard at a time, never materialising a second
+        # copy of the landmark table.
         artifact = self.artifact
-        ld_u = np.asarray(self._ld_rows.row(u))
+        ld_u = np.asarray(self._row_of["landmark_dist"](u))
         row = np.empty(self.n, dtype=np.float64)
         for start, block in artifact.iter_shards("landmark_dist"):
             row[start:start + block.shape[0]] = np.min(block + ld_u, axis=1)
-        ball_u = self._ball_idx_rows.row(u)
-        dist_u = self._ball_dist_rows.row(u)
-        for slot in range(len(ball_u)):
-            v = int(ball_u[slot])
-            if v >= 0 and dist_u[slot] < row[v]:
-                row[v] = float(dist_u[slot])
-        for index, (start, _stop) in enumerate(artifact.row_ranges):
-            shard = artifact.open_shard(index)
-            hit_rows, hit_slots = np.nonzero(shard["ball_idx"] == u)
-            if hit_rows.size:
-                exact = shard["ball_dist"][hit_rows, hit_slots]
-                row[start + hit_rows] = np.minimum(row[start + hit_rows], exact)
+        # Overlay the exact balls: u's own, then every ball u sits in.
+        ball_u = self._row_of["ball_idx"](u)
+        filled = np.flatnonzero(ball_u >= 0)
+        np.minimum.at(row, ball_u[filled], self._row_of["ball_dist"](u)[filled])
+        for (start, idx_block), (_, dist_block) in zip(
+                artifact.iter_shards("ball_idx"),
+                artifact.iter_shards("ball_dist")):
+            # Scanned flat: a 1-D nonzero is several times cheaper than
+            # the 2-D one over the same block.
+            hits = np.flatnonzero(idx_block.reshape(-1) == u)
+            if hits.size:
+                rows = start + hits // idx_block.shape[1]
+                row[rows] = np.minimum(row[rows], dist_block.reshape(-1)[hits])
         row[u] = 0.0
         return row
 
-    def _point_spanner_sharded(self, u: int, v: int) -> float:
-        return self._edge_override_point(
-            u, v, self._point_landmark_sharded(u, v))
+    # ------------------------------------------------------------------
+    # spanner kernels: the landmark kernels plus a direct spanner-edge
+    # override, which only ever tightens an answer.
+    # ------------------------------------------------------------------
+    def _point_spanner(self, u: int, v: int) -> float:
+        value = self._point_landmark(u, v)
+        code = u * self.n + v
+        slot = self._edge_codes.searchsorted(code)
+        if self._edge_codes[slot] == code and self._edge_weights[slot] < value:
+            return float(self._edge_weights[slot])
+        return value
 
-    def _point_batch_spanner_sharded(self, us: np.ndarray,
-                                     vs: np.ndarray) -> np.ndarray:
-        return self._edge_override_batch(
-            us, vs, self._point_batch_landmark_sharded(us, vs))
+    def _point_batch_spanner(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        out = self._point_batch_landmark(us, vs)
+        codes = us * np.int64(self.n) + vs
+        slots = self._edge_codes.searchsorted(codes)
+        direct = self._edge_weights[slots]
+        better = np.flatnonzero((self._edge_codes[slots] == codes)
+                                & (direct < out))
+        out[better] = direct[better]
+        return out
 
-    def _row_spanner_sharded(self, u: int) -> np.ndarray:
-        return self._edge_override_row(u, self._row_landmark_sharded(u))
+    def _row_spanner(self, u: int) -> np.ndarray:
+        row = self._row_landmark(u)
+        edges = slice(self._csr_indptr[u], self._csr_indptr[u + 1])
+        np.minimum.at(row, self._csr_indices[edges], self._csr_weights[edges])
+        return row
 
     # ------------------------------------------------------------------
     # helpers

@@ -1,12 +1,17 @@
 """Sharded, memory-mappable on-disk format for large oracle artifacts.
 
-The monolithic format (:mod:`repro.oracle.artifact`) reads its whole
+The single-file format (:mod:`repro.oracle.artifact`) reads its whole
 compressed payload into RAM, so cold-start time and resident memory grow
 as O(n²) for the dense strategies even when a workload touches a handful
 of pairs.  This module is the alternative for large n: one artifact
 becomes a set of *row shards* plus a JSON manifest, mirroring how the
 paper's Congested Clique algorithms hand each node a bandwidth slice of
-the all-pairs object instead of the whole thing:
+the all-pairs object instead of the whole thing.  Both formats are served
+by one kernel family through the same row-access protocol
+(``array_shape`` / ``row`` / ``rows`` / ``gather`` / ``iter_shards`` /
+``common``); a resident artifact is the one-shard case, and
+:class:`ShardedOracleArtifact` is the general one — each accessor routes
+rows to the shard that owns them and reads through its memory map:
 
 * ``<name>.shard-K.npz`` — shard ``K`` holds rows ``[row_start, row_stop)``
   of every row-sharded payload array (see
@@ -40,7 +45,7 @@ import json
 import time
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from repro.oracle.artifact import (
     ArtifactError,
     OracleArtifact,
     artifact_paths,
+    check_schema,
 )
 from repro.oracle.strategies import StretchGuarantee, get_strategy
 
@@ -252,20 +258,9 @@ def write_sharded_artifact(
     peak extra memory stays O(one write buffer) regardless of artifact
     size.  The remaining (small) arrays are stored whole in shard 0.
     """
+    check_schema(OracleArtifact(metadata=metadata, arrays=arrays))
     spec = get_strategy(str(metadata["strategy"]))
-    missing = [name for name in spec.required_arrays if name not in arrays]
-    if missing:
-        raise ArtifactError(
-            f"artifact for strategy {spec.name!r} is missing payload arrays "
-            f"{missing}; present: {sorted(arrays)}"
-        )
     n = int(metadata["n"])
-    for name in spec.row_sharded_arrays:
-        if arrays[name].shape[0] != n:
-            raise ArtifactError(
-                f"row-sharded array {name!r} has leading axis "
-                f"{arrays[name].shape[0]}, expected n={n}"
-            )
     manifest_path = shard_manifest_path(path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     base = manifest_path.name[: -len(SHARD_MANIFEST_SUFFIX)]
@@ -351,10 +346,15 @@ class ShardedOracleArtifact:
     Shards open lazily (``faults`` counts the opens) and their arrays are
     memory-mapped, so the only payload bytes that ever become resident are
     the rows a query actually gathers.  The row accessors (:meth:`row`,
-    :meth:`rows`, :meth:`gather`, :meth:`iter_shards`) return values
-    bit-identical to the same accesses on the monolithic arrays — shards
-    store exact row slices, never re-encoded data.
+    :meth:`rows`, :meth:`gather`, :meth:`iter_shards`, :meth:`common`)
+    return values bit-identical to the same accesses on a resident
+    :class:`~repro.oracle.artifact.OracleArtifact` — shards store exact
+    row slices, never re-encoded data.
     """
+
+    #: Rows are mapped, not resident: an engine fronts its point reads
+    #: with a :class:`~repro.oracle.cache.RowBlockCache`.
+    rows_in_memory = False
 
     def __init__(self, manifest_path: Path, manifest: Dict[str, Any],
                  verify: str = "lazy"):
@@ -427,16 +427,9 @@ class ShardedOracleArtifact:
             )
         return cls(manifest_path, manifest, verify=verify)
 
-    def _check_layout(self) -> None:
+    def _check_layout(self, values: bool = False) -> None:
         """Cheap structural checks: schema, contiguous ranges, files present."""
-        missing = [name for name in self._spec.required_arrays
-                   if name not in self._sharded_arrays
-                   and name not in self._common_arrays]
-        if missing:
-            raise ArtifactError(
-                f"sharded artifact for strategy {self.strategy!r} is missing "
-                f"payload arrays {missing}"
-            )
+        check_schema(self, values=values)
         expected_start = 0
         for item in self._shards:
             if int(item["row_start"]) != expected_start:
@@ -520,8 +513,8 @@ class ShardedOracleArtifact:
         return sum(int(item["bytes"]) for item in self._shards)
 
     def validate(self) -> None:
-        """Schema check, for symmetry with :meth:`OracleArtifact.validate`."""
-        self._check_layout()
+        """The load-time checks plus the one that reads shard 0 (CSR extent)."""
+        self._check_layout(values=True)
 
     def shard_file(self, index: int) -> Path:
         return self.manifest_path.with_name(str(self._shards[index]["path"]))
@@ -616,6 +609,14 @@ class ShardedOracleArtifact:
     def shard_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Shard index owning each row in ``rows`` (vectorised)."""
         return np.searchsorted(self._row_starts, rows, side="right") - 1
+
+    def quarantine_rows(self, rows: Sequence[int]) -> List[int]:
+        """Quarantine every shard owning one of ``rows``; returns their indices."""
+        row_array = np.asarray(list(rows), dtype=np.int64)
+        shards = sorted(int(s) for s in np.unique(self.shard_of_rows(row_array)))
+        for shard in shards:
+            self.quarantine(shard)
+        return shards
 
     # ------------------------------------------------------------------
     # row accessors

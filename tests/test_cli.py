@@ -510,10 +510,6 @@ class TestNetSubcommands:
                      "--self-test", "10"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_net_serve_window_validation(self, tmp_path, capsys):
-        assert main(["net", "serve", str(tmp_path / "missing.npz"),
-                     "--window-ms", "soon", "--self-test", "10"]) != 0
-
     def test_loadgen_raw_jsonl_export(self, tmp_path, capsys):
         from repro.serve.loadgen import LoadReport
 

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.protocol import (
-    DEADLINE_PROTOCOL_VERSION,
     ERR_BAD_FRAME,
     ERR_UNSUPPORTED_VERSION,
+    FLAG_DEADLINE,
     FLAG_TRACE,
     HEADER,
     MAGIC,
@@ -28,7 +28,6 @@ from repro.net.protocol import (
     MSG_REQUEST,
     MSG_RESPONSE,
     PROTOCOL_VERSION,
-    TRACE_PROTOCOL_VERSION,
     Frame,
     ProtocolError,
     encode_frame,
@@ -121,8 +120,8 @@ class TestTracedFrames:
         payload = pack_request([(1, 2), (3, 4)], 2.0, 1.0, "dense")
         blob = b'{"id":"deadbeefdeadbeef"}'
         encoded = encode_frame(MSG_REQUEST, 11, payload, trace=blob)
-        version = encoded[4]
-        assert version == TRACE_PROTOCOL_VERSION
+        _, version, _, flags, _, _ = HEADER.unpack(encoded[:HEADER.size])
+        assert (version, flags) == (PROTOCOL_VERSION, FLAG_TRACE)
         frame = read_one(encoded)
         ftype, req_id, got = frame  # 3-tuple unpack still works
         assert (ftype, req_id) == (MSG_REQUEST, 11)
@@ -150,28 +149,39 @@ class TestTracedFrames:
         assert excinfo.value.code == ERR_BAD_FRAME
 
     def test_version_2_flag_without_blob_yields_plain_payload(self):
-        # A v2 frame whose FLAG_TRACE bit is clear is read as plain.
-        payload = b"abc"
-        frame_bytes = HEADER.pack(MAGIC, TRACE_PROTOCOL_VERSION, MSG_REQUEST,
-                                  0, 9, len(payload)) + payload
-        frame = read_one(frame_bytes)
+        # The flags alone say which sections ride along: with FLAG_TRACE
+        # clear the payload is read as it is, whatever it starts with ...
+        payload = struct.pack("!H", 1) + b"abc"
+        frame = read_one(HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_REQUEST,
+                                     0, 9, len(payload)) + payload)
         assert frame.trace is None
         assert frame[2] == payload
+        # ... and the version byte 2 that traced frames used to be stamped
+        # with is no longer a version this build reads.
+        with pytest.raises(ProtocolError) as excinfo:
+            read_one(HEADER.pack(MAGIC, 2, MSG_REQUEST, 0, 9, len(payload))
+                     + payload)
+        assert excinfo.value.code == ERR_UNSUPPORTED_VERSION
 
 
 class TestDeadlineFrames:
     def test_deadline_frame_roundtrips_budget(self):
         payload = pack_request([(1, 2)], math.inf, math.inf, "")
         encoded = encode_frame(MSG_REQUEST, 8, payload, deadline=1.25)
-        assert encoded[4] == DEADLINE_PROTOCOL_VERSION
+        _, version, _, flags, _, _ = HEADER.unpack(encoded[:HEADER.size])
+        assert (version, flags) == (PROTOCOL_VERSION, FLAG_DEADLINE)
         frame = read_one(encoded)
         assert frame.deadline == pytest.approx(1.25)
         assert frame[2] == payload
 
     def test_deadline_and_trace_coexist(self):
         blob = b'{"id":"deadbeefdeadbeef"}'
-        frame = read_one(encode_frame(MSG_REQUEST, 9, b"xy", trace=blob,
-                                      deadline=0.5))
+        encoded = encode_frame(MSG_REQUEST, 9, b"xy", trace=blob,
+                               deadline=0.5)
+        _, version, _, flags, _, _ = HEADER.unpack(encoded[:HEADER.size])
+        assert (version, flags) == (PROTOCOL_VERSION,
+                                    FLAG_DEADLINE | FLAG_TRACE)
+        frame = read_one(encoded)
         assert frame.trace == blob
         assert frame.deadline == pytest.approx(0.5)
         assert frame[2] == b"xy"
@@ -218,13 +228,16 @@ class TestMalformedFrames:
         assert excinfo.value.code == ERR_BAD_FRAME
 
     def test_unknown_version_byte_raises(self):
-        # Version 3 is the deadline-frame version, so the first *unknown*
-        # byte is 4.
-        frame = bytearray(encode_frame(MSG_REQUEST, 1, b""))
-        frame[4] = DEADLINE_PROTOCOL_VERSION + 1
-        with pytest.raises(ProtocolError) as excinfo:
-            read_one(bytes(frame))
-        assert excinfo.value.code == ERR_UNSUPPORTED_VERSION
+        # There is one version; every other byte is refused, flags or not.
+        for flagged in ({}, {"trace": b"{}", "deadline": 1.0}):
+            for version in (0, 2, 3, 4, 255):
+                frame = bytearray(encode_frame(MSG_REQUEST, 7, b"", **flagged))
+                assert frame[4] == PROTOCOL_VERSION
+                frame[4] = version
+                with pytest.raises(ProtocolError) as excinfo:
+                    read_one(bytes(frame))
+                assert excinfo.value.code == ERR_UNSUPPORTED_VERSION
+                assert excinfo.value.req_id == 7
 
     def test_oversized_length_prefix_raises_before_reading_payload(self):
         header = HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_REQUEST, 0, 1,

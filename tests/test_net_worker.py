@@ -146,11 +146,11 @@ class TestTypedErrors:
 
     def test_unknown_version_answers_typed_error_and_closes(
             self, artifact_path):
-        async def drive():
+        async def drive(version):
             worker = make_worker(artifact_path)
             async with worker.server, worker:
                 frame = bytearray(encode_frame(MSG_REQUEST, 9, b""))
-                frame[4] = PROTOCOL_VERSION + 7
+                frame[4] = version
                 reader, writer = await asyncio.open_connection(*worker.address)
                 writer.write(bytes(frame))
                 await writer.drain()
@@ -159,10 +159,13 @@ class TestTypedErrors:
                 writer.close()
                 return response, trailing
 
-        (ftype, _req_id, payload), trailing = asyncio.run(drive())
-        assert ftype == MSG_ERROR
-        assert unpack_error(payload, 0).code == ERR_UNSUPPORTED_VERSION
-        assert trailing == b""
+        # 2 and 3 were the traced/deadline stamps of the retired
+        # three-version scheme: one version now, everything else refused.
+        for version in (2, 3, PROTOCOL_VERSION + 7):
+            (ftype, _req_id, payload), trailing = asyncio.run(drive(version))
+            assert ftype == MSG_ERROR
+            assert unpack_error(payload, 0).code == ERR_UNSUPPORTED_VERSION
+            assert trailing == b""
 
     def test_malformed_payload_keeps_connection_alive(self, artifact_path):
         """A bad payload inside a sound frame answers an error, then the

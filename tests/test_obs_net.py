@@ -1,16 +1,17 @@
 """Observability integration over a real 2-worker fleet: trace-id
 propagation across client → frontend → worker, per-stage spans summing
 to the observed end-to-end latency, worker ``/metricsz`` exposition,
-frontend fleet aggregation, and wire back-compat (an old v1 client is
-served untraced; a link facing a v1-only peer downgrades itself)."""
+frontend fleet aggregation, and the wire contract around tracing (an
+untraced frame is answered untraced; a refused version is an error, not
+a negotiation)."""
 
 from __future__ import annotations
 
 import asyncio
 import math
 import statistics
+import time
 
-import numpy as np
 import pytest
 
 from repro.net.bench import synthetic_sharded_artifact
@@ -18,16 +19,18 @@ from repro.net.cluster import Cluster, free_port
 from repro.net.frontend import Frontend, NetClient, WorkerLink
 from repro.net.protocol import (
     ERR_UNSUPPORTED_VERSION,
+    FLAG_DEADLINE,
+    FLAG_TRACE,
     HEADER,
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
+    PROTOCOL_VERSION,
+    ProtocolError,
     encode_frame,
     pack_error,
     pack_request,
-    pack_response,
     read_frame,
-    unpack_request,
 )
 from repro.obs.export import fetch_snapshot, fetch_text
 from repro.obs.tracing import (
@@ -169,8 +172,8 @@ def test_frontend_aggregates_fleet_snapshot(cluster, manifest):
 
 
 def test_v1_client_is_served_untraced(cluster):
-    """Old header ↔ new worker: an untraced (byte-identical v1) frame is
-    answered with a plain v1 response; a traced frame gets its spans back."""
+    """An untraced frame is answered with a plain response; a traced
+    frame gets its spans back."""
     host, port = cluster.addresses[0]
 
     async def drive():
@@ -200,46 +203,38 @@ def test_v1_client_is_served_untraced(cluster):
     assert {"worker.queue", "worker.gather"} <= names
 
 
-def test_worker_link_downgrades_against_v1_only_peer():
-    """A WorkerLink facing an old peer that rejects v2 frames negotiates
-    down once, retries untraced, and never sends a blob again."""
-    seen_versions = []
+def test_worker_link_surfaces_unsupported_version_without_resending():
+    """There is one wire version and nothing to negotiate down to: a peer
+    that refuses it gets the frame once, and the caller gets the typed
+    error."""
+    seen_flags = []
 
-    async def v1_only_peer(reader, writer):
+    async def refusing_peer(reader, writer):
         while True:
             head = await reader.read(HEADER.size)
             if len(head) < HEADER.size:
                 break
-            _magic, version, _ftype, _flags, req_id, length = \
+            _magic, version, _ftype, flags, req_id, length = \
                 HEADER.unpack(head)
-            body = await reader.readexactly(length)
-            seen_versions.append(version)
-            if version != 1:
-                reply = encode_frame(MSG_ERROR, req_id, pack_error(
-                    ERR_UNSUPPORTED_VERSION, f"version {version}"))
-            else:
-                request = unpack_request(body, req_id)
-                reply = encode_frame(MSG_RESPONSE, req_id,
-                                     pack_response(np.ones(len(request))))
-            writer.write(reply)
+            await reader.readexactly(length)
+            seen_flags.append((version, flags))
+            writer.write(encode_frame(MSG_ERROR, req_id, pack_error(
+                ERR_UNSUPPORTED_VERSION, f"version {version}")))
             await writer.drain()
 
     async def drive():
-        server = await asyncio.start_server(v1_only_peer, "127.0.0.1", 0)
+        server = await asyncio.start_server(refusing_peer, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         async with server:
             link = WorkerLink("127.0.0.1", port)
             try:
                 blob = trace_capable_blob("0123456789abcdef")
-                first = await link.request([(0, 1)], trace=blob, timeout=5.0)
-                assert not link.trace_capable
-                second = await link.request([(0, 1)], trace=blob, timeout=5.0)
-                return first, second
+                with pytest.raises(ProtocolError) as excinfo:
+                    await link.request([(0, 1)], trace=blob, timeout=5.0,
+                                       deadline=time.monotonic() + 5.0)
+                return excinfo.value.code
             finally:
                 await link.close()
 
-    first, second = asyncio.run(drive())
-    assert first.tolist() == [1.0]
-    assert second.tolist() == [1.0]
-    # Exactly one v2 probe, then v1 forever (retry + second request).
-    assert seen_versions == [2, 1, 1]
+    assert asyncio.run(drive()) == ERR_UNSUPPORTED_VERSION
+    assert seen_flags == [(PROTOCOL_VERSION, FLAG_DEADLINE | FLAG_TRACE)]

@@ -16,6 +16,8 @@ from repro.oracle import (
     QueryEngine,
     artifact_paths,
     build_oracle,
+    load_artifact,
+    write_sharded_artifact,
 )
 
 
@@ -120,3 +122,109 @@ class TestCorruptionAndVersioning:
         )
         with pytest.raises(ArtifactError, match="landmark_dist"):
             artifact.save(tmp_path / "o.npz")
+
+
+# ----------------------------------------------------------------------
+# array shapes: one schema check, both representations
+# ----------------------------------------------------------------------
+#: case -> (strategy, arrays to replace, what the error must name)
+BAD_SHAPES = {
+    "dist-smaller-than-n": (
+        "dense-apsp", lambda a: {"dist": a["dist"][:-2, :-2]}, "dist"),
+    "dist-not-square": (
+        "dense-apsp", lambda a: {"dist": a["dist"][:, :-1]}, "dist"),
+    "rows-not-one-per-node": (
+        "landmark-mssp",
+        lambda a: {"landmark_dist": a["landmark_dist"][:-2]}, "landmark_dist"),
+    "ball-tables-disagree": (
+        "landmark-mssp",
+        lambda a: {"ball_dist": a["ball_dist"][:, :-1]}, "ball_dist"),
+    "indptr-not-n-plus-one": (
+        "spanner-greedy",
+        lambda a: {"spanner_indptr": a["spanner_indptr"][:-1]},
+        "spanner_indptr"),
+    "weights-shorter-than-indices": (
+        "spanner-greedy",
+        lambda a: {"spanner_weights": a["spanner_weights"][:-1]},
+        "spanner_weights"),
+    "csr-shorter-than-indptr-says": (
+        "spanner-greedy",
+        lambda a: {"spanner_indices": a["spanner_indices"][:-2],
+                   "spanner_weights": a["spanner_weights"][:-2]},
+        "spanner_indices"),
+}
+#: Needs a read of shard 0, so it surfaces at validate(), not at load.
+NEEDS_PAYLOAD_VALUES = {"csr-shorter-than-indptr-says"}
+
+
+@pytest.fixture(scope="module")
+def built():
+    graph = random_weighted_graph(24, average_degree=6, max_weight=8, seed=21)
+    return {strategy: build_oracle(graph, strategy=strategy, epsilon=0.5)
+            for strategy in ("dense-apsp", "landmark-mssp", "spanner-greedy")}
+
+
+def misshapen(built, case):
+    strategy, replace, names = BAD_SHAPES[case]
+    good = built[strategy]
+    arrays = dict(good.arrays)
+    arrays.update(replace(good.arrays))
+    return OracleArtifact(metadata=dict(good.metadata), arrays=arrays), names
+
+
+class TestSchemaShapes:
+    def test_well_formed_artifacts_pass(self, built, tmp_path):
+        for strategy, artifact in built.items():
+            artifact.validate()
+            manifest, _ = artifact.save_sharded(tmp_path / strategy, 3)
+            load_artifact(manifest).validate()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_resident_artifact_rejected(self, built, case, tmp_path):
+        bad, names = misshapen(built, case)
+        with pytest.raises(ArtifactError, match=names):
+            bad.validate()
+        with pytest.raises(ArtifactError, match=names):
+            bad.save(tmp_path / "bad.npz")
+        with pytest.raises(ArtifactError, match=names):
+            QueryEngine(bad)
+
+    def test_resident_payload_that_disagrees_with_its_sidecar_rejected(
+            self, built, tmp_path):
+        payload, sidecar = built["dense-apsp"].save(tmp_path / "o.npz")
+        meta = json.loads(sidecar.read_text())
+        meta["n"] += 2  # the checksum covers the payload, not this
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ArtifactError, match="dist"):
+            OracleArtifact.load(payload)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_sharded_artifact_rejected(self, built, case, tmp_path):
+        """The shard writer refuses the payload, and the loader refuses a
+        manifest that declares those shapes (the writer never produces
+        one, so the manifest is doctored)."""
+        bad, names = misshapen(built, case)
+        with pytest.raises(ArtifactError, match=names):
+            write_sharded_artifact(bad.metadata, bad.arrays,
+                                   tmp_path / "bad", num_shards=3)
+        with pytest.raises(ArtifactError, match=names):
+            bad.save_sharded(tmp_path / "bad", num_shards=3)
+
+        strategy, replace, _ = BAD_SHAPES[case]
+        manifest_path, _ = built[strategy].save_sharded(tmp_path / "doc", 3)
+        manifest = json.loads(manifest_path.read_text())
+        for name, array in replace(built[strategy].arrays).items():
+            section = ("sharded_arrays" if name in manifest["sharded_arrays"]
+                       else "common_arrays")
+            manifest[section][name]["shape"] = list(array.shape)
+        manifest_path.write_text(json.dumps(manifest))
+        if case in NEEDS_PAYLOAD_VALUES:
+            loaded = load_artifact(manifest_path)
+            assert loaded.faults == 0  # load stays manifest-only
+            with pytest.raises(ArtifactError, match=names):
+                loaded.validate()
+            with pytest.raises(ArtifactError, match=names):
+                QueryEngine(loaded)
+        else:
+            with pytest.raises(ArtifactError, match=names):
+                load_artifact(manifest_path)
