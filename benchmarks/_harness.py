@@ -50,9 +50,9 @@ from repro.graphs import (
     random_weighted_graph,
 )
 from repro.matmul import SemiringMatrix
+from repro.matmul.dense import HAVE_NUMBA
 from repro.matmul.kernels import (
     DISPATCH,
-    HAVE_NUMBA,
     local_product,
     sparse_dict_product,
     submatrix_product,

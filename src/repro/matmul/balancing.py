@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cclique.accounting import Clique
-from repro.matmul.partition import CubePartition
+from repro.matmul.partition import CubePartition, block_weights
 from repro.matmul.matrix import SemiringMatrix
 
 
@@ -30,14 +32,21 @@ def subcube_loads(
 ) -> Tuple[List[int], List[int]]:
     """Per-subcube input sizes: non-zeros of ``S[rows, mids]`` and ``T[mids, cols]``.
 
-    Returned in the order of :meth:`CubePartition.subcubes`.
+    Returned in the order of :meth:`CubePartition.subcubes`.  Subcube
+    ``(i, j, k)`` reads the block-``i`` column weights of ``S`` (block-``j``
+    row weights of ``T``) over its middle block, so both are one weighted
+    count over the subcube index of every ``(i, j, middle index)``.
     """
-    s_loads: List[int] = []
-    t_loads: List[int] = []
-    for _, _, _, rows, mids, cols in partition.subcubes():
-        s_loads.append(S.submatrix_nnz(rows, mids))
-        t_loads.append(T.submatrix_nnz(mids, cols))
-    return s_loads, t_loads
+    mid_block = partition.labels[2]
+    b, a, n = mid_block.shape
+    s_weights, t_weights = block_weights(S, T, partition.row_sets, partition.col_sets)
+    index = (np.arange(b * a).reshape(b, a, 1) * partition.c + mid_block).ravel()
+    count = b * a * partition.c
+    s_loads = np.bincount(
+        index, np.broadcast_to(s_weights[:, None, :], (b, a, n)).ravel(), count)
+    t_loads = np.bincount(
+        index, np.broadcast_to(t_weights[None, :, :], (b, a, n)).ravel(), count)
+    return s_loads.astype(np.int64).tolist(), t_loads.astype(np.int64).tolist()
 
 
 def assign_subcubes_to_nodes(num_subcubes: int, n: int) -> List[List[int]]:

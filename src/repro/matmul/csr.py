@@ -36,7 +36,7 @@ Theorems 8/14 chain without touching a Python dictionary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.matmul.matrix import (  # noqa: F401  (re-exported: original home)
     CSRMatrix,
     SemiringMatrix,
     csr_supported,
-    decode_values,
     dict_rows,
     from_csr,
     min_per_position,
@@ -214,90 +213,48 @@ def csr_witnessed_product(
     return product, dict_rows(csr.indptr, csr.indices.tolist(), witnesses.tolist())
 
 
+def csr_subcube_products(S: SemiringMatrix, T: SemiringMatrix,
+                         row_block: np.ndarray, col_block: np.ndarray,
+                         mid_block: np.ndarray):
+    """Every subcube product of a Lemma 9 partition, one row block at a time.
+
+    The partition comes as label arrays (:attr:`CubePartition.labels`).  An
+    elementary product ``S[r, m] · T[m, col]`` belongs to the subcube
+    ``(row_block[r], col_block[col], mid_block[·, ·, m])``, so reducing the
+    candidates per ``(middle block, row, col)`` gives all the intermediate
+    products of Lemma 11 at once.  Yields ``(layers, rows, cols, codes)``
+    sorted by ``(layer, row, col)``; row blocks are disjoint in ``rows``.
+    """
+    A = to_csr(S)
+    B = to_csr(T)
+    n = A.n
+    for start, stop in _row_blocks(A, B):
+        candidates = _block_candidates(A, B, start, stop)
+        if candidates is None:
+            continue
+        rows, cols, vals, mids = candidates
+        layers = mid_block[row_block[rows], col_block[cols], mids]
+        layer_rows, cols, vals = min_per_position(layers * n + rows, cols, vals, n)
+        yield layer_rows // n, layer_rows % n, cols, vals
+
+
 def csr_submatrix_product(
     S: SemiringMatrix,
     T: SemiringMatrix,
     row_set: Sequence[int],
     mid_set: Sequence[int],
     col_set: Sequence[int],
-) -> Dict[Tuple[int, int], Any]:
-    """CSR evaluation of the restricted subcube product (Lemma 11 work unit).
+) -> SemiringMatrix:
+    """CSR evaluation of one restricted subcube product (Lemma 11 work unit).
 
-    Same contract as :func:`repro.matmul.kernels.submatrix_product`: the
-    product of ``S[row_set, mid_set] · T[mid_set, col_set]`` keyed by global
-    ``(row, col)``.
+    ``S[row_set, mid_set] · T[mid_set, col_set]`` as an array-resident
+    matrix with global indices: the product of the two operands with
+    everything else masked out (rows of ``T`` outside ``mid_set`` never meet
+    an entry of the masked ``S``).
+    :func:`repro.matmul.kernels.submatrix_product` keys it by position.
     """
     A = to_csr(S)
     B = to_csr(T)
-    n = A.n
-    out: Dict[Tuple[int, int], Any] = {}
-    if A.nnz == 0 or B.nnz == 0:
-        return out
-    unique_rows = set(row_set)
-    rows = np.fromiter(unique_rows, dtype=np.int64, count=len(unique_rows))
-    rows.sort()
-    mid_mask = np.zeros(n, dtype=bool)
-    mid_mask[np.fromiter(mid_set, dtype=np.int64, count=len(mid_set))] = True
-    col_mask = np.zeros(n, dtype=bool)
-    col_mask[np.fromiter(col_set, dtype=np.int64, count=len(col_set))] = True
-
-    # Gather the S entries of the selected rows, keeping only selected mids.
-    lengths = np.diff(A.indptr)[rows]
-    total = int(lengths.sum())
-    if total == 0:
-        return out
-    ends = np.cumsum(lengths)
-    gather = np.arange(total, dtype=np.int64) + np.repeat(
-        A.indptr[rows] - (ends - lengths), lengths
-    )
-    s_rows = np.repeat(rows, lengths)
-    s_cols = A.indices[gather]
-    s_vals = A.data[gather]
-    selected = mid_mask[s_cols]
-    s_rows, s_cols, s_vals = s_rows[selected], s_cols[selected], s_vals[selected]
-
-    # Block by candidate count so huge subcubes stay within the budget.
-    b_row_lengths = np.diff(B.indptr)
-    per_entry = b_row_lengths[s_cols]
-    boundaries = _entry_blocks(s_rows, per_entry)
-    for lo, hi in boundaries:
-        cand_rows, cand_cols, cand_vals, _ = _expand(
-            s_rows[lo:hi], s_cols[lo:hi], s_vals[lo:hi], B
-        )
-        if not cand_rows.size:
-            continue
-        allowed = col_mask[cand_cols]
-        cand_rows, cand_cols = cand_rows[allowed], cand_cols[allowed]
-        cand_vals = cand_vals[allowed]
-        if not cand_rows.size:
-            continue
-        rows_out, cols_out, vals_out = min_per_position(cand_rows, cand_cols, cand_vals, n)
-        values = decode_values(vals_out, A.semiring, A.kind)
-        out.update(zip(zip(rows_out.tolist(), cols_out.tolist()), values))
-    return out
-
-
-def _entry_blocks(s_rows: np.ndarray,
-                  per_entry: np.ndarray) -> List[Tuple[int, int]]:
-    """Split S-entry ranges into candidate-bounded blocks on row boundaries.
-
-    Blocks never split a row, so each (row, col) output key is produced by
-    exactly one block and the per-block reductions compose by union.
-    """
-    count = len(s_rows)
-    if count == 0:
-        return []
-    prefix = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(per_entry, out=prefix[1:])
-    # Entry index where each new row starts (s_rows is sorted).
-    row_starts = np.flatnonzero(np.r_[True, s_rows[1:] != s_rows[:-1]])
-    row_starts = np.append(row_starts, count)
-    blocks: List[Tuple[int, int]] = []
-    b = 0
-    while b < len(row_starts) - 1:
-        target = prefix[row_starts[b]] + _CANDIDATE_BUDGET
-        e = int(np.searchsorted(prefix[row_starts], target, side="right")) - 1
-        e = min(len(row_starts) - 1, max(e, b + 1))
-        blocks.append((int(row_starts[b]), int(row_starts[e])))
-        b = e
-    return blocks
+    A = A.select(np.isin(A.row_ids(), list(row_set)) & np.isin(A.indices, list(mid_set)))
+    B = B.select(np.isin(B.indices, list(col_set)))
+    return csr_product(from_csr(A), from_csr(B))

@@ -12,26 +12,17 @@ pieces of that row run a distributed binary search over the value universe
 ``R'`` to find the ρ-th smallest entry (the *cutoff*), discard everything
 above it, and only then balance and sum.  The binary search costs
 ``O(log |R'|)`` rounds; for integer weights bounded by ``poly(n)`` this is
-``O(log n)``.
+``O(log n)``.  It is implemented as exactly that: one call of
+:func:`repro.matmul.output_sensitive.run_schedule` with the filter stage on.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional
+from typing import Optional
 
 from repro.cclique.accounting import Clique
-from repro.matmul.balancing import (
-    assign_subcubes_to_nodes,
-    charge_cube_partition,
-    charge_duplication,
-    charge_input_delivery,
-    charge_summation,
-    subcube_loads,
-)
-from repro.matmul.kernels import submatrix_product
 from repro.matmul.matrix import SemiringMatrix
-from repro.matmul.partition import compute_split_parameters, cube_partition
+from repro.matmul.output_sensitive import load_source, run_schedule
 from repro.matmul.results import MatMulResult
 
 
@@ -73,151 +64,13 @@ def filtered_mm(
         raise TypeError("filtered multiplication requires an ordered semiring")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if execution not in ("faithful", "fast"):
-        raise ValueError(f"unknown execution mode: {execution!r}")
+    loads = load_source(execution)
 
     clique = clique or Clique(S.n)
-    n = S.n
-    semiring = S.semiring
-    words = semiring.words_per_element()
-    rho = min(rho, n)
     if weight_universe_size is None:
-        weight_universe_size = max(2, n ** 3)
-
-    if execution == "fast":
-        return _filtered_mm_fast(
-            S, T, rho, weight_universe_size, clique, label, words, kernel
-        )
-
+        weight_universe_size = max(2, S.n ** 3)
     start_rounds = clique.rounds
     with clique.phase(label):
-        rho_s = S.density()
-        rho_t = T.density()
-        a, b, c = compute_split_parameters(n, rho_s, rho_t, rho)
-
-        # Step 1: cube partition (identical to Theorem 8).
-        partition = cube_partition(S, T, a, b, c)
-        charge_cube_partition(clique, partition.a, partition.b)
-
-        # Step 2: per-subcube products.
-        subcubes = partition.subcubes()
-        s_loads, t_loads = subcube_loads(S, T, partition)
-        node_assignment = assign_subcubes_to_nodes(len(subcubes), n)
-        charge_input_delivery(clique, s_loads, t_loads, node_assignment, words)
-
-        # The c "layer" matrices P_k (Figure 2): layer k collects the subcube
-        # products with middle index k.
-        layers: List[SemiringMatrix] = [SemiringMatrix(n, semiring) for _ in range(c)]
-        per_node_raw_sizes = [0] * n
-        for node, assigned in enumerate(node_assignment):
-            for index in assigned:
-                _, _, k, rows, mids, cols = subcubes[index]
-                partial = submatrix_product(S, T, rows, mids, cols, kernel=kernel)
-                per_node_raw_sizes[node] += len(partial)
-                layer = layers[k]
-                for (i, j), value in partial.items():
-                    layer.add_entry(i, j, value)
-
-        # Step 3: per-layer, per-row distributed binary search for the cutoff
-        # (Lemma 15) -- O(log W) rounds, all searches run in parallel.
-        search_rounds = max(1, math.ceil(math.log2(weight_universe_size)))
-        clique.charge_rounds_formula(search_rounds, label="filter-binary-search")
-        clique.charge_broadcast(label="filter-cutoff-fanout")
-        filtered_layers = [layer.filter_rows(rho) for layer in layers]
-
-        # Step 4: balancing of the surviving entries (Lemma 16 ~ Lemma 12).
-        # After the cutoff filtering only the entries of the filtered layers
-        # survive; they are what gets duplicated and balanced.
-        filtered_sizes = [layer.nnz() for layer in filtered_layers]
-        surviving_per_node = [
-            min(raw, math.ceil(sum(filtered_sizes) / n) + rho)
-            for raw in per_node_raw_sizes
-        ]
-        target_per_node = max(1, rho * c)
-        charge_duplication(clique, surviving_per_node, target_per_node, words)
-
-        # Step 5: balanced summation of the surviving entries (Lemma 13).
-        total_surviving = sum(filtered_sizes)
-        charge_summation(clique, total_surviving, words)
-
-        # Step 6: local final filtering of each output row.
-        summed = SemiringMatrix(n, semiring)
-        for layer in filtered_layers:
-            summed = summed.elementwise_add(layer)
-        product = summed.filter_rows(rho)
-
-    params = {
-        "rho_s": rho_s,
-        "rho_t": rho_t,
-        "rho": rho,
-        "a": partition.a,
-        "b": partition.b,
-        "c": c,
-        "weight_universe_size": weight_universe_size,
-        "predicted_rounds": (rho_s * rho_t * rho) ** (1 / 3) / n ** (2 / 3)
-        + math.log2(weight_universe_size),
-    }
-    return MatMulResult(product, clique.rounds - start_rounds, clique, params)
-
-
-def _filtered_mm_fast(
-    S: SemiringMatrix,
-    T: SemiringMatrix,
-    rho: int,
-    weight_universe_size: int,
-    clique: Clique,
-    label: str,
-    words: int,
-    kernel: Optional[str] = None,
-) -> MatMulResult:
-    """Fast-execution variant: same charges, fast local product + filter."""
-    from repro.matmul.kernels import local_product
-    from repro.matmul.balancing import (
-        charge_cube_partition as _charge_partition,
-        charge_duplication as _charge_duplication,
-        charge_input_delivery as _charge_delivery,
-        charge_summation as _charge_summation,
-    )
-
-    n = S.n
-    start_rounds = clique.rounds
-    with clique.phase(label):
-        rho_s = S.density()
-        rho_t = T.density()
-        a, b, c = compute_split_parameters(n, rho_s, rho_t, rho)
-
-        _charge_partition(clique, a, b)
-
-        s_per_node = math.ceil(S.nnz() * a / n)
-        t_per_node = math.ceil(T.nnz() * b / n)
-        node_assignment = [[v] for v in range(n)]
-        _charge_delivery(
-            clique, [s_per_node] * n, [t_per_node] * n, node_assignment, words
-        )
-
-        product = local_product(S, T, keep=rho, kernel=kernel)
-
-        search_rounds = max(1, math.ceil(math.log2(weight_universe_size)))
-        clique.charge_rounds_formula(search_rounds, label="filter-binary-search")
-        clique.charge_broadcast(label="filter-cutoff-fanout")
-
-        # After filtering, each of the c layers holds at most rho entries per
-        # row, so the surviving intermediate volume is at most rho * n * c.
-        total_surviving = min(product.nnz() * c, rho * n * c)
-        per_node_products = [math.ceil(total_surviving / n)] * n
-        _charge_duplication(clique, per_node_products, max(1, rho * c), words)
-        _charge_summation(clique, total_surviving, words)
-
-    params = {
-        "rho_s": rho_s,
-        "rho_t": rho_t,
-        "rho": rho,
-        "a": a,
-        "b": b,
-        "c": c,
-        "execution": "fast",
-        "weight_universe_size": weight_universe_size,
-        "predicted_rounds": (rho_s * rho_t * rho) ** (1 / 3) / n ** (2 / 3)
-        + math.log2(weight_universe_size),
-    }
+        product, params = run_schedule(
+            S, T, min(rho, S.n), clique, loads, kernel, weight_universe_size)
     return MatMulResult(product, clique.rounds - start_rounds, clique, params)

@@ -45,10 +45,13 @@ conversion charged to the tier that forces it — encoding to the vectorised
 tiers for an operand with no arrays yet, decoding to ``dict`` for an
 array-resident one.  The product estimate is memoized on the left operand
 (in its ``_cache``, dropped on mutation like every cached statistic), so
-iterated call chains — the per-subcube schedules of the faithful execution
-modes — pay it once instead of on every ``select()``.  The choice never
-affects the result — all tiers are bit-identical on their common domain
-(property-tested).
+repeated calls on the same operands — the doubling passes of Theorem 8 —
+pay it once instead of on every ``select()``.  The round-charged schedule
+(:mod:`repro.matmul.output_sensitive`) dispatches once per pass, not per
+subcube: its ``fast`` mode through :func:`local_product`, its ``faithful``
+mode between the dictionary and the array evaluation of all the subcube
+products.  The choice never affects the result — all tiers are
+bit-identical on their common domain (property-tested).
 
 Pinning a kernel: every product entry point accepts ``kernel="dict" |
 "csr" | "dense" | "dense-blocked" | "jit"``, and the ``REPRO_KERNEL``
@@ -72,14 +75,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.matmul import csr as _csr
 from repro.matmul import dense as _dense
-from repro.matmul.dense import (  # noqa: F401  (re-exported: original home)
-    HAVE_NUMBA,
-    from_dense_array,
-    minplus_blocked,
-    minplus_jit,
-    minplus_matmul_arrays,
-    to_dense_array,
-)
 from repro.matmul.matrix import SemiringMatrix
 from repro.semiring.augmented import AugmentedMinPlusSemiring
 from repro.semiring.base import Semiring
@@ -186,18 +181,15 @@ class KernelDispatch:
         self.selections[choice] += 1
         return choice
 
-    def costs(self, S: SemiringMatrix, T: SemiringMatrix,
-              products_scale: float = 1.0) -> Dict[str, float]:
+    def costs(self, S: SemiringMatrix, T: SemiringMatrix) -> Dict[str, float]:
         """Estimated cost of each eligible kernel (in dict-product units).
 
-        ``products_scale`` scales the elementary-product estimate for
-        restricted products that only touch a fraction of the cube (the
-        subcube calls of the faithful execution modes).  Conversion between
-        the two representations is charged to whoever forces it: the
-        vectorised tiers pay to encode an operand that has no arrays yet,
-        the ``dict`` tier pays to decode an array-resident one.
+        Conversion between the two representations is charged to whoever
+        forces it: the vectorised tiers pay to encode an operand that has
+        no arrays yet, the ``dict`` tier pays to decode an array-resident
+        one.
         """
-        products = self._memoized_products(S, T) * products_scale
+        products = self._memoized_products(S, T)
         operands = (S,) if S is T else (S, T)
         nnz = S.nnz() + T.nnz()
         n = S.n
@@ -227,7 +219,6 @@ class KernelDispatch:
         T: SemiringMatrix,
         kernel: Optional[str] = None,
         allowed: Sequence[str] = ("dict", "csr", "dense"),
-        products_scale: float = 1.0,
     ) -> str:
         """Resolve the kernel for one product call.
 
@@ -238,7 +229,6 @@ class KernelDispatch:
         variant (e.g. witnessed products have no dense form); listing
         ``"dense"`` admits the whole dense-array family (``dense``,
         ``dense-blocked``, and — with numba — ``jit``).
-        ``products_scale`` is forwarded to :meth:`costs`.
         """
         eligible = {"dict"}
         if "csr" in allowed and self.csr_eligible(S.semiring):
@@ -279,7 +269,7 @@ class KernelDispatch:
             # numba, or no such variant): fall through to the cost model
             # over the eligible set.
 
-        costs = self.costs(S, T, products_scale)
+        costs = self.costs(S, T)
         return self._record_selection(min(
             (name for name in costs if name in eligible),
             key=lambda name: costs[name],
@@ -351,20 +341,15 @@ def submatrix_product(
     """Compute the subcube product ``S[row_set, mid_set] · T[mid_set, col_set]``.
 
     Returns a dictionary keyed by global ``(row, col)`` positions.  This is
-    exactly the work a single node does for its assigned subcube in the
-    Theorem 8 / Theorem 14 algorithms.  The faithful execution modes call
-    this once per subcube over the same ``S`` and ``T``, so the CSR kernel's
-    cached operand encoding — and the dispatcher's memoized cost estimate —
-    amortise over the whole schedule; the dispatch cost model scales the
-    full-product estimate by the subcube's row fraction.
+    exactly the work a single node does for one assigned subcube in the
+    Theorem 8 / Theorem 14 algorithms (the faithful schedule itself
+    evaluates all subcubes of a pass together, see
+    :func:`repro.matmul.csr.csr_subcube_products`).
     """
-    row_fraction = min(1.0, len(row_set) / max(1, S.n))
-    choice = DISPATCH.select(
-        S, T, kernel, allowed=("dict", "csr"), products_scale=row_fraction
-    )
-    if choice == "csr":
-        return _csr.csr_submatrix_product(S, T, row_set, mid_set, col_set)
-    return _dict_submatrix_product(S, T, row_set, mid_set, col_set)
+    if DISPATCH.select(S, T, kernel, allowed=("dict", "csr")) == "dict":
+        return _dict_submatrix_product(S, T, row_set, mid_set, col_set)
+    product = _csr.csr_submatrix_product(S, T, row_set, mid_set, col_set)
+    return {(i, j): value for i, j, value in product.entries()}
 
 
 def _dict_submatrix_product(

@@ -7,8 +7,8 @@ additive identity is the absent-entry marker; for min-plus that is ``∞``)
 and has two interchangeable representations:
 
 * ``rows`` — a list of per-row dictionaries ``{column: value}``, the form
-  the reference ``dict`` kernel, the faithful execution modes and most
-  tests read and write;
+  the reference ``dict`` kernel and most tests read and write, and the only
+  form of a semiring the arrays cannot encode;
 * the encoded CSR arrays of :class:`CSRMatrix` (``indptr``/``indices``/
   ``data``) — the form every vectorised kernel consumes *and produces*.
 
@@ -17,7 +17,8 @@ lazily, once, and cached.  A matrix built from dictionaries
 (``SemiringMatrix(n, semiring, rows)``) encodes on its first vectorised
 product; a product result, :func:`from_csr` or a matrix built from edge
 arrays is *array-resident*: it decodes its dictionaries only when someone
-reads ``rows``, so a chain of products, ``filter_rows``,
+reads ``rows``, so a chain of products — local ones and the round-charged
+Theorem 8 / Theorem 14 schedule in either execution mode — ``filter_rows``,
 ``restrict_columns``/``restrict_rows``, ``equals`` and the density
 statistics never leaves numpy.  The values and the ``(value, column)``
 tie-break of ρ-filtering (Section 2.2.2) are identical on both sides
@@ -400,14 +401,20 @@ class SemiringMatrix:
         counts = self._cache.get("col_nnz")
         if counts is None:
             csr = self._cache.get("csr")
-            if csr is not None:
-                columns = csr.indices
-            else:
-                columns = np.fromiter(chain.from_iterable(self._rows),
-                                      dtype=np.int64, count=self.nnz())
+            columns = csr.indices if csr is not None else self._pattern()[1]
             counts = np.bincount(columns, minlength=self.n)
             self._cache["col_nnz"] = counts
         return counts
+
+    def _pattern(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row, column)`` of every stored entry, row by row — for any
+        semiring, encodable or not (the Lemma 9 partition only counts)."""
+        csr = self._cache.get("csr")
+        if csr is not None:
+            return csr.row_ids(), csr.indices
+        columns = np.fromiter(chain.from_iterable(self._rows),
+                              dtype=np.int64, count=self.nnz())
+        return np.repeat(np.arange(self.n), self._row_counts()), columns
 
     def nnz(self) -> int:
         """Number of non-zero entries (cached)."""

@@ -1,4 +1,5 @@
-"""Theorem 8: output-sensitive sparse matrix multiplication.
+"""Theorem 8: output-sensitive sparse matrix multiplication — and the one
+schedule behind every round-charged product.
 
 Computes ``P = S · T`` over a semiring in
 ``O((ρ_S ρ_T ρ̂_{ST})^{1/3} / n^{2/3} + 1)`` rounds, where ρ̂_{ST} is the
@@ -14,12 +15,21 @@ When ρ̂_{ST} is not known in advance the doubling variant described after
 Theorem 8 is used: the algorithm restarts with a doubled estimate whenever
 the produced output exceeds the current one, at a multiplicative
 ``O(log n)`` cost.
+
+:func:`run_schedule` is the only place these steps are charged.  Theorem 14
+(:mod:`repro.matmul.filtered`) is the same call with the Section 2.2 filter
+stage switched on, the CLT18 baseline the same call with ``ρ̂ = n``, and the
+two execution modes are two *load sources* that hand the schedule the same
+:class:`ScheduleLoads` record: ``"faithful"`` measures the loads on the
+Lemma 9 partition, ``"fast"`` derives them from the operands' densities.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.cclique.accounting import Clique
 from repro.matmul.balancing import (
@@ -30,9 +40,10 @@ from repro.matmul.balancing import (
     charge_summation,
     subcube_loads,
 )
-from repro.matmul.kernels import submatrix_product
-from repro.matmul.matrix import SemiringMatrix
-from repro.matmul.partition import compute_split_parameters, cube_partition
+from repro.matmul.csr import _assemble, csr_subcube_products
+from repro.matmul.kernels import DISPATCH, _dict_submatrix_product, local_product
+from repro.matmul.matrix import SemiringMatrix, min_per_position, smallest_per_row, to_csr
+from repro.matmul.partition import CubePartition, compute_split_parameters, cube_partition
 from repro.matmul.results import MatMulResult
 
 
@@ -73,157 +84,240 @@ def output_sensitive_mm(
     """
     S._check_compatible(T)
     clique = clique or Clique(S.n)
-    if execution not in ("faithful", "fast"):
-        raise ValueError(f"unknown execution mode: {execution!r}")
-    run = _run_with_estimate if execution == "faithful" else _run_fast_with_estimate
+    loads = load_source(execution)
 
     start_rounds = clique.rounds
-    if rho_hat is not None:
-        with clique.phase(label):
-            product, params = run(S, T, max(1, rho_hat), clique, kernel)
-        return MatMulResult(product, clique.rounds - start_rounds, clique, params)
-
-    # Doubling variant: restart with doubled estimate until the real output
-    # density fits.  Each failed attempt still pays its rounds.
-    estimate = 2
-    product = None
-    params: Dict[str, float] = {}
     with clique.phase(label):
-        while True:
-            product, params = run(S, T, estimate, clique, kernel)
-            actual = product.density()
-            params["doubling_estimate"] = estimate
-            if actual <= estimate or estimate >= S.n:
-                break
-            estimate = min(S.n, estimate * 2)
+        if rho_hat is not None:
+            product, params = run_schedule(S, T, max(1, rho_hat), clique, loads, kernel)
+        else:
+            # Doubling variant: restart with doubled estimate until the real
+            # output density fits.  Each failed attempt still pays its rounds.
+            estimate = 2
+            while True:
+                product, params = run_schedule(S, T, estimate, clique, loads, kernel)
+                params["doubling_estimate"] = estimate
+                if product.density() <= estimate or estimate >= S.n:
+                    break
+                estimate = min(S.n, estimate * 2)
     return MatMulResult(product, clique.rounds - start_rounds, clique, params)
 
 
-def _run_with_estimate(
+class ScheduleLoads(NamedTuple):
+    """What a load source hands :func:`run_schedule` for one pass."""
+
+    #: The ``a``/``b`` split Lemma 9 is charged with and ``params`` reports.
+    a: int
+    b: int
+    #: Input sizes of the work units and the units each node receives.
+    s_loads: List[int]
+    t_loads: List[int]
+    node_assignment: List[List[int]]
+    #: Intermediate values each node holds before Lemma 12, and how many
+    #: go into the Lemma 13 summation.
+    node_sizes: List[int]
+    total: int
+    product: SemiringMatrix
+    #: Source-specific ``params`` entries.
+    params: Dict[str, Any]
+
+
+LoadSource = Callable[..., ScheduleLoads]
+
+
+def run_schedule(
     S: SemiringMatrix,
     T: SemiringMatrix,
-    rho_hat: int,
+    rho: int,
     clique: Clique,
+    loads: LoadSource,
     kernel: Optional[str] = None,
-) -> Tuple[SemiringMatrix, Dict[str, float]]:
-    """One pass of the Theorem 8 algorithm with a fixed ρ̂ estimate."""
-    n = S.n
-    semiring = S.semiring
-    words = semiring.words_per_element()
+    weight_universe_size: Optional[int] = None,
+) -> Tuple[SemiringMatrix, Dict[str, Any]]:
+    """One pass of the Section 2.1 schedule with output-density estimate ``rho``.
 
+    ``weight_universe_size`` switches the Section 2.2 filter stage on: the
+    product keeps the ``rho`` smallest entries of each row (Theorem 14's
+    estimate *is* its output density) and the cutoff search over a universe
+    of that size is charged between the products and the balancing.
+    """
+    n = S.n
+    words = S.semiring.words_per_element()
+    filtering = weight_universe_size is not None
     rho_s = S.density()
     rho_t = T.density()
-    a, b, c = compute_split_parameters(n, rho_s, rho_t, rho_hat)
+    a, b, c = compute_split_parameters(n, rho_s, rho_t, rho)
+    load = loads(S, T, a, b, c, rho, rho if filtering else None, kernel)
 
     # Step 1: cube partitioning (Lemma 9) -- O(1) rounds.
-    partition = cube_partition(S, T, a, b, c)
-    charge_cube_partition(clique, partition.a, partition.b)
-
-    # Step 2: intermediate products (Lemma 11).
-    subcubes = partition.subcubes()
-    s_loads, t_loads = subcube_loads(S, T, partition)
-    node_assignment = assign_subcubes_to_nodes(len(subcubes), n)
-    charge_input_delivery(clique, s_loads, t_loads, node_assignment, words)
-
-    # Local computation of every subcube product.  In the real execution each
-    # node computes only its assigned subcubes; the union over nodes is what
-    # we compute here, and per-node sizes feed the balancing charges.
-    intermediate: Dict[int, Dict[Tuple[int, int], object]] = {}
-    product_sizes = []
-    for node, assigned in enumerate(node_assignment):
-        merged: Dict[Tuple[int, int], object] = {}
-        for index in assigned:
-            _, _, _, rows, mids, cols = subcubes[index]
-            partial = submatrix_product(S, T, rows, mids, cols, kernel=kernel)
-            for key, value in partial.items():
-                current = merged.get(key)
-                merged[key] = value if current is None else semiring.add(current, value)
-        intermediate[node] = merged
-        product_sizes.append(len(merged))
-
-    # Step 3: balancing the intermediate products (Lemma 12).
-    target_per_node = max(1, rho_hat * c)
-    charge_duplication(clique, product_sizes, target_per_node, words)
-
+    charge_cube_partition(clique, load.a, load.b)
+    # Step 2: input balancing and delivery (Lemmas 10-11).
+    charge_input_delivery(clique, load.s_loads, load.t_loads, load.node_assignment, words)
+    if filtering:
+        # Per-layer, per-row distributed binary search for the cutoff
+        # (Lemma 15) -- O(log W) rounds, all searches run in parallel.
+        search_rounds = max(1, math.ceil(math.log2(weight_universe_size)))
+        clique.charge_rounds_formula(search_rounds, label="filter-binary-search")
+        clique.charge_broadcast(label="filter-cutoff-fanout")
+    # Step 3: balancing the intermediate products (Lemma 12 / Lemma 16).
+    charge_duplication(clique, load.node_sizes, max(1, rho * c), words)
     # Step 4: balanced summation (Lemma 13).
-    total_intermediate = sum(product_sizes)
-    charge_summation(clique, total_intermediate, words)
-
-    # Assemble the final product (the row-owner of each output row receives
-    # the summed entries of that row).
-    product = SemiringMatrix(n, semiring)
-    for merged in intermediate.values():
-        for (i, j), value in merged.items():
-            product.add_entry(i, j, value)
+    charge_summation(clique, load.total, words)
 
     params = {
         "rho_s": rho_s,
         "rho_t": rho_t,
-        "rho_hat": rho_hat,
-        "a": partition.a,
-        "b": partition.b,
+        "rho" if filtering else "rho_hat": rho,
+        "a": load.a,
+        "b": load.b,
         "c": c,
-        "subcubes": len(subcubes),
-        "predicted_rounds": (rho_s * rho_t * rho_hat) ** (1 / 3) / n ** (2 / 3) + 1,
+        **load.params,
     }
-    return product, params
+    if filtering:
+        params["weight_universe_size"] = weight_universe_size
+    params["predicted_rounds"] = (rho_s * rho_t * rho) ** (1 / 3) / n ** (2 / 3) + (
+        math.log2(weight_universe_size) if filtering else 1
+    )
+    return load.product, params
 
 
-def _run_fast_with_estimate(
-    S: SemiringMatrix,
-    T: SemiringMatrix,
-    rho_hat: int,
-    clique: Clique,
-    kernel: Optional[str] = None,
-) -> Tuple[SemiringMatrix, Dict[str, float]]:
-    """Fast-execution pass: same charges (from measured densities and the
-    Theorem 8 load formulas), product computed with the local kernels."""
-    from repro.matmul.kernels import local_product
+# ----------------------------------------------------------------------
+# the two load sources
+# ----------------------------------------------------------------------
+def uniform_loads(
+    S: SemiringMatrix, T: SemiringMatrix, a: int, b: int, c: int,
+    rho: int, keep: Optional[int], kernel: Optional[str],
+) -> ScheduleLoads:
+    """``execution="fast"``: loads from measured densities, product from the
+    local kernels.
 
+    Every non-zero of S is needed by the ``a`` column blocks, every non-zero
+    of T by the ``b`` row blocks, and Lemma 9 balances both evenly over the
+    ``n`` nodes.  No partition is built, so Lemma 9 is charged with the
+    *computed* ``a``/``b``, and ``params`` says ``"execution": "fast"``
+    (the measured source adds no such key: it is the default).
+    """
     n = S.n
-    semiring = S.semiring
-    words = semiring.words_per_element()
+    product = local_product(S, T, keep=keep, kernel=kernel)
+    # Each output position is split over the c middle blocks, and after
+    # Lemma 12 (Lemma 15's cutoff, when filtering) a node holds at most
+    # rho * c of the intermediate values.
+    total = min(product.nnz() * c, rho * n * c)
+    return ScheduleLoads(
+        a, b,
+        [math.ceil(S.nnz() * a / n)] * n,
+        [math.ceil(T.nnz() * b / n)] * n,
+        [[v] for v in range(n)],
+        [math.ceil(total / n)] * n,
+        total,
+        product,
+        {"execution": "fast"},
+    )
 
-    rho_s = S.density()
-    rho_t = T.density()
-    a, b, c = compute_split_parameters(n, rho_s, rho_t, rho_hat)
 
-    # Step 1: cube partitioning -- constant rounds.
-    charge_cube_partition(clique, a, b)
+def measured_loads(
+    S: SemiringMatrix, T: SemiringMatrix, a: int, b: int, c: int,
+    rho: int, keep: Optional[int], kernel: Optional[str],
+) -> ScheduleLoads:
+    """``execution="faithful"``: build the Lemma 9 partition and measure.
 
-    # Step 2: input delivery.  Every non-zero of S is needed by the a column
-    # blocks, every non-zero of T by the b row blocks; Lemma 9 balances these
-    # loads evenly over the n nodes.
-    s_per_node = math.ceil(S.nnz() * a / n)
-    t_per_node = math.ceil(T.nnz() * b / n)
-    s_loads = [s_per_node] * n
-    t_loads = [t_per_node] * n
-    node_assignment = [[v] for v in range(n)]
-    charge_input_delivery(clique, s_loads, t_loads, node_assignment, words)
+    Input loads are the exact non-zero counts of every subcube's
+    submatrices, intermediate sizes are those of the subcube products the
+    nodes really compute, and the product is their union.  Lemma 5 may form
+    fewer blocks than asked, so Lemma 9 is charged with the partition's
+    *post-clamp* ``a``/``b``.  The products are evaluated on the encoded
+    arrays unless the dispatcher picks the dictionary reference (a semiring
+    the arrays cannot encode, a ``"dict"`` pin, or operands so small that
+    the whole product is cheaper in dictionaries).
+    """
+    n = S.n
+    partition = cube_partition(S, T, a, b, c)
+    s_loads, t_loads = subcube_loads(S, T, partition)
+    choice = DISPATCH.select(S, T, kernel, allowed=("dict", "csr"))
+    evaluate = _dict_intermediates if choice == "dict" else _array_intermediates
+    sizes, surviving, product = evaluate(S, T, partition, keep)
+    # ``sizes`` sums, per node, the sizes of its subcube products.  Lemma 12
+    # speaks of the node's *merged* product (distinct (i, j) per node) and
+    # Lemma 16 of the raw sum, but here the two coincide: subcubes that can
+    # share an output position differ only in their middle block, and
+    # round-robin puts those c <= n consecutive subcubes on c different nodes.
+    if keep is None:
+        # Theorem 8 (Lemmas 12-13): everything computed is balanced and
+        # summed.  Only here does ``params`` report the number of subcubes.
+        total = sum(sizes)
+        extra = {"subcubes": len(s_loads)}
+    else:
+        # Theorem 14 (Lemmas 15-16): only the entries below the per-layer
+        # cutoffs survive to be balanced and summed, spread evenly up to
+        # the rho entries a node may hold of one row.
+        total = surviving
+        sizes = [min(raw, math.ceil(total / n) + keep) for raw in sizes]
+        extra = {}
+    return ScheduleLoads(
+        partition.a, partition.b, s_loads, t_loads,
+        assign_subcubes_to_nodes(len(s_loads), n), sizes, total, product, extra,
+    )
 
-    # Local product via the fast kernels.
-    product = local_product(S, T, kernel=kernel)
 
-    # Step 3: balancing of intermediate products.  Each output position is
-    # split over the c middle blocks, so the total number of intermediate
-    # values is at most nnz(P) * c, and Lemma 12 balances them to
-    # O(rho_hat * c) per node.
-    total_intermediate = min(product.nnz() * c, max(1, rho_hat) * n * c)
-    per_node_products = [math.ceil(total_intermediate / n)] * n
-    target_per_node = max(1, rho_hat * c)
-    charge_duplication(clique, per_node_products, target_per_node, words)
+def _array_intermediates(
+    S: SemiringMatrix, T: SemiringMatrix, partition: CubePartition, keep: Optional[int]
+) -> Tuple[List[int], int, SemiringMatrix]:
+    """The subcube products on the encoded arrays: per-node sizes, entries
+    surviving the per-layer cutoffs (all, without ``keep``), and the
+    array-resident product.  Row blocks are disjoint in the output rows, so
+    every count adds up and every filter is local to a block."""
+    n = S.n
+    row_block, col_block, mid_block = partition.labels
+    sizes = np.zeros(n, dtype=np.int64)
+    surviving = 0
+    blocks = []
+    for layers, rows, cols, vals in csr_subcube_products(
+            S, T, row_block, col_block, mid_block):
+        # Round-robin owner of the subcube each intermediate value is in.
+        nodes = ((row_block[rows] * partition.a + col_block[cols]) * partition.c
+                 + layers) % n
+        sizes += np.bincount(nodes, minlength=n)
+        if keep is not None:
+            chosen = smallest_per_row(layers * n + rows, vals, keep)
+            rows, cols, vals = rows[chosen], cols[chosen], vals[chosen]
+        surviving += rows.size
+        rows, cols, vals = min_per_position(rows, cols, vals, n)
+        if keep is not None:
+            chosen = smallest_per_row(rows, vals, keep)
+            rows, cols, vals = rows[chosen], cols[chosen], vals[chosen]
+        blocks.append((rows, cols, vals))
+    return sizes.tolist(), surviving, _assemble(to_csr(S), blocks)
 
-    # Step 4: balanced summation.
-    charge_summation(clique, total_intermediate, words)
 
-    params = {
-        "rho_s": rho_s,
-        "rho_t": rho_t,
-        "rho_hat": rho_hat,
-        "a": a,
-        "b": b,
-        "c": c,
-        "execution": "fast",
-        "predicted_rounds": (rho_s * rho_t * rho_hat) ** (1 / 3) / n ** (2 / 3) + 1,
-    }
-    return product, params
+def _dict_intermediates(
+    S: SemiringMatrix, T: SemiringMatrix, partition: CubePartition, keep: Optional[int]
+) -> Tuple[List[int], int, SemiringMatrix]:
+    """:func:`_array_intermediates` over dictionaries, for any semiring."""
+    n = S.n
+    # The c "layer" matrices P_k (Figure 2): layer k collects the subcube
+    # products with middle index k.
+    layers = [SemiringMatrix(n, S.semiring) for _ in range(partition.c)]
+    sizes = [0] * n
+    for index, (_, _, k, rows, mids, cols) in enumerate(partition.subcubes()):
+        partial = _dict_submatrix_product(S, T, rows, mids, cols)
+        sizes[index % n] += len(partial)  # round-robin owner
+        for (i, j), value in partial.items():
+            layers[k].add_entry(i, j, value)
+    if keep is not None:
+        layers = [layer.filter_rows(keep) for layer in layers]
+    product = SemiringMatrix(n, S.semiring)
+    for layer in layers:
+        product = product.elementwise_add(layer)
+    if keep is not None:
+        product = product.filter_rows(keep)
+    return sizes, sum(layer.nnz() for layer in layers), product
+
+
+_LOAD_SOURCES: Dict[str, LoadSource] = {"faithful": measured_loads, "fast": uniform_loads}
+
+
+def load_source(execution: str) -> LoadSource:
+    """The load source of an ``execution`` mode."""
+    if execution not in _LOAD_SOURCES:
+        raise ValueError(f"unknown execution mode: {execution!r}")
+    return _LOAD_SOURCES[execution]

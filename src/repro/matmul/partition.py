@@ -21,8 +21,11 @@ requires.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.matmul.matrix import SemiringMatrix
 
@@ -139,7 +142,8 @@ class CubePartition:
         ``mid_sets[(i, j)][k]`` = ``C^{ij}_k`` for ``k in range(c)`` — the
         middle-dimension blocks, one consecutive partition per ``(i, j)``.
     a, b, c:
-        The split parameters.
+        The split parameters (``a``/``b`` after clamping to the number of
+        blocks Lemma 5 could actually form).
     """
 
     row_sets: List[List[int]]
@@ -150,7 +154,8 @@ class CubePartition:
     c: int
 
     def subcubes(self) -> List[Tuple[int, int, int, List[int], List[int], List[int]]]:
-        """Enumerate subcubes as ``(i, j, k, rows, mids, cols)``."""
+        """Enumerate subcubes as ``(i, j, k, rows, mids, cols)``; subcube
+        ``(i, j, k)`` has index ``(i·a + j)·c + k`` in this order."""
         out = []
         for i, rows in enumerate(self.row_sets):
             for j, cols in enumerate(self.col_sets):
@@ -160,6 +165,39 @@ class CubePartition:
 
     def num_subcubes(self) -> int:
         return self.a * self.b * self.c
+
+    @functools.cached_property
+    def labels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The partition as label arrays: ``row_block[r] = i``,
+        ``col_block[col] = j`` and ``mid_block[i, j, m] = k``."""
+        n = sum(map(len, self.row_sets))
+        mid_block = np.empty((self.b, self.a, n), dtype=np.int64)
+        for (i, j), mids in self.mid_sets.items():
+            mid_block[i, j] = np.repeat(np.arange(self.c), list(map(len, mids)))
+        return _block_labels(self.row_sets, n), _block_labels(self.col_sets, n), mid_block
+
+
+def _block_labels(blocks: List[List[int]], n: int) -> np.ndarray:
+    """``labels[v]`` = the index of the block containing ``v``."""
+    labels = np.empty(n, dtype=np.int64)
+    for index, members in enumerate(blocks):
+        labels[members] = index
+    return labels
+
+
+def block_weights(
+    S: SemiringMatrix, T: SemiringMatrix, row_sets: List[List[int]], col_sets: List[List[int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Column weights of ``S`` restricted to each row block (``b x n``) and
+    row weights of ``T`` restricted to each column block (``a x n``)."""
+    n = S.n
+    s_rows, s_cols = S._pattern()
+    t_rows, t_cols = T._pattern()
+    s_weights = np.bincount(_block_labels(row_sets, n)[s_rows] * n + s_cols,
+                            minlength=len(row_sets) * n)
+    t_weights = np.bincount(_block_labels(col_sets, n)[t_cols] * n + t_rows,
+                            minlength=len(col_sets) * n)
+    return s_weights.reshape(-1, n), t_weights.reshape(-1, n)
 
 
 def compute_split_parameters(
@@ -198,46 +236,18 @@ def cube_partition(
     the column blocks balance the non-zero entries of ``T`` per block, and
     for every (row block, column block) pair the middle dimension is split
     into consecutive blocks balancing the remaining ``S``-column /
-    ``T``-row weights simultaneously (Lemma 7).
+    ``T``-row weights simultaneously (Lemma 7).  Only the non-zero pattern
+    is read, as counts over the operands' arrays.
     """
-    n = S.n
-
-    s_row_weights = [S.row_nnz(v) for v in range(n)]
-    t_col_weights = T.col_nnz()
-
-    row_sets = balanced_equal_size_partition(s_row_weights, b)
-    col_sets = balanced_equal_size_partition(t_col_weights, a)
-
-    # Column weights of S restricted to each row block, and row weights of T
-    # restricted to each column block.
-    s_col_by_block: List[List[int]] = []
-    for rows in row_sets:
-        counts = [0] * n
-        for r in rows:
-            for col in S.rows[r]:
-                counts[col] += 1
-        s_col_by_block.append(counts)
-
-    t_row_by_block: List[List[int]] = []
-    for cols in col_sets:
-        col_set = set(cols)
-        counts = [0] * n
-        for v in range(n):
-            row = T.rows[v]
-            if len(row) <= len(col_set):
-                counts[v] = sum(1 for j in row if j in col_set)
-            else:
-                counts[v] = sum(1 for j in col_set if j in row)
-        t_row_by_block.append(counts)
-
-    mid_sets: Dict[Tuple[int, int], List[List[int]]] = {}
-    for i in range(len(row_sets)):
-        for j in range(len(col_sets)):
-            mids = consecutive_partition_two_weights(
-                s_col_by_block[i], t_row_by_block[j], c
-            )
-            mid_sets[(i, j)] = mids
-
+    row_sets = balanced_equal_size_partition(S._row_counts().tolist(), b)
+    col_sets = balanced_equal_size_partition(T._col_counts().tolist(), a)
+    s_weights, t_weights = (
+        weights.tolist() for weights in block_weights(S, T, row_sets, col_sets))
+    mid_sets = {
+        (i, j): consecutive_partition_two_weights(s_weights[i], t_weights[j], c)
+        for i in range(len(row_sets))
+        for j in range(len(col_sets))
+    }
     return CubePartition(
         row_sets=row_sets,
         col_sets=col_sets,

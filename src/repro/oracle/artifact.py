@@ -74,9 +74,10 @@ def check_schema(artifact, values: bool = True) -> None:
     """Check a payload's array names and shapes against its strategy.
 
     ``artifact`` is either representation — the check reads only
-    ``array_names``/``array_shape`` (and, for the CSR extent, ``common``).
-    ``values=False`` skips that one data-reading check, so a sharded
-    artifact can run the rest from its manifest without opening a shard.
+    ``array_names``/``array_shape`` (and, for the spanner CSR's extent,
+    row pointers and column range, ``common``).  ``values=False`` skips
+    those data-reading checks, so a sharded artifact can run the rest from
+    its manifest without opening a shard.
     """
     spec = get_strategy(artifact.strategy)
     n = artifact.n
@@ -108,9 +109,24 @@ def check_schema(artifact, values: bool = True) -> None:
         expect("spanner_indptr", (n + 1,), "CSR row pointers")
         edges = shapes["spanner_indices"][:1]
         if values:
-            edges = (int(artifact.common("spanner_indptr")[-1]),)
+            indptr = artifact.common("spanner_indptr")
+            if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+                raise ArtifactError(
+                    f"payload array 'spanner_indptr' of the "
+                    f"{artifact.strategy!r} artifact (n={n}) is not a CSR row "
+                    f"pointer: it must start at 0 and never decrease"
+                )
+            edges = (int(indptr[-1]),)
         expect("spanner_indices", edges, "one column per CSR entry")
         expect("spanner_weights", edges, "one weight per CSR entry")
+        if values and edges[0]:
+            indices = artifact.common("spanner_indices")
+            if indices.min() < 0 or indices.max() >= n:
+                raise ArtifactError(
+                    f"payload array 'spanner_indices' of the "
+                    f"{artifact.strategy!r} artifact (n={n}) holds column "
+                    f"ids outside [0, {n})"
+                )
 
 
 @dataclasses.dataclass

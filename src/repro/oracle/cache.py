@@ -20,8 +20,9 @@ Three small pieces:
   ring keeps a long-lived serving engine at O(1) memory no matter how many
   queries it has answered.  The implementation now lives in
   :mod:`repro.obs.metrics` (it gained ``merge()`` for cross-worker
-  aggregation and backs the registry's recorder metric kind); it is
-  re-exported here so every historical import site keeps working.
+  aggregation and backs the registry's recorder metric kind) and the
+  package's own modules import it from there; the name stays here only
+  because ``repro.oracle.LatencyRecorder`` is public.
 """
 
 from __future__ import annotations

@@ -57,9 +57,9 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import LatencyRecorder, get_registry
 from repro.oracle.artifact import OracleArtifact
-from repro.oracle.cache import AnswerCache, LatencyRecorder, RowBlockCache
+from repro.oracle.cache import AnswerCache, RowBlockCache
 from repro.oracle.sharding import ShardedOracleArtifact
 from repro.oracle.strategies import get_strategy
 

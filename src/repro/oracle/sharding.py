@@ -592,15 +592,17 @@ class ShardedOracleArtifact:
             )
         arrays = _mmap_npz(path)
         start, stop = self.row_ranges[index]
-        for name in self._sharded_arrays:
-            dtype, shape = self._sharded_arrays[name]
+        expected = {name: (dtype, (stop - start,) + shape[1:])
+                    for name, (dtype, shape) in self._sharded_arrays.items()}
+        if index == 0:
+            expected.update(self._common_arrays)
+        for name, (dtype, shape) in expected.items():
             block = arrays.get(name)
-            if block is None or block.shape[0] != stop - start \
-                    or block.shape[1:] != shape[1:] or block.dtype != dtype:
+            if block is None or block.shape != shape or block.dtype != dtype:
                 raise ArtifactError(
-                    f"shard {path.name} does not contain rows "
-                    f"[{start}, {stop}) of array {name!r} as the manifest "
-                    f"declares"
+                    f"shard {path.name} does not hold array {name!r} as "
+                    f"the manifest declares it for rows [{start}, {stop}): "
+                    f"shape {shape}, dtype {dtype}"
                 )
         self._open[index] = arrays
         self.faults += 1

@@ -17,7 +17,7 @@ Query pairs come from :func:`zipf_pairs`: node popularity follows a
 Zipf(``skew``) law over a seeded permutation, the standard skewed-access
 model for caches — at ``skew=0`` it degrades to uniform sampling.
 Latency percentiles reuse the oracle engine's
-:class:`~repro.oracle.cache.LatencyRecorder`; reports serialise to JSON
+:class:`~repro.obs.metrics.LatencyRecorder`; reports serialise to JSON
 via :meth:`LoadReport.as_dict` so benchmark harnesses and CI can diff
 them.  :func:`count_mismatches` closes the loop on correctness by
 replaying every answered pair through a direct :class:`QueryEngine`.
@@ -32,7 +32,7 @@ import random
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.oracle.cache import LatencyRecorder
+from repro.obs.metrics import LatencyRecorder
 from repro.oracle.engine import QueryEngine
 from repro.serve.router import RoutingError
 from repro.serve.server import DistanceServer, ServerOverloaded

@@ -47,7 +47,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.oracle.cache import LatencyRecorder
+from repro.obs.metrics import LatencyRecorder
 from repro.oracle.engine import QueryEngine
 from repro.oracle.sharding import ShardIntegrityError
 from repro.serve.registry import ArtifactEntry, ArtifactRegistry

@@ -65,6 +65,19 @@ class TestAssignment:
         assert sum(len(a) for a in assignment) == 3
 
 
+    def test_round_robin_separates_the_middle_blocks_of_one_pair(self):
+        """Subcubes that can share an output position -- same (i, j),
+        different middle block -- never land on one node, so a node's
+        merged intermediate product is as large as its raw one."""
+        n = 16
+        partition = cube_partition(
+            random_matrix(n, 120, 5), random_matrix(n, 120, 6), a=2, b=3, c=4)
+        owners = {}
+        for index, (i, j, _, _, _, _) in enumerate(partition.subcubes()):
+            owners.setdefault((i, j), []).append(index % n)
+        assert all(len(set(nodes)) == partition.c for nodes in owners.values())
+
+
 class TestCharges:
     def test_input_delivery_charges_positive_rounds(self):
         clique = Clique(16)

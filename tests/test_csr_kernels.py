@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.matmul import SemiringMatrix, from_csr, to_csr
 from repro.matmul.csr import (
     csr_product,
-    csr_submatrix_product,
     csr_supported,
     csr_witnessed_product,
 )
@@ -219,7 +218,7 @@ def test_csr_submatrix_matches_dict_property(name, seed):
     rows = sorted(rng.sample(range(12), rng.randint(1, 12)))
     mids = sorted(rng.sample(range(12), rng.randint(1, 12)))
     cols = sorted(rng.sample(range(12), rng.randint(1, 12)))
-    assert csr_submatrix_product(S, T, rows, mids, cols) == \
+    assert submatrix_product(S, T, rows, mids, cols, kernel="csr") == \
         _dict_submatrix_product(S, T, rows, mids, cols)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -10,14 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.matmul import SemiringMatrix
+from repro.matmul.dense import from_dense_array, minplus_matmul_arrays, to_dense_array
 from repro.matmul.kernels import (
-    from_dense_array,
     iterated_squaring,
     local_product,
-    minplus_matmul_arrays,
     sparse_dict_product,
     submatrix_product,
-    to_dense_array,
 )
 from repro.semiring import MIN_PLUS, AugmentedEntry, augmented_semiring_for
 

@@ -3,22 +3,30 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.matmul
 from repro.cclique import Clique
 from repro.matmul import (
     SemiringMatrix,
     dense_mm,
     filtered_mm,
+    from_csr,
     output_sensitive_mm,
     sparse_mm_clt18,
+    to_csr,
 )
-from repro.matmul.kernels import sparse_dict_product
-from repro.semiring import MIN_PLUS, AugmentedEntry, augmented_semiring_for
+from repro.matmul.kernels import KERNEL_ENV_VAR, sparse_dict_product
+from repro.semiring import BOOLEAN, MIN_PLUS, AugmentedEntry, augmented_semiring_for
+from repro.semiring.base import Semiring
 
 
 def random_matrix(n, nnz, seed, semiring=MIN_PLUS, max_value=50):
@@ -31,6 +39,27 @@ def random_matrix(n, nnz, seed, semiring=MIN_PLUS, max_value=50):
         else:
             matrix.set(i, j, AugmentedEntry(rng.randint(1, max_value), 1))
     return matrix
+
+
+def per_row_matrix(n, per_row, seed):
+    """``per_row`` entry attempts in every row (the execution-mode ablation's
+    operands: the densities the higher-level algorithms multiply at)."""
+    rng = random.Random(seed)
+    matrix = SemiringMatrix(n, MIN_PLUS)
+    for i in range(n):
+        for _ in range(per_row):
+            matrix.set(i, rng.randrange(n), float(rng.randint(1, 99)))
+    return matrix
+
+
+def mode_operands(n, nnz, seed, rho, rho_at_96):
+    """``(S, T, rho)`` cases of the fast/faithful comparisons: one small
+    random pair, then n=96 at four per-row densities."""
+    return [pytest.param(random_matrix(n, nnz, seed), random_matrix(n, nnz, seed + 1),
+                         rho, id=f"n={n}-nnz={nnz}")] + [
+        pytest.param(per_row_matrix(96, d, d), per_row_matrix(96, d, d + 100),
+                     rho_at_96, id=f"n=96-per_row={d}")
+        for d in (2, 4, 8, 16)]
 
 
 def assert_is_filtered_version(filtered, full, rho):
@@ -77,18 +106,16 @@ class TestOutputSensitiveMM:
             "doubling_estimate"
         ] >= 20
 
-    def test_fast_mode_matches_faithful_product(self):
-        S = random_matrix(24, 100, 7)
-        T = random_matrix(24, 100, 8)
-        faithful = output_sensitive_mm(S, T, rho_hat=24, execution="faithful")
-        fast = output_sensitive_mm(S, T, rho_hat=24, execution="fast")
+    @pytest.mark.parametrize("S, T, rho_hat", mode_operands(24, 100, 7, 24, 96))
+    def test_fast_mode_matches_faithful_product(self, S, T, rho_hat):
+        faithful = output_sensitive_mm(S, T, rho_hat=rho_hat, execution="faithful")
+        fast = output_sensitive_mm(S, T, rho_hat=rho_hat, execution="fast")
         assert faithful.product.equals(fast.product)
 
-    def test_fast_and_faithful_round_charges_are_comparable(self):
-        S = random_matrix(32, 150, 9)
-        T = random_matrix(32, 150, 10)
-        faithful = output_sensitive_mm(S, T, rho_hat=32, execution="faithful")
-        fast = output_sensitive_mm(S, T, rho_hat=32, execution="fast")
+    @pytest.mark.parametrize("S, T, rho_hat", mode_operands(32, 150, 9, 32, 96))
+    def test_fast_and_faithful_round_charges_are_comparable(self, S, T, rho_hat):
+        faithful = output_sensitive_mm(S, T, rho_hat=rho_hat, execution="faithful")
+        fast = output_sensitive_mm(S, T, rho_hat=rho_hat, execution="fast")
         assert faithful.rounds > 0 and fast.rounds > 0
         ratio = faithful.rounds / fast.rounds
         assert 1 / 4 <= ratio <= 4
@@ -146,12 +173,12 @@ class TestFilteredMM:
             result = filtered_mm(S, T, rho=rho)
             assert_is_filtered_version(result.product, full, rho)
 
-    def test_fast_mode_matches_faithful(self):
-        S = random_matrix(20, 100, 18)
-        T = random_matrix(20, 100, 19)
-        faithful = filtered_mm(S, T, rho=4, execution="faithful")
-        fast = filtered_mm(S, T, rho=4, execution="fast")
+    @pytest.mark.parametrize("S, T, rho", mode_operands(20, 100, 18, 4, 4))
+    def test_fast_mode_matches_faithful(self, S, T, rho):
+        faithful = filtered_mm(S, T, rho=rho, execution="faithful")
+        fast = filtered_mm(S, T, rho=rho, execution="fast")
         assert faithful.product.equals(fast.product)
+        assert 1 / 4 <= faithful.rounds / fast.rounds <= 4
 
     def test_rho_larger_than_n_keeps_everything(self):
         S = random_matrix(12, 40, 20)
@@ -271,3 +298,143 @@ def test_output_sensitive_mm_property(nnz, seed):
     S = random_matrix(12, nnz, seed)
     T = random_matrix(12, nnz, seed + 7)
     assert output_sensitive_mm(S, T).product.equals(sparse_dict_product(S, T))
+
+
+# ----------------------------------------------------------------------
+# golden table: rounds, product and params keys of every round-charged
+# product in both execution modes (values captured at commit 0c7060e;
+# regenerate with ``golden_table()`` only for an intended change)
+# ----------------------------------------------------------------------
+class WeirdSemiring(Semiring):
+    """Not CSR-encodable (the one of ``test_csr_kernels.py``): add is max,
+    so every product over it takes the dictionary path."""
+
+    name = "weird"
+    zero = property(lambda self: 0)
+    one = property(lambda self: 1)
+
+    def add(self, x, y):
+        return max(x, y)
+
+    def mul(self, x, y):
+        return x * y
+
+
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_matmul_schedule.json").read_text())
+
+GOLDEN_SEMIRINGS = {
+    "minplus": lambda n: (MIN_PLUS, lambda rng: float(rng.randint(1, 99))),
+    "augmented": lambda n: (
+        augmented_semiring_for(n, 99),
+        lambda rng: AugmentedEntry(rng.randint(1, 99), rng.randint(1, 3))),
+    "boolean": lambda n: (BOOLEAN, lambda rng: True),
+    "weird": lambda n: (WeirdSemiring(), lambda rng: rng.randint(1, 9)),
+}
+
+GOLDEN_PRODUCTS = {
+    "filtered_mm": lambda S, T, d, **kw: filtered_mm(S, T, rho=4, **kw),
+    "output_sensitive_mm[rho_hat]":
+        lambda S, T, d, **kw: output_sensitive_mm(S, T, rho_hat=2 * d, **kw),
+    "output_sensitive_mm[doubling]":
+        lambda S, T, d, **kw: output_sensitive_mm(S, T, **kw),
+    "sparse_mm_clt18": lambda S, T, d, **kw: sparse_mm_clt18(S, T, **kw),
+}
+
+
+def golden_operands(name, n, per_row):
+    semiring, draw = GOLDEN_SEMIRINGS[name](n)
+    operands = []
+    for seed in (per_row, per_row + 100):
+        rng = random.Random(seed)
+        matrix = SemiringMatrix(n, semiring)
+        for i in range(n):
+            for _ in range(per_row):
+                matrix.set(i, rng.randrange(n), draw(rng))
+        operands.append(matrix)
+    return operands
+
+
+def golden_row(product, S, T, per_row, execution):
+    """``[rounds, product digest, sorted params]`` or the exception's name."""
+    try:
+        result = GOLDEN_PRODUCTS[product](S, T, per_row, execution=execution)
+    except TypeError as error:
+        return [type(error).__name__]
+    entries = sorted(
+        (i, j, tuple(map(float, v)) if isinstance(v, tuple) else float(v))
+        for i, j, v in result.product.entries())
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
+    return [result.rounds, digest, sorted(result.params)]
+
+
+def golden_rows(name, n, per_row):
+    S, T = golden_operands(name, n, per_row)
+    return {
+        f"{product}/{execution}/{name}/n={n}/d={per_row}":
+            golden_row(product, S, T, per_row, execution)
+        for product in GOLDEN_PRODUCTS
+        for execution in ("faithful", "fast")
+    }
+
+
+def golden_table():
+    table = {}
+    for name in GOLDEN_SEMIRINGS:
+        for n in (16, 48, 96):
+            for per_row in (2, 8, 16):
+                table.update(golden_rows(name, n, per_row))
+    return table
+
+
+@pytest.mark.parametrize("per_row", (2, 8, 16))
+@pytest.mark.parametrize("n", (16, 48, 96))
+@pytest.mark.parametrize("name", GOLDEN_SEMIRINGS)
+def test_schedule_matches_golden_table(name, n, per_row):
+    """Rounds, product and ``params`` keys of every round-charged product,
+    in both execution modes, are those of the parent commit."""
+    rows = golden_rows(name, n, per_row)
+    assert rows == {key: GOLDEN[key] for key in rows}
+
+
+def test_golden_table_covers_the_grid():
+    assert len(GOLDEN) == len(GOLDEN_PRODUCTS) * 2 * len(GOLDEN_SEMIRINGS) * 3 * 3
+
+
+@pytest.mark.parametrize("name", ["minplus", "augmented", "boolean"])
+def test_faithful_schedule_stays_on_the_arrays(name, monkeypatch):
+    """Array-resident operands in, array-resident product out: the measured
+    load source never decodes a dictionary for an encodable semiring."""
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    products = [p for p in GOLDEN_PRODUCTS if name != "boolean" or p != "filtered_mm"]
+    for product in products:
+        S, T = (from_csr(to_csr(M)) for M in golden_operands(name, 48, 8))
+        assert not S.materialised and not T.materialised
+        result = GOLDEN_PRODUCTS[product](S, T, 8, execution="faithful")
+        assert not S.materialised and not T.materialised, product
+        assert not result.product.materialised, product
+        reference = GOLDEN_PRODUCTS[product](S, T, 8, execution="faithful", kernel="dict")
+        assert result.product.equals(reference.product), product
+        assert result.rounds == reference.rounds, product
+
+
+def test_schedule_is_written_once():
+    """Each charge helper and the split parameters have exactly one call
+    site in ``repro.matmul`` outside the module that defines them."""
+    package = Path(repro.matmul.__file__).parent
+    helpers = {
+        "charge_cube_partition": "balancing.py",
+        "charge_input_delivery": "balancing.py",
+        "charge_duplication": "balancing.py",
+        "charge_summation": "balancing.py",
+        "compute_split_parameters": "partition.py",
+    }
+    for helper, home in helpers.items():
+        calls = [
+            (path.name, node.lineno)
+            for path in sorted(package.glob("*.py")) if path.name != home
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == helper
+        ]
+        assert len(calls) == 1, (helper, calls)

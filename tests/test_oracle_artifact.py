@@ -19,6 +19,7 @@ from repro.oracle import (
     load_artifact,
     write_sharded_artifact,
 )
+from repro.oracle import sharding
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,32 @@ BAD_SHAPES = {
 NEEDS_PAYLOAD_VALUES = {"csr-shorter-than-indptr-says"}
 
 
+def _with(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+#: case -> (arrays to replace in the ``spanner-greedy`` payload, shapes
+#: intact, what the error must name): a CSR that is not one.
+BAD_CSR_VALUES = {
+    "indptr-does-not-start-at-zero": (
+        lambda a: {"spanner_indptr": _with(a["spanner_indptr"], 0, 1)},
+        "spanner_indptr"),
+    "indptr-decreases": (
+        lambda a: {"spanner_indptr": _with(
+            a["spanner_indptr"], 3, a["spanner_indptr"][-1] + 5)},
+        "spanner_indptr"),
+    "column-id-past-n": (
+        lambda a: {"spanner_indices": _with(
+            a["spanner_indices"], 0, len(a["spanner_indptr"]) - 1)},
+        "spanner_indices"),
+    "column-id-negative": (
+        lambda a: {"spanner_indices": _with(a["spanner_indices"], -1, -1)},
+        "spanner_indices"),
+}
+
+
 @pytest.fixture(scope="module")
 def built():
     graph = random_weighted_graph(24, average_degree=6, max_weight=8, seed=21)
@@ -228,3 +255,53 @@ class TestSchemaShapes:
         else:
             with pytest.raises(ArtifactError, match=names):
                 load_artifact(manifest_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CSR_VALUES))
+    def test_resident_csr_values_rejected(self, built, case, tmp_path):
+        replace, names = BAD_CSR_VALUES[case]
+        good = built["spanner-greedy"]
+        bad = OracleArtifact(metadata=dict(good.metadata),
+                             arrays={**good.arrays, **replace(good.arrays)})
+        with pytest.raises(ArtifactError, match=names):
+            bad.validate()
+        with pytest.raises(ArtifactError, match=names):
+            bad.save(tmp_path / "bad.npz")
+        with pytest.raises(ArtifactError, match=names):
+            QueryEngine(bad)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CSR_VALUES))
+    def test_sharded_csr_values_rejected(self, built, case, tmp_path, monkeypatch):
+        """The shard writer refuses the payload; shards written around the
+        writer's check load (manifest-only) and are refused at validate()."""
+        replace, names = BAD_CSR_VALUES[case]
+        good = built["spanner-greedy"]
+        arrays = {**good.arrays, **replace(good.arrays)}
+        with pytest.raises(ArtifactError, match=names):
+            write_sharded_artifact(good.metadata, arrays, tmp_path / "bad", num_shards=3)
+        with monkeypatch.context() as patched:
+            patched.setattr(sharding, "check_schema", lambda *args, **kwargs: None)
+            manifest_path, _ = write_sharded_artifact(
+                good.metadata, arrays, tmp_path / "doc", num_shards=3)
+        loaded = load_artifact(manifest_path)
+        assert loaded.faults == 0  # load stays manifest-only
+        with pytest.raises(ArtifactError, match=names):
+            loaded.validate()
+        with pytest.raises(ArtifactError, match=names):
+            QueryEngine(loaded)
+
+    @pytest.mark.parametrize("field, value", [("shape", None), ("dtype", "<f4")])
+    def test_common_arrays_of_shard_0_checked_against_the_manifest(
+            self, built, field, value, tmp_path):
+        """A manifest whose common-array declaration disagrees with what
+        shard 0 holds is refused when the shard is opened (the schema puts
+        no constraint on ``landmarks``, so nothing else would notice)."""
+        manifest_path, _ = built["landmark-mssp"].save_sharded(tmp_path / "doc", 3)
+        manifest = json.loads(manifest_path.read_text())
+        declared = manifest["common_arrays"]["landmarks"]
+        declared[field] = value or [declared["shape"][0] + 1]
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_artifact(manifest_path)
+        with pytest.raises(ArtifactError, match="landmarks"):
+            loaded.open_shard(0)
+        with pytest.raises(ArtifactError, match="landmarks"):
+            QueryEngine(loaded).dist(0, 5)
