@@ -16,14 +16,43 @@ healthy workers:
   pages see a stable slice of the keyspace;
 * **monolithic artifacts** — contiguous equal chunks.
 
+**The path of one frame** is frame -> per-owner runs -> frame, and the
+fault-free case pays only for what the frame needs:
+
+1. *Validate and partition.*  Node ids are range-checked against the
+   routed artifact before anything is sent.  One grouping pass
+   (:func:`repro.oracle.sharding.grouped_runs`: at most one stable sort by
+   owner, then slices) turns the frame into runs, one per owning worker.
+   A frame with a single owner — always the case with one healthy worker
+   — is one run, "the whole frame, in order": nothing is sorted or copied.
+2. *Send.*  Each run's two node columns are packed once
+   (:func:`~repro.net.protocol.pack_request_columns`; for a whole-frame
+   run these are the request's own columns) and the same bytes serve every
+   retry and hedge.  A single run is awaited in place; only a frame that
+   really splits pays an ``asyncio.gather`` (one Task per run) and the
+   scatter of the sub-answers back into frame order.  A whole-frame run
+   returns the worker's values as they were received.
+3. *Hedge, only if it can happen.*  With one healthy worker, hedging off
+   or its budget spent, an attempt is a direct await.  Otherwise the
+   attempt runs as a Task beside **one** timer armed at the observed P95
+   attempt latency (re-read from the window once per
+   :data:`HEDGE_DELAY_REFRESH` attempts, not per sub-batch); a primary
+   that answers first cancels the timer and nothing else was created.
+4. *Time out.*  :class:`WorkerLink` arms one ``call_later`` handle per
+   request and cancels it when the reply lands; a request still open when
+   it fires fails with :class:`asyncio.TimeoutError`, which is retried
+   like any other :data:`RETRYABLE` failure.
+
 Affinity is an optimisation, not a correctness constraint: every worker
 maps the full manifest, so any worker can answer any sub-batch.  That is
 what makes failover simple, in the spirit of the *Two for One, One for
 All* robustness framing — when a worker dies mid-request the sub-batch
-is retried on the next healthy worker (bounded retries, per-request
-timeout), the dead worker's consecutive-failure count trips the ejection
-threshold, and because assignment is computed over the *healthy* list,
-its shard ranges re-route to the survivors automatically.
+is retried on the next healthy worker (``max_attempts`` sends, each under
+the per-request timeout and the caller's deadline; a link whose breaker
+has opened meanwhile is passed over without spending one), the dead
+worker's failures open its circuit breaker, and because the partition is
+computed over the *healthy* list, its shard ranges re-route to the
+survivors automatically.
 
 :class:`WorkerLink` is the persistent pipelined connection used for all
 of it: request ids match responses out of order, a reader task settles
@@ -42,7 +71,7 @@ import itertools
 import json
 import math
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,13 +93,14 @@ from repro.net.protocol import (
     Request,
     encode_frame,
     pack_request,
+    pack_request_columns,
     read_frame,
     unpack_error,
     unpack_response,
 )
 from repro.net.worker import NetServiceBase
 from repro.obs.metrics import LatencyRecorder, get_registry, merge_snapshots
-from repro.oracle.sharding import ShardIntegrityError
+from repro.oracle.sharding import ShardIntegrityError, grouped_runs
 from repro.obs.tracing import (
     TraceContext,
     get_tracer,
@@ -116,6 +146,9 @@ RETRYABLE = (ConnectionError, asyncio.TimeoutError, asyncio.IncompleteReadError)
 #: fine) and ERR_DATA_INTEGRITY (that worker's copy of a shard is rotten;
 #: requests are idempotent reads, so re-asking elsewhere is always safe).
 FAILOVER_ERRORS = RETRYABLE + (NetError, ShardIntegrityError)
+
+#: Most attempts the hedge delay's P95 may lag the latency window by.
+HEDGE_DELAY_REFRESH = 64
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -231,6 +264,12 @@ class CircuitBreaker:
                     self._outcomes.count(False) / len(self._outcomes)
                     if self._outcomes else 0.0),
                 "cooldown_s": self._next_cooldown}
+
+
+def _expire(future: asyncio.Future) -> None:
+    """Timer callback: fail a request still unanswered at its timeout."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 class WorkerLink:
@@ -355,7 +394,19 @@ class WorkerLink:
         frame's relative-seconds FLAG_DEADLINE field, so the receiving
         worker can stop working the moment nobody is waiting.
         """
-        payload = pack_request(pairs, multiplicative, additive, artifact)
+        return await self.request_packed(
+            pack_request(pairs, multiplicative, additive, artifact),
+            timeout=timeout, trace=trace, deadline=deadline)
+
+    async def request_packed(self, payload: bytes,
+                             timeout: Optional[float] = None,
+                             trace: Optional[bytes] = None,
+                             deadline: Optional[float] = None) -> np.ndarray:
+        """:meth:`request` for an already-packed MSG_REQUEST payload.
+
+        The front tier packs a sub-batch once and sends the same bytes on
+        every retry and hedge.
+        """
         budget = None
         if deadline is not None:
             budget = max(0.0, deadline - time.monotonic())
@@ -375,19 +426,28 @@ class WorkerLink:
                          deadline: Optional[float] = None) -> np.ndarray:
         await self._ensure_connected()
         req_id = next(self._req_ids) & 0xFFFFFFFF
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._pending[req_id] = future
         self.requests += 1
+        expiry: Optional[asyncio.TimerHandle] = None
         try:
             self._writer.write(encode_frame(ftype, req_id, payload,
                                             trace=trace, deadline=deadline))
             await self._writer.drain()
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
+            if timeout is not None:
+                # One timer per request, cancelled below in the common
+                # case; a reply landing after it fired finds no pending
+                # future and is dropped by the read loop.
+                expiry = loop.call_later(timeout, _expire, future)
+            return await future
+        except asyncio.TimeoutError:
+            raise  # an OSError since 3.11, but not a dead connection
         except (ConnectionError, OSError) as exc:
             raise WorkerUnavailable(f"{self.name}: {exc}") from exc
         finally:
+            if expiry is not None:
+                expiry.cancel()
             self._pending.pop(req_id, None)
 
     async def close(self) -> None:
@@ -493,8 +553,11 @@ class Frontend(NetServiceBase):
         self.hedge_wins = 0
         self.deadline_rejections = 0
         self._subbatches = 0
-        # Attempt latency window feeding the hedge delay (P95).
+        # Attempt latency window feeding the hedge delay (P95), and the
+        # last P95 read from it (see :meth:`_hedge_delay`).
         self._attempt_latency = LatencyRecorder(window=512)
+        self._hedge_p95_us: Optional[float] = None
+        self._hedge_delay_due = 0
         self._probe_tasks: set = set()
         # Sampled traces in flight: trace id -> context.  Worker reply
         # blobs arriving on any link are folded into the matching context.
@@ -566,8 +629,7 @@ class Frontend(NetServiceBase):
             count = len(request)
             if count == 0:
                 return np.zeros(0, dtype=np.float64)
-            u = request.u.astype(np.int64, copy=False)
-            v = request.v.astype(np.int64, copy=False)
+            u, v = request.u, request.v
             if (int(u.min()) < 0 or int(u.max()) >= entry.n
                     or int(v.min()) < 0 or int(v.max()) >= entry.n):
                 raise ValueError(
@@ -575,35 +637,36 @@ class Frontend(NetServiceBase):
             healthy = self.healthy_links()
             if not healthy:
                 raise NetError("no healthy workers remain in the fleet")
-            assignment = self._assign(entry, u, v, len(healthy))
+            runs = self._partition(entry, u, v, len(healthy))
             if trace is not None:
                 trace.add("frontend.route", route_wall,
                           (time.perf_counter_ns() - route_tick) / 1000.0)
-            out = np.empty(count, dtype=np.float64)
-            tasks = []
-            slices: List[np.ndarray] = []
             trace_blob = (trace_capable_blob(trace.trace_id)
                           if trace is not None else None)
-            for worker_index in range(len(healthy)):
-                indices = np.nonzero(assignment == worker_index)[0]
-                if indices.size == 0:
-                    continue
-                sub = np.empty((indices.size, 2), dtype=np.int32)
-                sub[:, 0] = u[indices]
-                sub[:, 1] = v[indices]
-                slices.append(indices)
-                tasks.append(self._fan_out(healthy, worker_index, sub,
-                                           request, entry.name,
-                                           trace_blob=trace_blob,
-                                           deadline=deadline))
+            # A run that is the whole frame slices nothing: ``u[0:count]``
+            # is the request's own column, packed as it arrived.
+            sends = []
+            for owner, where in runs:
+                run_u = u[where]
+                sends.append(self._fan_out(
+                    healthy, owner, pack_request_columns(
+                        run_u, v[where], request.multiplicative,
+                        request.additive, entry.name), len(run_u),
+                    trace_blob=trace_blob, deadline=deadline))
             fanout_wall = time.time()
             fanout_tick = time.perf_counter_ns()
-            answered = await asyncio.gather(*tasks)
+            if len(sends) == 1:
+                # One owner: no Task, no gather, and the worker's values
+                # go back as they were received.
+                out = await sends[0]
+            else:
+                out = np.empty(count, dtype=np.float64)
+                for (_owner, where), values in zip(
+                        runs, await asyncio.gather(*sends)):
+                    out[where] = values
             if trace is not None:
                 trace.add("frontend.fanout", fanout_wall,
                           (time.perf_counter_ns() - fanout_tick) / 1000.0)
-            for indices, values in zip(slices, answered):
-                out[indices] = values
             return out
         finally:
             if trace is not None:
@@ -623,168 +686,211 @@ class Frontend(NetServiceBase):
         return self._router.route(multiplicative=request.multiplicative,
                                   additive=request.additive).entry
 
-    def _assign(self, entry: ArtifactEntry, u: np.ndarray, v: np.ndarray,
-                num_workers: int) -> np.ndarray:
-        """Healthy-worker index per pair: shard affinity, else even chunks."""
+    def _partition(self, entry: ArtifactEntry, u: np.ndarray, v: np.ndarray,
+                   num_workers: int) -> List[Tuple[int, Union[slice, np.ndarray]]]:
+        """One frame as per-owner runs: ``[(healthy-worker index, where)]``.
+
+        Shard affinity for a sharded artifact, else contiguous even chunks.
+        ``where`` selects a run's pairs within the frame (and their slots
+        in the answer): a slice when the owners were already grouped —
+        always so for a single owner, whose run is the whole frame in
+        order — else a piece of one stable sort by owner.
+        """
+        count = len(u)
         if num_workers == 1:
-            return np.zeros(len(u), dtype=np.int64)
+            return [(0, slice(0, count))]
         if entry.sharded and entry.row_ranges:
-            starts = np.asarray([start for start, _stop in entry.row_ranges],
-                                dtype=np.int64)
+            starts = np.asarray([start for start, _stop in entry.row_ranges])
             rows = np.minimum(u, v)  # the canonical row the gather reads
-            shards = np.searchsorted(starts, rows, side="right") - 1
-            return shards % num_workers
-        return (np.arange(len(u), dtype=np.int64) * num_workers) // len(u)
+            owners = (np.searchsorted(starts, rows, side="right") - 1) \
+                % num_workers
+        else:
+            owners = (np.arange(count) * num_workers) // count
+        return grouped_runs(owners)
 
     async def _fan_out(self, healthy: List[WorkerLink], start: int,
-                       sub: np.ndarray, request: Request,
-                       artifact: str,
+                       payload: bytes, count: int,
                        trace_blob: Optional[bytes] = None,
                        deadline: Optional[float] = None) -> np.ndarray:
         """One sub-batch: primary worker, then bounded budget-aware failover.
 
-        Each attempt's timeout is the smaller of ``request_timeout`` and
-        the remaining deadline budget, so retries never outlive the
-        caller's patience.  Transport failures and failover-safe remote
-        errors (see :data:`FAILOVER_ERRORS`) move the sub-batch to the
-        next healthy worker; if every attempt fails with a data-integrity
-        error, that typed error propagates (the data, not the fleet, is
-        the problem).
+        ``payload`` is the packed sub-batch (``count`` pairs), the same
+        bytes for every attempt.  Each attempt's timeout is the smaller of
+        ``request_timeout`` and the remaining deadline budget, so retries
+        never outlive the caller's patience.  Transport failures and
+        failover-safe remote errors (see :data:`FAILOVER_ERRORS`) move the
+        sub-batch to the next healthy worker; if every attempt fails with a
+        data-integrity error, that typed error propagates (the data, not
+        the fleet, is the problem).
 
-        The attempt budget is ``max_attempts`` even when fewer workers
-        are in rotation: with one survivor, a transient drop on it is
-        retried on the same link rather than failing the caller — the
-        degraded fleet is exactly when retry slack matters most.
+        The attempt budget is ``max_attempts`` *sends*, even when fewer
+        workers are in rotation: with one survivor, a transient drop on it
+        is retried on the same link rather than failing the caller — the
+        degraded fleet is exactly when retry slack matters most.  A link
+        whose breaker opened after ``healthy`` was taken is passed over
+        without spending an attempt; the scan stops once a whole lap of
+        the rotation admits nothing.
         """
-        attempts = self.max_attempts
+        attempts = 0
+        refused = 0  # consecutive links passed over: a full lap ends the scan
+        cursor = start
+        last_link: Optional[WorkerLink] = None
         last_exc: Optional[Exception] = None
-        for attempt in range(attempts):
-            link = healthy[(start + attempt) % len(healthy)]
+        while attempts < self.max_attempts and refused < len(healthy):
+            index = cursor % len(healthy)
+            cursor += 1
+            link = healthy[index]
             if not link.breaker.allow():
+                refused += 1
                 continue
+            refused = 0
             timeout = self.request_timeout
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     self.deadline_rejections += 1
                     raise DeadlineExceeded(
-                        f"deadline expired after {attempt} worker attempt(s)"
+                        f"deadline expired after {attempts} worker attempt(s)"
                     ) from last_exc
                 timeout = min(timeout, remaining)
-            hedge_link = self._hedge_candidate(healthy, start, attempt)
+            if attempts:
+                self.retries += 1
+                if link is not last_link:  # same-link retry ≠ failover
+                    self.failovers += 1
+            attempts += 1
+            last_link = link
+            hedge_link = self._hedge_candidate(healthy, index)
             self._subbatches += 1
             try:
-                values = await self._request_hedged(
-                    link, hedge_link, sub, request, artifact, trace_blob,
-                    timeout, deadline)
+                return await self._request_hedged(
+                    link, hedge_link, payload, trace_blob, timeout, deadline)
             except FAILOVER_ERRORS as exc:
                 last_exc = exc
-                if attempt + 1 < attempts:
-                    self.retries += 1
-                    next_link = healthy[(start + attempt + 1) % len(healthy)]
-                    if next_link is not link:  # same-link retry ≠ failover
-                        self.failovers += 1
-                continue
-            return values
+        if last_exc is None:
+            raise NetError(
+                f"no worker admits this sub-batch of {count} pairs: every "
+                f"breaker in the rotation opened before it could be sent")
         if isinstance(last_exc, ShardIntegrityError):
             raise ShardIntegrityError(
-                f"sub-batch of {len(sub)} pairs hit persistent data "
+                f"sub-batch of {count} pairs hit persistent data "
                 f"corruption after {attempts} attempt(s): {last_exc}"
             ) from last_exc
         raise NetError(
-            f"sub-batch of {len(sub)} pairs failed after {attempts} "
+            f"sub-batch of {count} pairs failed after {attempts} "
             f"attempt(s): {last_exc}") from last_exc
 
-    def _hedge_candidate(self, healthy: List[WorkerLink], start: int,
-                         attempt: int) -> Optional[WorkerLink]:
+    def _hedge_candidate(self, healthy: List[WorkerLink],
+                         primary: int) -> Optional[WorkerLink]:
         """The link a hedge would go to, or None when hedging is off-budget.
 
         The hedge budget is ``hedge_ratio`` of all sub-batches sent, so
         tail-chasing can never double the fleet's load; the candidate is
-        the next breaker-closed link after the primary.
+        the next breaker-closed link after ``healthy[primary]``.
         """
         if len(healthy) < 2 or self.hedge_ratio <= 0:
             return None
         if self.hedges >= self.hedge_ratio * max(1, self._subbatches):
             return None
         for offset in range(1, len(healthy)):
-            candidate = healthy[(start + attempt + offset) % len(healthy)]
+            candidate = healthy[(primary + offset) % len(healthy)]
             if candidate.breaker.allow():
                 return candidate
         return None
 
     def _hedge_delay(self) -> float:
-        """Seconds before a slow attempt is hedged: observed P95, clamped."""
-        p95_us = self._attempt_latency.snapshot().get("p95_us")
-        if not p95_us:
+        """Seconds before a slow attempt is hedged: observed P95, clamped.
+
+        Reading the P95 sorts the latency window, so it is re-read only
+        once the window has taken in as many attempts again as it had at
+        the last read, at most :data:`HEDGE_DELAY_REFRESH` — every attempt
+        while the window is cold, once per 64 on a warm fleet.
+        """
+        recorded = self._attempt_latency.count
+        if recorded >= self._hedge_delay_due:
+            self._hedge_delay_due = recorded + min(max(recorded, 1),
+                                                   HEDGE_DELAY_REFRESH)
+            self._hedge_p95_us = self._attempt_latency.percentile(95.0)
+        if not self._hedge_p95_us:
             return self.request_timeout  # cold window: never hedge blind
-        return min(max(p95_us / 1e6, self.hedge_min_delay),
+        return min(max(self._hedge_p95_us / 1e6, self.hedge_min_delay),
                    self.request_timeout)
 
     async def _request_hedged(self, link: WorkerLink,
                               hedge_link: Optional[WorkerLink],
-                              sub: np.ndarray, request: Request,
-                              artifact: str, trace_blob: Optional[bytes],
+                              payload: bytes, trace_blob: Optional[bytes],
                               timeout: float,
                               deadline: Optional[float]) -> np.ndarray:
         """One worker attempt, optionally raced against a hedged duplicate.
 
-        The duplicate goes out only if the primary is still unanswered
-        after the hedge delay; the first clean answer wins and the loser
-        is cancelled/consumed.  Requests are idempotent reads, so the
-        duplicate is always safe.
+        Without a hedge candidate (one healthy worker, hedging off or over
+        budget) or with a hedge delay no shorter than the attempt's
+        timeout, this is the attempt itself, awaited in place.  Otherwise
+        the primary runs as a Task next to one timer: the duplicate goes
+        out only if the primary is still unanswered when the timer fires;
+        the first clean answer wins and the loser is cancelled/consumed.
+        Requests are idempotent reads, so the duplicate is always safe.
         """
-        primary = asyncio.ensure_future(self._timed_request(
-            link, sub, request, artifact, trace_blob, timeout, deadline))
-        hedged: Optional[asyncio.Future] = None
-        if hedge_link is not None:
-            delay = self._hedge_delay()
-            if delay < timeout:
-                done, _ = await asyncio.wait({primary}, timeout=delay)
-                if not done:
-                    self.hedges += 1
-                    hedged = asyncio.ensure_future(self._timed_request(
-                        hedge_link, sub, request, artifact, trace_blob,
-                        timeout, deadline))
-        if hedged is None:
-            return await primary
-        tasks = {primary, hedged}
-        winner: Optional[asyncio.Future] = None
-        while tasks and winner is None:
-            done, tasks = await asyncio.wait(
-                tasks, return_when=asyncio.FIRST_COMPLETED)
-            for task in done:
-                if task.exception() is None:
-                    winner = task
-                    break
-        for task in (primary, hedged):
-            if task is winner:
-                continue
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass  # loser outcome: cancelled, or its failure was noted
-        if winner is None:
-            raise primary.exception()  # both failed: primary's error stands
-        if winner is hedged:
+        delay = self._hedge_delay() if hedge_link is not None else timeout
+        if delay >= timeout:
+            return await self._timed_request(link, payload, trace_blob,
+                                             timeout, deadline)
+        loop = asyncio.get_running_loop()
+        outcome: asyncio.Future = loop.create_future()
+        racers: List[asyncio.Task] = []
+
+        def enter(target: WorkerLink) -> None:
+            racer = loop.create_task(self._timed_request(
+                target, payload, trace_blob, timeout, deadline))
+            racers.append(racer)
+            racer.add_done_callback(settle)
+
+        def settle(racer: asyncio.Task) -> None:
+            if racer.cancelled():
+                return
+            failed = racer.exception() is not None  # read: never "unretrieved"
+            if outcome.done():
+                return
+            if not failed:
+                outcome.set_result(racer)
+            elif all(other.done() for other in racers):
+                # Nobody left to win: the primary's error stands (a timer
+                # still armed is cancelled below, so no hedge follows it).
+                outcome.set_exception(racers[0].exception())
+
+        def hedge() -> None:
+            if not outcome.done():  # decided in this very loop turn
+                self.hedges += 1
+                enter(hedge_link)
+
+        enter(link)
+        timer = loop.call_later(delay, hedge)
+        try:
+            winner = await outcome
+        finally:
+            timer.cancel()
+            for racer in racers:
+                if not racer.done():
+                    racer.cancel()
+                    try:
+                        await racer
+                    except (asyncio.CancelledError, Exception):
+                        pass  # the loser's outcome is nobody's business
+        if winner is not racers[0]:
             self.hedge_wins += 1
         return winner.result()
 
-    async def _timed_request(self, link: WorkerLink, sub: np.ndarray,
-                             request: Request, artifact: str,
+    async def _timed_request(self, link: WorkerLink, payload: bytes,
                              trace_blob: Optional[bytes], timeout: float,
                              deadline: Optional[float]) -> np.ndarray:
         """One wire attempt with breaker + latency-window bookkeeping."""
         tick = time.perf_counter_ns()
         try:
-            values = await link.request(
-                sub, request.multiplicative, request.additive,
-                artifact=artifact, timeout=timeout, trace=trace_blob,
+            values = await link.request_packed(
+                payload, timeout=timeout, trace=trace_blob,
                 deadline=deadline)
-        except FAILOVER_ERRORS as exc:
+        except FAILOVER_ERRORS:
             self._mark_failure(link)
-            raise exc
+            raise
         self._attempt_latency.record(time.perf_counter_ns() - tick)
         link.consecutive_failures = 0
         link.breaker.record_success()

@@ -229,20 +229,35 @@ def pack_request(pairs, multiplicative: float = math.inf,
     the two node columns are packed as separate contiguous ``<i4``
     arrays so the receiver can ``np.frombuffer`` them without copying.
     """
-    arr = np.ascontiguousarray(pairs, dtype="<i4")
+    arr = np.asarray(pairs, dtype="<i4")
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must be an (N, 2) sequence, "
                          f"got shape {arr.shape}")
+    return pack_request_columns(arr[:, 0], arr[:, 1], multiplicative,
+                                additive, artifact)
+
+
+def pack_request_columns(u, v, multiplicative: float = math.inf,
+                         additive: float = math.inf,
+                         artifact: str = "") -> bytes:
+    """:func:`pack_request` for a batch already held as two node columns.
+
+    Same bytes on the wire.  A tier that forwards a decoded
+    :class:`Request` packs its ``u``/``v`` as they are instead of staging
+    them into an ``(N, 2)`` array that would be split straight back.
+    """
+    u = np.asarray(u, dtype="<i4")  # tobytes() below writes C order itself
+    v = np.asarray(v, dtype="<i4")
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"node columns must be 1-D and equally long, "
+                         f"got shapes {u.shape} and {v.shape}")
     hint = artifact.encode("utf-8")
     if len(hint) > 0xFFFF:
         raise ValueError("artifact hint too long")
-    head = _REQUEST_HEAD.pack(multiplicative, additive, len(hint),
-                              arr.shape[0])
-    return b"".join((head, hint,
-                     np.ascontiguousarray(arr[:, 0]).tobytes(),
-                     np.ascontiguousarray(arr[:, 1]).tobytes()))
+    head = _REQUEST_HEAD.pack(multiplicative, additive, len(hint), len(u))
+    return b"".join((head, hint, u.tobytes(), v.tobytes()))
 
 
 def unpack_request(payload: bytes, req_id: int = 0) -> Request:

@@ -34,6 +34,7 @@ from repro.net.protocol import (
     jsonable,
     pack_error,
     pack_request,
+    pack_request_columns,
     pack_response,
     read_frame,
     unpack_error,
@@ -77,6 +78,24 @@ class TestRoundtrips:
         request = unpack_request(payload, req_id=1)
         assert request.u.tolist() == u.tolist()
         assert request.multiplicative == math.inf
+
+    def test_column_packer_writes_the_same_bytes(self):
+        u = np.asarray([0, 3, 7, 7], dtype=np.int64)
+        v = np.asarray([5, 3, 1, 1], dtype=np.int64)
+        for columns in ((u, v), (u.astype("<i4"), v.astype("<i4")),
+                        (u[::2], v[::2]), (u[:0], v[:0])):
+            pairs = np.stack(columns, axis=1)
+            assert pack_request_columns(*columns, 2.5, 1.0, "dense") \
+                == pack_request(pairs, 2.5, 1.0, "dense")
+        # A decoded request's own columns go back out as they came in.
+        payload = pack_request(np.stack([u, v], axis=1), 2.5, 1.0, "dense")
+        request = unpack_request(payload)
+        assert pack_request_columns(request.u, request.v, 2.5, 1.0,
+                                    "dense") == payload
+        with pytest.raises(ValueError):
+            pack_request_columns(u, v[:2])
+        with pytest.raises(ValueError):
+            pack_request_columns(np.stack([u, v]), np.stack([u, v]))
 
     def test_empty_pair_batch_roundtrips(self):
         request = unpack_request(pack_request([], 1.0, 0.0, ""), req_id=2)

@@ -5,11 +5,13 @@ corruption and missing-shard error paths, and the hot-row block cache."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.chaos.disk import corrupt_shard_file
 from repro.graphs import random_weighted_graph
 from repro.oracle import (
     ArtifactError,
@@ -22,6 +24,7 @@ from repro.oracle import (
     shard_artifact,
     shard_manifest_path,
 )
+from repro.oracle.sharding import ShardIntegrityError, grouped_runs
 
 STRATEGIES = ("dense-apsp", "landmark-mssp", "exact-fallback")
 
@@ -50,6 +53,14 @@ def sharded_dir(artifacts, tmp_path_factory):
 
 def all_pairs(n):
     return [(u, v) for u in range(n) for v in range(u, n)]
+
+
+def mapping_of(array):
+    """The ``np.memmap`` ``array`` is a view of (through any chain of plain
+    views), or None for an array that owns or copied its data."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = getattr(array, "base", None)
+    return array
 
 
 class TestFormat:
@@ -109,8 +120,7 @@ class TestFormat:
     def test_rows_are_memory_mapped(self, sharded_dir):
         loaded = ShardedOracleArtifact.load(
             sharded_dir / "dense-apsp-sharded.shards.json")
-        row = loaded.row("dist", 0)
-        assert isinstance(row.base, np.memmap) or isinstance(row, np.memmap)
+        assert mapping_of(loaded.row("dist", 0)) is not None
 
 
 class TestParity:
@@ -166,6 +176,166 @@ class TestParity:
         resharded = QueryEngine(load_artifact(manifest))
         pairs = all_pairs(original.n)[:300]
         assert np.array_equal(original.batch(pairs), resharded.batch(pairs))
+
+
+#: What the accessor property reads: ``gather`` exists for the n x n table
+#: only; ``rows``/``row`` serve every row-sharded array, whatever its width.
+ACCESSOR_ARRAYS = {
+    "dense-apsp": ("dist",),
+    "landmark-mssp": ("landmark_dist", "ball_idx", "ball_dist"),
+}
+ACCESSOR_SHARDS = (1, 3, 8)
+
+
+@pytest.fixture(scope="module")
+def accessor_artifacts(artifacts, tmp_path_factory):
+    """``(strategy, requested shards) -> (resident arrays, mapped artifact)``."""
+    root = tmp_path_factory.mktemp("accessors")
+    opened = {}
+    for strategy in ACCESSOR_ARRAYS:
+        for num_shards in ACCESSOR_SHARDS:
+            manifest, _ = artifacts[strategy].save_sharded(
+                root / f"{strategy}-{num_shards}", num_shards=num_shards)
+            opened[strategy, num_shards] = (
+                artifacts[strategy].arrays,
+                ShardedOracleArtifact.load(manifest, verify="none"))
+    return opened
+
+
+def draw_rows(data, mapped):
+    """Row indices in one of the shapes the accessors special-case."""
+    n, ranges = mapped.n, mapped.row_ranges
+    anywhere = st.lists(st.integers(0, n - 1), max_size=60)
+    kind = data.draw(st.sampled_from(
+        ["unsorted", "sorted", "duplicates", "empty", "one-shard",
+         "every-shard"]))
+    if kind == "unsorted":
+        return data.draw(anywhere)
+    if kind == "sorted":
+        return sorted(data.draw(anywhere))
+    if kind == "duplicates":
+        few = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        return data.draw(st.lists(st.sampled_from(few), max_size=60))
+    if kind == "empty":
+        return []
+    if kind == "one-shard":
+        start, stop = data.draw(st.sampled_from(ranges))
+        return data.draw(st.lists(st.integers(start, stop - 1), max_size=60))
+    covering = [data.draw(st.integers(start, stop - 1))
+                for start, stop in ranges]
+    return data.draw(st.permutations(covering + data.draw(anywhere)))
+
+
+def assert_accessors_agree(arrays, mapped, names, rows, cols):
+    """``rows``/``gather``/``row`` against plain indexing of the resident table."""
+    index = np.asarray(rows, dtype=np.int64)
+    for name in names:
+        table = arrays[name]
+        got = mapped.rows(name, index)
+        assert got.dtype == table.dtype and got.shape == table[index].shape
+        assert np.array_equal(got, table[index], equal_nan=True)
+        for row in rows[:5]:
+            assert np.array_equal(mapped.row(name, row), table[row],
+                                  equal_nan=True)
+    if "dist" in names:
+        picked = np.asarray(cols, dtype=np.int64)
+        assert np.array_equal(mapped.gather("dist", index, picked),
+                              arrays["dist"][index, picked])
+
+
+class TestAccessors:
+    """``rows``/``gather``/``row`` are plain indexing, shard layout unseen."""
+
+    @given(data=st.data(),
+           strategy=st.sampled_from(sorted(ACCESSOR_ARRAYS)),
+           num_shards=st.sampled_from(ACCESSOR_SHARDS))
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_property_accessors_equal_plain_indexing(
+            self, accessor_artifacts, data, strategy, num_shards):
+        arrays, mapped = accessor_artifacts[strategy, num_shards]
+        rows = list(draw_rows(data, mapped))
+        cols = data.draw(st.lists(st.integers(0, mapped.n - 1),
+                                  min_size=len(rows), max_size=len(rows)))
+        assert_accessors_agree(arrays, mapped, ACCESSOR_ARRAYS[strategy],
+                               rows, cols)
+
+    @pytest.mark.parametrize("strategy", sorted(ACCESSOR_ARRAYS))
+    @pytest.mark.parametrize("num_shards", ACCESSOR_SHARDS)
+    def test_materialize_and_reopen_after_quarantine(
+            self, accessor_artifacts, strategy, num_shards):
+        arrays, mapped = accessor_artifacts[strategy, num_shards]
+        names = ACCESSOR_ARRAYS[strategy]
+        for name in names:
+            assert np.array_equal(mapped.materialize(name), arrays[name],
+                                  equal_nan=True)
+        rng = np.random.default_rng(num_shards)
+        rows = rng.integers(0, mapped.n, size=80).tolist()
+        cols = rng.integers(0, mapped.n, size=80).tolist()
+        assert_accessors_agree(arrays, mapped, names, rows, cols)
+        for shard in range(mapped.num_shards):
+            before = mapped.open_shard(shard)
+            mapped.quarantine(shard)
+            assert_accessors_agree(arrays, mapped, names, rows, cols)
+            assert mapped.open_shard(shard) is not before
+
+    def test_rows_outside_the_table_raise(self, accessor_artifacts):
+        _arrays, mapped = accessor_artifacts["dense-apsp", 3]
+        for bad in ([-1], [0, mapped.n], [mapped.n + 7, 2]):
+            with pytest.raises(IndexError):
+                mapped.rows("dist", np.asarray(bad))
+            with pytest.raises(IndexError):
+                mapped.gather("dist", np.asarray(bad), np.zeros(len(bad), int))
+
+    def test_repaired_shard_is_read_from_the_new_file(self, artifacts, tmp_path):
+        """Nothing read through a mapping may outlive it: after rot, a failed
+        re-verification and a repair that *replaces* the file, answers come
+        from the new inode — the old one still holds the rotten bytes."""
+        table = artifacts["dense-apsp"].arrays["dist"]
+        manifest, shards = artifacts["dense-apsp"].save_sharded(
+            tmp_path / "heal", num_shards=3)
+        mapped = ShardedOracleArtifact.load(manifest, verify="none")
+        start, stop = mapped.row_ranges[1]
+        rows = np.repeat(np.arange(start, stop), mapped.n)
+        cols = np.tile(np.arange(mapped.n), stop - start)
+        want = table[rows, cols]
+        assert np.array_equal(mapped.gather("dist", rows, cols), want)
+
+        sound = shards[1].read_bytes()
+        corrupt_shard_file(shards[1], seed=3, flips=2048, backup=False)
+        assert not np.array_equal(mapped.gather("dist", rows, cols), want,
+                                  equal_nan=True)  # rot shows through the map
+        mapped.quarantine(1)
+        with pytest.raises(ShardIntegrityError, match="checksum"):
+            mapped.gather("dist", rows, cols)
+        with pytest.raises(ShardIntegrityError, match="condemned"):
+            mapped.rows("dist", np.arange(start, stop))
+
+        repaired = shards[1].with_suffix(".repaired")
+        repaired.write_bytes(sound)
+        os.replace(repaired, shards[1])
+        mapped.condemned_recheck = 0.0
+        assert np.array_equal(mapped.gather("dist", rows, cols), want)
+        assert np.array_equal(mapped.rows("dist", np.arange(start, stop)),
+                              table[start:stop])
+        assert np.array_equal(mapped.row("dist", start), table[start])
+
+
+class TestGroupedRuns:
+    @given(ids=st.lists(st.integers(-3, 9), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_partition_the_positions_in_input_order(self, ids):
+        array = np.asarray(ids, dtype=np.int64)
+        runs = grouped_runs(array)
+        assert [run_id for run_id, _ in runs] == sorted(set(ids))
+        positions = np.arange(len(ids))
+        for run_id, where in runs:
+            assert positions[where].tolist() == [
+                spot for spot, value in enumerate(ids) if value == run_id]
+        if ids == sorted(ids):  # already grouped: no sort, slices only
+            assert all(isinstance(where, slice) for _, where in runs)
+        if len(set(ids)) == 1:  # one owner: the whole input, as it is
+            assert runs[0][1] == slice(0, len(ids))
 
 
 class TestLaziness:
