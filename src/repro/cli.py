@@ -520,11 +520,8 @@ def _gather_options(args: argparse.Namespace) -> dict:
 def _serve_config(args: argparse.Namespace):
     from repro.serve import ServerConfig
 
-    if args.window_ms == "auto":
-        window = "auto"
-    else:
-        window = float(args.window_ms) / 1000.0
-    return ServerConfig(coalesce_window=window, **_gather_options(args))
+    return ServerConfig(coalesce_window=args.window_ms / 1000.0,
+                        **_gather_options(args))
 
 
 def _serve_registry(args: argparse.Namespace):
@@ -598,16 +595,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"engine batches   : {stats['engine_batches']} "
           f"({stats['coalesced_keys']} coalesced keys)")
     coalescing = stats["coalescing"]
-    configured = coalescing["configured"]
-    configured_str = (configured if isinstance(configured, str)
-                      else f"{configured * 1e3:g}ms")
-    # Configured vs effective matter independently: under --window-ms
-    # auto the EWMA re-sizes the window every flush, so the knob alone
-    # says nothing about what the server actually did.
     print(f"coalescing       : mode={coalescing['mode']} "
-          f"configured={configured_str} "
-          f"effective={coalescing['window_s'] * 1e3:.3f}ms "
-          f"(ewma arrival {coalescing['ewma_arrival_rate']:,.0f}/s)")
+          f"window={coalescing['window_s'] * 1e3:g}ms")
     print(f"routes           : {stats['router']['routes']}")
     for name, engine_stats in stats["engines"].items():
         print(f"engine[{name}]: queries={engine_stats['queries_total']} "
@@ -1026,26 +1015,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_net_bench(args: argparse.Namespace) -> int:
-    """Run the cold/warm + ladder + failover campaign (see repro.net.bench)."""
-    from repro.net import bench
-
-    argv = ["--workers", str(args.workers), "--n", str(args.n),
-            "--shards", str(args.shards), "--batch", str(args.batch),
-            "--seed", str(args.seed)]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.queries is not None:
-        argv += ["--queries", str(args.queries)]
-    if args.failover_queries is not None:
-        argv += ["--failover-queries", str(args.failover_queries)]
-    if args.out is not None:
-        argv += ["--out", str(args.out)]
-    if args.raw_dir is not None:
-        argv += ["--raw-dir", str(args.raw_dir)]
-    return bench.main(argv)
-
-
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
@@ -1194,10 +1163,9 @@ def build_parser() -> argparse.ArgumentParser:
             # Only where per-pair dist() callers exist to be coalesced; a
             # wire worker answers whole frames through gather().
             sub_parser.add_argument(
-                "--window-ms", type=str, default="1.0", dest="window_ms",
+                "--window-ms", type=float, default=1.0, dest="window_ms",
                 help="coalescing window in milliseconds (0 disables "
-                     "coalescing; 'auto' sizes it from the observed arrival "
-                     "rate)",
+                     "coalescing)",
             )
         sub_parser.add_argument("--max-batch", type=int, default=1024,
                                 dest="max_batch", help="max keys per engine gather")
@@ -1306,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     net = sub.add_parser(
         "net",
-        help="network serving tier: worker fleet, front tier, benchmark",
+        help="network serving tier: worker fleet and front tier",
     )
     net_sub = net.add_subparsers(dest="net_command", required=True)
 
@@ -1335,27 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "cross-tier tracing (fleet-wide; workers "
                                 "inherit the rate through the environment)")
     net_serve.set_defaults(func=cmd_net_serve)
-
-    net_bench = net_sub.add_parser(
-        "bench",
-        help="cold/warm + concurrency-ladder + failover campaign",
-    )
-    net_bench.add_argument("--smoke", action="store_true",
-                           help="reduced grid; gates only (CI mode)")
-    net_bench.add_argument("--workers", type=int, default=2)
-    net_bench.add_argument("--n", type=int, default=1024)
-    net_bench.add_argument("--shards", type=int, default=8)
-    net_bench.add_argument("--queries", type=int, default=None)
-    net_bench.add_argument("--failover-queries", type=int, default=None,
-                           dest="failover_queries")
-    net_bench.add_argument("--batch", type=int, default=256)
-    net_bench.add_argument("--seed", type=int, default=0)
-    net_bench.add_argument("--out", default=None,
-                           help="summary JSON path (default BENCH_PR6.json "
-                                "on full runs)")
-    net_bench.add_argument("--raw-dir", default=None, dest="raw_dir",
-                           help="keep raw JSONL samples in this directory")
-    net_bench.set_defaults(func=cmd_net_bench)
 
     chaos = sub.add_parser(
         "chaos",

@@ -5,10 +5,12 @@ with an HTTP/JSON fallback on the same port (:mod:`repro.net.protocol`),
 per-process workers wrapping one :class:`~repro.serve.DistanceServer`
 each (:mod:`repro.net.worker`), a front tier that partitions batches by
 shard affinity and survives worker death (:mod:`repro.net.frontend`),
-process management for local fleets (:mod:`repro.net.cluster`), and the
-service-grade benchmark campaign behind ``repro net bench``
-(:mod:`repro.net.bench`).  Stdlib-only on top of numpy: asyncio sockets
-and multiprocessing, no new dependencies.
+and process management for local fleets (:mod:`repro.net.cluster`).
+:class:`NetClient` parks per-pair ``dist()`` callers in the same
+:class:`~repro.serve.coalesce.Coalescer` the in-process server uses;
+:mod:`repro.net.bench` holds only the synthetic artifact and error set
+the wire benchmarks (``bench/run.py``) and tests share.  Stdlib-only on
+top of numpy: asyncio sockets and multiprocessing, no new dependencies.
 """
 
 from repro.net.cluster import Cluster, free_port

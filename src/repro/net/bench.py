@@ -1,89 +1,38 @@
-"""Service-grade benchmark campaign for the net tier (``repro net bench``).
+"""Shared fixtures of the wire benchmarks and tests.
 
-Methodology follows the serverless-benchmarking playbook (cold/warm
-split, a concurrency ladder, raw per-request samples next to the merged
-summary) applied to the distance-serving fleet:
-
-* **cold/warm** — the first batch against a freshly spawned cluster pays
-  worker engine loads and shard page faults; steady-state batches pay
-  only the gather.  Both are reported, never averaged together.
-* **concurrency ladder** — 1/10/50/500 closed-loop clients drive Zipf
-  workloads through the front tier as batched wire requests; each rung
-  reports pairs/sec, per-request P50/P95/P99, and error rate, and pours
-  its raw samples into a JSONL file that
-  :meth:`~repro.serve.loadgen.LoadReport.from_jsonl` merges back into a
-  campaign-level report (the summary is recomputed from raw samples, so
-  the two can be cross-checked).
-* **baseline** — the same workload against a single in-process
-  :class:`~repro.serve.server.DistanceServer` at the same concurrency.
-  The acceptance gate: the multi-worker TCP path must reach at least
-  ``SPEEDUP_FLOOR`` (1.5x) of the in-process per-pair path on the
-  50-client rung.  On a one-core host that speedup cannot come from
-  parallelism — it comes from the batch-native wire (one vectorised
-  gather per frame vs one future per pair).
-* **failover** — per-pair coalescing clients drive the 2-worker fleet
-  while one worker is SIGKILLed at ~40% progress; every answer is
-  replayed against a direct engine.  Gates: **zero** wrong answers,
-  error rate below ``FAILOVER_ERROR_CEILING`` (1%) after re-routing.
-
-Full runs write ``BENCH_PR6.json`` at the repo root; ``--smoke`` runs a
-reduced grid and exits non-zero if any gate fails — CI's ``net-smoke``
-job runs it on every push.
+What is left of the net tier's own benchmark campaign: the synthetic
+sharded artifact every wire benchmark and test serves, and the exception
+set a verified load run over the wire counts as a failed request.  The
+benchmark itself is ``bench/run.py`` (workloads ``wire-batch`` and
+``wire-point``); surviving a worker kill with zero wrong answers is
+``tests/test_net_cluster.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
-import json
-import statistics
-import sys
-import tempfile
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.net.cluster import Cluster, free_port
-from repro.net.frontend import Frontend, NetClient, WorkerUnavailable
+from repro.net.frontend import WorkerUnavailable
 from repro.net.protocol import NetError, ProtocolError
-from repro.obs.metrics import get_registry
-from repro.serve.loadgen import (
-    DEFAULT_ERROR_TYPES,
-    LoadReport,
-    count_mismatches,
-    run_closed_loop,
-    zipf_pairs,
-)
-from repro.serve.registry import build_registry
-from repro.serve.router import StretchRouter
-from repro.serve.server import DistanceServer, ServerConfig
-
-#: Committed campaign results (written by full runs, shipped with the repo).
-DEFAULT_OUT = Path(__file__).resolve().parents[3] / "BENCH_PR6.json"
-
-#: Acceptance gates (also asserted by the CI smoke run).
-SPEEDUP_FLOOR = 1.5
-FAILOVER_ERROR_CEILING = 0.01
+from repro.serve.loadgen import DEFAULT_ERROR_TYPES
 
 #: Everything a verified load run over the wire counts as a failed
-#: request — loadgen's defaults plus the transport layer.  Shared with
-#: ``benchmarks/bench_chaos.py`` and ``repro net serve --self-test``.
+#: request — loadgen's defaults plus the transport layer.  Shared by
+#: ``bench/wire.py``, ``benchmarks/bench_chaos.py`` and
+#: ``repro net serve --self-test``.
 NET_ERROR_TYPES: Tuple[type, ...] = DEFAULT_ERROR_TYPES + (
     NetError, ProtocolError, WorkerUnavailable, ConnectionError,
     TimeoutError)
-
-FULL_RUNGS = (1, 10, 50, 500)
-SMOKE_RUNGS = (1, 10, 50)
-GATE_RUNG = 50
 
 
 def synthetic_sharded_artifact(directory: Path, n: int = 1024,
                                num_shards: int = 8, seed: int = 0) -> Path:
     """Write a synthetic dense-apsp artifact as row shards; return manifest.
 
-    The campaign measures *serving*, so the distance table is synthesised
+    Its users measure *serving*, so the distance table is synthesised
     (symmetric, zero diagonal, flagged ``synthetic``) instead of built by
     the paper's APSP pipeline — same payload shape, minutes cheaper.
     """
@@ -109,375 +58,3 @@ def synthetic_sharded_artifact(directory: Path, n: int = 1024,
         metadata, {"dist": dist}, directory / f"net-bench-n{n}.npz",
         num_shards)
     return manifest
-
-
-# ----------------------------------------------------------------------
-# experiments
-# ----------------------------------------------------------------------
-async def bench_inprocess(manifest: Path, pairs: Sequence[Tuple[int, int]],
-                          rungs: Sequence[int]) -> Dict[str, Dict]:
-    """Per-pair closed loop against one in-process DistanceServer."""
-    registry = build_registry([str(manifest)])
-    server = DistanceServer(StretchRouter(registry), config=ServerConfig())
-    results: Dict[str, Dict] = {}
-    async with server:
-        for rung in rungs:
-            report = await run_closed_loop(server, pairs, concurrency=rung,
-                                           client=f"inproc-{rung}")
-            results[str(rung)] = {
-                "clients": rung,
-                "qps": report.achieved_qps,
-                "p50_us": report.latency.get("p50_us"),
-                "p95_us": report.latency.get("p95_us"),
-                "p99_us": report.latency.get("p99_us"),
-                "errors": report.errors,
-                "shed": report.shed,
-            }
-    return results
-
-
-async def bench_cold_warm(frontend: Frontend,
-                          pairs: Sequence[Tuple[int, int]],
-                          reference, batch_size: int,
-                          warm_batches: int = 20) -> Dict[str, object]:
-    """First-batch (cold) vs steady-state (warm) latency through the wire.
-
-    Cold includes each worker's lazy engine load and first shard faults.
-    The cold batch is verified against the reference engine — a cold
-    fleet must be correct, not merely alive.
-    """
-    batch = pairs[:batch_size]
-    async with NetClient(*frontend.address, client="coldwarm") as client:
-        started = time.perf_counter()
-        cold_values = await client.batch(batch)
-        cold_s = time.perf_counter() - started
-        mismatches = count_mismatches(batch, cold_values.tolist(), reference)
-        warm = []
-        for _ in range(warm_batches):
-            started = time.perf_counter()
-            await client.batch(batch)
-            warm.append(time.perf_counter() - started)
-    return {
-        "batch_pairs": len(batch),
-        "cold_ms": cold_s * 1e3,
-        "warm_p50_ms": statistics.median(warm) * 1e3,
-        "warm_min_ms": min(warm) * 1e3,
-        "cold_over_warm": cold_s / max(1e-9, statistics.median(warm)),
-        "cold_batch_mismatches": mismatches,
-    }
-
-
-async def _ladder_rung(frontend: Frontend, pairs: Sequence[Tuple[int, int]],
-                       clients: int, batch_size: int,
-                       raw_path: Optional[Path]) -> Dict[str, object]:
-    """One rung: ``clients`` closed-loop clients issuing batched requests."""
-    chunks = [pairs[start:start + batch_size]
-              for start in range(0, len(pairs), batch_size)]
-    chunk_iter = iter(range(len(chunks)))
-    # Percentiles come from the same obs recorder family every other tier
-    # uses, so `repro obs snapshot` during a campaign shows the ladder's
-    # live latency series next to the server-side ones.
-    recorder = get_registry().recorder(
-        "repro_net_bench_request_latency_us",
-        "Per-request wire latency on the benchmark ladder",
-        labels={"rung": str(clients)}, window=1 << 20).recorder
-    samples: List[Dict[str, object]] = []
-    counters = {"ok": 0, "error": 0, "ok_pairs": 0}
-
-    async def client_loop(client_id: int) -> None:
-        async with NetClient(*frontend.address,
-                             client=f"rung{clients}-c{client_id}") as client:
-            for index in chunk_iter:
-                chunk = chunks[index]
-                issued = time.time()
-                started = time.perf_counter_ns()
-                status = "ok"
-                try:
-                    await client.batch(chunk)
-                except (NetError, ProtocolError, ConnectionError,
-                        TimeoutError) + DEFAULT_ERROR_TYPES:
-                    status = "error"
-                elapsed_us = (time.perf_counter_ns() - started) / 1000.0
-                if status == "ok":
-                    counters["ok"] += 1
-                    counters["ok_pairs"] += len(chunk)
-                    recorder.record(int(elapsed_us * 1000))
-                else:
-                    counters["error"] += 1
-                samples.append({
-                    "t": issued, "client": f"rung{clients}/c{client_id}",
-                    "latency_us": elapsed_us, "status": status,
-                    "pairs": len(chunk),
-                })
-
-    started = time.perf_counter()
-    await asyncio.gather(*(client_loop(client_id)
-                           for client_id in range(min(clients, len(chunks)))))
-    duration = max(1e-9, time.perf_counter() - started)
-    if raw_path is not None:
-        report = LoadReport(
-            mode="net-ladder", requested=len(chunks),
-            completed=counters["ok"], shed=0, errors=counters["error"],
-            duration_s=duration, achieved_qps=counters["ok"] / duration,
-            offered_qps=None, latency=recorder.snapshot(), samples=samples)
-        report.write_samples_jsonl(str(raw_path))
-    latency = recorder.snapshot()
-    requests = counters["ok"] + counters["error"]
-    return {
-        "clients": clients,
-        "requests": requests,
-        "batch_pairs": batch_size,
-        "duration_s": duration,
-        "qps": counters["ok_pairs"] / duration,
-        "request_p50_us": latency.get("p50_us"),
-        "request_p95_us": latency.get("p95_us"),
-        "request_p99_us": latency.get("p99_us"),
-        "errors": counters["error"],
-        "error_rate": counters["error"] / requests if requests else 0.0,
-        "raw_jsonl": raw_path.name if raw_path is not None else None,
-    }
-
-
-class _CountingClient:
-    """Progress-counting wrapper so the chaos monkey can aim mid-run."""
-
-    def __init__(self, inner: NetClient):
-        self.inner = inner
-        self.done = 0
-
-    async def dist(self, u: int, v: int, **kwargs) -> float:
-        try:
-            return await self.inner.dist(u, v, **kwargs)
-        finally:
-            self.done += 1
-
-
-async def bench_failover(frontend: Frontend, cluster: Cluster,
-                         pairs: Sequence[Tuple[int, int]], reference,
-                         victim: int = 0, kill_at: float = 0.4,
-                         concurrency: int = 20,
-                         raw_path: Optional[Path] = None) -> Dict[str, object]:
-    """Kill one worker mid-run; gate zero wrong answers + low error rate.
-
-    The loadgen drives per-pair coalescing clients (the strictest path:
-    every pair is individually awaited, so a lost in-flight frame is a
-    per-pair failure, not a whole-campaign one).  At ``kill_at`` progress
-    the victim worker is SIGKILLed; the front tier's link teardown fails
-    its in-flight sub-batches, the retry path re-sends them to the
-    survivor, and the ejection threshold removes the corpse from
-    rotation.  Every completed answer is then replayed through a direct
-    engine.
-    """
-    async with NetClient(*frontend.address, client="failover") as client:
-        counting = _CountingClient(client)
-
-        async def chaos() -> Dict[str, object]:
-            target = int(len(pairs) * kill_at)
-            while counting.done < target:
-                await asyncio.sleep(0.005)
-            killed_at = counting.done
-            await asyncio.to_thread(cluster.kill_worker, victim)
-            return {"victim": victim, "killed_after_pairs": killed_at}
-
-        load_task = asyncio.ensure_future(run_closed_loop(
-            counting, pairs, concurrency=concurrency, client="failover",
-            error_types=NET_ERROR_TYPES, collect_samples=True))
-        kill_info = await chaos()
-        report = await load_task
-    if raw_path is not None:
-        report.write_samples_jsonl(str(raw_path))
-    mismatches = count_mismatches(pairs, report.answers, reference)
-    healthy = [link.snapshot() for link in frontend.links()]
-    return {
-        **kill_info,
-        "requested": report.requested,
-        "completed": report.completed,
-        "errors": report.errors,
-        "shed": report.shed,
-        "error_rate": report.errors / report.requested,
-        "mismatches": mismatches,
-        "duration_s": report.duration_s,
-        "qps": report.achieved_qps,
-        "ejections": frontend.ejections,
-        "failovers": frontend.failovers,
-        "workers": healthy,
-        "raw_jsonl": raw_path.name if raw_path is not None else None,
-    }
-
-
-# ----------------------------------------------------------------------
-# the campaign
-# ----------------------------------------------------------------------
-async def run_campaign(manifest: Path, *, workers: int, rungs: Sequence[int],
-                       queries: int, failover_queries: int, batch_size: int,
-                       seed: int, raw_dir: Path, n: int) -> Dict[str, object]:
-    pairs = zipf_pairs(n, queries, skew=1.0, seed=seed)
-    failover_pairs = zipf_pairs(n, failover_queries, skew=1.0, seed=seed + 1)
-    ref_registry = build_registry([str(manifest)])
-    reference = ref_registry.engine(ref_registry.entries()[0].name)
-
-    results: Dict[str, object] = {}
-    print(f"-- in-process baseline (rungs {list(rungs)}) --", flush=True)
-    results["inprocess"] = await bench_inprocess(manifest, pairs, rungs)
-    for rung, row in results["inprocess"].items():
-        print(f"  inproc x{rung:>3}: {row['qps']:,.0f} qps", flush=True)
-
-    with Cluster([str(manifest)], num_workers=workers) as cluster:
-        frontend = Frontend([str(manifest)], cluster.addresses,
-                            port=free_port())
-        await frontend.start()
-        try:
-            print(f"-- cluster up: {workers} workers on "
-                  f"{[port for _, port in cluster.addresses]}, frontend on "
-                  f"{frontend.port} --", flush=True)
-            results["cold_warm"] = await bench_cold_warm(
-                frontend, pairs, reference, batch_size)
-            print(f"  cold {results['cold_warm']['cold_ms']:.1f}ms vs warm "
-                  f"{results['cold_warm']['warm_p50_ms']:.2f}ms", flush=True)
-
-            ladder: Dict[str, Dict] = {}
-            for rung in rungs:
-                raw_path = raw_dir / f"net_rung_{rung}.jsonl"
-                raw_path.unlink(missing_ok=True)
-                ladder[str(rung)] = await _ladder_rung(
-                    frontend, pairs, rung, batch_size, raw_path)
-                print(f"  net    x{rung:>3}: {ladder[str(rung)]['qps']:,.0f} "
-                      f"pairs/s, req P99 "
-                      f"{ladder[str(rung)]['request_p99_us']:.0f}us, "
-                      f"errors {ladder[str(rung)]['errors']}", flush=True)
-            results["ladder"] = ladder
-
-            merged = LoadReport.from_jsonl(
-                [str(raw_dir / f"net_rung_{rung}.jsonl") for rung in rungs])
-            summary = merged.as_dict()
-            summary.pop("residency", None)
-            results["merged_from_jsonl"] = summary
-
-            failover_raw = raw_dir / "failover.jsonl"
-            failover_raw.unlink(missing_ok=True)
-            results["failover"] = await bench_failover(
-                frontend, cluster, failover_pairs, reference,
-                raw_path=failover_raw)
-            print(f"  failover: {results['failover']['completed']}/"
-                  f"{results['failover']['requested']} ok, "
-                  f"{results['failover']['errors']} errors, "
-                  f"{results['failover']['mismatches']} mismatches",
-                  flush=True)
-        finally:
-            await frontend.stop()
-
-    gate_rung = str(GATE_RUNG if GATE_RUNG in rungs else max(rungs))
-    speedup = (results["ladder"][gate_rung]["qps"]
-               / max(1e-9, results["inprocess"][gate_rung]["qps"]))
-    results["speedup"] = {
-        "rung": int(gate_rung),
-        "net_qps": results["ladder"][gate_rung]["qps"],
-        "inprocess_qps": results["inprocess"][gate_rung]["qps"],
-        "net_over_inprocess": speedup,
-        "floor": SPEEDUP_FLOOR,
-    }
-    return results
-
-
-def gate_failures(results: Dict[str, object]) -> List[str]:
-    """Acceptance-gate violations (empty list = pass)."""
-    failures: List[str] = []
-    speedup = results["speedup"]["net_over_inprocess"]
-    if speedup < SPEEDUP_FLOOR:
-        failures.append(
-            f"speedup gate: net/in-process on the "
-            f"{results['speedup']['rung']}-client rung is {speedup:.2f}x "
-            f"(floor {SPEEDUP_FLOOR}x)")
-    failover = results["failover"]
-    if failover["mismatches"]:
-        failures.append(
-            f"failover gate: {failover['mismatches']} wrong answers after "
-            f"worker kill (must be zero)")
-    if failover["error_rate"] >= FAILOVER_ERROR_CEILING:
-        failures.append(
-            f"failover gate: error rate {failover['error_rate']:.4f} >= "
-            f"{FAILOVER_ERROR_CEILING} after worker kill")
-    if results["cold_warm"]["cold_batch_mismatches"]:
-        failures.append("cold-start gate: first batch returned wrong answers")
-    for rung, row in results["ladder"].items():
-        if row["error_rate"] >= FAILOVER_ERROR_CEILING:
-            failures.append(
-                f"ladder gate: rung {rung} error rate "
-                f"{row['error_rate']:.4f} >= {FAILOVER_ERROR_CEILING}")
-    return failures
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro net bench",
-        description="cold/warm + concurrency-ladder + failover campaign "
-                    "against a local multi-worker cluster")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced grid; gates only, no baseline rewrite")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--n", type=int, default=1024,
-                        help="synthetic artifact size (nodes)")
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument("--queries", type=int, default=None,
-                        help="ladder workload size (default 20k smoke / 100k)")
-    parser.add_argument("--failover-queries", type=int, default=None,
-                        help="failover workload size (default 2k smoke / 10k)")
-    parser.add_argument("--batch", type=int, default=256,
-                        help="pairs per wire request on the ladder")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None,
-                        help=f"summary JSON (default {DEFAULT_OUT.name} on "
-                             f"full runs)")
-    parser.add_argument("--raw-dir", type=Path, default=None,
-                        help="directory for raw JSONL samples "
-                             "(default: a temporary directory)")
-    args = parser.parse_args(argv)
-
-    rungs = SMOKE_RUNGS if args.smoke else FULL_RUNGS
-    queries = args.queries or (20_000 if args.smoke else 100_000)
-    failover_queries = args.failover_queries or (2_000 if args.smoke
-                                                 else 10_000)
-    out = args.out or (None if args.smoke else DEFAULT_OUT)
-
-    with tempfile.TemporaryDirectory(prefix="repro-net-bench-") as tmp:
-        raw_dir = args.raw_dir or Path(tmp) / "raw"
-        raw_dir.mkdir(parents=True, exist_ok=True)
-        manifest = synthetic_sharded_artifact(
-            Path(tmp), n=args.n, num_shards=args.shards, seed=args.seed)
-        results = asyncio.run(run_campaign(
-            manifest, workers=args.workers, rungs=rungs, queries=queries,
-            failover_queries=failover_queries, batch_size=args.batch,
-            seed=args.seed, raw_dir=raw_dir, n=args.n))
-
-    document = {
-        "schema": "bench-pr6/v1",
-        "smoke": bool(args.smoke),
-        "config": {
-            "workers": args.workers, "n": args.n, "shards": args.shards,
-            "queries": queries, "failover_queries": failover_queries,
-            "batch": args.batch, "rungs": list(rungs), "seed": args.seed,
-        },
-        "gates": {"speedup_floor": SPEEDUP_FLOOR,
-                  "failover_error_ceiling": FAILOVER_ERROR_CEILING},
-        "results": results,
-    }
-    print()
-    speedup = results["speedup"]
-    print(f"net/in-process speedup @ {speedup['rung']} clients: "
-          f"{speedup['net_over_inprocess']:.2f}x "
-          f"(floor {SPEEDUP_FLOOR}x)")
-    if out is not None:
-        out.write_text(json.dumps(document, indent=2, sort_keys=True,
-                                  default=repr) + "\n")
-        print(f"wrote {out}")
-
-    failures = gate_failures(results)
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    if not failures:
-        print("all gates passed")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

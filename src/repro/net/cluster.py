@@ -9,9 +9,8 @@ every worker answers ``GET /healthz``, and tears the fleet down with
 SIGTERM so workers drain in-flight frames before exiting.
 
 ``kill_worker`` is deliberately rude (SIGKILL): it exists so the
-failover benchmark and the CI ``net-smoke`` job can murder a worker
-mid-campaign and assert the front tier re-routes with zero wrong
-answers.
+failover test and the chaos campaign can murder a worker mid-run and
+assert the front tier re-routes with zero wrong answers.
 
 The optional **supervisor** (``supervise=True`` or
 :meth:`Cluster.start_supervisor`) closes the self-healing loop: a

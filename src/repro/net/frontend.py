@@ -10,10 +10,9 @@ answers from the same table, and partitions the pair batch across the
 healthy workers:
 
 * **sharded artifacts** — each pair's affinity is the shard holding its
-  canonical row (``searchsorted`` over the manifest row ranges, the same
-  math as :func:`repro.serve.router.shards_for_nodes`), and shards are
-  striped across workers, so a worker's hot-row cache and faulted shard
-  pages see a stable slice of the keyspace;
+  canonical row (one ``searchsorted`` over the manifest row ranges), and
+  shards are striped across workers, so a worker's hot-row cache and
+  faulted shard pages see a stable slice of the keyspace;
 * **monolithic artifacts** — contiguous equal chunks.
 
 **The path of one frame** is frame -> per-owner runs -> frame, and the
@@ -58,10 +57,11 @@ survivors automatically.
 of it: request ids match responses out of order, a reader task settles
 futures, and a broken link fails every in-flight request immediately
 (so retries start now, not at the timeout).  :class:`NetClient` reuses
-the same link machinery on the client side and adds optional request
-coalescing, so per-pair ``await client.dist(u, v)`` callers get the
-batch-native wire for free — the loadgen drives a network tier through
-the exact seam it drives an in-process server.
+the same link machinery on the client side and parks per-pair
+``await client.dist(u, v)`` callers in the same
+:class:`~repro.serve.coalesce.Coalescer` the in-process server uses, so
+they get the batch-native wire for free — the loadgen drives a network
+tier through the exact seam it drives an in-process server.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ from repro.obs.tracing import (
     trace_capable_blob,
     unpack_trace_blob,
 )
+from repro.serve.coalesce import Coalescer
 from repro.serve.registry import ArtifactEntry, build_registry
-from repro.serve.router import RoutingError, StretchRouter, budget_admits
+from repro.serve.router import RoutingError, StretchRouter
 from repro.serve.server import DeadlineExceeded, ServerClosed, ServerOverloaded
 
 Pair = Tuple[int, int]
@@ -527,8 +528,8 @@ class Frontend(NetServiceBase):
         super().__init__(host=host, port=port)
         if not workers:
             raise ValueError("frontend needs at least one worker address")
-        self._registry = build_registry(artifact_paths, capacity=capacity)
-        self._router = StretchRouter(self._registry)
+        self._router = StretchRouter(
+            build_registry(artifact_paths, capacity=capacity))
         self._links = [
             WorkerLink(worker_host, worker_port, name=f"worker-{index}")
             for index, (worker_host, worker_port) in enumerate(workers)
@@ -625,7 +626,8 @@ class Frontend(NetServiceBase):
         try:
             route_wall = time.time()
             route_tick = time.perf_counter_ns()
-            entry = self._resolve(request)
+            entry = self._router.resolve(
+                request.multiplicative, request.additive, request.artifact)
             count = len(request)
             if count == 0:
                 return np.zeros(0, dtype=np.float64)
@@ -671,20 +673,6 @@ class Frontend(NetServiceBase):
         finally:
             if trace is not None:
                 self._live_traces.pop(trace.trace_id, None)
-
-    def _resolve(self, request: Request) -> ArtifactEntry:
-        """Route the budget (or validate the pinned artifact) to an entry."""
-        if request.artifact:
-            entry = self._registry.get(request.artifact)
-            if not budget_admits(entry.stretch, request.multiplicative,
-                                 request.additive):
-                raise RoutingError(
-                    f"pinned artifact {request.artifact!r} exceeds the "
-                    f"stretch budget {request.multiplicative:g}x+"
-                    f"{request.additive:g}")
-            return entry
-        return self._router.route(multiplicative=request.multiplicative,
-                                  additive=request.additive).entry
 
     def _partition(self, entry: ArtifactEntry, u: np.ndarray, v: np.ndarray,
                    num_workers: int) -> List[Tuple[int, Union[slice, np.ndarray]]]:
@@ -1035,11 +1023,12 @@ class NetClient:
 
     ``batch`` sends one wire request per call — the throughput path.
     ``dist`` awaits a single pair and, with coalescing enabled (the
-    default), parks concurrent callers in a pending map that a flusher
-    drains into one batched frame per micro-window — the same trick
-    :class:`~repro.serve.server.DistanceServer` plays in-process, moved
-    to the client edge of the wire.  Either way the answers are the
-    engine's, bit for bit.
+    default), parks it in a :class:`~repro.serve.coalesce.Coalescer`
+    (one bucket per stretch budget) whose flusher sends the parked pairs
+    as one batched frame per micro-window — the class
+    :class:`~repro.serve.server.DistanceServer` parks its own point
+    queries in, held at the client edge of the wire.  Either way the
+    answers are the engine's, bit for bit.
 
     Usable anywhere :class:`DistanceServer` is awaited: the load
     generator's closed/open-loop drivers accept it unchanged.
@@ -1053,15 +1042,14 @@ class NetClient:
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.request_timeout = request_timeout
-        self._pending: Dict[Tuple[float, float], Dict[Pair, asyncio.Future]] = {}
-        self._wake = asyncio.Event()
-        self._flusher: Optional[asyncio.Task] = None
+        self._coalescer = Coalescer(self._send, coalesce_window, max_batch,
+                                    name=f"repro-net-client-{client}")
         self._closed = False
-        # Sampled request tracing: contexts parked alongside the pending
-        # futures; the flusher turns the park time into a
-        # ``client.coalesce`` span and the wire round trip into
-        # ``client.request``.  Far-tier spans ride back in the response
-        # frame's trace blob and land via the link's trace sink.
+        # Sampled request tracing: contexts noted when their pair parks;
+        # ``_send`` turns the park time into a ``client.coalesce`` span
+        # and the wire round trip into ``client.request``.  Far-tier spans
+        # ride back in the response frame's trace blob and land via the
+        # link's trace sink.
         self.tracer = get_tracer()
         self._live: Dict[str, TraceContext] = {}
         self._trace_meta: Dict[Tuple[float, float],
@@ -1080,15 +1068,10 @@ class NetClient:
         await self.aclose()
 
     async def aclose(self) -> None:
+        """Close the link; ``dist()`` callers still waiting (parked, or in
+        a frame that is out) fail with :class:`WorkerUnavailable`."""
         self._closed = True
-        if self._flusher is not None:
-            self._wake.set()
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            self._flusher = None
+        await self._coalescer.aclose(WorkerUnavailable("client closing"))
         await self.link.close()
 
     async def batch(self, pairs, *, multiplicative: float = math.inf,
@@ -1105,95 +1088,40 @@ class NetClient:
         """Single-pair query, transparently coalesced onto the wire."""
         if self._closed:
             raise ServerClosed("client is closed")
-        if self.coalesce_window <= 0:
-            return await self._dist_direct(u, v, multiplicative, additive)
-        if self._flusher is None or self._flusher.done():
-            self._flusher = asyncio.get_running_loop().create_task(
-                self._flush_loop(), name=f"repro-net-client-{self.client}")
         budget = (multiplicative, additive)
-        bucket = self._pending.setdefault(budget, {})
         key = (u, v) if u <= v else (v, u)
-        future = bucket.get(key)
-        if future is None:
-            future = asyncio.get_running_loop().create_future()
-            bucket[key] = future
-            context = self.tracer.maybe_start()
-            if context is not None:
-                self._trace_meta.setdefault(budget, {})[key] = (
-                    context, time.time(), time.perf_counter_ns())
-            self._wake.set()
-        return float(await future)
+        if self.coalesce_window <= 0:
+            # Uncoalesced: a frame of one key, sent (and its trace noted
+            # and claimed) before this coroutine first suspends.
+            self._note_trace(budget, key)
+            return (await self._send(budget, [key]))[0]
+        future, new = self._coalescer.park(budget, key)
+        if new:
+            self._note_trace(budget, key)
+        return await future
 
-    async def _dist_direct(self, u: int, v: int, multiplicative: float,
-                           additive: float) -> float:
-        """Uncoalesced single pair; still traced when sampled."""
+    def _note_trace(self, budget: Tuple[float, float], key: Pair) -> None:
+        """Sample the request; a sampled one waits for the frame it leaves in."""
         context = self.tracer.maybe_start()
-        trace_blob = None
         if context is not None:
-            self._live[context.trace_id] = context
-            trace_blob = trace_capable_blob(context.trace_id)
+            self._trace_meta.setdefault(budget, {})[key] = (
+                context, time.time(), time.perf_counter_ns())
+
+    async def _send(self, budget: Tuple[float, float],
+                    keys: List[Pair]) -> List[float]:
+        """One wire frame of pairs sharing a budget (the coalescer's ``send``)."""
+        contexts = self._open_chunk_traces(keys, self._trace_meta.get(budget))
+        trace_blob = (trace_capable_blob(contexts[0].trace_id)
+                      if contexts else None)
         wall = time.time()
         tick = time.perf_counter_ns()
         try:
             values = await self.link.request(
-                [(u, v)], multiplicative, additive,
-                timeout=self.request_timeout, trace=trace_blob,
+                keys, *budget, timeout=self.request_timeout, trace=trace_blob,
                 deadline=time.monotonic() + self.request_timeout)
         finally:
-            if context is not None:
-                context.add("client.request", wall,
-                            (time.perf_counter_ns() - tick) / 1000.0)
-                self._live.pop(context.trace_id, None)
-                self.tracer.finish(context)
-        return float(values[0])
-
-    async def _flush_loop(self) -> None:
-        try:
-            while True:
-                await self._wake.wait()
-                self._wake.clear()
-                if self._pending:
-                    await asyncio.sleep(self.coalesce_window)
-                await self._flush()
-        except asyncio.CancelledError:
-            await self._flush()
-            raise
-
-    async def _flush(self) -> None:
-        while self._pending:
-            pending, self._pending = self._pending, {}
-            trace_meta, self._trace_meta = self._trace_meta, {}
-            for (multiplicative, additive), bucket in pending.items():
-                keys = list(bucket)
-                futures = list(bucket.values())
-                meta = trace_meta.get((multiplicative, additive), {})
-                for start in range(0, len(keys), self.max_batch):
-                    chunk = keys[start:start + self.max_batch]
-                    chunk_futures = futures[start:start + self.max_batch]
-                    contexts = self._open_chunk_traces(chunk, meta)
-                    trace_blob = (trace_capable_blob(contexts[0].trace_id)
-                                  if contexts else None)
-                    wall = time.time()
-                    tick = time.perf_counter_ns()
-                    try:
-                        values = await self.link.request(
-                            chunk, multiplicative, additive,
-                            timeout=self.request_timeout, trace=trace_blob,
-                            deadline=(time.monotonic()
-                                      + self.request_timeout))
-                    except Exception as exc:  # settle, never kill the loop
-                        self._close_chunk_traces(contexts, wall, tick)
-                        for future in chunk_futures:
-                            if not future.done():
-                                future.set_exception(
-                                    exc if not isinstance(
-                                        exc, asyncio.CancelledError)
-                                    else WorkerUnavailable("client closing"))
-                        continue
-                    self._close_chunk_traces(contexts, wall, tick)
-                    for future, value in zip(chunk_futures, values.tolist()):
-                        if not future.done():
-                            future.set_result(value)
+            self._close_chunk_traces(contexts, wall, tick)
+        return values.tolist()
 
     def _open_chunk_traces(self, chunk, meta) -> List[TraceContext]:
         """Stamp the coalesce span on every sampled pair in the chunk.
@@ -1203,6 +1131,8 @@ class NetClient:
         still get their client-side timeline.
         """
         contexts: List[TraceContext] = []
+        if not meta:
+            return contexts
         now = time.perf_counter_ns()
         for key in chunk:
             parked = meta.pop(key, None)
@@ -1224,8 +1154,7 @@ class NetClient:
 
     def stats(self) -> Dict[str, object]:
         return {"link": self.link.snapshot(),
-                "pending": sum(len(bucket)
-                               for bucket in self._pending.values())}
+                "pending": self._coalescer.parked}
 
 
 async def wait_until_healthy(addresses: Sequence[Tuple[str, int]],

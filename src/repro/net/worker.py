@@ -16,8 +16,9 @@ fan-out nearly free), serves until SIGTERM/SIGINT, then drains.
 
 Per-worker observability: ``GET /healthz`` answers liveness (and flips
 to ``draining`` during shutdown); ``GET /statsz`` returns the wire
-counters plus the full ``DistanceServer.stats()`` snapshot (whose
-coalescing block stays idle: ``gather()`` never enters the window).
+counters plus the full ``DistanceServer.stats()`` snapshot (its
+coalescing block reports the configured window, which a worker never
+uses: ``gather()`` parks nothing, so no flusher task is ever created).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 import signal
 import time
+from operator import index
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -446,14 +448,18 @@ class NetServiceBase:
         try:
             spec = json.loads(body or b"{}")
             pairs = spec["pairs"]
+            # ``index`` refuses a float id (numpy would truncate it); an
+            # int that does not fit int32 is numpy 2's OverflowError.
             request = Request(
-                u=np.asarray([pair[0] for pair in pairs], dtype=np.int32),
-                v=np.asarray([pair[1] for pair in pairs], dtype=np.int32),
+                u=np.asarray([index(pair[0]) for pair in pairs],
+                             dtype=np.int32),
+                v=np.asarray([index(pair[1]) for pair in pairs],
+                             dtype=np.int32),
                 multiplicative=float(spec.get("multiplicative", math.inf)),
                 additive=float(spec.get("additive", math.inf)),
                 artifact=str(spec.get("artifact", "")),
             )
-        except (KeyError, TypeError, ValueError, IndexError,
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError,
                 json.JSONDecodeError) as exc:
             return 400, {"error": "bad-request",
                          "message": f"malformed query body: {exc}"}
@@ -539,8 +545,8 @@ class DistanceWorker(NetServiceBase):
         stats = super().stats()
         stats["worker_id"] = self.worker_id
         # The full DistanceServer snapshot.  Its "coalescing" block is
-        # idle here: a worker answers whole frames through gather(),
-        # which never parks a request in the window.
+        # configuration only here: a worker answers whole frames through
+        # gather(), which parks nothing and so never starts a flusher.
         stats["server"] = self.server.stats()
         # Residency per loaded engine (resident vs mapped bytes, shard
         # faults) so a fleet's memory story is one /statsz sweep away,
@@ -561,7 +567,7 @@ async def run_worker(artifact_paths: Sequence[str], host: str, port: int,
     Builds the registry from ``artifact_paths`` (metadata only — engines
     load lazily on first query, shard payloads stay memory-mapped), binds
     the socket, and installs signal handlers for graceful drain: stop
-    accepting, finish in-flight frames, flush the coalescer, exit.
+    accepting, finish in-flight frames, exit.
     """
     from repro.serve.registry import build_registry
     from repro.serve.router import StretchRouter

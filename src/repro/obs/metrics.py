@@ -12,14 +12,14 @@ fleet.  Four metric kinds:
   path — the registry reads the live value at snapshot time, so
   migrating existing stats onto the registry costs the hot path nothing.
 * :class:`Gauge` — instantaneous values (queue depth, resident bytes,
-  the adaptive coalescing window).  Same callback support.
+  parked keys).  Same callback support.
 * :class:`Histogram` — fixed-bucket distributions with Prometheus
   ``le`` (<=) bucket semantics; bucket counts merge associatively
   across processes.
 * :class:`RecorderHandle` — the shared percentile path.  It wraps the
   bounded-ring :class:`LatencyRecorder` (the *single* implementation
-  behind engine stats, per-client serving stats, the load generator,
-  and ``repro net bench``) and can *attach* recorders owned by other
+  behind engine stats, per-client serving stats and the load
+  generator) and can *attach* recorders owned by other
   objects, so their samples surface in ``/metricsz`` without double
   recording.
 

@@ -263,7 +263,6 @@ class QueryEngine:
         if bad.size:
             for node in nodes[bad[0]].tolist():
                 self._check_node(node)
-        self._queries += count
         bucket = 1 << (count - 1).bit_length()
         self._batch_sizes[bucket] = self._batch_sizes.get(bucket, 0) + 1
 
@@ -279,10 +278,12 @@ class QueryEngine:
         Takes already-normalised pair arrays (``lo[i] <= hi[i]``, both in
         range) and resolves them through the cache plus one deduplicated
         vectorised gather: repeated pairs inside the batch are computed
-        once and fanned out.  No validation, counters, or latency samples
-        — callers such as :meth:`batch` and the serving layer
-        (:mod:`repro.serve`) wrap this core with their own bookkeeping.
+        once and fanned out.  Counts its pairs as queries (the serving
+        layer enters here, not through :meth:`batch`); no validation or
+        latency samples — callers such as :meth:`batch` and
+        :mod:`repro.serve` wrap this core with their own bookkeeping.
         """
+        self._queries += len(lo)
         proper = lo != hi
         if proper.all():
             return self._resolve(lo, hi)

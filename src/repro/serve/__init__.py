@@ -1,18 +1,24 @@
 """Serving subsystem: async distance serving over many oracle artifacts.
 
 ``repro.oracle`` built the build-once / query-many split; this package
-turns it into a *service*.  Four layers, bottom-up:
+turns it into a *service*.  Bottom-up:
 
 * :mod:`repro.serve.registry` — :class:`ArtifactRegistry`: discover many
   artifacts (several graphs, several epsilon levels), load engines
   lazily with LRU eviction, pin fleets with JSON manifests.
 * :mod:`repro.serve.router` — :class:`StretchRouter`: route each request
   to the cheapest artifact whose stretch guarantee satisfies the
-  request's budget, with build-on-miss hooks.
+  request's budget.
+* :mod:`repro.serve.coalesce` — :class:`Coalescer`: concurrent awaited
+  keys become few frames (park, one flusher, one window).  The server
+  holds one for point queries; so does the wire client
+  (:class:`repro.net.NetClient`) at the far side of the socket.
 * :mod:`repro.serve.server` — :class:`DistanceServer`: asyncio front end
   with request coalescing (concurrent point queries become one
   vectorised gather per micro-batching window), bounded-queue
   backpressure with load shedding, per-client stats, graceful shutdown.
+  Point queries and wire frames reach the engine through one screened
+  gather that never returns an implausible distance.
 * :mod:`repro.serve.loadgen` — closed- and open-loop load generation
   with Zipf-skewed pair sampling and JSON reports.
 
@@ -53,7 +59,6 @@ from repro.serve.router import (
     RoutingError,
     StretchBudget,
     StretchRouter,
-    shards_for_nodes,
 )
 from repro.serve.server import (
     DeadlineExceeded,
@@ -85,6 +90,5 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "serve_artifacts",
-    "shards_for_nodes",
     "zipf_pairs",
 ]

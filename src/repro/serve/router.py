@@ -17,30 +17,22 @@ router then serves the request from the **cheapest admissible artifact**:
    qualifies);
 3. if none is loaded, pick the cheapest admissible artifact overall and
    let the registry load it lazily;
-4. if *nothing* is admissible, call the ``on_miss`` hook — a chance to
-   build and register a tighter artifact on the fly — and re-route to
-   whatever it returns, else raise :class:`RoutingError`.
+4. if *nothing* is admissible, raise :class:`RoutingError` naming every
+   registered guarantee.
 
 With ``prefer_loaded=False`` step 2 is skipped, giving the pure
 "cheapest admissible artifact" policy the unit tests pin down.
 
-Sharded artifacts (:mod:`repro.oracle.sharding`) make routing
-*shard-aware*: :meth:`StretchRouter.route_pairs` resolves a whole batch to
-one artifact and, from the manifest row ranges already held by the
-registry entry, computes exactly which shards hold the batch's rows —
-without loading an engine or touching a shard file.  The batch gather
-path faults in exactly those shards (point queries may prefetch a few
-neighbouring rows through the engine's bounded block cache), so the
-decision's ``shards`` tuple bounds how much of the payload the batch
-needs.
+A front tier may instead *pin* the artifact it already chose, so every
+worker answers from the same table; :meth:`StretchRouter.resolve` is the
+one place a pinned name is checked against the request's budget.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from bisect import bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.oracle.engine import QueryEngine
 from repro.oracle.strategies import StretchGuarantee
@@ -82,28 +74,6 @@ class StretchBudget:
         return budget_admits(guarantee, self.multiplicative, self.additive)
 
 
-def shards_for_nodes(entry: ArtifactEntry,
-                     nodes: Iterable[int]) -> Tuple[int, ...]:
-    """Shard indices of ``entry`` whose node ranges contain any of ``nodes``.
-
-    Computed purely from the manifest row ranges carried by the registry
-    entry — no engine load, no shard I/O.  Monolithic entries (no row
-    ranges) return the empty tuple.  Out-of-range nodes raise
-    ``ValueError`` — a shard promise for a node the artifact does not
-    hold would silently point at the wrong shard.
-    """
-    if not entry.sharded or not entry.row_ranges:
-        return ()
-    starts = [start for start, _stop in entry.row_ranges]
-    shards = set()
-    for node in nodes:
-        node = int(node)
-        if not 0 <= node < entry.n:
-            raise ValueError(f"node {node} out of range [0, {entry.n})")
-        shards.add(bisect_right(starts, node) - 1)
-    return tuple(sorted(shards))
-
-
 @dataclasses.dataclass(frozen=True)
 class RouteDecision:
     """Where one request was routed and why."""
@@ -112,13 +82,6 @@ class RouteDecision:
     entry: ArtifactEntry
     #: Whether the chosen artifact already had a resident engine.
     loaded: bool
-    #: True when the artifact came from the ``on_miss`` hook.
-    from_miss_hook: bool = False
-    #: For sharded artifacts routed via ``route_pairs``: the shard indices
-    #: holding the request's rows.  The batch gather path faults exactly
-    #: these; point queries may additionally prefetch a bounded number of
-    #: neighbouring rows through the engine's block cache.
-    shards: Tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -136,12 +99,6 @@ class StretchRouter:
     ----------
     registry:
         The artifact catalogue routed over.
-    on_miss:
-        Optional hook ``(budget) -> Optional[str]`` invoked when no
-        registered artifact is admissible.  The hook may build and
-        :meth:`~repro.serve.registry.ArtifactRegistry.register` a new
-        artifact and return its name; returning ``None`` (or a name whose
-        guarantee still misses the budget) raises :class:`RoutingError`.
     prefer_loaded:
         When True (default), restrict the choice to artifacts with
         resident engines whenever at least one admissible artifact is
@@ -149,14 +106,10 @@ class StretchRouter:
     """
 
     def __init__(self, registry: ArtifactRegistry,
-                 on_miss: Optional[Callable[[StretchBudget], Optional[str]]] = None,
                  prefer_loaded: bool = True):
         self.registry = registry
-        self.on_miss = on_miss
         self.prefer_loaded = prefer_loaded
         self._route_counts: Dict[str, int] = {}
-        self._miss_hook_routes = 0
-        self._sharded_routes = 0
         self._rejected = 0
         # Per-budget decision memo, invalidated whenever the registry's
         # catalogue or resident-engine set changes (its epoch moves) —
@@ -187,9 +140,6 @@ class StretchRouter:
         budget = StretchBudget(multiplicative, additive)
         candidates = self.admissible(budget)
         if not candidates:
-            decision = self._route_via_miss_hook(budget)
-            if decision is not None:
-                return decision
             self._rejected += 1
             guarantees = ", ".join(
                 f"{entry.name}={entry.stretch.multiplicative:g}x"
@@ -212,43 +162,24 @@ class StretchRouter:
         self._memo[memo_key] = decision
         return decision
 
-    def route_pairs(self, pairs: Sequence[Tuple[int, int]],
-                    multiplicative: float = math.inf,
-                    additive: float = math.inf) -> RouteDecision:
-        """Route a whole batch, annotated with the shards it can touch.
+    def resolve(self, multiplicative: float = math.inf,
+                additive: float = math.inf,
+                artifact: Optional[str] = None) -> ArtifactEntry:
+        """The entry a request is answered from.
 
-        Same artifact choice as :meth:`route` (the budget fixes the
-        artifact, not the keys), but for sharded artifacts the returned
-        decision carries the shard indices covering every endpoint in
-        ``pairs`` — computed from the manifest row ranges alone, so a
-        router can predict (and a scheduler can pre-fault) exactly the
-        payload slice a batch needs before any engine exists.
+        A pinned ``artifact`` name is looked up and still held to the
+        budget; without one (``None`` or ``""``) the budget is routed.
         """
-        decision = self.route(multiplicative=multiplicative, additive=additive)
-        if not decision.entry.sharded:
-            return decision
-        nodes = set()
-        for u, v in pairs:
-            nodes.add(u)
-            nodes.add(v)
-        self._sharded_routes += 1
-        return dataclasses.replace(
-            decision, shards=shards_for_nodes(decision.entry, nodes))
-
-    def _route_via_miss_hook(self, budget: StretchBudget) -> Optional[RouteDecision]:
-        if self.on_miss is None:
-            return None
-        name = self.on_miss(budget)
-        if name is None:
-            return None
-        entry = self.registry.get(name)
-        if not budget.admits(entry.stretch):
-            return None
-        self._miss_hook_routes += 1
-        self._route_counts[name] = self._route_counts.get(name, 0) + 1
-        return RouteDecision(name=name, entry=entry,
-                             loaded=self.registry.is_loaded(name),
-                             from_miss_hook=True)
+        if not artifact:
+            return self.route(multiplicative, additive).entry
+        entry = self.entry(artifact)
+        if not budget_admits(entry.stretch, multiplicative, additive):
+            raise RoutingError(
+                f"pinned artifact {artifact!r} guarantees "
+                f"{entry.stretch.multiplicative:g}x+"
+                f"{entry.stretch.additive:g}, exceeding the stretch "
+                f"budget {multiplicative:g}x+{additive:g}")
+        return entry
 
     # ------------------------------------------------------------------
     # engine access and stats (the server's view of the registry)
@@ -266,8 +197,6 @@ class StretchRouter:
     def stats(self) -> Dict[str, object]:
         return {
             "routes": dict(sorted(self._route_counts.items())),
-            "miss_hook_routes": self._miss_hook_routes,
-            "sharded_routes": self._sharded_routes,
             "rejected": self._rejected,
             "registry": self.registry.stats(),
         }

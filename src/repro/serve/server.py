@@ -3,14 +3,19 @@
 :class:`DistanceServer` is the front end that turns the synchronous
 :class:`~repro.oracle.engine.QueryEngine` into a service.  Its core trick
 is **request coalescing**: concurrent ``await server.dist(u, v)`` calls do
-not each pay an engine round-trip.  Instead every request parks a future
-in a per-artifact pending map and a single flusher task drains the map
-once per micro-batching window (``coalesce_window`` seconds), resolving
-all parked keys with one vectorised ``QueryEngine.batch`` gather (in
-chunks of at most ``max_batch``).  Duplicate concurrent keys share one
-future, so a thundering herd on a hot pair costs one table lookup.
-Answers are bit-for-bit identical to serial ``engine.dist`` calls —
-coalescing reorders work, never results.
+not each pay an engine round-trip.  Instead every request parks its key
+in a :class:`~repro.serve.coalesce.Coalescer` (one bucket per routed
+artifact) whose flusher drains the parked keys once per micro-batching
+window (``coalesce_window`` seconds), resolving them with one vectorised
+engine gather per chunk of at most ``max_batch``.  Duplicate concurrent
+keys share one future, so a thundering herd on a hot pair costs one table
+lookup.  Answers are bit-for-bit identical to serial ``engine.dist``
+calls — coalescing reorders work, never results.
+
+There are two doors — per-pair :meth:`DistanceServer.dist` and per-frame
+:meth:`DistanceServer.gather` (the wire tier's) — and one way to the
+engine behind both: ``_screened_batch``, which never lets an implausible
+distance out (quarantine, re-verify, retry once, typed error).
 
 Around that core:
 
@@ -27,7 +32,7 @@ Around that core:
   keeps per-client request/answer/shed counters and latency percentiles,
   and folds in the engines' own ``stats()`` snapshots.
 * **Graceful shutdown** — ``await server.stop()`` rejects new requests,
-  flushes everything pending, and joins the flusher; ``async with``
+  flushes everything pending, and closes the coalescer; ``async with``
   scopes a server to a block.
 
 The engine gathers run inline on the event loop: they are numpy-bound
@@ -50,6 +55,7 @@ import numpy as np
 from repro.obs.metrics import LatencyRecorder
 from repro.oracle.engine import QueryEngine
 from repro.oracle.sharding import ShardIntegrityError
+from repro.serve.coalesce import Coalescer
 from repro.serve.registry import ArtifactEntry, ArtifactRegistry
 from repro.serve.router import (
     RouteDecision,
@@ -88,15 +94,7 @@ class ServerConfig:
         Seconds a flush waits after the first enqueue so concurrent
         requests accumulate into one batch.  ``0`` disables coalescing:
         every request becomes its own single-pair engine batch (the
-        naive baseline the benchmark compares against).  The string
-        ``"auto"`` opts into the adaptive window: the server keeps an
-        EWMA of the observed arrival rate and sizes each window to
-        collect about ``auto_target_batch`` keys, clamped to
-        ``[window_min, window_max]`` — light traffic gets low latency,
-        heavy traffic gets big gathers, with no tuning.
-    window_min / window_max / auto_target_batch:
-        Bounds and batch goal for the adaptive window (ignored for a
-        fixed numeric ``coalesce_window``).
+        naive baseline the benchmark compares against).
     max_batch:
         Maximum keys per engine gather; a flush drains *all* pending
         keys in ``ceil(pending / max_batch)`` engine batches.
@@ -109,31 +107,15 @@ class ServerConfig:
         Samples per client backing the latency percentiles.
     """
 
-    coalesce_window: Union[float, str] = 0.001
-    window_min: float = 0.0002
-    window_max: float = 0.005
-    auto_target_batch: int = 64
+    coalesce_window: float = 0.001
     max_batch: int = 1024
     queue_capacity: int = 8192
     overload_policy: str = "shed"
     client_latency_window: int = 8192
 
     def __post_init__(self) -> None:
-        if isinstance(self.coalesce_window, str):
-            if self.coalesce_window != "auto":
-                raise ValueError(
-                    f"coalesce_window must be a non-negative number or "
-                    f"'auto', got {self.coalesce_window!r}"
-                )
-        elif self.coalesce_window < 0:
+        if self.coalesce_window < 0:
             raise ValueError("coalesce_window must be >= 0")
-        if not 0 < self.window_min <= self.window_max:
-            raise ValueError(
-                f"need 0 < window_min <= window_max, got "
-                f"{self.window_min} / {self.window_max}"
-            )
-        if self.auto_target_batch < 1:
-            raise ValueError("auto_target_batch must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.queue_capacity < 1:
@@ -143,10 +125,6 @@ class ServerConfig:
                 f"overload_policy must be 'shed' or 'wait', "
                 f"got {self.overload_policy!r}"
             )
-
-    @property
-    def auto_window(self) -> bool:
-        return self.coalesce_window == "auto"
 
 
 class _ClientStats:
@@ -217,13 +195,15 @@ class _SingleEngineRouter:
                 f"{self._entry.name!r}")
         return self._entry
 
+    # Written against ``route``/``entry`` only, which this adapter has.
+    resolve = StretchRouter.resolve
+
     def loaded_engines(self) -> Dict[str, QueryEngine]:
         return {self._entry.name: self._engine}
 
     def stats(self) -> Dict[str, object]:
         return {"routes": {self._entry.name: self._route_counts},
-                "miss_hook_routes": 0, "rejected": self._rejected,
-                "registry": None}
+                "rejected": self._rejected, "registry": None}
 
 
 RouterLike = Union[StretchRouter, ArtifactRegistry, QueryEngine]
@@ -246,22 +226,13 @@ class DistanceServer:
             self._router = target
         self.config = config or ServerConfig()
 
-        self._pending: Dict[str, Dict[Pair, asyncio.Future]] = {}
-        self._wake = asyncio.Event()
-        self._flusher: Optional[asyncio.Task] = None
+        # Point queries park here, one bucket per routed artifact; the
+        # flusher task exists only once a key has parked, so a wire worker
+        # (all gather(), no dist()) never has one.
+        self._coalescer = Coalescer(self._send, self.config.coalesce_window,
+                                    self.config.max_batch,
+                                    name="repro-serve-flusher")
         self._closed = False
-        self._draining = False
-
-        # Adaptive coalescing: with coalesce_window="auto" the flusher
-        # re-sizes the window each flush from an EWMA of the observed
-        # arrival rate; a numeric window stays fixed (and 0 disables
-        # coalescing entirely).
-        self._auto_window = self.config.auto_window
-        self._coalesce_disabled = (not self._auto_window
-                                   and self.config.coalesce_window <= 0)
-        self._window = (self.config.window_min if self._auto_window
-                        else float(self.config.coalesce_window or 0.0))
-        self._arrival_rate = 0.0  # EWMA keys/sec seen by the flusher
 
         self._in_flight = 0
         self._space_waiters: Deque[asyncio.Future] = deque()
@@ -316,12 +287,7 @@ class DistanceServer:
              lambda s: s._in_flight),
             ("repro_serve_pending_keys",
              "Keys parked in coalescing buckets",
-             lambda s: sum(len(b) for b in s._pending.values())),
-            ("repro_serve_coalesce_window_seconds",
-             "Coalescing window currently in effect", lambda s: s._window),
-            ("repro_serve_ewma_arrival_rate",
-             "EWMA keys/sec observed by the flusher",
-             lambda s: s._arrival_rate),
+             lambda s: s._coalescer.parked),
         ):
             registry.gauge(metric, help_text).set_function(read, self)
 
@@ -329,31 +295,24 @@ class DistanceServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "DistanceServer":
-        """Start the flusher task (idempotent; ``dist`` also auto-starts)."""
-        self._ensure_flusher()
+        """No-op half of the ``start``/``stop`` pair ``async with`` uses:
+        the flusher starts with the first parked key, not here."""
         return self
 
     async def stop(self) -> None:
-        """Graceful shutdown: reject new requests, drain, join the flusher."""
+        """Graceful shutdown: reject new requests, drain, close the coalescer."""
         if self._closed:
             return
         self._closed = True
-        self._draining = True
+        self._coalescer.draining = True
         # Resolve everything already parked, then let the parked callers
         # run before the flusher goes away.  ``_outstanding`` counts every
         # dist() call that has entered but not yet settled, including ones
         # parked behind the backpressure gate.
         while self._outstanding():
-            self._flush_pending()
+            await self._coalescer.flush()
             await asyncio.sleep(0)
-        if self._flusher is not None:
-            self._wake.set()
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            self._flusher = None
+        await self._coalescer.aclose(ServerClosed("server is shut down"))
 
     async def __aenter__(self) -> "DistanceServer":
         return await self.start()
@@ -401,24 +360,14 @@ class DistanceServer:
                     await self._admit_slow(stats)
                 self._in_flight += 1
                 try:
-                    if self._coalesce_disabled:
-                        # Coalescing disabled: one single-pair engine batch
-                        # per request — the naive loop the benchmark
-                        # measures against.
-                        value = float(
-                            self._router.engine(decision.name).batch([key])[0])
-                        self._engine_batches += 1
-                        self._coalesced_keys += 1
+                    if config.coalesce_window <= 0:
+                        # Coalescing disabled: a frame of one key per
+                        # request — the naive loop the benchmark measures
+                        # against.
+                        value = (await self._send(decision.name, (key,)))[0]
                     else:
-                        if self._flusher is None:
-                            self._ensure_flusher()
-                        bucket = self._pending.setdefault(decision.name, {})
-                        future = bucket.get(key)
-                        if future is None:
-                            future = asyncio.get_running_loop().create_future()
-                            bucket[key] = future
-                            self._wake.set()
-                        value = await future
+                        value = await self._coalescer.park(decision.name,
+                                                           key)[0]
                 finally:
                     self._release()
         except ServerOverloaded:
@@ -489,19 +438,8 @@ class DistanceServer:
         self._requests_total += count
         try:
             self._check_deadline(deadline, "at admission")
-            if artifact is None:
-                decision = self._router.route(multiplicative=multiplicative,
-                                              additive=additive)
-                name, n = decision.name, decision.entry.n
-            else:
-                entry = self._router.entry(artifact)
-                if not budget_admits(entry.stretch, multiplicative, additive):
-                    raise RoutingError(
-                        f"pinned artifact {artifact!r} guarantees "
-                        f"{entry.stretch.multiplicative:g}x+"
-                        f"{entry.stretch.additive:g}, exceeding the stretch "
-                        f"budget {multiplicative:g}x+{additive:g}")
-                name, n = entry.name, entry.n
+            entry = self._router.resolve(multiplicative, additive, artifact)
+            n = entry.n
             if count == 0:
                 values = np.zeros(0, dtype=np.float64)
             else:
@@ -530,7 +468,7 @@ class DistanceServer:
                 try:
                     lo = np.minimum(u, v)
                     hi = np.maximum(u, v)
-                    engine = self._router.engine(name)
+                    engine = self._router.engine(entry.name)
                     values = np.empty(count, dtype=np.float64)
                     for start in range(0, count, config.max_batch):
                         if start:
@@ -539,8 +477,6 @@ class DistanceServer:
                                                  count))
                         values[chunk] = self._screened_batch(
                             engine, lo[chunk], hi[chunk])
-                        self._engine_batches += 1
-                        self._coalesced_keys += chunk.stop - chunk.start
                     if trace is not None:
                         trace.add("worker.gather", span_wall,
                                   (time.perf_counter_ns() - span_tick)
@@ -577,19 +513,12 @@ class DistanceServer:
             "queue": {
                 "capacity": self.config.queue_capacity,
                 "in_flight": self._in_flight,
-                "pending_keys": sum(len(b) for b in self._pending.values()),
+                "pending_keys": self._coalescer.parked,
                 "overload_policy": self.config.overload_policy,
             },
             "coalescing": {
-                "mode": ("auto" if self._auto_window
-                         else ("off" if self._coalesce_disabled else "fixed")),
-                # Both the knob and the truth: "configured" is what the
-                # server was asked for, "window_s" the window actually in
-                # effect right now (they differ under mode="auto", where
-                # the EWMA re-sizes the window every flush).
-                "configured": self.config.coalesce_window,
-                "window_s": self._window,
-                "ewma_arrival_rate": self._arrival_rate,
+                "mode": "fixed" if self.config.coalesce_window > 0 else "off",
+                "window_s": self.config.coalesce_window,
             },
             "router": self._router.stats(),
             "clients": {name: client.snapshot()
@@ -654,22 +583,33 @@ class DistanceServer:
         file was re-mapped and the clean retry answer is returned.  If
         the retry is somehow still implausible, the error is raised
         here — under no screen outcome does a wrong answer escape.
+
+        Every answer the server gives comes through here, whichever door
+        the request used, so this is also where gathers are counted.
         """
         values = engine.batch_core(lo, hi)
         bad = ~(values >= 0)  # catches NaN and negatives in one pass
-        if not bad.any():
-            return values
-        self._quarantines += 1
-        rows = np.unique(np.concatenate([lo[bad], hi[bad]]))
-        shards = engine.quarantine_rows(rows)
-        values = engine.batch_core(lo, hi)
-        bad = ~(values >= 0)
         if bad.any():
-            raise ShardIntegrityError(
-                f"gather returned implausible distances for "
-                f"{int(bad.sum())} pair(s) even after quarantining "
-                f"shard(s) {shards} and re-gathering")
+            self._quarantines += 1
+            rows = np.unique(np.concatenate([lo[bad], hi[bad]]))
+            shards = engine.quarantine_rows(rows)
+            values = engine.batch_core(lo, hi)
+            bad = ~(values >= 0)
+            if bad.any():
+                raise ShardIntegrityError(
+                    f"gather returned implausible distances for "
+                    f"{int(bad.sum())} pair(s) even after quarantining "
+                    f"shard(s) {shards} and re-gathering")
+        self._engine_batches += 1
+        self._coalesced_keys += len(lo)
         return values
+
+    async def _send(self, name: str, keys: Sequence[Pair]) -> List[float]:
+        """One frame of point queries: canonical ``(lo, hi)`` keys of the
+        artifact ``name`` (the coalescer's ``send``; never suspends)."""
+        nodes = np.array(keys, dtype=np.int64)
+        return self._screened_batch(self._router.engine(name),
+                                    nodes[:, 0], nodes[:, 1]).tolist()
 
     async def _admit_slow(self, stats: _ClientStats, weight: int = 1) -> None:
         """The backpressure gate, entered only when the queue is full.
@@ -704,95 +644,6 @@ class DistanceServer:
             if not waiter.done():
                 waiter.set_result(None)
                 break
-
-    def _ensure_flusher(self) -> None:
-        if self._flusher is None or self._flusher.done():
-            self._flusher = asyncio.get_running_loop().create_task(
-                self._flush_loop(), name="repro-serve-flusher")
-
-    async def _flush_loop(self) -> None:
-        try:
-            while True:
-                await self._wake.wait()
-                self._wake.clear()
-                elapsed = 0.0
-                if self._pending and not self._draining:
-                    # The micro-batching window: let concurrent requests
-                    # pile into the pending map before one gather.
-                    started = time.perf_counter()
-                    await asyncio.sleep(self._window)
-                    elapsed = time.perf_counter() - started
-                drained = self._flush_pending()
-                if self._auto_window and elapsed > 0 and drained:
-                    self._retune_window(drained, elapsed)
-        except asyncio.CancelledError:
-            self._flush_pending()
-            raise
-
-    #: EWMA smoothing for the observed arrival rate (higher = twitchier).
-    _EWMA_ALPHA = 0.2
-
-    def _retune_window(self, drained: int, elapsed: float) -> None:
-        """Size the next window to collect ~auto_target_batch keys.
-
-        The keys drained per window over the window's wall time is a
-        sample of the arrival rate while coalescing is active; the EWMA
-        smooths flush-to-flush noise so one quiet window does not
-        collapse the batch size.
-
-        When even ``window_max`` could not fill a batch at the observed
-        rate, waiting longer buys almost no batching and only taxes
-        latency, so light traffic drops to ``window_min`` instead of
-        pegging at the maximum — light traffic gets low latency, heavy
-        traffic gets big gathers.
-        """
-        rate = drained / elapsed
-        if self._arrival_rate <= 0:
-            self._arrival_rate = rate
-        else:
-            self._arrival_rate += self._EWMA_ALPHA * (rate - self._arrival_rate)
-        ideal = self.config.auto_target_batch / self._arrival_rate
-        if ideal > self.config.window_max:
-            self._window = self.config.window_min
-        else:
-            self._window = max(ideal, self.config.window_min)
-
-    def _flush_pending(self) -> int:
-        """Drain every pending key with one engine gather per chunk."""
-        drained = 0
-        while self._pending:
-            pending, self._pending = self._pending, {}
-            for name, bucket in pending.items():
-                # Insertion order aligns keys with futures.
-                keys = list(bucket)
-                futures = list(bucket.values())
-                drained += len(keys)
-                try:
-                    engine = self._router.engine(name)
-                except Exception as exc:  # load failure fails the batch
-                    self._fail_futures(futures, exc)
-                    continue
-                for start in range(0, len(keys), self.config.max_batch):
-                    chunk = keys[start:start + self.config.max_batch]
-                    chunk_futures = futures[start:start + self.config.max_batch]
-                    try:
-                        values = engine.batch(chunk)
-                    except Exception as exc:
-                        self._fail_futures(chunk_futures, exc)
-                        continue
-                    self._engine_batches += 1
-                    self._coalesced_keys += len(chunk)
-                    for future, value in zip(chunk_futures, values.tolist()):
-                        if not future.done():
-                            future.set_result(value)
-        return drained
-
-    @staticmethod
-    def _fail_futures(futures: Sequence[asyncio.Future],
-                      exc: Exception) -> None:
-        for future in futures:
-            if not future.done():
-                future.set_exception(exc)
 
 
 async def serve_artifacts(paths: Sequence[Union[str, Path]],

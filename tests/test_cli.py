@@ -453,21 +453,19 @@ class TestShardingSubcommands:
         assert residency["total"]["mapped_bytes"] > \
             residency["total"]["resident_bytes"]
 
-    def test_serve_auto_window(self, tmp_path, capsys):
-        assert main(["oracle", "build", str(tmp_path / "a.npz"), "--n", "24",
-                     "--seed", "7", "--strategy", "landmark-mssp"]) == 0
-        capsys.readouterr()
-        assert main(["serve", str(tmp_path / "a.npz"), "--queries", "300",
-                     "--window-ms", "auto"]) == 0
-        assert "engine batches" in capsys.readouterr().out
-
     def test_serve_bad_window_is_clean_error(self, tmp_path, capsys):
         assert main(["oracle", "build", str(tmp_path / "b.npz"), "--n", "24",
                      "--seed", "7", "--strategy", "landmark-mssp"]) == 0
         capsys.readouterr()
+        # The window is a plain number of milliseconds: argparse's error.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(tmp_path / "b.npz"), "--queries", "10",
+                  "--window-ms", "soon"])
+        assert excinfo.value.code == 2
+        assert "--window-ms" in capsys.readouterr().err
         assert main(["serve", str(tmp_path / "b.npz"), "--queries", "10",
-                     "--window-ms", "soon"]) == 1
-        assert "error" in capsys.readouterr().err
+                     "--window-ms", "-1"]) == 1
+        assert "coalesce_window" in capsys.readouterr().err
 
     def test_corrupt_shard_is_clean_error_at_query_time(self, tmp_path, capsys):
         """Lazy shard checksums surface at query time, not load time —
@@ -530,7 +528,9 @@ class TestNetSubcommands:
                      "--seed", "7", "--strategy", "landmark-mssp"]) == 0
         capsys.readouterr()
         assert main(["serve", str(tmp_path / "w.npz"), "--queries", "400",
-                     "--window-ms", "auto"]) == 0
+                     "--window-ms", "2.5"]) == 0
         out = capsys.readouterr().out
-        assert "coalescing       : mode=auto configured=auto" in out
-        assert "effective=" in out
+        assert "coalescing       : mode=fixed window=2.5ms" in out
+        assert main(["serve", str(tmp_path / "w.npz"), "--queries", "50",
+                     "--window-ms", "0"]) == 0
+        assert "coalescing       : mode=off window=0ms" in capsys.readouterr().out

@@ -335,6 +335,43 @@ class TestNetClientCoalescing:
         assert asyncio.run(drive()) == pytest.approx(
             float(reference.batch([(3, 9)])[0]))
 
+    def test_close_settles_callers_of_a_frame_in_flight(self):
+        """``aclose()`` while a coalesced frame is out: its ``dist()``
+        callers (and the ones still parked) fail with WorkerUnavailable
+        instead of waiting forever on a reply that will never be read."""
+        async def drive():
+            received = asyncio.Event()
+
+            async def mute(reader, writer):  # reads, never replies
+                try:
+                    if await reader.read(1):
+                        received.set()
+                    await reader.read()
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(mute, "127.0.0.1", 0)
+            try:
+                client = NetClient(*server.sockets[0].getsockname()[:2])
+                in_flight = asyncio.ensure_future(client.dist(1, 2))
+                await asyncio.wait_for(received.wait(), timeout=5.0)
+                parked = asyncio.ensure_future(client.dist(3, 4))
+                await asyncio.sleep(0)  # let it park behind the frame
+                await client.aclose()
+                _done, pending = await asyncio.wait(
+                    {in_flight, parked}, timeout=0.2)
+                for task in pending:
+                    task.cancel()
+                return [None if task in pending else task.exception()
+                        for task in (in_flight, parked)]
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        in_flight_error, parked_error = asyncio.run(drive())
+        assert isinstance(in_flight_error, WorkerUnavailable)  # None: stranded
+        assert isinstance(parked_error, WorkerUnavailable)
+
     @pytest.mark.parametrize("num_workers", FLEET_SIZES)
     def test_artifact_pin_forces_one_table(self, manifest, reference,
                                            num_workers):

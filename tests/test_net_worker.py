@@ -237,7 +237,7 @@ class TestHttpDialect:
 
     def test_healthz_and_statsz(self, artifact_path):
         async def drive():
-            worker = make_worker(artifact_path, coalesce_window="auto")
+            worker = make_worker(artifact_path)
             async with worker.server, worker:
                 health = await self.http(
                     worker, "GET /healthz HTTP/1.1\r\n\r\n")
@@ -247,12 +247,9 @@ class TestHttpDialect:
         (health_status, health), (stats_status, stats) = asyncio.run(drive())
         assert health_status == 200 and health["status"] == "ok"
         assert stats_status == 200
-        # The satellite requirement: /statsz surfaces both the configured
-        # coalescing knob and the window actually in effect.
-        coalescing = stats["server"]["coalescing"]
-        assert coalescing["mode"] == "auto"
-        assert coalescing["configured"] == "auto"
-        assert isinstance(coalescing["window_s"], float)
+        # /statsz surfaces the coalescing window the server was given.
+        assert stats["server"]["coalescing"] == {
+            "mode": "fixed", "window_s": ServerConfig().coalesce_window}
 
     def test_http_query_roundtrip(self, artifact_path, reference):
         async def drive():
@@ -273,6 +270,22 @@ class TestHttpDialect:
             worker = make_worker(artifact_path)
             async with worker.server, worker:
                 body = "{not json"
+                request = (f"POST /query HTTP/1.1\r\n"
+                           f"Content-Length: {len(body)}\r\n\r\n{body}")
+                return await self.http(worker, request)
+
+        status, payload = asyncio.run(drive())
+        assert status == 400
+        assert payload["error"] == "bad-request"
+
+    @pytest.mark.parametrize("bad_id", [2**31, -2**31 - 1, 1.5])
+    def test_http_unrepresentable_node_id_is_400(self, artifact_path, bad_id):
+        """An id that does not fit int32 (numpy 2 raises OverflowError) or
+        is not an integer is a malformed body, answered like any other."""
+        async def drive():
+            worker = make_worker(artifact_path)
+            async with worker.server, worker:
+                body = json.dumps({"pairs": [[0, 1], [bad_id, 2]]})
                 request = (f"POST /query HTTP/1.1\r\n"
                            f"Content-Length: {len(body)}\r\n\r\n{body}")
                 return await self.http(worker, request)
@@ -306,3 +319,33 @@ class TestDrain:
                     await asyncio.open_connection(*address)
 
         asyncio.run(drive())
+
+
+class TestNoIdleFlusher:
+    def test_worker_serving_frames_never_creates_a_flusher(self,
+                                                           artifact_path):
+        """A worker answers through gather(), which parks nothing: after
+        1,000 frames no coalescing flusher task exists in its loop."""
+        async def drive():
+            worker = make_worker(artifact_path)
+            async with worker.server, worker:
+                reader, writer = await asyncio.open_connection(
+                    *worker.address)
+                payload = pack_request([(0, 5), (7, 1)], math.inf, math.inf,
+                                       "")
+                for req_id in range(1000):
+                    writer.write(encode_frame(MSG_REQUEST, req_id, payload))
+                    await writer.drain()
+                    ftype, got_id, _payload = await read_frame(reader)
+                    assert (ftype, got_id) == (MSG_RESPONSE, req_id)
+                writer.close()
+                names = [task.get_name() for task in asyncio.all_tasks()]
+                # ... while one point query does start it (same names).
+                await worker.server.dist(0, 5)
+                after = [task.get_name() for task in asyncio.all_tasks()]
+                return worker.server.stats(), names, after
+
+        stats, names, after = asyncio.run(drive())
+        assert stats["served_total"] == 2001
+        assert "repro-serve-flusher" not in names
+        assert "repro-serve-flusher" in after

@@ -120,17 +120,34 @@ def test_trace_propagates_across_fleet(cluster, manifest, full_sampling):
 
 
 def test_worker_exposes_prometheus_metrics(cluster, manifest):
+    def engine_queries() -> float:
+        """``repro_engine_queries_total`` summed over the fleet."""
+        total = 0.0
+        for address in cluster.addresses:
+            family = fetch_snapshot(*address)["counters"].get(
+                "repro_engine_queries_total", {"values": {}})
+            total += sum(family["values"].values())
+        return total
+
     async def warm():
+        # Hedging off: a hedged sub-batch would be answered (and counted)
+        # twice.
         frontend = Frontend([str(manifest)], cluster.addresses,
-                            port=free_port(), request_timeout=5.0)
+                            port=free_port(), request_timeout=5.0,
+                            hedge_ratio=0.0)
         await frontend.start()
         try:
             async with NetClient(*frontend.address) as client:
-                await client.batch([(0, 1), (2, 3), (4, 5)])
+                await client.batch(pairs)
         finally:
             await frontend.stop()
 
+    pairs = [(0, 1), (2, 3), (4, 5), (N - 1, 7), (9, 9)]
+    before = engine_queries()
     asyncio.run(warm())
+    # Wire traffic enters the engine through batch_core: the counter moves
+    # by exactly the pairs sent, wherever in the fleet they were answered.
+    assert engine_queries() - before == len(pairs)
     host, port = cluster.addresses[0]
     text = fetch_text(host, port)
     assert "# TYPE repro_net_frames_in_total counter" in text

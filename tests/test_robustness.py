@@ -272,6 +272,62 @@ class TestQuarantine:
             restore_shard_file(shard_path)
         assert stats["quarantines"] == 1
 
+    @pytest.mark.parametrize("window", [0.001, 0])
+    def test_screened_dist_heals_transient_rot(self, engine, monkeypatch,
+                                               window):
+        """The point-query door goes through the same screen as gather():
+        a NaN from the engine is quarantined and re-gathered, coalesced
+        or not, and the caller gets the healed answer."""
+        real = engine.batch_core
+        calls = {"n": 0}
+
+        def rotten_once(lo, hi):
+            calls["n"] += 1
+            values = real(lo, hi)
+            if calls["n"] == 1:
+                values = values.copy()
+                values[0] = np.nan
+            return values
+
+        expected = engine.dist(1, 3)
+        monkeypatch.setattr(engine, "batch_core", rotten_once)
+        monkeypatch.setattr(engine, "quarantine_rows", lambda rows: [0])
+
+        async def drive():
+            config = ServerConfig(coalesce_window=window)
+            async with DistanceServer(engine, config) as server:
+                return await server.dist(1, 3), server.stats()
+
+        value, stats = asyncio.run(drive())
+        assert value == expected
+        assert calls["n"] == 2  # the screened retry
+        assert stats["quarantines"] == 1
+        assert stats["engine_batches"] == 1
+
+    @pytest.mark.parametrize("window", [0.001, 0])
+    def test_screened_dist_condemns_persistent_rot(self, engine, monkeypatch,
+                                                   window):
+        """Rot that survives the re-gather: every coalesced caller of the
+        frame gets the typed error, none a NaN."""
+        monkeypatch.setattr(
+            engine, "batch_core",
+            lambda lo, hi: np.full(len(lo), np.nan))
+        monkeypatch.setattr(engine, "quarantine_rows", lambda rows: [0])
+
+        async def drive():
+            config = ServerConfig(coalesce_window=window)
+            async with DistanceServer(engine, config) as server:
+                results = await asyncio.gather(
+                    *(server.dist(1, v) for v in (3, 4, 5, 3)),
+                    return_exceptions=True)
+                return results, server.stats()
+
+        results, stats = asyncio.run(drive())
+        assert all(isinstance(result, ShardIntegrityError)
+                   for result in results), results
+        assert stats["errors_total"] == 4 and stats["served_total"] == 0
+        assert stats["quarantines"] >= 1
+
 
 class _FakeProcess:
     """Stands in for a spawned worker: alive until killed."""

@@ -2,7 +2,7 @@
 
 The acceptance property: every request is served from the **cheapest**
 artifact whose advertised stretch guarantee satisfies the request's
-budget, with the ``on_miss`` hook as the only fallback.
+budget, or refused; a pinned artifact is held to the same budget.
 """
 
 from __future__ import annotations
@@ -125,84 +125,53 @@ class TestPreferLoaded:
         assert router.route().name == "cheap"
 
 
-class TestMissHook:
-    def test_hook_builds_and_routes(self, graph, artifact_dir, tmp_path):
-        # A registry holding only the 4.5x artifact, so tight budgets miss.
-        registry = ArtifactRegistry()
-        registry.register(artifact_dir / "cheap.npz")
-        calls = []
+class TestResolve:
+    """``resolve``: the entry a request is answered from, pinned or routed
+    — the one check the server's ``gather`` and the frontend share."""
 
-        def on_miss(budget):
-            calls.append(budget)
-            artifact = build_oracle(graph, strategy="exact-fallback")
-            artifact.save(tmp_path / "ondemand.npz")
-            registry.register(tmp_path / "ondemand.npz", name="ondemand")
-            return "ondemand"
+    def test_no_pin_routes_by_budget(self, router):
+        assert router.resolve().name == "cheap"
+        assert router.resolve(1.0, math.inf, None).name == "exact"
+        assert router.resolve(1.0, math.inf, "").name == "exact"  # wire form
+        assert router.stats()["routes"] == {"cheap": 1, "exact": 2}
 
-        router = StretchRouter(registry, on_miss=on_miss)
-        decision = router.route(multiplicative=1.0)
-        assert decision.name == "ondemand"
-        assert decision.from_miss_hook
-        assert len(calls) == 1
-        # Registered now: the next tight request routes without the hook.
-        assert router.route(multiplicative=1.0).from_miss_hook is False
-        assert len(calls) == 1
+    def test_pin_within_budget_skips_routing(self, router, registry):
+        assert router.resolve(artifact="mid") is registry.get("mid")
+        assert router.stats()["routes"] == {}
 
-    def test_hook_returning_none_raises(self, registry):
-        router = StretchRouter(registry, on_miss=lambda budget: None)
-        with pytest.raises(RoutingError):
-            router.route(multiplicative=0.5)
-        assert router.stats()["rejected"] == 1
+    def test_pin_over_budget_is_refused(self, router):
+        with pytest.raises(RoutingError, match="pinned artifact 'cheap'"):
+            router.resolve(1.0, math.inf, "cheap")
+        mid = router.entry("mid")
+        with pytest.raises(RoutingError, match="exceeding the stretch budget"):
+            router.resolve(mid.stretch.multiplicative, 0.0, "mid")
 
+    def test_unknown_pin_is_a_registry_error(self, router):
+        from repro.serve import RegistryError
 
-class TestShardAwareRouting:
-    @pytest.fixture(scope="class")
-    def sharded_registry(self, graph, tmp_path_factory):
-        root = tmp_path_factory.mktemp("sharded-route")
-        build_oracle(graph, strategy="dense-apsp", epsilon=0.25).save_sharded(
-            root / "mapped", num_shards=4)
-        registry = ArtifactRegistry()
-        registry.register(root / "mapped.shards.json")
-        return registry
+        with pytest.raises(RegistryError):
+            router.resolve(artifact="nope")
 
-    def test_route_pairs_names_only_touched_shards(self, sharded_registry):
-        router = StretchRouter(sharded_registry)
-        entry = sharded_registry.get("mapped")
-        per_shard = entry.row_ranges[0][1]  # rows per (non-final) shard
-        decision = router.route_pairs([(0, 1), (per_shard, per_shard + 1)])
-        assert decision.entry.sharded
-        assert decision.shards == (0, 1)
-        assert router.stats()["sharded_routes"] == 1
+    def test_single_engine_server_answers_resolve_too(self, artifact_dir):
+        """Through the public door: ``gather`` with a pinned artifact on a
+        server wrapped around one bare engine."""
+        import asyncio
 
-    def test_route_pairs_covers_every_endpoint(self, sharded_registry):
-        router = StretchRouter(sharded_registry)
-        n = sharded_registry.get("mapped").n
-        decision = router.route_pairs([(0, n - 1)])
-        assert decision.shards[0] == 0
-        assert decision.shards[-1] == sharded_registry.get("mapped").num_shards - 1
+        from repro.oracle import OracleArtifact, QueryEngine
+        from repro.serve import DistanceServer
 
-    def test_route_pairs_on_monolithic_artifact_has_no_shards(self, registry):
-        router = StretchRouter(registry)
-        decision = router.route_pairs([(0, 1)])
-        assert decision.shards == ()
-        assert router.stats()["sharded_routes"] == 0
+        engine = QueryEngine(OracleArtifact.load(artifact_dir / "cheap.npz"))
 
-    def test_shards_for_nodes_helper(self, sharded_registry):
-        from repro.serve import shards_for_nodes
+        async def drive():
+            async with DistanceServer(engine) as server:
+                pinned = await server.gather([0], [5], artifact="default")
+                routed = await server.gather([0], [5])
+                assert pinned.tolist() == routed.tolist()
+                with pytest.raises(RoutingError,
+                                   match="pinned artifact 'default'"):
+                    await server.gather([0], [5], artifact="default",
+                                        multiplicative=1.0)
+                with pytest.raises(RoutingError, match="unknown artifact"):
+                    await server.gather([0], [5], artifact="other")
 
-        entry = sharded_registry.get("mapped")
-        assert shards_for_nodes(entry, []) == ()
-        every = shards_for_nodes(entry, range(entry.n))
-        assert every == tuple(range(entry.num_shards))
-
-    def test_shards_for_nodes_rejects_out_of_range(self, sharded_registry):
-        from repro.serve import shards_for_nodes
-
-        entry = sharded_registry.get("mapped")
-        with pytest.raises(ValueError, match="out of range"):
-            shards_for_nodes(entry, [-5])
-        with pytest.raises(ValueError, match="out of range"):
-            shards_for_nodes(entry, [entry.n])
-        router = StretchRouter(sharded_registry)
-        with pytest.raises(ValueError, match="out of range"):
-            router.route_pairs([(-5, 1)])
+        asyncio.run(drive())
