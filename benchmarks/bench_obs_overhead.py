@@ -30,10 +30,9 @@ Configurations per pair:
 * **off**     — trace sampling 0 and client-side metrics disabled: the
   fast-path baseline a deployment can always fall back to;
 * **sampled** — ``REPRO_TRACE_SAMPLE=0.01``: the production default.
-  One request in a hundred carries a full cross-tier trace.  The <5%
-  overhead gate applies to this configuration;
-* **full**    — sampling 1.0, every request traced: the informational
-  worst case (separate pairs, never gated).
+  One request in a hundred carries a full cross-tier trace;
+* **full**    — sampling 1.0, every request traced: the worst case
+  (separate pairs).
 
 During the run the frontend's fleet ``/metricsz`` aggregator is scraped
 twice; the bench asserts the key series exist, both workers were
@@ -41,9 +40,11 @@ merged, and the request counters grew between scrapes — the
 instrumented configuration is verified to actually be observing, not
 just slower.
 
-``--smoke`` runs fewer/shorter pairs and *gates*: non-zero exit when
-the sampled-configuration overhead exceeds ``--max-overhead`` (default
-5%) or when the scrape assertions fail.  CI runs the smoke mode.
+``--smoke`` runs fewer/shorter pairs (CI's mode).  The exit code is the
+scrape assertions; the overhead is printed, never gated: on a shared
+box the smoke's five pairs read anywhere from -12% to +16% at one
+commit.  The paired ``obs.trace_overhead`` of ``bench/run.py --workload
+wire-point --trace 1`` is the measurement that can hold a bound.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ NUM_SHARDS = 4
 NUM_WORKERS = 2
 CONCURRENCY = 64
 
-#: The production trace-sampling rate the overhead gate applies to.
+#: The production trace-sampling rate.
 SAMPLED_RATE = 0.01
 
 #: Series the mid-run scrape must find in the frontend's fleet snapshot.
@@ -238,18 +239,13 @@ def main(argv=None) -> int:
              "root for full runs, BENCH_PR8.smoke.json for --smoke runs)")
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fewer/shorter segment pairs + hard gate on --max-overhead "
-             "and on the fleet-scrape assertions (CI mode)")
-    parser.add_argument(
-        "--max-overhead", type=float, default=5.0,
-        help="maximum tolerated throughput overhead in percent for the "
-             "production (sampled) configuration (default 5)")
+        help="fewer/shorter segment pairs (CI mode)")
     args = parser.parse_args(argv)
 
     results = run_campaign(smoke=args.smoke)
     print(format_table(
-        "E-OBS: paired fleet throughput — untraced vs sampled (gated) "
-        "vs full tracing",
+        "E-OBS: paired fleet throughput — untraced vs sampled vs full "
+        "tracing",
         [{key: value for key, value in results.items()
           if key not in ("sampled_pairs", "full_pairs", "scrape",
                          "scrape_failures")}]))
@@ -261,16 +257,9 @@ def main(argv=None) -> int:
     if results["traces_finished"] == 0:
         print("SCRAPE FAILURE: instrumented segments finished zero traces")
         status = 1
-    overhead = results["overhead_pct"]
-    if overhead > args.max_overhead:
-        print(f"OVERHEAD GATE FAILED: {overhead:.2f}% > "
-              f"{args.max_overhead:.2f}% allowed at sample rate "
-              f"{SAMPLED_RATE}")
-        status = 1
-    else:
-        print(f"overhead gate OK: {overhead:.2f}% <= "
-              f"{args.max_overhead:.2f}% allowed (full tracing: "
-              f"{results['overhead_full_pct']:.2f}%)")
+    print(f"throughput overhead (reported, not gated): "
+          f"{results['overhead_pct']:.2f}% at sample rate {SAMPLED_RATE}, "
+          f"{results['overhead_full_pct']:.2f}% with full tracing")
 
     if args.json is not None:
         default_name = ("BENCH_PR8.smoke.json" if args.smoke
@@ -279,7 +268,6 @@ def main(argv=None) -> int:
         payload = {
             "schema": "bench-pr8/v2",
             "smoke": args.smoke,
-            "max_overhead_pct": args.max_overhead,
             "results": {"obs_overhead": results},
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

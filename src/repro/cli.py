@@ -1164,8 +1164,9 @@ def build_parser() -> argparse.ArgumentParser:
             # wire worker answers whole frames through gather().
             sub_parser.add_argument(
                 "--window-ms", type=float, default=1.0, dest="window_ms",
-                help="coalescing window in milliseconds (0 disables "
-                     "coalescing)",
+                help="coalescing window in milliseconds: the minimum "
+                     "spacing between frames; a lone query is not delayed "
+                     "(0 disables coalescing)",
             )
         sub_parser.add_argument("--max-batch", type=int, default=1024,
                                 dest="max_batch", help="max keys per engine gather")

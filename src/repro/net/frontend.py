@@ -1025,9 +1025,13 @@ class NetClient:
     ``dist`` awaits a single pair and, with coalescing enabled (the
     default), parks it in a :class:`~repro.serve.coalesce.Coalescer`
     (one bucket per stretch budget) whose flusher sends the parked pairs
-    as one batched frame per micro-window — the class
+    as batched frames — the class
     :class:`~repro.serve.server.DistanceServer` parks its own point
-    queries in, held at the client edge of the wire.  Either way the
+    queries in, held at the client edge of the wire.
+    ``coalesce_window`` is the minimum spacing between two frames, counted
+    from the previous frame's send: a lone ``dist()`` is one round trip
+    and is not delayed, and closed-loop callers whose round trip outlasts
+    the window leave one frame per reply, no timer armed.  Either way the
     answers are the engine's, bit for bit.
 
     Usable anywhere :class:`DistanceServer` is awaited: the load

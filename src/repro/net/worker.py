@@ -76,6 +76,14 @@ from repro.serve.server import (
 )
 
 
+def _node_id(value) -> int:
+    """A JSON node id as an int: ``index`` refuses a float (numpy would
+    truncate it), and a boolean is no id although ``index(True)`` is 1."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a node id")
+    return index(value)
+
+
 class NetServiceBase:
     """A TCP server speaking the binary frame protocol + HTTP fallback.
 
@@ -448,12 +456,11 @@ class NetServiceBase:
         try:
             spec = json.loads(body or b"{}")
             pairs = spec["pairs"]
-            # ``index`` refuses a float id (numpy would truncate it); an
-            # int that does not fit int32 is numpy 2's OverflowError.
+            # An int that does not fit int32 is numpy 2's OverflowError.
             request = Request(
-                u=np.asarray([index(pair[0]) for pair in pairs],
+                u=np.asarray([_node_id(pair[0]) for pair in pairs],
                              dtype=np.int32),
-                v=np.asarray([index(pair[1]) for pair in pairs],
+                v=np.asarray([_node_id(pair[1]) for pair in pairs],
                              dtype=np.int32),
                 multiplicative=float(spec.get("multiplicative", math.inf)),
                 additive=float(spec.get("additive", math.inf)),

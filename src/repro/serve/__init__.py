@@ -10,12 +10,12 @@ turns it into a *service*.  Bottom-up:
   to the cheapest artifact whose stretch guarantee satisfies the
   request's budget.
 * :mod:`repro.serve.coalesce` — :class:`Coalescer`: concurrent awaited
-  keys become few frames (park, one flusher, one window).  The server
-  holds one for point queries; so does the wire client
-  (:class:`repro.net.NetClient`) at the far side of the socket.
+  keys become few frames (park, one flusher, frames at least one window
+  apart).  The server holds one for point queries; so does the wire
+  client (:class:`repro.net.NetClient`) at the far side of the socket.
 * :mod:`repro.serve.server` — :class:`DistanceServer`: asyncio front end
   with request coalescing (concurrent point queries become one
-  vectorised gather per micro-batching window), bounded-queue
+  vectorised gather, gathers at least one window apart), bounded-queue
   backpressure with load shedding, per-client stats, graceful shutdown.
   Point queries and wire frames reach the engine through one screened
   gather that never returns an implausible distance.

@@ -5,12 +5,13 @@
 is **request coalescing**: concurrent ``await server.dist(u, v)`` calls do
 not each pay an engine round-trip.  Instead every request parks its key
 in a :class:`~repro.serve.coalesce.Coalescer` (one bucket per routed
-artifact) whose flusher drains the parked keys once per micro-batching
-window (``coalesce_window`` seconds), resolving them with one vectorised
-engine gather per chunk of at most ``max_batch``.  Duplicate concurrent
-keys share one future, so a thundering herd on a hot pair costs one table
-lookup.  Answers are bit-for-bit identical to serial ``engine.dist``
-calls — coalescing reorders work, never results.
+artifact) whose flusher drains the parked keys at most once per
+``coalesce_window`` seconds — the window is the minimum spacing between
+two flushes, not a delay every query pays — resolving them with one
+vectorised engine gather per chunk of at most ``max_batch``.  Duplicate
+concurrent keys share one sent key, so a thundering herd on a hot pair
+costs one table lookup.  Answers are bit-for-bit identical to serial
+``engine.dist`` calls — coalescing reorders work, never results.
 
 There are two doors — per-pair :meth:`DistanceServer.dist` and per-frame
 :meth:`DistanceServer.gather` (the wire tier's) — and one way to the
@@ -91,10 +92,12 @@ class ServerConfig:
     """Tuning knobs for :class:`DistanceServer`.
 
     coalesce_window:
-        Seconds a flush waits after the first enqueue so concurrent
-        requests accumulate into one batch.  ``0`` disables coalescing:
-        every request becomes its own single-pair engine batch (the
-        naive baseline the benchmark compares against).
+        Minimum spacing, in seconds, between two flushes of parked point
+        queries, counted from the previous flush: requests arriving
+        sooner than that accumulate into one batch, a lone query (the
+        previous flush is a window old) is not delayed.  ``0`` disables
+        coalescing: every request becomes its own single-pair engine
+        batch (the naive baseline the benchmark compares against).
     max_batch:
         Maximum keys per engine gather; a flush drains *all* pending
         keys in ``ceil(pending / max_batch)`` engine batches.
@@ -304,7 +307,6 @@ class DistanceServer:
         if self._closed:
             return
         self._closed = True
-        self._coalescer.draining = True
         # Resolve everything already parked, then let the parked callers
         # run before the flusher goes away.  ``_outstanding`` counts every
         # dist() call that has entered but not yet settled, including ones

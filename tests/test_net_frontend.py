@@ -372,6 +372,64 @@ class TestNetClientCoalescing:
         assert isinstance(in_flight_error, WorkerUnavailable)  # None: stranded
         assert isinstance(parked_error, WorkerUnavailable)
 
+    def test_short_reply_settles_every_caller_of_the_frame(self, table):
+        """A reply with fewer values than the frame had pairs (a worker
+        bug, a truncated frame that still parses): all three callers get
+        an error naming both counts — at the parent the third hangs."""
+        async def drive():
+            async def drop_last(request):
+                return table[request.u, request.v][:-1]
+
+            client = NetClient("127.0.0.1", 1)
+            scripted(client.link, table, drop_last)
+            try:
+                callers = [asyncio.ensure_future(client.dist(u, v))
+                           for u, v in ((1, 2), (3, 4), (5, 6))]
+                _done, pending = await asyncio.wait(callers, timeout=10.0)
+                for task in pending:
+                    task.cancel()
+                return [None if task in pending else task.exception()
+                        for task in callers], client.link.requests
+            finally:
+                await client.aclose()
+
+        errors, requests = asyncio.run(drive())
+        assert requests == 1
+        for error in errors:  # None: stranded
+            assert isinstance(error, RuntimeError)
+            assert "2 values for a frame of 3 keys" in str(error)
+
+    def test_timed_out_caller_does_not_cancel_the_others_answer(self, table):
+        """Two callers of one pair, the first under a ``wait_for`` that
+        expires while the frame is out: it alone times out; the other
+        gets the value, from the one wire request."""
+        async def drive():
+            out = asyncio.Event()
+            release = asyncio.Event()
+
+            async def held(request):
+                out.set()
+                await release.wait()
+
+            client = NetClient("127.0.0.1", 1)
+            scripted(client.link, table, held)
+            try:
+                impatient = asyncio.ensure_future(
+                    asyncio.wait_for(client.dist(3, 9), timeout=0.01))
+                patient = asyncio.ensure_future(client.dist(9, 3))
+                await out.wait()
+                with pytest.raises(asyncio.TimeoutError):
+                    await impatient
+                release.set()
+                return (await asyncio.wait_for(patient, timeout=10.0),
+                        client.link.requests)
+            finally:
+                await client.aclose()
+
+        value, requests = asyncio.run(drive())
+        assert value == table[3, 9]
+        assert requests == 1
+
     @pytest.mark.parametrize("num_workers", FLEET_SIZES)
     def test_artifact_pin_forces_one_table(self, manifest, reference,
                                            num_workers):

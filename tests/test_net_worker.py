@@ -278,10 +278,11 @@ class TestHttpDialect:
         assert status == 400
         assert payload["error"] == "bad-request"
 
-    @pytest.mark.parametrize("bad_id", [2**31, -2**31 - 1, 1.5])
+    @pytest.mark.parametrize("bad_id", [2**31, -2**31 - 1, 1.5, True])
     def test_http_unrepresentable_node_id_is_400(self, artifact_path, bad_id):
         """An id that does not fit int32 (numpy 2 raises OverflowError) or
-        is not an integer is a malformed body, answered like any other."""
+        is not an integer — a float, or JSON ``true``, which Python would
+        take for 1 — is a malformed body, answered like any other."""
         async def drive():
             worker = make_worker(artifact_path)
             async with worker.server, worker:

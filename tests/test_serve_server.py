@@ -239,8 +239,10 @@ class TestClientsAndShutdown:
 
         async def drive():
             server = DistanceServer(
-                engine, ServerConfig(coalesce_window=5.0))  # would park 5s
+                engine, ServerConfig(coalesce_window=5.0))
             await server.start()
+            # A batch just left, so the next one is five seconds away.
+            await server.dist(0, graph.n - 1)
             tasks = [asyncio.ensure_future(server.dist(u, v))
                      for u, v in pairs]
             await asyncio.sleep(0)  # let every request enqueue
@@ -269,9 +271,57 @@ class TestClientsAndShutdown:
         asyncio.run(drive())
 
 
-class TestAdaptiveCoalescing:
-    """The window is a fixed number of seconds (0 = off); the adaptive
-    ``"auto"`` mode is gone and stats report what is configured."""
+async def turns(count=10):
+    """Let every task that can run, run: ``count`` turns of the loop."""
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+class TestCoalescingWindow:
+    """The window is a fixed number of seconds (0 = off) and the minimum
+    spacing between two engine batches, not a delay every query pays;
+    stats report what is configured.  Loop turns, never a stopwatch: the
+    five-second window here must not be waited out."""
+
+    def test_lone_query_is_not_held_for_the_window(self, engine, reference):
+        async def scenario():
+            config = ServerConfig(coalesce_window=5.0)
+            async with DistanceServer(engine, config) as server:
+                lone = asyncio.ensure_future(server.dist(0, 1))
+                await turns()
+                assert lone.done()
+                return lone.result(), server.stats()
+
+        value, stats = asyncio.run(scenario())
+        assert value == reference.dist(0, 1)
+        assert stats["engine_batches"] == 1
+
+    def test_concurrent_queries_are_still_one_batch_and_a_trickle_one_per_window(
+            self, graph, engine, reference):
+        pairs = distinct_pairs(graph.n, 40)
+
+        async def scenario():
+            config = ServerConfig(coalesce_window=5.0)
+            async with DistanceServer(engine, config) as server:
+                burst = [asyncio.ensure_future(server.dist(u, v))
+                         for u, v in pairs]
+                await turns()
+                assert all(task.done() for task in burst)
+                assert server.stats()["engine_batches"] == 1
+                # Inside the window of that batch, queries wait for it to
+                # pass (here: for stop() to flush) and leave together.
+                trickle = []
+                for u, v in pairs[:3]:
+                    trickle.append(asyncio.ensure_future(server.dist(u, v)))
+                    await turns()
+                assert not any(task.done() for task in trickle)
+                assert server.stats()["engine_batches"] == 1
+            return ([task.result() for task in burst + trickle],
+                    server.stats())
+
+        values, stats = asyncio.run(scenario())
+        assert values == [reference.dist(u, v) for u, v in pairs + pairs[:3]]
+        assert stats["engine_batches"] == 2
 
     def test_fixed_window_unchanged_by_default(self, engine):
         async def scenario():
