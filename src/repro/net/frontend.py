@@ -11,8 +11,9 @@ healthy workers:
 
 * **sharded artifacts** — each pair's affinity is the shard holding its
   canonical row (one ``searchsorted`` over the manifest row ranges), and
-  shards are striped across workers, so a worker's hot-row cache and
-  faulted shard pages see a stable slice of the keyspace;
+  shards are striped across workers, so the shards a worker opens and
+  the pages it keeps warm in the page cache are a stable slice of the
+  keyspace;
 * **monolithic artifacts** — contiguous equal chunks.
 
 **The path of one frame** is frame -> per-owner runs -> frame, and the

@@ -48,8 +48,6 @@ _EXPORTS = {
     "OracleBuilder": "build",
     "build_oracle": "build",
     "AnswerCache": "cache",
-    "LatencyRecorder": "cache",
-    "RowBlockCache": "cache",
     "QueryEngine": "engine",
     "measure_throughput": "engine",
     "SHARD_MANIFEST_SUFFIX": "sharding",

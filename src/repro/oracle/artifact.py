@@ -181,9 +181,6 @@ class OracleArtifact:
     # ------------------------------------------------------------------
     # row-access protocol: the one-shard, fully resident case
     # ------------------------------------------------------------------
-    #: The one thing an engine asks about representation: the rows are
-    #: plain arrays, so a block cache in front of them would be a copy.
-    rows_in_memory = True
     num_shards = 1
     mapped_bytes = 0
     faults = 0

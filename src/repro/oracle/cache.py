@@ -1,40 +1,28 @@
-"""Query-side caching and latency bookkeeping for the oracle engine.
+"""The oracle engine's answer cache.
 
-Three small pieces:
+:class:`AnswerCache` is a fixed-size, 4-way set-associative table over
+int64 pair codes, held in three flat numpy arrays (key, value, use stamp)
+preallocated at ``24 × capacity`` bytes.  A whole frame is probed and
+filled in a fixed handful of numpy calls (:meth:`AnswerCache.probe` /
+:meth:`AnswerCache.fill`), so a cached batch costs about what the gather
+it saves costs; point queries go through a scalar
+:meth:`~AnswerCache.get` / :meth:`~AnswerCache.put` over the *same*
+table.  Replacement is least-recently-used within a key's set, not across
+the whole table.
 
-* :class:`AnswerCache` — the engine's answer cache: a fixed-size, 4-way
-  set-associative table over int64 pair codes, held in three flat numpy
-  arrays (key, value, use stamp) preallocated at ``24 × capacity`` bytes.
-  A whole frame is probed and filled in a fixed handful of numpy calls
-  (:meth:`AnswerCache.probe` / :meth:`AnswerCache.fill`), so a cached
-  batch costs about what the gather it saves costs; point queries go
-  through a scalar :meth:`~AnswerCache.get` / :meth:`~AnswerCache.put`
-  over the *same* table.  Replacement is least-recently-used within a
-  key's set, not across the whole table.
-* :class:`RowBlockCache` — a bounded LRU of contiguous row *blocks* copied
-  out of a larger (typically memory-mapped) table.  Point queries against
-  a sharded artifact go through it so a Zipf-hot row costs one page fault
-  ever, while total residency stays capped at ``capacity`` blocks.
-* :class:`LatencyRecorder` — a bounded ring of per-query latencies (in
-  nanoseconds) from which ``stats()`` derives P50/P95/P99.  Bounding the
-  ring keeps a long-lived serving engine at O(1) memory no matter how many
-  queries it has answered.  The implementation now lives in
-  :mod:`repro.obs.metrics` (it gained ``merge()`` for cross-worker
-  aggregation and backs the registry's recorder metric kind) and the
-  package's own modules import it from there; the name stays here only
-  because ``repro.oracle.LatencyRecorder`` is public.
+It is the only cache the engine has: answers are cached, rows are not —
+a row read is a view of the artifact's array or map
+(:meth:`~repro.oracle.sharding.ShardedOracleArtifact.row`), and what
+keeps a hot mapped row fast is the page cache.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import LatencyRecorder
-
-__all__ = ["AnswerCache", "LatencyRecorder", "RowBlockCache"]
+__all__ = ["AnswerCache"]
 
 #: Slots per set.  Four int64 keys are half a cache line, and 4-way LRU
 #: tracks a full LRU's hit ratio to the third decimal on the benchmark's
@@ -194,72 +182,3 @@ class AnswerCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class RowBlockCache:
-    """LRU of contiguous row blocks fetched on demand from a backing table.
-
-    ``fetch(start, stop)`` must return rows ``[start, stop)`` as an
-    in-memory array (for sharded artifacts that is one cross-shard gather).
-    Rows are served as views into the cached block, so repeated hot-row
-    accesses cost a dict hit, not a disk fault; at most ``capacity``
-    blocks stay resident.
-    """
-
-    __slots__ = ("block_rows", "capacity", "total_rows", "hits", "misses",
-                 "_fetch", "_blocks")
-
-    def __init__(self, fetch: Callable[[int, int], Any], total_rows: int,
-                 block_rows: int = 64, capacity: int = 32):
-        if block_rows < 1:
-            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._fetch = fetch
-        self.total_rows = int(total_rows)
-        self.block_rows = int(block_rows)
-        self.capacity = int(capacity)
-        self.hits = 0
-        self.misses = 0
-        self._blocks: "OrderedDict[int, Any]" = OrderedDict()
-
-    def row(self, index: int) -> Any:
-        """Row ``index``, a view into the (possibly freshly fetched) block."""
-        block_id = index // self.block_rows
-        block = self._blocks.get(block_id)
-        if block is None:
-            self.misses += 1
-            start = block_id * self.block_rows
-            stop = min(start + self.block_rows, self.total_rows)
-            block = self._fetch(start, stop)
-            self._blocks[block_id] = block
-            if len(self._blocks) > self.capacity:
-                self._blocks.popitem(last=False)
-        else:
-            self.hits += 1
-            self._blocks.move_to_end(block_id)
-        return block[index - block_id * self.block_rows]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(block.nbytes for block in self._blocks.values())
-
-    def invalidate_rows(self, rows) -> int:
-        """Drop every cached block holding one of ``rows``.
-
-        The surgical cousin of :meth:`clear`, used by the shard-integrity
-        quarantine: when a shard's mapping is suspect, only the blocks
-        copied out of it need to go — the rest of the hot set stays warm.
-        Returns the number of blocks dropped.
-        """
-        dropped = 0
-        for index in {int(row) // self.block_rows for row in rows}:
-            if self._blocks.pop(index, None) is not None:
-                dropped += 1
-        return dropped
-
-    def clear(self) -> None:
-        self._blocks.clear()
-
-    def __len__(self) -> int:
-        return len(self._blocks)

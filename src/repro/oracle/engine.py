@@ -10,10 +10,10 @@ answers shard by shard and a resident
 a resident artifact is the one-shard case, not a second code path.  The
 kernels are array code throughout; the engine builds no per-node index at
 load, so constructing one costs microseconds and holds no copy of the
-payload.  The single thing it asks about representation is
-``rows_in_memory``, and only to decide whether point reads go through a
-bounded :class:`~repro.oracle.cache.RowBlockCache` (worth it for mapped
-rows, a pointless copy for resident ones).
+payload.  Point kernels read a row through ``artifact.row`` — a view of
+the array or of the map, never a copy — so a point read on a mapped
+artifact opens exactly the shards owning the rows it reads, and the
+engine holds nothing of a payload it did not load.
 
 All strategies share the same front end — an array-resident answer cache
 (:class:`~repro.oracle.cache.AnswerCache`: 4-way set-associative over the
@@ -51,23 +51,16 @@ answers inherit the artifact's advertised stretch guarantee unchanged.
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs.metrics import LatencyRecorder, get_registry
 from repro.oracle.artifact import OracleArtifact
-from repro.oracle.cache import AnswerCache, RowBlockCache
+from repro.oracle.cache import AnswerCache
 from repro.oracle.sharding import ShardedOracleArtifact
 from repro.oracle.strategies import get_strategy
-
-#: Rows per cached block and blocks kept per row array — the hot-row
-#: working set an engine over a mapped artifact keeps resident (the
-#: serving registry's cost model mirrors these numbers).
-ROW_BLOCK_ROWS = 64
-ROW_BLOCK_CAPACITY = 32
 
 
 class QueryEngine:
@@ -84,15 +77,10 @@ class QueryEngine:
         Maximum number of cached point answers (0 disables caching).
     latency_window:
         How many recent per-query latencies feed the percentile stats.
-    block_rows / block_capacity:
-        Shape of the hot-row block cache in front of point reads on a
-        mapped artifact (unused when the rows are already in memory).
     """
 
     def __init__(self, artifact: Union[OracleArtifact, ShardedOracleArtifact],
-                 cache_size: int = 65536, latency_window: int = 65536,
-                 block_rows: int = ROW_BLOCK_ROWS,
-                 block_capacity: int = ROW_BLOCK_CAPACITY):
+                 cache_size: int = 65536, latency_window: int = 65536):
         artifact.validate()
         self.artifact = artifact
         self.n = artifact.n
@@ -110,23 +98,6 @@ class QueryEngine:
         # keep its tables and maps until the cyclic collector runs.
         self._kernels = tuple(getattr(type(self), f"_{role}_{self.query_kind}")
                               for role in ("point", "point_batch", "row"))
-        # Point kernels read one row at a time.  Mapped rows come through a
-        # bounded block cache (a hot row costs a dict hit, not a shard
-        # lookup); rows already in memory are read in place — caching them
-        # would only copy them.
-        self._block_caches: Dict[str, RowBlockCache] = {}
-        self._row_of: Dict[str, Callable[[int], np.ndarray]] = {}
-        for name in spec.row_sharded_arrays:
-            if artifact.rows_in_memory:
-                self._row_of[name] = functools.partial(artifact.row, name)
-            else:
-                cache = RowBlockCache(
-                    lambda start, stop, _name=name: artifact.rows(
-                        _name, np.arange(start, stop, dtype=np.int64)),
-                    artifact.n, block_rows=block_rows, capacity=block_capacity,
-                )
-                self._block_caches[name] = cache
-                self._row_of[name] = cache.row
         if self.query_kind == "spanner":
             self._init_spanner_overlay()
 
@@ -187,21 +158,6 @@ class QueryEngine:
             "repro_engine_resident_bytes",
             "Payload bytes resident in memory", labels=labels,
         ).set_function(lambda e: e.memory_stats()["resident_bytes"], self)
-        registry.counter(
-            "repro_rowblock_cache_hits_total",
-            "Hot-row block cache hits", labels=labels,
-        ).set_function(
-            lambda e: sum(c.hits for c in e._block_caches.values()), self)
-        registry.counter(
-            "repro_rowblock_cache_misses_total",
-            "Hot-row block cache misses", labels=labels,
-        ).set_function(
-            lambda e: sum(c.misses for c in e._block_caches.values()), self)
-        registry.gauge(
-            "repro_rowblock_cache_bytes",
-            "Bytes held by hot-row block caches", labels=labels,
-        ).set_function(
-            lambda e: sum(c.nbytes for c in e._block_caches.values()), self)
         registry.recorder(
             "repro_engine_latency_us",
             "Per-query engine latency", labels=labels,
@@ -299,8 +255,8 @@ class QueryEngine:
         hit, out = self.cache.probe(keys)
         miss = np.flatnonzero(~hit)
         if miss.size == 1:
-            # Single-miss fast path: the point kernel reads hot rows
-            # through the block cache instead of a one-element gather.
+            # Single-miss fast path: the point kernel reads one row view
+            # instead of grouping a one-element gather by shard.
             key = keys.item(miss.item())
             value = self._point(key // n, key % n)
             out[miss] = value
@@ -366,51 +322,42 @@ class QueryEngine:
     def memory_stats(self) -> Dict[str, object]:
         """Resident vs mapped payload bytes (plus shard-fault counters).
 
-        Read off the artifact: a resident one holds its whole payload and
-        maps nothing; a mapped one holds its common arrays plus the engine's
-        hot-row block caches (reported under ``row_block_cache``) while the
-        payload stays on disk.  ``repro loadgen --report-residency`` and the
-        serving registry's cost model both read this snapshot.
+        Read off the artifact, one key set whatever the layout: a
+        resident one holds its whole payload and maps nothing; a mapped
+        one holds the common arrays it has read while the row arrays stay
+        in the map — what :func:`repro.oracle.strategies.resident_and_mapped`
+        predicts.  ``repro loadgen --report-residency`` prints this
+        snapshot.
         """
         artifact = self.artifact
-        caches = self._block_caches.values()
-        block_bytes = sum(cache.nbytes for cache in caches)
-        stats: Dict[str, object] = {
-            "sharded": not artifact.rows_in_memory,
+        mapped_bytes = artifact.mapped_bytes
+        return {
+            "sharded": mapped_bytes > 0,
             "num_shards": artifact.num_shards,
             "shard_faults": artifact.faults,
-            "mapped_bytes": artifact.mapped_bytes,
-            "resident_bytes": artifact.resident_bytes() + block_bytes,
+            "mapped_bytes": mapped_bytes,
+            "resident_bytes": artifact.resident_bytes(),
         }
-        if caches:
-            stats["row_block_cache"] = {
-                "blocks": sum(len(cache) for cache in caches),
-                "bytes": block_bytes,
-                "hits": sum(cache.hits for cache in caches),
-                "misses": sum(cache.misses for cache in caches),
-            }
-        return stats
 
     def clear_cache(self) -> None:
         """Drop cached answers (hit/miss counters are kept)."""
         self.cache.clear()
 
     def quarantine_rows(self, rows: Sequence[int]) -> List[int]:
-        """Purge every cache that may hold data derived from ``rows``.
+        """Drop everything that may hold data derived from ``rows``.
 
         Called by the serving layer when a gather touching ``rows``
         produced impossible distances (NaN/negative).  The answer cache is
         cleared wholesale (its keys are pairs, not rows — there is no
-        cheap way to tell which entries are tainted), the row-block
-        caches drop only the blocks covering ``rows``, and the artifact
-        quarantines each implicated shard so its next open re-verifies
-        the checksum.  Returns the quarantined shard indices (empty for a
+        cheap way to tell which entries are tainted) and the artifact
+        quarantines each implicated shard: its map is dropped and its next
+        open re-verifies the checksum.  The engine keeps no copy of a row,
+        so the next read of a suspect row goes through that re-opened
+        shard.  Returns the quarantined shard indices (empty for a
         resident artifact, whose payload was checksum-verified whole at
         load).
         """
         self.cache.clear()
-        for cache in self._block_caches.values():
-            cache.invalidate_rows(rows)
         return self.artifact.quarantine_rows(rows)
 
     # ------------------------------------------------------------------
@@ -426,7 +373,7 @@ class QueryEngine:
         return self._kernels[2](self, u)
 
     def _point_dense(self, u: int, v: int) -> float:
-        return float(self._row_of["dist"](u)[v])
+        return float(self.artifact.row("dist", u)[v])
 
     def _point_batch_dense(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         # Elementwise gather straight off the rows: on a mapped artifact
@@ -440,15 +387,14 @@ class QueryEngine:
         # Ball distances are exact and routes only compose overestimates,
         # so a ball hit can never be beaten by a landmark route: probe
         # u's ball, then v's, then take the best landmark route.
-        ball_idx, ball_dist = self._row_of["ball_idx"], self._row_of["ball_dist"]
-        hit = (ball_idx(u) == v).nonzero()[0]
+        row = self.artifact.row
+        hit = (row("ball_idx", u) == v).nonzero()[0]
         if hit.size:
-            return float(ball_dist(u)[hit[0]])
-        hit = (ball_idx(v) == u).nonzero()[0]
+            return float(row("ball_dist", u)[hit[0]])
+        hit = (row("ball_idx", v) == u).nonzero()[0]
         if hit.size:
-            return float(ball_dist(v)[hit[0]])
-        landmark_dist = self._row_of["landmark_dist"]
-        return float((landmark_dist(u) + landmark_dist(v)).min())
+            return float(row("ball_dist", v)[hit[0]])
+        return float((row("landmark_dist", u) + row("landmark_dist", v)).min())
 
     def _point_batch_landmark(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         # Everything runs inside one ~1M-element chunk loop so transient
@@ -496,14 +442,14 @@ class QueryEngine:
         # shards — but one shard at a time, never materialising a second
         # copy of the landmark table.
         artifact = self.artifact
-        ld_u = np.asarray(self._row_of["landmark_dist"](u))
+        ld_u = artifact.row("landmark_dist", u)
         row = np.empty(self.n, dtype=np.float64)
         for start, block in artifact.iter_shards("landmark_dist"):
             row[start:start + block.shape[0]] = np.min(block + ld_u, axis=1)
         # Overlay the exact balls: u's own, then every ball u sits in.
-        ball_u = self._row_of["ball_idx"](u)
+        ball_u = artifact.row("ball_idx", u)
         filled = np.flatnonzero(ball_u >= 0)
-        np.minimum.at(row, ball_u[filled], self._row_of["ball_dist"](u)[filled])
+        np.minimum.at(row, ball_u[filled], artifact.row("ball_dist", u)[filled])
         for (start, idx_block), (_, dist_block) in zip(
                 artifact.iter_shards("ball_idx"),
                 artifact.iter_shards("ball_dist")):

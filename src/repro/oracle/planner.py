@@ -37,6 +37,7 @@ from repro.oracle.strategies import (
     StrategySpec,
     StretchGuarantee,
     REGISTRY,
+    resident_and_mapped,
 )
 from repro.serve.router import StretchBudget
 
@@ -157,15 +158,6 @@ def _shard_count(payload_bytes: float, shard_target_bytes: float,
     return max(1, min(n, math.ceil(payload_bytes / shard_target_bytes)))
 
 
-def _resident_floats(estimate: CostEstimate, n: int, sharded: bool) -> float:
-    """Mirror of ``StrategySpec.serving_costs`` on a-priori estimates."""
-    if not sharded:
-        return estimate.payload_floats
-    from repro.oracle.engine import ROW_BLOCK_CAPACITY, ROW_BLOCK_ROWS
-    hot_rows = min(n, ROW_BLOCK_ROWS * ROW_BLOCK_CAPACITY)
-    return hot_rows * estimate.row_width + estimate.common_floats
-
-
 def plan_fleet(
     graph=None,
     *,
@@ -188,8 +180,10 @@ def plan_fleet(
     For each budget the registry is enumerated in registration order; a
     strategy is *feasible* when its a-priori guarantee fits the budget,
     its estimated per-query work fits ``max_query_cost``, and its
-    estimated resident set (sharded when the payload exceeds
-    ``shard_target_bytes``) fits ``max_resident_floats``.  Among feasible
+    estimated resident set — the whole payload, or only the common arrays
+    when the payload exceeds ``shard_target_bytes`` and is built sharded
+    (:func:`~repro.oracle.strategies.resident_and_mapped`) — fits
+    ``max_resident_floats``.  Among feasible
     strategies the planner picks the smallest artifact, breaking ties by
     build cost, then query cost, then name.  An unsatisfiable budget
     raises :class:`PlanError` naming every rejection reason.
@@ -218,7 +212,9 @@ def plan_fleet(
             estimate = spec.estimate(n, m, epsilon)
             num_shards = _shard_count(
                 estimate.payload_bytes, shard_target_bytes, n)
-            resident = _resident_floats(estimate, n, num_shards > 1)
+            resident, _mapped = resident_and_mapped(
+                estimate.payload_floats, estimate.common_floats,
+                num_shards > 1)
             if estimate.query_cost > max_query_cost:
                 rejections.append(
                     f"{spec.name}: query cost {estimate.query_cost:g} "

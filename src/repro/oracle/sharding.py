@@ -378,10 +378,6 @@ class ShardedOracleArtifact:
     row slices, never re-encoded data.
     """
 
-    #: Rows are mapped, not resident: an engine fronts its point reads
-    #: with a :class:`~repro.oracle.cache.RowBlockCache`.
-    rows_in_memory = False
-
     def __init__(self, manifest_path: Path, manifest: Dict[str, Any],
                  verify: str = "lazy"):
         if verify not in VERIFY_MODES:
@@ -729,8 +725,8 @@ class ShardedOracleArtifact:
     def resident_bytes(self) -> int:
         """Payload bytes held resident by this object (common arrays only).
 
-        Mapped shard pages live in the page cache and are reclaimable; the
-        engine's row-block cache accounts for its own copies.
+        Row arrays are only ever mapped and nothing downstream copies
+        them: their pages live in the page cache and are reclaimable.
         """
         return sum(array.nbytes for array in self._common_cache.values())
 

@@ -92,16 +92,16 @@ class CostEstimate:
     """A-priori cost estimate for building + serving one strategy.
 
     Everything the planner needs before any build runs: payload size (for
-    memory budgets and shard counts), the sharded-serving row/common split
-    (for resident-set estimates), per-query work (for latency budgets) and
-    relative build cost (the tie-breaker between equally small artifacts).
+    memory budgets and shard counts), the share of it held in common arrays
+    (what a sharded engine keeps resident — :func:`resident_and_mapped`),
+    per-query work (for latency budgets) and relative build cost (the
+    tie-breaker between equally small artifacts).
     Units: floats for sizes, table-lookup-equivalents for query cost,
     abstract work units for build cost (only comparisons between
     strategies at the same ``(n, m)`` are meaningful).
     """
 
     payload_floats: float
-    row_width: float
     common_floats: float
     query_cost: float
     build_cost: float
@@ -109,6 +109,23 @@ class CostEstimate:
     @property
     def payload_bytes(self) -> float:
         return self.payload_floats * 8.0
+
+
+def resident_and_mapped(payload_floats: float, common_floats: float,
+                        sharded: bool) -> Tuple[float, float]:
+    """``(resident_floats, mapped_floats)`` of a loaded artifact.
+
+    The one statement of what an engine holds, and what
+    ``QueryEngine.memory_stats()`` then measures.  Monolithic: the payload
+    is resident, nothing is mapped.  Sharded: the common arrays are
+    resident, the payload is mapped — row arrays are read through the map
+    and never copied.  The planner evaluates it on an a-priori
+    :class:`CostEstimate`, the artifact registry on built metadata
+    (:meth:`StrategySpec.serving_costs`).
+    """
+    if sharded:
+        return common_floats, payload_floats
+    return payload_floats, 0.0
 
 
 # Signature of a build function: ``(builder, graph) -> (arrays, rounds,
@@ -129,9 +146,10 @@ class StrategySpec:
     * ``guarantee_fn`` — the stretch guarantee a build with given
       parameters will advertise, computable *before* building (the planner
       relies on this).
-    * ``cost_fn`` — ``(n, build_metadata) -> (payload_floats, row_width,
-      common_floats, query_cost)``: the serving-cost model the artifact
-      registry charges for a built artifact.
+    * ``cost_fn`` — ``(n, build_metadata) -> (payload_floats,
+      common_floats, query_cost)``: the size and per-query work of a built
+      artifact, which :meth:`serving_costs` turns into what the artifact
+      registry charges.
     * ``estimate_fn`` — ``(n, m, epsilon) -> CostEstimate``: the a-priori
       estimator the planner optimises over (no artifact needed).
     """
@@ -160,7 +178,7 @@ class StrategySpec:
     guarantee_fn: Optional[Callable[[float, float, Optional[int]],
                                     StretchGuarantee]] = None
     cost_fn: Optional[Callable[[int, dict],
-                               Tuple[float, float, float, float]]] = None
+                               Tuple[float, float, float]]] = None
     estimate_fn: Optional[Callable[[int, int, float], CostEstimate]] = None
 
     def guarantee(self, epsilon: float, max_weight: float,
@@ -195,22 +213,15 @@ class StrategySpec:
                       sharded: bool) -> Tuple[float, float, float]:
         """``(resident_floats, query_cost, mapped_floats)`` for one artifact.
 
-        The cost model charges only what a loaded engine actually keeps in
-        RAM: a monolithic engine holds the full payload, while a sharded
-        engine holds at most its hot-row block caches (mirroring the
-        engine's ``ROW_BLOCK_ROWS``/``ROW_BLOCK_CAPACITY`` defaults) plus
-        the small common arrays — the payload itself is mapped, not
-        resident.
+        ``cost_fn`` on the artifact's build metadata, split by
+        :func:`resident_and_mapped`.
         """
         if self.cost_fn is None:
             raise ValueError(
                 f"strategy {self.name!r} was registered without a cost_fn")
-        payload, row_width, common, query_cost = self.cost_fn(n, dict(build or {}))
-        if not sharded:
-            return payload, query_cost, 0.0
-        from repro.oracle.engine import ROW_BLOCK_CAPACITY, ROW_BLOCK_ROWS
-        hot_rows = min(n, ROW_BLOCK_ROWS * ROW_BLOCK_CAPACITY)
-        return hot_rows * row_width + common, query_cost, payload
+        payload, common, query_cost = self.cost_fn(n, dict(build or {}))
+        resident, mapped = resident_and_mapped(payload, common, sharded)
+        return resident, query_cost, mapped
 
     def estimate(self, n: int, m: int, epsilon: float) -> CostEstimate:
         """A-priori planner estimate for a graph with ``n`` nodes, ``m`` edges."""
@@ -370,26 +381,16 @@ def _hopset_guarantee(epsilon, max_weight, k):
 
 
 def _dense_costs(n, build):
-    return float(n) * n, float(n), 0.0, 1.0
-
-
-def _landmark_shape(n, build):
-    k = int(build.get("k") or _sqrt_k(n))
-    landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
-    return k, landmarks
+    return float(n) * n, 0.0, 1.0
 
 
 def _landmark_costs(n, build):
-    k, landmarks = _landmark_shape(n, build)
-    payload_floats = 2.0 * n * k + 1.0 * n * landmarks
-    return payload_floats, float(landmarks + 2 * k), float(landmarks), float(landmarks)
-
-
-def _hopset_costs(n, build):
+    # Both landmark strategies: hopset-landmark records the width of its
+    # bunch balls as ``ball_width``, landmark-mssp packs exactly ``k``.
     k = int(build.get("ball_width") or build.get("k") or _sqrt_k(n))
     landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
     payload_floats = 2.0 * n * k + 1.0 * n * landmarks
-    return payload_floats, float(landmarks + 2 * k), float(landmarks), float(landmarks)
+    return payload_floats, float(landmarks), float(landmarks)
 
 
 def _spanner_costs(n, build):
@@ -402,14 +403,13 @@ def _spanner_costs(n, build):
     csr_floats = 2.0 * (2 * edges) + (n + 1)
     payload_floats = 2.0 * n * kb + 1.0 * n * landmarks + csr_floats
     common = float(landmarks) + csr_floats
-    return payload_floats, float(landmarks + 2 * kb), common, float(landmarks)
+    return payload_floats, common, float(landmarks)
 
 
 def _estimate_from_costs(cost_fn, n, build, build_cost):
-    payload, row_width, common, query = cost_fn(n, build)
-    return CostEstimate(payload_floats=payload, row_width=row_width,
-                        common_floats=common, query_cost=query,
-                        build_cost=float(build_cost))
+    payload, common, query = cost_fn(n, build)
+    return CostEstimate(payload_floats=payload, common_floats=common,
+                        query_cost=query, build_cost=float(build_cost))
 
 
 def _dense_estimate(n, m, epsilon):
@@ -441,7 +441,7 @@ def _spanner_estimate(n, m, epsilon):
 def _hopset_estimate(n, m, epsilon):
     # Hopset construction (bounded source detection over beta-hop balls)
     # dominates: clearly super-quadratic, the most expensive compact build.
-    return _estimate_from_costs(_hopset_costs, n, {},
+    return _estimate_from_costs(_landmark_costs, n, {},
                                 float(n) ** 2.5 * _log2(n))
 
 
@@ -508,6 +508,6 @@ register_strategy(StrategySpec(
     query_kind="landmark",
     build_fn="repro.oracle.hopset_landmark:build_hopset_landmark_arrays",
     guarantee_fn=_hopset_guarantee,
-    cost_fn=_hopset_costs,
+    cost_fn=_landmark_costs,
     estimate_fn=_hopset_estimate,
 ))

@@ -21,15 +21,16 @@ several epsilon levels of one graph, each persisted as an
   host or after a restart.
 
 The serving-cost model used by :class:`~repro.serve.router.StretchRouter`
-is intentionally simple and fully determined by the sidecar metadata:
-``resident_floats`` estimates the *actually resident* working-set size and
-``query_cost`` the per-query work (1 lookup for dense strategies, a
-min over the ``|A|`` landmarks otherwise).  For monolithic artifacts the
-whole payload is resident once loaded (``n²`` for the dense strategies,
-``2nk + n·|A|`` for ``landmark-mssp``); for sharded artifacts
-(:mod:`repro.oracle.sharding`) only the hot-row block caches and the small
-common arrays are resident — the payload stays memory-mapped and is
-charged to ``mapped_floats`` instead.  Cheapness is compared
+is fully determined by the sidecar metadata and stated once, in
+:mod:`repro.oracle.strategies`: the strategy's ``cost_fn`` sizes the
+payload (``n²`` for the dense strategies, ``2nk + n·|A|`` for
+``landmark-mssp``) and prices a query (1 lookup for dense strategies, a
+min over the ``|A|`` landmarks otherwise), and
+:func:`~repro.oracle.strategies.resident_and_mapped` says where it lives —
+a monolithic artifact is resident whole once loaded, a sharded one
+(:mod:`repro.oracle.sharding`) holds only its small common arrays and the
+payload is charged to ``mapped_floats`` instead, which is what the loaded
+engine's ``memory_stats()`` then measures.  Cheapness is compared
 lexicographically — resident footprint first, then per-query work, then
 payload bytes, then name — so the order is total and reproducible, and a
 sharded copy of an artifact routinely beats its monolithic twin.
@@ -84,8 +85,8 @@ class ArtifactEntry:
     stretch: StretchGuarantee
     payload_bytes: int
     #: Estimated floats actually resident once loaded: the full payload for
-    #: monolithic artifacts, the hot-row block caches + common arrays for
-    #: sharded (memory-mapped) ones.
+    #: monolithic artifacts, the common arrays for sharded (memory-mapped)
+    #: ones.
     resident_floats: float
     #: Estimated per-query work units (1 = one table lookup).
     query_cost: float
@@ -116,22 +117,6 @@ class ArtifactEntry:
                 f"{cost})")
 
 
-def _serving_costs(strategy: str, n: int, build: dict,
-                   sharded: bool) -> Tuple[float, float, float]:
-    """``(resident_floats, query_cost, mapped_floats)`` for one artifact.
-
-    Delegates to the registered :class:`~repro.oracle.strategies.
-    StrategySpec`'s declarative cost model (``spec.serving_costs``) so the
-    registry charges third-party strategies correctly without this module
-    knowing their payload shapes.  The model charges only what a loaded
-    engine actually keeps in RAM: a monolithic engine holds the full
-    payload, while a sharded engine holds at most its hot-row block caches
-    plus the small common arrays — the payload itself is mapped, not
-    resident.
-    """
-    return get_strategy(strategy).serving_costs(n, build, sharded)
-
-
 def _required_metadata(metadata: dict, source: Path):
     version = metadata.get("format_version")
     if version != FORMAT_VERSION:
@@ -150,8 +135,8 @@ def _required_metadata(metadata: dict, source: Path):
 
 def _entry_from_sidecar(name: str, payload: Path, metadata: dict) -> ArtifactEntry:
     strategy, n, epsilon, stretch = _required_metadata(metadata, payload)
-    resident, query_cost, mapped = _serving_costs(
-        strategy, n, metadata.get("build", {}), sharded=False)
+    resident, query_cost, _mapped = get_strategy(strategy).serving_costs(
+        n, metadata.get("build", {}), sharded=False)
     return ArtifactEntry(
         name=name,
         path=payload,
@@ -179,8 +164,8 @@ def _entry_from_shard_manifest(name: str, manifest_path: Path,
     shards = sorted(manifest.get("shards", []), key=lambda item: int(item["index"]))
     if not shards:
         raise ArtifactError(f"shard manifest {manifest_path} lists no shards")
-    resident, query_cost, mapped = _serving_costs(
-        strategy, n, metadata.get("build", {}), sharded=True)
+    resident, query_cost, mapped = get_strategy(strategy).serving_costs(
+        n, metadata.get("build", {}), sharded=True)
     return ArtifactEntry(
         name=name,
         path=manifest_path,

@@ -218,11 +218,6 @@ class TestCallbacks:
 
 
 class TestLatencyRecorder:
-    def test_reexported_from_oracle_cache(self):
-        from repro.oracle.cache import LatencyRecorder as CacheRecorder
-
-        assert CacheRecorder is LatencyRecorder
-
     def test_merge_absorbs_other_window_without_double_count(self):
         a = LatencyRecorder(16)
         b = LatencyRecorder(16)

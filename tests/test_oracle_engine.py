@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import all_pairs_dijkstra, random_weighted_graph
-from repro.oracle import AnswerCache, LatencyRecorder, QueryEngine, build_oracle
+from repro.obs.metrics import LatencyRecorder
+from repro.oracle import AnswerCache, QueryEngine, build_oracle
 
 
 @pytest.fixture(scope="module")

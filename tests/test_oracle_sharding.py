@@ -1,9 +1,11 @@
 """Tests for the sharded, memory-mapped artifact format: shard/monolith
 answer parity (the bit-identical contract), manifest structure, checksum
-corruption and missing-shard error paths, and the hot-row block cache."""
+corruption and missing-shard error paths, and the locality of a point
+read (it opens the shards owning its rows and no other)."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
@@ -13,11 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.disk import corrupt_shard_file
 from repro.graphs import random_weighted_graph
+from repro.net.bench import synthetic_sharded_artifact
 from repro.oracle import (
     ArtifactError,
     OracleArtifact,
     QueryEngine,
-    RowBlockCache,
     ShardedOracleArtifact,
     build_oracle,
     load_artifact,
@@ -25,6 +27,7 @@ from repro.oracle import (
     shard_manifest_path,
 )
 from repro.oracle.sharding import ShardIntegrityError, grouped_runs
+from repro.serve import DistanceServer, ServerConfig
 
 STRATEGIES = ("dense-apsp", "landmark-mssp", "exact-fallback")
 
@@ -138,8 +141,7 @@ class TestParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_point_and_k_nearest_identical(self, sharded_dir, strategy):
         mono = QueryEngine(OracleArtifact.load(sharded_dir / f"{strategy}.npz"))
-        sharded = QueryEngine(load_artifact(sharded_dir / f"{strategy}-sharded"),
-                              block_rows=4, block_capacity=2)
+        sharded = QueryEngine(load_artifact(sharded_dir / f"{strategy}-sharded"))
         for u in range(mono.n):
             assert mono.dist(u, (u * 7 + 3) % mono.n) == \
                 sharded.dist(u, (u * 7 + 3) % mono.n)
@@ -347,9 +349,7 @@ class TestLaziness:
     def test_queries_fault_only_touched_shards(self, sharded_dir):
         loaded = ShardedOracleArtifact.load(
             sharded_dir / "dense-apsp-sharded.shards.json")
-        # Keep row blocks inside one shard so a point query cannot drag
-        # neighbouring shards in through the block fetch.
-        engine = QueryEngine(loaded, block_rows=4, block_capacity=2)
+        engine = QueryEngine(loaded)
         engine.dist(0, 1)  # both endpoints' rows live in shard 0
         assert loaded.faults == 1
         engine.dist(0, loaded.n - 1)  # column index needs no other shard
@@ -425,26 +425,88 @@ class TestCorruption:
             tmp_path / "x.shards.json").name == "x.shards.json"
 
 
-class TestRowBlockCache:
-    def test_serves_rows_and_bounds_residency(self):
-        table = np.arange(100.0).reshape(20, 5)
-        fetches = []
+def _through_server(artifact, call):
+    """``(answer, quarantines)`` of ``call(server)``, coalescing window off."""
+    async def drive():
+        config = ServerConfig(coalesce_window=0)
+        async with DistanceServer(QueryEngine(artifact), config) as server:
+            value = await call(server)
+            return value, server.stats()["quarantines"]
+    return asyncio.run(drive())
 
-        def fetch(start, stop):
-            fetches.append((start, stop))
-            return table[start:stop].copy()
 
-        cache = RowBlockCache(fetch, 20, block_rows=4, capacity=2)
-        for i in range(20):
-            np.testing.assert_array_equal(cache.row(i), table[i])
-        assert len(cache) <= 2
-        assert cache.misses == 5  # one fetch per block, sequential scan
-        cache.row(19)
-        assert cache.hits >= 1
-        assert cache.nbytes <= 2 * 4 * 5 * 8
+async def _gather_one(server, u, v):
+    return (await server.gather([u], [v]))[0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RowBlockCache(lambda s, e: None, 10, block_rows=0)
-        with pytest.raises(ValueError):
-            RowBlockCache(lambda s, e: None, 10, capacity=0)
+
+#: The four ways one pair reaches the point kernel, each on a fresh engine
+#: and each returning ``(answer, server quarantines)``.
+POINT_DOORS = {
+    "engine.dist": lambda artifact, u, v: (
+        QueryEngine(artifact).dist(u, v), 0),
+    "engine.batch": lambda artifact, u, v: (
+        QueryEngine(artifact).batch([(u, v)])[0], 0),
+    "server.dist": lambda artifact, u, v: _through_server(
+        artifact, lambda server: server.dist(u, v)),
+    "server.gather": lambda artifact, u, v: _through_server(
+        artifact, lambda server: _gather_one(server, u, v)),
+}
+
+
+def boundary_pairs(ranges, n):
+    """First and last row of every shard, each paired with a far node."""
+    rows = sorted({row for start, stop in ranges for row in (start, stop - 1)})
+    return [(u, (u + n // 2) % n) for u in rows]
+
+
+@pytest.mark.parametrize("door", sorted(POINT_DOORS))
+class TestPointLocality:
+    """A point read opens the shards owning the rows it reads, no other."""
+
+    def test_dense_point_read_opens_one_shard(self, tmp_path, door):
+        manifest = synthetic_sharded_artifact(tmp_path, n=200, num_shards=8)
+        reference = load_artifact(manifest)
+        table = reference.materialize("dist")
+        for u, v in [(3, 150)] + boundary_pairs(reference.row_ranges, 200):
+            artifact = load_artifact(manifest)
+            value, _ = POINT_DOORS[door](artifact, u, v)
+            assert value == table[u, v]
+            assert artifact.faults == 1, (u, v)
+
+    @pytest.mark.parametrize("strategy", ["landmark-mssp", "spanner-greedy"])
+    def test_landmark_point_read_opens_its_endpoints_shards(
+            self, graph, artifacts, tmp_path, door, strategy):
+        built = (artifacts[strategy] if strategy in artifacts
+                 else build_oracle(graph, strategy=strategy))
+        manifest, _ = built.save_sharded(tmp_path / "lm", num_shards=8)
+        resident = QueryEngine(built, cache_size=0)
+        ranges = load_artifact(manifest).row_ranges
+        seen = set()
+        for u, v in boundary_pairs(ranges, built.n):
+            artifact = load_artifact(manifest)
+            value, _ = POINT_DOORS[door](artifact, u, v)
+            assert value == resident.dist(u, v)
+            lo, hi = min(u, v), max(u, v)
+            # The kernel probes lo's ball first and stops on a hit; the
+            # spanner engine read its CSR out of shard 0 when it was built.
+            rows = [lo] if hi in built.arrays["ball_idx"][lo] else [lo, hi]
+            owners = set(artifact.shard_of_rows(np.asarray(rows)).tolist())
+            if strategy == "spanner-greedy":
+                owners.add(0)
+            assert artifact.faults == len(owners), (u, v)
+            seen.add(len(owners))
+        assert max(seen) == (3 if strategy == "spanner-greedy" else 2)
+
+    def test_rotten_neighbour_does_not_fail_the_read(self, tmp_path, door):
+        manifest = synthetic_sharded_artifact(tmp_path, n=200, num_shards=8)
+        reference = load_artifact(manifest)
+        table = reference.materialize("dist")
+        corrupt_shard_file(reference.shard_file(1), backup=False)
+        # Rows of shards 0 and 2, on both sides of the rotten shard 1.
+        for u, v in [(3, 150), (24, 150), (50, 150)]:
+            value, quarantines = POINT_DOORS[door](
+                load_artifact(manifest), u, v)
+            assert value == table[u, v]
+            assert quarantines == 0
+        with pytest.raises(ShardIntegrityError, match="checksum"):
+            POINT_DOORS[door](load_artifact(manifest), 30, 150)

@@ -79,6 +79,17 @@ class TestPlanFleet:
         assert plan.choices[0].estimate.query_cost <= 1.0
         assert plan.choices[0].strategy in ("dense-apsp", "exact-fallback")
 
+    def test_resident_budget_counts_what_the_process_holds(self):
+        shape = dict(n=4096, m=32768, max_weight=10.0,
+                     budgets=[parse_budget("1")], max_resident_floats=1e6)
+        # Monolithic, the exact table is 16.8M resident floats.
+        with pytest.raises(PlanError, match="resident set"):
+            plan_fleet(**shape, shard_target_bytes=math.inf)
+        # Sharded, the table is mapped and the process holds none of it.
+        choice = plan_fleet(**shape).choices[0]
+        assert choice.strategy == "exact-fallback"
+        assert choice.num_shards > 1
+
     def test_unsatisfiable_budget_raises_with_reasons(self):
         with pytest.raises(PlanError, match="no registered strategy"):
             plan_fleet(n=1024, m=8192, max_weight=10.0,

@@ -244,9 +244,8 @@ class TestQuarantine:
                                  verify="none")
         engine = QueryEngine(artifact)
         start, stop = artifact.row_ranges[1]
-        # Disjoint row sets: the warmup gather maps the shard, the
-        # post-rot gather must fault fresh rows so no row cache can
-        # satisfy it with pre-corruption values.
+        # Disjoint pairs: the warmup gather maps the shard, the post-rot
+        # gather must miss the answer cache and read the rotten map.
         warm_lo = [start, start + 1]
         warm_hi = [artifact.n - 1] * len(warm_lo)
         lo = list(range(start + 2, stop))

@@ -5,10 +5,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.graphs import random_weighted_graph
-from repro.oracle import ArtifactError, QueryEngine, build_oracle
+from repro.oracle import (
+    STRATEGY_NAMES,
+    ArtifactError,
+    QueryEngine,
+    build_oracle,
+    get_strategy,
+)
 from repro.serve import ArtifactRegistry, RegistryError, build_registry
 
 
@@ -376,3 +383,40 @@ class TestMidServeLoadFailures:
         assert entry.name == "cheap"  # the name was freed by the eviction
         assert registry.engine("cheap") is not None
         assert registry.load_failures == 1
+
+
+#: The common arrays an engine reads (a landmark engine never opens the
+#: landmark id vector: the table's columns are already in landmark order).
+SPANNER_CSR = ("spanner_indptr", "spanner_indices", "spanner_weights")
+
+
+@pytest.mark.parametrize("num_shards", [1, 4], ids=["monolithic", "4-shard"])
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_engine_holds_what_the_cost_model_says(tmp_path, strategy, num_shards):
+    """Predicted vs measured residency: after a point and a batch workload
+    an engine holds what its registry entry was charged for — the payload
+    when monolithic, the common arrays and no row of the map when sharded."""
+    n = 192
+    graph = random_weighted_graph(n, average_degree=8, max_weight=20, seed=7)
+    artifact = build_oracle(graph, strategy=strategy, epsilon=0.5, jobs=1)
+    if num_shards == 1:
+        path, _sidecar = artifact.save(tmp_path / "a.npz")
+    else:
+        path, _shards = artifact.save_sharded(tmp_path / "a", num_shards)
+    registry = ArtifactRegistry()
+    entry = registry.register(path)
+    engine = registry.engine(entry.name)
+
+    rng = np.random.default_rng(11)
+    for u, v in rng.integers(0, n, size=(2000, 2)).tolist():
+        engine.dist(u, v)
+    engine.batch(rng.integers(0, n, size=(4000, 2)))
+    memory = engine.memory_stats()
+
+    if num_shards > 1:
+        read = SPANNER_CSR if get_strategy(strategy).query_kind == "spanner" else ()
+        assert memory["resident_bytes"] == sum(
+            artifact.arrays[name].nbytes for name in read)
+    slack = 8 * artifact.metadata["build"].get("num_landmarks", 0)
+    assert abs(entry.resident_floats * 8 - memory["resident_bytes"]) <= slack
+    assert entry.mapped_floats * 8 <= memory["mapped_bytes"]

@@ -31,9 +31,9 @@ def _spec(name: str, **overrides) -> StrategySpec:
         summary="test strategy",
         query_kind="dense",
         guarantee_fn=lambda eps, w, k: StretchGuarantee(1.0, 0.0),
-        cost_fn=lambda n, build: (float(n) * n, float(n), 0.0, 1.0),
+        cost_fn=lambda n, build: (float(n) * n, 0.0, 1.0),
         estimate_fn=lambda n, m, eps: CostEstimate(
-            payload_floats=float(n) * n, row_width=float(n),
+            payload_floats=float(n) * n,
             common_floats=0.0, query_cost=1.0, build_cost=float(n) ** 3),
     )
     fields.update(overrides)
@@ -179,7 +179,7 @@ class TestSpecBehaviours:
         assert (resident, query, mapped) == (float(n) * n, 1.0, 0.0)
         resident_s, query_s, mapped_s = spec.serving_costs(n, {}, sharded=True)
         assert mapped_s == float(n) * n
-        assert resident_s < resident  # hot-row cache, not the payload
+        assert resident_s < resident  # the common arrays, not the payload
         assert query_s == query
 
     def test_estimates_rank_compact_strategies_smaller(self):
