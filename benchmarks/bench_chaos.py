@@ -144,12 +144,12 @@ class PerWorkerArtifactCluster(Cluster):
                                   for paths in per_worker_paths]
 
     def _spawn(self, index: int) -> None:
-        saved = self.artifact_paths
-        self.artifact_paths = self._per_worker_paths[index]
+        saved = self.artifacts
+        self.artifacts = self._per_worker_paths[index]
         try:
             super()._spawn(index)
         finally:
-            self.artifact_paths = saved
+            self.artifacts = saved
 
 
 def make_worker_copies(manifest: Path, workers: int,

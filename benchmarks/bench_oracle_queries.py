@@ -1,61 +1,20 @@
-"""E-ORACLE: distance-oracle query throughput, latency, and sharded serving.
+"""E-ORACLE: distance-oracle query throughput and latency.
 
-Two roles in one file:
+A pytest-benchmark module: it builds every oracle strategy on a 256-node
+random graph and a 16x16 grid, then measures cold (cache-miss) and cached
+queries/sec plus P50/P95/P99 query latency — the serve-side counterpart of
+the round-count experiments.  The acceptance floor asserted here: every
+strategy sustains at least 10,000 cached point queries/sec on the 256-node
+graphs.
 
-* As a pytest-benchmark module it builds every oracle strategy on a
-  256-node random graph and a 16x16 grid, then measures cold (cache-miss)
-  and cached queries/sec plus P50/P95/P99 query latency — the serve-side
-  counterpart of the round-count experiments.  The acceptance floor
-  asserted here: every strategy sustains at least 10,000 cached point
-  queries/sec on the 256-node graphs.
-
-* As a standalone script it is the **perf-regression harness** for the
-  sharded, memory-mapped artifact format::
-
-      PYTHONPATH=src python benchmarks/bench_oracle_queries.py --json
-
-  For each size it writes one synthetic dense-apsp artifact both ways
-  (compressed monolithic ``.npz`` vs memory-mappable row shards), then
-  measures what serving a Zipf-skewed 1k-query workload costs on each:
-  cold-start load time, resident memory (tracemalloc peak over load +
-  queries — mapped shard pages live in the page cache and are free), and
-  gather throughput.  Answers are asserted bit-identical between the two
-  paths, and full runs assert the acceptance floors (>= 5x faster
-  cold-start, >= 4x lower residency at n >= 4096).  Results land in
-  ``BENCH_PR4.json``; ``--smoke`` runs the reduced grid and *gates*
-  against the committed baseline, exiting non-zero if a committed
-  ``speedup_*``/``ratio_*`` figure regressed more than ``--tolerance``
-  (default 3x).  CI runs the smoke mode.
+(The standalone half that compared the single-file format with row shards
+went with that format; what serving from shards costs is measured by
+``bench/run.py``'s ``oracle.sharding.*`` and ``oracle.engine.*`` rows.)
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-import tracemalloc
-from pathlib import Path
-
-import numpy as np
-
 from _harness import experiment_oracle_queries, format_table
-
-#: Committed baseline written by full runs and read by --smoke gating.
-DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
-
-#: Graph sizes for the sharded-serving grid; the smoke grid is the prefix.
-FULL_SIZES = (1024, 4096)
-SMOKE_SIZES = (1024,)
-
-NUM_SHARDS = 16
-QUERIES = 1000
-ZIPF_SKEW = 1.0
-
-#: Acceptance floors asserted by full runs at n >= this size.
-ACCEPTANCE_N = 4096
-ACCEPTANCE_LOAD_SPEEDUP = 5.0
-ACCEPTANCE_RESIDENT_RATIO = 4.0
 
 
 def test_oracle_query_throughput(benchmark):
@@ -70,255 +29,3 @@ def test_oracle_query_throughput(benchmark):
         # Caching must not make things slower than recomputing per query.
         assert row["cached_qps"] >= row["cold_qps"] * 0.5, row
         assert row["p50_us"] <= row["p95_us"] <= row["p99_us"], row
-
-
-# ----------------------------------------------------------------------
-# standalone sharded-serving harness
-# ----------------------------------------------------------------------
-def synthetic_dense_artifact(n: int, seed: int = 0):
-    """A dense-apsp artifact with a synthesised distance matrix.
-
-    The harness measures *serving*, not building — running the paper's
-    APSP pipeline at n=4096 would take hours and change nothing about
-    what load/residency/gather cost.  The matrix is a valid symmetric
-    zero-diagonal distance table and the metadata a faithful dense-apsp
-    sidecar (flagged ``synthetic`` for provenance).
-    """
-    from repro.oracle import OracleArtifact, get_strategy
-
-    rng = np.random.default_rng(seed)
-    weights = rng.integers(1, 100, size=(n, n)).astype(np.float64)
-    dist = np.minimum(weights, weights.T)
-    np.fill_diagonal(dist, 0.0)
-    guarantee = get_strategy("dense-apsp").guarantee(0.5, 99.0)
-    metadata = {
-        "strategy": "dense-apsp",
-        "n": n,
-        "num_edges": 8 * n,
-        "epsilon": 0.5,
-        "max_weight": 99.0,
-        "stretch": guarantee.as_dict(),
-        "build": {"rounds": 0, "seconds": 0.0, "kernel": "auto",
-                  "synthetic": True},
-    }
-    return OracleArtifact(metadata=metadata, arrays={"dist": dist})
-
-
-def _measure_serving(make_engine, pairs):
-    """Load an engine and drive ``pairs`` through it, under tracemalloc.
-
-    Returns load seconds, tracemalloc peak MiB across load + queries
-    (mapped pages are not Python allocations, so a sharded engine's peak
-    is its gathers and caches, not the payload), cold and warm batch
-    throughput, and the answers for the parity check.
-    """
-    tracemalloc.start()
-    started = time.perf_counter()
-    engine = make_engine()
-    load_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    answers = engine.batch(pairs)
-    cold_s = time.perf_counter() - started
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    started = time.perf_counter()
-    engine.batch(pairs)
-    warm_s = time.perf_counter() - started
-    return {
-        "load_s": load_s,
-        "resident_mib": peak / 2**20,
-        "cold_qps": len(pairs) / max(1e-9, cold_s),
-        "warm_qps": len(pairs) / max(1e-9, warm_s),
-        "answers": answers,
-        "memory": engine.memory_stats(),
-    }
-
-
-def experiment_sharded_serving(n: int, workdir: Path, num_shards: int = NUM_SHARDS,
-                               queries: int = QUERIES) -> dict:
-    """Monolithic vs sharded-mmap serving of one dense artifact at size n."""
-    from repro.oracle import OracleArtifact, QueryEngine, load_artifact
-    from repro.serve import zipf_pairs
-
-    artifact = synthetic_dense_artifact(n)
-    mono_path = workdir / f"oracle-{n}.npz"
-    artifact.save(mono_path)
-    manifest_path, _ = artifact.save_sharded(workdir / f"oracle-{n}-sharded",
-                                             num_shards=num_shards)
-    del artifact
-    pairs = zipf_pairs(n, queries, skew=ZIPF_SKEW, seed=17)
-
-    # Caching off: the comparison targets the load + gather paths, not the
-    # answer cache (which is identical for both).
-    mono = _measure_serving(
-        lambda: QueryEngine(OracleArtifact.load(mono_path), cache_size=0),
-        pairs)
-    sharded = _measure_serving(
-        lambda: QueryEngine(load_artifact(manifest_path), cache_size=0),
-        pairs)
-
-    parity_ok = bool(np.array_equal(mono.pop("answers"),
-                                    sharded.pop("answers")))
-    if not parity_ok:
-        raise AssertionError(
-            f"sharded answers disagree with monolithic at n={n}")
-    return {
-        "experiment": "sharded_serving",
-        "n": n,
-        "num_shards": num_shards,
-        "queries": queries,
-        "zipf_skew": ZIPF_SKEW,
-        "parity_ok": parity_ok,
-        "mono_load_s": mono["load_s"],
-        "sharded_load_s": sharded["load_s"],
-        "speedup_cold_load": mono["load_s"] / max(1e-9, sharded["load_s"]),
-        "mono_resident_mib": mono["resident_mib"],
-        "sharded_resident_mib": sharded["resident_mib"],
-        "ratio_resident_mib": mono["resident_mib"]
-        / max(1e-9, sharded["resident_mib"]),
-        "mono_cold_qps": mono["cold_qps"],
-        "sharded_cold_qps": sharded["cold_qps"],
-        "mono_warm_qps": mono["warm_qps"],
-        "sharded_warm_qps": sharded["warm_qps"],
-        "shard_faults": sharded["memory"]["shard_faults"],
-    }
-
-
-def collect_results(smoke: bool, workdir: Path) -> dict:
-    sizes = SMOKE_SIZES if smoke else FULL_SIZES
-    results = {}
-    for n in sizes:
-        row = experiment_sharded_serving(n, workdir)
-        results[f"sharded_serving_n{n}"] = row
-    return results
-
-
-def regression_failures(results: dict, baseline: dict, tolerance: float) -> list:
-    """Gated figures that fell more than ``tolerance``x below the baseline.
-
-    Comparing speedups/ratios (monolithic vs sharded on the same machine)
-    rather than absolute wall-clock keeps the gate meaningful across
-    differently-sized CI runners.
-    """
-    failures = []
-    compared = 0
-    for key, row in results.items():
-        base_row = baseline.get("results", {}).get(key)
-        if base_row is None:
-            continue
-        for field, value in row.items():
-            if not field.startswith(("speedup_", "ratio_")):
-                continue
-            base_value = base_row.get(field)
-            if not isinstance(base_value, (int, float)):
-                continue
-            compared += 1
-            if value < base_value / tolerance:
-                failures.append(
-                    f"{key}.{field}: measured {value:.2f}x vs committed "
-                    f"{base_value:.2f}x (floor {base_value / tolerance:.2f}x)"
-                )
-    if compared == 0:
-        failures.append(
-            "no comparable speedup/ratio entries between this run and the "
-            "baseline — regenerate BENCH_PR4.json with a full run"
-        )
-    return failures
-
-
-def acceptance_failures(results: dict) -> list:
-    """Full-run acceptance floors for the large-n sharded serving claims."""
-    failures = []
-    for key, row in results.items():
-        if row["n"] < ACCEPTANCE_N:
-            continue
-        if row["speedup_cold_load"] < ACCEPTANCE_LOAD_SPEEDUP:
-            failures.append(
-                f"{key}: cold-start speedup {row['speedup_cold_load']:.2f}x "
-                f"< required {ACCEPTANCE_LOAD_SPEEDUP}x")
-        if row["ratio_resident_mib"] < ACCEPTANCE_RESIDENT_RATIO:
-            failures.append(
-                f"{key}: resident-memory ratio {row['ratio_resident_mib']:.2f}x "
-                f"< required {ACCEPTANCE_RESIDENT_RATIO}x")
-    return failures
-
-
-def main(argv=None) -> int:
-    import tempfile
-
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--json", nargs="?", const="", default=None, metavar="PATH",
-        help="write results as JSON (default: BENCH_PR4.json at the repo "
-             "root for full runs, BENCH_PR4.smoke.json for --smoke runs)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced grid + regression gate against the committed "
-             "BENCH_PR4.json (exit non-zero on answer disagreement or a "
-             ">tolerance regression of a committed speedup/ratio)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE,
-        help="baseline JSON for the --smoke regression gate",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=3.0,
-        help="allowed regression factor on committed figures (default 3)",
-    )
-    args = parser.parse_args(argv)
-
-    # Parity disagreement raises inside the experiment -> non-zero exit.
-    with tempfile.TemporaryDirectory(prefix="bench-pr4-") as workdir:
-        results = collect_results(smoke=args.smoke, workdir=Path(workdir))
-    display = [{k: v for k, v in row.items()
-                if k not in ("experiment", "parity_ok", "zipf_skew")}
-               for row in results.values()]
-    print(format_table(
-        "E-SHARD: monolithic vs sharded-mmap serving (Zipf workload)",
-        display,
-    ))
-
-    status = 0
-    if args.smoke:
-        if args.baseline.exists():
-            baseline = json.loads(args.baseline.read_text())
-            failures = regression_failures(results, baseline, args.tolerance)
-            if failures:
-                print("PERF REGRESSION against committed baseline:")
-                for failure in failures:
-                    print(f"  - {failure}")
-                status = 1
-            else:
-                print(f"regression gate OK (tolerance {args.tolerance}x, "
-                      f"baseline {args.baseline})")
-        else:
-            print(f"regression gate SKIPPED: no baseline at {args.baseline}")
-    else:
-        failures = acceptance_failures(results)
-        if failures:
-            print("ACCEPTANCE FLOORS NOT MET:")
-            for failure in failures:
-                print(f"  - {failure}")
-            status = 1
-
-    if args.json is not None:
-        default_name = "BENCH_PR4.smoke.json" if args.smoke else "BENCH_PR4.json"
-        path = Path(args.json) if args.json else DEFAULT_BASELINE.parent / default_name
-        payload = {
-            "schema": "bench-pr4/v1",
-            "smoke": args.smoke,
-            "sizes": list(SMOKE_SIZES if args.smoke else FULL_SIZES),
-            "num_shards": NUM_SHARDS,
-            "queries": QUERIES,
-            "results": results,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

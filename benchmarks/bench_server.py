@@ -162,7 +162,7 @@ def experiment_loadgen_smoke(n: int = 64, queries: int = 1000) -> dict:
     import tempfile
 
     from repro.graphs import random_weighted_graph
-    from repro.oracle import OracleArtifact, QueryEngine, build_oracle
+    from repro.oracle import QueryEngine, build_oracle, load_artifact
     from repro.serve import (
         ArtifactRegistry,
         DistanceServer,
@@ -178,9 +178,9 @@ def experiment_loadgen_smoke(n: int = 64, queries: int = 1000) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         build_oracle(graph, strategy="landmark-mssp",
-                     epsilon=0.25).save(root / "eps025.npz")
+                     epsilon=0.25).save_sharded(root / "eps025")
         build_oracle(graph, strategy="landmark-mssp",
-                     epsilon=0.75).save(root / "eps075.npz")
+                     epsilon=0.75).save_sharded(root / "eps075")
         registry = ArtifactRegistry()
         registry.discover(root)
         router = StretchRouter(registry)
@@ -192,7 +192,7 @@ def experiment_loadgen_smoke(n: int = 64, queries: int = 1000) -> dict:
 
         report = asyncio.run(drive())
         decision = router.route()
-        reference = QueryEngine(OracleArtifact.load(decision.entry.path))
+        reference = QueryEngine(load_artifact(decision.entry.path))
         mismatches = count_mismatches(pairs, report.answers, reference)
 
     if report.success_rate < 0.99:

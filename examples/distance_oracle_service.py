@@ -8,8 +8,8 @@ microseconds.  This example walks the full loop:
 
 1. build a ``landmark-mssp`` oracle (exact √n-balls + hitting-set
    landmarks + (1 + ε)-approximate MSSP table) and inspect its build cost;
-2. save it to disk (compressed ``.npz`` + JSON metadata sidecar) and load
-   it back, as a service restart would;
+2. save it to disk (one memory-mappable row shard + JSON manifest) and
+   open it again, as a service restart would;
 3. serve point, batch, and k-nearest queries through the LRU-cached
    engine;
 4. validate answers against exact Dijkstra and read the serving stats
@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from repro.graphs import dijkstra, random_weighted_graph
-from repro.oracle import OracleArtifact, OracleBuilder, QueryEngine
+from repro.oracle import OracleBuilder, QueryEngine, load_artifact
 
 
 def main(n: int = 96, epsilon: float = 0.5) -> None:
@@ -43,16 +43,21 @@ def main(n: int = 96, epsilon: float = 0.5) -> None:
     print("\n-- oracle build (paid once) --")
     print(builder.report(artifact).summary())
 
-    # --- 2. persist and reload -------------------------------------------
+    # --- 2. persist and reopen -------------------------------------------
+    # Shards are mapped, not read: the files stay where they are for as
+    # long as the engine serves from them.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "oracle.npz"
-        payload, sidecar = artifact.save(path)
-        size_kb = payload.stat().st_size / 1024
+        manifest, shards = artifact.save_sharded(Path(tmp) / "oracle")
+        size_kb = sum(shard.stat().st_size for shard in shards) / 1024
         print("\n-- persistence --")
-        print(f"payload  : {payload.name} ({size_kb:.1f} KiB compressed)")
-        print(f"metadata : {sidecar.name}")
-        engine = QueryEngine(OracleArtifact.load(path))  # a fresh "server"
+        print(f"manifest : {manifest.name}")
+        print(f"shards   : {len(shards)} ({size_kb:.1f} KiB, memory-mapped)")
+        engine = QueryEngine(load_artifact(manifest))  # a fresh "server"
+        serve_and_validate(engine, graph, artifact.stretch)
 
+
+def serve_and_validate(engine: QueryEngine, graph, bound) -> None:
+    n = graph.n
     # --- 3. serve queries --------------------------------------------------
     rng = random.Random(11)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
@@ -66,7 +71,6 @@ def main(n: int = 96, epsilon: float = 0.5) -> None:
     print(f"k_nearest(0, 5) = {nearest}")
 
     # --- 4. validate and report stats --------------------------------------
-    bound = artifact.stretch
     worst = 1.0
     exact_from_u = {u: dijkstra(graph, u) for u in {p[0] for p in pairs[:200]}}
     for u, v in pairs[:200]:

@@ -87,7 +87,7 @@ def main(n: int = 96, queries: int = 2000) -> None:
         for name, epsilon in (("tight", 0.1), ("loose", 0.9)):
             builder = OracleBuilder(strategy="landmark-mssp", epsilon=epsilon)
             artifact = builder.build(graph)
-            artifact.save(root / f"{name}.npz")
+            artifact.save_sharded(root / name)
             stretch = artifact.stretch
             print(f"built {name!r}: eps={epsilon} -> "
                   f"{stretch.multiplicative:g}x guarantee")

@@ -68,22 +68,32 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str):
-    # Lazy exports (PEP 562): importing ``repro`` — which every
-    # ``import repro.x.y`` does first — loads nothing else.  A serving
-    # worker imports ``repro.net.worker`` and never pays for the
-    # simulator, the matmul kernels or the paper's algorithms; a library
-    # user who never serves never pays for asyncio or sockets.
-    import importlib
+def lazy_exports(package: str, exports: dict, submodules=frozenset()):
+    """A PEP 562 ``__getattr__`` for ``package``: ``exports`` maps a public
+    name to the submodule it lives in, ``submodules`` are reachable as
+    attributes; either is imported on first access and cached on the
+    package.  So importing ``repro`` — which every ``import repro.x.y``
+    does first — loads nothing else: a serving worker never pays for the
+    simulator or the paper's algorithms, a library user never for asyncio.
+    """
+    def __getattr__(name: str):
+        import importlib
+        import sys
 
-    if name in _SUBMODULES:
-        value = importlib.import_module(f"repro.{name}")
-    elif name in _EXPORTS:
-        value = getattr(importlib.import_module(f"repro.{_EXPORTS[name]}"), name)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+        if name in submodules:
+            value = importlib.import_module(f"{package}.{name}")
+        elif name in exports:
+            value = getattr(
+                importlib.import_module(f"{package}.{exports[name]}"), name)
+        else:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        setattr(sys.modules[package], name, value)
+        return value
 
+    return __getattr__
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS, _SUBMODULES)
 
 __all__ = [*_EXPORTS, *sorted(_SUBMODULES), "__version__"]

@@ -17,15 +17,16 @@ prints a short report including the simulated round count and (with
 
 The ``oracle`` subcommand group is the build-once / query-many split::
 
-    python -m repro oracle build out.npz --strategy landmark-mssp --n 96
-    python -m repro oracle build big.npz --strategy dense-apsp --n 4096 --shards 16
-    python -m repro oracle shard out.npz out-sharded --shards 8
-    python -m repro oracle query out.npz --pairs 0:5,3:7 --stats
-    python -m repro oracle bench out.npz --queries 20000
+    python -m repro oracle build out --strategy landmark-mssp --n 96
+    python -m repro oracle build big --strategy dense-apsp --n 4096 --shards 16
+    python -m repro oracle shard out out-8 --shards 8
+    python -m repro oracle query out --pairs 0:5,3:7 --stats
+    python -m repro oracle bench out --queries 20000
 
-``--shards`` writes the memory-mapped sharded format (``.shard-K.npz``
-files plus a ``.shards.json`` manifest); ``query``/``bench``/``serve``/
-``loadgen`` accept either format transparently.
+An artifact on disk is memory-mappable row shards (``.shard-K.npz``) plus
+a ``.shards.json`` manifest — one shard unless ``--shards`` says more;
+``query``/``bench``/``serve``/``loadgen`` take the base path, the base
+with ``.npz``, or the manifest.
 """
 
 from __future__ import annotations
@@ -225,8 +226,6 @@ def _parse_pairs(text: str) -> List[Tuple[int, int]]:
 
 
 def _load_engine(path: str) -> QueryEngine:
-    # load_artifact dispatches on what lives at the path: a monolithic
-    # payload is read whole, a sharded artifact opens memory-mapped.
     return QueryEngine(load_artifact(path))
 
 
@@ -262,29 +261,18 @@ def cmd_oracle_build(args: argparse.Namespace) -> int:
     try:
         builder = OracleBuilder(strategy=args.strategy, epsilon=args.epsilon,
                                 k=args.k, kernel=kernel, jobs=args.jobs)
-        if args.shards:
-            # Sharded builds go through the builder so --jobs workers can
-            # write their shard files directly.
-            artifact, manifest_path, shard_paths = builder.build_sharded(
-                graph, args.artifact, args.shards,
-                extra_metadata=extra_metadata)
-        else:
-            artifact = builder.build(graph)
-            if extra_metadata:
-                artifact.metadata.update(extra_metadata)
+        # Through the builder, so --jobs workers can write their shard
+        # files directly.
+        artifact, manifest_path, shard_paths = builder.build_sharded(
+            graph, args.artifact, args.shards, extra_metadata=extra_metadata)
     except (ArtifactError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"oracle build: {args.strategy} on n={graph.n}, m={graph.num_edges()}")
     print(builder.report(artifact).summary(verbose=args.verbose))
-    if args.shards:
-        print(f"manifest         : {manifest_path}")
-        print(f"shards           : {len(shard_paths)} memory-mappable files "
-              f"({shard_paths[0].name} .. {shard_paths[-1].name})")
-    else:
-        payload_path, sidecar_path = artifact.save(args.artifact)
-        print(f"payload          : {payload_path}")
-        print(f"metadata         : {sidecar_path}")
+    print(f"manifest         : {manifest_path}")
+    print(f"shards           : {len(shard_paths)} memory-mappable files "
+          f"({shard_paths[0].name} .. {shard_paths[-1].name})")
     return 0
 
 
@@ -374,7 +362,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_shard(args: argparse.Namespace) -> int:
-    """Re-shard an existing artifact (monolithic or sharded) on disk."""
+    """Re-shard an existing artifact on disk."""
     if args.shards < 1:
         print(f"error: --shards must be positive, got {args.shards}",
               file=sys.stderr)
@@ -745,8 +733,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         else:
             # The budget is fixed for the whole run, so every request
             # routed to the artifact resolved up front: replay it through
-            # a fresh direct engine (monolithic or sharded, per the
-            # routed entry).
+            # a fresh direct engine.
             reference = _load_engine(str(decision.entry.path))
             report.mismatches = count_mismatches(pairs, report.answers,
                                                  reference)
@@ -1073,7 +1060,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
 
     build = oracle_sub.add_parser("build", help="build and save an oracle artifact")
-    build.add_argument("artifact", help="output path (.npz; a .meta.json sidecar is added)")
+    build.add_argument("artifact", help="output base path (a .shards.json "
+                                        "manifest and .shard-K.npz files "
+                                        "are written next to it)")
     build.add_argument(
         "--strategy", choices=STRATEGY_NAMES, default="landmark-mssp",
         help="oracle construction strategy",
@@ -1089,9 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--epsilon", type=float, default=0.5)
     build.add_argument("--grid", action="store_true", help="use a grid workload")
     build.add_argument(
-        "--shards", type=int, default=0,
-        help="write this many memory-mappable row shards plus a manifest "
-             "instead of one monolithic .npz (0 = monolithic)",
+        "--shards", type=int, default=1,
+        help="number of memory-mappable row shards to write",
     )
     build.add_argument(
         "--jobs", type=int, default=None,
@@ -1129,8 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "row shards",
     )
     shard.add_argument("source",
-                       help="existing artifact (.npz payload, base path, or "
-                            ".shards.json manifest)")
+                       help="existing artifact (base path or .shards.json "
+                            "manifest)")
     shard.add_argument("artifact", help="output base path for the sharded copy")
     shard.add_argument("--shards", type=int, default=8,
                        help="number of row shards to write")
@@ -1219,8 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--shard-target-mb", type=float, default=4.0,
         dest="shard_target_mb",
-        help="artifacts above this estimated size are built sharded, "
-             "about this many MB per shard",
+        help="artifacts above this estimated size are split into shards "
+             "of about this many MB",
     )
     plan.add_argument("--out", help="build the planned fleet into this "
                                     "directory and pin fleet.json")

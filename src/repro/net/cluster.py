@@ -83,7 +83,7 @@ class Cluster:
 
     Parameters
     ----------
-    artifact_paths:
+    artifacts:
         Artifact files / shard manifests every worker serves.
     num_workers:
         Fleet size.
@@ -118,7 +118,7 @@ class Cluster:
     _sleep = staticmethod(time.sleep)
     _probe = staticmethod(_http_get)
 
-    def __init__(self, artifact_paths: Sequence[str], num_workers: int = 2,
+    def __init__(self, artifacts: Sequence[str], num_workers: int = 2,
                  host: str = "127.0.0.1", base_port: int = 0, *,
                  config_kwargs: Optional[dict] = None, capacity: int = 4,
                  start_timeout: float = 60.0, supervise: bool = False,
@@ -127,7 +127,7 @@ class Cluster:
                  respawn_max_backoff: float = 30.0):
         if num_workers < 1:
             raise ValueError("a cluster needs at least one worker")
-        self.artifact_paths = [str(path) for path in artifact_paths]
+        self.artifacts = [str(path) for path in artifacts]
         self.host = host
         self.num_workers = num_workers
         self.config_kwargs = dict(config_kwargs or {})
@@ -185,7 +185,7 @@ class Cluster:
     def _spawn(self, index: int) -> None:
         process = self._context.Process(
             target=worker_main,
-            args=(self.artifact_paths, self.host, self.ports[index]),
+            args=(self.artifacts, self.host, self.ports[index]),
             kwargs={"worker_id": index, "capacity": self.capacity,
                     "config_kwargs": self.config_kwargs},
             name=f"repro-net-worker-{index}",
@@ -384,7 +384,7 @@ class Cluster:
             "workers": self.num_workers,
             "ports": list(self.ports),
             "alive": self.alive(),
-            "artifacts": list(self.artifact_paths),
+            "artifacts": list(self.artifacts),
             "supervised": self.supervise,
             "respawns": self.respawns,
             "stuck_kills": self.stuck_kills,

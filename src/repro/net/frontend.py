@@ -3,18 +3,19 @@
 The front tier is the only address clients need.  It accepts the same
 wire protocol the workers speak (binary frames + HTTP fallback on one
 port), routes each request's stretch budget through its own
-metadata-only :class:`~repro.serve.registry.ArtifactRegistry` (sidecars
-and shard manifests are cheap to read; the frontend never loads an
-engine), pins the decision into the artifact hint so every worker
+metadata-only :class:`~repro.serve.registry.ArtifactRegistry` (shard
+manifests are cheap to read; the frontend never loads an engine), pins
+the decision into the artifact hint so every worker
 answers from the same table, and partitions the pair batch across the
 healthy workers:
 
-* **sharded artifacts** — each pair's affinity is the shard holding its
+* **several shards** — each pair's affinity is the shard holding its
   canonical row (one ``searchsorted`` over the manifest row ranges), and
   shards are striped across workers, so the shards a worker opens and
   the pages it keeps warm in the page cache are a stable slice of the
   keyspace;
-* **monolithic artifacts** — contiguous equal chunks.
+* **one shard** — contiguous equal chunks (affinity would send every
+  pair to the same worker).
 
 **The path of one frame** is frame -> per-owner runs -> frame, and the
 fault-free case pays only for what the frame needs:
@@ -77,6 +78,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.net.protocol import (
+    ERR_BAD_FRAME,
     ERR_BAD_NODES,
     ERR_DATA_INTEGRITY,
     ERR_DEADLINE_EXCEEDED,
@@ -139,15 +141,33 @@ class WorkerUnavailable(ConnectionError):
     """The far end is draining or gone; safe to retry on another worker."""
 
 
+class MiscountedReply(ProtocolError):
+    """A reply that does not carry one distance per pair asked.
+
+    ``ERR_BAD_FRAME`` raised on the receiving side: the far end answered,
+    but not this request.  Another worker can, so it fails over.
+    """
+
+
+def checked_reply(values: np.ndarray, count: int, who: str) -> np.ndarray:
+    """``values`` if it answers ``count`` pairs, else :class:`MiscountedReply`."""
+    if len(values) != count:
+        raise MiscountedReply(
+            ERR_BAD_FRAME, f"{who} answered {len(values)} distance(s) to a "
+            f"request of {count} pair(s)")
+    return values
+
+
 #: Failures that justify retrying the same sub-batch on another worker.
 RETRYABLE = (ConnectionError, asyncio.TimeoutError, asyncio.IncompleteReadError)
 
 #: Everything the fan-out path treats as "this worker attempt failed, move
 #: on": transport failures plus typed remote errors that another worker can
 #: answer correctly — ERR_INTERNAL (that worker is broken, the request is
-#: fine) and ERR_DATA_INTEGRITY (that worker's copy of a shard is rotten;
-#: requests are idempotent reads, so re-asking elsewhere is always safe).
-FAILOVER_ERRORS = RETRYABLE + (NetError, ShardIntegrityError)
+#: fine), ERR_DATA_INTEGRITY (that worker's copy of a shard is rotten;
+#: requests are idempotent reads, so re-asking elsewhere is always safe)
+#: and a reply with the wrong number of distances.
+FAILOVER_ERRORS = RETRYABLE + (NetError, ShardIntegrityError, MiscountedReply)
 
 #: Most attempts the hedge delay's P95 may lag the latency window by.
 HEDGE_DELAY_REFRESH = 64
@@ -479,7 +499,7 @@ class Frontend(NetServiceBase):
 
     Parameters
     ----------
-    artifact_paths:
+    artifacts:
         The same artifact files/manifests the workers serve — read for
         metadata only (routing and shard ranges), never loaded.
     workers:
@@ -515,7 +535,7 @@ class Frontend(NetServiceBase):
 
     role = "frontend"
 
-    def __init__(self, artifact_paths: Sequence[str],
+    def __init__(self, artifacts: Sequence[str],
                  workers: Sequence[Tuple[str, int]],
                  host: str = "127.0.0.1", port: int = 0, *,
                  request_timeout: float = 5.0, max_attempts: int = 3,
@@ -530,7 +550,7 @@ class Frontend(NetServiceBase):
         if not workers:
             raise ValueError("frontend needs at least one worker address")
         self._router = StretchRouter(
-            build_registry(artifact_paths, capacity=capacity))
+            build_registry(artifacts, capacity=capacity))
         self._links = [
             WorkerLink(worker_host, worker_port, name=f"worker-{index}")
             for index, (worker_host, worker_port) in enumerate(workers)
@@ -679,7 +699,8 @@ class Frontend(NetServiceBase):
                    num_workers: int) -> List[Tuple[int, Union[slice, np.ndarray]]]:
         """One frame as per-owner runs: ``[(healthy-worker index, where)]``.
 
-        Shard affinity for a sharded artifact, else contiguous even chunks.
+        Shard affinity when the artifact has several shards, else
+        contiguous even chunks.
         ``where`` selects a run's pairs within the frame (and their slots
         in the answer): a slice when the owners were already grouped —
         always so for a single owner, whose run is the whole frame in
@@ -688,7 +709,7 @@ class Frontend(NetServiceBase):
         count = len(u)
         if num_workers == 1:
             return [(0, slice(0, count))]
-        if entry.sharded and entry.row_ranges:
+        if len(entry.row_ranges) > 1:
             starts = np.asarray([start for start, _stop in entry.row_ranges])
             rows = np.minimum(u, v)  # the canonical row the gather reads
             owners = (np.searchsorted(starts, rows, side="right") - 1) \
@@ -703,10 +724,12 @@ class Frontend(NetServiceBase):
                        deadline: Optional[float] = None) -> np.ndarray:
         """One sub-batch: primary worker, then bounded budget-aware failover.
 
-        ``payload`` is the packed sub-batch (``count`` pairs), the same
-        bytes for every attempt.  Each attempt's timeout is the smaller of
-        ``request_timeout`` and the remaining deadline budget, so retries
-        never outlive the caller's patience.  Transport failures and
+        ``payload`` is the packed sub-batch, the same bytes for every
+        attempt, and ``count`` the number of pairs in it — the number of
+        distances a reply must carry to count as an answer.  Each
+        attempt's timeout is the smaller of ``request_timeout`` and the
+        remaining deadline budget, so retries never outlive the caller's
+        patience.  Transport failures and
         failover-safe remote errors (see :data:`FAILOVER_ERRORS`) move the
         sub-batch to the next healthy worker; if every attempt fails with a
         data-integrity error, that typed error propagates (the data, not
@@ -752,7 +775,8 @@ class Frontend(NetServiceBase):
             self._subbatches += 1
             try:
                 return await self._request_hedged(
-                    link, hedge_link, payload, trace_blob, timeout, deadline)
+                    link, hedge_link, payload, count, trace_blob, timeout,
+                    deadline)
             except FAILOVER_ERRORS as exc:
                 last_exc = exc
         if last_exc is None:
@@ -806,8 +830,8 @@ class Frontend(NetServiceBase):
 
     async def _request_hedged(self, link: WorkerLink,
                               hedge_link: Optional[WorkerLink],
-                              payload: bytes, trace_blob: Optional[bytes],
-                              timeout: float,
+                              payload: bytes, count: int,
+                              trace_blob: Optional[bytes], timeout: float,
                               deadline: Optional[float]) -> np.ndarray:
         """One worker attempt, optionally raced against a hedged duplicate.
 
@@ -821,7 +845,7 @@ class Frontend(NetServiceBase):
         """
         delay = self._hedge_delay() if hedge_link is not None else timeout
         if delay >= timeout:
-            return await self._timed_request(link, payload, trace_blob,
+            return await self._timed_request(link, payload, count, trace_blob,
                                              timeout, deadline)
         loop = asyncio.get_running_loop()
         outcome: asyncio.Future = loop.create_future()
@@ -829,7 +853,7 @@ class Frontend(NetServiceBase):
 
         def enter(target: WorkerLink) -> None:
             racer = loop.create_task(self._timed_request(
-                target, payload, trace_blob, timeout, deadline))
+                target, payload, count, trace_blob, timeout, deadline))
             racers.append(racer)
             racer.add_done_callback(settle)
 
@@ -869,14 +893,19 @@ class Frontend(NetServiceBase):
         return winner.result()
 
     async def _timed_request(self, link: WorkerLink, payload: bytes,
-                             trace_blob: Optional[bytes], timeout: float,
+                             count: int, trace_blob: Optional[bytes],
+                             timeout: float,
                              deadline: Optional[float]) -> np.ndarray:
-        """One wire attempt with breaker + latency-window bookkeeping."""
+        """One wire attempt with breaker + latency-window bookkeeping.
+
+        A reply that is not ``count`` distances long is a failed attempt
+        like any other: the breaker is charged and the sub-batch moves on.
+        """
         tick = time.perf_counter_ns()
         try:
-            values = await link.request_packed(
+            values = checked_reply(await link.request_packed(
                 payload, timeout=timeout, trace=trace_blob,
-                deadline=deadline)
+                deadline=deadline), count, link.name)
         except FAILOVER_ERRORS:
             self._mark_failure(link)
             raise
@@ -1083,10 +1112,11 @@ class NetClient:
                     additive: float = math.inf, artifact: str = "",
                     ) -> np.ndarray:
         """One batched wire request (the ladder benchmark's hot path)."""
-        return await self.link.request(
+        return checked_reply(await self.link.request(
             pairs, multiplicative, additive, artifact=artifact,
             timeout=self.request_timeout,
-            deadline=time.monotonic() + self.request_timeout)
+            deadline=time.monotonic() + self.request_timeout),
+            len(pairs), self.link.name)
 
     async def dist(self, u: int, v: int, *, multiplicative: float = math.inf,
                    additive: float = math.inf, client: str = "") -> float:
@@ -1189,6 +1219,7 @@ __all__ = [
     "CircuitBreaker",
     "FAILOVER_ERRORS",
     "Frontend",
+    "MiscountedReply",
     "NetClient",
     "RETRYABLE",
     "WorkerLink",

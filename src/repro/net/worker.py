@@ -564,14 +564,14 @@ class DistanceWorker(NetServiceBase):
         return stats
 
 
-async def run_worker(artifact_paths: Sequence[str], host: str, port: int,
+async def run_worker(artifacts: Sequence[str], host: str, port: int,
                      *, worker_id: int = 0, capacity: int = 4,
                      config: Optional[ServerConfig] = None,
                      ready: Optional[asyncio.Event] = None,
                      stop: Optional[asyncio.Event] = None) -> None:
     """Serve one worker until ``stop`` (or SIGTERM/SIGINT), then drain.
 
-    Builds the registry from ``artifact_paths`` (metadata only — engines
+    Builds the registry from ``artifacts`` (metadata only — engines
     load lazily on first query, shard payloads stay memory-mapped), binds
     the socket, and installs signal handlers for graceful drain: stop
     accepting, finish in-flight frames, exit.
@@ -579,7 +579,7 @@ async def run_worker(artifact_paths: Sequence[str], host: str, port: int,
     from repro.serve.registry import build_registry
     from repro.serve.router import StretchRouter
 
-    registry = build_registry(artifact_paths, capacity=capacity)
+    registry = build_registry(artifacts, capacity=capacity)
     server = DistanceServer(StretchRouter(registry),
                             config=config or ServerConfig())
     worker = DistanceWorker(server, host=host, port=port, worker_id=worker_id)
@@ -603,13 +603,13 @@ async def run_worker(artifact_paths: Sequence[str], host: str, port: int,
             await worker.stop()
 
 
-def worker_main(artifact_paths: Sequence[str], host: str, port: int,
+def worker_main(artifacts: Sequence[str], host: str, port: int,
                 worker_id: int = 0, capacity: int = 4,
                 config_kwargs: Optional[dict] = None) -> None:
     """``multiprocessing`` entry point: one worker process, one event loop."""
     config = ServerConfig(**(config_kwargs or {}))
     try:
-        asyncio.run(run_worker(artifact_paths, host, port,
+        asyncio.run(run_worker(artifacts, host, port,
                                worker_id=worker_id, capacity=capacity,
                                config=config))
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C

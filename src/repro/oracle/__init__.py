@@ -15,9 +15,10 @@ build/serve split used by production shortest-path systems:
 * :mod:`repro.oracle.planner` — :func:`plan_fleet` / :func:`execute_plan`
   turn stretch/latency/memory budgets into a built, bootable artifact
   fleet.
-* :mod:`repro.oracle.artifact` — :class:`OracleArtifact`, a versioned
-  on-disk format (compressed ``.npz`` payload + JSON metadata sidecar with
-  a payload checksum) that round-trips through ``save``/``load``.
+* :mod:`repro.oracle.artifact` — :class:`OracleArtifact`, the in-memory
+  build product, and :mod:`repro.oracle.sharding` — the one on-disk format
+  (memory-mappable row shards + a JSON manifest with per-shard SHA-256),
+  written by ``save_sharded`` and opened by :func:`load_artifact`.
 * :mod:`repro.oracle.engine` — :class:`QueryEngine` serving ``dist``,
   ``batch`` and ``k_nearest`` queries with an array-resident answer
   cache (:class:`AnswerCache`) and latency percentiles via ``stats()``.
@@ -25,15 +26,17 @@ build/serve split used by production shortest-path systems:
 Quick start::
 
     from repro import graphs
-    from repro.oracle import build_oracle, OracleArtifact, QueryEngine
+    from repro.oracle import build_oracle, load_artifact, QueryEngine
 
     g = graphs.random_weighted_graph(96, average_degree=8, seed=0)
     artifact = build_oracle(g, strategy="landmark-mssp", epsilon=0.5)
-    artifact.save("oracle.npz")
+    artifact.save_sharded("oracle")       # oracle.shards.json + one shard
 
-    engine = QueryEngine(OracleArtifact.load("oracle.npz"))
+    engine = QueryEngine(load_artifact("oracle"))
     print(engine.dist(0, 42), engine.stats()["latency"]["p50_us"])
 """
+
+from repro import lazy_exports
 
 #: Public names and the submodule each lives in, imported on first
 #: access (PEP 562): a serving worker needs ``engine``/``sharding``/
@@ -43,7 +46,6 @@ _EXPORTS = {
     "FORMAT_VERSION": "artifact",
     "ArtifactError": "artifact",
     "OracleArtifact": "artifact",
-    "artifact_paths": "artifact",
     "BuildReport": "build",
     "OracleBuilder": "build",
     "build_oracle": "build",
@@ -75,14 +77,6 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str):
-    import importlib
-
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"repro.oracle.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = sorted(_EXPORTS)

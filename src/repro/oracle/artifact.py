@@ -1,39 +1,30 @@
-"""Versioned on-disk format for distance-oracle artifacts.
+"""The in-memory build product and the schema every payload is held to.
 
-An artifact is a pair of files living next to each other:
+An :class:`OracleArtifact` is what :class:`~repro.oracle.build.OracleBuilder`
+returns: a JSON-able metadata dictionary (format version, strategy, graph
+shape, epsilon, the advertised stretch guarantee, build provenance) plus
+the named numpy arrays the strategy's query kernels read (see
+:mod:`repro.oracle.strategies`).  It has no file format of its own: the
+only way an artifact reaches or leaves disk is row shards plus a manifest
+(:mod:`repro.oracle.sharding` — :meth:`OracleArtifact.save_sharded` writes
+them, one shard by default; :func:`~repro.oracle.sharding.load_artifact`
+opens them memory-mapped).  :func:`check_schema` is the one per-strategy
+array schema (names *and* shapes) both sides are checked against.
 
-* ``<name>.npz`` — the numeric payload (compressed numpy archive); which
-  arrays it contains depends on the strategy (see
-  :mod:`repro.oracle.strategies`).
-* ``<name>.meta.json`` — a small JSON sidecar with everything needed to
-  interpret the payload: format version, strategy, graph shape, epsilon,
-  the advertised stretch guarantee, build provenance (simulated rounds,
-  wall-clock seconds), and a SHA-256 checksum of the payload so corruption
-  is detected at load time instead of surfacing as wrong distances.
-
-The split keeps the metadata greppable/human-readable while the bulk data
-stays binary and compressed.  ``save``/``load`` round-trip exactly; loading
-verifies the version, the checksum, and the per-strategy array schema
-(names *and* shapes — :func:`check_schema`, shared with the sharded format).
-
-A loaded :class:`OracleArtifact` is served through the **row-access
+A freshly built artifact is served through the same **row-access
 protocol** — ``array_shape`` / ``row`` / ``rows`` / ``gather`` /
 ``iter_shards`` / ``common`` — which is all
 :class:`~repro.oracle.engine.QueryEngine` knows about an artifact.  Here
-the accessors are plain indexing over the resident arrays: the one-shard
-case (``iter_shards`` yields one block starting at row 0, nothing is
-mapped, nothing faults, nothing can be quarantined because the payload
-was checksummed whole at load) of what
-:class:`~repro.oracle.sharding.ShardedOracleArtifact` answers shard by
-shard from memory maps.
+the accessors are plain indexing over the arrays: the one-shard case
+(``iter_shards`` yields one block starting at row 0, nothing is mapped,
+nothing faults, nothing can be quarantined because no file is behind it)
+of what :class:`~repro.oracle.sharding.ShardedOracleArtifact` answers
+shard by shard from memory maps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import io
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -43,31 +34,12 @@ from repro.oracle.strategies import StretchGuarantee, get_strategy
 
 PathLike = Union[str, Path]
 
-#: Bump on any incompatible payload/sidecar change.
+#: Bump on any incompatible payload/metadata change.
 FORMAT_VERSION = 1
-
-#: Sidecar suffix replacing the payload's ``.npz``.
-META_SUFFIX = ".meta.json"
 
 
 class ArtifactError(RuntimeError):
     """Raised for unreadable, corrupt, or incompatible artifacts."""
-
-
-def artifact_paths(path: PathLike) -> Tuple[Path, Path]:
-    """Normalise ``path`` to the ``(payload, sidecar)`` file pair.
-
-    ``path`` may be given with or without the ``.npz`` extension.
-    """
-    payload = Path(path)
-    if payload.suffix != ".npz":
-        payload = payload.with_name(payload.name + ".npz")
-    sidecar = payload.with_name(payload.name[: -len(".npz")] + META_SUFFIX)
-    return payload, sidecar
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def check_schema(artifact, values: bool = True) -> None:
@@ -129,22 +101,13 @@ def check_schema(artifact, values: bool = True) -> None:
                 )
 
 
-@dataclasses.dataclass
-class OracleArtifact:
-    """A built oracle: JSON-able metadata plus named numpy arrays.
-
-    The metadata dictionary always contains ``format_version``,
-    ``strategy``, ``n``, ``num_edges``, ``epsilon``, ``max_weight``,
-    ``stretch`` (multiplicative/additive) and ``build`` (rounds, seconds,
-    plus strategy-specific detail such as the landmark count).
-    """
+@dataclasses.dataclass(eq=False)
+class ArtifactMetadata:
+    """Typed reads of the ``metadata`` dictionary every artifact carries —
+    built in memory or opened from shards, the schema is the same."""
 
     metadata: Dict[str, Any]
-    arrays: Dict[str, np.ndarray]
 
-    # ------------------------------------------------------------------
-    # convenience accessors
-    # ------------------------------------------------------------------
     @property
     def strategy(self) -> str:
         return str(self.metadata["strategy"])
@@ -163,7 +126,7 @@ class OracleArtifact:
 
     @property
     def query_kind(self) -> str:
-        """Engine kernel family serving this payload (sidecar-recorded;
+        """Engine kernel family serving this payload (metadata-recorded;
         falls back to the registered spec for pre-PR10 artifacts)."""
         kind = self.metadata.get("query_kind")
         if kind is not None:
@@ -173,6 +136,19 @@ class OracleArtifact:
     @property
     def build_rounds(self) -> float:
         return float(self.metadata["build"]["rounds"])
+
+
+@dataclasses.dataclass
+class OracleArtifact(ArtifactMetadata):
+    """A built oracle: JSON-able metadata plus named numpy arrays.
+
+    The metadata dictionary always contains ``format_version``,
+    ``strategy``, ``n``, ``num_edges``, ``epsilon``, ``max_weight``,
+    ``stretch`` (multiplicative/additive) and ``build`` (rounds, seconds,
+    plus strategy-specific detail such as the landmark count).
+    """
+
+    arrays: Dict[str, np.ndarray]
 
     def validate(self) -> None:
         """Check the payload matches the strategy's array schema."""
@@ -212,32 +188,15 @@ class OracleArtifact:
         return sum(array.nbytes for array in self.arrays.values())
 
     def quarantine_rows(self, rows: Sequence[int]) -> List[int]:
-        """Nothing to re-verify: the payload was checksummed whole at load."""
+        """Nothing to re-verify: no file is behind a build product."""
         return []
 
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def save(self, path: PathLike) -> Tuple[Path, Path]:
-        """Write the artifact; returns the ``(payload, sidecar)`` paths."""
-        self.validate()
-        payload_path, sidecar_path = artifact_paths(path)
-        payload_path.parent.mkdir(parents=True, exist_ok=True)
-
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **self.arrays)
-        payload_bytes = buffer.getvalue()
-        payload_path.write_bytes(payload_bytes)
-
-        sidecar = dict(self.metadata)
-        sidecar["format_version"] = FORMAT_VERSION
-        sidecar["payload_sha256"] = _sha256(payload_bytes)
-        sidecar["payload_arrays"] = sorted(self.arrays)
-        sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-        return payload_path, sidecar_path
-
-    def save_sharded(self, path: PathLike, num_shards: int):
-        """Write the artifact as row shards plus a manifest.
+    def save_sharded(self, path: PathLike, num_shards: int = 1):
+        """Write the artifact as row shards plus a manifest — the one way
+        to disk.
 
         Returns ``(manifest_path, shard_paths)``.  See
         :mod:`repro.oracle.sharding` for the format; the written shards are
@@ -248,47 +207,3 @@ class OracleArtifact:
         from repro.oracle.sharding import write_sharded_artifact
 
         return write_sharded_artifact(self.metadata, self.arrays, path, num_shards)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "OracleArtifact":
-        """Load and verify an artifact saved with :meth:`save`."""
-        payload_path, sidecar_path = artifact_paths(path)
-        if not payload_path.exists():
-            raise ArtifactError(f"oracle artifact not found: {payload_path}")
-        if not sidecar_path.exists():
-            raise ArtifactError(
-                f"metadata sidecar not found: {sidecar_path} "
-                f"(expected next to {payload_path.name})"
-            )
-
-        try:
-            metadata = json.loads(sidecar_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"unparseable metadata sidecar {sidecar_path}: {exc}") from exc
-
-        version = metadata.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ArtifactError(
-                f"artifact {payload_path} has format_version={version!r}; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
-
-        payload_bytes = payload_path.read_bytes()
-        expected = metadata.get("payload_sha256")
-        if not expected:
-            raise ArtifactError(
-                f"metadata sidecar {sidecar_path} has no payload_sha256; "
-                "refusing to load an unverifiable payload"
-            )
-        if _sha256(payload_bytes) != expected:
-            raise ArtifactError(
-                f"payload checksum mismatch for {payload_path}: the .npz file "
-                "does not match its sidecar (corrupt or partially written)"
-            )
-
-        with np.load(io.BytesIO(payload_bytes)) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-
-        artifact = cls(metadata=metadata, arrays=arrays)
-        artifact.validate()
-        return artifact

@@ -193,9 +193,9 @@ class OracleBuilder:
         artifact.validate()
         return artifact
 
-    def build_sharded(self, graph: Graph, path, num_shards: int,
+    def build_sharded(self, graph: Graph, path, num_shards: int = 1,
                       extra_metadata: Optional[Dict[str, Any]] = None):
-        """Build and persist directly as a sharded artifact.
+        """Build and persist as row shards plus a manifest.
 
         Returns ``(artifact, manifest_path, shard_paths)``.  On the classic
         path the shard writer streams row slices (views) of the freshly
@@ -223,7 +223,7 @@ class OracleBuilder:
     def report(self, artifact) -> BuildReport:
         """Summarise a built artifact (round counts, stretch, detail).
 
-        Accepts a monolithic :class:`OracleArtifact` or a loaded
+        Accepts the in-memory :class:`OracleArtifact` or a loaded
         :class:`~repro.oracle.sharding.ShardedOracleArtifact` — both carry
         the same metadata schema.
         """

@@ -69,9 +69,8 @@ class QueryEngine:
     Parameters
     ----------
     artifact:
-        Anything answering the row-access protocol: an in-memory
-        :class:`~repro.oracle.build.OracleBuilder` /
-        :meth:`~repro.oracle.artifact.OracleArtifact.load` result, or a
+        Anything answering the row-access protocol: the in-memory
+        :class:`~repro.oracle.build.OracleBuilder` result, or a
         memory-mapped :class:`~repro.oracle.sharding.ShardedOracleArtifact`.
     cache_size:
         Maximum number of cached point answers (0 disables caching).
@@ -240,6 +239,11 @@ class QueryEngine:
         :mod:`repro.serve` wrap this core with their own bookkeeping.
         """
         self._queries += len(lo)
+        return self.regather(lo, hi)
+
+    def regather(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`batch_core` without the query count: the second attempt
+        at a frame the first attempt already counted."""
         proper = lo != hi
         if proper.all():
             return self._resolve(lo, hi)
@@ -322,20 +326,18 @@ class QueryEngine:
     def memory_stats(self) -> Dict[str, object]:
         """Resident vs mapped payload bytes (plus shard-fault counters).
 
-        Read off the artifact, one key set whatever the layout: a
-        resident one holds its whole payload and maps nothing; a mapped
-        one holds the common arrays it has read while the row arrays stay
-        in the map — what :func:`repro.oracle.strategies.resident_and_mapped`
-        predicts.  ``repro loadgen --report-residency`` prints this
-        snapshot.
+        Read off the artifact, one key set either way: an opened one
+        holds the common arrays it has read while the row arrays stay in
+        the map — what :func:`repro.oracle.strategies.resident_and_mapped`
+        predicts; a build product served straight from memory holds its
+        whole payload and maps nothing.  ``repro loadgen
+        --report-residency`` prints this snapshot.
         """
         artifact = self.artifact
-        mapped_bytes = artifact.mapped_bytes
         return {
-            "sharded": mapped_bytes > 0,
             "num_shards": artifact.num_shards,
             "shard_faults": artifact.faults,
-            "mapped_bytes": mapped_bytes,
+            "mapped_bytes": artifact.mapped_bytes,
             "resident_bytes": artifact.resident_bytes(),
         }
 

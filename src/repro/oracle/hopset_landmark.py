@@ -20,7 +20,7 @@ strategy exploits both facts:
 Exact table + pivot argument ⇒ pure multiplicative stretch 3 (tighter
 than ``landmark-mssp``'s 3(1 + ε)) with the same array schema, so the
 engine serves it through the existing landmark kernels unchanged —
-monolithic, sharded, and batched.
+from memory, from the map, and batched.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ registered :class:`~repro.oracle.strategies.StrategySpec` carries:
 * ``estimate_fn`` prices each admissible strategy (payload floats, query
   cost, build cost) so the planner can reject candidates that bust the
   latency or resident-memory budgets and rank the survivors;
-* payload size against ``shard_target_bytes`` decides whether the
-  artifact is built monolithic or sharded, and with how many shards.
+* payload size against ``shard_target_bytes`` counts the row shards the
+  artifact is written as (one below the target) — nothing else: the
+  format, and with it the resident estimate, is the same at any count.
 
 :func:`plan_fleet` produces a :class:`FleetPlan` — one
 :class:`PlanChoice` per budget, deduplicated into a minimal build list.
@@ -34,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.oracle.strategies import (
     CostEstimate,
     StrategyRegistry,
-    StrategySpec,
     StretchGuarantee,
     REGISTRY,
     resident_and_mapped,
@@ -51,10 +51,10 @@ __all__ = [
     "execute_plan",
 ]
 
-#: Above this estimated payload size an artifact is built sharded, split
-#: into roughly this many bytes per shard (4 MiB — small enough that a
-#: serving worker's hot set is a handful of shards, large enough that
-#: shard-count overhead stays trivial).
+#: Above this estimated payload size an artifact is split into several
+#: shards of roughly this many bytes (4 MiB — small enough that a serving
+#: worker's hot set is a handful of shards, large enough that shard-count
+#: overhead stays trivial).
 DEFAULT_SHARD_TARGET_BYTES = 4 * 1024 * 1024
 
 
@@ -100,10 +100,6 @@ class PlanChoice:
     estimate: CostEstimate
     num_shards: int
 
-    @property
-    def sharded(self) -> bool:
-        return self.num_shards > 1
-
     def describe(self) -> str:
         budget = f"<= {self.budget.multiplicative:g}x"
         if self.budget.additive not in (0.0, math.inf):
@@ -111,9 +107,9 @@ class PlanChoice:
         guarantee = f"{self.guarantee.multiplicative:g}x"
         if self.guarantee.additive:
             guarantee += f"+{self.guarantee.additive:g}"
-        layout = (f"{self.num_shards} shards" if self.sharded else "monolithic")
+        shards = f"{self.num_shards} shard{'s' if self.num_shards > 1 else ''}"
         return (f"budget {budget}: {self.strategy} (guarantee {guarantee}, "
-                f"~{self.estimate.payload_bytes / 1e6:.2f} MB, {layout}, "
+                f"~{self.estimate.payload_bytes / 1e6:.2f} MB, {shards}, "
                 f"query cost {self.estimate.query_cost:g})")
 
 
@@ -151,13 +147,6 @@ class FleetPlan:
         return "\n".join(lines)
 
 
-def _shard_count(payload_bytes: float, shard_target_bytes: float,
-                 n: int) -> int:
-    if payload_bytes <= shard_target_bytes:
-        return 1
-    return max(1, min(n, math.ceil(payload_bytes / shard_target_bytes)))
-
-
 def plan_fleet(
     graph=None,
     *,
@@ -180,13 +169,14 @@ def plan_fleet(
     For each budget the registry is enumerated in registration order; a
     strategy is *feasible* when its a-priori guarantee fits the budget,
     its estimated per-query work fits ``max_query_cost``, and its
-    estimated resident set — the whole payload, or only the common arrays
-    when the payload exceeds ``shard_target_bytes`` and is built sharded
+    estimated resident set — the common arrays; the payload is mapped
     (:func:`~repro.oracle.strategies.resident_and_mapped`) — fits
-    ``max_resident_floats``.  Among feasible
-    strategies the planner picks the smallest artifact, breaking ties by
-    build cost, then query cost, then name.  An unsatisfiable budget
-    raises :class:`PlanError` naming every rejection reason.
+    ``max_resident_floats``.  Among feasible strategies the planner picks
+    the smallest artifact, breaking ties by build cost, then query cost,
+    then name (the router's order over the built artifacts starts with
+    the same payload size, :attr:`~repro.serve.registry.ArtifactEntry.
+    cost`).  An unsatisfiable budget raises :class:`PlanError` naming
+    every rejection reason.
     """
     if graph is not None:
         n = graph.n
@@ -210,11 +200,10 @@ def plan_fleet(
                     f"+{guarantee.additive:g} exceeds the budget")
                 continue
             estimate = spec.estimate(n, m, epsilon)
-            num_shards = _shard_count(
-                estimate.payload_bytes, shard_target_bytes, n)
+            num_shards = max(1, min(n, math.ceil(
+                estimate.payload_bytes / shard_target_bytes)))
             resident, _mapped = resident_and_mapped(
-                estimate.payload_floats, estimate.common_floats,
-                num_shards > 1)
+                estimate.payload_floats, estimate.common_floats)
             if estimate.query_cost > max_query_cost:
                 rejections.append(
                     f"{spec.name}: query cost {estimate.query_cost:g} "
@@ -283,15 +272,9 @@ def execute_plan(plan: FleetPlan, graph, out_dir,
     for strategy, num_shards in plan.builds():
         builder = OracleBuilder(strategy=strategy, epsilon=plan.epsilon,
                                 jobs=jobs)
-        base = out_dir / strategy
-        if num_shards > 1:
-            _artifact, manifest_path, _shards = builder.build_sharded(
-                graph, base, num_shards)
-            entry = registry.register(manifest_path, name=strategy)
-        else:
-            artifact = builder.build(graph)
-            payload_path, _sidecar = artifact.save(base)
-            entry = registry.register(payload_path, name=strategy)
+        _artifact, manifest_path, _shards = builder.build_sharded(
+            graph, out_dir / strategy, num_shards)
+        entry = registry.register(manifest_path, name=strategy)
         names[(strategy, num_shards)] = entry.name
         for choice in plan.choices:
             if choice.strategy != strategy:

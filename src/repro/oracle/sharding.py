@@ -1,28 +1,29 @@
-"""Sharded, memory-mappable on-disk format for large oracle artifacts.
+"""The on-disk format of an oracle artifact: row shards plus a manifest.
 
-The single-file format (:mod:`repro.oracle.artifact`) reads its whole
-compressed payload into RAM, so cold-start time and resident memory grow
-as O(n²) for the dense strategies even when a workload touches a handful
-of pairs.  This module is the alternative for large n: one artifact
-becomes a set of *row shards* plus a JSON manifest, mirroring how the
-paper's Congested Clique algorithms hand each node a bandwidth slice of
-the all-pairs object instead of the whole thing.  Both formats are served
-by one kernel family through the same row-access protocol
+The paper's Congested Clique algorithms end with node *v* holding row *v*
+of the estimate matrix; a *row shard* is exactly that, persisted — a
+contiguous node range of every row-sharded payload array — and one
+artifact is a set of them plus a JSON manifest.  This is the only format:
+:func:`write_sharded_artifact` is the one writer (one shard by default,
+more when a payload should be split across files or workers) and
+:meth:`ShardedOracleArtifact.load` / :func:`load_artifact` the one
+reader.  The in-memory build product
+(:class:`~repro.oracle.artifact.OracleArtifact`) and an opened artifact
+are served by one kernel family through the same row-access protocol
 (``array_shape`` / ``row`` / ``rows`` / ``gather`` / ``iter_shards`` /
-``common``); a resident artifact is the one-shard case, and
-:class:`ShardedOracleArtifact` is the general one — each accessor routes
-rows to the shard that owns them and reads through its memory map:
+``common``); :class:`ShardedOracleArtifact` routes each access to the
+shard that owns the rows and reads through its memory map:
 
 * ``<name>.shard-K.npz`` — shard ``K`` holds rows ``[row_start, row_stop)``
   of every row-sharded payload array (see
   :attr:`repro.oracle.strategies.StrategySpec.row_sharded_arrays`), written
   **uncompressed** so the arrays can be memory-mapped in place.  Small
   non-row arrays (e.g. the landmark id vector) travel whole inside shard 0.
-* ``<name>.shards.json`` — the manifest: the same metadata the monolithic
-  sidecar carries (strategy, n, epsilon, stretch, build provenance), plus
-  per-shard row ranges, byte sizes, and SHA-256 checksums.  Everything the
-  serving registry needs to route to the artifact lives here — no shard
-  file is touched at registration time.
+* ``<name>.shards.json`` — the manifest: the artifact metadata (strategy,
+  n, epsilon, stretch, build provenance), plus per-shard row ranges, byte
+  sizes, and SHA-256 checksums.  Everything the serving registry needs to
+  route to the artifact lives here — no shard file is touched at
+  registration time.
 
 ``numpy`` cannot memory-map members of an ``.npz`` through ``np.load``
 (the zip wrapper always reads them into RAM), so :func:`_mmap_npz` maps
@@ -32,16 +33,26 @@ costs two file headers, not the payload — rows fault in lazily as queries
 touch them, which is what makes n in the tens of thousands servable on
 laptop-class RAM.
 
-Checksums are verified *per shard*: eagerly at load with ``verify="eager"``
-(reads every shard once — what the tests use), or on a shard's first open
-with the default ``verify="lazy"`` (a skewed workload never pays for the
-shards it never touches), or not at all with ``verify="none"``.
+Checksums are verified *per shard*: on a shard's first open with the
+default ``verify="lazy"`` (a one-shard artifact is checksummed whole the
+first time a query reaches it; a skewed workload never pays for the shards
+it never touches), eagerly at load with ``verify="eager"`` (reads every
+shard once — what the tests use), or not at all with ``verify="none"``.
+
+A ``.npz`` payload with no manifest next to it is a leftover of the
+monolithic format 1 and is refused with an
+:class:`~repro.oracle.artifact.ArtifactError` naming ``repro oracle
+build``; no reader for it stays behind.  What the one format costs against
+that compressed file (7-11x the disk bytes, a faster open, a 256-pair
+``batch`` through the map at 1.4-1.7x) is tabled in README "Distance
+oracles".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 import zipfile
 from bisect import bisect_right
@@ -53,11 +64,11 @@ import numpy as np
 from repro.oracle.artifact import (
     FORMAT_VERSION,
     ArtifactError,
+    ArtifactMetadata,
     OracleArtifact,
-    artifact_paths,
     check_schema,
 )
-from repro.oracle.strategies import StretchGuarantee, get_strategy
+from repro.oracle.strategies import get_strategy
 
 PathLike = Union[str, Path]
 
@@ -83,13 +94,72 @@ SHARD_MANIFEST_SUFFIX = ".shards.json"
 VERIFY_MODES = ("eager", "lazy", "none")
 
 
+#: What a shard file is called (see :func:`shard_payload_name`).
+_SHARD_FILE = re.compile(r"\.shard-\d+\.npz$")
+
+
 def shard_manifest_path(path: PathLike) -> Path:
     """Normalise ``path`` (base, ``.npz``, or manifest) to the manifest path."""
     path = Path(path)
     if path.name.endswith(SHARD_MANIFEST_SUFFIX):
         return path
-    payload, _ = artifact_paths(path)
-    return payload.with_name(payload.name[: -len(".npz")] + SHARD_MANIFEST_SUFFIX)
+    base = path.name[: -len(".npz")] if path.suffix == ".npz" else path.name
+    return path.with_name(base + SHARD_MANIFEST_SUFFIX)
+
+
+def resolve_manifest(path: PathLike) -> Path:
+    """The existing manifest of the artifact at ``path``, or an
+    :class:`ArtifactError` saying what is there instead.
+
+    A ``<name>.npz`` with no ``<name>.shards.json`` next to it is a
+    leftover of the monolithic format 1 (compressed payload + JSON
+    sidecar); nothing reads that any more, so the error names the rebuild.
+    """
+    manifest = shard_manifest_path(path)
+    if manifest.exists():
+        return manifest
+    payload = manifest.with_name(
+        manifest.name[: -len(SHARD_MANIFEST_SUFFIX)] + ".npz")
+    if payload.exists():
+        raise ArtifactError(
+            f"{payload} is a monolithic format-1 artifact (one compressed "
+            f".npz payload plus a JSON sidecar); this build reads row shards "
+            f"plus a {SHARD_MANIFEST_SUFFIX} manifest only — rebuild it with "
+            f"`repro oracle build`")
+    raise ArtifactError(
+        f"oracle artifact not found: no shard manifest {manifest}")
+
+
+def read_manifest(path: PathLike) -> Tuple[Path, Dict[str, Any]]:
+    """``(manifest_path, manifest)`` of the artifact at ``path``: resolved,
+    parsed and held to the versions this build reads."""
+    manifest_path = resolve_manifest(path)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(
+            f"unparseable shard manifest {manifest_path}: {exc}") from exc
+    version = manifest.get("shard_manifest_version")
+    if version != SHARD_MANIFEST_VERSION:
+        raise ArtifactError(
+            f"shard manifest {manifest_path} has shard_manifest_version="
+            f"{version!r}; this build reads version {SHARD_MANIFEST_VERSION}"
+        )
+    fmt = manifest.get("metadata", {}).get("format_version")
+    if fmt != FORMAT_VERSION:
+        raise ArtifactError(
+            f"shard manifest {manifest_path} carries format_version="
+            f"{fmt!r}; this build reads version {FORMAT_VERSION}"
+        )
+    return manifest_path, manifest
+
+
+def refuse_monolithic_below(root: PathLike) -> None:
+    """Raise :func:`resolve_manifest`'s error for the first ``.npz`` below
+    ``root`` that is neither a shard file nor has a manifest next to it."""
+    for payload in sorted(Path(root).rglob("*.npz")):
+        if not _SHARD_FILE.search(payload.name):
+            resolve_manifest(payload)
 
 
 def shard_payload_name(base: str, index: int) -> str:
@@ -274,7 +344,7 @@ def write_sharded_artifact(
     metadata: Dict[str, Any],
     arrays: Dict[str, np.ndarray],
     path: PathLike,
-    num_shards: int,
+    num_shards: int = 1,
 ) -> Tuple[Path, List[Path]]:
     """Write ``arrays`` as row shards plus a manifest; returns the paths.
 
@@ -338,34 +408,27 @@ class _MappedRows:
 
 def shard_artifact(source: PathLike, destination: PathLike,
                    num_shards: int) -> Tuple[Path, List[Path]]:
-    """Re-shard an existing artifact (monolithic or sharded) on disk.
+    """Re-shard an existing artifact on disk.
 
-    The source is read through :func:`load_artifact`: a monolithic
-    ``.npz`` pays one full decompression, while a sharded source stays
-    memory-mapped and is gathered one destination shard at a time (via
-    :class:`_MappedRows`), so peak memory for sharded-to-sharded copies
-    is one shard of rows, never the payload.
+    The source stays memory-mapped and is gathered one destination shard
+    at a time (via :class:`_MappedRows`), so peak memory is one shard of
+    rows, never the payload.
     """
     artifact = load_artifact(source, verify="eager")
-    metadata = dict(artifact.metadata)
-    if isinstance(artifact, ShardedOracleArtifact):
-        arrays: Dict[str, Any] = {
-            name: _MappedRows(artifact, name)
-            for name in artifact.sharded_array_names
-        }
-        for name in artifact._common_arrays:
-            arrays[name] = artifact.common(name)
-    else:
-        arrays = artifact.arrays
-    metadata.pop("payload_sha256", None)
-    metadata.pop("payload_arrays", None)
-    return write_sharded_artifact(metadata, arrays, destination, num_shards)
+    arrays: Dict[str, Any] = {
+        name: _MappedRows(artifact, name)
+        for name in artifact.sharded_array_names
+    }
+    for name in artifact._common_arrays:
+        arrays[name] = artifact.common(name)
+    return write_sharded_artifact(
+        dict(artifact.metadata), arrays, destination, num_shards)
 
 
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-class ShardedOracleArtifact:
+class ShardedOracleArtifact(ArtifactMetadata):
     """A sharded artifact opened for querying: metadata now, rows on demand.
 
     Loading parses the manifest and stats the shard files — nothing else.
@@ -373,9 +436,9 @@ class ShardedOracleArtifact:
     memory-mapped, so the only payload bytes that ever become resident are
     the rows a query actually gathers.  The row accessors (:meth:`row`,
     :meth:`rows`, :meth:`gather`, :meth:`iter_shards`, :meth:`common`)
-    return values bit-identical to the same accesses on a resident
-    :class:`~repro.oracle.artifact.OracleArtifact` — shards store exact
-    row slices, never re-encoded data.
+    return values bit-identical to the same accesses on the in-memory
+    :class:`~repro.oracle.artifact.OracleArtifact` it was written from —
+    shards store exact row slices, never re-encoded data.
     """
 
     def __init__(self, manifest_path: Path, manifest: Dict[str, Any],
@@ -385,7 +448,6 @@ class ShardedOracleArtifact:
         self.manifest_path = manifest_path
         self.metadata: Dict[str, Any] = manifest["metadata"]
         self.verify = verify
-        self._spec = get_strategy(str(self.metadata["strategy"]))
         self._shards: List[Dict[str, Any]] = sorted(
             manifest["shards"], key=lambda item: int(item["index"]))
         self._sharded_arrays: Dict[str, Tuple[np.dtype, Tuple[int, ...]]] = {
@@ -429,29 +491,8 @@ class ShardedOracleArtifact:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: PathLike, verify: str = "lazy") -> "ShardedOracleArtifact":
-        """Open a sharded artifact from its manifest (or base) path."""
-        manifest_path = shard_manifest_path(path)
-        if not manifest_path.exists():
-            raise ArtifactError(f"shard manifest not found: {manifest_path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(
-                f"unparseable shard manifest {manifest_path}: {exc}") from exc
-        version = manifest.get("shard_manifest_version")
-        if version != SHARD_MANIFEST_VERSION:
-            raise ArtifactError(
-                f"shard manifest {manifest_path} has shard_manifest_version="
-                f"{version!r}; this build reads version {SHARD_MANIFEST_VERSION}"
-            )
-        metadata = manifest.get("metadata", {})
-        fmt = metadata.get("format_version")
-        if fmt != FORMAT_VERSION:
-            raise ArtifactError(
-                f"shard manifest {manifest_path} carries format_version="
-                f"{fmt!r}; this build reads version {FORMAT_VERSION}"
-            )
-        return cls(manifest_path, manifest, verify=verify)
+        """Open an artifact from its manifest, base or ``.npz`` path."""
+        return cls(*read_manifest(path), verify=verify)
 
     def _check_layout(self, values: bool = False) -> None:
         """Cheap structural checks: schema, contiguous ranges, files present."""
@@ -464,11 +505,7 @@ class ShardedOracleArtifact:
                     f"row ranges at shard {item['index']}"
                 )
             expected_start = int(item["row_stop"])
-            if not self.shard_file(int(item["index"])).exists():
-                raise ArtifactError(
-                    f"missing shard file {item['path']!r} referenced by "
-                    f"{self.manifest_path}"
-                )
+            self._present_shard_file(int(item["index"]))
         if expected_start != self.n:
             raise ArtifactError(
                 f"shard manifest {self.manifest_path} covers rows "
@@ -476,37 +513,8 @@ class ShardedOracleArtifact:
             )
 
     # ------------------------------------------------------------------
-    # metadata accessors (mirror OracleArtifact)
+    # layout accessors
     # ------------------------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        return str(self.metadata["strategy"])
-
-    @property
-    def n(self) -> int:
-        return int(self.metadata["n"])
-
-    @property
-    def epsilon(self) -> float:
-        return float(self.metadata["epsilon"])
-
-    @property
-    def stretch(self) -> StretchGuarantee:
-        return StretchGuarantee.from_dict(self.metadata["stretch"])
-
-    @property
-    def build_rounds(self) -> float:
-        return float(self.metadata["build"]["rounds"])
-
-    @property
-    def query_kind(self) -> str:
-        """Engine kernel family serving this payload (manifest-recorded;
-        falls back to the registered spec for pre-PR10 artifacts)."""
-        kind = self.metadata.get("query_kind")
-        if kind is not None:
-            return str(kind)
-        return self._spec.query_kind
-
     @property
     def num_shards(self) -> int:
         return len(self._shards)
@@ -545,19 +553,20 @@ class ShardedOracleArtifact:
     def shard_file(self, index: int) -> Path:
         return self.manifest_path.with_name(str(self._shards[index]["path"]))
 
+    def _present_shard_file(self, index: int) -> Path:
+        path = self.shard_file(index)
+        if not path.exists():
+            raise ArtifactError(f"missing shard file {path.name!r} referenced "
+                                f"by {self.manifest_path}")
+        return path
+
     # ------------------------------------------------------------------
     # shard access
     # ------------------------------------------------------------------
     def verify_shard(self, index: int) -> None:
         """Stream shard ``index`` once and compare its SHA-256 checksum."""
-        item = self._shards[index]
-        path = self.shard_file(index)
-        if not path.exists():
-            raise ArtifactError(
-                f"missing shard file {item['path']!r} referenced by "
-                f"{self.manifest_path}"
-            )
-        if _sha256_file(path) != item["sha256"]:
+        path = self._present_shard_file(index)
+        if _sha256_file(path) != self._shards[index]["sha256"]:
             raise ArtifactError(
                 f"shard checksum mismatch for {path}: the file does not match "
                 f"its manifest entry (corrupt or partially written)"
@@ -618,12 +627,7 @@ class ShardedOracleArtifact:
                     raise
                 raise ShardIntegrityError(str(exc)) from exc
             self._suspect.discard(index)
-        path = self.shard_file(index)
-        if not path.exists():
-            raise ArtifactError(
-                f"missing shard file {path.name!r} referenced by "
-                f"{self.manifest_path}"
-            )
+        path = self._present_shard_file(index)
         arrays = _mmap_npz(path)
         start, stop = self.row_ranges[index]
         expected = {name: (dtype, (stop - start,) + shape[1:])
@@ -735,29 +739,8 @@ class ShardedOracleArtifact:
                 f"shards={self.num_shards}, faults={self.faults})")
 
 
-def load_artifact(path: PathLike, verify: str = "lazy",
-                  ) -> Union[OracleArtifact, "ShardedOracleArtifact"]:
-    """Load whichever artifact lives at ``path`` — monolithic or sharded.
-
-    A path naming a shard manifest (``*.shards.json``) always loads the
-    sharded artifact.  A bare/``.npz`` path prefers the monolithic payload
-    when it exists and falls back to a shard manifest next to it.
-    ``verify`` applies to sharded artifacts only — the monolithic loader
-    always verifies its single checksum.
-    """
-    path = Path(path)
-    if path.name.endswith(SHARD_MANIFEST_SUFFIX):
-        return ShardedOracleArtifact.load(path, verify=verify)
-    payload, _ = artifact_paths(path)
-    if payload.exists():
-        return OracleArtifact.load(payload)
-    manifest = shard_manifest_path(payload)
-    if manifest.exists():
-        return ShardedOracleArtifact.load(manifest, verify=verify)
-    raise ArtifactError(
-        f"oracle artifact not found: {payload} (no payload and no "
-        f"{manifest.name} shard manifest)"
-    )
+#: Open the artifact at ``path`` (base, ``.npz`` or manifest path).
+load_artifact = ShardedOracleArtifact.load
 
 
 __all__ = [
@@ -767,6 +750,9 @@ __all__ = [
     "ShardedOracleArtifact",
     "array_layout",
     "load_artifact",
+    "read_manifest",
+    "refuse_monolithic_below",
+    "resolve_manifest",
     "shard_artifact",
     "shard_entry",
     "shard_manifest_path",

@@ -93,7 +93,7 @@ class CostEstimate:
 
     Everything the planner needs before any build runs: payload size (for
     memory budgets and shard counts), the share of it held in common arrays
-    (what a sharded engine keeps resident — :func:`resident_and_mapped`),
+    (what an engine keeps resident — :func:`resident_and_mapped`),
     per-query work (for latency budgets) and relative build cost (the
     tie-breaker between equally small artifacts).
     Units: floats for sizes, table-lookup-equivalents for query cost,
@@ -111,21 +111,18 @@ class CostEstimate:
         return self.payload_floats * 8.0
 
 
-def resident_and_mapped(payload_floats: float, common_floats: float,
-                        sharded: bool) -> Tuple[float, float]:
+def resident_and_mapped(payload_floats: float,
+                        common_floats: float) -> Tuple[float, float]:
     """``(resident_floats, mapped_floats)`` of a loaded artifact.
 
     The one statement of what an engine holds, and what
-    ``QueryEngine.memory_stats()`` then measures.  Monolithic: the payload
-    is resident, nothing is mapped.  Sharded: the common arrays are
+    ``QueryEngine.memory_stats()`` then measures: the common arrays are
     resident, the payload is mapped — row arrays are read through the map
     and never copied.  The planner evaluates it on an a-priori
     :class:`CostEstimate`, the artifact registry on built metadata
     (:meth:`StrategySpec.serving_costs`).
     """
-    if sharded:
-        return common_floats, payload_floats
-    return payload_floats, 0.0
+    return common_floats, payload_floats
 
 
 # Signature of a build function: ``(builder, graph) -> (arrays, rounds,
@@ -209,8 +206,8 @@ class StrategySpec:
         module = importlib.import_module(module_name)
         return getattr(module, attr)
 
-    def serving_costs(self, n: int, build: dict,
-                      sharded: bool) -> Tuple[float, float, float]:
+    def serving_costs(self, n: int,
+                      build: dict) -> Tuple[float, float, float]:
         """``(resident_floats, query_cost, mapped_floats)`` for one artifact.
 
         ``cost_fn`` on the artifact's build metadata, split by
@@ -220,7 +217,7 @@ class StrategySpec:
             raise ValueError(
                 f"strategy {self.name!r} was registered without a cost_fn")
         payload, common, query_cost = self.cost_fn(n, dict(build or {}))
-        resident, mapped = resident_and_mapped(payload, common, sharded)
+        resident, mapped = resident_and_mapped(payload, common)
         return resident, query_cost, mapped
 
     def estimate(self, n: int, m: int, epsilon: float) -> CostEstimate:

@@ -1,43 +1,42 @@
 """Multi-artifact discovery and lazy engine loading for the serving layer.
 
 A serving process rarely holds one oracle: it serves several graphs, or
-several epsilon levels of one graph, each persisted as an
-:class:`~repro.oracle.artifact.OracleArtifact` on disk.
-:class:`ArtifactRegistry` is the catalogue of those artifacts:
+several epsilon levels of one graph, each persisted as row shards plus a
+manifest (:mod:`repro.oracle.sharding`).  :class:`ArtifactRegistry` is
+the catalogue of those artifacts:
 
-* **Registration is cheap.**  ``register``/``discover`` read only the JSON
-  metadata sidecar — never the (potentially large) ``.npz`` payload — and
-  derive an :class:`ArtifactEntry` with everything routing needs: the
-  stretch guarantee, the graph size, and a deterministic serving-cost
-  estimate.
+* **Registration is cheap.**  ``register``/``discover`` read only the
+  ``.shards.json`` manifest — never a shard file — and derive an
+  :class:`ArtifactEntry` with everything routing needs: the stretch
+  guarantee, the graph size, per-shard row ranges, and a deterministic
+  serving-cost estimate.
 * **Engines load lazily.**  ``engine(name)`` materialises a
-  :class:`~repro.oracle.engine.QueryEngine` (payload read, checksum
-  verified, balls indexed) on first use and keeps at most ``capacity``
-  engines resident, evicting the least recently used — dense artifacts are
-  O(n²) floats, so a registry over many graphs must not hold them all.
+  :class:`~repro.oracle.engine.QueryEngine` (manifest parsed, shards
+  mapped and checksummed on their first open) on first use and keeps at
+  most ``capacity`` engines open, evicting the least recently used.
 * **Manifests make a fleet reproducible.**  ``write_manifest`` pins the
   current catalogue to a JSON file (relative paths, greppable stretch
   summaries); ``load_manifest`` rebuilds the registry from it on another
   host or after a restart.
 
 The serving-cost model used by :class:`~repro.serve.router.StretchRouter`
-is fully determined by the sidecar metadata and stated once, in
+is fully determined by the manifest metadata and stated once, in
 :mod:`repro.oracle.strategies`: the strategy's ``cost_fn`` sizes the
 payload (``n²`` for the dense strategies, ``2nk + n·|A|`` for
 ``landmark-mssp``) and prices a query (1 lookup for dense strategies, a
 min over the ``|A|`` landmarks otherwise), and
 :func:`~repro.oracle.strategies.resident_and_mapped` says where it lives —
-a monolithic artifact is resident whole once loaded, a sharded one
-(:mod:`repro.oracle.sharding`) holds only its small common arrays and the
-payload is charged to ``mapped_floats`` instead, which is what the loaded
-engine's ``memory_stats()`` then measures.  Cheapness is compared
-lexicographically — resident footprint first, then per-query work, then
-payload bytes, then name — so the order is total and reproducible, and a
-sharded copy of an artifact routinely beats its monolithic twin.
+the small common arrays are resident, the payload is mapped — which is
+what the loaded engine's ``memory_stats()`` then measures.  Cheapness is
+compared lexicographically — payload floats first (the planner's leading
+term, read off the same ``cost_fn`` tuple), then per-query work, then
+name — so the order is total and reproducible, and the router serves the
+*smallest* admissible artifact: the size-for-stretch trade the compact
+strategies exist for.
 
-Sharded artifacts register **from the manifest alone**: the row ranges,
-byte sizes, and stretch metadata routing needs are all in the
-``.shards.json``, so registration never touches a shard file.
+A leftover monolithic ``.npz`` payload (format 1) is refused by every
+entry point with an :class:`~repro.oracle.artifact.ArtifactError` naming
+``repro oracle build``.
 """
 
 from __future__ import annotations
@@ -48,18 +47,13 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.oracle.artifact import (
-    FORMAT_VERSION,
-    ArtifactError,
-    META_SUFFIX,
-    artifact_paths,
-)
+from repro.oracle.artifact import ArtifactError, ArtifactMetadata
 from repro.oracle.engine import QueryEngine
 from repro.oracle.sharding import (
     SHARD_MANIFEST_SUFFIX,
-    SHARD_MANIFEST_VERSION,
     load_artifact,
-    shard_manifest_path,
+    read_manifest,
+    refuse_monolithic_below,
 )
 from repro.oracle.strategies import StretchGuarantee, get_strategy
 
@@ -78,94 +72,55 @@ class ArtifactEntry:
     """One registered artifact: identity, guarantee, and serving cost."""
 
     name: str
-    path: Path  # payload (.npz) path, or the .shards.json manifest
+    path: Path  # the .shards.json manifest
     strategy: str
     n: int
     epsilon: float
     stretch: StretchGuarantee
     payload_bytes: int
-    #: Estimated floats actually resident once loaded: the full payload for
-    #: monolithic artifacts, the common arrays for sharded (memory-mapped)
-    #: ones.
+    #: Estimated floats resident once loaded (the common arrays).
     resident_floats: float
     #: Estimated per-query work units (1 = one table lookup).
     query_cost: float
-    #: Whether the artifact is served from memory-mapped shards.
-    sharded: bool = False
-    num_shards: int = 1
-    #: Payload floats addressable through the shard maps (0 for monolithic
-    #: artifacts — everything they have is resident).
-    mapped_floats: float = 0.0
-    #: Per-shard node ranges, for shard-aware routing (None for monolithic).
-    row_ranges: Optional[Tuple[Tuple[int, int], ...]] = None
+    #: Payload floats addressable through the shard maps.
+    mapped_floats: float
+    #: Per-shard node ranges, for shard-aware routing.
+    row_ranges: Tuple[Tuple[int, int], ...]
 
     @property
-    def cost(self) -> Tuple[float, float, int, str]:
-        """Total serving-cost order: footprint, per-query work, bytes, name."""
-        return (self.resident_floats, self.query_cost, self.payload_bytes, self.name)
+    def num_shards(self) -> int:
+        return len(self.row_ranges)
+
+    @property
+    def cost(self) -> Tuple[float, float, str]:
+        """Total serving-cost order: payload floats, per-query work, name."""
+        return (self.mapped_floats, self.query_cost, self.name)
 
     def describe(self) -> str:
         stretch = f"{self.stretch.multiplicative:g}x"
         if self.stretch.additive:
             stretch += f"+{self.stretch.additive:g}"
-        cost = (f"cost=({self.resident_floats:.0f} resident floats, "
-                f"{self.query_cost:g}/query")
-        if self.sharded:
-            cost += (f", {self.mapped_floats:.0f} mapped across "
-                     f"{self.num_shards} shards")
         return (f"{self.name}: {self.strategy} n={self.n} stretch={stretch} "
-                f"{cost})")
-
-
-def _required_metadata(metadata: dict, source: Path):
-    version = metadata.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ArtifactError(
-            f"artifact {source} has format_version={version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
-    try:
-        return (str(metadata["strategy"]), int(metadata["n"]),
-                float(metadata["epsilon"]),
-                StretchGuarantee.from_dict(metadata["stretch"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"metadata for {source} is missing or "
-                            f"malformed required fields: {exc}") from exc
-
-
-def _entry_from_sidecar(name: str, payload: Path, metadata: dict) -> ArtifactEntry:
-    strategy, n, epsilon, stretch = _required_metadata(metadata, payload)
-    resident, query_cost, _mapped = get_strategy(strategy).serving_costs(
-        n, metadata.get("build", {}), sharded=False)
-    return ArtifactEntry(
-        name=name,
-        path=payload,
-        strategy=strategy,
-        n=n,
-        epsilon=epsilon,
-        stretch=stretch,
-        payload_bytes=payload.stat().st_size,
-        resident_floats=resident,
-        query_cost=query_cost,
-    )
+                f"cost=({self.mapped_floats:.0f} payload floats mapped across "
+                f"{self.num_shards} shard(s), {self.query_cost:g}/query, "
+                f"{self.resident_floats:.0f} resident floats)")
 
 
 def _entry_from_shard_manifest(name: str, manifest_path: Path,
                                manifest: dict) -> ArtifactEntry:
-    """Build a sharded entry from manifest content alone (no shard I/O)."""
-    version = manifest.get("shard_manifest_version")
-    if version != SHARD_MANIFEST_VERSION:
-        raise ArtifactError(
-            f"shard manifest {manifest_path} has shard_manifest_version="
-            f"{version!r}; this build reads version {SHARD_MANIFEST_VERSION}"
-        )
-    metadata = manifest.get("metadata", {})
-    strategy, n, epsilon, stretch = _required_metadata(metadata, manifest_path)
+    """Build an entry from manifest content alone (no shard I/O)."""
+    meta = ArtifactMetadata(manifest["metadata"])
     shards = sorted(manifest.get("shards", []), key=lambda item: int(item["index"]))
     if not shards:
         raise ArtifactError(f"shard manifest {manifest_path} lists no shards")
+    try:
+        strategy, n, epsilon, stretch = (meta.strategy, meta.n,
+                                         meta.epsilon, meta.stretch)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"metadata for {manifest_path} is missing or "
+                            f"malformed required fields: {exc}") from exc
     resident, query_cost, mapped = get_strategy(strategy).serving_costs(
-        n, metadata.get("build", {}), sharded=True)
+        n, meta.metadata.get("build", {}))
     return ArtifactEntry(
         name=name,
         path=manifest_path,
@@ -176,8 +131,6 @@ def _entry_from_shard_manifest(name: str, manifest_path: Path,
         payload_bytes=sum(int(item["bytes"]) for item in shards),
         resident_floats=resident,
         query_cost=query_cost,
-        sharded=True,
-        num_shards=len(shards),
         mapped_floats=mapped,
         row_ranges=tuple((int(item["row_start"]), int(item["row_stop"]))
                          for item in shards),
@@ -244,52 +197,15 @@ class ArtifactRegistry:
     # registration and discovery
     # ------------------------------------------------------------------
     def register(self, path: PathLike, name: Optional[str] = None) -> ArtifactEntry:
-        """Register one artifact from its metadata (payloads are not read).
+        """Register one artifact from its manifest alone (no shard I/O).
 
-        ``path`` may be a monolithic payload (with or without ``.npz``) or
-        a sharded artifact's ``.shards.json`` manifest; a bare path whose
-        payload is missing falls back to the shard manifest next to it.
-        Sharded artifacts register from the manifest alone — no shard file
-        is touched.  ``name`` defaults to the artifact stem;
-        auto-generated names are suffixed (``oracle-2``, ``oracle-3``, …)
-        on collision, while an explicit duplicate ``name`` raises
-        :class:`RegistryError`.
+        ``path`` may be the ``.shards.json`` manifest, the artifact's base
+        path, or that base with ``.npz``.  ``name`` defaults to the
+        artifact stem; auto-generated names are suffixed (``oracle-2``,
+        ``oracle-3``, …) on collision, while an explicit duplicate
+        ``name`` raises :class:`RegistryError`.
         """
-        path = Path(path)
-        if path.name.endswith(SHARD_MANIFEST_SUFFIX):
-            return self._register_sharded(path, name)
-        payload, sidecar = artifact_paths(path)
-        if not payload.exists():
-            manifest = shard_manifest_path(payload)
-            if manifest.exists():
-                return self._register_sharded(manifest, name)
-            raise ArtifactError(
-                f"oracle artifact not found: {payload} (no payload and no "
-                f"{manifest.name} shard manifest)"
-            )
-        if not sidecar.exists():
-            raise ArtifactError(f"metadata sidecar not found: {sidecar}")
-        try:
-            metadata = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(
-                f"unparseable metadata sidecar {sidecar}: {exc}") from exc
-
-        chosen = self._claim_name(name, payload.name[: -len(".npz")])
-        entry = _entry_from_sidecar(chosen, payload, metadata)
-        self._entries[chosen] = entry
-        self.epoch += 1
-        return entry
-
-    def _register_sharded(self, manifest_path: Path,
-                          name: Optional[str]) -> ArtifactEntry:
-        if not manifest_path.exists():
-            raise ArtifactError(f"shard manifest not found: {manifest_path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(
-                f"unparseable shard manifest {manifest_path}: {exc}") from exc
+        manifest_path, manifest = read_manifest(path)
         chosen = self._claim_name(
             name, manifest_path.name[: -len(SHARD_MANIFEST_SUFFIX)])
         entry = _entry_from_shard_manifest(chosen, manifest_path, manifest)
@@ -313,23 +229,19 @@ class ArtifactRegistry:
         return chosen
 
     def discover(self, root: PathLike) -> List[ArtifactEntry]:
-        """Register every artifact below ``root``.
+        """Register every artifact (``.shards.json`` manifest) below ``root``.
 
-        Monolithic artifacts are found by their ``.meta.json`` sidecar,
-        sharded ones by their ``.shards.json`` manifest.  Returns the newly
-        registered entries, sorted by name.  Sidecars whose payload is
-        missing raise; an empty directory returns ``[]``.
+        Returns the newly registered entries, sorted by name; an empty
+        directory returns ``[]``.  A leftover monolithic payload anywhere
+        below ``root`` raises rather than silently dropping out of the
+        fleet.
         """
         root = Path(root)
         if not root.is_dir():
             raise ArtifactError(f"not a directory: {root}")
-        found = []
-        for sidecar in sorted(root.rglob(f"*{META_SUFFIX}")):
-            payload = sidecar.with_name(
-                sidecar.name[: -len(META_SUFFIX)] + ".npz")
-            found.append(self.register(payload))
-        for manifest in sorted(root.rglob(f"*{SHARD_MANIFEST_SUFFIX}")):
-            found.append(self.register(manifest))
+        refuse_monolithic_below(root)
+        found = [self.register(manifest) for manifest
+                 in sorted(root.rglob(f"*{SHARD_MANIFEST_SUFFIX}"))]
         return sorted(found, key=lambda entry: entry.name)
 
     # ------------------------------------------------------------------
@@ -358,13 +270,14 @@ class ArtifactRegistry:
         return list(self._engines)
 
     def engine(self, name: str) -> QueryEngine:
-        """The engine for ``name``, loading the payload on first use.
+        """The engine for ``name``, opening the artifact on first use.
 
-        Loading verifies the payload checksum and may evict the least
-        recently used engine once more than ``capacity`` are resident.
+        Opening parses the manifest (each shard is checksummed on its
+        first fault) and may evict the least recently used engine once
+        more than ``capacity`` are open.
 
         An artifact that fails to load — files deleted from under a
-        running server, sidecar unreadable, checksum rot — raises a
+        running server, manifest unreadable, schema mismatch — raises a
         typed :class:`RegistryError` AND drops the entry from the
         catalogue, so the router immediately stops offering the dead
         artifact and subsequent requests re-route to the survivors
@@ -375,9 +288,6 @@ class ArtifactRegistry:
         entry = self.get(name)
         engine = self._engines.get(name)
         if engine is None:
-            # load_artifact dispatches on the entry path: monolithic
-            # payloads are read and checksummed whole, sharded manifests
-            # open lazily and verify each shard on first fault.
             try:
                 engine = QueryEngine(load_artifact(entry.path))
             except (ArtifactError, OSError) as exc:
@@ -463,7 +373,6 @@ class ArtifactRegistry:
                 "n": entry.n,
                 "epsilon": entry.epsilon,
                 "stretch": entry.stretch.as_dict(),
-                "sharded": entry.sharded,
             })
         payload = {"manifest_version": MANIFEST_VERSION, "artifacts": artifacts}
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -474,9 +383,9 @@ class ArtifactRegistry:
     def load_manifest(cls, path: PathLike, capacity: int = 4) -> "ArtifactRegistry":
         """Rebuild a registry from :meth:`write_manifest` output.
 
-        Entries are re-derived from the artifact sidecars on disk (the
-        manifest pins *which* artifacts, the sidecars stay the source of
-        truth for *what* they guarantee).
+        Entries are re-derived from the shard manifests on disk (the
+        registry manifest pins *which* artifacts, theirs stay the source
+        of truth for *what* they guarantee).
         """
         path = Path(path)
         try:
@@ -505,8 +414,9 @@ def build_registry(paths: Iterable[PathLike], capacity: int = 4) -> ArtifactRegi
     """Registry from a mixed list of artifact files, directories, manifests.
 
     The shared front end behind ``repro serve`` and ``repro loadgen``:
-    each path may be a ``.npz`` artifact (with or without the extension),
-    a directory to :meth:`~ArtifactRegistry.discover`, or a manifest JSON
+    each path may be an artifact (its ``.shards.json``, its base path, or
+    that base with ``.npz``), a directory to
+    :meth:`~ArtifactRegistry.discover`, or a registry manifest JSON
     (recognised by a ``manifest_version`` key).
     """
     registry = ArtifactRegistry(capacity=capacity)
@@ -515,16 +425,8 @@ def build_registry(paths: Iterable[PathLike], capacity: int = 4) -> ArtifactRegi
         if path.is_dir():
             registry.discover(path)
             continue
-        if path.name.endswith(META_SUFFIX):
-            # An artifact's own sidecar: register its payload.
-            registry.register(
-                path.with_name(path.name[: -len(META_SUFFIX)] + ".npz"))
-            continue
-        if path.name.endswith(SHARD_MANIFEST_SUFFIX):
-            # A sharded artifact's own manifest.
-            registry.register(path)
-            continue
-        if path.suffix == ".json" and path.is_file():
+        if (path.suffix == ".json" and path.is_file()
+                and not path.name.endswith(SHARD_MANIFEST_SUFFIX)):
             try:
                 payload = json.loads(path.read_text())
             except json.JSONDecodeError as exc:
@@ -533,8 +435,8 @@ def build_registry(paths: Iterable[PathLike], capacity: int = 4) -> ArtifactRegi
             if not isinstance(payload, dict) or "manifest_version" not in payload:
                 raise ArtifactError(
                     f"{path} is JSON but not a registry manifest (no "
-                    f"manifest_version key); pass the artifact's .npz or "
-                    f"{META_SUFFIX} path to register a single artifact"
+                    f"manifest_version key); pass an artifact's base path or "
+                    f"{SHARD_MANIFEST_SUFFIX} manifest to register it"
                 )
             loaded = ArtifactRegistry.load_manifest(path, capacity=capacity)
             for entry in loaded.entries():

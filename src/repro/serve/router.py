@@ -11,17 +11,14 @@ router then serves the request from the **cheapest admissible artifact**:
 
 1. admissible = every registered artifact whose advertised guarantee is
    at least as tight as the budget (multiplicative AND additive);
-2. among admissible artifacts with a resident engine, pick the cheapest
-   by the registry's total cost order (``prefer_loaded=True``, the
-   default — routing never forces a load while a loaded artifact
-   qualifies);
-3. if none is loaded, pick the cheapest admissible artifact overall and
-   let the registry load it lazily;
-4. if *nothing* is admissible, raise :class:`RoutingError` naming every
+2. pick the cheapest admissible artifact by the registry's total cost
+   order — payload floats, then per-query work, then name
+   (:attr:`~repro.serve.registry.ArtifactEntry.cost`), the planner's
+   smallest-artifact rule applied to what was built — and let the
+   registry open it lazily (an open is an ``mmap``, so whether an
+   artifact already has an engine does not enter the choice);
+3. if *nothing* is admissible, raise :class:`RoutingError` naming every
    registered guarantee.
-
-With ``prefer_loaded=False`` step 2 is skipped, giving the pure
-"cheapest admissible artifact" policy the unit tests pin down.
 
 A front tier may instead *pin* the artifact it already chose, so every
 worker answers from the same table; :meth:`StretchRouter.resolve` is the
@@ -80,8 +77,6 @@ class RouteDecision:
 
     name: str
     entry: ArtifactEntry
-    #: Whether the chosen artifact already had a resident engine.
-    loaded: bool
 
     @property
     def n(self) -> int:
@@ -93,27 +88,15 @@ class RouteDecision:
 
 
 class StretchRouter:
-    """Pick the cheapest admissible artifact for each request.
+    """Pick the cheapest admissible artifact of ``registry`` for each request."""
 
-    Parameters
-    ----------
-    registry:
-        The artifact catalogue routed over.
-    prefer_loaded:
-        When True (default), restrict the choice to artifacts with
-        resident engines whenever at least one admissible artifact is
-        loaded; cheapest-overall otherwise.
-    """
-
-    def __init__(self, registry: ArtifactRegistry,
-                 prefer_loaded: bool = True):
+    def __init__(self, registry: ArtifactRegistry):
         self.registry = registry
-        self.prefer_loaded = prefer_loaded
         self._route_counts: Dict[str, int] = {}
         self._rejected = 0
         # Per-budget decision memo, invalidated whenever the registry's
-        # catalogue or resident-engine set changes (its epoch moves) —
-        # routing on the server's hot path must not re-sort per request.
+        # catalogue changes (its epoch moves) — routing on the server's
+        # hot path must not re-sort per request.
         self._memo: Dict[tuple, RouteDecision] = {}
         self._memo_epoch = registry.epoch
 
@@ -151,14 +134,8 @@ class StretchRouter:
                 f"{multiplicative:g}x+{additive:g}; available: {guarantees}"
             )
         chosen = candidates[0]
-        if self.prefer_loaded:
-            loaded = [entry for entry in candidates
-                      if self.registry.is_loaded(entry.name)]
-            if loaded:
-                chosen = loaded[0]
         self._route_counts[chosen.name] = self._route_counts.get(chosen.name, 0) + 1
-        decision = RouteDecision(name=chosen.name, entry=chosen,
-                                 loaded=self.registry.is_loaded(chosen.name))
+        decision = RouteDecision(name=chosen.name, entry=chosen)
         self._memo[memo_key] = decision
         return decision
 

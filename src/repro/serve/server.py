@@ -168,12 +168,14 @@ class _SingleEngineRouter:
             payload_bytes=0,
             resident_floats=float(engine.n) * engine.n,
             query_cost=1.0,
+            mapped_floats=0.0,
+            row_ranges=((0, engine.n),),
         )
         self._route_counts = 0
         self._rejected = 0
         # One artifact means one possible decision; build it once so the
         # server's hot path does not construct a dataclass per request.
-        self._decision = RouteDecision(name=name, entry=self._entry, loaded=True)
+        self._decision = RouteDecision(name=name, entry=self._entry)
 
     def route(self, multiplicative: float = math.inf,
               additive: float = math.inf) -> RouteDecision:
@@ -595,7 +597,7 @@ class DistanceServer:
             self._quarantines += 1
             rows = np.unique(np.concatenate([lo[bad], hi[bad]]))
             shards = engine.quarantine_rows(rows)
-            values = engine.batch_core(lo, hi)
+            values = engine.regather(lo, hi)  # the frame is counted already
             bad = ~(values >= 0)
             if bad.any():
                 raise ShardIntegrityError(

@@ -74,3 +74,31 @@ def random_minplus_matrix(n: int, nnz: int, seed: int, max_value: int = 64):
             generator.randrange(n), generator.randrange(n), generator.randint(1, max_value)
         )
     return matrix
+
+
+@pytest.fixture
+def monolithic_pair(tmp_path):
+    """A leftover of artifact format 1 as PR 20 wrote it, alone in its own
+    directory: ``old.npz`` (compressed payload) plus its JSON sidecar.
+    Returns the payload path."""
+    import hashlib
+    import io
+    import json
+
+    import numpy as np
+
+    from repro.oracle import build_oracle
+
+    artifact = build_oracle(
+        random_weighted_graph(12, average_degree=4, max_weight=5, seed=2),
+        strategy="exact-fallback")
+    root = tmp_path / "legacy"
+    root.mkdir()
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **artifact.arrays)
+    (root / "old.npz").write_bytes(buffer.getvalue())
+    sidecar = {**artifact.metadata, "format_version": 1,
+               "payload_arrays": sorted(artifact.arrays),
+               "payload_sha256": hashlib.sha256(buffer.getvalue()).hexdigest()}
+    (root / "old.meta.json").write_text(json.dumps(sidecar, indent=2))
+    return root / "old.npz"

@@ -168,15 +168,15 @@ def pairs(graph):
 
 @pytest.fixture(scope="module", params=STRATEGY_NAMES)
 def artifacts(request, graph, tmp_path_factory):
-    """``{"monolithic": ..., "sharded": ...}`` loaders for one strategy."""
+    """``{"in-memory": ..., "sharded": ...}`` loaders for one strategy."""
     artifact = build_oracle(graph, strategy=request.param, epsilon=0.5)
     root = tmp_path_factory.mktemp(f"parity-{request.param}")
     artifact.save_sharded(root / "oracle", 3)
-    return {"monolithic": lambda: artifact,
+    return {"in-memory": lambda: artifact,
             "sharded": lambda: load_artifact(root / "oracle.shards.json")}
 
 
-@pytest.mark.parametrize("layout", ["monolithic", "sharded"])
+@pytest.mark.parametrize("layout", ["in-memory", "sharded"])
 class TestEngineParity:
     def test_cached_thrashing_and_uncached_engines_agree(self, artifacts,
                                                          layout, pairs):

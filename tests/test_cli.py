@@ -89,8 +89,9 @@ class TestOracleSubcommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "stretch guarantee" in out
-        assert artifact.exists()
-        assert (tmp_path / "oracle.meta.json").exists()
+        assert (tmp_path / "oracle.shards.json").exists()
+        assert (tmp_path / "oracle.shard-0.npz").exists()
+        assert not artifact.exists()  # the name of the artifact, not a file
         return artifact
 
     def test_build_then_query_round_trip(self, tmp_path, capsys):
@@ -334,10 +335,18 @@ class TestServeSubcommands:
         assert "serving 2 artifact(s)" in out
         assert "availability     : 1.0000" in out
 
-    def test_serve_accepts_sidecar_path(self, artifact_dir, capsys):
-        assert main(["serve", str(artifact_dir / "exact.meta.json"),
+    def test_serve_accepts_shard_manifest_path(self, artifact_dir, capsys):
+        assert main(["serve", str(artifact_dir / "exact.shards.json"),
                      "--queries", "50"]) == 0
         assert "serving 1 artifact(s)" in capsys.readouterr().out
+
+    def test_leftover_monolithic_pair_is_clean_error(self, monolithic_pair,
+                                                     capsys):
+        for argv in (["serve", str(monolithic_pair)],
+                     ["serve", str(monolithic_pair.parent)],
+                     ["oracle", "query", str(monolithic_pair), "--pairs", "0:1"]):
+            assert main(argv) == 1
+            assert "repro oracle build" in capsys.readouterr().err
 
     def test_serve_non_manifest_json_is_clean_error(self, tmp_path, capsys):
         stray = tmp_path / "notes.json"
@@ -392,7 +401,6 @@ class TestShardingSubcommands:
         assert "manifest" in out
         assert (tmp_path / "big.shards.json").exists()
         assert (tmp_path / "big.shard-3.npz").exists()
-        assert not (tmp_path / "big.npz").exists()  # sharded, not monolithic
 
     def test_query_and_bench_accept_sharded_artifacts(self, tmp_path, capsys):
         assert main(["oracle", "build", str(tmp_path / "s.npz"), "--n", "32",
@@ -405,7 +413,7 @@ class TestShardingSubcommands:
                      "--queries", "500"]) == 0
         assert "cached queries/sec" in capsys.readouterr().out
 
-    def test_shard_command_reshards_monolithic_artifact(self, tmp_path, capsys):
+    def test_shard_command_reshards_an_artifact(self, tmp_path, capsys):
         assert main(["oracle", "build", str(tmp_path / "m.npz"), "--n", "32",
                      "--seed", "7", "--strategy", "dense-apsp"]) == 0
         capsys.readouterr()
@@ -417,10 +425,10 @@ class TestShardingSubcommands:
         # Answers agree between the two on a spot check.
         assert main(["oracle", "query", str(tmp_path / "m.npz"),
                      "--pairs", "1:9"]) == 0
-        mono_out = capsys.readouterr().out
+        one_shard_out = capsys.readouterr().out
         assert main(["oracle", "query", str(tmp_path / "m-sharded"),
                      "--pairs", "1:9"]) == 0
-        assert capsys.readouterr().out == mono_out
+        assert capsys.readouterr().out == one_shard_out
 
     def test_shard_command_bad_source_is_clean_error(self, tmp_path, capsys):
         assert main(["oracle", "shard", str(tmp_path / "nope.npz"),

@@ -1,12 +1,13 @@
 """The query kernels against a plain-Python reference oracle.
 
-A resident and a sharded engine run the *same* kernels, so comparing one
+An in-memory and a mapped engine run the *same* kernels, so comparing one
 with the other checks the row accessors, not the kernels.  The reference
 here shares no code with :mod:`repro.oracle.engine`: it answers from the
 raw payload arrays with Python loops and Python floats, and every
 registered strategy is held to it bit for bit through every way it can be
-served — resident, one shard, four shards — with the answer cache off,
-thrashing, and roomy.
+served — straight from the build, one shard, four shards, all through the
+one writer — with the answer cache off, thrashing, and roomy.  This is
+the one conformance matrix: per-layout parity files fold into it.
 
 The synthetic payloads are adversarial on purpose: real balls are exact,
 so which ball is probed first never shows; here ``u``'s ball and ``v``'s
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graphs import random_weighted_graph
 from repro.oracle import (
@@ -32,11 +34,10 @@ from repro.oracle import (
     load_artifact,
 )
 
-LAYOUTS = ("resident", "1-shard", "4-shard")
+LAYOUTS = ("in-memory", "1-shard", "4-shard")
 CACHE_SIZES = (0, 8, 65536)
 
-MEMORY_KEYS = {"sharded", "num_shards", "shard_faults", "mapped_bytes",
-               "resident_bytes"}
+MEMORY_KEYS = {"num_shards", "shard_faults", "mapped_bytes", "resident_bytes"}
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +173,7 @@ def served(request, graph, tmp_path_factory):
     else:
         artifact = build_oracle(graph, strategy=name, epsilon=0.5)
     root = tmp_path_factory.mktemp("reference")
-    layouts = {"resident": artifact}
+    layouts = {"in-memory": artifact}
     for label, shards in (("1-shard", 1), ("4-shard", 4)):
         manifest, _ = artifact.save_sharded(root / label, num_shards=shards)
         layouts[label] = load_artifact(manifest, verify="eager")
@@ -252,21 +253,19 @@ class TestOnePath:
         engine.dist(0, engine.n - 1)
         memory = engine.memory_stats()
         assert set(memory) == MEMORY_KEYS
-        if layout == "resident":
-            assert memory["sharded"] is False
+        if layout == "in-memory":
             assert (memory["num_shards"], memory["shard_faults"],
                     memory["mapped_bytes"]) == (1, 0, 0)
             assert memory["resident_bytes"] == sum(
                 array.nbytes for array in engine.artifact.arrays.values())
         else:
-            assert memory["sharded"] is True
             assert memory["num_shards"] == int(layout[0])
-            assert memory["mapped_bytes"] > 0
+            assert memory["mapped_bytes"] > memory["resident_bytes"]
         assert engine.stats()["memory"] == memory
 
-    def test_quarantine_on_a_resident_engine_only_clears_answers(self, served):
+    def test_quarantine_on_an_in_memory_engine_only_clears_answers(self, served):
         reference, layouts = served
-        engine = QueryEngine(layouts["resident"], cache_size=64)
+        engine = QueryEngine(layouts["in-memory"], cache_size=64)
         engine.batch([(0, 1), (1, 2), (2, 3)])
         assert len(engine.cache) == 3
         assert engine.quarantine_rows([0, 1, 2]) == []
@@ -280,3 +279,36 @@ class TestOnePath:
         assert engine.quarantine_rows([0, engine.n - 1]) == [0, 3]
         assert len(engine.cache) == 0
         assert engine.quarantine_rows([]) == []
+
+
+class TestRoundTrip:
+    """What the one writer wrote is what the one reader maps."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS[1:])
+    def test_every_array_and_the_metadata_come_back(self, served, layout):
+        _, layouts = served
+        built, opened = layouts["in-memory"], layouts[layout]
+        assert (opened.strategy, opened.n, opened.query_kind, opened.stretch) \
+            == (built.strategy, built.n, built.query_kind, built.stretch)
+        assert opened.array_names == built.array_names
+        for name, array in built.arrays.items():
+            got = opened.materialize(name)
+            assert got.dtype == array.dtype
+            assert np.array_equal(got, array, equal_nan=True)
+
+    @given(num_shards=st.integers(min_value=1, max_value=9),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_property_any_shard_count_preserves_every_answer(
+            self, served, tmp_path_factory, num_shards, seed):
+        _, layouts = served
+        built = layouts["in-memory"]
+        manifest, _ = built.save_sharded(
+            tmp_path_factory.mktemp("prop") / "p", num_shards=num_shards)
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, built.n, size=(200, 2))
+        assert same_bits(
+            QueryEngine(built, cache_size=0).batch(pairs),
+            QueryEngine(load_artifact(manifest), cache_size=0).batch(pairs))

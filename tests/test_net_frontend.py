@@ -18,11 +18,13 @@ from repro.net.bench import synthetic_sharded_artifact
 from repro.net.frontend import (
     HEDGE_DELAY_REFRESH,
     Frontend,
+    MiscountedReply,
     NetClient,
     WorkerLink,
     WorkerUnavailable,
 )
 from repro.net.protocol import (
+    ERR_BAD_FRAME,
     MSG_PING,
     MSG_PONG,
     MSG_RESPONSE,
@@ -41,7 +43,7 @@ from repro.serve import DistanceServer, RoutingError, StretchRouter, build_regis
 
 N = 64
 FLEET_SIZES = (1, 2, 3)
-LAYOUTS = ("sharded", "monolithic")
+LAYOUTS = ("4-shard", "1-shard")
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +59,12 @@ def table(manifest) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def artifacts(manifest, table, tmp_path_factory):
-    """The same table as four row shards and as one resident payload."""
-    payload, _sidecar = OracleArtifact(
+    """The same table as four row shards and as one."""
+    one, _shards = OracleArtifact(
         metadata=dict(load_artifact(manifest).metadata),
         arrays={"dist": table},
-    ).save(tmp_path_factory.mktemp("net-frontend-mono") / "mono.npz")
-    return {"sharded": manifest, "monolithic": payload}
+    ).save_sharded(tmp_path_factory.mktemp("net-frontend-one") / "one")
+    return {"4-shard": manifest, "1-shard": one}
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +171,8 @@ class TestPartitioning:
     def test_batch_spans_both_workers_and_matches_reference(
             self, manifest, reference):
         async def drive():
-            frontend, workers = await start_fleet(manifest)
+            # No hedging: a duplicate sent on a slow box would be counted.
+            frontend, workers = await start_fleet(manifest, hedge_ratio=0.0)
             try:
                 pairs = pairs_covering_all_shards()
                 async with NetClient(*frontend.address) as client:
@@ -477,7 +480,7 @@ class TestFramePath:
                                  in zip(frontend.links(), sent)]
                         if kind == "empty":
                             assert moved == [0] * num_workers
-                        elif kind == "one-owner" and layout == "sharded":
+                        elif kind == "one-owner" and layout == "4-shard":
                             # The whole frame went out as one sub-batch.
                             assert sorted(moved) == \
                                 [0] * (num_workers - 1) + [1]
@@ -512,7 +515,7 @@ class TestFramePath:
 
     def test_traced_request_carries_route_and_fanout_spans(self, artifacts):
         async def drive(num_workers, pairs):
-            async with running_fleet(artifacts["sharded"],
+            async with running_fleet(artifacts["4-shard"],
                                      num_workers) as (frontend, _):
                 trace = TraceContext("ab" * 8, "frontend")
                 await frontend.handle_request(frame_request(pairs),
@@ -590,11 +593,52 @@ class TestAttemptBudget:
         assert [link.requests for link in frontend.links()] == [1, 1, 1]
         assert (frontend.retries, frontend.failovers) == (2, 2)
 
+    def test_miscounted_reply_is_a_failed_attempt(self, manifest, table):
+        """A worker that answers one distance short has not answered: the
+        breaker is charged and the sub-batch fails over — whether the frame
+        had one owner (the short array used to reach the client) or several
+        (it used to die in the scatter as a ValueError, reported as
+        bad-nodes).  With nobody left to ask it is a NetError, and a
+        ``NetClient`` talking to such a worker directly raises the same
+        typed error instead of returning the short array."""
+        async def one_short(request):
+            return table[request.u, request.v][:-1]
+
+        for pairs, sends in ((shard_frame(0), [1, 1]),
+                             (np.asarray(pairs_covering_all_shards(40)),
+                              [1, 2])):
+            frontend = scripted_frontend(manifest, table, 2, hedge_ratio=0.0)
+            scripted(frontend.links()[0], table, one_short)
+            got = asyncio.run(frontend.handle_request(frame_request(pairs)))
+            assert np.array_equal(got, table[pairs[:, 0], pairs[:, 1]])
+            assert [link.requests for link in frontend.links()] == sends
+            assert [link.failures for link in frontend.links()] == [1, 0]
+            assert (frontend.retries, frontend.failovers) == (1, 1)
+
+        frontend = scripted_frontend(manifest, table, 2, hedge_ratio=0.0)
+        for link in frontend.links():
+            scripted(link, table, one_short)
+        with pytest.raises(NetError, match=r"answered 7 distance\(s\) to a "
+                                           r"request of 8 pair"):
+            asyncio.run(frontend.handle_request(frame_request(shard_frame(0))))
+
+        async def direct():
+            client = NetClient("127.0.0.1", 1)
+            scripted(client.link, table, one_short)
+            try:
+                with pytest.raises(MiscountedReply) as caught:
+                    await client.batch(shard_frame(0))
+                assert caught.value.code == ERR_BAD_FRAME
+            finally:
+                await client.aclose()
+
+        asyncio.run(direct())
+
     def test_no_admitting_link_says_so(self, artifacts, table):
         """Three runs; every breaker opens while the first is out.  The
         other two were never sent, and their error says that instead of
         ``failed after 3 attempt(s): None``."""
-        frontend = scripted_frontend(artifacts["monolithic"], table, 3)
+        frontend = scripted_frontend(artifacts["1-shard"], table, 3)
 
         async def open_everything(request):
             for link in frontend.links():

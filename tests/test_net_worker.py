@@ -31,7 +31,7 @@ from repro.net.protocol import (
     unpack_response,
 )
 from repro.net.worker import DistanceWorker
-from repro.oracle import OracleArtifact, QueryEngine, build_oracle
+from repro.oracle import QueryEngine, build_oracle, load_artifact
 from repro.serve import ArtifactRegistry, DistanceServer, ServerConfig, StretchRouter
 
 
@@ -39,13 +39,13 @@ from repro.serve import ArtifactRegistry, DistanceServer, ServerConfig, StretchR
 def artifact_path(tmp_path_factory):
     graph = random_weighted_graph(24, average_degree=5, max_weight=10, seed=3)
     path = tmp_path_factory.mktemp("net-worker") / "exact.npz"
-    build_oracle(graph, strategy="exact-fallback").save(path)
+    build_oracle(graph, strategy="exact-fallback").save_sharded(path)
     return path
 
 
 @pytest.fixture
 def reference(artifact_path):
-    return QueryEngine(OracleArtifact.load(artifact_path))
+    return QueryEngine(load_artifact(artifact_path))
 
 
 def make_worker(artifact_path, **config_kwargs) -> DistanceWorker:

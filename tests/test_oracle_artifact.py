@@ -1,5 +1,6 @@
-"""Tests for the on-disk artifact format: round-tripping, versioning, and
-corruption detection."""
+"""Tests for the on-disk artifact format at its default layout — one row
+shard plus a manifest: round-tripping, versioning, corruption detection,
+and the refusal of a leftover monolithic (format 1) pair."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from repro.oracle import (
     ArtifactError,
     OracleArtifact,
     QueryEngine,
-    artifact_paths,
     build_oracle,
     load_artifact,
     write_sharded_artifact,
@@ -30,90 +30,78 @@ def small_artifact():
 
 class TestRoundTrip:
     def test_save_load_preserves_arrays_and_metadata(self, small_artifact, tmp_path):
-        payload, sidecar = small_artifact.save(tmp_path / "oracle.npz")
-        assert payload.name == "oracle.npz"
-        assert sidecar.name == "oracle.meta.json"
+        manifest, shards = small_artifact.save_sharded(tmp_path / "oracle.npz")
+        assert manifest.name == "oracle.shards.json"
+        assert [shard.name for shard in shards] == ["oracle.shard-0.npz"]
 
-        loaded = OracleArtifact.load(tmp_path / "oracle.npz")
+        loaded = load_artifact(tmp_path / "oracle.npz")
         assert loaded.strategy == small_artifact.strategy
         assert loaded.n == small_artifact.n
         assert loaded.epsilon == small_artifact.epsilon
         assert loaded.stretch == small_artifact.stretch
-        assert set(loaded.arrays) == set(small_artifact.arrays)
+        assert set(loaded.array_names) == set(small_artifact.arrays)
         for name, array in small_artifact.arrays.items():
-            np.testing.assert_array_equal(loaded.arrays[name], array)
+            np.testing.assert_array_equal(loaded.materialize(name), array)
 
-    def test_save_without_npz_extension_appends_it(self, small_artifact, tmp_path):
-        payload, sidecar = small_artifact.save(tmp_path / "oracle")
-        assert payload.name == "oracle.npz"
-        assert OracleArtifact.load(tmp_path / "oracle").n == small_artifact.n
+    def test_base_npz_and_manifest_paths_name_one_artifact(self, small_artifact,
+                                                           tmp_path):
+        manifest, _ = small_artifact.save_sharded(tmp_path / "oracle")
+        for path in (tmp_path / "oracle", tmp_path / "oracle.npz", manifest):
+            assert load_artifact(path).manifest_path == manifest
 
     def test_loaded_artifact_answers_identically(self, small_artifact, tmp_path):
-        small_artifact.save(tmp_path / "o.npz")
+        small_artifact.save_sharded(tmp_path / "o.npz")
         before = QueryEngine(small_artifact)
-        after = QueryEngine(OracleArtifact.load(tmp_path / "o.npz"))
+        after = QueryEngine(load_artifact(tmp_path / "o.npz"))
         for u in range(small_artifact.n):
             for v in range(small_artifact.n):
                 assert before.dist(u, v) == after.dist(u, v)
 
-    def test_sidecar_is_valid_json_with_provenance(self, small_artifact, tmp_path):
-        _, sidecar = small_artifact.save(tmp_path / "o.npz")
-        meta = json.loads(sidecar.read_text())
+    def test_manifest_is_valid_json_with_provenance(self, small_artifact, tmp_path):
+        manifest, _ = small_artifact.save_sharded(tmp_path / "o.npz")
+        content = json.loads(manifest.read_text())
+        meta = content["metadata"]
         assert meta["format_version"] == FORMAT_VERSION
         assert meta["strategy"] == "landmark-mssp"
         assert meta["build"]["rounds"] > 0
-        assert sorted(meta["payload_arrays"]) == sorted(small_artifact.arrays)
-        assert len(meta["payload_sha256"]) == 64
+        assert sorted([*content["sharded_arrays"], *content["common_arrays"]]) \
+            == sorted(small_artifact.arrays)
+        assert [len(shard["sha256"]) for shard in content["shards"]] == [64]
 
 
-class TestPathHandling:
-    def test_artifact_paths_pairs_sidecar_with_payload(self):
-        payload, sidecar = artifact_paths("dir/name.npz")
-        assert str(payload).endswith("name.npz")
-        assert str(sidecar).endswith("name.meta.json")
+class TestLeftoverMonolithicPair:
+    def test_load_artifact_names_the_rebuild(self, monolithic_pair):
+        for path in (monolithic_pair, monolithic_pair.with_suffix("")):
+            with pytest.raises(ArtifactError, match="repro oracle build"):
+                load_artifact(path)
 
-    def test_missing_payload_raises(self, tmp_path):
-        with pytest.raises(ArtifactError, match="not found"):
-            OracleArtifact.load(tmp_path / "nope.npz")
-
-    def test_missing_sidecar_raises(self, small_artifact, tmp_path):
-        payload, sidecar = small_artifact.save(tmp_path / "o.npz")
-        sidecar.unlink()
-        with pytest.raises(ArtifactError, match="sidecar"):
-            OracleArtifact.load(payload)
+    def test_a_rebuild_next_to_it_is_what_loads(self, small_artifact,
+                                                monolithic_pair):
+        small_artifact.save_sharded(monolithic_pair)
+        assert load_artifact(monolithic_pair).n == small_artifact.n
 
 
 class TestCorruptionAndVersioning:
-    def test_corrupt_payload_detected_by_checksum(self, small_artifact, tmp_path):
-        payload, _ = small_artifact.save(tmp_path / "o.npz")
-        data = bytearray(payload.read_bytes())
+    def test_corrupt_payload_detected_on_first_open(self, small_artifact, tmp_path):
+        """Lazy by default: the manifest opens, the one shard is checksummed
+        whole the first time a query reaches it."""
+        _, (shard,) = small_artifact.save_sharded(tmp_path / "o.npz")
+        data = bytearray(shard.read_bytes())
         data[len(data) // 2] ^= 0xFF
-        payload.write_bytes(bytes(data))
+        shard.write_bytes(bytes(data))
+        engine = QueryEngine(load_artifact(tmp_path / "o.npz"))
         with pytest.raises(ArtifactError, match="checksum"):
-            OracleArtifact.load(payload)
+            engine.dist(0, 5)
+        with pytest.raises(ArtifactError, match="checksum"):
+            load_artifact(tmp_path / "o.npz", verify="eager")
 
     def test_unknown_format_version_rejected(self, small_artifact, tmp_path):
-        payload, sidecar = small_artifact.save(tmp_path / "o.npz")
-        meta = json.loads(sidecar.read_text())
-        meta["format_version"] = FORMAT_VERSION + 99
-        sidecar.write_text(json.dumps(meta))
+        manifest, _ = small_artifact.save_sharded(tmp_path / "o.npz")
+        content = json.loads(manifest.read_text())
+        content["metadata"]["format_version"] = FORMAT_VERSION + 99
+        manifest.write_text(json.dumps(content))
         with pytest.raises(ArtifactError, match="format_version"):
-            OracleArtifact.load(payload)
-
-    def test_sidecar_without_checksum_rejected(self, small_artifact, tmp_path):
-        """A sidecar with no checksum cannot vouch for its payload."""
-        payload, sidecar = small_artifact.save(tmp_path / "o.npz")
-        meta = json.loads(sidecar.read_text())
-        del meta["payload_sha256"]
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ArtifactError, match="payload_sha256"):
-            OracleArtifact.load(payload)
-
-    def test_unparseable_sidecar_rejected(self, small_artifact, tmp_path):
-        payload, sidecar = small_artifact.save(tmp_path / "o.npz")
-        sidecar.write_text("{not json")
-        with pytest.raises(ArtifactError, match="unparseable"):
-            OracleArtifact.load(payload)
+            load_artifact(manifest)
 
     def test_payload_missing_required_array_rejected(self, small_artifact, tmp_path):
         artifact = OracleArtifact(
@@ -122,7 +110,7 @@ class TestCorruptionAndVersioning:
                     if k != "landmark_dist"},
         )
         with pytest.raises(ArtifactError, match="landmark_dist"):
-            artifact.save(tmp_path / "o.npz")
+            artifact.save_sharded(tmp_path / "o.npz")
 
 
 # ----------------------------------------------------------------------
@@ -212,18 +200,18 @@ class TestSchemaShapes:
         with pytest.raises(ArtifactError, match=names):
             bad.validate()
         with pytest.raises(ArtifactError, match=names):
-            bad.save(tmp_path / "bad.npz")
+            bad.save_sharded(tmp_path / "bad.npz")
         with pytest.raises(ArtifactError, match=names):
             QueryEngine(bad)
 
-    def test_resident_payload_that_disagrees_with_its_sidecar_rejected(
+    def test_payload_that_disagrees_with_its_manifest_metadata_rejected(
             self, built, tmp_path):
-        payload, sidecar = built["dense-apsp"].save(tmp_path / "o.npz")
-        meta = json.loads(sidecar.read_text())
-        meta["n"] += 2  # the checksum covers the payload, not this
-        sidecar.write_text(json.dumps(meta))
+        manifest, _ = built["dense-apsp"].save_sharded(tmp_path / "o.npz")
+        content = json.loads(manifest.read_text())
+        content["metadata"]["n"] += 2  # the checksums cover the shards, not this
+        manifest.write_text(json.dumps(content))
         with pytest.raises(ArtifactError, match="dist"):
-            OracleArtifact.load(payload)
+            load_artifact(manifest)
 
     @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
     def test_sharded_artifact_rejected(self, built, case, tmp_path):
@@ -265,7 +253,7 @@ class TestSchemaShapes:
         with pytest.raises(ArtifactError, match=names):
             bad.validate()
         with pytest.raises(ArtifactError, match=names):
-            bad.save(tmp_path / "bad.npz")
+            bad.save_sharded(tmp_path / "bad.npz")
         with pytest.raises(ArtifactError, match=names):
             QueryEngine(bad)
 

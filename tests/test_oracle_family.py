@@ -2,10 +2,11 @@
 
 ``spanner-greedy`` and ``hopset-landmark`` must behave exactly like the
 original strategies across the whole artifact lifecycle: guarantee held
-against brute-force distances, save/load round-trips, sharded serving
-bit-identical to monolithic, ``--jobs`` builds bit-identical to serial
+against brute-force distances, ``--jobs`` builds bit-identical to serial
 ones, router admission by the declared guarantee, and (for the spanner)
-an artifact decisively smaller than the dense table.
+an artifact decisively smaller than the dense table.  Round trips and
+answer parity across layouts are ``test_engine_reference.py``'s, for
+every registered strategy.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ import pytest
 
 from repro.graphs import all_pairs_dijkstra, random_weighted_graph
 from repro.graphs.generators import disjoint_cliques, grid_graph
-from repro.oracle import (
-    OracleArtifact,
-    OracleBuilder,
-    QueryEngine,
-    build_oracle,
-    load_artifact,
-)
+from repro.oracle import OracleBuilder, QueryEngine, build_oracle
 from repro.oracle.spanner import build_greedy_spanner, spanner_csr
 from repro.oracle.hopset_landmark import landmark_table
 
@@ -141,32 +136,6 @@ class TestHopsetInternals:
             assert table[v, 0] == pytest.approx(truth[0][v])
 
 
-class TestShardedParity:
-    @pytest.mark.parametrize("strategy", NEW_STRATEGIES)
-    def test_sharded_engine_matches_monolithic(self, graph, strategy,
-                                               tmp_path):
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        artifact.save_sharded(tmp_path / "oracle", 3)
-        sharded = QueryEngine(load_artifact(tmp_path / "oracle.shards.json"))
-        mono = QueryEngine(artifact)
-        pairs = [(u, v) for u in range(graph.n) for v in range(graph.n)]
-        a = np.asarray(mono.batch(pairs))
-        b = np.asarray(sharded.batch(pairs))
-        assert np.all((a == b) | (np.isinf(a) & np.isinf(b)))
-        for u, v in ((0, 1), (5, 31), (39, 39)):
-            assert sharded.dist(u, v) == mono.dist(u, v)
-
-    @pytest.mark.parametrize("strategy", NEW_STRATEGIES)
-    def test_save_load_roundtrip(self, graph, strategy, tmp_path):
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        artifact.save(tmp_path / "oracle.npz")
-        loaded = OracleArtifact.load(tmp_path / "oracle.npz")
-        assert loaded.strategy == strategy
-        assert loaded.query_kind == artifact.query_kind
-        for name, values in artifact.arrays.items():
-            assert np.array_equal(loaded.arrays[name], values)
-
-
 class TestParallelParity:
     @pytest.mark.parametrize("strategy", NEW_STRATEGIES)
     def test_jobs_builds_are_bit_identical(self, graph, strategy, tmp_path):
@@ -200,9 +169,9 @@ class TestServingIntegration:
 
         registry = ArtifactRegistry()
         for name in NEW_STRATEGIES:
-            payload, _ = build_oracle(graph, strategy=name,
-                                      epsilon=0.5).save(tmp_path / name)
-            registry.register(payload, name=name)
+            manifest, _ = build_oracle(
+                graph, strategy=name, epsilon=0.5).save_sharded(tmp_path / name)
+            registry.register(manifest, name=name)
         router = StretchRouter(registry)
         assert router.route(multiplicative=3.0).name == "hopset-landmark"
         decision = router.route(multiplicative=9.0)

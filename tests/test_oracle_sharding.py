@@ -1,7 +1,8 @@
-"""Tests for the sharded, memory-mapped artifact format: shard/monolith
-answer parity (the bit-identical contract), manifest structure, checksum
-corruption and missing-shard error paths, and the locality of a point
-read (it opens the shards owning its rows and no other)."""
+"""Tests for the row-shard artifact format itself: manifest structure, the
+accessors against plain indexing, laziness, checksum corruption and
+missing-shard error paths, and the locality of a point read (it opens the
+shards owning its rows and no other).  Answer parity across layouts lives
+in ``test_engine_reference.py``."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from repro.graphs import random_weighted_graph
 from repro.net.bench import synthetic_sharded_artifact
 from repro.oracle import (
     ArtifactError,
-    OracleArtifact,
     QueryEngine,
     ShardedOracleArtifact,
     build_oracle,
@@ -46,10 +46,9 @@ def artifacts(graph):
 
 @pytest.fixture(scope="module")
 def sharded_dir(artifacts, tmp_path_factory):
-    """Each strategy saved monolithically and as a 5-shard artifact."""
+    """Each strategy saved as a 5-shard artifact."""
     root = tmp_path_factory.mktemp("sharded")
     for strategy, artifact in artifacts.items():
-        artifact.save(root / f"{strategy}.npz")
         artifact.save_sharded(root / f"{strategy}-sharded", num_shards=5)
     return root
 
@@ -92,15 +91,12 @@ class TestFormat:
             loaded.common("landmarks"),
             artifacts["landmark-mssp"].arrays["landmarks"])
 
-    def test_load_artifact_dispatches_by_path(self, sharded_dir):
-        assert isinstance(load_artifact(sharded_dir / "dense-apsp.npz"),
-                          OracleArtifact)
-        assert isinstance(
-            load_artifact(sharded_dir / "dense-apsp-sharded.shards.json"),
-            ShardedOracleArtifact)
-        # Bare base path with no monolithic payload falls back to shards.
-        assert isinstance(load_artifact(sharded_dir / "dense-apsp-sharded"),
-                          ShardedOracleArtifact)
+    def test_load_artifact_takes_manifest_base_or_npz_path(self, sharded_dir):
+        for name in ("dense-apsp-sharded.shards.json", "dense-apsp-sharded",
+                     "dense-apsp-sharded.npz"):
+            loaded = load_artifact(sharded_dir / name)
+            assert isinstance(loaded, ShardedOracleArtifact)
+            assert loaded.num_shards == 5
 
     def test_load_artifact_missing_everything_raises(self, tmp_path):
         with pytest.raises(ArtifactError, match="not found"):
@@ -120,64 +116,21 @@ class TestFormat:
         np.testing.assert_array_equal(
             loaded.materialize("dist"), artifacts["dense-apsp"].arrays["dist"])
 
-    def test_rows_are_memory_mapped(self, sharded_dir):
-        loaded = ShardedOracleArtifact.load(
-            sharded_dir / "dense-apsp-sharded.shards.json")
-        assert mapping_of(loaded.row("dist", 0)) is not None
-
-
-class TestParity:
-    """The acceptance contract: sharded answers are bit-identical."""
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_batch_identical_over_all_pairs(self, artifacts, sharded_dir,
-                                            strategy):
-        mono = QueryEngine(OracleArtifact.load(sharded_dir / f"{strategy}.npz"))
-        sharded = QueryEngine(
-            load_artifact(sharded_dir / f"{strategy}-sharded"))
-        pairs = all_pairs(mono.n)
-        assert np.array_equal(mono.batch(pairs), sharded.batch(pairs))
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_point_and_k_nearest_identical(self, sharded_dir, strategy):
-        mono = QueryEngine(OracleArtifact.load(sharded_dir / f"{strategy}.npz"))
-        sharded = QueryEngine(load_artifact(sharded_dir / f"{strategy}-sharded"))
-        for u in range(mono.n):
-            assert mono.dist(u, (u * 7 + 3) % mono.n) == \
-                sharded.dist(u, (u * 7 + 3) % mono.n)
-            assert mono.k_nearest(u, 6) == sharded.k_nearest(u, 6)
-
-    @given(
-        strategy=st.sampled_from(STRATEGIES),
-        num_shards=st.integers(min_value=1, max_value=9),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_property_reshard_preserves_every_answer(self, artifacts,
-                                                     tmp_path_factory,
-                                                     strategy, num_shards,
-                                                     seed):
-        """Any shard count, any workload: batch answers stay bit-identical
-        between a monolithic artifact and its resharded copy."""
-        artifact = artifacts[strategy]
-        root = tmp_path_factory.mktemp("prop")
-        artifact.save_sharded(root / "p", num_shards=num_shards)
-        mono = QueryEngine(artifact, cache_size=0)
-        sharded = QueryEngine(load_artifact(root / "p"), cache_size=0)
-        rng = np.random.default_rng(seed)
-        pairs = [(int(rng.integers(artifact.n)), int(rng.integers(artifact.n)))
-                 for _ in range(200)]
-        assert np.array_equal(mono.batch(pairs), sharded.batch(pairs))
-
     def test_reshard_of_sharded_artifact_identical(self, sharded_dir,
                                                    tmp_path):
         source = sharded_dir / "landmark-mssp-sharded.shards.json"
         manifest, _ = shard_artifact(source, tmp_path / "re", num_shards=2)
         original = QueryEngine(load_artifact(source))
         resharded = QueryEngine(load_artifact(manifest))
+        assert (original.artifact.num_shards, resharded.artifact.num_shards) \
+            == (5, 2)
         pairs = all_pairs(original.n)[:300]
         assert np.array_equal(original.batch(pairs), resharded.batch(pairs))
+
+    def test_rows_are_memory_mapped(self, sharded_dir):
+        loaded = ShardedOracleArtifact.load(
+            sharded_dir / "dense-apsp-sharded.shards.json")
+        assert mapping_of(loaded.row("dist", 0)) is not None
 
 
 #: What the accessor property reads: ``gather`` exists for the n x n table
@@ -355,20 +308,6 @@ class TestLaziness:
         engine.dist(0, loaded.n - 1)  # column index needs no other shard
         assert loaded.faults == 1
 
-    def test_memory_stats_distinguish_resident_and_mapped(self, sharded_dir):
-        engine = QueryEngine(load_artifact(sharded_dir / "dense-apsp-sharded"))
-        engine.batch(all_pairs(engine.n)[:100])
-        memory = engine.memory_stats()
-        assert memory["sharded"] is True
-        assert memory["mapped_bytes"] > 0
-        assert memory["resident_bytes"] < memory["mapped_bytes"]
-        mono = QueryEngine(
-            OracleArtifact.load(sharded_dir / "dense-apsp.npz"))
-        mono_memory = mono.memory_stats()
-        assert mono_memory["sharded"] is False
-        assert mono_memory["mapped_bytes"] == 0
-        assert mono_memory["resident_bytes"] >= engine.n * engine.n * 8
-
 
 class TestCorruption:
     def test_corrupt_shard_detected_on_first_open(self, artifacts, tmp_path):
@@ -400,7 +339,7 @@ class TestCorruption:
             ShardedOracleArtifact.load(tmp_path / "m")
 
     def test_missing_manifest_rejected(self, tmp_path):
-        with pytest.raises(ArtifactError, match="manifest not found"):
+        with pytest.raises(ArtifactError, match="not found: no shard manifest"):
             ShardedOracleArtifact.load(tmp_path / "ghost")
 
     def test_unknown_manifest_version_rejected(self, artifacts, tmp_path):

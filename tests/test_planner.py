@@ -65,12 +65,11 @@ class TestPlanFleet:
                           shard_target_bytes=1 << 20)
         choice = plan.choices[0]
         expected = math.ceil(choice.estimate.payload_bytes / (1 << 20))
-        assert choice.sharded
-        assert choice.num_shards == min(4096, expected)
+        assert choice.num_shards == min(4096, expected) > 1
         small = plan_fleet(n=64, m=256, max_weight=10.0,
                            budgets=[StretchBudget(1.0, 0.0)],
                            shard_target_bytes=DEFAULT_SHARD_TARGET_BYTES)
-        assert not small.choices[0].sharded
+        assert small.choices[0].num_shards == 1
 
     def test_query_cost_budget_can_force_dense(self):
         plan = plan_fleet(n=1024, m=8192, max_weight=10.0,
@@ -80,15 +79,20 @@ class TestPlanFleet:
         assert plan.choices[0].strategy in ("dense-apsp", "exact-fallback")
 
     def test_resident_budget_counts_what_the_process_holds(self):
+        """The common arrays, at any shard count: the payload is mapped."""
         shape = dict(n=4096, m=32768, max_weight=10.0,
                      budgets=[parse_budget("1")], max_resident_floats=1e6)
-        # Monolithic, the exact table is 16.8M resident floats.
-        with pytest.raises(PlanError, match="resident set"):
-            plan_fleet(**shape, shard_target_bytes=math.inf)
-        # Sharded, the table is mapped and the process holds none of it.
-        choice = plan_fleet(**shape).choices[0]
-        assert choice.strategy == "exact-fallback"
-        assert choice.num_shards > 1
+        for target in (math.inf, DEFAULT_SHARD_TARGET_BYTES):
+            choice = plan_fleet(**shape, shard_target_bytes=target).choices[0]
+            assert choice.strategy == "exact-fallback"  # 16.8M mapped floats
+            assert (choice.num_shards > 1) == (target < math.inf)
+        # A landmark oracle keeps its landmark id vector resident: a budget
+        # below it pushes a 3x request back onto a dense table.
+        loose = dict(n=4096, m=32768, max_weight=10.0,
+                     budgets=[parse_budget("3")])
+        assert plan_fleet(**loose).choices[0].strategy == "hopset-landmark"
+        assert plan_fleet(**loose, max_resident_floats=10).choices[0] \
+            .strategy == "exact-fallback"
 
     def test_unsatisfiable_budget_raises_with_reasons(self):
         with pytest.raises(PlanError, match="no registered strategy"):

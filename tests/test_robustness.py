@@ -136,9 +136,8 @@ def graph():
 @pytest.fixture(scope="module")
 def engine(graph, tmp_path_factory):
     root = tmp_path_factory.mktemp("robust-mono")
-    build_oracle(graph, strategy="exact-fallback").save(root / "exact.npz")
-    from repro.oracle import OracleArtifact
-    return QueryEngine(OracleArtifact.load(root / "exact.npz"))
+    build_oracle(graph, strategy="exact-fallback").save_sharded(root / "exact")
+    return QueryEngine(load_artifact(root / "exact"))
 
 
 class TestServerDeadlines:
@@ -209,8 +208,10 @@ class TestQuarantine:
 
     def test_screened_gather_heals_transient_rot(self, engine, monkeypatch):
         """One implausible gather triggers quarantine + retry; the retry's
-        clean answers are served and no error escapes."""
-        real = engine.batch_core
+        clean answers are served, no error escapes, and the frame counts
+        its pairs once in ``repro_engine_queries_total`` whichever attempt
+        answered it."""
+        real = engine.regather
         calls = {"n": 0}
 
         def rotten_once(lo, hi):
@@ -221,8 +222,9 @@ class TestQuarantine:
                 values[0] = np.nan
             return values
 
-        monkeypatch.setattr(engine, "batch_core", rotten_once)
+        monkeypatch.setattr(engine, "regather", rotten_once)
         monkeypatch.setattr(engine, "quarantine_rows", lambda rows: [0])
+        counted = engine.stats()["queries"]
 
         async def drive():
             async with DistanceServer(engine, ServerConfig()) as server:
@@ -233,6 +235,8 @@ class TestQuarantine:
         assert calls["n"] == 2  # the screened retry
         assert stats["quarantines"] == 1
         assert np.all(values >= 0)
+        assert engine.stats()["queries"] == counted + 2
+        assert stats["coalesced_keys"] == 2
 
     def test_screened_gather_condemns_persistent_rot(self, tmp_path):
         """Bytes rot under a live mmap: the screen catches the NaNs, the
@@ -277,7 +281,7 @@ class TestQuarantine:
         """The point-query door goes through the same screen as gather():
         a NaN from the engine is quarantined and re-gathered, coalesced
         or not, and the caller gets the healed answer."""
-        real = engine.batch_core
+        real = engine.regather
         calls = {"n": 0}
 
         def rotten_once(lo, hi):
@@ -289,7 +293,7 @@ class TestQuarantine:
             return values
 
         expected = engine.dist(1, 3)
-        monkeypatch.setattr(engine, "batch_core", rotten_once)
+        monkeypatch.setattr(engine, "regather", rotten_once)
         monkeypatch.setattr(engine, "quarantine_rows", lambda rows: [0])
 
         async def drive():
@@ -309,7 +313,7 @@ class TestQuarantine:
         """Rot that survives the re-gather: every coalesced caller of the
         frame gets the typed error, none a NaN."""
         monkeypatch.setattr(
-            engine, "batch_core",
+            engine, "regather",
             lambda lo, hi: np.full(len(lo), np.nan))
         monkeypatch.setattr(engine, "quarantine_rows", lambda rows: [0])
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.graphs import random_weighted_graph
-from repro.oracle import OracleArtifact, QueryEngine, build_oracle
+from repro.oracle import QueryEngine, build_oracle, load_artifact
 from repro.serve import (
     DistanceServer,
     ServerConfig,
@@ -28,18 +28,19 @@ def graph():
 @pytest.fixture(scope="module")
 def artifact_path(graph, tmp_path_factory):
     path = tmp_path_factory.mktemp("loadgen") / "oracle.npz"
-    build_oracle(graph, strategy="landmark-mssp", epsilon=0.5).save(path)
+    build_oracle(graph, strategy="landmark-mssp",
+                 epsilon=0.5).save_sharded(path)
     return path
 
 
 @pytest.fixture
 def engine(artifact_path):
-    return QueryEngine(OracleArtifact.load(artifact_path))
+    return QueryEngine(load_artifact(artifact_path))
 
 
 @pytest.fixture
 def reference(artifact_path):
-    return QueryEngine(OracleArtifact.load(artifact_path))
+    return QueryEngine(load_artifact(artifact_path))
 
 
 class TestZipfPairs:

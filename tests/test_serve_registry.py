@@ -28,9 +28,11 @@ def graph():
 def artifact_dir(graph, tmp_path_factory):
     """Three artifacts of the same graph at different stretch levels."""
     root = tmp_path_factory.mktemp("artifacts")
-    build_oracle(graph, strategy="landmark-mssp", epsilon=0.5).save(root / "cheap.npz")
-    build_oracle(graph, strategy="dense-apsp", epsilon=0.25).save(root / "mid.npz")
-    build_oracle(graph, strategy="exact-fallback").save(root / "exact.npz")
+    build_oracle(graph, strategy="landmark-mssp",
+                 epsilon=0.5).save_sharded(root / "cheap")
+    build_oracle(graph, strategy="dense-apsp",
+                 epsilon=0.25).save_sharded(root / "mid")
+    build_oracle(graph, strategy="exact-fallback").save_sharded(root / "exact")
     return root
 
 
@@ -42,10 +44,12 @@ def registry(artifact_dir):
 
 
 class TestRegistration:
-    def test_register_reads_sidecar_without_loading(self, artifact_dir):
+    def test_register_reads_manifest_without_loading(self, artifact_dir):
         registry = ArtifactRegistry()
         entry = registry.register(artifact_dir / "cheap.npz")
         assert entry.name == "cheap"
+        assert entry.path == artifact_dir / "cheap.shards.json"
+        assert entry.row_ranges == ((0, 28),)
         assert entry.strategy == "landmark-mssp"
         assert entry.n == 28
         assert entry.stretch.multiplicative == pytest.approx(4.5)
@@ -80,8 +84,9 @@ class TestRegistration:
         cheap = registry.get("cheap")
         mid = registry.get("mid")
         # landmark-mssp stores ~n^{3/2} floats, the dense strategies n^2.
-        assert cheap.resident_floats < mid.resident_floats
+        assert cheap.mapped_floats < mid.mapped_floats
         assert cheap.cost < mid.cost
+        assert cheap.cost == (cheap.mapped_floats, cheap.query_cost, "cheap")
 
 
 class TestLazyEnginesAndEviction:
@@ -149,8 +154,9 @@ class TestManifests:
         manifest = registry.write_manifest(artifact_dir / "manifest.json")
         payload = json.loads(manifest.read_text())
         assert payload["manifest_version"] == 1
-        assert all(item["path"] == f"{item['name']}.npz"
+        assert all(item["path"] == f"{item['name']}.shards.json"
                    for item in payload["artifacts"])
+        assert all("sharded" not in item for item in payload["artifacts"])
 
     def test_bad_manifest_rejected(self, tmp_path):
         bad = tmp_path / "manifest.json"
@@ -180,10 +186,6 @@ class TestBuildRegistry:
         with pytest.raises(ArtifactError, match="no oracle artifacts"):
             build_registry([empty])
 
-    def test_sidecar_path_registers_its_artifact(self, artifact_dir):
-        registry = build_registry([artifact_dir / "cheap.meta.json"])
-        assert registry.names() == ["cheap"]
-
     def test_non_manifest_json_rejected_with_guidance(self, tmp_path):
         stray = tmp_path / "config.json"
         stray.write_text('{"unrelated": true}')
@@ -191,22 +193,49 @@ class TestBuildRegistry:
             build_registry([stray])
 
 
+class TestLeftoverMonolithicPair:
+    """No reader for format 1 stays behind: every way into the registry
+    refuses the pair and names the rebuild."""
+
+    def test_register_refuses_it(self, monolithic_pair):
+        for path in (monolithic_pair, monolithic_pair.with_suffix("")):
+            with pytest.raises(ArtifactError, match="repro oracle build"):
+                ArtifactRegistry().register(path)
+
+    def test_discover_refuses_the_directory(self, artifact_dir, monolithic_pair,
+                                            tmp_path):
+        import shutil
+
+        with pytest.raises(ArtifactError, match="repro oracle build"):
+            ArtifactRegistry().discover(monolithic_pair.parent)
+        # Also when sound artifacts sit next to it: dropping it silently
+        # would shrink the fleet.
+        mixed = tmp_path / "mixed"
+        shutil.copytree(artifact_dir, mixed)
+        shutil.copy(monolithic_pair, mixed / "old.npz")
+        with pytest.raises(ArtifactError, match="old.npz.*repro oracle build"):
+            ArtifactRegistry().discover(mixed)
+
+    def test_build_registry_refuses_file_and_directory(self, monolithic_pair):
+        for path in (monolithic_pair, monolithic_pair.parent):
+            with pytest.raises(ArtifactError, match="repro oracle build"):
+                build_registry([path])
+
+
 class TestShardedRegistration:
-    """Sharded artifacts register from their manifest alone, and the cost
-    model charges them for the hot working set, not the mapped payload."""
+    """Artifacts register from their manifest alone, and the cost model
+    charges them for the common arrays, not the mapped payload."""
 
     @pytest.fixture(scope="class")
     def sharded_dir(self, graph, tmp_path_factory):
         root = tmp_path_factory.mktemp("sharded-reg")
         artifact = build_oracle(graph, strategy="dense-apsp", epsilon=0.25)
-        artifact.save(root / "mono.npz")
         artifact.save_sharded(root / "mapped", num_shards=4)
         return root
 
     def test_register_by_manifest_path(self, sharded_dir):
         registry = ArtifactRegistry()
         entry = registry.register(sharded_dir / "mapped.shards.json")
-        assert entry.sharded
         assert entry.num_shards == 4
         assert entry.row_ranges[0][0] == 0
         assert entry.mapped_floats == entry.n * entry.n
@@ -214,7 +243,7 @@ class TestShardedRegistration:
     def test_register_by_bare_path_falls_back_to_manifest(self, sharded_dir):
         registry = ArtifactRegistry()
         entry = registry.register(sharded_dir / "mapped")
-        assert entry.sharded and entry.name == "mapped"
+        assert entry.num_shards == 4 and entry.name == "mapped"
 
     def test_registration_never_touches_shard_files(self, graph, tmp_path):
         artifact = build_oracle(graph, strategy="dense-apsp", epsilon=0.25)
@@ -223,7 +252,7 @@ class TestShardedRegistration:
             shard.unlink()  # only the manifest remains
         registry = ArtifactRegistry()
         entry = registry.register(tmp_path / "gone.shards.json")
-        assert entry.sharded  # registration succeeded from metadata alone
+        assert entry.num_shards == 2  # registered from metadata alone
         # The missing payload only surfaces at load time, where it is
         # retyped as a RegistryError and the entry is dropped.
         with pytest.raises(RegistryError, match="missing shard"):
@@ -260,44 +289,29 @@ class TestShardedRegistration:
         assert entry.mapped_floats == float(big_n) * big_n
         assert entry.resident_floats < entry.mapped_floats / 10
 
-    def test_registry_stats_split_resident_and_mapped(self, sharded_dir):
+    def test_registry_stats_split_resident_and_mapped(self, artifact_dir,
+                                                      sharded_dir):
         registry = ArtifactRegistry()
-        registry.register(sharded_dir / "mono.npz")
+        registry.register(artifact_dir / "cheap")  # has common arrays
         registry.register(sharded_dir / "mapped.shards.json")
-        registry.engine("mono")
+        registry.engine("cheap")
         registry.engine("mapped")
         stats = registry.stats()
-        assert stats["mapped_floats"] > 0
-        assert stats["resident_floats"] > 0
+        assert stats["mapped_floats"] > stats["resident_floats"] > 0
 
-    def test_discover_finds_sharded_artifacts(self, sharded_dir):
+    def test_manifest_round_trip_keeps_shard_layout(self, sharded_dir,
+                                                    tmp_path):
         registry = ArtifactRegistry()
-        names = [entry.name for entry in registry.discover(sharded_dir)]
-        assert "mono" in names and "mapped" in names
-
-    def test_manifest_round_trip_keeps_sharded_entries(self, sharded_dir,
-                                                       tmp_path):
-        registry = ArtifactRegistry()
-        registry.discover(sharded_dir)
+        assert [entry.name for entry in registry.discover(sharded_dir)] \
+            == ["mapped"]
         manifest = registry.write_manifest(tmp_path / "fleet.json")
         rebuilt = ArtifactRegistry.load_manifest(manifest)
-        assert rebuilt.get("mapped").sharded
-        assert rebuilt.get("mono").sharded is False
+        assert rebuilt.get("mapped") == registry.get("mapped")
 
     def test_build_registry_accepts_shard_manifest_paths(self, sharded_dir):
         registry = build_registry([sharded_dir / "mapped.shards.json"])
         assert registry.names() == ["mapped"]
-        assert registry.get("mapped").sharded
-
-    def test_sharded_engine_answers_match_monolithic(self, sharded_dir):
-        registry = ArtifactRegistry()
-        registry.register(sharded_dir / "mono.npz")
-        registry.register(sharded_dir / "mapped.shards.json")
-        mono = registry.engine("mono")
-        mapped = registry.engine("mapped")
-        pairs = [(u, v) for u in range(0, mono.n, 3) for v in range(mono.n)]
-        import numpy as np
-        assert np.array_equal(mono.batch(pairs), mapped.batch(pairs))
+        assert registry.get("mapped").num_shards == 4
 
 
 @pytest.fixture
@@ -318,7 +332,7 @@ class TestMidServeLoadFailures:
     def test_vanished_payload_raises_typed_error_and_evicts(self, fragile_dir):
         registry = ArtifactRegistry()
         registry.discover(fragile_dir)
-        (fragile_dir / "cheap.npz").unlink()
+        (fragile_dir / "cheap.shard-0.npz").unlink()
         with pytest.raises(RegistryError, match="evicted"):
             registry.engine("cheap")
         assert "cheap" not in registry
@@ -328,11 +342,11 @@ class TestMidServeLoadFailures:
         # Unrelated artifacts are unharmed.
         assert registry.engine("mid") is not None
 
-    def test_unreadable_sidecar_raises_typed_error_and_evicts(self, fragile_dir):
+    def test_unreadable_manifest_raises_typed_error_and_evicts(self, fragile_dir):
         registry = ArtifactRegistry()
         registry.discover(fragile_dir)
-        sidecar = fragile_dir / "cheap.meta.json"
-        sidecar.write_text("{truncated mid-write")
+        manifest = fragile_dir / "cheap.shards.json"
+        manifest.write_text("{truncated mid-write")
         with pytest.raises(RegistryError, match="evicted"):
             registry.engine("cheap")
         assert "cheap" not in registry
@@ -359,7 +373,7 @@ class TestMidServeLoadFailures:
         registry.discover(fragile_dir)
         router = StretchRouter(registry)
         assert router.route().name == "cheap"
-        (fragile_dir / "cheap.npz").unlink()
+        (fragile_dir / "cheap.shard-0.npz").unlink()
         with pytest.raises(RegistryError, match="evicted"):
             router.engine("cheap")
         # The eviction bumped the registry epoch, so the router's memo is
@@ -374,11 +388,12 @@ class TestMidServeLoadFailures:
 
         registry = ArtifactRegistry()
         registry.discover(fragile_dir)
-        (fragile_dir / "cheap.npz").unlink()
+        (fragile_dir / "cheap.shard-0.npz").unlink()
         with pytest.raises(RegistryError):
             registry.engine("cheap")
         # Repair the file and re-register: loads cleanly, no stale state.
-        shutil.copy(artifact_dir / "cheap.npz", fragile_dir / "cheap.npz")
+        shutil.copy(artifact_dir / "cheap.shard-0.npz",
+                    fragile_dir / "cheap.shard-0.npz")
         entry = registry.register(fragile_dir / "cheap.npz")
         assert entry.name == "cheap"  # the name was freed by the eviction
         assert registry.engine("cheap") is not None
@@ -390,19 +405,16 @@ class TestMidServeLoadFailures:
 SPANNER_CSR = ("spanner_indptr", "spanner_indices", "spanner_weights")
 
 
-@pytest.mark.parametrize("num_shards", [1, 4], ids=["monolithic", "4-shard"])
+@pytest.mark.parametrize("num_shards", [1, 4], ids=["1-shard", "4-shard"])
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_engine_holds_what_the_cost_model_says(tmp_path, strategy, num_shards):
     """Predicted vs measured residency: after a point and a batch workload
-    an engine holds what its registry entry was charged for — the payload
-    when monolithic, the common arrays and no row of the map when sharded."""
+    an engine holds what its registry entry was charged for — the common
+    arrays and no row of the map, at any shard count."""
     n = 192
     graph = random_weighted_graph(n, average_degree=8, max_weight=20, seed=7)
     artifact = build_oracle(graph, strategy=strategy, epsilon=0.5, jobs=1)
-    if num_shards == 1:
-        path, _sidecar = artifact.save(tmp_path / "a.npz")
-    else:
-        path, _shards = artifact.save_sharded(tmp_path / "a", num_shards)
+    path, _shards = artifact.save_sharded(tmp_path / "a", num_shards)
     registry = ArtifactRegistry()
     entry = registry.register(path)
     engine = registry.engine(entry.name)
@@ -413,10 +425,9 @@ def test_engine_holds_what_the_cost_model_says(tmp_path, strategy, num_shards):
     engine.batch(rng.integers(0, n, size=(4000, 2)))
     memory = engine.memory_stats()
 
-    if num_shards > 1:
-        read = SPANNER_CSR if get_strategy(strategy).query_kind == "spanner" else ()
-        assert memory["resident_bytes"] == sum(
-            artifact.arrays[name].nbytes for name in read)
+    read = SPANNER_CSR if get_strategy(strategy).query_kind == "spanner" else ()
+    assert memory["resident_bytes"] == sum(
+        artifact.arrays[name].nbytes for name in read)
     slack = 8 * artifact.metadata["build"].get("num_landmarks", 0)
     assert abs(entry.resident_floats * 8 - memory["resident_bytes"]) <= slack
     assert entry.mapped_floats * 8 <= memory["mapped_bytes"]

@@ -31,9 +31,11 @@ def artifact_dir(graph, tmp_path_factory):
     """cheap = 3(1+eps) landmark oracle, mid = (2+eps, (1+eps)W) dense,
     exact = 1x matrix — three stretch levels of one graph."""
     root = tmp_path_factory.mktemp("routed")
-    build_oracle(graph, strategy="landmark-mssp", epsilon=0.5).save(root / "cheap.npz")
-    build_oracle(graph, strategy="dense-apsp", epsilon=0.25).save(root / "mid.npz")
-    build_oracle(graph, strategy="exact-fallback").save(root / "exact.npz")
+    build_oracle(graph, strategy="landmark-mssp",
+                 epsilon=0.5).save_sharded(root / "cheap")
+    build_oracle(graph, strategy="dense-apsp",
+                 epsilon=0.25).save_sharded(root / "mid")
+    build_oracle(graph, strategy="exact-fallback").save_sharded(root / "exact")
     return root
 
 
@@ -106,23 +108,22 @@ class TestBudgetSelection:
         assert stats["rejected"] == 0
 
 
-class TestPreferLoaded:
-    def test_loaded_artifact_wins_while_admissible(self, registry):
-        router = StretchRouter(registry, prefer_loaded=True)
-        registry.engine("exact")  # resident, though not cheapest
-        decision = router.route()
-        assert decision.name == "exact"
-        assert decision.loaded
-
-    def test_loaded_preference_never_violates_budget(self, registry):
-        router = StretchRouter(registry, prefer_loaded=True)
-        registry.engine("cheap")  # loaded but 4.5x
+class TestOneOrder:
+    def test_a_loaded_engine_does_not_enter_the_choice(self, router, registry):
+        """A 1x request opens ``exact``; looser budgets after it still get
+        the smallest admissible artifact, not the one that happens to be
+        open (an open is an mmap, not a decompression worth avoiding)."""
         assert router.route(multiplicative=1.0).name == "exact"
-
-    def test_pure_cheapest_policy(self, registry):
-        router = StretchRouter(registry, prefer_loaded=False)
         registry.engine("exact")
         assert router.route().name == "cheap"
+        assert router.route(multiplicative=2.5).name in ("mid", "exact")
+
+    def test_order_is_payload_floats_then_query_cost_then_name(self, router,
+                                                               registry):
+        ordered = [entry.name for entry in router.admissible(StretchBudget())]
+        assert ordered == ["cheap", "exact", "mid"]  # n^{3/2}, then n^2 by name
+        assert [registry.get(name).cost for name in ordered] == sorted(
+            entry.cost for entry in registry.entries())
 
 
 class TestResolve:
@@ -157,10 +158,10 @@ class TestResolve:
         server wrapped around one bare engine."""
         import asyncio
 
-        from repro.oracle import OracleArtifact, QueryEngine
+        from repro.oracle import QueryEngine, load_artifact
         from repro.serve import DistanceServer
 
-        engine = QueryEngine(OracleArtifact.load(artifact_dir / "cheap.npz"))
+        engine = QueryEngine(load_artifact(artifact_dir / "cheap"))
 
         async def drive():
             async with DistanceServer(engine) as server:

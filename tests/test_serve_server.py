@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.graphs import random_weighted_graph
-from repro.oracle import OracleArtifact, QueryEngine, build_oracle
+from repro.oracle import QueryEngine, build_oracle, load_artifact
 from repro.serve import (
     ArtifactRegistry,
     DistanceServer,
@@ -30,20 +30,21 @@ def graph():
 @pytest.fixture(scope="module")
 def artifact_dir(graph, tmp_path_factory):
     root = tmp_path_factory.mktemp("served")
-    build_oracle(graph, strategy="landmark-mssp", epsilon=0.5).save(root / "cheap.npz")
-    build_oracle(graph, strategy="exact-fallback").save(root / "exact.npz")
+    build_oracle(graph, strategy="landmark-mssp",
+                 epsilon=0.5).save_sharded(root / "cheap")
+    build_oracle(graph, strategy="exact-fallback").save_sharded(root / "exact")
     return root
 
 
 @pytest.fixture
 def engine(artifact_dir):
-    return QueryEngine(OracleArtifact.load(artifact_dir / "cheap.npz"))
+    return QueryEngine(load_artifact(artifact_dir / "cheap"))
 
 
 @pytest.fixture
 def reference(artifact_dir):
     """A second, independent engine for expected answers."""
-    return QueryEngine(OracleArtifact.load(artifact_dir / "cheap.npz"))
+    return QueryEngine(load_artifact(artifact_dir / "cheap"))
 
 
 def distinct_pairs(n: int, count: int):
@@ -190,7 +191,7 @@ class TestRoutingThroughServer:
                                                      graph):
         registry = ArtifactRegistry()
         registry.discover(artifact_dir)
-        exact = QueryEngine(OracleArtifact.load(artifact_dir / "exact.npz"))
+        exact = QueryEngine(load_artifact(artifact_dir / "exact"))
         pairs = distinct_pairs(graph.n, 12)
 
         async def drive():
@@ -355,12 +356,9 @@ class TestCoalescingWindow:
 
 
 class TestShardedServing:
-    def test_server_over_sharded_artifact_matches_monolithic(
+    def test_server_over_sharded_artifact_matches_the_build(
             self, graph, artifact_dir, tmp_path):
-        from repro.oracle import build_oracle as build
-
-        artifact = build(graph, strategy="dense-apsp", epsilon=0.5)
-        artifact.save(tmp_path / "mono.npz")
+        artifact = build_oracle(graph, strategy="dense-apsp", epsilon=0.5)
         artifact.save_sharded(tmp_path / "mapped", num_shards=3)
         registry = ArtifactRegistry()
         registry.register(tmp_path / "mapped.shards.json")
@@ -373,9 +371,9 @@ class TestShardedServing:
                 return answers, server.stats()
 
         answers, stats = asyncio.run(scenario())
-        reference = QueryEngine(OracleArtifact.load(tmp_path / "mono.npz"))
+        reference = QueryEngine(artifact)
         assert answers == [reference.dist(u, v) for u, v in pairs]
         memory = stats["engines"]["mapped"]["memory"]
-        assert memory["sharded"] is True
+        assert memory["num_shards"] == 3
         assert memory["shard_faults"] >= 1
         assert memory["mapped_bytes"] > memory["resident_bytes"]

@@ -168,19 +168,18 @@ class TestSpecBehaviours:
         with pytest.raises(ValueError, match="build_fn"):
             bare.resolve_build()
         with pytest.raises(ValueError, match="cost_fn"):
-            bare.serving_costs(10, {}, sharded=False)
+            bare.serving_costs(10, {})
         with pytest.raises(ValueError, match="estimate_fn"):
             bare.estimate(10, 20, 0.5)
 
-    def test_serving_costs_monolithic_vs_sharded(self):
-        spec = get_strategy("dense-apsp")
+    def test_serving_costs_common_resident_payload_mapped(self):
         n = 4096
-        resident, query, mapped = spec.serving_costs(n, {}, sharded=False)
-        assert (resident, query, mapped) == (float(n) * n, 1.0, 0.0)
-        resident_s, query_s, mapped_s = spec.serving_costs(n, {}, sharded=True)
-        assert mapped_s == float(n) * n
-        assert resident_s < resident  # the common arrays, not the payload
-        assert query_s == query
+        assert get_strategy("dense-apsp").serving_costs(n, {}) \
+            == (0.0, 1.0, float(n) * n)
+        resident, query, mapped = get_strategy("landmark-mssp").serving_costs(
+            n, {"k": 64, "num_landmarks": 50})
+        assert (resident, query) == (50.0, 50.0)  # the landmark id vector
+        assert mapped == 2.0 * n * 64 + n * 50
 
     def test_estimates_rank_compact_strategies_smaller(self):
         n, m = 4096, 32768
