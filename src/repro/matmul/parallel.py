@@ -1,38 +1,42 @@
-"""Process-parallel row-slab execution for the dense min-plus kernels.
+"""Process-parallel row-slab execution for the exact min-plus closure.
 
 The paper's Congested Clique algorithms are row-parallel by construction:
 each of the ``n`` machines owns one row slab of the semiring product and
 never writes outside it.  This module exploits that decomposition on real
-cores for the build-side workloads (APSP closure, MSSP tables, single
-products):
+cores for the build-side APSP closure:
 
 * Operands are shared **read-only** between worker processes as raw
   memory-mapped files in a temporary directory — a spawn-context pool
   (safe under threads, identical semantics on every platform) receives
   picklable :class:`SharedArray` handles, never array payloads.
-* Each task computes one contiguous **row slab** of the output with the
-  cache-tiled kernel (:func:`repro.matmul.dense.minplus_blocked`) and
-  writes it into its disjoint slice of a shared output map, so stitching
-  is deterministic regardless of completion order.
+* Each task computes one contiguous **row slab** of the output and writes
+  it into its disjoint slice of a shared output map, so stitching is
+  deterministic regardless of completion order.
 * Per-row results depend only on the operands — never on the slab
   boundaries or the worker count — so ``jobs=1`` (which runs every task
   inline, no pool, no pickling) is **bit-identical** to ``jobs=K`` for any
   ``K``.  The oracle build path relies on this for its jobs-parity
   guarantee (same per-shard SHA-256 at any job count).
 
-The iterated-squaring closure (:func:`minplus_closure`) synchronises once
-per squaring step: every slab of ``D²`` is computed from the same shared
-``D``, the ping/pong buffers swap, and the loop stops at the first step
-where no slab changed — a global condition, hence the same step count (and
-the same bits) at every job count.  The Bellman-Ford MSSP table
-(:func:`mssp_table`) needs no barriers at all: each slab of sources
-iterates against the fixed adjacency matrix until its own fixpoint.
+The closure (:func:`minplus_closure`) iterates the product with the
+**sparse** adjacency matrix, as the paper's exact routines do (Theorems 3
+and 33): ``D ← min(D, W ⊗ D)`` through the edges of ``W``, which costs
+``n · nnz(W)`` a step where squaring ``D`` costs ``n³``, for as many steps
+as the shortest-path diameter (Lemma 32).  It loses to squaring only on
+nearly complete graphs (``m > n²/4``), where the table is the graph.  It
+synchronises once per step: row ``v`` of the next ``D`` is a minimum — order
+free, hence exact — over ``D[v]`` and ``w(v, u) + D[u]``, each a single
+add, read from the same shared ``D`` of the previous step whatever slab
+``v`` falls in; the maps swap, and the loop stops at the first step where
+no row moved — a global condition, hence the same step count (and the same
+bits) at every job count.  Nothing is ``msync``-ed: ``MAP_SHARED`` mappings
+of one file see each other's writes through the page cache, the pool's
+``map`` is the barrier, and a temporary file needs no durability.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import multiprocessing
 import os
 import shutil
@@ -42,11 +46,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.matmul.dense import minplus_blocked
-
 #: Spawn context: fork is unsafe in processes that ever started threads
 #: (the serving stack does), and spawn keeps worker state explicit.
 SPAWN_CONTEXT = multiprocessing.get_context("spawn")
+
+#: Floats one relaxation round gathers (rows × n; 256 KiB of float64, so
+#: the gather, the add and the minimum all run out of cache) — the
+#: closure's counterpart of ``repro.matmul.dense.TILE_*``.
+CHUNK_FLOATS = 1 << 15
 
 
 def default_jobs() -> int:
@@ -144,18 +151,15 @@ class SlabExecutor:
         """Copy ``array`` into a shared read-only map; returns its handle."""
         array = np.ascontiguousarray(array)
         handle = SharedArray(self._path(name), str(array.dtype), array.shape)
-        out = np.memmap(handle.path, dtype=array.dtype, mode="w+",
-                        shape=array.shape)
-        out[...] = array
-        out.flush()
-        del out
+        np.memmap(handle.path, dtype=array.dtype, mode="w+",
+                  shape=array.shape)[...] = array
         return handle
 
     def empty(self, name: str, dtype, shape: Tuple[int, ...]) -> SharedArray:
         """Allocate an uninitialised shared output map."""
         handle = SharedArray(self._path(name), str(np.dtype(dtype)), tuple(shape))
         np.memmap(handle.path, dtype=np.dtype(dtype), mode="w+",
-                  shape=tuple(shape)).flush()
+                  shape=tuple(shape))
         return handle
 
     # -- task execution -------------------------------------------------
@@ -173,67 +177,43 @@ class SlabExecutor:
 
 
 # ----------------------------------------------------------------------
-# worker functions (module-level: spawn workers import them by name)
+# the closure: worker (module-level: spawn workers import it by name), driver
 # ----------------------------------------------------------------------
-def _product_slab(task) -> bool:
-    """One row slab of ``out = A · B``; returns whether it differs from A's."""
-    A_h, B_h, out_h, start, stop = task
-    A = A_h.open()
-    B = B_h.open()
-    out = out_h.open("r+")
-    rows = np.asarray(A[start:stop])
-    block = minplus_blocked(rows, B)
-    changed = not np.array_equal(block, rows)
-    out[start:stop] = block
-    out.flush()
-    return changed
+def _band_rows(n: int) -> int:
+    """Output rows one round may touch: ``CHUNK_FLOATS`` of ``n``-wide rows."""
+    return max(1, CHUNK_FLOATS // n)
 
 
-def _mssp_slab(task) -> int:
-    """Bellman-Ford a slab of source rows to fixpoint; returns iterations.
+def _relax_slab(task) -> np.ndarray:
+    """Rows ``[start, stop)`` of ``min(D, W ⊗ D)``; returns which of them moved.
 
-    ``table[s] = min-plus closure row of source s`` — each row depends only
-    on the fixed adjacency ``W``, so slabs converge independently (no
-    cross-slab barrier) and the result is independent of the slab split.
+    Only edges into a row of ``D`` that moved in the previous step are
+    relaxed (an unmoved row's candidates are already in ``D``).  The edges
+    arrive sorted by round, and a round holds at most one edge per output
+    row: one row gather, one add, one minimum into distinct rows.
     """
-    W_h, out_h, sources, start, stop = task
-    W = W_h.open()
-    out = out_h.open("r+")
-    table = np.asarray(W[sources[start:stop]])
-    iterations = 0
-    # A shortest path has at most n-1 edges; each relaxation extends every
-    # row's horizon by one hop, so the loop always terminates.
-    for _ in range(max(1, W.shape[0] - 1)):
-        relaxed = minplus_blocked(table, W)
-        iterations += 1
-        if np.array_equal(relaxed, table):
-            break
-        table = relaxed
-    out[start:stop] = table
-    out.flush()
-    return iterations
-
-
-# ----------------------------------------------------------------------
-# drivers
-# ----------------------------------------------------------------------
-def parallel_minplus_product(
-    A: np.ndarray, B: np.ndarray, jobs: int = 1, slabs: Optional[int] = None,
-    pool=None,
-) -> np.ndarray:
-    """Row-slab parallel dense min-plus product of two arrays.
-
-    Bit-identical to ``minplus_blocked(A, B)`` for every ``jobs``/``slabs``
-    split (each output row is a function of the operands alone).
-    """
-    with SlabExecutor(jobs=jobs, pool=pool) as ex:
-        A_h = ex.share("A", A)
-        B_h = ex.share("B", B)
-        out_h = ex.empty("out", A.dtype, (A.shape[0], B.shape[1]))
-        ranges = slab_ranges(A.shape[0], min(slabs or max(jobs, 1), A.shape[0]))
-        ex.map(_product_slab,
-               [(A_h, B_h, out_h, start, stop) for start, stop in ranges])
-        return np.asarray(out_h.open())
+    index_h, weights_h, D_h, out_h, moved, start, stop = task
+    rounds, rows, cols = np.asarray(index_h.open())
+    D = np.asarray(D_h.open())
+    block = D[start:stop].copy()
+    live = np.flatnonzero((rows >= start) & (rows < stop) & moved[cols])
+    rounds, target, source = rounds[live], rows[live] - start, cols[live]
+    weight = np.asarray(weights_h.open())[live]
+    # Two buffers for the whole step: a fresh array this size per round
+    # would be page-faulted in by malloc every time.
+    through, into = np.empty(
+        (2, min(_band_rows(len(D)), stop - start), D.shape[1]))
+    cuts = np.flatnonzero(rounds[1:] != rounds[:-1]) + 1
+    cuts = [0, *cuts.tolist(), len(live)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows_in = target[lo:hi]
+        via = np.take(D, source[lo:hi], axis=0, out=through[:hi - lo],
+                      mode="clip")
+        via += weight[lo:hi, None]
+        best = np.take(block, rows_in, axis=0, out=into[:hi - lo], mode="clip")
+        block[rows_in] = np.minimum(best, via, out=best)
+    np.asarray(out_h.open("r+"))[start:stop] = block
+    return (block != D[start:stop]).any(axis=1)
 
 
 def minplus_closure(
@@ -241,60 +221,47 @@ def minplus_closure(
     W: SharedArray,
     slabs: Optional[int] = None,
 ) -> Tuple[SharedArray, int]:
-    """All-pairs min-plus closure of ``W`` by parallel iterated squaring.
+    """All-pairs min-plus closure of ``W`` by step-synchronised relaxation.
 
-    ``W`` must carry a zero diagonal (``d(v, v) = 0``), which makes each
-    squaring monotone and self-including: after ``t`` steps every shortest
-    path of at most ``2^t`` edges is settled, so the loop converges within
-    ``ceil(log2(n-1))`` steps and stops one step after the last change.
-    Every step is a barrier — all slabs of ``D²`` read the same shared
-    ``D`` — so the step count, and therefore every bit of the result, is
-    identical at every job count.
+    ``W`` must carry a zero diagonal (``d(v, v) = 0``).  Each step replaces
+    ``D`` by ``min(D, W ⊗ D)`` through ``W``'s finite off-diagonal entries
+    only, so after ``t`` steps every shortest path of at most ``t + 1``
+    edges is settled and a step costs ``n · nnz(W)``, not ``n³``.  The loop
+    stops at the first step that moves nothing: ``max(1, h)`` steps for
+    shortest-path diameter ``h <= n - 1`` (Lemma 32).  Every step is a
+    barrier — all slabs read the same shared ``D`` and the same set of rows
+    that moved — so the step count, and therefore every bit of the result,
+    is identical at every job count.
 
-    Returns ``(closure_handle, squaring_steps)``; the handle lives in the
+    Returns ``(closure_handle, steps)``; the handle lives in the
     executor's temporary directory and dies with it.
     """
     n = W.shape[0]
-    slabs = min(slabs or max(executor.jobs, 1), n)
-    ranges = slab_ranges(n, slabs)
-    current, scratch = W, executor.empty("closure", W.dtype, W.shape)
-    steps = 0
-    limit = max(1, math.ceil(math.log2(max(2, n - 1)))) + 1
-    for _ in range(limit):
-        changed = executor.map(
-            _product_slab,
-            [(current, current, scratch, start, stop) for start, stop in ranges],
-        )
-        steps += 1
-        current, scratch = scratch, current
-        if not any(changed):
-            break
+    dense = np.asarray(W.open())
+    rows, cols = np.nonzero(np.isfinite(dense) & ~np.eye(n, dtype=bool))
+    if len(rows) == 0:  # no edges (an empty file cannot be mapped either)
+        return W, 1
+    # An edge's round: the band of output rows its row is in, then its
+    # position within the row.  Sorted once, shared once.
+    position = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    rounds = rows // _band_rows(n) * n + position
+    order = np.argsort(rounds, kind="stable")
+    index = executor.share("edges", np.stack([rounds, rows, cols])[:, order])
+    weights = executor.share("weights", dense[rows, cols][order])
+    ranges = slab_ranges(n, min(slabs or max(executor.jobs, 1), n))
+    # W stays the caller's read-only operand: the steps ping/pong between
+    # two maps of their own.
+    maps = [executor.empty("closure", W.dtype, W.shape) for _ in range(2)]
+    current, moved, steps = W, np.ones(n, dtype=bool), 0
+    while moved.any() and steps < n - 1:
+        out = maps[steps % 2]
+        moved = np.concatenate(executor.map(
+            _relax_slab,
+            [(index, weights, current, out, moved, start, stop)
+             for start, stop in ranges],
+        ))
+        current, steps = out, steps + 1
     return current, steps
-
-
-def mssp_table(
-    executor: SlabExecutor,
-    W: SharedArray,
-    sources: Sequence[int],
-    slabs: Optional[int] = None,
-) -> SharedArray:
-    """Exact multi-source shortest-path table ``(len(sources), n)``.
-
-    Row ``i`` is the distance row of ``sources[i]`` — computed by
-    barrier-free per-slab Bellman-Ford against the shared adjacency, the
-    row-slab decomposition of the paper's MSSP workload.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    out = executor.empty("mssp", W.dtype, (len(sources), W.shape[1]))
-    if len(sources) == 0:
-        return out
-    slabs = min(slabs or max(executor.jobs, 1), len(sources))
-    executor.map(
-        _mssp_slab,
-        [(W, out, sources, start, stop)
-         for start, stop in slab_ranges(len(sources), slabs)],
-    )
-    return out
 
 
 __all__ = [
@@ -302,7 +269,5 @@ __all__ = [
     "SlabExecutor",
     "default_jobs",
     "minplus_closure",
-    "mssp_table",
-    "parallel_minplus_product",
     "slab_ranges",
 ]

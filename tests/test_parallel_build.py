@@ -12,21 +12,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.graphs.generators import random_weighted_graph
-from repro.graphs.reference import all_pairs_dijkstra
-from repro.matmul.dense import minplus_blocked
+from repro.graphs.generators import (
+    disjoint_cliques,
+    path_graph,
+    random_weighted_graph,
+    star_graph,
+)
+from repro.graphs.graph import Graph
+from repro.graphs.reference import all_pairs_dijkstra, shortest_path_diameter
 from repro.matmul.parallel import (
     SPAWN_CONTEXT,
     SlabExecutor,
     minplus_closure,
-    mssp_table,
-    parallel_minplus_product,
     slab_ranges,
 )
 from repro.oracle import OracleBuilder, QueryEngine, load_artifact
@@ -94,28 +98,30 @@ class TestSlabExecutor:
             path = handle.path
         assert not __import__("os").path.exists(path)
 
-    @settings(max_examples=15, deadline=None)
-    @given(r=st.integers(min_value=1, max_value=12),
-           m=st.integers(min_value=1, max_value=12),
-           c=st.integers(min_value=1, max_value=12),
-           slabs=st.integers(min_value=1, max_value=4),
-           seed=st.integers(min_value=0, max_value=2**31))
-    def test_product_slab_split_invariance(self, r, m, c, slabs, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.uniform(0.0, 20.0, size=(r, m))
-        B = rng.uniform(0.0, 20.0, size=(m, c))
-        A[rng.random(A.shape) < 0.3] = np.inf
-        expected = minplus_blocked(A, B)
-        got = parallel_minplus_product(A, B, jobs=1, slabs=min(slabs, r))
-        np.testing.assert_array_equal(got, expected)
 
-    def test_product_pooled_matches_inline(self, spawn_pool):
-        rng = np.random.default_rng(11)
-        A = rng.uniform(0.0, 20.0, size=(33, 33))
-        B = rng.uniform(0.0, 20.0, size=(33, 33))
-        expected = parallel_minplus_product(A, B, jobs=1)
-        got = parallel_minplus_product(A, B, jobs=4, pool=spawn_pool)
-        np.testing.assert_array_equal(got, expected)
+def closure_of(graph, slabs):
+    """``(closure array, steps)`` of ``graph`` at ``slabs``, warnings as errors."""
+    weights = weight_matrix(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with SlabExecutor(jobs=1) as ex:
+            W = ex.share("W", weights)
+            closure, steps = minplus_closure(ex, W, slabs=slabs)
+            got = np.array(closure.open())
+            # The operand is the caller's: the closure never writes into it.
+            np.testing.assert_array_equal(np.asarray(W.open()), weights)
+    return got, steps
+
+
+def assert_exact_at_every_split(graph):
+    """Exact against Dijkstra, ``max(1, shortest-path diameter)`` steps
+    (Lemma 32), the same floats and step count at every slab count."""
+    exact = np.asarray(all_pairs_dijkstra(graph), dtype=np.float64)
+    expected_steps = max(1, shortest_path_diameter(graph))
+    for slabs in range(1, min(graph.n, 4) + 1):
+        got, steps = closure_of(graph, slabs)
+        np.testing.assert_array_equal(got, exact)
+        assert steps == expected_steps
 
 
 class TestClosureAndMSSP:
@@ -124,14 +130,62 @@ class TestClosureAndMSSP:
            degree=st.floats(min_value=2.0, max_value=6.0),
            seed=st.integers(min_value=0, max_value=2**31))
     def test_closure_is_exact_apsp(self, n, degree, seed):
-        graph = random_weighted_graph(n, degree, max_weight=9, seed=seed)
-        exact = np.asarray(all_pairs_dijkstra(graph))
-        with SlabExecutor(jobs=1) as ex:
-            W = ex.share("W", weight_matrix(graph))
-            closure, steps = minplus_closure(ex, W)
-            got = np.asarray(closure.open())
-        np.testing.assert_array_equal(got, exact)
-        assert steps <= max(1, math.ceil(math.log2(max(2, n - 1)))) + 1
+        assert_exact_at_every_split(
+            random_weighted_graph(n, degree, max_weight=9, seed=seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=14),
+           edges=st.lists(
+               st.tuples(st.integers(0, 13), st.integers(0, 13),
+                         st.integers(0, 5)),
+               max_size=30))
+    def test_closure_on_arbitrary_edge_lists(self, n, edges):
+        # Whatever hypothesis draws: disconnected parts (inf blocks stay
+        # inf, no warning), isolated nodes (rows without an edge),
+        # zero-weight edges, n = 1 and n = 2.
+        graph = Graph(n)
+        for u, v, weight in edges:
+            if u % n != v % n:
+                graph.add_edge(u % n, v % n, weight)
+        assert_exact_at_every_split(graph)
+
+    def test_closure_edge_cases(self):
+        isolated = Graph(5)
+        isolated.add_edge(0, 4, 0)  # zero weight; nodes 1-3 have no edge
+        isolated.add_edge(4, 2, 3)
+        for graph in (
+            Graph(1),
+            Graph(2),                # no edge: nothing to relax through
+            path_graph(2, max_weight=4, seed=1),
+            isolated,
+            disjoint_cliques(3, 4),  # inf blocks between the cliques
+            star_graph(24, max_weight=5, seed=2),  # one row, half the edges
+            path_graph(24, max_weight=3, seed=3),  # steps = n - 1 = 23
+        ):
+            assert_exact_at_every_split(graph)
+        assert closure_of(path_graph(24), 3)[1] == 23
+
+    def test_closure_rounds_span_bands(self, monkeypatch):
+        # Eight floats a round: every row is its own band at n = 9, so the
+        # band arithmetic of the edge order is exercised, not just band 0.
+        monkeypatch.setattr("repro.matmul.parallel.CHUNK_FLOATS", 8)
+        assert_exact_at_every_split(
+            random_weighted_graph(9, 3.0, max_weight=6, seed=21))
+        assert_exact_at_every_split(star_graph(9, max_weight=4, seed=22))
+
+    def test_closure_split_parity_on_fractional_weights(self):
+        # The parity contract is about the split, and float sums are where
+        # it could break: weights in tenths are inexact in binary.
+        graph = Graph(30)
+        for u, v, weight in random_weighted_graph(
+                30, 4.0, max_weight=9, seed=23).edges():
+            graph.add_edge(u, v, weight / 10.0)
+        results = [closure_of(graph, slabs) for slabs in (1, 2, 4)]
+        for got, steps in results[1:]:
+            np.testing.assert_array_equal(got, results[0][0])
+            assert steps == results[0][1]
+        np.testing.assert_allclose(
+            results[0][0], np.asarray(all_pairs_dijkstra(graph)), rtol=1e-12)
 
     def test_closure_pooled_bit_identical(self, spawn_pool):
         graph = random_weighted_graph(40, 5.0, max_weight=12, seed=3)
@@ -143,22 +197,6 @@ class TestClosureAndMSSP:
                 results.append((np.asarray(closure.open()), steps))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]  # same squaring step count
-
-    def test_mssp_table_matches_closure_rows(self):
-        graph = random_weighted_graph(30, 4.0, max_weight=7, seed=5)
-        sources = [0, 7, 19, 29]
-        exact = np.asarray(all_pairs_dijkstra(graph))
-        with SlabExecutor(jobs=1) as ex:
-            W = ex.share("W", weight_matrix(graph))
-            table = mssp_table(ex, W, sources, slabs=2)
-            got = np.asarray(table.open())
-        np.testing.assert_array_equal(got, exact[sources])
-
-    def test_mssp_empty_sources(self):
-        graph = random_weighted_graph(8, 3.0, max_weight=5, seed=6)
-        with SlabExecutor(jobs=1) as ex:
-            W = ex.share("W", weight_matrix(graph))
-            assert mssp_table(ex, W, []).shape == (0, 8)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +284,7 @@ class TestParallelArtifactSemantics:
         assert build["mode"] == "parallel"
         assert build["jobs"] == 1
         assert build["rounds"] == 0.0
-        assert build["squarings"] >= 1
+        assert build["closure_steps"] == max(1, shortest_path_diameter(graph))
         assert set(build["phases"]) >= {"closure", "balls", "hitting-set"}
 
     def test_builder_routes_jobs_to_parallel_path(self):
