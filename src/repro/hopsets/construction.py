@@ -19,6 +19,12 @@ Outline (parameters as in Theorem 25, for a target 0 < ε < 1):
   hops with an edge weighted by the detected distance;
   ``H^ℓ = H₀ ∪ (those A₁-A₁ edges)``.
 * ``H = H^{log n}`` is a (β, ε)-hopset with ``β = O(log n / ε)``.
+
+A level reads nothing but its incoming A₁-A₁ edges, so each is charged to
+a clique of its own that is merged into the caller's.  Once a level hands
+back the edges it was given, every later level is that same computation:
+its charges are merged once per remaining level (the rounds are replayed,
+not saved) and its products are not run again.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.cclique.accounting import Clique
 from repro.distance.hitting_set import greedy_hitting_set
@@ -182,20 +190,27 @@ def build_hopset(
         base_edges = union_edge_arrays(
             graph, ((u, v, w) for (u, v), w in hopset_edges.items()))
         a1_edges = symmetric_edge_arrays(())
-        for _ in range(levels):
+        remaining = levels
+        while remaining > 0:
+            level = Clique(clique.n, clique.spec)
             W_union = augmented_matrix_from_arrays(
                 n, concat_edge_arrays(base_edges, a1_edges), semiring)
             detection = _bounded_source_detection(
                 W_union,
                 hitting_set,
                 4 * beta,
-                clique,
+                level,
                 execution=execution,
                 early_stop=early_stop,
             )
-            a1_edges = _a1_edges(detection, hitting_set)
+            found = _a1_edges(detection, hitting_set)
             # Each A1 node tells the other endpoint about the edge (1 round).
-            clique.charge_broadcast(label="level-edge-announce")
+            level.charge_broadcast(label="level-edge-announce")
+            fixed = all(map(np.array_equal, found, a1_edges))
+            repeats = remaining if fixed else 1
+            for _ in range(repeats):
+                clique.merge_from(level)
+            a1_edges, remaining = found, remaining - repeats
 
         for u, v, w in zip(*(part.tolist() for part in a1_edges)):
             _add_edge(hopset_edges, u, v, w)

@@ -61,11 +61,10 @@ def landmark_table(graph: Graph, hopset_edges, landmarks: np.ndarray):
         for iterations in range(1, n + 1):
             candidates = dist[:, src] + weight
             relaxed = np.minimum.reduceat(candidates, starts, axis=1)
-            new = dist.copy()
-            new[:, targets] = np.minimum(new[:, targets], relaxed)
-            if np.array_equal(new, dist):
+            current = dist[:, targets]
+            if not (relaxed < current).any():
                 break
-            dist = new
+            dist[:, targets] = np.minimum(current, relaxed)
     return np.ascontiguousarray(dist.T), iterations
 
 

@@ -13,6 +13,13 @@ table**:
    landmark's **exact** spanner distances to all nodes (one sparse
    Dijkstra per landmark).
 
+The greedy pass asks one question per edge — does the spanner so far join
+the endpoints within (2k − 1)·w? — and ``_within`` answers it by Dijkstra
+from both ends at once, each pruned at the limit.  No distance is needed,
+so the first relaxation that joins the two searches inside the limit
+settles it (any join is a real path), and once the two heap tops sum past
+the limit no path still unseen can come in under it.
+
 The payload is the spanner CSR (common arrays, whole in shard 0) plus the
 Õ(n^{3/2}) landmark table and ball rows (row-sharded) — asymptotically
 the landmark-mssp footprint, never n².
@@ -29,6 +36,7 @@ spanner edge (the CSR is right there), which only tightens answers.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from typing import Dict, List, Tuple
@@ -49,37 +57,52 @@ def build_greedy_spanner(graph: Graph, k: int) -> Graph:
     the edge weight; the result has at most ``n^{1+1/k}`` edges (girth
     argument) and stretch at most ``2k − 1``.
     """
+    if graph.directed:
+        raise ValueError("greedy spanner requires an undirected graph")
     if k < 1:
         raise ValueError("k must be at least 1")
-    spanner = Graph(graph.n, directed=False)
+    n = graph.n
+    spanner = Graph(n, directed=False)
+    adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+    # Tentative distances per end, reused by every query: an entry is live
+    # only while its stamp is the current query's number.
+    dist, stamp = ([0.0] * n, [0.0] * n), ([0] * n, [0] * n)
+    queries = itertools.count(1)
+
+    def _within(source: int, target: int, limit: float) -> bool:
+        if source == target:
+            return True
+        query = next(queries)
+        dist[0][source] = dist[1][target] = 0.0
+        stamp[0][source] = stamp[1][target] = query
+        heaps = ([(0.0, source)], [(0.0, target)])
+        while heaps[0] and heaps[1]:
+            tops = heaps[0][0][0], heaps[1][0][0]
+            if tops[0] + tops[1] > limit:
+                return False
+            side = 0 if tops[0] <= tops[1] else 1
+            d, u = heapq.heappop(heaps[side])
+            mine, mine_stamp = dist[side], stamp[side]
+            theirs, theirs_stamp = dist[1 - side], stamp[1 - side]
+            if d > mine[u]:
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                if theirs_stamp[v] == query and nd + theirs[v] <= limit:
+                    return True
+                if nd <= limit and (mine_stamp[v] != query or nd < mine[v]):
+                    mine[v], mine_stamp[v] = nd, query
+                    heapq.heappush(heaps[side], (nd, v))
+        return False
+
     stretch = 2 * k - 1
     edges = sorted(graph.edges(), key=lambda e: (e[2], e[0], e[1]))
     for u, v, w in edges:
-        limit = stretch * w
-        if bounded_distance(spanner, u, v, limit) > limit:
+        if not _within(u, v, stretch * w):
             spanner.add_edge(u, v, w)
+            adj[u].append((v, w))
+            adj[v].append((u, w))
     return spanner
-
-
-def bounded_distance(graph: Graph, source: int, target: int,
-                     limit: float) -> float:
-    """Dijkstra from ``source`` pruned at ``limit`` (early exit on target)."""
-    dist = {source: 0.0}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
-            continue
-        if u == target:
-            return d
-        if d > limit:
-            return INF
-        for v, w in graph.neighbors(u).items():
-            nd = d + w
-            if nd <= limit and nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist.get(target, INF)
 
 
 def spanner_csr(spanner: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

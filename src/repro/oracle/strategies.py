@@ -427,8 +427,9 @@ def _landmark_estimate(n, m, epsilon):
 
 def _spanner_estimate(n, m, epsilon):
     # Greedy spanner (default k = 2) keeps ~min(m, n^{3/2}) edges; the
-    # build is m bounded Dijkstras plus ~n truncated/landmark Dijkstras
-    # on the sparse spanner.
+    # build is m two-ended searches that stop at the first path inside
+    # (2k − 1)·w, plus ~n truncated/landmark Dijkstras on the sparse
+    # spanner.
     edges = int(min(float(m), float(max(n, 1)) ** 1.5)) or 1
     build_cost = (m + n) * _log2(n) + float(n) * edges / max(1.0, _log2(n))
     return _estimate_from_costs(_spanner_costs, n,
