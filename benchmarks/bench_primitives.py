@@ -23,9 +23,8 @@ Two roles in one file:
   the dict reference or any speedup regressed more than ``--tolerance``
   (default 3x) below the committed number.  ``--smoke`` also runs the
   parallel sharded-build ladder from ``bench_parallel_build.py`` and
-  enforces its gate: bit-identical shards at every job count, plus a
-  >=1.5x build speedup at 4 jobs on machines with >= 4 CPUs.  CI runs
-  the smoke mode.
+  enforces its gate: bit-identical shards at every job count (the jobs
+  ratio is printed, not gated).  CI runs the smoke mode.
 """
 
 from __future__ import annotations
@@ -168,8 +167,7 @@ def main(argv=None) -> int:
         else:
             print(f"regression gate SKIPPED: no baseline at {args.baseline}")
 
-        # Parallel-vs-serial sharded build gate (bit-parity everywhere;
-        # >=1.5x speedup at 4 jobs enforced only on >=4-CPU machines).
+        # Parallel-vs-serial sharded build gate: bit-parity.
         ladder = run_ladder(**SMOKE_LADDER)
         print(format_ladder(ladder))
         par_failures = parallel_gate_failures(ladder)

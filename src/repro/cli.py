@@ -261,8 +261,6 @@ def cmd_oracle_build(args: argparse.Namespace) -> int:
     try:
         builder = OracleBuilder(strategy=args.strategy, epsilon=args.epsilon,
                                 k=args.k, kernel=kernel, jobs=args.jobs)
-        # Through the builder, so --jobs workers can write their shard
-        # files directly.
         artifact, manifest_path, shard_paths = builder.build_sharded(
             graph, args.artifact, args.shards, extra_metadata=extra_metadata)
     except (ArtifactError, ValueError) as exc:

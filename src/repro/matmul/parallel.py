@@ -56,14 +56,6 @@ SPAWN_CONTEXT = multiprocessing.get_context("spawn")
 CHUNK_FLOATS = 1 << 15
 
 
-def default_jobs() -> int:
-    """A sensible default worker count: the usable CPUs of this process."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 def slab_ranges(n: int, slabs: int) -> List[Tuple[int, int]]:
     """Split ``range(n)`` into ``slabs`` contiguous near-equal row ranges."""
     if not 1 <= slabs <= n:
@@ -104,7 +96,7 @@ class SlabExecutor:
         with SlabExecutor(jobs=4) as ex:
             W = ex.share("adjacency", adjacency)
             closure, steps = minplus_closure(ex, W)
-            dist = np.asarray(closure.open())
+            dist = np.array(closure.open())
 
     ``jobs=1`` never creates a pool: every task runs inline in submission
     order, which doubles as the bit-exact serial baseline.  An existing
@@ -112,7 +104,7 @@ class SlabExecutor:
     does not close it) — the test suite shares one pool across hypothesis
     examples this way.  The temporary directory holding the shared maps is
     removed on exit, so results needed afterwards must be copied out with
-    ``np.asarray``.
+    ``np.array`` (``np.asarray`` of a map is a view of it).
     """
 
     def __init__(self, jobs: int = 1, pool=None, tmp_dir: Optional[str] = None):
@@ -267,7 +259,6 @@ def minplus_closure(
 __all__ = [
     "SharedArray",
     "SlabExecutor",
-    "default_jobs",
     "minplus_closure",
     "slab_ranges",
 ]

@@ -7,10 +7,17 @@ of the build is recorded in the artifact metadata, so the build/serve
 trade-off each strategy makes (rounds and artifact size at build time vs
 accuracy and work at query time) stays visible end to end.
 
-Dispatch is registry-driven: the builder resolves the strategy's
-:class:`~repro.oracle.strategies.StrategySpec` and calls its ``build_fn``
-— a ``(builder, graph) -> (arrays, rounds, detail, phases)`` function.
-The three built-in builds living in this module:
+A build is one pipeline whatever the strategy and whatever ``jobs``: a
+build function produces the payload, the builder assembles the one
+metadata dictionary, and :mod:`repro.oracle.sharding` writes the shard
+files and the manifest.  Dispatch is registry-driven: the builder resolves
+the strategy's :class:`~repro.oracle.strategies.StrategySpec` and calls its
+``build_fn`` — a ``(builder, graph) -> (arrays, rounds, detail, phases)``
+function — or, when ``jobs`` is given and the strategy has one, its
+``slab_build_fn`` (:mod:`repro.oracle.parallel_build`: the exact closure
+and the ball rows on ``jobs`` cores, the only two phases ``jobs`` ever
+sped up) inside a :class:`~repro.matmul.parallel.SlabExecutor`.
+The three built-in ``build_fn`` builds living in this module:
 
 * :func:`build_dense_arrays` wraps :func:`repro.core.apsp_weighted`
   (Theorem 28).
@@ -28,8 +35,9 @@ plug in through the same registry path.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import math
+import functools
 import time
 from typing import Any, Dict, Optional
 
@@ -42,10 +50,11 @@ from repro.core.mssp import mssp
 from repro.distance.hitting_set import greedy_hitting_set
 from repro.distance.k_nearest import k_nearest
 from repro.graphs.graph import Graph
+from repro.matmul.parallel import SlabExecutor
 from repro.obs.metrics import get_registry
-from repro.oracle import parallel_build, sharding
+from repro.oracle import sharding
 from repro.oracle.artifact import OracleArtifact
-from repro.oracle.strategies import get_strategy
+from repro.oracle.strategies import get_strategy, sqrt_k
 
 
 def record_build_phases(strategy: str, phases: Dict[str, float]) -> None:
@@ -55,8 +64,7 @@ def record_build_phases(strategy: str, phases: Dict[str, float]) -> None:
     phase name — builds are rare, so these are plain imperative adds (the
     per-phase dicts in artifact metadata stay the canonical record; this
     mirrors them onto ``/metricsz`` so long-running build fleets can be
-    watched).  Both the classic simulated path and the parallel executor
-    (:mod:`repro.oracle.parallel_build`) report through here.
+    watched).
     """
     registry = get_registry()
     for phase, seconds in phases.items():
@@ -82,10 +90,11 @@ class BuildReport:
     detail: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Worker processes the build ran on (1 for the classic simulated path).
     jobs: int = 1
-    #: ``"simulated-clique"`` (round-accounted classic path) or
-    #: ``"parallel"`` (multi-core exact build, rounds not simulated).
+    #: ``"simulated-clique"`` (``jobs=None``: the round-accounted build) or
+    #: ``"parallel"`` (built with ``jobs``; a slab build simulates no rounds).
     mode: str = "simulated-clique"
-    #: Per-phase wall-clock seconds, in execution order.
+    #: Per-phase wall-clock seconds (in execution order off ``build()``; a
+    #: manifest sorts its keys).
     phases: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def summary(self, verbose: bool = False) -> str:
@@ -130,15 +139,17 @@ class OracleBuilder:
         artifact's build metadata so benchmark artifacts are
         self-describing.
     jobs:
-        ``None`` (default) runs the classic single-process build that
+        ``None`` (default) runs the strategy's ``build_fn``, which
         simulates the paper's Congested Clique rounds.  Any integer >= 1
-        switches to the multi-core row-slab build
-        (:mod:`repro.oracle.parallel_build`): ``jobs`` worker processes
-        with ``rounds=0.0`` recorded.  ``jobs=1`` runs the parallel code
-        path inline — the byte-exact serial baseline the parity tests and
-        benchmarks compare against.
+        runs its exact row-slab build instead
+        (:mod:`repro.oracle.parallel_build`: ``jobs`` worker processes for
+        the closure and the ball rows, ``rounds=0.0`` recorded) if it has
+        one; ``spanner-greedy`` and ``hopset-landmark`` have none and run
+        their ``build_fn`` at every ``jobs``, with no pool.  ``jobs=1``
+        runs the slab tasks inline — the byte-exact serial baseline the
+        parity tests and benchmarks compare against.
     pool:
-        Optional pre-started spawn-context pool for the parallel path
+        Optional pre-started spawn-context pool for the slab builds
         (test hook: shares one pool across many small builds).
     """
 
@@ -156,39 +167,56 @@ class OracleBuilder:
         self.jobs = jobs
         self.pool = pool
 
-    def build(self, graph: Graph) -> OracleArtifact:
-        """Run the strategy's build computation and package the artifact."""
+    @contextlib.contextmanager
+    def _payload(self, graph: Graph):
+        """Run the strategy's build function: yields ``(metadata, arrays)``.
+
+        A slab build's row arrays are the executor's maps, which close
+        with the block — copy them or write them out inside it.
+        """
         if graph.directed:
             raise ValueError("distance oracles require an undirected graph")
-        if self.jobs is not None:
-            return parallel_build.build_parallel(
-                graph, strategy=self.spec.name, epsilon=self.epsilon,
-                k=self.k, jobs=self.jobs, pool=self.pool)
         start = time.perf_counter()
-        build_fn = self.spec.resolve_build()
-        arrays, rounds, detail, phases = build_fn(self, graph)
-        seconds = time.perf_counter() - start
-        record_build_phases(self.spec.name, phases)
+        slab_build = (None if self.jobs is None
+                      else self.spec.resolve_slab_build())
+        if slab_build is None:
+            executor, build_fn = contextlib.nullcontext(), self.spec.resolve_build()
+        else:
+            executor = SlabExecutor(jobs=self.jobs, pool=self.pool)
+            build_fn = functools.partial(slab_build, executor=executor)
+        with executor:
+            arrays, rounds, detail, phases = build_fn(self, graph)
+            max_weight = graph.max_weight()
+            guarantee = self.spec.guarantee(self.epsilon, max_weight, self.k)
+            metadata: Dict[str, Any] = {
+                "strategy": self.spec.name,
+                "query_kind": self.spec.query_kind,
+                "n": graph.n,
+                "num_edges": graph.num_edges(),
+                "epsilon": self.epsilon,
+                "max_weight": max_weight,
+                "stretch": guarantee.as_dict(),
+                "build": {"rounds": float(rounds),
+                          "seconds": time.perf_counter() - start,
+                          "kernel": ("edge-relaxation" if slab_build
+                                     else self.kernel or "auto"),
+                          "hot_primitives": list(self.spec.hot_primitives),
+                          "mode": ("simulated-clique" if self.jobs is None
+                                   else "parallel"),
+                          "jobs": self.jobs or 1,
+                          "phases": {name: round(value, 6)
+                                     for name, value in phases.items()},
+                          **detail},
+            }
+            yield metadata, arrays
 
-        max_weight = graph.max_weight()
-        guarantee = self.spec.guarantee(self.epsilon, max_weight, self.k)
-        metadata: Dict[str, Any] = {
-            "strategy": self.spec.name,
-            "query_kind": self.spec.query_kind,
-            "n": graph.n,
-            "num_edges": graph.num_edges(),
-            "epsilon": self.epsilon,
-            "max_weight": max_weight,
-            "stretch": guarantee.as_dict(),
-            "build": {"rounds": rounds, "seconds": seconds,
-                      "kernel": self.kernel or "auto",
-                      "hot_primitives": list(self.spec.hot_primitives),
-                      "mode": "simulated-clique",
-                      "jobs": 1,
-                      "phases": {name: round(value, 6)
-                                 for name, value in phases.items()},
-                      **detail},
-        }
+    def build(self, graph: Graph) -> OracleArtifact:
+        """Run the strategy's build computation and package the artifact."""
+        with self._payload(graph) as (metadata, arrays):
+            # The maps are deleted with the block: a product owns its memory.
+            arrays = {name: np.array(value) if isinstance(value, np.memmap)
+                      else value for name, value in arrays.items()}
+        record_build_phases(self.spec.name, metadata["build"]["phases"])
         artifact = OracleArtifact(metadata=metadata, arrays=arrays)
         artifact.validate()
         return artifact
@@ -197,27 +225,28 @@ class OracleBuilder:
                       extra_metadata: Optional[Dict[str, Any]] = None):
         """Build and persist as row shards plus a manifest.
 
-        Returns ``(artifact, manifest_path, shard_paths)``.  On the classic
-        path the shard writer streams row slices (views) of the freshly
-        built arrays to disk one shard at a time, so no second full copy of
-        the payload is ever materialised.  With ``jobs=K`` the K workers
-        write their shard files directly (no full payload in any process)
-        and the returned artifact is the loaded
-        :class:`~repro.oracle.sharding.ShardedOracleArtifact` — same
-        metadata accessors, rows served from the maps.
+        Returns ``(artifact, manifest_path, shard_paths)``; the artifact is
+        the written one, opened (:class:`~repro.oracle.sharding.
+        ShardedOracleArtifact`: rows served from the maps, so holding it
+        pins no payload).  The shard writer streams row slices (views) of
+        the build's arrays to disk one shard at a time — out of the
+        executor's maps for a slab build — so no second full copy of the
+        payload is ever materialised.  The write is the build's last
+        phase, ``shard-write``, and ``build.seconds`` ends after it.
         """
-        if self.jobs is not None:
-            manifest_path, shard_paths, _metadata = (
-                parallel_build.build_sharded_parallel(
-                    graph, path, num_shards, strategy=self.spec.name,
-                    epsilon=self.epsilon, k=self.k, jobs=self.jobs,
-                    pool=self.pool, extra_metadata=extra_metadata))
-            artifact = sharding.load_artifact(manifest_path, verify="none")
-            return artifact, manifest_path, shard_paths
-        artifact = self.build(graph)
-        if extra_metadata:
-            artifact.metadata.update(extra_metadata)
-        manifest_path, shard_paths = artifact.save_sharded(path, num_shards)
+        start = time.perf_counter()
+        with self._payload(graph) as (metadata, arrays):
+            metadata.update(extra_metadata or {})
+            build = metadata["build"]
+            tick = time.perf_counter()
+            manifest_path, shard_paths, layout = sharding.write_shards(
+                metadata, arrays, path, num_shards)
+            build["phases"]["shard-write"] = round(
+                time.perf_counter() - tick, 6)
+        build["seconds"] = time.perf_counter() - start
+        record_build_phases(self.spec.name, build["phases"])
+        sharding.write_shard_manifest(manifest_path, metadata, layout)
+        artifact = sharding.load_artifact(manifest_path, verify="none")
         return artifact, manifest_path, shard_paths
 
     def report(self, artifact) -> BuildReport:
@@ -250,8 +279,7 @@ class OracleBuilder:
 
 def default_ball_size(builder: OracleBuilder, n: int) -> int:
     """Resolve and validate the builder's ball size (ceil(sqrt(n)) default)."""
-    k = builder.k if builder.k is not None else max(
-        2, min(n, math.ceil(math.sqrt(n))))
+    k = builder.k if builder.k is not None else sqrt_k(n)
     if not 1 <= k <= n:
         raise ValueError(f"ball size k={k} out of range [1, {n}]")
     return k

@@ -5,7 +5,8 @@ of the estimate matrix; a *row shard* is exactly that, persisted — a
 contiguous node range of every row-sharded payload array — and one
 artifact is a set of them plus a JSON manifest.  This is the only format:
 :func:`write_sharded_artifact` is the one writer (one shard by default,
-more when a payload should be split across files or workers) and
+more when a payload should be split across files or workers; every build,
+at every ``jobs``, goes through its two steps) and
 :meth:`ShardedOracleArtifact.load` / :func:`load_artifact` the one
 reader.  The in-memory build product
 (:class:`~repro.oracle.artifact.OracleArtifact`) and an opened artifact
@@ -283,11 +284,10 @@ def write_shard_payload(path: PathLike, payload: Dict[str, np.ndarray]) -> None:
     zip epoch and stores the arrays uncompressed with zip64 headers — the
     exact layout ``np.savez`` produces minus the timestamps — so
     :func:`_mmap_npz` maps the members unchanged and the shard's SHA-256 is
-    a pure function of the payload.  The parallel build relies on this for
-    its jobs-parity guarantee (jobs=K reproduces the jobs=1 bytes).
+    a pure function of the payload — which is what lets a build at any
+    ``jobs`` be held to the ``jobs=1`` bytes.
 
-    Member order follows ``payload``'s iteration order; callers that need
-    byte parity across code paths must present arrays in the same order.
+    Member order follows ``payload``'s iteration order.
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, array in payload.items():
@@ -311,21 +311,15 @@ def shard_entry(index: int, shard_file: Path, row_start: int,
     }
 
 
-def write_shard_manifest(
-    manifest_path: Path,
-    metadata: Dict[str, Any],
-    shard_entries: List[Dict[str, Any]],
-    sharded_arrays: Dict[str, Dict[str, Any]],
-    common_arrays: Dict[str, Dict[str, Any]],
-) -> Path:
-    """Assemble and write the ``.shards.json`` manifest; returns its path."""
+def write_shard_manifest(manifest_path: Path, metadata: Dict[str, Any],
+                         layout: Dict[str, Any]) -> Path:
+    """Write the ``.shards.json`` manifest of the shards :func:`write_shards`
+    wrote (``layout`` is its third result); returns the manifest's path."""
     manifest = {
         "shard_manifest_version": SHARD_MANIFEST_VERSION,
         "metadata": {**metadata, "format_version": FORMAT_VERSION},
-        "num_shards": len(shard_entries),
-        "shards": shard_entries,
-        "sharded_arrays": sharded_arrays,
-        "common_arrays": common_arrays,
+        "num_shards": len(layout["shards"]),
+        **layout,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
@@ -340,33 +334,37 @@ def array_layout(arrays: Dict[str, Any], names) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def write_sharded_artifact(
+def write_shards(
     metadata: Dict[str, Any],
     arrays: Dict[str, np.ndarray],
     path: PathLike,
     num_shards: int = 1,
-) -> Tuple[Path, List[Path]]:
-    """Write ``arrays`` as row shards plus a manifest; returns the paths.
+) -> Tuple[Path, List[Path], Dict[str, Any]]:
+    """Write every shard file of an artifact, and no manifest.
 
     Row-sharded arrays (per the strategy spec) are sliced by node range and
     each slice is streamed straight into its shard file — slicing yields
     views, and the deterministic writer streams them to disk chunk-wise, so
     peak extra memory stays O(one write buffer) regardless of artifact
     size.  The remaining (small) arrays are stored whole in shard 0.
+
+    Returns ``(manifest_path, shard_files, layout)``, ``layout`` being what
+    :func:`write_shard_manifest` records about the files.  The two steps
+    are separate so that a builder can put what the write cost into the
+    metadata between them.
     """
     check_schema(OracleArtifact(metadata=metadata, arrays=arrays))
     spec = get_strategy(str(metadata["strategy"]))
-    n = int(metadata["n"])
     manifest_path = shard_manifest_path(path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     base = manifest_path.name[: -len(SHARD_MANIFEST_SUFFIX)]
 
     common_names = [name for name in sorted(arrays)
                     if name not in spec.row_sharded_arrays]
-    ranges = _row_ranges(n, num_shards)
     shard_entries = []
     shard_files = []
-    for index, (start, stop) in enumerate(ranges):
+    for index, (start, stop) in enumerate(
+            _row_ranges(int(metadata["n"]), num_shards)):
         payload = {name: arrays[name][start:stop]
                    for name in spec.row_sharded_arrays}
         if index == 0:
@@ -375,14 +373,26 @@ def write_sharded_artifact(
         write_shard_payload(shard_file, payload)
         shard_entries.append(shard_entry(index, shard_file, start, stop))
         shard_files.append(shard_file)
+    return manifest_path, shard_files, {
+        "shards": shard_entries,
+        "sharded_arrays": array_layout(arrays, spec.row_sharded_arrays),
+        "common_arrays": array_layout(arrays, common_names),
+    }
 
-    write_shard_manifest(
-        manifest_path,
-        metadata,
-        shard_entries,
-        array_layout(arrays, spec.row_sharded_arrays),
-        array_layout(arrays, common_names),
-    )
+
+def write_sharded_artifact(
+    metadata: Dict[str, Any],
+    arrays: Dict[str, np.ndarray],
+    path: PathLike,
+    num_shards: int = 1,
+) -> Tuple[Path, List[Path]]:
+    """Write ``arrays`` as row shards plus a manifest; returns the paths.
+
+    :func:`write_shards`, then :func:`write_shard_manifest`.
+    """
+    manifest_path, shard_files, layout = write_shards(
+        metadata, arrays, path, num_shards)
+    write_shard_manifest(manifest_path, metadata, layout)
     return manifest_path, shard_files
 
 
@@ -759,5 +769,6 @@ __all__ = [
     "shard_payload_name",
     "write_shard_manifest",
     "write_shard_payload",
+    "write_shards",
     "write_sharded_artifact",
 ]

@@ -172,6 +172,12 @@ class StrategySpec:
     #: Which engine kernel family serves this payload (see QUERY_KINDS).
     query_kind: str = "dense"
     build_fn: Union[str, BuildFn, None] = None
+    #: The exact row-slab build ``OracleBuilder(jobs=K)`` runs in place of
+    #: ``build_fn``, in the same two forms: ``(builder, graph, executor) ->
+    #: (arrays, rounds, detail, phases)`` on a :class:`~repro.matmul.parallel.
+    #: SlabExecutor`, whose maps (``np.memmap``) it may return as arrays.  A
+    #: strategy without one builds with ``build_fn`` at every ``jobs``.
+    slab_build_fn: Union[str, Callable, None] = None
     guarantee_fn: Optional[Callable[[float, float, Optional[int]],
                                     StretchGuarantee]] = None
     cost_fn: Optional[Callable[[int, dict],
@@ -190,12 +196,9 @@ class StrategySpec:
                 f"strategy {self.name!r} was registered without a guarantee_fn")
         return self.guarantee_fn(epsilon, max_weight, k)
 
-    def resolve_build(self) -> BuildFn:
-        """The build callable, importing a dotted-path ``build_fn`` lazily."""
-        fn = self.build_fn
-        if fn is None:
-            raise ValueError(
-                f"strategy {self.name!r} was registered without a build_fn")
+    def _resolve(self, fn: Union[str, Callable]) -> Callable:
+        """``fn`` itself, or the attribute its dotted path names (imported
+        lazily)."""
         if callable(fn):
             return fn
         module_name, sep, attr = fn.partition(":")
@@ -205,6 +208,19 @@ class StrategySpec:
                 f"(expected 'module:attr')")
         module = importlib.import_module(module_name)
         return getattr(module, attr)
+
+    def resolve_build(self) -> BuildFn:
+        """The build callable, importing a dotted-path ``build_fn`` lazily."""
+        if self.build_fn is None:
+            raise ValueError(
+                f"strategy {self.name!r} was registered without a build_fn")
+        return self._resolve(self.build_fn)
+
+    def resolve_slab_build(self) -> Optional[Callable]:
+        """The slab build callable, or ``None`` if the strategy has none."""
+        if self.slab_build_fn is None:
+            return None
+        return self._resolve(self.slab_build_fn)
 
     def serving_costs(self, n: int,
                       build: dict) -> Tuple[float, float, float]:
@@ -337,8 +353,9 @@ def get_strategy(name: str) -> StrategySpec:
 # ----------------------------------------------------------------------
 # built-in strategy behaviours
 # ----------------------------------------------------------------------
-def _sqrt_k(n: int) -> int:
-    """The shared default ball size: ceil(sqrt(n)), clamped to [2, n]."""
+def sqrt_k(n: int) -> int:
+    """The default ball size of every strategy and of the cost model:
+    ceil(sqrt(n)), clamped to [2, n]."""
     return max(2, min(max(n, 1), math.ceil(math.sqrt(max(n, 1)))))
 
 
@@ -384,14 +401,14 @@ def _dense_costs(n, build):
 def _landmark_costs(n, build):
     # Both landmark strategies: hopset-landmark records the width of its
     # bunch balls as ``ball_width``, landmark-mssp packs exactly ``k``.
-    k = int(build.get("ball_width") or build.get("k") or _sqrt_k(n))
+    k = int(build.get("ball_width") or build.get("k") or sqrt_k(n))
     landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
     payload_floats = 2.0 * n * k + 1.0 * n * landmarks
     return payload_floats, float(landmarks), float(landmarks)
 
 
 def _spanner_costs(n, build):
-    kb = int(build.get("ball_width") or _sqrt_k(n))
+    kb = int(build.get("ball_width") or sqrt_k(n))
     landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
     # CSR of the undirected spanner: both edge directions appear, plus the
     # (n + 1)-long indptr.  Default edge count is the greedy bound n^{3/2}
@@ -451,6 +468,7 @@ register_strategy(StrategySpec(
     row_sharded_arrays=("dist",),
     query_kind="dense",
     build_fn="repro.oracle.build:build_dense_arrays",
+    slab_build_fn="repro.oracle.parallel_build:closure_dense_arrays",
     guarantee_fn=_dense_guarantee,
     cost_fn=_dense_costs,
     estimate_fn=_dense_estimate,
@@ -464,6 +482,7 @@ register_strategy(StrategySpec(
     row_sharded_arrays=("landmark_dist", "ball_idx", "ball_dist"),
     query_kind="landmark",
     build_fn="repro.oracle.build:build_landmark_arrays",
+    slab_build_fn="repro.oracle.parallel_build:closure_landmark_arrays",
     guarantee_fn=_landmark_guarantee,
     cost_fn=_landmark_costs,
     estimate_fn=_landmark_estimate,
@@ -478,6 +497,7 @@ register_strategy(StrategySpec(
     row_sharded_arrays=("dist",),
     query_kind="dense",
     build_fn="repro.oracle.build:build_exact_arrays",
+    slab_build_fn="repro.oracle.parallel_build:closure_dense_arrays",
     guarantee_fn=_exact_guarantee,
     cost_fn=_dense_costs,
     estimate_fn=_exact_estimate,

@@ -155,7 +155,9 @@ def synthetic_artifact(strategy: str, n: int = 23, seed: int = 5) -> OracleArtif
     return OracleArtifact(metadata=metadata, arrays=arrays)
 
 
-PAYLOADS = tuple(STRATEGY_NAMES) + ("synthetic:landmark-mssp",
+#: ``jobs1:`` payloads come from the slab builds production takes.
+PAYLOADS = tuple(STRATEGY_NAMES) + ("jobs1:dense-apsp", "jobs1:landmark-mssp",
+                                    "synthetic:landmark-mssp",
                                     "synthetic:spanner-greedy")
 
 
@@ -167,11 +169,12 @@ def graph():
 @pytest.fixture(scope="module", params=PAYLOADS)
 def served(request, graph, tmp_path_factory):
     """``(reference, {layout: artifact})`` for one payload."""
-    name = request.param
-    if name.startswith("synthetic:"):
-        artifact = synthetic_artifact(name.split(":", 1)[1])
+    source, _, name = request.param.rpartition(":")
+    if source == "synthetic":
+        artifact = synthetic_artifact(name)
     else:
-        artifact = build_oracle(graph, strategy=name, epsilon=0.5)
+        artifact = build_oracle(graph, strategy=name, epsilon=0.5,
+                                jobs=1 if source == "jobs1" else None)
     root = tmp_path_factory.mktemp("reference")
     layouts = {"in-memory": artifact}
     for label, shards in (("1-shard", 1), ("4-shard", 4)):

@@ -1,4 +1,4 @@
-"""Tests for the row-slab executor and the parallel oracle build.
+"""Tests for the row-slab executor and oracle builds with ``jobs``.
 
 The headline contract: a build at any job count is **bit-identical** to
 the jobs=1 build — same closure floats, same ball tables, same landmark
@@ -10,7 +10,6 @@ paths run inline and are exercised densely via hypothesis.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 
@@ -33,12 +32,14 @@ from repro.matmul.parallel import (
     minplus_closure,
     slab_ranges,
 )
-from repro.oracle import OracleBuilder, QueryEngine, load_artifact
-from repro.oracle.parallel_build import (
-    build_parallel,
-    build_sharded_parallel,
-    weight_matrix,
+from repro.oracle import (
+    STRATEGY_NAMES,
+    OracleBuilder,
+    QueryEngine,
+    ShardedOracleArtifact,
+    load_artifact,
 )
+from repro.oracle.parallel_build import weight_matrix
 
 
 @pytest.fixture(scope="session")
@@ -200,48 +201,43 @@ class TestClosureAndMSSP:
 
 
 # ----------------------------------------------------------------------
-# parallel oracle builds: jobs parity
+# oracle builds with ``jobs``: parity, and the one pipeline they share
 # ----------------------------------------------------------------------
+def build_shards(graph, path, num_shards, strategy="landmark-mssp", **kwargs):
+    """``OracleBuilder(strategy, **kwargs).build_sharded`` results."""
+    return OracleBuilder(strategy=strategy, **kwargs).build_sharded(
+        graph, path, num_shards)
+
+
 class TestShardParity:
     @settings(max_examples=6, deadline=None)
     @given(n=st.integers(min_value=6, max_value=30),
            seed=st.integers(min_value=0, max_value=2**31),
-           strategy=st.sampled_from(
-               ["landmark-mssp", "dense-apsp", "exact-fallback"]),
+           strategy=st.sampled_from(list(STRATEGY_NAMES)),
            num_shards=st.integers(min_value=1, max_value=4))
     def test_jobs4_shards_bit_identical_to_serial(
             self, tmp_path_factory, spawn_pool, n, seed, strategy, num_shards):
         graph = random_weighted_graph(n, 4.0, max_weight=9, seed=seed)
         num_shards = min(num_shards, n)
         tmp = tmp_path_factory.mktemp("parity")
-        _, serial, _ = build_sharded_parallel(
-            graph, tmp / "serial.npz", num_shards, strategy=strategy, jobs=1)
-        _, pooled, _ = build_sharded_parallel(
-            graph, tmp / "pooled.npz", num_shards, strategy=strategy,
-            jobs=4, pool=spawn_pool)
+        _, _, serial = build_shards(
+            graph, tmp / "serial.npz", num_shards, strategy, jobs=1)
+        _, _, pooled = build_shards(
+            graph, tmp / "pooled.npz", num_shards, strategy, jobs=4,
+            pool=spawn_pool)
         assert shard_digests(serial) == shard_digests(pooled)
 
-    def test_manifest_entries_match_serial_writer(self, tmp_path, spawn_pool):
-        # The parallel writer must produce the same manifest geometry the
-        # serial writer would: ranges, byte counts, per-shard hashes.
-        graph = random_weighted_graph(25, 5.0, max_weight=9, seed=8)
-        builder = OracleBuilder(strategy="landmark-mssp", jobs=4,
-                                pool=spawn_pool)
-        _, manifest_path, shard_paths = builder.build_sharded(
-            graph, tmp_path / "a.npz", 3)
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["num_shards"] == 3
-        for entry, path in zip(manifest["shards"], shard_paths):
-            assert entry["bytes"] == path.stat().st_size
-            assert entry["sha256"] == hashlib.sha256(
-                path.read_bytes()).hexdigest()
-
-    def test_in_memory_matches_sharded_payload(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_in_memory_matches_sharded_payload(self, tmp_path, jobs):
         graph = random_weighted_graph(20, 5.0, max_weight=9, seed=9)
-        artifact = build_parallel(graph, strategy="landmark-mssp", jobs=1)
-        _, _, _ = build_sharded_parallel(
-            graph, tmp_path / "s.npz", 2, strategy="landmark-mssp", jobs=1)
-        sharded = load_artifact(tmp_path / "s.npz", verify="eager")
+        builder = OracleBuilder(strategy="landmark-mssp", jobs=jobs)
+        artifact = builder.build(graph)
+        sharded, manifest, _ = builder.build_sharded(
+            graph, tmp_path / "s.npz", 2)
+        # The opened artifact on every path: holding it pins no payload.
+        assert isinstance(sharded, ShardedOracleArtifact)
+        assert sharded.manifest_path == manifest
+        sharded = load_artifact(manifest, verify="eager")
         for name in ("landmark_dist", "ball_idx", "ball_dist"):
             np.testing.assert_array_equal(
                 sharded.materialize(name), artifact.arrays[name])
@@ -252,20 +248,33 @@ class TestShardParity:
         # Byte determinism in time, not just across job counts: two runs
         # of the same build hash identically (fixed zip timestamps).
         graph = random_weighted_graph(15, 4.0, max_weight=9, seed=10)
-        digests = []
-        for tag in ("one", "two"):
-            _, shards, _ = build_sharded_parallel(
-                graph, tmp_path / f"{tag}.npz", 2, jobs=1)
-            digests.append(shard_digests(shards))
+        digests = [
+            shard_digests(build_shards(graph, tmp_path / f"{tag}.npz", 2,
+                                       jobs=1)[2])
+            for tag in ("one", "two")]
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("jobs", [None, 1])
+    @pytest.mark.parametrize("strategy", list(STRATEGY_NAMES))
+    def test_row_members_are_row_major_in_every_shard(
+            self, tmp_path, strategy, jobs):
+        # A row of a mapped shard is one contiguous read whatever built it
+        # (a column gather of the closure comes back column-major).
+        graph = random_weighted_graph(24, 4.0, max_weight=9, seed=11)
+        artifact, _, _ = build_shards(graph, tmp_path / "c", 3, strategy,
+                                      jobs=jobs)
+        for index in range(artifact.num_shards):
+            blocks = artifact.open_shard(index)
+            for name in artifact.sharded_array_names:
+                assert blocks[name].flags.c_contiguous, (index, name)
 
-class TestParallelArtifactSemantics:
+
+class TestOnePipeline:
     def test_engine_serves_within_guarantee(self):
         graph = random_weighted_graph(26, 4.0, max_weight=9, seed=12)
         exact = all_pairs_dijkstra(graph)
-        artifact = build_parallel(graph, strategy="landmark-mssp",
-                                  epsilon=0.5, jobs=1)
+        artifact = OracleBuilder("landmark-mssp", epsilon=0.5,
+                                 jobs=1).build(graph)
         engine = QueryEngine(artifact)
         stretch = artifact.stretch
         for u in range(graph.n):
@@ -279,7 +288,7 @@ class TestParallelArtifactSemantics:
 
     def test_build_metadata_records_parallel_mode(self):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=13)
-        artifact = build_parallel(graph, jobs=1)
+        artifact = OracleBuilder(jobs=1).build(graph)
         build = artifact.metadata["build"]
         assert build["mode"] == "parallel"
         assert build["jobs"] == 1
@@ -287,12 +296,21 @@ class TestParallelArtifactSemantics:
         assert build["closure_steps"] == max(1, shortest_path_diameter(graph))
         assert set(build["phases"]) >= {"closure", "balls", "hitting-set"}
 
-    def test_builder_routes_jobs_to_parallel_path(self):
+    def test_builder_routes_jobs_to_slab_build(self):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)
         artifact = OracleBuilder(strategy="exact-fallback", jobs=1).build(graph)
         assert artifact.metadata["build"]["mode"] == "parallel"
         exact = np.asarray(all_pairs_dijkstra(graph))
         np.testing.assert_array_equal(artifact.arrays["dist"], exact)
+
+    def test_in_memory_product_owns_its_memory(self):
+        # The executor's maps are deleted when the build returns.
+        graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)
+        artifact = OracleBuilder("dense-apsp", jobs=1).build(graph)
+        for array in artifact.arrays.values():
+            while array is not None:
+                assert not isinstance(array, np.memmap)
+                array = getattr(array, "base", None)
 
     def test_classic_path_unchanged_without_jobs(self):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=15)
@@ -302,16 +320,33 @@ class TestParallelArtifactSemantics:
         assert build["rounds"] > 0
         assert "k-nearest" in build["phases"]
 
+    def test_shard_write_is_a_phase_of_every_sharded_build(self, tmp_path):
+        graph = random_weighted_graph(16, 4.0, max_weight=5, seed=15)
+        artifact, _, _ = build_shards(graph, tmp_path / "p", 2, "dense-apsp")
+        build = artifact.metadata["build"]
+        assert set(build["phases"]) == {"apsp", "shard-write"}
+        # Each phase is rounded to a microsecond.
+        assert build["seconds"] >= sum(build["phases"].values()) - 1e-5
+
+    def test_strategy_without_slab_build_takes_no_executor(self, monkeypatch):
+        def no_enter(self):
+            raise AssertionError("spanner-greedy has no slab build")
+        monkeypatch.setattr(SlabExecutor, "__enter__", no_enter)
+        graph = random_weighted_graph(12, 4.0, max_weight=5, seed=16)
+        build = OracleBuilder("spanner-greedy", jobs=2).build(
+            graph).metadata["build"]
+        assert build["mode"] == "parallel" and "spanner" in build["phases"]
+
     def test_invalid_inputs(self, tmp_path):
         graph = random_weighted_graph(8, 3.0, max_weight=5, seed=16)
         with pytest.raises(ValueError, match="jobs"):
-            build_parallel(graph, jobs=0)
-        with pytest.raises(ValueError, match="epsilon"):
-            build_parallel(graph, epsilon=0.0)
-        with pytest.raises(ValueError, match="jobs"):
             OracleBuilder(jobs=0)
+        with pytest.raises(ValueError, match="epsilon"):
+            OracleBuilder(epsilon=0.0, jobs=1)
         with pytest.raises(ValueError, match="num_shards"):
-            build_sharded_parallel(graph, tmp_path / "x.npz", 99, jobs=1)
+            build_shards(graph, tmp_path / "x.npz", 99, jobs=1)
+        with pytest.raises(ValueError, match="undirected"):
+            OracleBuilder(jobs=1).build(Graph(4, directed=True))
 
 
 class TestBuildReportAndCLI:
