@@ -504,7 +504,7 @@ def experiment_oracle_queries(
     """Build each oracle strategy on two graph families, then measure query
     throughput: a cold pass over ``queries`` random pairs, and a cached pass
     over the same pairs.  Latency percentiles come from the engine's own
-    ``stats()`` window, i.e. the same numbers ``repro oracle bench`` prints.
+    ``latency`` window, i.e. the same numbers ``repro oracle bench`` prints.
     """
     side = int(math.isqrt(n))
     families = {
@@ -522,7 +522,7 @@ def experiment_oracle_queries(
             build_seconds = time.perf_counter() - start
             engine = QueryEngine(artifact)
             throughput = measure_throughput(engine, pairs)
-            latency = engine.stats()["latency"]
+            latency = engine.latency.snapshot()
             rows.append(
                 {
                     "family": family,

@@ -197,7 +197,8 @@ async def run_scenario(name: str, plan: Optional[FaultPlan],
                 mismatches = count_mismatches(pairs, report.answers,
                                               reference)
                 stats = frontend.stats()
-                breakers = [link.snapshot()["breaker"]
+                breakers = [{"state": link.breaker.state,
+                             "opens": link.breaker.opens}
                             for link in frontend.links()]
             finally:
                 await frontend.stop()

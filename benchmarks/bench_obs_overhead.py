@@ -14,8 +14,7 @@ Two design facts shape the measurement:
   there is no registry code on the dist()/gather() hot paths to
   measure.  What does run per-request is **tracing**: sampled requests
   carry a trace blob across the wire and every tier appends spans.  So
-  the bench toggles tracing (and the client-side enabled flag) and
-  keeps the worker fleet identical.
+  the bench toggles trace sampling and keeps the worker fleet identical.
 * **Shared machines cannot resolve single-digit percent differences
   across independent runs** (cluster spawn, connection setup, and
   neighbour load swamp them).  The bench therefore runs *paired
@@ -27,8 +26,8 @@ Two design facts shape the measurement:
 
 Configurations per pair:
 
-* **off**     — trace sampling 0 and client-side metrics disabled: the
-  fast-path baseline a deployment can always fall back to;
+* **off**     — trace sampling 0: the fast-path baseline a deployment
+  can always fall back to;
 * **sampled** — ``REPRO_TRACE_SAMPLE=0.01``: the production default.
   One request in a hundred carries a full cross-tier trace;
 * **full**    — sampling 1.0, every request traced: the worst case
@@ -61,6 +60,8 @@ from pathlib import Path
 
 from _harness import format_table
 
+from repro.obs.tracing import set_sample_rate
+
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
 
 N = 256
@@ -77,15 +78,6 @@ REQUIRED_SERIES = (
     "repro_net_frames_in_total",
     "repro_engine_queries_total",
 )
-
-
-def _configure(metrics: bool, sample: float) -> None:
-    """Flip the client/frontend tiers' instrumentation in-process."""
-    from repro.obs.metrics import set_enabled
-    from repro.obs.tracing import set_sample_rate
-
-    set_enabled(metrics)
-    set_sample_rate(sample)
 
 
 def _served_total(snapshot: dict) -> float:
@@ -121,10 +113,7 @@ async def _measure_pairs(client, pairs, sample: float, count: int) -> list:
         qps = {}
         for config in (("off", "traced") if off_first
                        else ("traced", "off")):
-            if config == "off":
-                _configure(metrics=False, sample=0.0)
-            else:
-                _configure(metrics=True, sample=sample)
+            set_sample_rate(0.0 if config == "off" else sample)
             qps[config] = await _closed_loop(client, pairs)
         ratios.append({"off_first": off_first, "qps_off": qps["off"],
                        "qps_traced": qps["traced"],
@@ -144,10 +133,8 @@ def run_campaign(smoke: bool) -> dict:
     full_pairs = 2 if smoke else 3
     pairs = [(index % N, (index * 13 + 7) % N) for index in range(queries)]
 
-    # Workers spawn with metrics enabled — the deployed condition.  Their
-    # counters are callback-mirrored ints, so this adds no hot-path work;
-    # what tracing costs them is governed by the blobs the client sends.
-    os.environ["REPRO_METRICS"] = "1"
+    # Workers spawn untraced: what tracing costs them is governed by the
+    # blobs the client sends.
     os.environ["REPRO_TRACE_SAMPLE"] = "0"
     traces_before = get_tracer().finished
     scrape: dict = {}
@@ -165,7 +152,7 @@ def run_campaign(smoke: bool) -> dict:
                                          client="bench-obs",
                                          coalesce_window=0.0005) as client:
                         # Warm connections + engine mmaps out of the timing.
-                        _configure(metrics=True, sample=0.0)
+                        set_sample_rate(0.0)
                         await client.batch(pairs[:64])
                         await _closed_loop(client, pairs)
 
@@ -189,7 +176,7 @@ def run_campaign(smoke: bool) -> dict:
                     await frontend.stop()
 
             sampled, full = asyncio.run(drive())
-    _configure(metrics=True, sample=0.0)  # leave the process observable
+    set_sample_rate(0.0)
 
     sampled_ratio = statistics.median(entry["ratio"] for entry in sampled)
     full_ratio = statistics.median(entry["ratio"] for entry in full)

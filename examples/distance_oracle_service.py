@@ -84,11 +84,10 @@ def serve_and_validate(engine: QueryEngine, graph, bound) -> None:
     print(f"max stretch      : {worst:.3f} "
           f"(guarantee {bound.multiplicative:g}x)")
 
-    stats = engine.stats()
-    latency = stats["latency"]
+    latency = engine.latency.snapshot()
     print("\n-- serving stats --")
-    print(f"queries          : {stats['queries']}")
-    print(f"cache hit rate   : {stats['cache_hit_rate']:.3f}")
+    print(f"queries          : {engine.stats()['queries']}")
+    print(f"cache hit rate   : {engine.cache.hit_rate:.3f}")
     print(f"latency P50/P95/P99 (us): {latency['p50_us']:.1f} / "
           f"{latency['p95_us']:.1f} / {latency['p99_us']:.1f}")
 

@@ -15,7 +15,9 @@ satisfies its stretch budget.  This example walks the full serving loop:
    queries coalesce onto the cheap artifact, budgeted ones onto the
    tight artifact;
 4. drive a Zipf-skewed closed-loop workload with the load generator and
-   read the per-client stats, per-engine stats, and route counts.
+   read the server's flat stats and latency window, each engine's stats,
+   and the router's per-artifact route counts — the numbers ``/metricsz``
+   publishes.
 
 Run with::
 
@@ -47,9 +49,8 @@ async def serve(registry: ArtifactRegistry, n: int, queries: int) -> None:
     async with DistanceServer(router, config) as server:
         # --- budget routing: same pair, two guarantees -------------------
         tight_budget = registry.get("tight").stretch.multiplicative
-        loose = await server.dist(0, n - 1, client="demo")
-        tight = await server.dist(0, n - 1, multiplicative=tight_budget,
-                                  client="demo")
+        loose = await server.dist(0, n - 1)
+        tight = await server.dist(0, n - 1, multiplicative=tight_budget)
         print("\n-- one pair, two stretch budgets --")
         print(f"dist(0, {n - 1})  no budget      = {loose:g}  (served by "
               f"{router.route().name!r})")
@@ -58,22 +59,21 @@ async def serve(registry: ArtifactRegistry, n: int, queries: int) -> None:
 
         # --- a coalesced Zipf workload ----------------------------------
         pairs = zipf_pairs(n, queries, skew=1.0, seed=42)
-        report = await run_closed_loop(server, pairs, concurrency=64,
-                                       client="loadgen")
+        report = await run_closed_loop(server, pairs, concurrency=64)
         print("\n-- closed-loop workload --")
         print(report.summary())
 
         stats = server.stats()
         print("\n-- server stats --")
-        print(f"requests         : {stats['requests_total']} "
-              f"({stats['shed_total']} shed)")
+        latency = server.latency.snapshot()
+        print(f"requests         : {stats['requests']} "
+              f"({stats['shed']} shed, P99 {latency['p99_us']:.0f} us)")
         print(f"engine batches   : {stats['engine_batches']} for "
               f"{stats['coalesced_keys']} coalesced keys")
-        print(f"routes           : {stats['router']['routes']}")
-        for name, engine_stats in stats["engines"].items():
-            print(f"engine[{name}]: queries={engine_stats['queries_total']}, "
-                  f"hit_rate={engine_stats['cache_hit_rate']:.3f}, "
-                  f"batch_sizes={engine_stats['batch_sizes']}")
+        print(f"routes           : {dict(sorted(router.routes.items()))}")
+        for name, engine in sorted(registry.loaded_engines().items()):
+            print(f"engine[{name}]: queries={engine.stats()['queries']}, "
+                  f"hit_rate={engine.cache.hit_rate:.3f}")
 
 
 def main(n: int = 96, queries: int = 2000) -> None:

@@ -89,15 +89,6 @@ class FaultInjector:
         """Total faults this injector has fired, across all specs."""
         return sum(self._fired)
 
-    def counts(self) -> Dict[str, int]:
-        """Per-``site/kind`` fired counts (for stats endpoints/tests)."""
-        totals: Dict[str, int] = {}
-        for index, spec in enumerate(self._specs):
-            if self._fired[index]:
-                key = f"{spec.site}/{spec.kind}"
-                totals[key] = totals.get(key, 0) + self._fired[index]
-        return totals
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultInjector(specs={len(self._specs)}, "
                 f"worker_id={self.worker_id}, injected={self.injected})")

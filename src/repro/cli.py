@@ -444,11 +444,10 @@ def cmd_oracle_query(args: argparse.Namespace) -> int:
             print(f"nearest({u}): node {shown} at {value:g}")
         did_something = True
     if args.stats or not did_something:
-        stats = engine.stats()
-        latency = stats["latency"]
-        print(f"strategy         : {stats['strategy']} (n={stats['n']})")
-        print(f"queries          : {stats['queries']}")
-        print(f"cache hit rate   : {stats['cache_hit_rate']:.3f}")
+        latency = engine.latency.snapshot()
+        print(f"strategy         : {engine.strategy} (n={engine.n})")
+        print(f"queries          : {engine.stats()['queries']}")
+        print(f"cache hit rate   : {engine.cache.hit_rate:.3f}")
         if latency["count"]:
             print(f"latency P50/P95/P99 (us): {latency['p50_us']:.1f} / "
                   f"{latency['p95_us']:.1f} / {latency['p99_us']:.1f}")
@@ -475,12 +474,11 @@ def cmd_oracle_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    stats = engine.stats()
-    latency = stats["latency"]
-    print(f"oracle bench: {stats['strategy']} on n={n}, {args.queries} queries")
+    latency = engine.latency.snapshot()
+    print(f"oracle bench: {engine.strategy} on n={n}, {args.queries} queries")
     print(f"cold queries/sec : {throughput['cold_qps']:,.0f}")
     print(f"cached queries/sec: {throughput['cached_qps']:,.0f}")
-    print(f"cache hit rate   : {stats['cache_hit_rate']:.3f}")
+    print(f"cache hit rate   : {engine.cache.hit_rate:.3f}")
     if latency["count"]:
         print(f"latency P50/P95/P99 (us): {latency['p50_us']:.1f} / "
               f"{latency['p95_us']:.1f} / {latency['p99_us']:.1f}")
@@ -490,24 +488,13 @@ def cmd_oracle_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serving subcommands
 # ----------------------------------------------------------------------
-def _gather_options(args: argparse.Namespace) -> dict:
-    """The ``ServerConfig`` fields ``DistanceServer.gather()`` reads.
-
-    All a wire worker can use: it answers frames through ``gather()``,
-    which never parks a request in the coalescing window.
-    """
-    return {
-        "max_batch": args.max_batch,
-        "queue_capacity": args.queue_capacity,
-        "overload_policy": args.policy,
-    }
-
-
 def _serve_config(args: argparse.Namespace):
     from repro.serve import ServerConfig
 
     return ServerConfig(coalesce_window=args.window_ms / 1000.0,
-                        **_gather_options(args))
+                        max_batch=args.max_batch,
+                        queue_capacity=args.queue_capacity,
+                        overload_policy=args.policy)
 
 
 def _serve_registry(args: argparse.Namespace):
@@ -580,13 +567,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print("\n-- server stats --")
     print(f"engine batches   : {stats['engine_batches']} "
           f"({stats['coalesced_keys']} coalesced keys)")
-    coalescing = stats["coalescing"]
-    print(f"coalescing       : mode={coalescing['mode']} "
-          f"window={coalescing['window_s'] * 1e3:g}ms")
-    print(f"routes           : {stats['router']['routes']}")
-    for name, engine_stats in stats["engines"].items():
-        print(f"engine[{name}]: queries={engine_stats['queries_total']} "
-              f"hit_rate={engine_stats['cache_hit_rate']:.3f}")
+    print(f"coalescing       : mode={'fixed' if args.window_ms > 0 else 'off'} "
+          f"window={args.window_ms:g}ms")
+    print(f"routes           : {dict(sorted(router.routes.items()))}")
+    for name, engine in sorted(registry.loaded_engines().items()):
+        print(f"engine[{name}]: queries={engine.stats()['queries']} "
+              f"hit_rate={engine.cache.hit_rate:.3f}")
     return 0
 
 
@@ -632,7 +618,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         RoutingError,
         StretchRouter,
         count_mismatches,
-        residency_from_stats,
+        residency_report,
         run_closed_loop,
         run_open_loop,
         zipf_pairs,
@@ -703,16 +689,16 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                     server, pairs, concurrency=args.concurrency,
                     multiplicative=args.stretch, additive=args.additive,
                     collect_samples=collect_samples, budgets=budgets)
-            return report, server.stats()
+            return report
 
     try:
-        report, server_stats = asyncio.run(drive())
+        report = asyncio.run(drive())
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if args.report_residency:
-        report.residency = residency_from_stats(server_stats)
+        report.residency = residency_report(registry.loaded_engines())
     if args.verify:
         if mix is not None:
             # Each budget in the mix routed independently; replay every
@@ -787,7 +773,8 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        config_kwargs = _gather_options(args)
+        # All a worker reads: it answers whole frames through gather().
+        config_kwargs = {"max_batch": args.max_batch}
         ServerConfig(**config_kwargs)  # reject bad values here, not in N workers
         cluster = Cluster(args.artifacts, num_workers=args.workers,
                           host=args.host, base_port=args.worker_base_port,
@@ -806,7 +793,7 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
             print(f"workers  : {args.workers} on ports "
                   f"{[port for _, port in cluster.addresses]}")
             print(f"frontend : {frontend.host}:{frontend.port} "
-                  f"(binary frames + HTTP /healthz /statsz /query)")
+                  f"(binary frames + HTTP /healthz /metricsz /query)")
             if args.self_test:
                 registry = _serve_registry(args)
                 decision = _route_for_workload(StretchRouter(registry), args)
@@ -1146,21 +1133,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="max engines resident at once (LRU-evicted beyond)",
         )
         if window:
-            # Only where per-pair dist() callers exist to be coalesced; a
-            # wire worker answers whole frames through gather().
+            # Only where per-pair dist() callers exist: they park in the
+            # coalescing window and hold queue slots across awaits.  A
+            # wire worker answers whole frames through gather(), which
+            # does neither.
             sub_parser.add_argument(
                 "--window-ms", type=float, default=1.0, dest="window_ms",
                 help="coalescing window in milliseconds: the minimum "
                      "spacing between frames; a lone query is not delayed "
                      "(0 disables coalescing)",
             )
+            sub_parser.add_argument(
+                "--queue-capacity", type=int, default=8192,
+                dest="queue_capacity",
+                help="max requests in flight before backpressure")
+            sub_parser.add_argument("--policy", choices=("shed", "wait"),
+                                    default="shed", help="overload policy")
         sub_parser.add_argument("--max-batch", type=int, default=1024,
                                 dest="max_batch", help="max keys per engine gather")
-        sub_parser.add_argument("--queue-capacity", type=int, default=8192,
-                                dest="queue_capacity",
-                                help="max requests in flight before backpressure")
-        sub_parser.add_argument("--policy", choices=("shed", "wait"),
-                                default="shed", help="overload policy")
         sub_parser.add_argument(
             "--stretch", type=float, default=math.inf,
             help="multiplicative stretch budget each request carries",

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.protocol import NetError
 from repro.net.worker import worker_main
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import publish
 
 logger = logging.getLogger("repro.net.cluster")
 
@@ -93,9 +93,11 @@ class Cluster:
         ``P, P+1, ...``.
     config_kwargs:
         Forwarded to :class:`~repro.serve.server.ServerConfig` in each
-        worker (e.g. ``{"max_batch": 512}``; a worker answers through
-        ``gather()``, which reads ``max_batch``, ``queue_capacity`` and
-        ``overload_policy`` and never enters the coalescing window).
+        worker (e.g. ``{"max_batch": 512}``).  A worker answers through
+        ``gather()`` alone, which reads only ``max_batch``: it never parks
+        a request in the coalescing window, and it takes and releases its
+        queue slot with no ``await`` between, so the queue never fills and
+        ``queue_capacity``/``overload_policy`` cannot take effect.
     capacity:
         Per-worker registry LRU capacity (resident engines).
     start_timeout:
@@ -161,15 +163,14 @@ class Cluster:
         self._backoff = [respawn_backoff] * num_workers
         self._supervisor: Optional[threading.Thread] = None
         self._supervisor_stop = threading.Event()
-        registry = get_registry()
-        registry.counter(
-            "repro_cluster_respawns_total",
-            "Worker processes respawned by the cluster supervisor",
-        ).set_function(lambda c: c.respawns, self)
-        registry.counter(
-            "repro_cluster_stuck_kills_total",
-            "Stuck (alive but unresponsive) workers SIGKILLed",
-        ).set_function(lambda c: c.stuck_kills, self)
+        publish(self, (
+            ("repro_cluster_respawns_total", "counter",
+             "Worker processes respawned by the cluster supervisor",
+             lambda c: c.respawns),
+            ("repro_cluster_stuck_kills_total", "counter",
+             "Stuck (alive but unresponsive) workers SIGKILLed",
+             lambda c: c.stuck_kills),
+        ))
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -102,7 +102,13 @@ from repro.net.protocol import (
     unpack_response,
 )
 from repro.net.worker import NetServiceBase
-from repro.obs.metrics import LatencyRecorder, get_registry, merge_snapshots
+from repro.obs.metrics import (
+    LatencyRecorder,
+    get_registry,
+    merge_snapshots,
+    publish,
+    read_series,
+)
 from repro.oracle.sharding import ShardIntegrityError, grouped_runs
 from repro.obs.tracing import (
     TraceContext,
@@ -279,14 +285,6 @@ class CircuitBreaker:
         if len(self._outcomes) > self._window:
             del self._outcomes[0]
 
-    def snapshot(self) -> Dict[str, object]:
-        return {"state": self.state, "opens": self.opens,
-                "consecutive_failures": self.consecutive,
-                "window_failure_rate": (
-                    self._outcomes.count(False) / len(self._outcomes)
-                    if self._outcomes else 0.0),
-                "cooldown_s": self._next_cooldown}
-
 
 def _expire(future: asyncio.Future) -> None:
     """Timer callback: fail a request still unanswered at its timeout."""
@@ -316,10 +314,8 @@ class WorkerLink:
         self._pending: Dict[int, asyncio.Future] = {}
         self._req_ids = itertools.count(1)
         self._connect_lock = asyncio.Lock()
-        # Health bookkeeping (maintained by the Frontend's failover path).
         self.requests = 0
-        self.failures = 0
-        self.consecutive_failures = 0
+        # Health (the Frontend's failover path charges it).
         self.breaker = CircuitBreaker()
         self.trace_sink: Optional[Callable[[Dict[str, Any]], None]] = None
 
@@ -481,18 +477,6 @@ class WorkerLink:
             except (asyncio.CancelledError, Exception):
                 pass
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "connected": self.connected,
-            "requests": self.requests,
-            "failures": self.failures,
-            "consecutive_failures": self.consecutive_failures,
-            "ejected": self.ejected,
-            "breaker": self.breaker.snapshot(),
-            "in_flight": len(self._pending),
-        }
-
 
 class Frontend(NetServiceBase):
     """Accept client connections; partition, fan out, retry, eject.
@@ -534,6 +518,36 @@ class Frontend(NetServiceBase):
     """
 
     role = "frontend"
+
+    #: What the front tier counts: published on the obs registry, read
+    #: flat by :meth:`stats`.
+    SERIES = (
+        ("repro_frontend_retries_total", "counter",
+         "Sub-batch retries after a worker attempt failed",
+         lambda f: f.retries),
+        ("repro_frontend_failovers_total", "counter",
+         "Sub-batches moved to a different worker", lambda f: f.failovers),
+        ("repro_frontend_ejections_total", "counter",
+         "Workers ejected from the rotation", lambda f: f.ejections),
+        ("repro_frontend_readmits_total", "counter",
+         "Ejected workers probed healthy and readmitted",
+         lambda f: f.readmits),
+        ("repro_frontend_hedges_total", "counter",
+         "Duplicate sub-batches sent after the hedge delay",
+         lambda f: f.hedges),
+        ("repro_frontend_hedge_wins_total", "counter",
+         "Hedged requests whose duplicate answered first",
+         lambda f: f.hedge_wins),
+        ("repro_frontend_deadline_rejections_total", "counter",
+         "Requests rejected because their deadline had expired",
+         lambda f: f.deadline_rejections),
+        ("repro_frontend_breaker_opens_total", "counter",
+         "Circuit-breaker transitions into the open state",
+         lambda f: sum(link.breaker.opens for link in f._links)),
+        ("repro_frontend_healthy_workers", "gauge",
+         "Workers currently in the rotation",
+         lambda f: len(f.healthy_links())),
+    )
 
     def __init__(self, artifacts: Sequence[str],
                  workers: Sequence[Tuple[str, int]],
@@ -586,41 +600,7 @@ class Frontend(NetServiceBase):
         self._live_traces: Dict[str, TraceContext] = {}
         for link in self._links:
             link.trace_sink = self._ingest_worker_trace
-        self._register_frontend_metrics()
-
-    def _register_frontend_metrics(self) -> None:
-        registry = get_registry()
-        for metric, help_text, reader in (
-            ("repro_frontend_retries_total",
-             "Sub-batch retries after a worker attempt failed",
-             lambda f: f.retries),
-            ("repro_frontend_failovers_total",
-             "Sub-batches moved to a different worker",
-             lambda f: f.failovers),
-            ("repro_frontend_ejections_total",
-             "Workers ejected from the rotation",
-             lambda f: f.ejections),
-            ("repro_frontend_readmits_total",
-             "Ejected workers probed healthy and readmitted",
-             lambda f: f.readmits),
-            ("repro_frontend_hedges_total",
-             "Duplicate sub-batches sent after the hedge delay",
-             lambda f: f.hedges),
-            ("repro_frontend_hedge_wins_total",
-             "Hedged requests whose duplicate answered first",
-             lambda f: f.hedge_wins),
-            ("repro_frontend_deadline_rejections_total",
-             "Requests rejected because their deadline had expired",
-             lambda f: f.deadline_rejections),
-            ("repro_frontend_breaker_opens_total",
-             "Circuit-breaker transitions into the open state",
-             lambda f: sum(link.breaker.opens for link in f._links)),
-        ):
-            registry.counter(metric, help_text).set_function(reader, self)
-        registry.gauge(
-            "repro_frontend_healthy_workers",
-            "Workers currently in the rotation").set_function(
-                lambda f: len(f.healthy_links()), self)
+        publish(self, self.SERIES)
 
     def _ingest_worker_trace(self, payload: Dict[str, Any]) -> None:
         context = self._live_traces.get(str(payload.get("id", "")))
@@ -910,13 +890,10 @@ class Frontend(NetServiceBase):
             self._mark_failure(link)
             raise
         self._attempt_latency.record(time.perf_counter_ns() - tick)
-        link.consecutive_failures = 0
         link.breaker.record_success()
         return values
 
     def _mark_failure(self, link: WorkerLink) -> None:
-        link.failures += 1
-        link.consecutive_failures += 1
         was_closed = link.breaker.state == BREAKER_CLOSED
         if link.breaker.record_failure() and was_closed:
             self.ejections += 1
@@ -937,7 +914,6 @@ class Frontend(NetServiceBase):
         link = self._links[index]
         if await link.ping(timeout=self.request_timeout):
             self.readmits += 1
-            link.consecutive_failures = 0
             link.breaker.force_close()
         else:
             link.breaker.record_failure()  # re-opens with doubled cooldown
@@ -962,7 +938,6 @@ class Frontend(NetServiceBase):
         if await link.ping(timeout=self.request_timeout):
             if link.ejected:
                 self.readmits += 1
-            link.consecutive_failures = 0
             link.breaker.force_close()
             return True
         return False
@@ -982,19 +957,13 @@ class Frontend(NetServiceBase):
         health["healthy_workers"] = len(self.healthy_links())
         return health
 
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["workers"] = [link.snapshot() for link in self._links]
-        stats["failovers"] = self.failovers
-        stats["retries"] = self.retries
-        stats["ejections"] = self.ejections
-        stats["readmits"] = self.readmits
-        stats["hedges"] = self.hedges
-        stats["hedge_wins"] = self.hedge_wins
-        stats["deadline_rejections"] = self.deadline_rejections
-        stats["hedge_delay_s"] = self._hedge_delay()
-        stats["router"] = self._router.stats()
-        return stats
+    def stats(self) -> Dict[str, float]:
+        """The values of :attr:`SERIES`, flat: ``retries``,
+        ``failovers``, ``ejections``, ``readmits``, ``hedges``,
+        ``hedge_wins``, ``deadline_rejections``, ``breaker_opens`` and
+        ``healthy_workers``.  A read: it leaves the hedge delay's memo
+        alone."""
+        return read_series(self, self.SERIES)
 
     # ------------------------------------------------------------------
     # fleet metrics aggregation
@@ -1072,7 +1041,6 @@ class NetClient:
                  coalesce_window: float = 0.0005, max_batch: int = 8192,
                  request_timeout: float = 10.0):
         self.link = WorkerLink(host, port, name=client)
-        self.client = client
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.request_timeout = request_timeout
@@ -1119,7 +1087,7 @@ class NetClient:
             len(pairs), self.link.name)
 
     async def dist(self, u: int, v: int, *, multiplicative: float = math.inf,
-                   additive: float = math.inf, client: str = "") -> float:
+                   additive: float = math.inf) -> float:
         """Single-pair query, transparently coalesced onto the wire."""
         if self._closed:
             raise ServerClosed("client is closed")
@@ -1186,10 +1154,6 @@ class NetClient:
             context.add("client.request", wall, duration_us)
             self._live.pop(context.trace_id, None)
             self.tracer.finish(context)
-
-    def stats(self) -> Dict[str, object]:
-        return {"link": self.link.snapshot(),
-                "pending": self._coalescer.parked}
 
 
 async def wait_until_healthy(addresses: Sequence[Tuple[str, int]],

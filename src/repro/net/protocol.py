@@ -28,7 +28,7 @@ the event loop.
 
 **HTTP fallback.**  The first four bytes of a connection decide the
 dialect: ``RNET`` means binary, anything else is treated as HTTP/1.x on
-the same port — ``GET /healthz``, ``GET /statsz``, and ``POST /query``
+the same port — ``GET /healthz``, ``GET /metricsz``, and ``POST /query``
 make every worker and the front tier curl-able without a custom client.
 
 Everything here is stdlib + numpy; the net tier adds no dependencies.
@@ -472,11 +472,11 @@ def http_response(status: int, payload, content_type: str = "application/json"
 
 
 def jsonable(obj):
-    """Recursively convert stats snapshots into strict-JSON-safe values.
+    """Recursively convert HTTP payloads into strict-JSON-safe values.
 
     numpy scalars become Python scalars, tuples become lists, and
-    non-finite floats become strings (``"inf"``/``"nan"``) so ``/statsz``
-    output parses in any JSON reader, not just Python's.
+    non-finite floats become strings (``"inf"``/``"nan"``) so ``/query``
+    and ``/metricsz`` output parses in any JSON reader, not just Python's.
     """
     if isinstance(obj, dict):
         return {str(key): jsonable(value) for key, value in obj.items()}

@@ -15,10 +15,11 @@ manifests every other worker maps (the OS page cache makes the N-process
 fan-out nearly free), serves until SIGTERM/SIGINT, then drains.
 
 Per-worker observability: ``GET /healthz`` answers liveness (and flips
-to ``draining`` during shutdown); ``GET /statsz`` returns the wire
-counters plus the full ``DistanceServer.stats()`` snapshot (its
-coalescing block reports the configured window, which a worker never
-uses: ``gather()`` parks nothing, so no flusher task is ever created).
+to ``draining`` during shutdown); ``GET /metricsz`` is the one stats
+surface — this process's obs registry (wire counters, the server's and
+the engines' series, chaos injections) as Prometheus text or, with
+``?format=json``, the mergeable snapshot a frontend folds into its fleet
+view.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.net.protocol import (
     unpack_request,
 )
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, to_prometheus_text
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, publish
 from repro.obs.tracing import TraceContext, unpack_trace_blob
 from repro.oracle.sharding import ShardIntegrityError
 from repro.serve.registry import RegistryError
@@ -96,6 +97,22 @@ class NetServiceBase:
 
     role = "service"
 
+    #: What every socket tier counts, labelled by ``role``.
+    WIRE_SERIES = (
+        ("repro_net_frames_in_total", "counter", "Binary frames decoded",
+         lambda s: s.frames_in),
+        ("repro_net_frames_out_total", "counter", "Binary frames sent",
+         lambda s: s.frames_out),
+        ("repro_net_http_requests_total", "counter", "HTTP fallback requests",
+         lambda s: s.http_requests),
+        ("repro_net_protocol_errors_total", "counter",
+         "Malformed frames or HTTP requests", lambda s: s.protocol_errors),
+        ("repro_net_wire_errors_total", "counter", "MSG_ERROR frames sent",
+         lambda s: s.wire_errors),
+        ("repro_net_open_connections", "gauge", "Connections currently served",
+         lambda s: len(s._conn_tasks)),
+    )
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port  # 0 = ephemeral; replaced by the bound port
@@ -110,31 +127,7 @@ class NetServiceBase:
         #: Optional :class:`repro.chaos.FaultInjector`; None (the normal
         #: case) keeps every wired site at one ``is None`` check.
         self.chaos = None
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Mirror the wire counters onto the obs registry (callbacks)."""
-        registry = get_registry()
-        labels = {"role": self.role}
-        for metric, help_text, read in (
-            ("repro_net_frames_in_total", "Binary frames decoded",
-             lambda s: s.frames_in),
-            ("repro_net_frames_out_total", "Binary frames sent",
-             lambda s: s.frames_out),
-            ("repro_net_http_requests_total", "HTTP fallback requests",
-             lambda s: s.http_requests),
-            ("repro_net_protocol_errors_total",
-             "Malformed frames or HTTP requests",
-             lambda s: s.protocol_errors),
-            ("repro_net_wire_errors_total", "MSG_ERROR frames sent",
-             lambda s: s.wire_errors),
-        ):
-            registry.counter(metric, help_text,
-                             labels=labels).set_function(read, self)
-        registry.gauge(
-            "repro_net_open_connections", "Connections currently served",
-            labels=labels,
-        ).set_function(lambda s: len(s._conn_tasks), self)
+        publish(self, self.WIRE_SERIES, labels={"role": self.role})
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -189,25 +182,6 @@ class NetServiceBase:
         already passed rather than doing doomed work.
         """
         raise NotImplementedError
-
-    def stats(self) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "role": self.role,
-            "address": f"{self.host}:{self.port}",
-            "draining": self._draining,
-            "net": {
-                "frames_in": self.frames_in,
-                "frames_out": self.frames_out,
-                "http_requests": self.http_requests,
-                "protocol_errors": self.protocol_errors,
-                "wire_errors": self.wire_errors,
-                "open_connections": len(self._conn_tasks),
-            },
-        }
-        if self.chaos is not None:
-            stats["chaos"] = {"injected": self.chaos.injected,
-                              "counts": self.chaos.counts()}
-        return stats
 
     # ------------------------------------------------------------------
     # per-connection dispatch
@@ -411,10 +385,6 @@ class NetServiceBase:
             if method != "GET":
                 return 405, {"error": "method-not-allowed"}
             return 200, self.health()
-        if path == "/statsz":
-            if method != "GET":
-                return 405, {"error": "method-not-allowed"}
-            return 200, jsonable(self.stats())
         if path == "/metricsz":
             if method != "GET":
                 return 405, {"error": "method-not-allowed"}
@@ -424,8 +394,7 @@ class NetServiceBase:
                 return 405, {"error": "method-not-allowed"}
             return await self._http_query(body)
         return 404, {"error": "not-found",
-                     "endpoints": ["/healthz", "/statsz", "/metricsz",
-                                   "/query"]}
+                     "endpoints": ["/healthz", "/metricsz", "/query"]}
 
     async def _http_metrics(self, query: str) -> Tuple:
         """``GET /metricsz``: Prometheus text, or the mergeable JSON
@@ -537,7 +506,6 @@ class DistanceWorker(NetServiceBase):
             request.u, request.v,
             multiplicative=request.multiplicative,
             additive=request.additive,
-            client="net",
             artifact=request.artifact or None,
             trace=trace,
             deadline=deadline,
@@ -547,21 +515,6 @@ class DistanceWorker(NetServiceBase):
         health = super().health()
         health["worker_id"] = self.worker_id
         return health
-
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["worker_id"] = self.worker_id
-        # The full DistanceServer snapshot.  Its "coalescing" block is
-        # configuration only here: a worker answers whole frames through
-        # gather(), which parks nothing and so never starts a flusher.
-        stats["server"] = self.server.stats()
-        # Residency per loaded engine (resident vs mapped bytes, shard
-        # faults) so a fleet's memory story is one /statsz sweep away,
-        # not a loadgen --report-residency run.
-        stats["memory"] = {name: engine.memory_stats()
-                           for name, engine
-                           in sorted(self.server.engines().items())}
-        return stats
 
 
 async def run_worker(artifacts: Sequence[str], host: str, port: int,

@@ -1,24 +1,21 @@
 """`repro.obs` — dependency-free observability for the whole stack.
 
-One :class:`MetricsRegistry` per process (counters, gauges, fixed-bucket
-histograms, mergeable percentile recorders), sampled cross-tier request
-tracing that rides the `repro.net` wire protocol, and Prometheus text
-exposition served at every tier's ``/metricsz`` route with a fleet
+One :class:`MetricsRegistry` per process (counters, gauges, mergeable
+percentile recorders), sampled cross-tier request tracing that rides the
+`repro.net` wire protocol, and Prometheus text exposition served at every
+tier's ``/metricsz`` route — the one stats surface — with a fleet
 aggregator at the frontend.  See the README's "Observability" section
 for the metric catalogue and trace schema.
 """
 
 from .metrics import (
     Counter,
-    DEFAULT_LATENCY_BUCKETS_US,
     Gauge,
-    Histogram,
     LatencyRecorder,
     MetricsRegistry,
     RecorderHandle,
     get_registry,
     merge_snapshots,
-    set_enabled,
 )
 from .tracing import (
     Span,
@@ -38,9 +35,7 @@ from .export import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS_US",
     "Gauge",
-    "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
     "RecorderHandle",
@@ -54,7 +49,6 @@ __all__ = [
     "merge_snapshots",
     "render_snapshot",
     "render_top",
-    "set_enabled",
     "set_sample_rate",
     "to_prometheus_text",
     "unpack_trace_blob",

@@ -1,6 +1,7 @@
 """Exposition and scraping for :mod:`repro.obs.metrics` snapshots.
 
-Three consumers share this module:
+``/metricsz`` is the one stats surface every tier serves.  Three
+consumers share this module:
 
 * the worker's ``GET /metricsz`` route renders its process registry as
   Prometheus text exposition (``text/plain; version=0.0.4``) — or as the
@@ -47,43 +48,27 @@ def _join_labels(label_body: str, extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
+def _window(cell: Dict[str, Any]) -> LatencyRecorder:
+    """A recorder over an exported recorder cell's samples."""
+    samples = cell.get("samples_us", [])
+    recorder = LatencyRecorder(max(1, len(samples)))
+    for value in samples:
+        recorder.record(int(value * 1000.0))
+    return recorder
+
+
 def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
     """Render a registry snapshot (or a merged fleet snapshot) as
     Prometheus text exposition format 0.0.4."""
     lines: List[str] = []
 
-    for name, family in sorted((snapshot.get("counters") or {}).items()):
-        if family.get("help"):
-            lines.append(f"# HELP {name} {family['help']}")
-        lines.append(f"# TYPE {name} counter")
-        for label, value in sorted(family.get("values", {}).items()):
-            lines.append(f"{name}{_join_labels(label)} {_fmt(value)}")
-
-    for name, family in sorted((snapshot.get("gauges") or {}).items()):
-        if family.get("help"):
-            lines.append(f"# HELP {name} {family['help']}")
-        lines.append(f"# TYPE {name} gauge")
-        for label, value in sorted(family.get("values", {}).items()):
-            lines.append(f"{name}{_join_labels(label)} {_fmt(value)}")
-
-    for name, family in sorted((snapshot.get("histograms") or {}).items()):
-        if family.get("help"):
-            lines.append(f"# HELP {name} {family['help']}")
-        lines.append(f"# TYPE {name} histogram")
-        edges = list(family.get("buckets", []))
-        for label, cell in sorted(family.get("values", {}).items()):
-            cumulative = 0
-            for edge, count in zip(edges, cell["counts"]):
-                cumulative += count
-                le = 'le="' + _fmt(edge) + '"'
-                lines.append(
-                    f"{name}_bucket{_join_labels(label, le)} {cumulative}")
-            cumulative += cell["counts"][-1] if len(cell["counts"]) > len(edges) else 0
-            inf = 'le="+Inf"'
-            lines.append(
-                f"{name}_bucket{_join_labels(label, inf)} {cumulative}")
-            lines.append(f"{name}_sum{_join_labels(label)} {_fmt(cell['sum'])}")
-            lines.append(f"{name}_count{_join_labels(label)} {cell['count']}")
+    for kind in ("counter", "gauge"):
+        for name, family in sorted((snapshot.get(kind + "s") or {}).items()):
+            if family.get("help"):
+                lines.append(f"# HELP {name} {family['help']}")
+            lines.append(f"# TYPE {name} {kind}")
+            for label, value in sorted(family.get("values", {}).items()):
+                lines.append(f"{name}{_join_labels(label)} {_fmt(value)}")
 
     # Recorders render as Prometheus summaries: the quantiles are computed
     # over the merged sample window at scrape time.
@@ -92,10 +77,7 @@ def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
             lines.append(f"# HELP {name} {family['help']}")
         lines.append(f"# TYPE {name} summary")
         for label, cell in sorted(family.get("values", {}).items()):
-            samples = [int(value * 1000.0) for value in cell.get("samples_us", [])]
-            recorder = LatencyRecorder(max(1, len(samples)))
-            for sample in samples:
-                recorder.record(sample)
+            recorder = _window(cell)
             for quantile, p in (("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0)):
                 value = recorder.percentile(p)
                 if value is None:
@@ -166,36 +148,18 @@ def render_snapshot(snapshot: Dict[str, Any]) -> str:
     """Full catalogue: every series grouped by kind, plus recorder
     percentiles — the `repro obs snapshot` view."""
     sections: List[str] = []
-    counters = _flatten({"counters": snapshot.get("counters") or {}})
-    gauges = _flatten({"gauges": snapshot.get("gauges") or {}})
-    if counters:
-        sections.append("counters:")
-        sections += [f"  {name}{_join_labels(label)} = {_fmt(value)}"
-                     for name, label, value in sorted(counters)]
-    if gauges:
-        sections.append("gauges:")
-        sections += [f"  {name}{_join_labels(label)} = {_fmt(value)}"
-                     for name, label, value in sorted(gauges)]
-    histograms = snapshot.get("histograms") or {}
-    if histograms:
-        sections.append("histograms:")
-        for name, family in sorted(histograms.items()):
-            for label, cell in sorted(family.get("values", {}).items()):
-                count = cell.get("count", 0)
-                mean = (cell["sum"] / count) if count else 0.0
-                sections.append(
-                    f"  {name}{_join_labels(label)}: count={count} "
-                    f"mean={mean:.1f}")
+    for kind in ("counters", "gauges"):
+        rows = _flatten({kind: snapshot.get(kind) or {}})
+        if rows:
+            sections.append(f"{kind}:")
+            sections += [f"  {name}{_join_labels(label)} = {_fmt(value)}"
+                         for name, label, value in sorted(rows)]
     recorders = snapshot.get("recorders") or {}
     if recorders:
         sections.append("recorders:")
         for name, family in sorted(recorders.items()):
             for label, cell in sorted(family.get("values", {}).items()):
-                samples = [int(v * 1000.0) for v in cell.get("samples_us", [])]
-                recorder = LatencyRecorder(max(1, len(samples)))
-                for sample in samples:
-                    recorder.record(sample)
-                stats = recorder.snapshot()
+                stats = _window(cell).snapshot()
                 p50 = stats["p50_us"]
                 p99 = stats["p99_us"]
                 sections.append(
@@ -203,20 +167,3 @@ def render_snapshot(snapshot: Dict[str, Any]) -> str:
                     + (f" p50_us={p50:.1f} p99_us={p99:.1f}"
                        if p50 is not None and p99 is not None else ""))
     return "\n".join(sections) if sections else "(empty registry)"
-
-
-def scrape_worker_addresses(addresses: List[Tuple[str, int]],
-                            timeout: float = 5.0,
-                            ) -> Tuple[List[Dict[str, Any]], int]:
-    """Fetch JSON snapshots from each address, skipping unreachable ones.
-
-    Returns (snapshots, scraped_count); the synchronous path used by the
-    CLI (the frontend aggregates asynchronously in-process instead).
-    """
-    snapshots: List[Dict[str, Any]] = []
-    for host, port in addresses:
-        try:
-            snapshots.append(fetch_snapshot(host, port, timeout=timeout))
-        except (OSError, ValueError, ConnectionError):
-            continue
-    return snapshots, len(snapshots)

@@ -1,50 +1,44 @@
-"""Process-wide metrics registry: counters, gauges, histograms, recorders.
+"""Process-wide metrics registry: counters, gauges, recorders.
 
 Every tier of the stack (kernel dispatch, oracle engine, serving layer,
 net fleet) reports health through the same :class:`MetricsRegistry`, so
 one ``/metricsz`` scrape explains a process and one merge explains a
-fleet.  Four metric kinds:
+fleet: it is the only stats surface the system exports.  Three metric
+kinds:
 
-* :class:`Counter` — monotone float/int totals (queries served, frames
-  decoded, retries).  Supports *callback* backing: a tier that already
-  keeps its own counter (``QueryEngine._queries``, ``AnswerCache.hits``)
-  registers a read function instead of paying an increment on its hot
-  path — the registry reads the live value at snapshot time, so
-  migrating existing stats onto the registry costs the hot path nothing.
+* :class:`Counter` — monotone totals (queries served, frames decoded,
+  retries).  A tier that already keeps its own counter
+  (``QueryEngine._queries``, ``AnswerCache.hits``) registers a read
+  function instead of paying an increment on its hot path — the registry
+  reads the live value at snapshot time.  ``inc`` serves the rare sites
+  with no counter of their own (chaos injections, build phases).
 * :class:`Gauge` — instantaneous values (queue depth, resident bytes,
-  parked keys).  Same callback support.
-* :class:`Histogram` — fixed-bucket distributions with Prometheus
-  ``le`` (<=) bucket semantics; bucket counts merge associatively
-  across processes.
-* :class:`RecorderHandle` — the shared percentile path.  It wraps the
-  bounded-ring :class:`LatencyRecorder` (the *single* implementation
-  behind engine stats, per-client serving stats and the load
-  generator) and can *attach* recorders owned by other
-  objects, so their samples surface in ``/metricsz`` without double
-  recording.
+  parked keys), read through callbacks the same way.
+* :class:`RecorderHandle` — the percentile path.  It *attaches*
+  bounded-ring :class:`LatencyRecorder` windows owned by a tier (an
+  engine's, a server's), so their samples surface in ``/metricsz``
+  without a second recording.
+
+A tier states what it counts once, as a table of :data:`Series` rows:
+:func:`publish` registers the rows as callback series and
+:func:`read_series` is the tier's flat ``stats()`` view of the same rows,
+so a number cannot be counted on one surface and missed on the other.
 
 Label support (``labels={"kernel": "csr"}``) follows Prometheus: one
-metric *family* per name, one child per label set.  Children are cheap
-to hold — resolve them once at init time and call ``inc``/``observe``
-on the child in the hot path.
+metric *family* per name, one child per label set.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-safe dicts
 and merge associatively via :func:`merge_snapshots`, which is how the
 frontend aggregates worker-process registries into one fleet view.
 
 Everything is stdlib-only and thread-safe: family/child creation takes
-the registry lock, mutations take a per-child lock, and a disabled
-registry (``REPRO_METRICS=0`` or :func:`set_enabled`) turns every
-mutation into an early return — the overhead benchmark gates the
-enabled-vs-disabled difference.
+the registry lock and ``inc`` takes a per-counter lock.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
-from bisect import bisect_left
 from typing import (
     Any,
     Callable,
@@ -59,29 +53,23 @@ from typing import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS_US",
     "Gauge",
-    "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
     "RecorderHandle",
+    "Series",
     "get_registry",
-    "inc",
     "merge_snapshots",
-    "set_enabled",
+    "publish",
+    "read_series",
 ]
 
-#: Environment switch: any of these values disables the default registry
-#: (worker processes inherit it through the spawn environment).
-_DISABLED_VALUES = ("0", "false", "off", "no")
-
-#: Default microsecond bucket edges for request-latency histograms.
-DEFAULT_LATENCY_BUCKETS_US: Tuple[float, ...] = (
-    50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0,
-    25_000.0, 50_000.0, 100_000.0, 250_000.0, 1_000_000.0,
-)
-
 LabelMap = Optional[Mapping[str, str]]
+
+#: One row of a tier's series table: the series name, its kind
+#: (``"counter"`` or ``"gauge"``), help text, and the function reading the
+#: value off the owning object.
+Series = Tuple[str, str, str, Callable[[Any], float]]
 
 
 def _label_key(labels: LabelMap) -> Tuple[Tuple[str, str], ...]:
@@ -99,12 +87,11 @@ class LatencyRecorder:
     """Bounded reservoir of recent latencies (nanoseconds), mergeable.
 
     The single percentile implementation for the whole stack: the oracle
-    engine, per-client serving stats, the load generator, and the net
-    benchmark all record into this class (re-exported from
-    :mod:`repro.oracle.cache` for backward compatibility), so P50/P95/P99
-    are computed identically wherever they are printed.  ``merge``
-    absorbs another recorder's window — the cross-worker aggregation
-    primitive used by snapshot merging.
+    engine, the serving layer, the load generator and the frontend's
+    hedge delay all record into this class, so P50/P95/P99 are computed
+    identically wherever they are printed.  ``merge`` absorbs another
+    recorder's window — the cross-worker aggregation primitive used by
+    snapshot merging.
     """
 
     # __weakref__ so RecorderHandle.attach can hold owners' recorders
@@ -245,19 +232,16 @@ class _Callbacks:
 
 
 class Counter:
-    """Monotone total; ``inc`` in hot paths or callback-backed reads."""
+    """Monotone total: callback-backed reads, or ``inc`` at a rare site."""
 
-    __slots__ = ("_registry", "_lock", "_value", "_callbacks")
+    __slots__ = ("_lock", "_value", "_callbacks")
 
-    def __init__(self, registry: "MetricsRegistry"):
-        self._registry = registry
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
         self._callbacks = _Callbacks()
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -265,9 +249,8 @@ class Counter:
         """Fold ``fn()`` (or ``fn(owner)`` via weakref) into this counter.
 
         The function must read a *monotone* total the owner already
-        maintains — that is what makes the migration free: the owner's
-        hot path keeps its plain attribute increment and the registry
-        reads it only when a snapshot is taken.
+        maintains: the owner's hot path keeps its plain attribute
+        increment and the registry reads it only when a snapshot is taken.
         """
         self._callbacks.add(fn, owner)
 
@@ -277,133 +260,53 @@ class Counter:
 
 
 class Gauge:
-    """Instantaneous value; ``set``/``add`` or callback-backed reads."""
+    """Instantaneous value, read through callbacks at snapshot time."""
 
-    __slots__ = ("_registry", "_lock", "_value", "_callbacks")
+    __slots__ = ("_callbacks",)
 
-    def __init__(self, registry: "MetricsRegistry"):
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._value = 0.0
+    def __init__(self) -> None:
         self._callbacks = _Callbacks()
-
-    def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += amount
 
     def set_function(self, fn: Callable, owner: Optional[object] = None) -> None:
         self._callbacks.add(fn, owner)
 
     @property
     def value(self) -> float:
-        return self._value + self._callbacks.total()
-
-
-class Histogram:
-    """Fixed-bucket distribution with Prometheus ``le`` (<=) semantics.
-
-    ``buckets`` are the finite upper edges; one implicit overflow bucket
-    (``+Inf``) catches everything beyond the last edge.  Per-bucket
-    counts are stored non-cumulatively and merged elementwise, which is
-    what makes fleet aggregation associative and exact.
-    """
-
-    __slots__ = ("_registry", "_lock", "buckets", "counts", "sum", "count")
-
-    def __init__(self, registry: "MetricsRegistry",
-                 buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US):
-        edges = tuple(float(edge) for edge in buckets)
-        if not edges or any(nxt <= prev for nxt, prev in zip(edges[1:], edges)):
-            raise ValueError(
-                f"histogram buckets must be strictly increasing and "
-                f"non-empty, got {buckets!r}")
-        self._registry = registry
-        self._lock = threading.Lock()
-        self.buckets = edges
-        self.counts = [0] * (len(edges) + 1)  # [+Inf overflow last]
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        index = bisect_left(self.buckets, value)
-        with self._lock:
-            self.counts[index] += 1
-            self.sum += value
-            self.count += 1
-
-    def observe_many(self, value: float, count: int) -> None:
-        if count <= 0 or not self._registry.enabled:
-            return
-        index = bisect_left(self.buckets, value)
-        with self._lock:
-            self.counts[index] += count
-            self.sum += value * count
-            self.count += count
+        return self._callbacks.total()
 
 
 class RecorderHandle:
-    """A registry-managed :class:`LatencyRecorder`, plus attached peers.
+    """Latency windows owned elsewhere, merged at snapshot time.
 
-    ``record``/``record_many`` feed the handle's own recorder (the net
-    benchmark's path).  ``attach`` registers a recorder owned elsewhere
-    (an engine's, a per-client stat's) under a weak reference — its live
-    window is merged in at snapshot time, so existing ``stats()`` shapes
-    keep their private recorders while ``/metricsz`` sees every sample.
+    ``attach`` registers a :class:`LatencyRecorder` (an engine's, a
+    server's) under a weak reference: the owner keeps recording into its
+    own window, ``/metricsz`` sees every sample, and a dropped owner's
+    window drops out.
     """
 
-    __slots__ = ("_registry", "recorder", "_attached")
+    __slots__ = ("_attached",)
 
     #: Samples exported per child in registry snapshots (downsampled
     #: deterministically) so merged fleet snapshots stay small on the wire.
     EXPORT_SAMPLES = 2048
 
-    def __init__(self, registry: "MetricsRegistry", window: int = 65536):
-        self._registry = registry
-        self.recorder = LatencyRecorder(window)
+    def __init__(self) -> None:
         self._attached: List[weakref.ref] = []
-
-    def record(self, nanoseconds: int) -> None:
-        if self._registry.enabled:
-            self.recorder.record(nanoseconds)
-
-    def record_many(self, nanoseconds: int, count: int) -> None:
-        if self._registry.enabled:
-            self.recorder.record_many(nanoseconds, count)
 
     def attach(self, recorder: LatencyRecorder) -> None:
         self._attached.append(weakref.ref(recorder))
 
-    def merged(self) -> LatencyRecorder:
-        """One recorder over the handle's own window plus attached peers."""
-        out = LatencyRecorder(max(self.recorder.window, 65536))
-        out.merge(self.recorder)
+    @property
+    def value(self) -> Dict[str, object]:
+        """Snapshot payload: total count plus a bounded sample list."""
+        merged = LatencyRecorder(65536)
         live = []
         for ref in self._attached:
             peer = ref()
-            if peer is None:
-                continue
-            out.merge(peer)
-            live.append(ref)
-        if len(live) != len(self._attached):
-            self._attached = live
-        return out
-
-    def snapshot(self) -> Dict[str, Optional[float]]:
-        return self.merged().snapshot()
-
-    def export(self) -> Dict[str, object]:
-        """Snapshot payload for registry snapshots: count + sample list."""
-        merged = self.merged()
+            if peer is not None:
+                merged.merge(peer)
+                live.append(ref)
+        self._attached = live
         samples = merged.samples()
         stride = max(1, len(samples) // self.EXPORT_SAMPLES)
         return {
@@ -412,72 +315,53 @@ class RecorderHandle:
         }
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram,
-          "recorder": RecorderHandle}
+_KINDS = {"counter": Counter, "gauge": Gauge, "recorder": RecorderHandle}
 
 
 class _Family:
-    __slots__ = ("kind", "help", "extra", "children")
+    __slots__ = ("kind", "help", "children")
 
-    def __init__(self, kind: str, help_text: str, extra: Dict[str, Any]):
+    def __init__(self, kind: str, help_text: str):
         self.kind = kind
         self.help = help_text
-        self.extra = extra
         self.children: Dict[Tuple[Tuple[str, str], ...], Any] = {}
 
 
 class MetricsRegistry:
     """Named metric families with label-set children and merge-safe snapshots."""
 
-    def __init__(self, enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = os.environ.get(
-                "REPRO_METRICS", "on").strip().lower() not in _DISABLED_VALUES
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
-    # metric accessors (create-or-return; hot paths hold the child)
+    # metric accessors (create-or-return)
     # ------------------------------------------------------------------
     def counter(self, name: str, help: str = "",
                 labels: LabelMap = None) -> Counter:
-        return self._child("counter", name, help, labels, {})
+        return self._child("counter", name, help, labels)
 
     def gauge(self, name: str, help: str = "",
               labels: LabelMap = None) -> Gauge:
-        return self._child("gauge", name, help, labels, {})
+        return self._child("gauge", name, help, labels)
 
-    def histogram(self, name: str, help: str = "", labels: LabelMap = None,
-                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
-                  ) -> Histogram:
-        return self._child("histogram", name, help, labels,
-                           {"buckets": tuple(float(b) for b in buckets)})
+    def recorder(self, name: str, help: str = "",
+                 labels: LabelMap = None) -> RecorderHandle:
+        return self._child("recorder", name, help, labels)
 
-    def recorder(self, name: str, help: str = "", labels: LabelMap = None,
-                 window: int = 65536) -> RecorderHandle:
-        return self._child("recorder", name, help, labels, {"window": window})
-
-    def _child(self, kind: str, name: str, help_text: str, labels: LabelMap,
-               extra: Dict[str, Any]):
+    def _child(self, kind: str, name: str, help_text: str, labels: LabelMap):
         key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = self._families[name] = _Family(kind, help_text, extra)
+                family = self._families[name] = _Family(kind, help_text)
             elif family.kind != kind:
                 raise ValueError(
                     f"metric {name!r} is already registered as a "
                     f"{family.kind}, cannot re-register as a {kind}")
             child = family.children.get(key)
             if child is None:
-                if kind == "histogram":
-                    child = Histogram(self, buckets=extra["buckets"])
-                elif kind == "recorder":
-                    child = RecorderHandle(self, window=extra["window"])
-                else:
-                    child = _KINDS[kind](self)
-                family.children[key] = child
+                child = family.children[key] = _KINDS[kind]()
         return child
 
     # ------------------------------------------------------------------
@@ -486,38 +370,15 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe view of every family; the unit of fleet aggregation."""
         out: Dict[str, Dict[str, object]] = {
-            "counters": {}, "gauges": {}, "histograms": {}, "recorders": {}}
+            "counters": {}, "gauges": {}, "recorders": {}}
         with self._lock:
             families = list(self._families.items())
         for name, family in families:
-            if family.kind == "counter":
-                out["counters"][name] = {
-                    "help": family.help,
-                    "values": {_label_string(key): child.value
-                               for key, child in family.children.items()},
-                }
-            elif family.kind == "gauge":
-                out["gauges"][name] = {
-                    "help": family.help,
-                    "values": {_label_string(key): child.value
-                               for key, child in family.children.items()},
-                }
-            elif family.kind == "histogram":
-                out["histograms"][name] = {
-                    "help": family.help,
-                    "buckets": list(family.extra["buckets"]),
-                    "values": {
-                        _label_string(key): {"counts": list(child.counts),
-                                             "sum": child.sum,
-                                             "count": child.count}
-                        for key, child in family.children.items()},
-                }
-            else:  # recorder
-                out["recorders"][name] = {
-                    "help": family.help,
-                    "values": {_label_string(key): child.export()
-                               for key, child in family.children.items()},
-                }
+            out[family.kind + "s"][name] = {
+                "help": family.help,
+                "values": {_label_string(key): child.value
+                           for key, child in family.children.items()},
+            }
         return out
 
     def reset(self) -> None:
@@ -530,14 +391,13 @@ def merge_snapshots(snapshots: Iterable[Dict[str, object]]
                     ) -> Dict[str, object]:
     """Fold registry snapshots into one: the fleet-aggregation primitive.
 
-    Counters, gauges, and histogram bucket counts add; recorder sample
-    lists concatenate.  The fold is associative and commutative for
-    every exact kind (counters/gauges/histograms), so scraping workers
-    in any order — or merging partial merges — yields the same fleet
-    snapshot.
+    Counters and gauges add; recorder sample lists concatenate.  The fold
+    is associative and commutative for counters and gauges, so scraping
+    workers in any order — or merging partial merges — yields the same
+    fleet snapshot.
     """
     merged: Dict[str, Dict[str, object]] = {
-        "counters": {}, "gauges": {}, "histograms": {}, "recorders": {}}
+        "counters": {}, "gauges": {}, "recorders": {}}
     for snapshot in snapshots:
         for kind in ("counters", "gauges"):
             for name, family in (snapshot.get(kind) or {}).items():
@@ -546,27 +406,6 @@ def merge_snapshots(snapshots: Iterable[Dict[str, object]]
                 for label, value in family.get("values", {}).items():
                     target["values"][label] = (
                         target["values"].get(label, 0.0) + float(value))
-        for name, family in (snapshot.get("histograms") or {}).items():
-            target = merged["histograms"].setdefault(
-                name, {"help": family.get("help", ""),
-                       "buckets": list(family.get("buckets", [])),
-                       "values": {}})
-            if list(family.get("buckets", [])) != target["buckets"]:
-                raise ValueError(
-                    f"histogram {name!r} has mismatched bucket edges "
-                    f"across snapshots; cannot merge")
-            for label, cell in family.get("values", {}).items():
-                slot = target["values"].get(label)
-                if slot is None:
-                    target["values"][label] = {
-                        "counts": list(cell["counts"]),
-                        "sum": float(cell["sum"]),
-                        "count": int(cell["count"])}
-                else:
-                    slot["counts"] = [a + b for a, b in
-                                      zip(slot["counts"], cell["counts"])]
-                    slot["sum"] += float(cell["sum"])
-                    slot["count"] += int(cell["count"])
         for name, family in (snapshot.get("recorders") or {}).items():
             target = merged["recorders"].setdefault(
                 name, {"help": family.get("help", ""), "values": {}})
@@ -588,19 +427,24 @@ def get_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
-def set_enabled(enabled: bool) -> None:
-    """Flip instrumentation on/off process-wide (the overhead baseline)."""
-    _REGISTRY.enabled = bool(enabled)
+def publish(owner: object, table: Sequence[Series],
+            labels: LabelMap = None) -> None:
+    """Register every row of ``table`` as a callback series read off ``owner``.
 
-
-def inc(name: str, help: str = "", labels: LabelMap = None,
-        amount: float = 1.0) -> None:
-    """Bump a counter on the default registry, creating it on first use.
-
-    The one-liner for call sites (chaos injection, quarantine paths)
-    that fire rarely enough that holding a Counter handle is not worth
-    the plumbing::
-
-        inc("repro_chaos_injections_total", labels={"site": "worker.recv"})
+    ``owner`` is held weakly (see :class:`_Callbacks`), so publishing
+    never keeps a tier alive.
     """
-    _REGISTRY.counter(name, help, labels=labels).inc(amount)
+    for name, kind, help_text, read in table:
+        _REGISTRY._child(kind, name, help_text, labels).set_function(
+            read, owner)
+
+
+def read_series(owner: object, table: Sequence[Series]) -> Dict[str, float]:
+    """``owner``'s flat view of ``table``: ``{short name: value}``.
+
+    The short name is the series name without its ``repro_<tier>_``
+    prefix and ``_total`` suffix — ``repro_serve_coalesced_keys_total``
+    reads as ``coalesced_keys``.
+    """
+    return {name.split("_", 2)[2].removesuffix("_total"): read(owner)
+            for name, _kind, _help, read in table}

@@ -21,7 +21,7 @@ build/serve split used by production shortest-path systems:
   written by ``save_sharded`` and opened by :func:`load_artifact`.
 * :mod:`repro.oracle.engine` — :class:`QueryEngine` serving ``dist``,
   ``batch`` and ``k_nearest`` queries with an array-resident answer
-  cache (:class:`AnswerCache`) and latency percentiles via ``stats()``.
+  cache (:class:`AnswerCache`) and latency percentiles via ``latency``.
 
 Quick start::
 
@@ -33,7 +33,7 @@ Quick start::
     artifact.save_sharded("oracle")       # oracle.shards.json + one shard
 
     engine = QueryEngine(load_artifact("oracle"))
-    print(engine.dist(0, 42), engine.stats()["latency"]["p50_us"])
+    print(engine.dist(0, 42), engine.latency.snapshot()["p50_us"])
 """
 
 from repro import lazy_exports

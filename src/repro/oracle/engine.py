@@ -18,10 +18,13 @@ engine holds nothing of a payload it did not load.
 All strategies share the same front end — an array-resident answer cache
 (:class:`~repro.oracle.cache.AnswerCache`: 4-way set-associative over the
 pair code ``lo * n + hi``, LRU within a set, preallocated at
-``24 × cache_size`` bytes), per-query latency recording, and a ``stats()``
-snapshot.  A batch is coded, probed, deduplicated, gathered and filled in
-a fixed number of numpy calls whatever its size; no per-pair Python runs
-between the caller's arrays and the answers.  The cache only ever stores
+``24 × cache_size`` bytes), per-query latency recording
+(:attr:`QueryEngine.latency`, published as ``repro_engine_latency_us``),
+and the counters of :attr:`QueryEngine.SERIES`, which ``/metricsz``
+publishes and ``stats()`` reads flat.  A batch is coded, probed,
+deduplicated, gathered and filled in a fixed number of numpy calls
+whatever its size; no per-pair Python runs between the caller's arrays
+and the answers.  The cache only ever stores
 what a kernel returned, so answers are bit-identical with it on, off, or
 thrashing.  To see what it costs and saves on the wire path, run
 ``python3 bench/run.py --workload wire-batch --trace 1`` and read
@@ -56,7 +59,12 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import LatencyRecorder, get_registry
+from repro.obs.metrics import (
+    LatencyRecorder,
+    get_registry,
+    publish,
+    read_series,
+)
 from repro.oracle.artifact import OracleArtifact
 from repro.oracle.cache import AnswerCache
 from repro.oracle.sharding import ShardedOracleArtifact
@@ -78,6 +86,27 @@ class QueryEngine:
         How many recent per-query latencies feed the percentile stats.
     """
 
+    #: What an engine counts: published per strategy on the registry,
+    #: read flat by :meth:`stats`.
+    SERIES = (
+        ("repro_engine_queries_total", "counter",
+         "Point/batch/k-nearest queries answered by oracle engines",
+         lambda e: e._queries),
+        ("repro_engine_cache_hits_total", "counter", "Answer-cache hits",
+         lambda e: e.cache.hits),
+        ("repro_engine_cache_misses_total", "counter", "Answer-cache misses",
+         lambda e: e.cache.misses),
+        ("repro_engine_shard_faults_total", "counter",
+         "Shard open faults across sharded artifacts",
+         lambda e: e.artifact.faults),
+        ("repro_engine_mapped_bytes", "gauge",
+         "Payload bytes memory-mapped (sharded artifacts)",
+         lambda e: e.artifact.mapped_bytes),
+        ("repro_engine_resident_bytes", "gauge",
+         "Payload bytes resident in memory",
+         lambda e: e.artifact.resident_bytes()),
+    )
+
     def __init__(self, artifact: Union[OracleArtifact, ShardedOracleArtifact],
                  cache_size: int = 65536, latency_window: int = 65536):
         artifact.validate()
@@ -87,7 +116,6 @@ class QueryEngine:
         self.cache = AnswerCache(cache_size)
         self.latency = LatencyRecorder(latency_window)
         self._queries = 0
-        self._batch_sizes: Dict[int, int] = {}
 
         spec = get_strategy(self.strategy)
         self.query_kind = spec.query_kind
@@ -123,41 +151,15 @@ class QueryEngine:
         self._edge_weights = np.append(self._csr_weights[upper][order], np.inf)
 
     def _register_metrics(self) -> None:
-        """Expose engine state on the process registry via weakref callbacks.
+        """Publish :attr:`SERIES` and attach the latency window.
 
-        Every series reads the counters the hot paths already maintain
-        (``self._queries``, the answer-cache hit/miss totals, shard-fault counts),
-        so instrumentation adds zero work per query; the latency recorder
-        is *attached*, not copied, so ``/metricsz`` sees the live window.
+        Every series reads the counters the hot paths already maintain, so
+        instrumentation adds zero work per query; the latency recorder is
+        *attached*, not copied, so ``/metricsz`` sees the live window.
         """
-        registry = get_registry()
         labels = {"strategy": self.strategy}
-        registry.counter(
-            "repro_engine_queries_total",
-            "Point/batch/k-nearest queries answered by oracle engines",
-            labels=labels,
-        ).set_function(lambda e: e._queries, self)
-        registry.counter(
-            "repro_engine_cache_hits_total",
-            "Answer-cache hits", labels=labels,
-        ).set_function(lambda e: e.cache.hits, self)
-        registry.counter(
-            "repro_engine_cache_misses_total",
-            "Answer-cache misses", labels=labels,
-        ).set_function(lambda e: e.cache.misses, self)
-        registry.counter(
-            "repro_engine_shard_faults_total",
-            "Shard open faults across sharded artifacts", labels=labels,
-        ).set_function(lambda e: e.artifact.faults, self)
-        registry.gauge(
-            "repro_engine_mapped_bytes",
-            "Payload bytes memory-mapped (sharded artifacts)", labels=labels,
-        ).set_function(lambda e: e.artifact.mapped_bytes, self)
-        registry.gauge(
-            "repro_engine_resident_bytes",
-            "Payload bytes resident in memory", labels=labels,
-        ).set_function(lambda e: e.memory_stats()["resident_bytes"], self)
-        registry.recorder(
+        publish(self, self.SERIES, labels)
+        get_registry().recorder(
             "repro_engine_latency_us",
             "Per-query engine latency", labels=labels,
         ).attach(self.latency)
@@ -218,8 +220,6 @@ class QueryEngine:
         if bad.size:
             for node in nodes[bad[0]].tolist():
                 self._check_node(node)
-        bucket = 1 << (count - 1).bit_length()
-        self._batch_sizes[bucket] = self._batch_sizes.get(bucket, 0) + 1
 
         out = self.batch_core(lo, hi)
 
@@ -297,49 +297,19 @@ class QueryEngine:
         self.latency.record(time.perf_counter_ns() - started)
         return result
 
-    def stats(self) -> Dict[str, object]:
-        """Serving statistics: query counts, cache hit rate, latency.
+    def stats(self) -> Dict[str, float]:
+        """The values of :attr:`SERIES`, flat: ``queries`` (every point,
+        batch and k-nearest query ever answered), ``cache_hits``,
+        ``cache_misses``, ``shard_faults``, ``mapped_bytes`` and
+        ``resident_bytes`` — the numbers ``/metricsz`` publishes.
 
-        ``queries_total`` is a monotonic counter over every point, batch,
-        and k-nearest query the engine has ever answered;
-        ``batch_sizes`` is a histogram of :meth:`batch` call sizes keyed
-        by the power-of-two bucket the size falls into (a batch of 100
-        pairs lands in bucket ``"128"``).  Both exist so aggregators such
-        as :class:`repro.serve.DistanceServer` can fold engine stats into
-        their own without reaching for private attributes.
+        Residency is read off the artifact: an opened one holds the common
+        arrays it has read while the row arrays stay in the map — what
+        :func:`repro.oracle.strategies.resident_and_mapped` predicts; a
+        build product served straight from memory holds its whole payload
+        and maps nothing.
         """
-        return {
-            "strategy": self.strategy,
-            "n": self.n,
-            "queries": self._queries,
-            "queries_total": self._queries,
-            "batch_sizes": {str(bucket): count for bucket, count
-                            in sorted(self._batch_sizes.items())},
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_hit_rate": self.cache.hit_rate,
-            "cache_size": len(self.cache),
-            "latency": self.latency.snapshot(),
-            "memory": self.memory_stats(),
-        }
-
-    def memory_stats(self) -> Dict[str, object]:
-        """Resident vs mapped payload bytes (plus shard-fault counters).
-
-        Read off the artifact, one key set either way: an opened one
-        holds the common arrays it has read while the row arrays stay in
-        the map — what :func:`repro.oracle.strategies.resident_and_mapped`
-        predicts; a build product served straight from memory holds its
-        whole payload and maps nothing.  ``repro loadgen
-        --report-residency`` prints this snapshot.
-        """
-        artifact = self.artifact
-        return {
-            "num_shards": artifact.num_shards,
-            "shard_faults": artifact.faults,
-            "mapped_bytes": artifact.mapped_bytes,
-            "resident_bytes": artifact.resident_bytes(),
-        }
+        return read_series(self, self.SERIES)
 
     def clear_cache(self) -> None:
         """Drop cached answers (hit/miss counters are kept)."""

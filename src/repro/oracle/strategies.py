@@ -115,12 +115,12 @@ def resident_and_mapped(payload_floats: float,
                         common_floats: float) -> Tuple[float, float]:
     """``(resident_floats, mapped_floats)`` of a loaded artifact.
 
-    The one statement of what an engine holds, and what
-    ``QueryEngine.memory_stats()`` then measures: the common arrays are
-    resident, the payload is mapped — row arrays are read through the map
-    and never copied.  The planner evaluates it on an a-priori
-    :class:`CostEstimate`, the artifact registry on built metadata
-    (:meth:`StrategySpec.serving_costs`).
+    The one statement of what an engine holds, and what its
+    ``repro_engine_resident_bytes`` and ``repro_engine_mapped_bytes``
+    series then measure: the common arrays are resident, the payload is
+    mapped — row arrays are read through the map and never copied.  The
+    planner evaluates it on an a-priori :class:`CostEstimate`, the
+    artifact registry on built metadata (:meth:`StrategySpec.serving_costs`).
     """
     return common_floats, payload_floats
 

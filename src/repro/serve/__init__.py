@@ -16,7 +16,8 @@ turns it into a *service*.  Bottom-up:
 * :mod:`repro.serve.server` — :class:`DistanceServer`: asyncio front end
   with request coalescing (concurrent point queries become one
   vectorised gather, gathers at least one window apart), bounded-queue
-  backpressure with load shedding, per-client stats, graceful shutdown.
+  backpressure with load shedding, graceful shutdown; what it counts is
+  published on ``/metricsz`` and read flat by ``stats()``.
   Point queries and wire frames reach the engine through one screened
   gather that never returns an implausible distance.
 * :mod:`repro.serve.loadgen` — closed- and open-loop load generation
@@ -42,7 +43,7 @@ Quick start::
 from repro.serve.loadgen import (
     LoadReport,
     count_mismatches,
-    residency_from_stats,
+    residency_report,
     run_closed_loop,
     run_open_loop,
     zipf_pairs,
@@ -86,7 +87,7 @@ __all__ = [
     "StretchRouter",
     "build_registry",
     "count_mismatches",
-    "residency_from_stats",
+    "residency_report",
     "run_closed_loop",
     "run_open_loop",
     "serve_artifacts",

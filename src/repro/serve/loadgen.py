@@ -93,7 +93,7 @@ class LoadReport:
     #: generic transport failures).
     error_taxonomy: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Residency snapshot (shard faults, resident vs mapped bytes) from
-    #: :func:`residency_from_stats`, attached by ``--report-residency``.
+    #: :func:`residency_report`, attached by ``--report-residency``.
     residency: Optional[Dict[str, object]] = None
     #: Per-pair answers aligned with the input pairs (None = shed/error).
     answers: List[Optional[float]] = dataclasses.field(
@@ -255,12 +255,14 @@ async def run_closed_loop(server: DistanceServer, pairs: Sequence[Pair],
 
     ``record_latency=False`` skips the per-request client-side timing
     (the report's latency snapshot stays empty) — the throughput
-    harnesses use it because the server already keeps per-client
-    percentiles, and timing every call twice taxes all modes equally.
+    harnesses use it because the server already keeps a latency window
+    (:attr:`DistanceServer.latency`), and timing every call twice taxes
+    all modes equally.
     ``server`` is anything with an awaitable ``dist(u, v, ...)`` —
     the in-process :class:`DistanceServer` or a network client.
-    ``error_types`` widens what counts as a per-request error (network
-    callers add transport failures); ``collect_samples=True`` records a
+    ``client`` labels the raw samples.  ``error_types`` widens what counts
+    as a per-request error (network callers add transport failures);
+    ``collect_samples=True`` records a
     raw per-request sample (timestamp, per-worker client id, latency,
     status) into :attr:`LoadReport.samples` for JSONL export.
     ``timeout`` bounds each request client-side: a request that has not
@@ -296,8 +298,7 @@ async def run_closed_loop(server: DistanceServer, pairs: Sequence[Pair],
             mult, add = (budgets[index] if budgets is not None
                          else (multiplicative, additive))
             try:
-                call = dist(u, v, multiplicative=mult,
-                            additive=add, client=client)
+                call = dist(u, v, multiplicative=mult, additive=add)
                 if timeout is not None:
                     call = asyncio.wait_for(call, timeout)
                 answers[index] = await call
@@ -382,9 +383,7 @@ async def run_open_loop(server: DistanceServer, pairs: Sequence[Pair],
         mult, add = (budgets[index] if budgets is not None
                      else (multiplicative, additive))
         try:
-            call = server.dist(
-                u, v, multiplicative=mult, additive=add,
-                client=client)
+            call = server.dist(u, v, multiplicative=mult, additive=add)
             if timeout is not None:
                 call = asyncio.wait_for(call, timeout)
             answers[index] = await call
@@ -436,25 +435,22 @@ async def run_open_loop(server: DistanceServer, pairs: Sequence[Pair],
     )
 
 
-def residency_from_stats(server_stats: Dict[str, object]) -> Dict[str, object]:
-    """Condense a server stats snapshot into a residency report.
+def residency_report(engines: Dict[str, QueryEngine]) -> Dict[str, object]:
+    """Shard faults and resident vs mapped payload bytes of ``engines``.
 
-    Per loaded engine: shard-fault count and resident vs mapped payload
-    bytes (from :meth:`repro.oracle.engine.QueryEngine.memory_stats`),
-    plus a totals row.  Attached to :class:`LoadReport` by
-    ``repro loadgen --report-residency`` so a load report answers "how
-    much RAM did serving this workload actually take?" alongside its
-    latency percentiles.
+    Per engine (read off :meth:`QueryEngine.stats`), plus a totals row.
+    Attached to :class:`LoadReport` by ``repro loadgen
+    --report-residency`` so a load report answers "how much RAM did
+    serving this workload actually take?" alongside its latency
+    percentiles.
     """
-    engines = server_stats.get("engines", {}) or {}
-    per_engine: Dict[str, object] = {}
     total = {"shard_faults": 0, "resident_bytes": 0, "mapped_bytes": 0}
-    for name, engine_stats in sorted(engines.items()):
-        memory = dict(engine_stats.get("memory", {}))
-        per_engine[name] = memory
-        total["shard_faults"] += int(memory.get("shard_faults", 0))
-        total["resident_bytes"] += int(memory.get("resident_bytes", 0))
-        total["mapped_bytes"] += int(memory.get("mapped_bytes", 0))
+    per_engine: Dict[str, object] = {}
+    for name, engine in sorted(engines.items()):
+        stats = engine.stats()
+        per_engine[name] = {key: int(stats[key]) for key in total}
+        for key in total:
+            total[key] += per_engine[name][key]
     return {"total": total, "engines": per_engine}
 
 

@@ -27,7 +27,8 @@ payload (``n²`` for the dense strategies, ``2nk + n·|A|`` for
 min over the ``|A|`` landmarks otherwise), and
 :func:`~repro.oracle.strategies.resident_and_mapped` says where it lives —
 the small common arrays are resident, the payload is mapped — which is
-what the loaded engine's ``memory_stats()`` then measures.  Cheapness is
+what the loaded engine's ``repro_engine_resident_bytes`` and
+``repro_engine_mapped_bytes`` series then measure.  Cheapness is
 compared lexicographically — payload floats first (the planner's leading
 term, read off the same ``cost_fn`` tuple), then per-query work, then
 name — so the order is total and reproducible, and the router serves the
@@ -47,6 +48,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.metrics import publish
 from repro.oracle.artifact import ArtifactError, ArtifactMetadata
 from repro.oracle.engine import QueryEngine
 from repro.oracle.sharding import (
@@ -148,6 +150,26 @@ class ArtifactRegistry:
         engine (every ``engine()`` call refreshes recency).
     """
 
+    #: What a registry counts, on the obs registry.
+    SERIES = (
+        ("repro_registry_loads_total", "counter",
+         "QueryEngine loads performed by artifact registries",
+         lambda r: r.loads),
+        ("repro_registry_evictions_total", "counter",
+         "Resident engines evicted by artifact registries",
+         lambda r: r.evictions),
+        ("repro_registry_load_failures_total", "counter",
+         "Registry entries dropped after their payload failed to load",
+         lambda r: r.load_failures),
+        ("repro_registry_epoch", "gauge",
+         "Catalogue/resident-set change epoch", lambda r: r.epoch),
+        ("repro_registry_entries", "gauge",
+         "Registered artifacts (resident or not)", lambda r: len(r._entries)),
+        ("repro_registry_resident_engines", "gauge",
+         "QueryEngine instances currently resident",
+         lambda r: len(r._engines)),
+    )
+
     def __init__(self, capacity: int = 4):
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
@@ -162,36 +184,7 @@ class ArtifactRegistry:
         #: Bumped on any catalogue or resident-set change; lets routers
         #: memoize per-budget decisions and invalidate them cheaply.
         self.epoch = 0
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Mirror registry state onto the obs registry (weakref callbacks)."""
-        from repro.obs.metrics import get_registry
-        registry = get_registry()
-        registry.counter(
-            "repro_registry_loads_total",
-            "QueryEngine loads performed by artifact registries",
-        ).set_function(lambda r: r.loads, self)
-        registry.counter(
-            "repro_registry_evictions_total",
-            "Resident engines evicted by artifact registries",
-        ).set_function(lambda r: r.evictions, self)
-        registry.counter(
-            "repro_registry_load_failures_total",
-            "Registry entries dropped after their payload failed to load",
-        ).set_function(lambda r: r.load_failures, self)
-        registry.gauge(
-            "repro_registry_epoch",
-            "Catalogue/resident-set change epoch",
-        ).set_function(lambda r: r.epoch, self)
-        registry.gauge(
-            "repro_registry_entries",
-            "Registered artifacts (resident or not)",
-        ).set_function(lambda r: len(r._entries), self)
-        registry.gauge(
-            "repro_registry_resident_engines",
-            "QueryEngine instances currently resident",
-        ).set_function(lambda r: len(r._engines), self)
+        publish(self, self.SERIES)
 
     # ------------------------------------------------------------------
     # registration and discovery
@@ -328,24 +321,6 @@ class ArtifactRegistry:
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries
-
-    def stats(self) -> Dict[str, object]:
-        loaded_entries = [self._entries[name] for name in self._engines
-                          if name in self._entries]
-        return {
-            "artifacts": len(self._entries),
-            "capacity": self.capacity,
-            "loaded": self.loaded(),
-            "loads": self.loads,
-            "evictions": self.evictions,
-            "load_failures": self.load_failures,
-            # Resident vs mapped split over the currently loaded engines:
-            # mapped floats live in the page cache and cost no RAM budget.
-            "resident_floats": sum(entry.resident_floats
-                                   for entry in loaded_entries),
-            "mapped_floats": sum(entry.mapped_floats
-                                 for entry in loaded_entries),
-        }
 
     # ------------------------------------------------------------------
     # manifests

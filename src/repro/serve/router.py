@@ -31,6 +31,7 @@ import dataclasses
 import math
 from typing import Dict, List, Optional
 
+from repro.obs.metrics import get_registry
 from repro.oracle.engine import QueryEngine
 from repro.oracle.strategies import StretchGuarantee
 from repro.serve.registry import ArtifactEntry, ArtifactRegistry
@@ -92,8 +93,15 @@ class StretchRouter:
 
     def __init__(self, registry: ArtifactRegistry):
         self.registry = registry
-        self._route_counts: Dict[str, int] = {}
-        self._rejected = 0
+        #: Requests routed per artifact name, and requests no artifact
+        #: admitted: ``repro_router_routes_total{artifact=…}`` and
+        #: ``repro_router_rejected_total`` on the obs registry.
+        self.routes: Dict[str, int] = {}
+        self.rejected = 0
+        get_registry().counter(
+            "repro_router_rejected_total",
+            "Requests whose stretch budget no artifact admits",
+        ).set_function(lambda r: r.rejected, self)
         # Per-budget decision memo, invalidated whenever the registry's
         # catalogue changes (its epoch moves) — routing on the server's
         # hot path must not re-sort per request.
@@ -118,12 +126,12 @@ class StretchRouter:
         memo_key = (multiplicative, additive)
         memoized = self._memo.get(memo_key)
         if memoized is not None:
-            self._route_counts[memoized.name] += 1
+            self.routes[memoized.name] += 1
             return memoized
         budget = StretchBudget(multiplicative, additive)
         candidates = self.admissible(budget)
         if not candidates:
-            self._rejected += 1
+            self.rejected += 1
             guarantees = ", ".join(
                 f"{entry.name}={entry.stretch.multiplicative:g}x"
                 + (f"+{entry.stretch.additive:g}" if entry.stretch.additive else "")
@@ -134,7 +142,15 @@ class StretchRouter:
                 f"{multiplicative:g}x+{additive:g}; available: {guarantees}"
             )
         chosen = candidates[0]
-        self._route_counts[chosen.name] = self._route_counts.get(chosen.name, 0) + 1
+        if chosen.name not in self.routes:
+            # The artifact's series child is created on its first route,
+            # so the memoized hot path above is one dict increment.
+            self.routes[chosen.name] = 0
+            get_registry().counter(
+                "repro_router_routes_total", "Requests routed, per artifact",
+                labels={"artifact": chosen.name},
+            ).set_function(lambda r, _name=chosen.name: r.routes[_name], self)
+        self.routes[chosen.name] += 1
         decision = RouteDecision(name=chosen.name, entry=chosen)
         self._memo[memo_key] = decision
         return decision
@@ -159,7 +175,7 @@ class StretchRouter:
         return entry
 
     # ------------------------------------------------------------------
-    # engine access and stats (the server's view of the registry)
+    # engine access (the server's view of the registry)
     # ------------------------------------------------------------------
     def engine(self, name: str) -> QueryEngine:
         return self.registry.engine(name)
@@ -167,13 +183,3 @@ class StretchRouter:
     def entry(self, name: str) -> ArtifactEntry:
         """Registry entry for ``name`` (raises ``RegistryError`` if unknown)."""
         return self.registry.get(name)
-
-    def loaded_engines(self) -> Dict[str, QueryEngine]:
-        return self.registry.loaded_engines()
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "routes": dict(sorted(self._route_counts.items())),
-            "rejected": self._rejected,
-            "registry": self.registry.stats(),
-        }

@@ -29,9 +29,10 @@ Around that core:
   raising :class:`ServerOverloaded` immediately — the caller can retry
   elsewhere) or parks the caller until space frees
   (``overload_policy="wait"``).
-* **Per-client stats** — every request names a ``client``; the server
-  keeps per-client request/answer/shed counters and latency percentiles,
-  and folds in the engines' own ``stats()`` snapshots.
+* **Observability** — what the server counts is one table,
+  :attr:`DistanceServer.SERIES`, published on the obs registry and read
+  flat by ``stats()``; request latency goes to one window,
+  :attr:`DistanceServer.latency`, published as ``repro_serve_latency_us``.
 * **Graceful shutdown** — ``await server.stop()`` rejects new requests,
   flushes everything pending, and closes the coalescer; ``async with``
   scopes a server to a block.
@@ -53,7 +54,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import LatencyRecorder
+from repro.obs.metrics import LatencyRecorder, get_registry, publish, read_series
 from repro.oracle.engine import QueryEngine
 from repro.oracle.sharding import ShardIntegrityError
 from repro.serve.coalesce import Coalescer
@@ -106,15 +107,12 @@ class ServerConfig:
     overload_policy:
         ``"shed"`` raises :class:`ServerOverloaded` at capacity;
         ``"wait"`` parks callers until space frees.
-    client_latency_window:
-        Samples per client backing the latency percentiles.
     """
 
     coalesce_window: float = 0.001
     max_batch: int = 1024
     queue_capacity: int = 8192
     overload_policy: str = "shed"
-    client_latency_window: int = 8192
 
     def __post_init__(self) -> None:
         if self.coalesce_window < 0:
@@ -128,28 +126,6 @@ class ServerConfig:
                 f"overload_policy must be 'shed' or 'wait', "
                 f"got {self.overload_policy!r}"
             )
-
-
-class _ClientStats:
-    """Per-client counters and latency percentiles."""
-
-    __slots__ = ("requests", "answered", "shed", "errors", "latency")
-
-    def __init__(self, window: int):
-        self.requests = 0
-        self.answered = 0
-        self.shed = 0
-        self.errors = 0
-        self.latency = LatencyRecorder(window)
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "answered": self.answered,
-            "shed": self.shed,
-            "errors": self.errors,
-            "latency": self.latency.snapshot(),
-        }
 
 
 class _SingleEngineRouter:
@@ -171,8 +147,6 @@ class _SingleEngineRouter:
             mapped_floats=0.0,
             row_ranges=((0, engine.n),),
         )
-        self._route_counts = 0
-        self._rejected = 0
         # One artifact means one possible decision; build it once so the
         # server's hot path does not construct a dataclass per request.
         self._decision = RouteDecision(name=name, entry=self._entry)
@@ -181,13 +155,11 @@ class _SingleEngineRouter:
               additive: float = math.inf) -> RouteDecision:
         stretch = self._entry.stretch
         if not budget_admits(stretch, multiplicative, additive):
-            self._rejected += 1
             raise RoutingError(
                 f"engine guarantee {stretch.multiplicative:g}x+"
                 f"{stretch.additive:g} exceeds stretch budget "
                 f"{multiplicative:g}x+{additive:g}"
             )
-        self._route_counts += 1
         return self._decision
 
     def engine(self, name: str) -> QueryEngine:
@@ -203,13 +175,6 @@ class _SingleEngineRouter:
     # Written against ``route``/``entry`` only, which this adapter has.
     resolve = StretchRouter.resolve
 
-    def loaded_engines(self) -> Dict[str, QueryEngine]:
-        return {self._entry.name: self._engine}
-
-    def stats(self) -> Dict[str, object]:
-        return {"routes": {self._entry.name: self._route_counts},
-                "rejected": self._rejected, "registry": None}
-
 
 RouterLike = Union[StretchRouter, ArtifactRegistry, QueryEngine]
 
@@ -221,6 +186,36 @@ class DistanceServer:
     :class:`ArtifactRegistry` (wrapped in a default router), or a bare
     :class:`QueryEngine` (single-artifact serving).
     """
+
+    #: What a server counts: published on the obs registry, read flat by
+    #: :meth:`stats`.  Every row reads a plain int the dist()/gather()
+    #: coroutines already maintain, so being observable costs them nothing.
+    SERIES = (
+        ("repro_serve_requests_total", "counter",
+         "Requests entering DistanceServer (pairs count individually)",
+         lambda s: s._requests_total),
+        ("repro_serve_served_total", "counter",
+         "Requests answered successfully", lambda s: s._served_total),
+        ("repro_serve_shed_total", "counter",
+         "Requests shed at the backpressure gate", lambda s: s._shed_total),
+        ("repro_serve_errors_total", "counter",
+         "Requests failed with an error", lambda s: s._errors_total),
+        ("repro_serve_engine_batches_total", "counter",
+         "Vectorised engine gathers issued", lambda s: s._engine_batches),
+        ("repro_serve_coalesced_keys_total", "counter",
+         "Distinct keys resolved through engine gathers",
+         lambda s: s._coalesced_keys),
+        ("repro_serve_quarantines_total", "counter",
+         "Gathers that tripped the shard-integrity quarantine",
+         lambda s: s._quarantines),
+        ("repro_serve_deadline_rejections_total", "counter",
+         "Requests abandoned because their deadline expired",
+         lambda s: s._deadline_rejections),
+        ("repro_serve_in_flight", "gauge",
+         "Requests holding a queue slot right now", lambda s: s._in_flight),
+        ("repro_serve_pending_keys", "gauge",
+         "Keys parked in coalescing buckets", lambda s: s._coalescer.parked),
+    )
 
     def __init__(self, target: RouterLike, config: Optional[ServerConfig] = None):
         if isinstance(target, QueryEngine):
@@ -242,7 +237,9 @@ class DistanceServer:
         self._in_flight = 0
         self._space_waiters: Deque[asyncio.Future] = deque()
 
-        self._clients: Dict[str, _ClientStats] = {}
+        #: Latency of the last 8,192 requests (the pairs of one gather()
+        #: share its time equally).
+        self.latency = LatencyRecorder(8192)
         self._requests_total = 0
         self._served_total = 0
         self._shed_total = 0
@@ -254,47 +251,11 @@ class DistanceServer:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Mirror server totals onto the obs registry (weakref callbacks).
-
-        Every series reads the plain-int counters the hot coroutines
-        already maintain, so the dist()/gather() paths pay nothing for
-        being observable.
-        """
-        from repro.obs.metrics import get_registry
-        registry = get_registry()
-        for metric, help_text, read in (
-            ("repro_serve_requests_total",
-             "Requests entering DistanceServer (pairs count individually)",
-             lambda s: s._requests_total),
-            ("repro_serve_served_total",
-             "Requests answered successfully", lambda s: s._served_total),
-            ("repro_serve_shed_total",
-             "Requests shed at the backpressure gate",
-             lambda s: s._shed_total),
-            ("repro_serve_errors_total",
-             "Requests failed with an error", lambda s: s._errors_total),
-            ("repro_serve_engine_batches_total",
-             "Vectorised engine gathers issued", lambda s: s._engine_batches),
-            ("repro_serve_coalesced_keys_total",
-             "Distinct keys resolved through engine gathers",
-             lambda s: s._coalesced_keys),
-            ("repro_serve_quarantines_total",
-             "Gathers that tripped the shard-integrity quarantine",
-             lambda s: s._quarantines),
-            ("repro_serve_deadline_rejections_total",
-             "Requests abandoned because their deadline expired",
-             lambda s: s._deadline_rejections),
-        ):
-            registry.counter(metric, help_text).set_function(read, self)
-        for metric, help_text, read in (
-            ("repro_serve_in_flight",
-             "Requests holding a queue slot right now",
-             lambda s: s._in_flight),
-            ("repro_serve_pending_keys",
-             "Keys parked in coalescing buckets",
-             lambda s: s._coalescer.parked),
-        ):
-            registry.gauge(metric, help_text).set_function(read, self)
+        """Publish :attr:`SERIES` and attach the latency window."""
+        publish(self, self.SERIES)
+        get_registry().recorder(
+            "repro_serve_latency_us", "DistanceServer request latency",
+        ).attach(self.latency)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -332,7 +293,7 @@ class DistanceServer:
     # query API
     # ------------------------------------------------------------------
     async def dist(self, u: int, v: int, *, multiplicative: float = math.inf,
-                   additive: float = math.inf, client: str = "default") -> float:
+                   additive: float = math.inf) -> float:
         """Estimated distance, served from the cheapest admissible artifact.
 
         Raises :class:`RoutingError` when no artifact meets the budget,
@@ -342,10 +303,6 @@ class DistanceServer:
         if self._closed:
             raise ServerClosed("server is shut down")
         started = time.perf_counter_ns()
-        stats = self._clients.get(client)
-        if stats is None:
-            stats = self._client(client)
-        stats.requests += 1
         self._requests_total += 1
         # One flat coroutine: this is the hot path, and every extra frame
         # or coroutine hop costs about a microsecond per request.
@@ -361,7 +318,7 @@ class DistanceServer:
                 key = (u, v) if u < v else (v, u)
                 config = self.config
                 if self._in_flight >= config.queue_capacity:
-                    await self._admit_slow(stats)
+                    await self._admit_slow()
                 self._in_flight += 1
                 try:
                     if config.coalesce_window <= 0:
@@ -377,27 +334,23 @@ class DistanceServer:
         except ServerOverloaded:
             raise  # shed accounting happened at the admission gate
         except BaseException:
-            stats.errors += 1
             self._errors_total += 1
             raise
-        stats.answered += 1
         self._served_total += 1
-        stats.latency.record(time.perf_counter_ns() - started)
+        self.latency.record(time.perf_counter_ns() - started)
         return value
 
     async def batch(self, pairs: Sequence[Pair], *,
                     multiplicative: float = math.inf,
-                    additive: float = math.inf,
-                    client: str = "default") -> List[float]:
+                    additive: float = math.inf) -> List[float]:
         """Concurrent :meth:`dist` over ``pairs`` (shares their coalescing)."""
         return list(await asyncio.gather(*(
-            self.dist(u, v, multiplicative=multiplicative, additive=additive,
-                      client=client)
+            self.dist(u, v, multiplicative=multiplicative, additive=additive)
             for u, v in pairs
         )))
 
     async def gather(self, u, v, *, multiplicative: float = math.inf,
-                     additive: float = math.inf, client: str = "default",
+                     additive: float = math.inf,
                      artifact: Optional[str] = None,
                      trace=None,
                      deadline: Optional[float] = None) -> np.ndarray:
@@ -414,7 +367,8 @@ class DistanceServer:
         answer from the same table; ``None`` routes by budget as usual.
 
         Each pair counts once in the request/served/shed/error totals
-        and client percentiles; the call occupies one backpressure slot.
+        and takes an equal share of the call's time in :attr:`latency`;
+        the call occupies one backpressure slot.
 
         ``deadline`` (an absolute ``time.monotonic()`` instant, or None)
         bounds the work: it is checked at admission, again after any
@@ -430,7 +384,6 @@ class DistanceServer:
         if self._closed:
             raise ServerClosed("server is shut down")
         started = time.perf_counter_ns()
-        stats = self._client(client)
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape or u.ndim != 1:
@@ -438,7 +391,6 @@ class DistanceServer:
                 f"u/v must be equal-length 1-D node arrays, got shapes "
                 f"{u.shape} and {v.shape}")
         count = len(u)
-        stats.requests += count
         self._requests_total += count
         try:
             self._check_deadline(deadline, "at admission")
@@ -461,7 +413,7 @@ class DistanceServer:
                     span_wall = time.time()
                     span_tick = time.perf_counter_ns()
                 if self._in_flight >= config.queue_capacity:
-                    await self._admit_slow(stats, weight=count)
+                    await self._admit_slow(weight=count)
                     self._check_deadline(deadline, "waiting for a queue slot")
                 self._in_flight += 1
                 if trace is not None:
@@ -490,58 +442,23 @@ class DistanceServer:
         except ServerOverloaded:
             raise  # shed accounting happened at the admission gate
         except BaseException:
-            stats.errors += count
             self._errors_total += count
             raise
-        stats.answered += count
         self._served_total += count
         if count:
-            stats.latency.record_many(
+            self.latency.record_many(
                 (time.perf_counter_ns() - started) // count, count)
         return values
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Server, router, per-client, and per-engine statistics."""
-        return {
-            "requests_total": self._requests_total,
-            "served_total": self._served_total,
-            "shed_total": self._shed_total,
-            "errors_total": self._errors_total,
-            "engine_batches": self._engine_batches,
-            "coalesced_keys": self._coalesced_keys,
-            "quarantines": self._quarantines,
-            "deadline_rejections": self._deadline_rejections,
-            "queue": {
-                "capacity": self.config.queue_capacity,
-                "in_flight": self._in_flight,
-                "pending_keys": self._coalescer.parked,
-                "overload_policy": self.config.overload_policy,
-            },
-            "coalescing": {
-                "mode": "fixed" if self.config.coalesce_window > 0 else "off",
-                "window_s": self.config.coalesce_window,
-            },
-            "router": self._router.stats(),
-            "clients": {name: client.snapshot()
-                        for name, client in sorted(self._clients.items())},
-            "engines": {name: engine.stats() for name, engine
-                        in sorted(self._router.loaded_engines().items())},
-        }
-
-    def client_stats(self, client: str = "default") -> Dict[str, object]:
-        return self._client(client).snapshot()
-
-    def engines(self) -> Dict[str, QueryEngine]:
-        """The engines currently loaded behind this server, by name.
-
-        Public accessor for aggregators (the net worker's ``/statsz``
-        residency report) that need per-engine ``memory_stats()`` without
-        reaching into the router.
-        """
-        return dict(self._router.loaded_engines())
+    def stats(self) -> Dict[str, float]:
+        """The values of :attr:`SERIES`, flat: ``requests``, ``served``,
+        ``shed``, ``errors``, ``engine_batches``, ``coalesced_keys``,
+        ``quarantines``, ``deadline_rejections``, ``in_flight`` and
+        ``pending_keys`` — the numbers ``/metricsz`` publishes."""
+        return read_series(self, self.SERIES)
 
     # ------------------------------------------------------------------
     # internals
@@ -550,20 +467,6 @@ class DistanceServer:
         """Requests that entered :meth:`dist` and have not yet settled."""
         return (self._requests_total - self._served_total
                 - self._shed_total - self._errors_total)
-
-    def _client(self, name: str) -> _ClientStats:
-        stats = self._clients.get(name)
-        if stats is None:
-            stats = self._clients[name] = _ClientStats(
-                self.config.client_latency_window)
-            # Attach (not copy) the client's recorder so /metricsz reads
-            # the same live window stats() reports.
-            from repro.obs.metrics import get_registry
-            get_registry().recorder(
-                "repro_serve_client_latency_us",
-                "Per-client request latency", labels={"client": name},
-            ).attach(stats.latency)
-        return stats
 
     def _check_deadline(self, deadline: Optional[float], where: str) -> None:
         """Raise :class:`DeadlineExceeded` if ``deadline`` has passed."""
@@ -615,7 +518,7 @@ class DistanceServer:
         return self._screened_batch(self._router.engine(name),
                                     nodes[:, 0], nodes[:, 1]).tolist()
 
-    async def _admit_slow(self, stats: _ClientStats, weight: int = 1) -> None:
+    async def _admit_slow(self, weight: int = 1) -> None:
         """The backpressure gate, entered only when the queue is full.
 
         Returns with a slot reserved for the caller (who increments
@@ -626,7 +529,6 @@ class DistanceServer:
         """
         while self._in_flight >= self.config.queue_capacity:
             if self.config.overload_policy == "shed":
-                stats.shed += weight
                 self._shed_total += weight
                 raise ServerOverloaded(
                     f"in-flight queue at capacity "

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.chaos.disk import (
@@ -32,6 +31,7 @@ from repro.chaos.plan import (
     example_plan,
     merge_plans,
 )
+from repro.obs.metrics import get_registry
 
 
 class TestFaultSpec:
@@ -160,11 +160,20 @@ class TestFaultInjector:
         assert injector.injected == 0
 
     def test_counts_by_site_and_kind(self):
+        """Each fired spec is one step of ``repro_chaos_injections_total``
+        labelled by site and kind: a fault is attributable on /metricsz."""
+        def injected() -> float:
+            family = get_registry().snapshot()["counters"].get(
+                "repro_chaos_injections_total", {"values": {}})
+            return family["values"].get('kind="delay",site="worker.gather"',
+                                        0.0)
+
+        before = injected()
         injector = FaultInjector(self.plan(probability=1.0, limit=2),
                                  worker_id=0)
-        injector.pick("worker.gather")
-        injector.pick("worker.gather")
-        assert injector.counts() == {"worker.gather/delay": 2}
+        for _ in range(3):
+            injector.pick("worker.gather")
+        assert injected() - before == 2
 
     def test_injector_from_env(self):
         plan = self.plan(probability=1.0)

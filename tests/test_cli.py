@@ -511,6 +511,18 @@ class TestNetSubcommands:
         assert "self-test over TCP" in out
         assert "availability     : 1.0000" in out
 
+    @pytest.mark.parametrize("flag", [["--queue-capacity", "1"],
+                                      ["--policy", "wait"]])
+    def test_net_serve_has_no_queue_flags(self, flag, capsys):
+        """A worker's only door, gather(), takes and frees its queue slot
+        with no await between: the queue never fills, so the flags that
+        tune it would be dead and are not offered (serve/loadgen keep
+        them — dist() parks there)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["net", "serve", "a", *flag])
+        assert excinfo.value.code == 2
+        build_parser().parse_args(["serve", "a", *flag])
+
     def test_net_serve_bad_artifact_is_clean_error(self, tmp_path, capsys):
         assert main(["net", "serve", str(tmp_path / "missing.npz"),
                      "--self-test", "10"]) == 1

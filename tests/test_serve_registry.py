@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import random_weighted_graph
+from repro.obs.metrics import get_registry
 from repro.oracle import (
     STRATEGY_NAMES,
     ArtifactError,
@@ -134,12 +135,11 @@ class TestLazyEnginesAndEviction:
         with pytest.raises(ValueError, match="capacity"):
             ArtifactRegistry(capacity=0)
 
-    def test_stats_shape(self, registry):
+    def test_counts_after_one_load(self, registry):
         registry.engine("cheap")
-        stats = registry.stats()
-        assert stats["artifacts"] == 3
-        assert stats["loaded"] == ["cheap"]
-        assert stats["loads"] == 1
+        assert len(registry) == 3
+        assert registry.loaded() == ["cheap"]
+        assert registry.loads == 1
 
 
 class TestManifests:
@@ -289,15 +289,16 @@ class TestShardedRegistration:
         assert entry.mapped_floats == float(big_n) * big_n
         assert entry.resident_floats < entry.mapped_floats / 10
 
-    def test_registry_stats_split_resident_and_mapped(self, artifact_dir,
+    def test_loaded_entries_split_resident_and_mapped(self, artifact_dir,
                                                       sharded_dir):
         registry = ArtifactRegistry()
         registry.register(artifact_dir / "cheap")  # has common arrays
         registry.register(sharded_dir / "mapped.shards.json")
         registry.engine("cheap")
         registry.engine("mapped")
-        stats = registry.stats()
-        assert stats["mapped_floats"] > stats["resident_floats"] > 0
+        loaded = [registry.get(name) for name in registry.loaded()]
+        assert sum(entry.mapped_floats for entry in loaded) \
+            > sum(entry.resident_floats for entry in loaded) > 0
 
     def test_manifest_round_trip_keeps_shard_layout(self, sharded_dir,
                                                     tmp_path):
@@ -338,7 +339,6 @@ class TestMidServeLoadFailures:
         assert "cheap" not in registry
         assert not registry.is_loaded("cheap")
         assert registry.load_failures == 1
-        assert registry.stats()["load_failures"] == 1
         # Unrelated artifacts are unharmed.
         assert registry.engine("mid") is not None
 
@@ -351,6 +351,25 @@ class TestMidServeLoadFailures:
             registry.engine("cheap")
         assert "cheap" not in registry
         assert registry.load_failures == 1
+
+    def test_load_failures_are_published(self, fragile_dir):
+        """A dropped entry is visible on the obs registry, not only on the
+        object: the catalogue shrinks and the failure is counted."""
+        get_registry().reset()  # series sum every live registry: keep one
+        registry = ArtifactRegistry()
+        registry.discover(fragile_dir)
+        (fragile_dir / "cheap.shard-0.npz").unlink()
+        with pytest.raises(RegistryError):
+            registry.engine("cheap")
+        registry.engine("mid")
+        snapshot = get_registry().snapshot()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        assert counters["repro_registry_load_failures_total"]["values"] == {
+            "": 1}
+        assert counters["repro_registry_loads_total"]["values"] == {"": 1}
+        assert gauges["repro_registry_entries"]["values"] == {
+            "": len(registry)}
+        assert gauges["repro_registry_resident_engines"]["values"] == {"": 1}
 
     def test_vanished_artifact_dir_of_sharded_entry(self, graph, tmp_path):
         import shutil
@@ -423,7 +442,7 @@ def test_engine_holds_what_the_cost_model_says(tmp_path, strategy, num_shards):
     for u, v in rng.integers(0, n, size=(2000, 2)).tolist():
         engine.dist(u, v)
     engine.batch(rng.integers(0, n, size=(4000, 2)))
-    memory = engine.memory_stats()
+    memory = engine.stats()
 
     read = SPANNER_CSR if get_strategy(strategy).query_kind == "spanner" else ()
     assert memory["resident_bytes"] == sum(

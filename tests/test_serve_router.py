@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.graphs import random_weighted_graph
+from repro.obs.metrics import get_registry
 from repro.oracle import build_oracle
 from repro.serve import (
     ArtifactRegistry,
@@ -103,9 +104,29 @@ class TestBudgetSelection:
         router.route()
         router.route()
         router.route(multiplicative=1.0)
-        stats = router.stats()
-        assert stats["routes"] == {"cheap": 2, "exact": 1}
-        assert stats["rejected"] == 0
+        assert router.routes == {"cheap": 2, "exact": 1}
+        assert router.rejected == 0
+
+    def test_routes_and_rejections_are_published(self, registry):
+        """Where requests went is readable off the obs registry alone: an
+        artifact's routes child appears on its first route, and the
+        memoized repeat routes still count."""
+        get_registry().reset()  # series sum every live router: keep one
+        router = StretchRouter(registry)
+
+        def counters():
+            return get_registry().snapshot()["counters"]
+
+        assert "repro_router_routes_total" not in counters()
+        for _ in range(3):
+            router.route()
+        with pytest.raises(RoutingError):
+            router.route(multiplicative=0.5)
+        router.route(multiplicative=1.0)
+        published = counters()
+        assert published["repro_router_routes_total"]["values"] == {
+            'artifact="cheap"': 3, 'artifact="exact"': 1}
+        assert published["repro_router_rejected_total"]["values"] == {"": 1}
 
 
 class TestOneOrder:
@@ -134,11 +155,11 @@ class TestResolve:
         assert router.resolve().name == "cheap"
         assert router.resolve(1.0, math.inf, None).name == "exact"
         assert router.resolve(1.0, math.inf, "").name == "exact"  # wire form
-        assert router.stats()["routes"] == {"cheap": 1, "exact": 2}
+        assert router.routes == {"cheap": 1, "exact": 2}
 
     def test_pin_within_budget_skips_routing(self, router, registry):
         assert router.resolve(artifact="mid") is registry.get("mid")
-        assert router.stats()["routes"] == {}
+        assert router.routes == {}
 
     def test_pin_over_budget_is_refused(self, router):
         with pytest.raises(RoutingError, match="pinned artifact 'cheap'"):

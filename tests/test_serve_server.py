@@ -1,6 +1,7 @@
 """Tests for the async distance server: coalescing correctness under
 concurrency, load shedding at queue capacity, budget routing through the
-server, per-client stats, and graceful shutdown."""
+server, the flat stats view and one latency window, and graceful
+shutdown."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import pytest
 
 from repro.graphs import random_weighted_graph
+from repro.obs.metrics import get_registry
 from repro.oracle import QueryEngine, build_oracle, load_artifact
 from repro.serve import (
     ArtifactRegistry,
@@ -19,6 +21,7 @@ from repro.serve import (
     ServerClosed,
     ServerConfig,
     ServerOverloaded,
+    StretchRouter,
 )
 
 
@@ -71,8 +74,8 @@ class TestCoalescing:
         expected = [reference.dist(u, v) for u, v in pairs]
         assert values == expected
         assert 1 <= stats["engine_batches"] <= math.ceil(len(pairs) / 8)
-        assert stats["served_total"] == len(pairs)
-        assert stats["shed_total"] == 0
+        assert stats["served"] == len(pairs)
+        assert stats["shed"] == 0
 
     def test_duplicate_concurrent_queries_share_one_lookup(self, graph, engine):
         async def drive():
@@ -86,7 +89,7 @@ class TestCoalescing:
         assert len(set(values)) == 1
         assert stats["engine_batches"] == 1
         assert stats["coalesced_keys"] == 1  # 50 requests, one key
-        assert stats["engines"]["default"]["queries_total"] == 1
+        assert engine.stats()["queries"] == 1
 
     def test_window_zero_disables_coalescing(self, graph, engine, reference):
         pairs = distinct_pairs(graph.n, 10)
@@ -130,8 +133,8 @@ class TestCoalescing:
                 return server.stats()
 
         stats = asyncio.run(drive())
-        assert stats["errors_total"] == 1
-        assert stats["queue"]["pending_keys"] == 0
+        assert stats["errors"] == 1
+        assert stats["pending_keys"] == 0
 
 
 class TestBackpressure:
@@ -154,9 +157,8 @@ class TestBackpressure:
         # queue_capacity are admitted, the rest shed immediately.
         assert len(served) == 4
         assert len(shed) == 6
-        assert stats["shed_total"] == 6
-        assert stats["served_total"] == 4
-        assert stats["clients"]["default"]["shed"] == 6
+        assert stats["shed"] == 6
+        assert stats["served"] == 4
 
     def test_wait_policy_parks_instead_of_shedding(self, graph, engine,
                                                    reference):
@@ -172,8 +174,8 @@ class TestBackpressure:
 
         values, stats = asyncio.run(drive())
         assert values == [reference.dist(u, v) for u, v in pairs]
-        assert stats["shed_total"] == 0
-        assert stats["served_total"] == len(pairs)
+        assert stats["shed"] == 0
+        assert stats["served"] == len(pairs)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
@@ -191,20 +193,21 @@ class TestRoutingThroughServer:
                                                      graph):
         registry = ArtifactRegistry()
         registry.discover(artifact_dir)
+        router = StretchRouter(registry)
         exact = QueryEngine(load_artifact(artifact_dir / "exact"))
         pairs = distinct_pairs(graph.n, 12)
 
         async def drive():
-            async with DistanceServer(registry) as server:
+            async with DistanceServer(router) as server:
                 loose = await asyncio.gather(*(server.dist(u, v) for u, v in pairs))
                 tight = await asyncio.gather(
                     *(server.dist(u, v, multiplicative=1.0) for u, v in pairs))
-                return loose, tight, server.stats()
+                return loose, tight
 
-        loose, tight, stats = asyncio.run(drive())
+        loose, tight = asyncio.run(drive())
         assert tight == [exact.dist(u, v) for u, v in pairs]
         assert all(t <= approx + 1e-9 for approx, t in zip(loose, tight))
-        assert set(stats["router"]["routes"]) == {"cheap", "exact"}
+        assert router.routes == {"cheap": len(pairs), "exact": len(pairs)}
 
     def test_unsatisfiable_budget_raises(self, engine):
         async def drive():
@@ -214,26 +217,41 @@ class TestRoutingThroughServer:
                 return server.stats()
 
         stats = asyncio.run(drive())
-        assert stats["errors_total"] == 1
+        assert stats["errors"] == 1
 
 
-class TestClientsAndShutdown:
-    def test_per_client_stats_are_separate(self, graph, engine):
+class TestLatencyAndShutdown:
+    def test_one_latency_window_counts_every_answered_pair(self, graph,
+                                                           engine):
         async def drive():
             async with DistanceServer(engine) as server:
-                await asyncio.gather(
-                    *(server.dist(u, v, client="alice")
-                      for u, v in distinct_pairs(graph.n, 6)),
-                    *(server.dist(u, v, client="bob")
-                      for u, v in distinct_pairs(graph.n, 3)),
-                )
-                return server.stats()
+                await asyncio.gather(*(server.dist(u, v) for u, v
+                                       in distinct_pairs(graph.n, 6)))
+                await server.gather([0, 1, 2], [3, 4, 5])
+                return server
 
-        stats = asyncio.run(drive())
-        assert stats["clients"]["alice"]["requests"] == 6
-        assert stats["clients"]["alice"]["answered"] == 6
-        assert stats["clients"]["bob"]["requests"] == 3
-        assert stats["clients"]["alice"]["latency"]["count"] == 6
+        server = asyncio.run(drive())
+        assert server.stats()["requests"] == server.stats()["served"] == 9
+        assert server.latency.count == 9
+
+    def test_latency_window_is_the_published_recorder(self, graph, engine):
+        """``repro_serve_latency_us`` is the server's one window, attached:
+        /metricsz sees every sample ``server.latency`` holds."""
+        get_registry().reset()  # recorders merge every live server: keep one
+
+        async def drive():
+            async with DistanceServer(engine) as server:
+                await asyncio.gather(*(server.dist(u, v) for u, v
+                                       in distinct_pairs(graph.n, 5)))
+                await server.gather([0, 1], [2, 3])
+                return server
+
+        server = asyncio.run(drive())
+        cell = get_registry().snapshot()["recorders"][
+            "repro_serve_latency_us"]["values"][""]
+        assert cell["count"] == server.latency.count == 7
+        assert sorted(cell["samples_us"]) == sorted(
+            round(sample / 1000.0, 3) for sample in server.latency.samples())
 
     def test_graceful_shutdown_drains_pending(self, graph, engine, reference):
         pairs = distinct_pairs(graph.n, 8)
@@ -280,8 +298,8 @@ async def turns(count=10):
 
 class TestCoalescingWindow:
     """The window is a fixed number of seconds (0 = off) and the minimum
-    spacing between two engine batches, not a delay every query pays;
-    stats report what is configured.  Loop turns, never a stopwatch: the
+    spacing between two engine batches, not a delay every query pays.
+    Loop turns, never a stopwatch: the
     five-second window here must not be waited out."""
 
     def test_lone_query_is_not_held_for_the_window(self, engine, reference):
@@ -324,25 +342,18 @@ class TestCoalescingWindow:
         assert values == [reference.dist(u, v) for u, v in pairs + pairs[:3]]
         assert stats["engine_batches"] == 2
 
-    def test_fixed_window_unchanged_by_default(self, engine):
+    def test_fixed_window_unchanged_by_default(self, graph, engine):
+        """A default server coalesces over ServerConfig's window, and
+        traffic does not move it: nothing adapts the window."""
         async def scenario():
             async with DistanceServer(engine) as server:
-                await server.dist(0, 1)
-                return server.stats()
+                await asyncio.gather(*(server.dist(u, v) for u, v
+                                       in distinct_pairs(graph.n, 20)))
+                return server
 
-        stats = asyncio.run(scenario())
-        assert stats["coalescing"] == {
-            "mode": "fixed", "window_s": ServerConfig().coalesce_window}
-
-    def test_window_zero_reports_off(self, engine):
-        async def scenario():
-            config = ServerConfig(coalesce_window=0)
-            async with DistanceServer(engine, config) as server:
-                await server.dist(0, 1)
-                return server.stats()
-
-        assert asyncio.run(scenario())["coalescing"] == {
-            "mode": "off", "window_s": 0}
+        server = asyncio.run(scenario())
+        assert server.config.coalesce_window == ServerConfig().coalesce_window
+        assert server._coalescer.window == ServerConfig().coalesce_window > 0
 
     def test_auto_config_validation(self):
         """``"auto"`` is no longer a window, and its knobs are no fields."""
@@ -352,7 +363,7 @@ class TestCoalescingWindow:
             ServerConfig(window_min=0.01)
         assert [field.name for field in dataclasses.fields(ServerConfig)] == [
             "coalesce_window", "max_batch", "queue_capacity",
-            "overload_policy", "client_latency_window"]
+            "overload_policy"]
 
 
 class TestShardedServing:
@@ -366,14 +377,14 @@ class TestShardedServing:
 
         async def scenario():
             async with DistanceServer(registry) as server:
-                answers = await asyncio.gather(
+                return await asyncio.gather(
                     *(server.dist(u, v) for u, v in pairs))
-                return answers, server.stats()
 
-        answers, stats = asyncio.run(scenario())
+        answers = asyncio.run(scenario())
         reference = QueryEngine(artifact)
         assert answers == [reference.dist(u, v) for u, v in pairs]
-        memory = stats["engines"]["mapped"]["memory"]
-        assert memory["num_shards"] == 3
-        assert memory["shard_faults"] >= 1
-        assert memory["mapped_bytes"] > memory["resident_bytes"]
+        engine = registry.loaded_engines()["mapped"]
+        stats = engine.stats()
+        assert engine.artifact.num_shards == 3
+        assert stats["shard_faults"] >= 1
+        assert stats["mapped_bytes"] > stats["resident_bytes"]
