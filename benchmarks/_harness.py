@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from typing import Dict, List, Sequence
 
 from repro import (
@@ -50,16 +49,7 @@ from repro.graphs import (
     random_weighted_graph,
 )
 from repro.matmul import SemiringMatrix
-from repro.matmul.dense import HAVE_NUMBA
-from repro.matmul.kernels import (
-    DISPATCH,
-    local_product,
-    sparse_dict_product,
-    submatrix_product,
-)
-from repro.matmul.witness import witnessed_product
-from repro.oracle import QueryEngine, build_oracle, measure_throughput
-from repro.semiring import BOOLEAN, MIN_PLUS, augmented_semiring_for
+from repro.semiring import MIN_PLUS
 
 Row = Dict[str, object]
 
@@ -491,237 +481,6 @@ def experiment_baseline_comparison(sizes: Sequence[int] = (32, 64, 96, 128)) -> 
                 "spanner_stretch": spanner.max_stretch(exact),
             }
         )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# E-ORACLE: distance-oracle query throughput
-# ----------------------------------------------------------------------
-def experiment_oracle_queries(
-    n: int = 256, queries: int = 20_000, strategies: Sequence[str] = (
-        "dense-apsp", "landmark-mssp", "exact-fallback"),
-) -> List[Row]:
-    """Build each oracle strategy on two graph families, then measure query
-    throughput: a cold pass over ``queries`` random pairs, and a cached pass
-    over the same pairs.  Latency percentiles come from the engine's own
-    ``latency`` window, i.e. the same numbers ``repro oracle bench`` prints.
-    """
-    side = int(math.isqrt(n))
-    families = {
-        "random d=8": random_weighted_graph(n, average_degree=8, max_weight=16, seed=41),
-        f"grid {side}x{side}": grid_graph(side, side, max_weight=16, seed=42),
-    }
-    rng = random.Random(43)
-    rows: List[Row] = []
-    for family, graph in families.items():
-        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n))
-                 for _ in range(queries)]
-        for strategy in strategies:
-            start = time.perf_counter()
-            artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-            build_seconds = time.perf_counter() - start
-            engine = QueryEngine(artifact)
-            throughput = measure_throughput(engine, pairs)
-            latency = engine.latency.snapshot()
-            rows.append(
-                {
-                    "family": family,
-                    "strategy": strategy,
-                    "n": graph.n,
-                    "build_s": build_seconds,
-                    "build_rounds": artifact.build_rounds,
-                    "cold_qps": throughput["cold_qps"],
-                    "cached_qps": throughput["cached_qps"],
-                    "p50_us": latency["p50_us"],
-                    "p95_us": latency["p95_us"],
-                    "p99_us": latency["p99_us"],
-                }
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# E-KERN: local product kernels (dict vs CSR vs dense) — BENCH_PR2.json
-# ----------------------------------------------------------------------
-def _random_augmented_matrix(n: int, per_row: int, seed: int, semiring) -> SemiringMatrix:
-    rng = random.Random(seed)
-    matrix = SemiringMatrix(n, semiring)
-    for i in range(n):
-        for _ in range(per_row):
-            matrix.set(
-                i, rng.randrange(n),
-                semiring.make(rng.randint(1, 99), rng.randint(1, 3)),
-            )
-    return matrix
-
-
-def _random_boolean_matrix(n: int, per_row: int, seed: int) -> SemiringMatrix:
-    rng = random.Random(seed)
-    matrix = SemiringMatrix(n, BOOLEAN)
-    for i in range(n):
-        for _ in range(per_row):
-            matrix.set(i, rng.randrange(n), True)
-    return matrix
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one call of ``fn``."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _kernel_row(primitive: str, n: int, per_row: int, dict_fn, kernel_fns,
-                auto_kernel: str, check_equal) -> Row:
-    """Time the dict reference against pinned kernels for one primitive.
-
-    ``kernel_fns`` maps kernel name -> zero-arg callable; ``check_equal``
-    receives (reference_result, kernel_result, kernel_name) and must raise
-    on disagreement — equality between kernels is part of the benchmark
-    contract, not just the test suite's.
-    """
-    reference = dict_fn()
-    row: Row = {
-        "primitive": primitive,
-        "n": n,
-        "per_row": per_row,
-        "kernel_auto": auto_kernel,
-        "dict_s": _best_of(dict_fn),
-    }
-    for name, fn in kernel_fns.items():
-        check_equal(reference, fn(), name)
-        row[f"{name}_s"] = _best_of(fn)
-        row[f"speedup_{name}_vs_dict"] = row["dict_s"] / max(1e-9, row[f"{name}_s"])
-    return row
-
-
-def experiment_kernel_primitives(sizes: Sequence[int] = (64, 256),
-                                 per_row: int = 64) -> List[Row]:
-    """E-KERN: per-primitive wall-clock of the three product kernels.
-
-    Fixed seeds and sizes so the rows are comparable across PRs; the
-    ``--json`` mode of ``bench_primitives.py`` persists them to
-    BENCH_PR2.json as the perf-regression baseline.
-    """
-
-    def matrices_equal(ref, got, kernel):
-        assert got.equals(ref), f"{kernel} kernel disagrees with dict kernel"
-
-    def dicts_equal(ref, got, kernel):
-        assert got == ref, f"{kernel} kernel disagrees with dict kernel"
-
-    rows: List[Row] = []
-    for n in sizes:
-        fill = min(per_row, n)
-        S = _random_sparse_matrix(n, fill, seed=11)
-        T = _random_sparse_matrix(n, fill, seed=12)
-        rows.append(_kernel_row(
-            "minplus_product", n, fill,
-            lambda: sparse_dict_product(S, T),
-            {
-                "csr": lambda: local_product(S, T, kernel="csr"),
-                "dense": lambda: local_product(S, T, kernel="dense"),
-                "dense_blocked":
-                    lambda: local_product(S, T, kernel="dense-blocked"),
-                **({"jit": lambda: local_product(S, T, kernel="jit")}
-                   if HAVE_NUMBA else {}),
-            },
-            DISPATCH.select(S, T), matrices_equal,
-        ))
-
-        rows.append(_kernel_row(
-            "filtered_product", n, fill,
-            lambda: local_product(S, T, keep=8, kernel="dict"),
-            {"csr": lambda: local_product(S, T, keep=8, kernel="csr")},
-            DISPATCH.select(S, T), matrices_equal,
-        ))
-
-        semiring = augmented_semiring_for(n, 99)
-        SA = _random_augmented_matrix(n, max(2, fill // 2), 13, semiring)
-        TA = _random_augmented_matrix(n, max(2, fill // 2), 14, semiring)
-        rows.append(_kernel_row(
-            "augmented_product", n, max(2, fill // 2),
-            lambda: sparse_dict_product(SA, TA),
-            {
-                "csr": lambda: local_product(SA, TA, kernel="csr"),
-                "dense": lambda: local_product(SA, TA, kernel="dense"),
-                "dense_blocked":
-                    lambda: local_product(SA, TA, kernel="dense-blocked"),
-                **({"jit": lambda: local_product(SA, TA, kernel="jit")}
-                   if HAVE_NUMBA else {}),
-            },
-            DISPATCH.select(SA, TA), matrices_equal,
-        ))
-
-        SB = _random_boolean_matrix(n, fill, 15)
-        TB = _random_boolean_matrix(n, fill, 16)
-        rows.append(_kernel_row(
-            "boolean_product", n, fill,
-            lambda: sparse_dict_product(SB, TB),
-            {"csr": lambda: local_product(SB, TB, kernel="csr")},
-            DISPATCH.select(SB, TB), matrices_equal,
-        ))
-
-        half = list(range(n // 2))
-        everything = list(range(n))
-        rows.append(_kernel_row(
-            "submatrix_product", n, fill,
-            lambda: submatrix_product(S, T, everything, half, everything,
-                                      kernel="dict"),
-            {"csr": lambda: submatrix_product(S, T, everything, half,
-                                              everything, kernel="csr")},
-            DISPATCH.select(S, T, allowed=("dict", "csr")), dicts_equal,
-        ))
-
-        def witnessed_equal(ref, got, kernel):
-            assert got.product.equals(ref.product), (
-                f"{kernel} witnessed kernel disagrees on values")
-            assert got.witnesses == ref.witnesses, (
-                f"{kernel} witnessed kernel disagrees on witnesses")
-
-        rows.append(_kernel_row(
-            "witnessed_product", n, fill,
-            lambda: witnessed_product(S, T, kernel="dict"),
-            {"csr": lambda: witnessed_product(S, T, kernel="csr")},
-            DISPATCH.select(S, T, allowed=("dict", "csr")), witnessed_equal,
-        ))
-    return rows
-
-
-def experiment_engine_batch(n: int = 64, queries: int = 20_000) -> List[Row]:
-    """E-KERN: vectorised QueryEngine.batch vs the per-pair dist loop.
-
-    Both paths run with caching disabled so the comparison isolates the
-    lookup kernel; equality of the answers is asserted.
-    """
-    import numpy as np
-
-    graph = random_weighted_graph(n, average_degree=8, max_weight=16, seed=44)
-    rng = random.Random(45)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(queries)]
-    rows: List[Row] = []
-    for strategy in ("landmark-mssp", "dense-apsp"):
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        loop_engine = QueryEngine(artifact, cache_size=0)
-        batch_engine = QueryEngine(artifact, cache_size=0)
-        loop_values = np.array([loop_engine.dist(u, v) for u, v in pairs])
-        assert np.array_equal(loop_values, batch_engine.batch(pairs)), (
-            f"batch disagrees with dist loop for {strategy}")
-        loop_s = _best_of(
-            lambda: [loop_engine.dist(u, v) for u, v in pairs], repeats=2
-        )
-        batch_s = _best_of(lambda: batch_engine.batch(pairs), repeats=2)
-        rows.append({
-            "primitive": f"engine_batch_{strategy}",
-            "n": n,
-            "queries": queries,
-            "loop_s": loop_s,
-            "batch_s": batch_s,
-            "speedup_batch_vs_loop": loop_s / max(1e-9, batch_s),
-        })
     return rows
 
 

@@ -34,9 +34,6 @@ EXPERIMENTS = {
     "c35": ("E-C35: diameter approximation (Claim 35)", harness.experiment_c35_diameter),
     "base": ("E-BASE: APSP family head-to-head", lambda: harness.experiment_baseline_comparison((32, 64, 96, 128))),
     "prim": ("E-PRIM: simulator primitives", lambda: harness.experiment_primitives((8, 12, 16, 24))),
-    "oracle": ("E-ORACLE: distance-oracle query throughput, n=256", lambda: harness.experiment_oracle_queries(256, 20_000)),
-    "kern": ("E-KERN: local product kernels (dict vs csr vs dense)", lambda: harness.experiment_kernel_primitives((64, 256))),
-    "batch": ("E-KERN: QueryEngine.batch vs per-pair loop, n=64", lambda: harness.experiment_engine_batch(64, 20_000)),
 }
 
 

@@ -320,18 +320,6 @@ class WorkerLink:
         self.trace_sink: Optional[Callable[[Dict[str, Any]], None]] = None
 
     @property
-    def ejected(self) -> bool:
-        """Out of the rotation?  (The breaker is the source of truth.)"""
-        return not self.breaker.allow()
-
-    @ejected.setter
-    def ejected(self, value: bool) -> None:
-        if value:
-            self.breaker.force_open()
-        else:
-            self.breaker.force_close()
-
-    @property
     def connected(self) -> bool:
         return self._writer is not None
 
@@ -926,21 +914,6 @@ class Frontend(NetServiceBase):
 
     def links(self) -> List[WorkerLink]:
         return list(self._links)
-
-    async def readmit(self, index: int) -> bool:
-        """Probe an ejected worker; put it back in rotation if it answers.
-
-        The explicit operator/test hook; the breaker's half-open probes
-        (:meth:`_maybe_probe`) do the same thing automatically after
-        each cooldown.
-        """
-        link = self._links[index]
-        if await link.ping(timeout=self.request_timeout):
-            if link.ejected:
-                self.readmits += 1
-            link.breaker.force_close()
-            return True
-        return False
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
         await super().stop(drain_timeout)

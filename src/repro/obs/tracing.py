@@ -130,7 +130,7 @@ class TraceContext:
         *back*).  Binary, not JSON: the blob is re-encoded on every
         traced response frame, and float serialization through the JSON
         encoder was the single largest line item in the traced-frame
-        overhead budget (see ``benchmarks/bench_obs_overhead.py``)."""
+        overhead (``bench/run.py``'s ``obs.trace_overhead``)."""
         return _encode_blob(self.trace_id,
                             self.spans if include_spans else ())
 

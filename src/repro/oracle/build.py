@@ -90,8 +90,9 @@ class BuildReport:
     detail: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Worker processes the build ran on (1 for the classic simulated path).
     jobs: int = 1
-    #: ``"simulated-clique"`` (``jobs=None``: the round-accounted build) or
-    #: ``"parallel"`` (built with ``jobs``; a slab build simulates no rounds).
+    #: ``"simulated-clique"`` (the strategy's ``build_fn``, whatever
+    #: ``jobs`` asked for) or ``"parallel"`` (its slab build ran; a slab
+    #: build simulates no rounds).
     mode: str = "simulated-clique"
     #: Per-phase wall-clock seconds (in execution order off ``build()``; a
     #: manifest sorts its keys).
@@ -200,10 +201,9 @@ class OracleBuilder:
                           "seconds": time.perf_counter() - start,
                           "kernel": ("edge-relaxation" if slab_build
                                      else self.kernel or "auto"),
-                          "hot_primitives": list(self.spec.hot_primitives),
-                          "mode": ("simulated-clique" if self.jobs is None
-                                   else "parallel"),
-                          "jobs": self.jobs or 1,
+                          "mode": ("parallel" if slab_build
+                                   else "simulated-clique"),
+                          "jobs": self.jobs if slab_build else 1,
                           "phases": {name: round(value, 6)
                                      for name, value in phases.items()},
                           **detail},

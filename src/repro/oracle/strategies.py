@@ -158,12 +158,6 @@ class StrategySpec:
     summary: str
     #: Whether the guarantee depends on epsilon (exact strategies do not).
     uses_epsilon: bool = True
-    #: The matrix primitives that dominate this strategy's build time —
-    #: the ones the kernel layer (``repro.matmul.kernels``) accelerates and
-    #: ``bench_primitives.py`` tracks in BENCH_PR2.json.  Recorded in the
-    #: artifact build metadata so a slow build can be matched to the
-    #: benchmark trajectory of the primitive that caused it.
-    hot_primitives: Tuple[str, ...] = ()
     #: Payload arrays whose leading axis is the node axis — the ones the
     #: sharded artifact format (:mod:`repro.oracle.sharding`) splits into
     #: per-node-range shard files.  Everything else (e.g. the landmark id
@@ -464,7 +458,6 @@ register_strategy(StrategySpec(
     name="dense-apsp",
     required_arrays=("dist",),
     summary="Theorem 28 (2+eps,(1+eps)W)-APSP, dense n x n estimate matrix",
-    hot_primitives=("filtered_product", "minplus_product"),
     row_sharded_arrays=("dist",),
     query_kind="dense",
     build_fn="repro.oracle.build:build_dense_arrays",
@@ -478,7 +471,6 @@ register_strategy(StrategySpec(
     name="landmark-mssp",
     required_arrays=("landmarks", "landmark_dist", "ball_idx", "ball_dist"),
     summary="hitting-set landmarks + (1+eps)-MSSP table + exact sqrt(n)-balls",
-    hot_primitives=("filtered_product", "augmented_product"),
     row_sharded_arrays=("landmark_dist", "ball_idx", "ball_dist"),
     query_kind="landmark",
     build_fn="repro.oracle.build:build_landmark_arrays",
@@ -493,7 +485,6 @@ register_strategy(StrategySpec(
     required_arrays=("dist",),
     summary="exact APSP via iterated dense min-plus squaring (baseline)",
     uses_epsilon=False,
-    hot_primitives=("minplus_product",),
     row_sharded_arrays=("dist",),
     query_kind="dense",
     build_fn="repro.oracle.build:build_exact_arrays",

@@ -98,7 +98,7 @@ class ServerConfig:
         sooner than that accumulate into one batch, a lone query (the
         previous flush is a window old) is not delayed.  ``0`` disables
         coalescing: every request becomes its own single-pair engine
-        batch (the naive baseline the benchmark compares against).
+        batch.
     max_batch:
         Maximum keys per engine gather; a flush drains *all* pending
         keys in ``ceil(pending / max_batch)`` engine batches.
@@ -323,8 +323,7 @@ class DistanceServer:
                 try:
                     if config.coalesce_window <= 0:
                         # Coalescing disabled: a frame of one key per
-                        # request — the naive loop the benchmark measures
-                        # against.
+                        # request.
                         value = (await self._send(decision.name, (key,)))[0]
                     else:
                         value = await self._coalescer.park(decision.name,

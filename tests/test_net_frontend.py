@@ -294,9 +294,9 @@ class TestFailover:
         async def drive():
             frontend, workers = await start_fleet(manifest, eject_after=1)
             try:
-                frontend.links()[1].ejected = True
+                frontend.links()[1].breaker.force_open()
                 assert len(frontend.healthy_links()) == 1
-                assert await frontend.readmit(1)
+                await frontend._probe(1)
                 return len(frontend.healthy_links())
             finally:
                 await stop_fleet(frontend, workers)

@@ -252,7 +252,9 @@ class TestParallelParity:
         classic = build_oracle(graph, strategy=strategy, epsilon=0.5)
         assert parallel.stretch == classic.stretch
         assert parallel.build_rounds == classic.build_rounds
-        assert parallel.metadata["build"]["mode"] == "parallel"
+        # No slab build ran: the metadata says the classic path did.
+        assert parallel.metadata["build"]["mode"] == "simulated-clique"
+        assert parallel.metadata["build"]["jobs"] == 1
 
 
 class TestServingIntegration:

@@ -269,6 +269,92 @@ class TestShardParity:
                 assert blocks[name].flags.c_contiguous, (index, name)
 
 
+def payload_digests(artifact):
+    """``{array: SHA-256 of (dtype, shape, C-order bytes)}`` as loaded."""
+    digests = {}
+    for name in artifact.array_names:
+        array = np.ascontiguousarray(artifact.materialize(name))
+        digest = hashlib.sha256(f"{array.dtype.str} {array.shape}".encode())
+        digest.update(array.tobytes())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+#: ``(strategy, jobs) -> (build.rounds, payload_digests)`` of a 4-shard
+#: build of ``random_weighted_graph(128, 8, 32, 7)``.  Array contents, not
+#: file digests: they are what answers depend on, and they do not move
+#: with the numpy version that wrote the zip.  A deliberate change to a
+#: build's output updates this table and nothing else.
+PINNED_PAYLOADS = {
+    ("dense-apsp", None): (2454.0, {
+        "dist": "b067e6a56b6c5a6e1243d426a602d5936e15415a1a09930ab38734b637706985",
+    }),
+    ("dense-apsp", 1): (0.0, {
+        "dist": "d4f8b31deeb4c90163ced4b8769c6704fd827d1d30235afa21f79a4359a72b2f",
+    }),
+    ("landmark-mssp", None): (2413.0, {
+        "ball_dist": "419f3f679aabc7e748f98d3b4fa76bb954296783255d0a62a54f66481b77622d",
+        "ball_idx": "b13abfff19241b6c2f7efb7ffa1c5ea6c340e5e9f3fb8a28a7b6a12bc805c494",
+        "landmark_dist": "a5edc06e9d62567b956a41113f65f8183457ad32e14f84ed466ae45031e7441d",
+        "landmarks": "55a7538293a22e1444c772ae277ec045f2e1d1f3f7eee542460359f05dd74d4e",
+    }),
+    ("landmark-mssp", 1): (0.0, {
+        "ball_dist": "419f3f679aabc7e748f98d3b4fa76bb954296783255d0a62a54f66481b77622d",
+        "ball_idx": "53ba09b9703d290eff845d993206b941dc1bf84380d7556819495fe2c1fdbafe",
+        "landmark_dist": "59561a632718c86590870b798a7602495f73d84652e48807ea20666f730aceec",
+        "landmarks": "4c101abc8bc3d20a453e90db0db8df18b6ababb34f63b68eee5a875d6e8aaa95",
+    }),
+    ("exact-fallback", None): (245.0, {
+        "dist": "d4f8b31deeb4c90163ced4b8769c6704fd827d1d30235afa21f79a4359a72b2f",
+    }),
+    ("exact-fallback", 1): (0.0, {
+        "dist": "d4f8b31deeb4c90163ced4b8769c6704fd827d1d30235afa21f79a4359a72b2f",
+    }),
+    ("spanner-greedy", None): (43.0, {
+        "ball_dist": "346275f04da56ee563ef8cb5f554dea44e3e0592cceeafd4dd9542c6c509e78f",
+        "ball_idx": "34a42c865fea8c7eec9b827ef3185c89cb227172834d22a17aa6c40fc001ae08",
+        "landmark_dist": "f120e6600fa2e922e754f853dc6efcca2d1112af36a0fb3796095a2e1f77b384",
+        "landmarks": "e187a5e9bcb69334d43d9e2f086e36ebc6d5cec4227a1ace6123ce4e38b971ab",
+        "spanner_indices": "b4c975de9cd893849f5eff0aa765bb895f1af9e2f619b86809ddb577bdf7206c",
+        "spanner_indptr": "a68c78e6cc3d58e898db6a16a08b8142b345784386a53fc4bcca122ecac6c8c1",
+        "spanner_weights": "822eba2832d741368565b93bb62c970aba3ce0d2805d206321168c9ea34fca25",
+    }),
+    ("spanner-greedy", 1): (43.0, {
+        "ball_dist": "346275f04da56ee563ef8cb5f554dea44e3e0592cceeafd4dd9542c6c509e78f",
+        "ball_idx": "34a42c865fea8c7eec9b827ef3185c89cb227172834d22a17aa6c40fc001ae08",
+        "landmark_dist": "f120e6600fa2e922e754f853dc6efcca2d1112af36a0fb3796095a2e1f77b384",
+        "landmarks": "e187a5e9bcb69334d43d9e2f086e36ebc6d5cec4227a1ace6123ce4e38b971ab",
+        "spanner_indices": "b4c975de9cd893849f5eff0aa765bb895f1af9e2f619b86809ddb577bdf7206c",
+        "spanner_indptr": "a68c78e6cc3d58e898db6a16a08b8142b345784386a53fc4bcca122ecac6c8c1",
+        "spanner_weights": "822eba2832d741368565b93bb62c970aba3ce0d2805d206321168c9ea34fca25",
+    }),
+    ("hopset-landmark", None): (1724.0, {
+        "ball_dist": "0a76148e66e28f3e21c36231fc95e2da303a3b401fc138635269cd1dddb779b0",
+        "ball_idx": "2f8cd3df2e1098c76d6aa0aabdfeec55836f7e22163c7f41b0f39129f0afcaa5",
+        "landmark_dist": "a5edc06e9d62567b956a41113f65f8183457ad32e14f84ed466ae45031e7441d",
+        "landmarks": "55a7538293a22e1444c772ae277ec045f2e1d1f3f7eee542460359f05dd74d4e",
+    }),
+    ("hopset-landmark", 1): (1724.0, {
+        "ball_dist": "0a76148e66e28f3e21c36231fc95e2da303a3b401fc138635269cd1dddb779b0",
+        "ball_idx": "2f8cd3df2e1098c76d6aa0aabdfeec55836f7e22163c7f41b0f39129f0afcaa5",
+        "landmark_dist": "a5edc06e9d62567b956a41113f65f8183457ad32e14f84ed466ae45031e7441d",
+        "landmarks": "55a7538293a22e1444c772ae277ec045f2e1d1f3f7eee542460359f05dd74d4e",
+    }),
+}
+
+
+def test_payload_digests_are_pinned(tmp_path):
+    graph = random_weighted_graph(128, 8, 32, 7)
+    built = {}
+    for strategy in STRATEGY_NAMES:
+        for jobs in (None, 1):
+            artifact, _, _ = build_shards(
+                graph, tmp_path / f"{strategy}-{jobs}", 4, strategy, jobs=jobs)
+            built[strategy, jobs] = (artifact.metadata["build"]["rounds"],
+                                     payload_digests(artifact))
+    assert built == PINNED_PAYLOADS
+
+
 class TestOnePipeline:
     def test_engine_serves_within_guarantee(self):
         graph = random_weighted_graph(26, 4.0, max_weight=9, seed=12)
@@ -333,9 +419,13 @@ class TestOnePipeline:
             raise AssertionError("spanner-greedy has no slab build")
         monkeypatch.setattr(SlabExecutor, "__enter__", no_enter)
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=16)
-        build = OracleBuilder("spanner-greedy", jobs=2).build(
-            graph).metadata["build"]
-        assert build["mode"] == "parallel" and "spanner" in build["phases"]
+        builder = OracleBuilder("spanner-greedy", jobs=2)
+        artifact = builder.build(graph)
+        build = artifact.metadata["build"]
+        assert build["mode"] == "simulated-clique" and build["jobs"] == 1
+        assert "spanner" in build["phases"]
+        text = builder.report(artifact).summary(verbose=True)
+        assert "workers           : 1 (simulated-clique)" in text
 
     def test_invalid_inputs(self, tmp_path):
         graph = random_weighted_graph(8, 3.0, max_weight=5, seed=16)
