@@ -10,6 +10,15 @@ smallest entries per row and squares it ``ceil(log2 k)`` times with the
 augmented semiring ordering (Lemma 17) guarantees that the filtered powers
 agree with the true powers on every surviving entry, i.e. each node ends up
 with the exact distances to its ``k`` nearest nodes.
+
+The map ``X ↦ filter(X · X)`` is deterministic, so once a squaring returns
+its own input every later squaring would too, charging the same rounds.
+Each squaring is therefore charged to a clique of its own; after a fixpoint
+that clique is merged once per remaining squaring (the rounds are replayed,
+not saved) and the product is not computed again.
+
+The result is decoded once, on arrays, and every row's
+``(distance, hops, id)`` ranking is computed by one sort.
 """
 
 from __future__ import annotations
@@ -18,11 +27,13 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cclique.accounting import Clique
 from repro.distance.products import augmented_weight_matrix
 from repro.graphs.graph import Graph
 from repro.matmul.filtered import filtered_mm
-from repro.matmul.matrix import SemiringMatrix
+from repro.matmul.matrix import SemiringMatrix, dict_rows, to_csr
 from repro.semiring.augmented import AugmentedMinPlusSemiring
 
 
@@ -36,6 +47,9 @@ class KNearestResult:
         ``neighbors[v]`` maps each of the (up to) ``k`` nearest nodes ``u``
         to ``(distance, hops)``.  The node itself is included with distance
         0 (it is trivially its own nearest node).
+    order:
+        ``order[v]`` lists the keys of ``neighbors[v]`` sorted by
+        ``(distance, hops, id)``.
     matrix:
         The filtered augmented matrix ``W^k`` (rows are the k-nearest sets).
     rounds:
@@ -45,16 +59,14 @@ class KNearestResult:
     """
 
     neighbors: List[Dict[int, Tuple[float, int]]]
+    order: List[List[int]]
     matrix: SemiringMatrix
     rounds: float
     clique: Clique
 
     def nearest_set(self, v: int) -> List[int]:
         """The k-nearest node ids of ``v`` sorted by (distance, hops, id)."""
-        items = sorted(
-            self.neighbors[v].items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0])
-        )
-        return [node for node, _ in items]
+        return list(self.order[v])
 
     def distance(self, v: int, u: int) -> float:
         """Distance from ``v`` to ``u`` if ``u`` is among the k nearest."""
@@ -103,28 +115,36 @@ def k_nearest(
         # matrix equals the k-filtered version of W^(2^i).
         squarings = max(1, math.ceil(math.log2(k))) if k > 1 else 1
         universe = _weight_universe_size(graph, semiring)
-        for _ in range(squarings):
-            result = filtered_mm(
+        remaining = squarings
+        while remaining > 0:
+            step = Clique(clique.n, clique.spec)
+            product = filtered_mm(
                 current,
                 current,
                 rho=k,
                 weight_universe_size=universe,
-                clique=clique,
+                clique=step,
                 label="filtered-squaring",
                 execution=execution,
                 kernel=kernel,
-            )
-            current = result.product
+            ).product
+            repeats = remaining if product.equals(current) else 1
+            for _ in range(repeats):
+                clique.merge_from(step)
+            current, remaining = product, remaining - repeats
 
-    neighbors: List[Dict[int, Tuple[float, int]]] = []
-    for v in range(graph.n):
-        row = {}
-        for u, entry in current.rows[v].items():
-            row[u] = (entry[0], int(entry[1]))
-        neighbors.append(row)
+    csr = to_csr(current)
+    dists, hops = csr.semiring.decode_array(csr.data)
+    bounds = csr.indptr.tolist()
+    neighbors = dict_rows(csr.indptr, csr.indices.tolist(),
+                          list(zip(dists.tolist(), hops.tolist())))
+    # Codes order like (distance, hops), so one sort ranks every row.
+    ranked = csr.indices[np.lexsort((csr.indices, csr.data, csr.row_ids()))].tolist()
+    order = [ranked[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     return KNearestResult(
         neighbors=neighbors,
+        order=order,
         matrix=current,
         rounds=clique.rounds - start_rounds,
         clique=clique,

@@ -245,18 +245,10 @@ def _compute_pivots(
             pivots[v] = v
             pivot_distances[v] = 0.0
             continue
-        best_node = -1
-        best_key: Optional[Tuple[float, int, int]] = None
-        for u, (dist, hops) in knn.neighbors[v].items():
-            if u not in hitting:
-                continue
-            key = (dist, hops, u)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = u
-        if best_node >= 0:
-            pivots[v] = best_node
-            pivot_distances[v] = best_key[0]
+        pivot = next((u for u in knn.order[v] if u in hitting), None)
+        if pivot is not None:
+            pivots[v] = pivot
+            pivot_distances[v] = knn.neighbors[v][pivot][0]
     return pivots, pivot_distances
 
 

@@ -48,7 +48,7 @@ from repro.cclique.accounting import Clique
 from repro.core.apsp_weighted import apsp_weighted
 from repro.core.mssp import mssp
 from repro.distance.hitting_set import greedy_hitting_set
-from repro.distance.k_nearest import k_nearest
+from repro.distance.k_nearest import KNearestResult, k_nearest
 from repro.graphs.graph import Graph
 from repro.matmul.parallel import SlabExecutor
 from repro.obs.metrics import get_registry
@@ -285,22 +285,18 @@ def default_ball_size(builder: OracleBuilder, n: int) -> int:
     return k
 
 
-def pack_balls(neighbors, n: int, k: int):
-    """Pack per-node ``{u: (dist, hops)}`` dicts into padded ball arrays.
+def pack_balls(knn: KNearestResult, n: int, k: int):
+    """Pack each node's ``k`` nearest nodes into padded ball arrays.
 
-    Rows are sorted by ``(dist, hops, id)`` — the classic tie-break —
-    truncated to ``k`` slots, and padded with ``-1`` / ``inf`` (which the
-    query engine skips).
+    Rows follow ``knn.order`` — the ``(dist, hops, id)`` tie-break — and
+    are padded with ``-1`` / ``inf`` (which the query engine skips).
     """
     ball_idx = np.full((n, k), -1, dtype=np.int64)
     ball_dist = np.full((n, k), np.inf, dtype=np.float64)
     for v in range(n):
-        entries = sorted(
-            neighbors[v].items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0])
-        )[:k]
-        for slot, (u, (dist, _hops)) in enumerate(entries):
-            ball_idx[v, slot] = u
-            ball_dist[v, slot] = dist
+        ball = knn.order[v][:k]
+        ball_idx[v, :len(ball)] = ball
+        ball_dist[v, :len(ball)] = [knn.neighbors[v][u][0] for u in ball]
     return ball_idx, ball_dist
 
 
@@ -358,7 +354,7 @@ def build_landmark_arrays(builder: OracleBuilder, graph: Graph):
         phases["mssp"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    ball_idx, ball_dist = pack_balls(knn.neighbors, n, k)
+    ball_idx, ball_dist = pack_balls(knn, n, k)
     phases["pack-balls"] = time.perf_counter() - tick
 
     arrays = {

@@ -186,7 +186,7 @@ class TestChainStaysInArrays:
 
     def test_k_nearest_decodes_only_its_result(self, decodes):
         result = k_nearest(self.graph, 12)
-        assert decodes == [to_csr(result.matrix)]
+        assert decodes == []
 
     @pytest.mark.parametrize("k", [None, 3])
     def test_source_detection_decodes_only_its_result(self, decodes, k):
@@ -197,7 +197,7 @@ class TestChainStaysInArrays:
     def test_build_hopset_decodes_only_the_k_nearest_table(self, decodes):
         hopset = build_hopset(self.graph, epsilon=0.5)
         assert hopset.levels > 1
-        assert decodes == [to_csr(hopset.k_nearest_result.matrix)]
+        assert decodes == []
 
 
 def test_round_charges_and_hopset_size_are_pinned():

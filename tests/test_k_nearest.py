@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
 
 from repro.cclique import Clique
 from repro.distance import k_nearest
+from repro.distance.products import augmented_weight_matrix
 from repro.graphs import (
     all_pairs_dijkstra,
     disjoint_cliques,
+    erdos_renyi,
     grid_graph,
     path_graph,
     random_weighted_graph,
     star_graph,
 )
+
+# ``repro.distance.k_nearest`` is the function; the module is looked up.
+knn_module = importlib.import_module("repro.distance.k_nearest")
 
 
 def k_smallest_distances(exact_row, k):
@@ -120,3 +126,85 @@ class TestKNearestInterface:
         small = k_nearest(graph, 2)
         large = k_nearest(graph, 16)
         assert large.rounds >= small.rounds
+
+
+class TestNearestSetRanking:
+    @pytest.mark.parametrize("graph", [
+        grid_graph(6, 7),
+        erdos_renyi(40, 0.1, seed=5),
+        star_graph(25),
+    ], ids=["grid", "erdos-renyi", "star"])
+    @pytest.mark.parametrize("k", [3, 11, 40])
+    def test_equals_sort_by_distance_hops_id(self, graph, k):
+        result = k_nearest(graph, k)
+        for v in range(graph.n):
+            expected = sorted(result.neighbors[v],
+                              key=lambda u: (*result.neighbors[v][u], u))
+            assert result.nearest_set(v) == expected
+
+
+def reference_k_nearest(graph, k, clique):
+    """Theorem 18 with all ceil(log2 k) squarings computed on ``clique``.
+
+    Returns the final matrix and, per squaring, whether its product
+    differed from its input.
+    """
+    W, semiring = augmented_weight_matrix(graph)
+    universe = knn_module._weight_universe_size(graph, semiring)
+    current, changed = W.filter_rows(k), []
+    with clique.phase("k-nearest"):
+        for _ in range(max(1, math.ceil(math.log2(k)))):
+            product = knn_module.filtered_mm(
+                current, current, rho=k, weight_universe_size=universe,
+                clique=clique, label="filtered-squaring", execution="fast")
+            changed.append(not product.product.equals(current))
+            current = product.product
+    return current, changed
+
+
+@pytest.fixture
+def counted_squarings(monkeypatch):
+    """Count the ``filtered_mm`` calls ``k_nearest`` makes."""
+    real = knn_module.filtered_mm
+
+    def counting(*args, **kwargs):
+        counting.calls += 1
+        return real(*args, **kwargs)
+
+    counting.calls = 0
+    monkeypatch.setattr(knn_module, "filtered_mm", counting)
+    return counting
+
+
+#: name -> (graph, k, squarings that multiply, squarings in all)
+SQUARING_CASES = {
+    # The fourth of seven squarings returns its own input.
+    "er": (random_weighted_graph(96, 8, 32, 2024), 69, 4, 7),
+    # Each squaring doubles the hop reach along the path.
+    "path": (path_graph(64), 64, 6, 6),
+}
+
+
+class TestSquaringsAreReplayed:
+    @pytest.mark.parametrize("case", sorted(SQUARING_CASES))
+    def test_equal_to_every_squaring_computed(self, case, counted_squarings):
+        graph, k, multiplying, squarings = SQUARING_CASES[case]
+        expected_clique = Clique(graph.n)
+        expected, changed = reference_k_nearest(graph, k, expected_clique)
+        assert len(changed) == squarings
+        # Up to and including the first squaring that returns its input.
+        first_fixed = changed.index(False) + 1 if False in changed else squarings
+        assert first_fixed == multiplying
+
+        counted_squarings.calls = 0
+        clique = Clique(graph.n)
+        result = k_nearest(graph, k, clique=clique)
+        assert result.matrix.equals(expected)
+        assert result.neighbors == [
+            {u: (w, int(h)) for u, (w, h) in row.items()}
+            for row in expected.rows]
+        assert result.rounds == clique.rounds == expected_clique.rounds
+        assert (clique.breakdown.by_label()
+                == expected_clique.breakdown.by_label())
+        assert clique.messages_sent == expected_clique.messages_sent
+        assert counted_squarings.calls == multiplying
