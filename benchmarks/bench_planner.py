@@ -18,9 +18,10 @@ the same grids — the gates are cheap enough to enforce everywhere):
   :func:`repro.oracle.execute_plan` on an n=128 graph, boot the emitted
   manifest through ``build_registry`` + :class:`StretchRouter` (the same
   path ``repro net serve`` takes), and check **every** pair's answer
-  against brute-force Dijkstra distances.  Gate: zero violations — the
+  against brute-force Dijkstra distances.  Gates: zero violations — the
   planner may never ship an artifact that breaks the budget that
-  selected it.
+  selected it — and every budget routed to the artifact the planner
+  built for it, so no built artifact goes unserved.
 
 Full runs write ``BENCH_PR10.json`` at the repo root so future PRs have
 a committed trajectory; ``--smoke`` writes ``BENCH_PR10.smoke.json``.
@@ -143,7 +144,7 @@ def run_violation_experiment(n, degree, max_weight, seed,
 
 def gate_failures(size_result, violation_result,
                   max_size_ratio=MAX_SIZE_RATIO):
-    """Both CI gates; a non-empty list fails the run."""
+    """Every CI gate; a non-empty list fails the run."""
     failures = []
     ratio = size_result["spanner_over_dense_ratio"]
     if ratio > max_size_ratio:
@@ -156,6 +157,11 @@ def gate_failures(size_result, violation_result,
                 f"budget {row['budget_multiplicative']:g}x via "
                 f"{row['routed_artifact']}: {row['violations']} violations "
                 f"over {row['pairs_checked']} pairs")
+        if row["routed_artifact"] != row["planned_strategy"]:
+            failures.append(
+                f"budget {row['budget_multiplicative']:g}x: planned "
+                f"{row['planned_strategy']} but routed to "
+                f"{row['routed_artifact']}")
     return failures
 
 
@@ -222,7 +228,8 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         status = 1
     else:
-        print("planner gate OK (size ratio + zero budget violations)")
+        print("planner gate OK (size ratio + zero budget violations + "
+              "planned == routed)")
 
     if args.json is not None:
         default = "BENCH_PR10.smoke.json" if args.smoke else "BENCH_PR10.json"

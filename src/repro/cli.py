@@ -299,8 +299,7 @@ def cmd_oracle_strategies(args: argparse.Namespace) -> int:
         print(f"    guarantee    : {stretch}")
         print(f"    est. payload : {estimate.payload_bytes / 1e6:.2f} MB "
               f"({estimate.payload_floats:,.0f} floats)")
-        print(f"    est. query   : {estimate.query_cost:g} lookups; "
-              f"build cost ~{estimate.build_cost:.3g}")
+        print(f"    est. query   : {estimate.query_cost:g} lookups")
         print(f"    arrays       : {', '.join(spec.required_arrays)}")
     return 0
 

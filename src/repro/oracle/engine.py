@@ -304,10 +304,10 @@ class QueryEngine:
         ``resident_bytes`` — the numbers ``/metricsz`` publishes.
 
         Residency is read off the artifact: an opened one holds the common
-        arrays it has read while the row arrays stay in the map — what
-        :func:`repro.oracle.strategies.resident_and_mapped` predicts; a
-        build product served straight from memory holds its whole payload
-        and maps nothing.
+        arrays it has read while the row arrays stay in the map — what the
+        strategy's ``cost_fn`` charges as ``common_floats``; a build
+        product served straight from memory holds its whole payload and
+        maps nothing.
         """
         return read_series(self, self.SERIES)
 

@@ -9,9 +9,12 @@ registered :class:`~repro.oracle.strategies.StrategySpec` carries:
   requested :class:`~repro.serve.router.StretchBudget` (same
   ``budget_admits`` predicate the router applies at serve time, so the
   planner can never promise an artifact the router would refuse);
-* ``estimate_fn`` prices each admissible strategy (payload floats, query
-  cost, build cost) so the planner can reject candidates that bust the
-  latency or resident-memory budgets and rank the survivors;
+* ``cost_fn`` prices each admissible strategy a priori (payload floats,
+  resident common floats, query cost) so the planner can reject
+  candidates that bust the latency or resident-memory limits, and
+  :func:`~repro.oracle.strategies.cost_order` ranks the survivors — the
+  order the router ranks the built artifacts by, so every artifact the
+  planner builds is one the router serves;
 * payload size against ``shard_target_bytes`` counts the row shards the
   artifact is written as (one below the target) — nothing else: the
   format, and with it the resident estimate, is the same at any count.
@@ -37,7 +40,7 @@ from repro.oracle.strategies import (
     StrategyRegistry,
     StretchGuarantee,
     REGISTRY,
-    resident_and_mapped,
+    cost_order,
 )
 from repro.serve.router import StretchBudget
 
@@ -166,17 +169,19 @@ def plan_fleet(
     ``max_weight`` — the planner never needs edges, only the shape, so a
     fleet can be planned for a graph that does not exist yet.
 
-    For each budget the registry is enumerated in registration order; a
-    strategy is *feasible* when its a-priori guarantee fits the budget,
-    its estimated per-query work fits ``max_query_cost``, and its
-    estimated resident set — the common arrays; the payload is mapped
-    (:func:`~repro.oracle.strategies.resident_and_mapped`) — fits
-    ``max_resident_floats``.  Among feasible strategies the planner picks
-    the smallest artifact, breaking ties by build cost, then query cost,
-    then name (the router's order over the built artifacts starts with
-    the same payload size, :attr:`~repro.serve.registry.ArtifactEntry.
-    cost`).  An unsatisfiable budget raises :class:`PlanError` naming
-    every rejection reason.
+    A strategy is *feasible* for a budget when its a-priori guarantee
+    fits the budget, its estimated per-query work fits
+    ``max_query_cost``, and its estimated resident set — the common
+    arrays; the payload is mapped — fits ``max_resident_floats``.  Among
+    feasible strategies the planner picks the first by
+    :func:`~repro.oracle.strategies.cost_order` — smallest payload, then
+    cheapest query, tightest guarantee, name — the order the router
+    ranks the built artifacts by
+    (:attr:`~repro.serve.registry.ArtifactEntry.cost`).  The two limits
+    exist only here, at planning time: the router serves the first
+    admissible artifact by that order and knows neither.  An
+    unsatisfiable budget raises :class:`PlanError` naming every
+    rejection reason.
     """
     if graph is not None:
         n = graph.n
@@ -190,7 +195,7 @@ def plan_fleet(
 
     choices: List[PlanChoice] = []
     for budget in budgets:
-        feasible: List[Tuple[Tuple[float, float, float, str], PlanChoice]] = []
+        feasible: List[PlanChoice] = []
         rejections: List[str] = []
         for spec in registry.specs():
             guarantee = spec.guarantee(epsilon, max_weight)
@@ -200,33 +205,30 @@ def plan_fleet(
                     f"+{guarantee.additive:g} exceeds the budget")
                 continue
             estimate = spec.estimate(n, m, epsilon)
-            num_shards = max(1, min(n, math.ceil(
-                estimate.payload_bytes / shard_target_bytes)))
-            resident, _mapped = resident_and_mapped(
-                estimate.payload_floats, estimate.common_floats)
             if estimate.query_cost > max_query_cost:
                 rejections.append(
                     f"{spec.name}: query cost {estimate.query_cost:g} "
                     f"exceeds max_query_cost={max_query_cost:g}")
                 continue
-            if resident > max_resident_floats:
+            if estimate.common_floats > max_resident_floats:
                 rejections.append(
-                    f"{spec.name}: resident set ~{resident:g} floats "
-                    f"exceeds max_resident_floats={max_resident_floats:g}")
+                    f"{spec.name}: resident set ~{estimate.common_floats:g} "
+                    f"floats exceeds max_resident_floats="
+                    f"{max_resident_floats:g}")
                 continue
-            choice = PlanChoice(budget=budget, strategy=spec.name,
-                                guarantee=guarantee, estimate=estimate,
-                                num_shards=num_shards)
-            key = (estimate.payload_floats, estimate.build_cost,
-                   estimate.query_cost, spec.name)
-            feasible.append((key, choice))
+            num_shards = max(1, min(n, math.ceil(
+                estimate.payload_bytes / shard_target_bytes)))
+            feasible.append(PlanChoice(
+                budget=budget, strategy=spec.name, guarantee=guarantee,
+                estimate=estimate, num_shards=num_shards))
         if not feasible:
             detail = "; ".join(rejections) or "registry is empty"
             raise PlanError(
                 f"no registered strategy satisfies budget "
                 f"{budget.multiplicative:g}x+{budget.additive:g} "
                 f"(n={n}, epsilon={epsilon:g}): {detail}")
-        choices.append(min(feasible, key=lambda item: item[0])[1])
+        choices.append(min(feasible, key=lambda choice: cost_order(
+            choice.estimate, choice.guarantee, choice.strategy)))
 
     return FleetPlan(n=int(n), m=int(m), max_weight=float(max_weight),
                      epsilon=float(epsilon), choices=tuple(choices))

@@ -31,11 +31,12 @@ computations into a persistent, queryable artifact:
 Strategies are held in a :class:`StrategyRegistry`.  Each
 :class:`StrategySpec` is *declarative*: it carries the build function (a
 lazily imported ``"module:attr"`` dotted path, so registration never drags
-in numpy-heavy build code), the stretch-guarantee rule, the serving cost
-model the artifact registry charges, and the a-priori size / build-cost
-estimators the fleet planner (:mod:`repro.oracle.planner`) optimises over.
-Third parties register their own strategies with :func:`register_strategy`
-and they appear everywhere — CLI ``choices``, error messages, planner
+in numpy-heavy build code), the stretch-guarantee rule, and one cost
+function: the artifact's size and per-query work, evaluated a priori by
+the fleet planner (:mod:`repro.oracle.planner`) and on built metadata by
+the artifact registry.  :func:`cost_order` ranks artifacts for both, so
+the planner builds what the router serves.  Third parties register their
+own strategies with :func:`register_strategy` and they appear everywhere — CLI ``choices``, error messages, planner
 enumeration — because :data:`STRATEGY_NAMES` is a live view of the
 registry, not a frozen tuple.
 """
@@ -89,40 +90,37 @@ class StretchGuarantee:
 
 @dataclasses.dataclass(frozen=True)
 class CostEstimate:
-    """A-priori cost estimate for building + serving one strategy.
+    """Size and per-query work of one strategy's artifact.
 
-    Everything the planner needs before any build runs: payload size (for
-    memory budgets and shard counts), the share of it held in common arrays
-    (what an engine keeps resident — :func:`resident_and_mapped`),
-    per-query work (for latency budgets) and relative build cost (the
-    tie-breaker between equally small artifacts).
-    Units: floats for sizes, table-lookup-equivalents for query cost,
-    abstract work units for build cost (only comparisons between
-    strategies at the same ``(n, m)`` are meaningful).
+    The one cost statement: a strategy's ``cost_fn`` returns it a priori
+    for the planner and on the built metadata for the artifact registry.
+    The common arrays (``common_floats``) are what a loaded engine holds
+    resident; the rest of the payload stays mapped — what its
+    ``repro_engine_resident_bytes`` and ``repro_engine_mapped_bytes``
+    series measure.  Units: floats for sizes, table-lookup-equivalents
+    for query cost.
     """
 
     payload_floats: float
     common_floats: float
     query_cost: float
-    build_cost: float
 
     @property
     def payload_bytes(self) -> float:
         return self.payload_floats * 8.0
 
 
-def resident_and_mapped(payload_floats: float,
-                        common_floats: float) -> Tuple[float, float]:
-    """``(resident_floats, mapped_floats)`` of a loaded artifact.
+def cost_order(estimate: CostEstimate, guarantee: StretchGuarantee,
+               name: str) -> Tuple[float, float, float, float, str]:
+    """The one ranking of artifacts: smallest payload, then cheapest query,
+    then tightest guarantee (multiplicative, then additive), then name.
 
-    The one statement of what an engine holds, and what its
-    ``repro_engine_resident_bytes`` and ``repro_engine_mapped_bytes``
-    series then measure: the common arrays are resident, the payload is
-    mapped — row arrays are read through the map and never copied.  The
-    planner evaluates it on an a-priori :class:`CostEstimate`, the
-    artifact registry on built metadata (:meth:`StrategySpec.serving_costs`).
+    The planner takes its ``min`` over a-priori estimates, the router
+    sorts built artifacts by it
+    (:attr:`~repro.serve.registry.ArtifactEntry.cost`).
     """
-    return common_floats, payload_floats
+    return (estimate.payload_floats, estimate.query_cost,
+            guarantee.multiplicative, guarantee.additive, name)
 
 
 # Signature of a build function: ``(builder, graph) -> (arrays, rounds,
@@ -135,7 +133,7 @@ class StrategySpec:
     """Declarative description of one oracle strategy.
 
     Beyond the artifact schema (``required_arrays`` / ``row_sharded_arrays``)
-    a spec carries the four behaviours the rest of the stack dispatches on:
+    a spec carries the three behaviours the rest of the stack dispatches on:
 
     * ``build_fn`` — how to build: a ``"module:attr"`` dotted path resolved
       lazily (keeps registration import-light and avoids build↔registry
@@ -143,12 +141,10 @@ class StrategySpec:
     * ``guarantee_fn`` — the stretch guarantee a build with given
       parameters will advertise, computable *before* building (the planner
       relies on this).
-    * ``cost_fn`` — ``(n, build_metadata) -> (payload_floats,
-      common_floats, query_cost)``: the size and per-query work of a built
-      artifact, which :meth:`serving_costs` turns into what the artifact
-      registry charges.
-    * ``estimate_fn`` — ``(n, m, epsilon) -> CostEstimate``: the a-priori
-      estimator the planner optimises over (no artifact needed).
+    * ``cost_fn`` — ``(n, m, epsilon, build) -> CostEstimate``: the size
+      and per-query work of the artifact, a priori when ``build`` is empty
+      (the planner) and from a built artifact's ``build`` metadata (the
+      artifact registry).  :meth:`estimate` runs it.
     """
 
     name: str
@@ -174,9 +170,8 @@ class StrategySpec:
     slab_build_fn: Union[str, Callable, None] = None
     guarantee_fn: Optional[Callable[[float, float, Optional[int]],
                                     StretchGuarantee]] = None
-    cost_fn: Optional[Callable[[int, dict],
-                               Tuple[float, float, float]]] = None
-    estimate_fn: Optional[Callable[[int, int, float], CostEstimate]] = None
+    cost_fn: Optional[Callable[[int, int, float, dict],
+                               CostEstimate]] = None
 
     def guarantee(self, epsilon: float, max_weight: float,
                   k: Optional[int] = None) -> StretchGuarantee:
@@ -216,33 +211,22 @@ class StrategySpec:
             return None
         return self._resolve(self.slab_build_fn)
 
-    def serving_costs(self, n: int,
-                      build: dict) -> Tuple[float, float, float]:
-        """``(resident_floats, query_cost, mapped_floats)`` for one artifact.
-
-        ``cost_fn`` on the artifact's build metadata, split by
-        :func:`resident_and_mapped`.
-        """
+    def estimate(self, n: int, m: int, epsilon: float,
+                 build: Optional[dict] = None) -> CostEstimate:
+        """Size and query cost of the artifact for a graph with ``n`` nodes
+        and ``m`` edges: a priori without ``build``, or of a built artifact
+        given its ``build`` metadata."""
         if self.cost_fn is None:
             raise ValueError(
                 f"strategy {self.name!r} was registered without a cost_fn")
-        payload, common, query_cost = self.cost_fn(n, dict(build or {}))
-        resident, mapped = resident_and_mapped(payload, common)
-        return resident, query_cost, mapped
-
-    def estimate(self, n: int, m: int, epsilon: float) -> CostEstimate:
-        """A-priori planner estimate for a graph with ``n`` nodes, ``m`` edges."""
-        if self.estimate_fn is None:
-            raise ValueError(
-                f"strategy {self.name!r} was registered without an estimate_fn")
-        return self.estimate_fn(int(n), int(m), float(epsilon))
+        return self.cost_fn(int(n), int(m), float(epsilon), dict(build or {}))
 
 
 class StrategyRegistry:
     """Mutable, ordered catalogue of oracle strategies.
 
     Registration order is preserved — it is the order the CLI lists
-    strategies and the planner breaks exact ties in.
+    strategies in.
     """
 
     def __init__(self):
@@ -353,10 +337,6 @@ def sqrt_k(n: int) -> int:
     return max(2, min(max(n, 1), math.ceil(math.sqrt(max(n, 1)))))
 
 
-def _log2(n: int) -> float:
-    return max(1.0, math.log2(max(2, n)))
-
-
 def _dense_guarantee(epsilon, max_weight, k):
     return StretchGuarantee(2.0 + epsilon, (1.0 + epsilon) * max_weight)
 
@@ -388,70 +368,31 @@ def _hopset_guarantee(epsilon, max_weight, k):
     return StretchGuarantee(3.0, 0.0)
 
 
-def _dense_costs(n, build):
-    return float(n) * n, 0.0, 1.0
+def _dense_costs(n, m, epsilon, build):
+    return CostEstimate(float(n) * n, 0.0, 1.0)
 
 
-def _landmark_costs(n, build):
+def _landmark_costs(n, m, epsilon, build):
     # Both landmark strategies: hopset-landmark records the width of its
     # bunch balls as ``ball_width``, landmark-mssp packs exactly ``k``.
     k = int(build.get("ball_width") or build.get("k") or sqrt_k(n))
     landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
     payload_floats = 2.0 * n * k + 1.0 * n * landmarks
-    return payload_floats, float(landmarks), float(landmarks)
+    return CostEstimate(payload_floats, float(landmarks), float(landmarks))
 
 
-def _spanner_costs(n, build):
+def _spanner_costs(n, m, epsilon, build):
     kb = int(build.get("ball_width") or sqrt_k(n))
     landmarks = int(build.get("num_landmarks") or math.ceil(math.sqrt(max(n, 1))))
     # CSR of the undirected spanner: both edge directions appear, plus the
-    # (n + 1)-long indptr.  Default edge count is the greedy bound n^{3/2}
-    # for k = 2 when no build metadata is available.
-    edges = int(build.get("spanner_edges") or round(max(n, 1) ** 1.5))
+    # (n + 1)-long indptr.  A priori the greedy spanner (default k = 2)
+    # keeps at most n^{3/2} of the m edges; a build records its count.
+    edges = int(build.get("spanner_edges")
+                or min(float(m), float(max(n, 1)) ** 1.5) or 1)
     csr_floats = 2.0 * (2 * edges) + (n + 1)
     payload_floats = 2.0 * n * kb + 1.0 * n * landmarks + csr_floats
     common = float(landmarks) + csr_floats
-    return payload_floats, common, float(landmarks)
-
-
-def _estimate_from_costs(cost_fn, n, build, build_cost):
-    payload, common, query = cost_fn(n, build)
-    return CostEstimate(payload_floats=payload, common_floats=common,
-                        query_cost=query, build_cost=float(build_cost))
-
-
-def _dense_estimate(n, m, epsilon):
-    # Iterated min-plus squaring over the filtered instances: ~n^3 work.
-    return _estimate_from_costs(_dense_costs, n, {}, float(n) ** 3)
-
-
-def _exact_estimate(n, m, epsilon):
-    # log(n) exact squarings of the full matrix.
-    return _estimate_from_costs(_dense_costs, n, {}, float(n) ** 3 * _log2(n))
-
-
-def _landmark_estimate(n, m, epsilon):
-    # k-nearest + hitting set + MSSP: ~n^2 log n semiring work.
-    return _estimate_from_costs(_landmark_costs, n, {},
-                                float(n) ** 2 * _log2(n))
-
-
-def _spanner_estimate(n, m, epsilon):
-    # Greedy spanner (default k = 2) keeps ~min(m, n^{3/2}) edges; the
-    # build is m two-ended searches that stop at the first path inside
-    # (2k − 1)·w, plus ~n truncated/landmark Dijkstras on the sparse
-    # spanner.
-    edges = int(min(float(m), float(max(n, 1)) ** 1.5)) or 1
-    build_cost = (m + n) * _log2(n) + float(n) * edges / max(1.0, _log2(n))
-    return _estimate_from_costs(_spanner_costs, n,
-                                {"spanner_edges": edges}, build_cost)
-
-
-def _hopset_estimate(n, m, epsilon):
-    # Hopset construction (bounded source detection over beta-hop balls)
-    # dominates: clearly super-quadratic, the most expensive compact build.
-    return _estimate_from_costs(_landmark_costs, n, {},
-                                float(n) ** 2.5 * _log2(n))
+    return CostEstimate(payload_floats, common, float(landmarks))
 
 
 register_strategy(StrategySpec(
@@ -464,7 +405,6 @@ register_strategy(StrategySpec(
     slab_build_fn="repro.oracle.parallel_build:closure_dense_arrays",
     guarantee_fn=_dense_guarantee,
     cost_fn=_dense_costs,
-    estimate_fn=_dense_estimate,
 ))
 
 register_strategy(StrategySpec(
@@ -477,7 +417,6 @@ register_strategy(StrategySpec(
     slab_build_fn="repro.oracle.parallel_build:closure_landmark_arrays",
     guarantee_fn=_landmark_guarantee,
     cost_fn=_landmark_costs,
-    estimate_fn=_landmark_estimate,
 ))
 
 register_strategy(StrategySpec(
@@ -491,7 +430,6 @@ register_strategy(StrategySpec(
     slab_build_fn="repro.oracle.parallel_build:closure_dense_arrays",
     guarantee_fn=_exact_guarantee,
     cost_fn=_dense_costs,
-    estimate_fn=_exact_estimate,
 ))
 
 register_strategy(StrategySpec(
@@ -505,7 +443,6 @@ register_strategy(StrategySpec(
     build_fn="repro.oracle.spanner:build_spanner_arrays",
     guarantee_fn=_spanner_guarantee,
     cost_fn=_spanner_costs,
-    estimate_fn=_spanner_estimate,
 ))
 
 register_strategy(StrategySpec(
@@ -518,5 +455,4 @@ register_strategy(StrategySpec(
     build_fn="repro.oracle.hopset_landmark:build_hopset_landmark_arrays",
     guarantee_fn=_hopset_guarantee,
     cost_fn=_landmark_costs,
-    estimate_fn=_hopset_estimate,
 ))

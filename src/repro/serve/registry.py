@@ -8,8 +8,8 @@ the catalogue of those artifacts:
 * **Registration is cheap.**  ``register``/``discover`` read only the
   ``.shards.json`` manifest — never a shard file — and derive an
   :class:`ArtifactEntry` with everything routing needs: the stretch
-  guarantee, the graph size, per-shard row ranges, and a deterministic
-  serving-cost estimate.
+  guarantee, the graph size, per-shard row ranges, and the artifact's
+  cost estimate.
 * **Engines load lazily.**  ``engine(name)`` materialises a
   :class:`~repro.oracle.engine.QueryEngine` (manifest parsed, shards
   mapped and checksummed on their first open) on first use and keeps at
@@ -19,19 +19,17 @@ the catalogue of those artifacts:
   summaries); ``load_manifest`` rebuilds the registry from it on another
   host or after a restart.
 
-The serving-cost model used by :class:`~repro.serve.router.StretchRouter`
-is fully determined by the manifest metadata and stated once, in
-:mod:`repro.oracle.strategies`: the strategy's ``cost_fn`` sizes the
-payload (``n²`` for the dense strategies, ``2nk + n·|A|`` for
-``landmark-mssp``) and prices a query (1 lookup for dense strategies, a
-min over the ``|A|`` landmarks otherwise), and
-:func:`~repro.oracle.strategies.resident_and_mapped` says where it lives —
-the small common arrays are resident, the payload is mapped — which is
-what the loaded engine's ``repro_engine_resident_bytes`` and
-``repro_engine_mapped_bytes`` series then measure.  Cheapness is
-compared lexicographically — payload floats first (the planner's leading
-term, read off the same ``cost_fn`` tuple), then per-query work, then
-name — so the order is total and reproducible, and the router serves the
+The cost model used by :class:`~repro.serve.router.StretchRouter` is
+fully determined by the manifest metadata and stated once, in
+:mod:`repro.oracle.strategies`: the strategy's ``cost_fn``, run on the
+build metadata, sizes the payload (``n²`` for the dense strategies,
+``2nk + n·|A|`` for the landmark ones), the common arrays a loaded
+engine keeps resident (what its ``repro_engine_resident_bytes`` series
+measures; the rest stays mapped), and prices a query (1 lookup for dense
+strategies, a min over the ``|A|`` landmarks otherwise).  Entries are
+ranked by :func:`~repro.oracle.strategies.cost_order` — payload floats,
+per-query work, tightest guarantee, name — the order the planner picks
+by, so the order is total and reproducible and the router serves the
 *smallest* admissible artifact: the size-for-stretch trade the compact
 strategies exist for.
 
@@ -57,7 +55,12 @@ from repro.oracle.sharding import (
     read_manifest,
     refuse_monolithic_below,
 )
-from repro.oracle.strategies import StretchGuarantee, get_strategy
+from repro.oracle.strategies import (
+    CostEstimate,
+    StretchGuarantee,
+    cost_order,
+    get_strategy,
+)
 
 PathLike = str | Path
 
@@ -79,64 +82,60 @@ class ArtifactEntry:
     n: int
     epsilon: float
     stretch: StretchGuarantee
-    payload_bytes: int
-    #: Estimated floats resident once loaded (the common arrays).
-    resident_floats: float
-    #: Estimated per-query work units (1 = one table lookup).
-    query_cost: float
-    #: Payload floats addressable through the shard maps.
-    mapped_floats: float
+    #: Payload size, resident common arrays and per-query work: the
+    #: strategy's ``cost_fn`` on the build metadata.
+    estimate: CostEstimate
     #: Per-shard node ranges, for shard-aware routing.
     row_ranges: Tuple[Tuple[int, int], ...]
+
+    @classmethod
+    def from_metadata(cls, name: str, path: Path, meta: ArtifactMetadata,
+                      row_ranges: Tuple[Tuple[int, int], ...]) -> "ArtifactEntry":
+        """The entry for an artifact with metadata ``meta`` (no payload read)."""
+        try:
+            strategy, n, epsilon, stretch = (meta.strategy, meta.n,
+                                             meta.epsilon, meta.stretch)
+            num_edges = int(meta.metadata["num_edges"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"metadata for {path} is missing or "
+                                f"malformed required fields: {exc}") from exc
+        estimate = get_strategy(strategy).estimate(
+            n, num_edges, epsilon, meta.metadata.get("build"))
+        return cls(name=name, path=path, strategy=strategy, n=n,
+                   epsilon=epsilon, stretch=stretch, estimate=estimate,
+                   row_ranges=row_ranges)
 
     @property
     def num_shards(self) -> int:
         return len(self.row_ranges)
 
     @property
-    def cost(self) -> Tuple[float, float, str]:
-        """Total serving-cost order: payload floats, per-query work, name."""
-        return (self.mapped_floats, self.query_cost, self.name)
+    def cost(self) -> Tuple[float, float, float, float, str]:
+        """The artifact's place in :func:`~repro.oracle.strategies.cost_order`."""
+        return cost_order(self.estimate, self.stretch, self.name)
 
     def describe(self) -> str:
         stretch = f"{self.stretch.multiplicative:g}x"
         if self.stretch.additive:
             stretch += f"+{self.stretch.additive:g}"
+        estimate = self.estimate
         return (f"{self.name}: {self.strategy} n={self.n} stretch={stretch} "
-                f"cost=({self.mapped_floats:.0f} payload floats mapped across "
-                f"{self.num_shards} shard(s), {self.query_cost:g}/query, "
-                f"{self.resident_floats:.0f} resident floats)")
+                f"cost=({estimate.payload_floats:.0f} payload floats mapped "
+                f"across {self.num_shards} shard(s), "
+                f"{estimate.query_cost:g}/query, "
+                f"{estimate.common_floats:.0f} resident floats)")
 
 
 def _entry_from_shard_manifest(name: str, manifest_path: Path,
                                manifest: dict) -> ArtifactEntry:
     """Build an entry from manifest content alone (no shard I/O)."""
-    meta = ArtifactMetadata(manifest["metadata"])
     shards = sorted(manifest.get("shards", []), key=lambda item: int(item["index"]))
     if not shards:
         raise ArtifactError(f"shard manifest {manifest_path} lists no shards")
-    try:
-        strategy, n, epsilon, stretch = (meta.strategy, meta.n,
-                                         meta.epsilon, meta.stretch)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"metadata for {manifest_path} is missing or "
-                            f"malformed required fields: {exc}") from exc
-    resident, query_cost, mapped = get_strategy(strategy).serving_costs(
-        n, meta.metadata.get("build", {}))
-    return ArtifactEntry(
-        name=name,
-        path=manifest_path,
-        strategy=strategy,
-        n=n,
-        epsilon=epsilon,
-        stretch=stretch,
-        payload_bytes=sum(int(item["bytes"]) for item in shards),
-        resident_floats=resident,
-        query_cost=query_cost,
-        mapped_floats=mapped,
-        row_ranges=tuple((int(item["row_start"]), int(item["row_stop"]))
-                         for item in shards),
-    )
+    return ArtifactEntry.from_metadata(
+        name, manifest_path, ArtifactMetadata(manifest["metadata"]),
+        tuple((int(item["row_start"]), int(item["row_stop"]))
+              for item in shards))
 
 
 class ArtifactRegistry:
@@ -162,7 +161,7 @@ class ArtifactRegistry:
          "Registry entries dropped after their payload failed to load",
          lambda r: r.load_failures),
         ("repro_registry_epoch", "gauge",
-         "Catalogue/resident-set change epoch", lambda r: r.epoch),
+         "Catalogue change epoch", lambda r: r.epoch),
         ("repro_registry_entries", "gauge",
          "Registered artifacts (resident or not)", lambda r: len(r._entries)),
         ("repro_registry_resident_engines", "gauge",
@@ -181,8 +180,10 @@ class ArtifactRegistry:
         #: Entries dropped because their payload failed to load — the
         #: artifact directory vanished or rotted while registered.
         self.load_failures = 0
-        #: Bumped on any catalogue or resident-set change; lets routers
-        #: memoize per-budget decisions and invalidate them cheaply.
+        #: Bumped when the catalogue changes — a registration, or an entry
+        #: dropped after a failed load — so routers memoize per-budget
+        #: decisions and invalidate them cheaply.  Loads and evictions
+        #: leave it alone: routing does not depend on residency.
         self.epoch = 0
         publish(self, self.SERIES)
 
@@ -296,7 +297,6 @@ class ArtifactRegistry:
             while len(self._engines) > self.capacity:
                 self._engines.popitem(last=False)
                 self.evictions += 1
-            self.epoch += 1
         else:
             self._engines.move_to_end(name)
         return engine
@@ -310,11 +310,9 @@ class ArtifactRegistry:
         if name is None:
             self.evictions += len(self._engines)
             self._engines.clear()
-            self.epoch += 1
         elif name in self._engines:
             del self._engines[name]
             self.evictions += 1
-            self.epoch += 1
 
     def __len__(self) -> int:
         return len(self._entries)

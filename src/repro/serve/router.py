@@ -11,12 +11,13 @@ router then serves the request from the **cheapest admissible artifact**:
 
 1. admissible = every registered artifact whose advertised guarantee is
    at least as tight as the budget (multiplicative AND additive);
-2. pick the cheapest admissible artifact by the registry's total cost
-   order — payload floats, then per-query work, then name
-   (:attr:`~repro.serve.registry.ArtifactEntry.cost`), the planner's
-   smallest-artifact rule applied to what was built — and let the
-   registry open it lazily (an open is an ``mmap``, so whether an
-   artifact already has an engine does not enter the choice);
+2. pick the first admissible artifact by
+   :func:`~repro.oracle.strategies.cost_order` — payload floats, then
+   per-query work, then tightest guarantee, then name
+   (:attr:`~repro.serve.registry.ArtifactEntry.cost`), the order the
+   planner picks by, applied to what was built — and let the registry
+   open it lazily (an open is an ``mmap``, so whether an artifact
+   already has an engine does not enter the choice);
 3. if *nothing* is admissible, raise :class:`RoutingError` naming every
    registered guarantee.
 

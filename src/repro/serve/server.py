@@ -132,21 +132,9 @@ class _SingleEngineRouter:
     """Adapter presenting one already-loaded engine as a router."""
 
     def __init__(self, engine: QueryEngine, name: str = "default"):
-        artifact = engine.artifact
         self._engine = engine
-        self._entry = ArtifactEntry(
-            name=name,
-            path=Path("<memory>"),
-            strategy=engine.strategy,
-            n=engine.n,
-            epsilon=artifact.epsilon,
-            stretch=artifact.stretch,
-            payload_bytes=0,
-            resident_floats=float(engine.n) * engine.n,
-            query_cost=1.0,
-            mapped_floats=0.0,
-            row_ranges=((0, engine.n),),
-        )
+        self._entry = ArtifactEntry.from_metadata(
+            name, Path("<memory>"), engine.artifact, ((0, engine.n),))
         # One artifact means one possible decision; build it once so the
         # server's hot path does not construct a dataclass per request.
         self._decision = RouteDecision(name=name, entry=self._entry)

@@ -14,7 +14,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.graphs import all_pairs_dijkstra, random_weighted_graph
+from repro.graphs import all_pairs_dijkstra, grid_graph, random_weighted_graph
 from repro.oracle import (
     PlanError,
     execute_plan,
@@ -138,6 +138,27 @@ class TestExecutePlan:
                           budgets=[StretchBudget(1.0, 0.0)])
         with pytest.raises(PlanError, match="n=99"):
             execute_plan(plan, graph, tmp_path)
+
+    @pytest.mark.parametrize("shape", ["random", "grid"])
+    def test_router_serves_every_planned_artifact(self, graph, shape,
+                                                  tmp_path):
+        """Planner and router rank by one order: each budget routes to the
+        artifact built for it, and every built artifact is served.  No
+        ``max_query_cost``/``max_resident_floats`` here — those limits
+        exist only at planning time."""
+        if shape == "grid":
+            graph = grid_graph(6, 7, max_weight=5, seed=3)
+        budgets = [parse_budget(text) for text in ("1", "3", "4.5", "9", "inf")]
+        plan = plan_fleet(graph, budgets=budgets)
+        execution = execute_plan(plan, graph, tmp_path)
+        router = StretchRouter(build_registry([execution.manifest_path]))
+        routed = set()
+        for choice in plan.choices:
+            decision = router.route(choice.budget.multiplicative,
+                                    choice.budget.additive)
+            assert decision.name == execution.artifact_for(choice), choice
+            routed.add(decision.name)
+        assert len(plan.builds()) == len(routed)
 
     def test_artifact_names_map_choices(self, graph, tmp_path):
         plan = plan_fleet(graph, budgets=[StretchBudget(3.0, 0.0)])

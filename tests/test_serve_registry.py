@@ -54,7 +54,7 @@ class TestRegistration:
         assert entry.strategy == "landmark-mssp"
         assert entry.n == 28
         assert entry.stretch.multiplicative == pytest.approx(4.5)
-        assert entry.payload_bytes > 0
+        assert entry.estimate.payload_bytes > 0
         assert not registry.is_loaded("cheap")  # payload untouched
 
     def test_discover_finds_everything(self, registry):
@@ -85,9 +85,10 @@ class TestRegistration:
         cheap = registry.get("cheap")
         mid = registry.get("mid")
         # landmark-mssp stores ~n^{3/2} floats, the dense strategies n^2.
-        assert cheap.mapped_floats < mid.mapped_floats
+        assert cheap.estimate.payload_floats < mid.estimate.payload_floats
         assert cheap.cost < mid.cost
-        assert cheap.cost == (cheap.mapped_floats, cheap.query_cost, "cheap")
+        assert cheap.cost == (cheap.estimate.payload_floats,
+                              cheap.estimate.query_cost, 4.5, 0.0, "cheap")
 
 
 class TestLazyEnginesAndEviction:
@@ -238,7 +239,7 @@ class TestShardedRegistration:
         entry = registry.register(sharded_dir / "mapped.shards.json")
         assert entry.num_shards == 4
         assert entry.row_ranges[0][0] == 0
-        assert entry.mapped_floats == entry.n * entry.n
+        assert entry.estimate.payload_floats == entry.n * entry.n
 
     def test_register_by_bare_path_falls_back_to_manifest(self, sharded_dir):
         registry = ArtifactRegistry()
@@ -286,19 +287,20 @@ class TestShardedRegistration:
         path = tmp_path / "big.shards.json"
         path.write_text(json.dumps(manifest))
         entry = ArtifactRegistry().register(path)
-        assert entry.mapped_floats == float(big_n) * big_n
-        assert entry.resident_floats < entry.mapped_floats / 10
+        assert entry.estimate.payload_floats == float(big_n) * big_n
+        assert entry.estimate.common_floats \
+            < entry.estimate.payload_floats / 10
 
-    def test_loaded_entries_split_resident_and_mapped(self, artifact_dir,
-                                                      sharded_dir):
+    def test_loaded_entries_split_resident_from_mapped(self, artifact_dir,
+                                                       sharded_dir):
         registry = ArtifactRegistry()
         registry.register(artifact_dir / "cheap")  # has common arrays
         registry.register(sharded_dir / "mapped.shards.json")
         registry.engine("cheap")
         registry.engine("mapped")
         loaded = [registry.get(name) for name in registry.loaded()]
-        assert sum(entry.mapped_floats for entry in loaded) \
-            > sum(entry.resident_floats for entry in loaded) > 0
+        assert sum(entry.estimate.payload_floats for entry in loaded) \
+            > sum(entry.estimate.common_floats for entry in loaded) > 0
 
     def test_manifest_round_trip_keeps_shard_layout(self, sharded_dir,
                                                     tmp_path):
@@ -395,8 +397,8 @@ class TestMidServeLoadFailures:
         (fragile_dir / "cheap.shard-0.npz").unlink()
         with pytest.raises(RegistryError, match="evicted"):
             router.engine("cheap")
-        # The eviction bumped the registry epoch, so the router's memo is
-        # stale and the next route lands on a surviving artifact.
+        # Dropping the entry bumped the registry epoch, so the router's
+        # memo is stale and the next route lands on a surviving artifact.
         decision = router.route()
         assert decision.name != "cheap"
         assert router.engine(decision.name) is not None
@@ -448,5 +450,6 @@ def test_engine_holds_what_the_cost_model_says(tmp_path, strategy, num_shards):
     assert memory["resident_bytes"] == sum(
         artifact.arrays[name].nbytes for name in read)
     slack = 8 * artifact.metadata["build"].get("num_landmarks", 0)
-    assert abs(entry.resident_floats * 8 - memory["resident_bytes"]) <= slack
-    assert entry.mapped_floats * 8 <= memory["mapped_bytes"]
+    assert abs(entry.estimate.common_floats * 8
+               - memory["resident_bytes"]) <= slack
+    assert entry.estimate.payload_bytes <= memory["mapped_bytes"]

@@ -139,12 +139,42 @@ class TestOneOrder:
         assert router.route().name == "cheap"
         assert router.route(multiplicative=2.5).name in ("mid", "exact")
 
-    def test_order_is_payload_floats_then_query_cost_then_name(self, router,
-                                                               registry):
+    def test_order_is_payload_floats_then_query_cost_then_guarantee_then_name(
+            self, router, registry, artifact_dir):
         ordered = [entry.name for entry in router.admissible(StretchBudget())]
-        assert ordered == ["cheap", "exact", "mid"]  # n^{3/2}, then n^2 by name
+        assert ordered == ["cheap", "exact", "mid"]  # n^{3/2}, then n^2
         assert [registry.get(name).cost for name in ordered] == sorted(
             entry.cost for entry in registry.entries())
+        # Two equal-cost dense tables: the tighter guarantee comes first,
+        # whatever the names say.
+        registry.register(artifact_dir / "mid", name="a-mid")
+        assert [entry.name for entry in router.admissible(StretchBudget())] \
+            == ["cheap", "exact", "a-mid", "mid"]
+        assert router.route(multiplicative=2.5, additive=math.inf).name \
+            == "exact"
+
+    def test_only_catalogue_changes_flush_the_route_memo(
+            self, router, registry, artifact_dir, monkeypatch):
+        """Opening and evicting engines leaves the registry epoch, and with
+        it the router's per-budget memo, alone; a registration flushes it."""
+        calls = []
+        admissible = router.admissible
+        monkeypatch.setattr(router, "admissible",
+                            lambda budget: calls.append(budget)
+                            or admissible(budget))
+        epoch = registry.epoch
+        assert router.route().name == "cheap"
+        registry.engine("cheap")
+        registry.evict("cheap")
+        registry.engine("exact")
+        registry.evict()
+        assert router.route().name == "cheap"
+        assert registry.epoch == epoch
+        assert len(calls) == 1
+        registry.register(artifact_dir / "cheap", name="again")
+        assert registry.epoch == epoch + 1
+        router.route()
+        assert len(calls) == 2
 
 
 class TestResolve:

@@ -2,8 +2,8 @@
 
 Covers registration/replacement/unregistration semantics, the
 nearest-name suggestions in lookup errors, the live ``STRATEGY_NAMES``
-view, and the declarative spec behaviours (guarantee / costs /
-estimates / build-fn resolution) the planner and serving registry
+view, and the declarative spec behaviours (guarantee / the one cost
+function / build-fn resolution) the planner and serving registry
 dispatch on.
 """
 
@@ -31,10 +31,7 @@ def _spec(name: str, **overrides) -> StrategySpec:
         summary="test strategy",
         query_kind="dense",
         guarantee_fn=lambda eps, w, k: StretchGuarantee(1.0, 0.0),
-        cost_fn=lambda n, build: (float(n) * n, 0.0, 1.0),
-        estimate_fn=lambda n, m, eps: CostEstimate(
-            payload_floats=float(n) * n,
-            common_floats=0.0, query_cost=1.0, build_cost=float(n) ** 3),
+        cost_fn=lambda n, m, eps, build: CostEstimate(float(n) * n, 0.0, 1.0),
     )
     fields.update(overrides)
     return StrategySpec(**fields)
@@ -168,18 +165,38 @@ class TestSpecBehaviours:
         with pytest.raises(ValueError, match="build_fn"):
             bare.resolve_build()
         with pytest.raises(ValueError, match="cost_fn"):
-            bare.serving_costs(10, {})
-        with pytest.raises(ValueError, match="estimate_fn"):
             bare.estimate(10, 20, 0.5)
 
-    def test_serving_costs_common_resident_payload_mapped(self):
-        n = 4096
-        assert get_strategy("dense-apsp").serving_costs(n, {}) \
-            == (0.0, 1.0, float(n) * n)
-        resident, query, mapped = get_strategy("landmark-mssp").serving_costs(
-            n, {"k": 64, "num_landmarks": 50})
-        assert (resident, query) == (50.0, 50.0)  # the landmark id vector
-        assert mapped == 2.0 * n * 64 + n * 50
+    def test_one_cost_fn_a_priori_and_on_build_metadata(self):
+        """``estimate`` without build metadata is the planner's a-priori
+        number; the metadata a build records overrides each default."""
+        n, m = 4096, 32768
+        k = landmarks = 64  # ceil(sqrt(4096))
+        dense = get_strategy("dense-apsp").estimate(n, m, 0.5)
+        assert dense == CostEstimate(float(n) * n, 0.0, 1.0)
+        for name in ("landmark-mssp", "hopset-landmark"):
+            landmark = get_strategy(name).estimate(n, m, 0.5)
+            # The landmark id vector is resident; the rows are mapped.
+            assert landmark == CostEstimate(
+                2.0 * n * k + n * landmarks, landmarks, landmarks)
+        spanner = get_strategy("spanner-greedy")
+        csr = lambda edges: 4.0 * edges + n + 1  # noqa: E731
+        rows = 2.0 * n * k + n * landmarks
+        assert spanner.estimate(n, m, 0.5).payload_floats \
+            == rows + csr(min(m, n ** 1.5))
+        assert spanner.estimate(n, 10 ** 9, 0.5).payload_floats \
+            == rows + csr(n ** 1.5)
+
+        built = get_strategy("landmark-mssp").estimate(
+            n, m, 0.5, {"k": 16, "num_landmarks": 50})
+        assert built == CostEstimate(2.0 * n * 16 + n * 50, 50.0, 50.0)
+        hopset = get_strategy("hopset-landmark").estimate(
+            n, m, 0.5, {"k": 64, "ball_width": 8, "num_landmarks": 50})
+        assert hopset.payload_floats == 2.0 * n * 8 + n * 50
+        small = spanner.estimate(n, m, 0.5, {
+            "spanner_edges": 1000, "ball_width": 4, "num_landmarks": 10})
+        assert small == CostEstimate(
+            2.0 * n * 4 + n * 10 + csr(1000), 10 + csr(1000), 10.0)
 
     def test_estimates_rank_compact_strategies_smaller(self):
         n, m = 4096, 32768
@@ -190,10 +207,3 @@ class TestSpecBehaviours:
         for compact in (landmark, spanner, hopset):
             assert compact.payload_floats < dense.payload_floats / 4
         assert dense.payload_bytes == dense.payload_floats * 8.0
-
-    def test_cost_fn_reads_build_metadata(self):
-        spec = get_strategy("spanner-greedy")
-        small = spec.cost_fn(1000, {"spanner_edges": 1000, "ball_width": 4,
-                                    "num_landmarks": 10})
-        big = spec.cost_fn(1000, {})
-        assert small[0] < big[0]
