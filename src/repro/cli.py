@@ -21,21 +21,33 @@ The ``oracle`` subcommand group is the build-once / query-many split::
     python -m repro oracle build big --strategy dense-apsp --n 4096 --shards 16
     python -m repro oracle shard out out-8 --shards 8
     python -m repro oracle query out --pairs 0:5,3:7 --stats
-    python -m repro oracle bench out --queries 20000
+
+``loadgen`` drives a verified Zipf workload through an in-process server;
+``net serve --self-test`` drives the same workload over TCP through a
+worker fleet behind a front tier::
+
+    python -m repro loadgen out --queries 20000 --verify
+    python -m repro net serve out --workers 2 --self-test 2000
 
 An artifact on disk is memory-mappable row shards (``.shard-K.npz``) plus
 a ``.shards.json`` manifest — one shard unless ``--shards`` says more;
-``query``/``bench``/``serve``/``loadgen`` take the base path, the base
-with ``.npz``, or the manifest.
+``query``, ``loadgen`` and ``net serve`` take the base path, the base with
+``.npz``, or the manifest.  Query throughput is measured by
+``bench/run.py``.
+
+A command that fails cleanly raises :class:`CommandError`; :func:`main`
+prints ``error: <message>`` and returns its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import random
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import (
     apsp_unweighted,
@@ -68,10 +80,31 @@ from repro.oracle import (
     OracleBuilder,
     QueryEngine,
     load_artifact,
-    measure_throughput,
     shard_artifact,
 )
 from repro.semiring import MIN_PLUS
+
+#: A request's stretch budget: ``(multiplicative, additive)``.
+Budget = Tuple[float, float]
+
+
+class CommandError(Exception):
+    """A clean command failure: :func:`main` prints it and exits ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _failing(code: int, *errors: type, prefix: str = ""):
+    """Re-raise ``errors`` from the block as a :class:`CommandError`."""
+    try:
+        yield
+    except CommandError:
+        raise
+    except errors as exc:
+        raise CommandError(code, f"{prefix}{exc}") from exc
 
 
 def _build_graph(args: argparse.Namespace):
@@ -83,6 +116,16 @@ def _build_graph(args: argparse.Namespace):
             args.n, average_degree=args.degree, max_weight=args.max_weight, seed=args.seed
         )
     return erdos_renyi(args.n, args.degree / args.n, seed=args.seed)
+
+
+def _graph_from_args(args: argparse.Namespace):
+    """``(graph, file node ids)`` from ``--graph FILE``, else a generated
+    graph with ids ``None`` (its internal ids are the public ones)."""
+    if not args.graph:
+        return _build_graph(args), None
+    with _failing(1, OSError, ValueError,
+                  prefix=f"cannot load graph {args.graph}: "):
+        return load_edge_list(args.graph)
 
 
 def _print_common(result, breakdown: bool) -> None:
@@ -183,9 +226,7 @@ def cmd_hopset(args: argparse.Namespace) -> int:
 
 
 def cmd_matmul(args: argparse.Namespace) -> int:
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     S = SemiringMatrix(args.n, MIN_PLUS)
     T = SemiringMatrix(args.n, MIN_PLUS)
     for matrix in (S, T):
@@ -242,15 +283,7 @@ def _node_translation(engine: QueryEngine):
 
 
 def cmd_oracle_build(args: argparse.Namespace) -> int:
-    original_ids = None
-    if args.graph:
-        try:
-            graph, original_ids = load_edge_list(args.graph)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load graph {args.graph}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        graph = _build_graph(args)
+    graph, original_ids = _graph_from_args(args)
     kernel = None if args.kernel in (None, "auto") else args.kernel
     extra_metadata = None
     if original_ids is not None:
@@ -258,14 +291,11 @@ def cmd_oracle_build(args: argparse.Namespace) -> int:
         # queries speak the file's ids, not the compacted internal ones.
         extra_metadata = {
             "node_ids": [original_ids[i] for i in range(graph.n)]}
-    try:
+    with _failing(2, ArtifactError, ValueError):
         builder = OracleBuilder(strategy=args.strategy, epsilon=args.epsilon,
                                 k=args.k, kernel=kernel, jobs=args.jobs)
         artifact, manifest_path, shard_paths = builder.build_sharded(
             graph, args.artifact, args.shards, extra_metadata=extra_metadata)
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"oracle build: {args.strategy} on n={graph.n}, m={graph.num_edges()}")
     print(builder.report(artifact).summary(verbose=args.verbose))
     print(f"manifest         : {manifest_path}")
@@ -313,18 +343,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         plan_fleet,
     )
 
-    if args.graph:
-        try:
-            graph, _original_ids = load_edge_list(args.graph)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load graph {args.graph}: {exc}",
-                  file=sys.stderr)
-            return 1
-    else:
-        graph = _build_graph(args)
-
+    graph, _original_ids = _graph_from_args(args)
     budget_texts = args.budget or ["3", "4.5", "inf"]
-    try:
+    with _failing(2, PlanError):
         budgets = [parse_budget(text) for text in budget_texts]
         max_resident = (math.inf if math.isinf(args.max_resident_mb)
                         else args.max_resident_mb * 1e6 / 8.0)
@@ -336,18 +357,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
             max_resident_floats=max_resident,
             shard_target_bytes=args.shard_target_mb * 1024 * 1024,
         )
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(plan.summary())
     if not args.out:
         print("\n(dry run; pass --out DIR to build the fleet)")
         return 0
-    try:
+    with _failing(1, ArtifactError, ValueError):
         execution = execute_plan(plan, graph, args.out, jobs=args.jobs)
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"\nbuilt {len(plan.builds())} artifact(s) into {args.out}")
     for choice in plan.choices:
         print(f"  budget {choice.budget.multiplicative:g}x -> "
@@ -361,15 +376,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_oracle_shard(args: argparse.Namespace) -> int:
     """Re-shard an existing artifact on disk."""
     if args.shards < 1:
-        print(f"error: --shards must be positive, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    try:
+        raise CommandError(2, f"--shards must be positive, got {args.shards}")
+    with _failing(1, ArtifactError, ValueError):
         manifest_path, shard_paths = shard_artifact(
             args.source, args.artifact, args.shards)
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"oracle shard: {args.source} -> {len(shard_paths)} shards")
     print(f"manifest         : {manifest_path}")
     for shard in shard_paths:
@@ -378,11 +388,8 @@ def cmd_oracle_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_query(args: argparse.Namespace) -> int:
-    try:
+    with _failing(1, ArtifactError):
         engine = _load_engine(args.artifact)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     to_original, to_internal = _node_translation(engine)
 
     def internal(node: int) -> int:
@@ -394,14 +401,14 @@ def cmd_oracle_query(args: argparse.Namespace) -> int:
             raise ValueError(f"node {node} is not in the graph the oracle "
                              "was built from") from None
 
+    # A bad argument exits 2.  Sharded artifacts verify checksums on first
+    # fault, so corruption (exit 1) can surface at query time, not just
+    # at load time.
     did_something = False
     if args.pairs is not None:
-        try:
+        with _failing(2, ValueError, prefix="bad --pairs value: "):
             pairs = _parse_pairs(args.pairs)
             internal_pairs = [(internal(u), internal(v)) for u, v in pairs]
-        except ValueError as exc:
-            print(f"error: bad --pairs value: {exc}", file=sys.stderr)
-            return 2
         # Deduplicate (symmetric) repeats before hitting the engine, then
         # fan the answers back out in input order — repeated pairs on the
         # command line cost one query, not one per occurrence.
@@ -414,30 +421,18 @@ def cmd_oracle_query(args: argparse.Namespace) -> int:
                 position[key] = len(unique)
                 unique.append(key)
             order.append(position[key])
-        try:
+        with _failing(2, ValueError, prefix="bad --pairs value: "), \
+                _failing(1, ArtifactError):
             values = engine.batch(unique)
-        except ValueError as exc:
-            print(f"error: bad --pairs value: {exc}", file=sys.stderr)
-            return 2
-        except ArtifactError as exc:
-            # Sharded artifacts verify checksums on first fault, so
-            # corruption can surface at query time, not just load time.
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         for (u, v), index in zip(pairs, order):
             print(f"dist({u}, {v}) = {values[index]:g}")
         did_something = True
     if args.k_nearest is not None:
-        try:
+        with _failing(2, ValueError,
+                      prefix=f"bad --k-nearest value {args.k_nearest!r}: "), \
+                _failing(1, ArtifactError):
             u, k = (int(part) for part in args.k_nearest.split(":"))
             nearest = engine.k_nearest(internal(u), k)
-        except ValueError as exc:
-            print(f"error: bad --k-nearest value {args.k_nearest!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         for node, value in nearest:
             shown = node if to_original is None else to_original[node]
             print(f"nearest({u}): node {shown} at {value:g}")
@@ -453,115 +448,147 @@ def cmd_oracle_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_bench(args: argparse.Namespace) -> int:
-    if args.queries <= 0:
-        print(f"error: --queries must be positive, got {args.queries}",
-              file=sys.stderr)
-        return 2
-    try:
-        engine = _load_engine(args.artifact)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rng = random.Random(args.seed)
-    n = engine.n
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(args.queries)]
-    try:
-        throughput = measure_throughput(engine, pairs)
-    except ArtifactError as exc:
-        # Lazy shard verification can flag corruption on first fault.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    latency = engine.latency.snapshot()
-    print(f"oracle bench: {engine.strategy} on n={n}, {args.queries} queries")
-    print(f"cold queries/sec : {throughput['cold_qps']:,.0f}")
-    print(f"cached queries/sec: {throughput['cached_qps']:,.0f}")
-    print(f"cache hit rate   : {engine.cache.hit_rate:.3f}")
-    if latency["count"]:
-        print(f"latency P50/P95/P99 (us): {latency['p50_us']:.1f} / "
-              f"{latency['p95_us']:.1f} / {latency['p99_us']:.1f}")
-    return 0
-
-
 # ----------------------------------------------------------------------
-# serving subcommands
+# load-driving subcommands
 # ----------------------------------------------------------------------
-def _serve_config(args: argparse.Namespace):
-    from repro.serve import ServerConfig
-
-    return ServerConfig(coalesce_window=args.window_ms / 1000.0,
-                        max_batch=args.max_batch,
-                        queue_capacity=args.queue_capacity,
-                        overload_policy=args.policy)
-
-
 def _serve_registry(args: argparse.Namespace):
-    from repro.serve import build_registry
+    from repro.serve import RegistryError, build_registry
 
-    return build_registry(args.artifacts, capacity=args.capacity)
+    with _failing(1, ArtifactError, RegistryError, ValueError):
+        return build_registry(args.artifacts, capacity=args.capacity)
 
 
-def _route_for_workload(router, args: argparse.Namespace):
-    """The decision every sampled request will route to (fixed budget).
+def _budget_mix(args: argparse.Namespace) -> List[Tuple[Budget, float]]:
+    """``--stretch-mix`` as ``[(budget, weight)]``; without it the fixed
+    ``--stretch``/``--additive`` budget is a one-entry mix.
 
-    The workload's node range must come from the *routed* artifact, not
-    the largest registered one — with several graphs behind one registry
-    the cheapest admissible artifact may be the smallest.
+    The mix is ``"mult[+add]:weight,..."`` and a missing ``:weight`` is 1;
+    e.g. ``"3:1,4.5:2,inf"`` sends a quarter of requests with a 3x budget,
+    half with 4.5x, a quarter unconstrained.
     """
-    from repro.serve import RoutingError
+    text = getattr(args, "stretch_mix", None)
+    if not text:
+        return [((args.stretch, args.additive), 1.0)]
+    from repro.oracle.planner import parse_budget
 
-    try:
-        return router.route(multiplicative=args.stretch,
-                            additive=args.additive)
-    except RoutingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    entries = []
+    with _failing(2, ValueError, prefix="bad --stretch-mix value: "):
+        for chunk in text.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            budget_text, sep, weight_text = chunk.rpartition(":")
+            if not sep:
+                budget_text, weight_text = chunk, "1"
+            budget = parse_budget(budget_text)
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise ValueError(f"bad weight {weight_text!r} in stretch-mix "
+                                 f"entry {chunk!r}") from None
+            if weight <= 0:
+                raise ValueError(
+                    f"stretch-mix weight must be positive in {chunk!r}")
+            entries.append(((budget.multiplicative, budget.additive), weight))
+        if not entries:
+            raise ValueError("empty --stretch-mix")
+    return entries
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a registry of artifacts and drive a self-test workload."""
+class _Workload:
+    """The verified Zipf workload every load-driving command runs.
+
+    Every budget of the mix is routed up front: each must be routable, and
+    the pairs are sampled from the node range of the *smallest* artifact a
+    request can land on (with several graphs behind one registry the
+    cheapest admissible artifact may be the smallest).  Each pair draws its
+    budget by weight.  ``loadgen`` runs it through an in-process
+    :class:`~repro.serve.DistanceServer`, ``net serve``/``chaos run
+    --self-test`` through a :class:`~repro.net.frontend.NetClient`.
+    """
+
+    def __init__(self, router, mix: List[Tuple[Budget, float]],
+                 queries: int, args: argparse.Namespace):
+        from repro.serve import RoutingError, zipf_pairs
+
+        with _failing(1, RoutingError):
+            self.routed = [router.route(*budget) for budget, _weight in mix]
+        self.pairs = zipf_pairs(min(routed.entry.n for routed in self.routed),
+                                queries, skew=args.zipf, seed=args.seed)
+        self.chosen = random.Random(args.seed + 1).choices(
+            range(len(mix)), weights=[weight for _budget, weight in mix],
+            k=queries)
+        self.budgets = [mix[index][0] for index in self.chosen]
+        print("stretch mix      : " + ", ".join(
+            f"{budget[0]:g}x->{routed.name} (w={weight:g})"
+            for (budget, weight), routed in zip(mix, self.routed)))
+
+    async def run(self, target, args: argparse.Namespace, *, verify: bool,
+                  open_loop: bool = False, **options):
+        """Drive the pairs through ``target``; with ``verify``, replay every
+        answer against the artifact its budget routed to."""
+        from repro.serve import count_mismatches, run_closed_loop, run_open_loop
+
+        if open_loop:
+            report = await run_open_loop(target, self.pairs, qps=args.qps,
+                                         budgets=self.budgets, **options)
+        else:
+            report = await run_closed_loop(
+                target, self.pairs, concurrency=args.concurrency,
+                budgets=self.budgets, **options)
+        if verify:
+            report.mismatches = 0
+            for index, routed in enumerate(self.routed):
+                group = [i for i, choice in enumerate(self.chosen)
+                         if choice == index]
+                if group:
+                    report.mismatches += count_mismatches(
+                        [self.pairs[i] for i in group],
+                        [report.answers[i] for i in group],
+                        _load_engine(str(routed.entry.path)))
+        return report
+
+
+def cmd_loadgen(args: argparse.Namespace) -> int:
+    """Drive a workload through an in-process server; report (and verify)."""
     import asyncio
+    import json
 
-    from repro.oracle import ArtifactError
     from repro.serve import (
         DistanceServer,
-        RegistryError,
+        ServerConfig,
         StretchRouter,
-        run_closed_loop,
-        zipf_pairs,
+        residency_report,
     )
 
-    try:
-        registry = _serve_registry(args)
-    except (ArtifactError, RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.queries <= 0:
+        raise CommandError(2, f"--queries must be positive, got {args.queries}")
+    mix = _budget_mix(args)
+    registry = _serve_registry(args)
+    with _failing(1, ValueError):
+        config = ServerConfig(coalesce_window=args.window_ms / 1000.0,
+                              max_batch=args.max_batch,
+                              queue_capacity=args.queue_capacity,
+                              overload_policy=args.policy)
     router = StretchRouter(registry)
     print(f"serving {len(registry)} artifact(s) "
           f"(engine capacity {registry.capacity}):")
     for entry in registry.entries():
         print(f"  {entry.describe()}")
-
-    decision = _route_for_workload(router, args)
-    if decision is None:
-        return 1
-    pairs = zipf_pairs(decision.entry.n, args.queries, skew=args.zipf,
-                       seed=args.seed)
+    workload = _Workload(router, mix, args.queries, args)
 
     async def drive():
-        async with DistanceServer(router, _serve_config(args)) as server:
-            report = await run_closed_loop(
-                server, pairs, concurrency=args.concurrency,
-                multiplicative=args.stretch, additive=args.additive)
+        async with DistanceServer(router, config) as server:
+            report = await workload.run(
+                server, args, verify=args.verify,
+                open_loop=args.mode == "open",
+                collect_samples=bool(args.raw_jsonl))
             return report, server.stats()
 
-    try:
+    with _failing(1, Exception):
         report, stats = asyncio.run(drive())
-    except Exception as exc:  # RoutingError with a strict budget, etc.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print("\n-- self-test workload --")
+    if args.report_residency:
+        report.residency = residency_report(registry.loaded_engines())
     print(report.summary())
     print("\n-- server stats --")
     print(f"engine batches   : {stats['engine_batches']} "
@@ -572,156 +599,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for name, engine in sorted(registry.loaded_engines().items()):
         print(f"engine[{name}]: queries={engine.stats()['queries']} "
               f"hit_rate={engine.cache.hit_rate:.3f}")
-    return 0
-
-
-def _parse_stretch_mix(text: str):
-    """Parse ``"mult[+add]:weight,..."`` into ``[(StretchBudget, weight)]``.
-
-    A missing ``:weight`` defaults to 1; e.g. ``"3:1,4.5:2,inf"`` sends a
-    quarter of requests with a 3x budget, half with 4.5x, a quarter
-    unconstrained.
-    """
-    from repro.oracle.planner import parse_budget
-
-    entries = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        budget_text, sep, weight_text = chunk.rpartition(":")
-        if not sep:
-            budget_text, weight_text = chunk, "1"
-        budget = parse_budget(budget_text)
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ValueError(f"bad weight {weight_text!r} in stretch-mix "
-                             f"entry {chunk!r}") from None
-        if weight <= 0:
-            raise ValueError(f"stretch-mix weight must be positive in {chunk!r}")
-        entries.append((budget, weight))
-    if not entries:
-        raise ValueError("empty --stretch-mix")
-    return entries
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Run the load generator against an in-process server; emit JSON."""
-    import asyncio
-    import json
-
-    from repro.serve import (
-        DistanceServer,
-        RegistryError,
-        RoutingError,
-        StretchRouter,
-        count_mismatches,
-        residency_report,
-        run_closed_loop,
-        run_open_loop,
-        zipf_pairs,
-    )
-
-    if args.queries <= 0:
-        print(f"error: --queries must be positive, got {args.queries}",
-              file=sys.stderr)
-        return 2
-    mix = None
-    if args.stretch_mix:
-        try:
-            mix = _parse_stretch_mix(args.stretch_mix)
-        except ValueError as exc:
-            print(f"error: bad --stretch-mix value: {exc}", file=sys.stderr)
-            return 2
-    try:
-        registry = _serve_registry(args)
-    except (ArtifactError, RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    router = StretchRouter(registry)
-    budgets = None
-    if mix is not None:
-        # Resolve every budget in the mix up front: each must be
-        # routable, and the sampled node range must fit the *smallest*
-        # artifact any request can land on.
-        decisions = []
-        try:
-            for budget, _weight in mix:
-                decisions.append(router.route(
-                    multiplicative=budget.multiplicative,
-                    additive=budget.additive))
-        except RoutingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        nodes = min(routed.entry.n for routed in decisions)
-        pairs = zipf_pairs(nodes, args.queries, skew=args.zipf,
-                           seed=args.seed)
-        chooser = random.Random(args.seed + 1)
-        chosen = chooser.choices(range(len(mix)),
-                                 weights=[weight for _, weight in mix],
-                                 k=args.queries)
-        budgets = [(mix[i][0].multiplicative, mix[i][0].additive)
-                   for i in chosen]
-        print("stretch mix      : " + ", ".join(
-            f"{budget.multiplicative:g}x->{routed.name} "
-            f"(w={weight:g})"
-            for (budget, weight), routed in zip(mix, decisions)))
-    else:
-        decision = _route_for_workload(router, args)
-        if decision is None:
-            return 1
-        pairs = zipf_pairs(decision.entry.n, args.queries, skew=args.zipf,
-                           seed=args.seed)
-
-    collect_samples = bool(args.raw_jsonl)
-
-    async def drive():
-        async with DistanceServer(router, _serve_config(args)) as server:
-            if args.mode == "open":
-                report = await run_open_loop(
-                    server, pairs, qps=args.qps,
-                    multiplicative=args.stretch, additive=args.additive,
-                    collect_samples=collect_samples, budgets=budgets)
-            else:
-                report = await run_closed_loop(
-                    server, pairs, concurrency=args.concurrency,
-                    multiplicative=args.stretch, additive=args.additive,
-                    collect_samples=collect_samples, budgets=budgets)
-            return report
-
-    try:
-        report = asyncio.run(drive())
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.report_residency:
-        report.residency = residency_report(registry.loaded_engines())
-    if args.verify:
-        if mix is not None:
-            # Each budget in the mix routed independently; replay every
-            # answered pair against the engine its budget routed to.
-            mismatches = 0
-            for index_in_mix, routed in enumerate(decisions):
-                group = [i for i, choice in enumerate(chosen)
-                         if choice == index_in_mix]
-                if not group:
-                    continue
-                reference = _load_engine(str(routed.entry.path))
-                mismatches += count_mismatches(
-                    [pairs[i] for i in group],
-                    [report.answers[i] for i in group], reference)
-            report.mismatches = mismatches
-        else:
-            # The budget is fixed for the whole run, so every request
-            # routed to the artifact resolved up front: replay it through
-            # a fresh direct engine.
-            reference = _load_engine(str(decision.entry.path))
-            report.mismatches = count_mismatches(pairs, report.answers,
-                                                 reference)
-
-    print(report.summary())
     if args.raw_jsonl:
         written = report.write_samples_jsonl(args.raw_jsonl)
         print(f"appended {written} raw samples to {args.raw_jsonl}")
@@ -733,58 +610,69 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         Path(args.json_out).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json_out}")
-    if args.verify and report.mismatches:
-        return 1
-    return 0
+    return 1 if args.verify and report.mismatches else 0
 
 
-def cmd_net_serve(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _fleet_environment(trace_sample: Optional[float],
+                       variables: Dict[str, str]):
+    """Export ``variables`` and the trace sample rate while a fleet runs.
+
+    Worker processes inherit the environment at spawn, so the whole fleet
+    runs the same fault plan and samples at the same rate.  On the way out
+    every variable and this process's sample rate are what they were.
+    """
+    from repro.obs.tracing import SAMPLE_ENV_VAR, get_tracer, set_sample_rate
+
+    if trace_sample is not None:
+        variables = {**variables, SAMPLE_ENV_VAR: str(trace_sample)}
+    saved = {name: os.environ.get(name) for name in variables}
+    rate = get_tracer().sample_rate
+    os.environ.update(variables)
+    if trace_sample is not None:
+        set_sample_rate(trace_sample)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        set_sample_rate(rate)
+
+
+def cmd_net_serve(args: argparse.Namespace,
+                  environment: Optional[Dict[str, str]] = None) -> int:
     """Spawn a worker fleet + front tier; serve until interrupted.
 
     ``--self-test N`` instead drives N verified queries through the
     whole stack (client -> frontend -> workers -> engines) and exits —
     the one-command proof that the fleet answers correctly over TCP.
+    ``environment`` is exported to the fleet for its lifetime.
     """
     import asyncio
-    import os
     import signal
-
-    if args.trace_sample is not None:
-        # Before the Cluster spawns: worker processes inherit the
-        # environment, so the whole fleet samples at the same rate.
-        from repro.obs.tracing import SAMPLE_ENV_VAR, set_sample_rate
-
-        os.environ[SAMPLE_ENV_VAR] = str(args.trace_sample)
-        set_sample_rate(args.trace_sample)
 
     from repro.net.bench import NET_ERROR_TYPES
     from repro.net.cluster import Cluster
     from repro.net.frontend import Frontend, NetClient
     from repro.net.protocol import NetError
-    from repro.oracle import ArtifactError
-    from repro.serve import (
-        RegistryError,
-        ServerConfig,
-        StretchRouter,
-        count_mismatches,
-        run_closed_loop,
-        zipf_pairs,
-    )
+    from repro.serve import RegistryError, ServerConfig, StretchRouter
 
-    try:
-        # All a worker reads: it answers whole frames through gather().
-        config_kwargs = {"max_batch": args.max_batch}
-        ServerConfig(**config_kwargs)  # reject bad values here, not in N workers
+    registry = _serve_registry(args)
+    workload = None
+    if args.self_test:
+        workload = _Workload(StretchRouter(registry), _budget_mix(args),
+                             args.self_test, args)
+    with _failing(1, ArtifactError, RegistryError, ValueError, OSError):
+        # max_batch is all a worker reads; reject it here, not in N workers.
+        ServerConfig(max_batch=args.max_batch)
         cluster = Cluster(args.artifacts, num_workers=args.workers,
                           host=args.host, base_port=args.worker_base_port,
-                          config_kwargs=config_kwargs,
-                          capacity=args.capacity)
+                          max_batch=args.max_batch, capacity=args.capacity)
         frontend = Frontend(args.artifacts, cluster.addresses,
-                            host=args.host, port=args.port,
-                            capacity=args.capacity)
-    except (ArtifactError, RegistryError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                            host=args.host, port=args.port)
 
     async def drive() -> int:
         await frontend.start()
@@ -793,22 +681,11 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
                   f"{[port for _, port in cluster.addresses]}")
             print(f"frontend : {frontend.host}:{frontend.port} "
                   f"(binary frames + HTTP /healthz /metricsz /query)")
-            if args.self_test:
-                registry = _serve_registry(args)
-                decision = _route_for_workload(StretchRouter(registry), args)
-                if decision is None:
-                    return 1
-                pairs = zipf_pairs(decision.entry.n, args.self_test,
-                                   skew=args.zipf, seed=args.seed)
+            if workload is not None:
                 async with NetClient(frontend.host, frontend.port,
                                      client="self-test") as client:
-                    report = await run_closed_loop(
-                        client, pairs, concurrency=args.concurrency,
-                        multiplicative=args.stretch, additive=args.additive,
-                        error_types=NET_ERROR_TYPES)
-                reference = _load_engine(str(decision.entry.path))
-                report.mismatches = count_mismatches(pairs, report.answers,
-                                                     reference)
+                    report = await workload.run(client, args, verify=True,
+                                                error_types=NET_ERROR_TYPES)
                 print("\n-- self-test over TCP --")
                 print(report.summary())
                 return 1 if (report.mismatches or report.errors) else 0
@@ -825,34 +702,32 @@ def cmd_net_serve(args: argparse.Namespace) -> int:
         finally:
             await frontend.stop()
 
-    try:
-        with cluster:
-            return asyncio.run(drive())
-    except (NetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _fleet_environment(args.trace_sample, environment or {}), \
+            _failing(1, NetError, OSError), cluster:
+        return asyncio.run(drive())
+
+
+def _fault_plan(text: str):
+    """The fault plan in ``text`` (JSON, a path or @path); exit 1 if bad."""
+    from repro.chaos.plan import FaultPlan, PlanError
+
+    with _failing(1, PlanError):
+        plan = FaultPlan.from_env_value(text)
+    if plan is None:
+        raise CommandError(1, "empty plan")
+    return plan
 
 
 def cmd_chaos_plan(args: argparse.Namespace) -> int:
     """Print (``--example``) or validate-and-normalise a fault plan."""
-    from repro.chaos.plan import FaultPlan, PlanError, example_plan
+    from repro.chaos.plan import example_plan
 
     if args.example:
         print(example_plan().to_json())
         return 0
     if not args.plan:
-        print("error: pass a plan (JSON or @path) or --example",
-              file=sys.stderr)
-        return 1
-    try:
-        plan = FaultPlan.from_env_value(args.plan)
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if plan is None:
-        print("error: empty plan", file=sys.stderr)
-        return 1
-    print(plan.to_json())
+        raise CommandError(1, "pass a plan (JSON or @path) or --example")
+    print(_fault_plan(args.plan).to_json())
     return 0
 
 
@@ -862,13 +737,12 @@ def cmd_chaos_corrupt(args: argparse.Namespace) -> int:
 
     from repro.chaos.disk import apply_disk_faults, restore_shard_file
     from repro.chaos.plan import FaultPlan, PlanError
-    from repro.oracle import ArtifactError
     from repro.oracle.sharding import (
         ShardedOracleArtifact,
         shard_manifest_path,
     )
 
-    try:
+    with _failing(1, PlanError, ArtifactError, OSError):
         if args.restore:
             artifact = ShardedOracleArtifact.load(
                 shard_manifest_path(args.artifact), verify="none")
@@ -877,61 +751,35 @@ def cmd_chaos_corrupt(args: argparse.Namespace) -> int:
             print(json.dumps({"restored_shards": restored}))
             return 0
         if not args.plan:
-            print("error: pass a plan (JSON or @path) or --restore",
-                  file=sys.stderr)
-            return 1
+            raise CommandError(1, "pass a plan (JSON or @path) or --restore")
         plan = FaultPlan.from_env_value(args.plan)
         if plan is None or not plan.disk_faults:
-            print("error: plan has no corrupt_shard faults", file=sys.stderr)
-            return 1
+            raise CommandError(1, "plan has no corrupt_shard faults")
         reports = apply_disk_faults(plan, args.artifact,
                                     backup=not args.no_backup)
-        print(json.dumps({"corrupted": reports}))
-        return 0
-    except (PlanError, ArtifactError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(json.dumps({"corrupted": reports}))
+    return 0
 
 
 def cmd_chaos_run(args: argparse.Namespace) -> int:
     """``net serve`` under a fault plan: the one-command chaos drill.
 
-    Exports the plan through ``REPRO_CHAOS`` *before* the Cluster
-    spawns (workers inherit the environment), applies any
-    ``corrupt_shard`` faults to the artifact files, then delegates to
-    :func:`cmd_net_serve` — so ``--self-test N`` under a plan is the
-    availability + zero-wrong-answers drill from the benchmark, sized
-    to taste.
+    Applies any ``corrupt_shard`` faults to the artifact files, then runs
+    :func:`cmd_net_serve` with the plan exported through ``REPRO_CHAOS``
+    (workers inherit the environment) — so ``--self-test N`` under a plan
+    is the availability + zero-wrong-answers drill from the benchmark,
+    sized to taste.
     """
-    import os
-
     from repro.chaos.disk import apply_disk_faults
-    from repro.chaos.plan import CHAOS_ENV_VAR, FaultPlan, PlanError
-    from repro.oracle import ArtifactError
+    from repro.chaos.plan import CHAOS_ENV_VAR, PlanError
 
-    try:
-        plan = FaultPlan.from_env_value(args.plan)
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if plan is None:
-        print("error: empty plan", file=sys.stderr)
-        return 1
-    os.environ[CHAOS_ENV_VAR] = plan.to_json()
-    try:
-        if plan.disk_faults:
-            for artifact in args.artifacts:
-                reports = apply_disk_faults(plan, artifact)
-                for report in reports:
-                    print(f"corrupted: {report['path']} "
-                          f"(+{report['flips']}B @ {report['offset']})")
-    except (PlanError, ArtifactError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return cmd_net_serve(args)
-    finally:
-        os.environ.pop(CHAOS_ENV_VAR, None)
+    plan = _fault_plan(args.plan)
+    with _failing(1, PlanError, ArtifactError, OSError):
+        for artifact in args.artifacts if plan.disk_faults else ():
+            for report in apply_disk_faults(plan, artifact):
+                print(f"corrupted: {report['path']} "
+                      f"(+{report['flips']}B @ {report['offset']})")
+    return cmd_net_serve(args, {CHAOS_ENV_VAR: plan.to_json()})
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -980,26 +828,95 @@ def cmd_obs(args: argparse.Namespace) -> int:
                 sys.stdout.write(text)
     except BrokenPipeError:
         return 0  # downstream pager/head closed the pipe; not an error
-    except (OSError, ConnectionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:  # ConnectionError is an OSError
+        raise CommandError(1, str(exc)) from exc
     return 0
 
 
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+    """The generated graph every graph-taking command is seeded with."""
     parser.add_argument("--n", type=int, default=96, help="number of nodes")
     parser.add_argument("--degree", type=float, default=8.0, help="average degree")
     parser.add_argument("--max-weight", type=int, default=16, dest="max_weight")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--grid", action="store_true", help="use a grid workload")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_graph_source(parser)
     parser.add_argument("--breakdown", action="store_true", help="print round breakdown")
     parser.add_argument(
         "--compare-baseline", action="store_true", help="also run the prior-work baseline"
     )
+
+
+def _add_serving_options(parser: argparse.ArgumentParser,
+                         fleet: bool = False) -> None:
+    """Artifacts, budget and sampling options of the load-driving commands.
+
+    In process (``loadgen``) they add the coalescing window and the queue:
+    per-pair ``dist()`` callers park in the window and hold queue slots
+    across awaits.  A fleet (``net serve``, ``chaos run``) adds its
+    addresses and ``--self-test`` instead: a wire worker answers whole
+    frames through ``gather()``, which does neither.
+    """
+    parser.add_argument(
+        "artifacts", nargs="+",
+        help="artifact files, directories to scan, or manifest JSONs",
+    )
+    parser.add_argument(
+        "--capacity", type=int, default=4,
+        help="max engines resident at once (LRU-evicted beyond)",
+    )
+    parser.add_argument("--max-batch", type=int, default=1024,
+                        dest="max_batch", help="max keys per engine gather")
+    parser.add_argument(
+        "--stretch", type=float, default=math.inf,
+        help="multiplicative stretch budget each request carries",
+    )
+    parser.add_argument(
+        "--additive", type=float, default=math.inf,
+        help="additive stretch budget each request carries",
+    )
+    parser.add_argument("--zipf", type=float, default=1.0,
+                        help="Zipf skew of the sampled query pairs")
+    parser.add_argument("--seed", type=int, default=0)
+    if not fleet:
+        parser.add_argument(
+            "--window-ms", type=float, default=1.0, dest="window_ms",
+            help="coalescing window in milliseconds: the minimum spacing "
+                 "between frames; a lone query is not delayed (0 disables "
+                 "coalescing)",
+        )
+        parser.add_argument(
+            "--queue-capacity", type=int, default=8192, dest="queue_capacity",
+            help="max requests in flight before backpressure")
+        parser.add_argument("--policy", choices=("shed", "wait"),
+                            default="shed", help="overload policy")
+        return
+    parser.add_argument("--workers", type=int, default=2,
+                        help="worker processes to spawn")
+    parser.add_argument("--port", type=int, default=0,
+                        help="frontend port (0 picks an ephemeral port)")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--worker-base-port", type=int, default=0,
+                        dest="worker_base_port",
+                        help="first worker port (0 = ephemeral per worker)")
+    parser.add_argument("--self-test", type=int, default=0,
+                        dest="self_test", metavar="N",
+                        help="drive N verified queries through the fleet "
+                             "over TCP, then exit")
+    parser.add_argument("--concurrency", type=int, default=32,
+                        help="closed-loop clients for --self-test")
+    parser.add_argument("--trace-sample", type=float, default=None,
+                        dest="trace_sample", metavar="RATE",
+                        help="sample this fraction of requests for "
+                             "cross-tier tracing (fleet-wide; workers "
+                             "inherit the rate through the environment)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1017,20 +934,20 @@ def build_parser() -> argparse.ArgumentParser:
     mssp_parser = sub.add_parser("mssp", help="multi-source shortest paths")
     _add_common(mssp_parser)
     mssp_parser.add_argument("--sources", type=int, default=8)
-    mssp_parser.set_defaults(func=cmd_mssp, weighted=True)
+    mssp_parser.set_defaults(func=cmd_mssp)
 
     sssp = sub.add_parser("sssp", help="exact single-source shortest paths")
     _add_common(sssp)
     sssp.add_argument("--source", type=int, default=0)
-    sssp.set_defaults(func=cmd_sssp, weighted=True)
+    sssp.set_defaults(func=cmd_sssp)
 
     diameter = sub.add_parser("diameter", help="diameter approximation")
     _add_common(diameter)
-    diameter.set_defaults(func=cmd_diameter, weighted=True)
+    diameter.set_defaults(func=cmd_diameter)
 
     hopset = sub.add_parser("hopset", help="hopset construction")
     _add_common(hopset)
-    hopset.set_defaults(func=cmd_hopset, weighted=True)
+    hopset.set_defaults(func=cmd_hopset)
 
     matmul = sub.add_parser("matmul", help="sparse matrix multiplication comparison")
     matmul.add_argument("--n", type=int, default=128)
@@ -1039,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     matmul.set_defaults(func=cmd_matmul)
 
     oracle = sub.add_parser(
-        "oracle", help="build, query, and benchmark persistent distance oracles"
+        "oracle", help="build, shard and query persistent distance oracles"
     )
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
 
@@ -1053,14 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument("--graph", help="edge-list file to build from (instead of --n)")
     build.add_argument("--k", type=int, default=None, help="ball size for landmark-mssp")
-    # Workload options mirror _add_common minus the flags build has no use
-    # for (--breakdown / --compare-baseline are report-time options).
-    build.add_argument("--n", type=int, default=96, help="number of nodes")
-    build.add_argument("--degree", type=float, default=8.0, help="average degree")
-    build.add_argument("--max-weight", type=int, default=16, dest="max_weight")
-    build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--epsilon", type=float, default=0.5)
-    build.add_argument("--grid", action="store_true", help="use a grid workload")
+    _add_graph_source(build)
     build.add_argument(
         "--shards", type=int, default=1,
         help="number of memory-mappable row shards to write",
@@ -1080,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help="also print per-phase wall-clock timings and worker count",
     )
-    build.set_defaults(func=cmd_oracle_build, weighted=True)
+    build.set_defaults(func=cmd_oracle_build)
 
     strategies = oracle_sub.add_parser(
         "strategies",
@@ -1115,53 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--stats", action="store_true", help="print engine statistics")
     query.set_defaults(func=cmd_oracle_query)
 
-    bench = oracle_sub.add_parser("bench", help="measure query throughput and latency")
-    bench.add_argument("artifact", help="artifact path written by 'oracle build'")
-    bench.add_argument("--queries", type=int, default=20000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=cmd_oracle_bench)
-
-    def _add_serving_options(sub_parser: argparse.ArgumentParser,
-                             window: bool = True) -> None:
-        sub_parser.add_argument(
-            "artifacts", nargs="+",
-            help="artifact files, directories to scan, or manifest JSONs",
-        )
-        sub_parser.add_argument(
-            "--capacity", type=int, default=4,
-            help="max engines resident at once (LRU-evicted beyond)",
-        )
-        if window:
-            # Only where per-pair dist() callers exist: they park in the
-            # coalescing window and hold queue slots across awaits.  A
-            # wire worker answers whole frames through gather(), which
-            # does neither.
-            sub_parser.add_argument(
-                "--window-ms", type=float, default=1.0, dest="window_ms",
-                help="coalescing window in milliseconds: the minimum "
-                     "spacing between frames; a lone query is not delayed "
-                     "(0 disables coalescing)",
-            )
-            sub_parser.add_argument(
-                "--queue-capacity", type=int, default=8192,
-                dest="queue_capacity",
-                help="max requests in flight before backpressure")
-            sub_parser.add_argument("--policy", choices=("shed", "wait"),
-                                    default="shed", help="overload policy")
-        sub_parser.add_argument("--max-batch", type=int, default=1024,
-                                dest="max_batch", help="max keys per engine gather")
-        sub_parser.add_argument(
-            "--stretch", type=float, default=math.inf,
-            help="multiplicative stretch budget each request carries",
-        )
-        sub_parser.add_argument(
-            "--additive", type=float, default=math.inf,
-            help="additive stretch budget each request carries",
-        )
-        sub_parser.add_argument("--zipf", type=float, default=1.0,
-                                help="Zipf skew of the sampled query pairs")
-        sub_parser.add_argument("--seed", type=int, default=0)
-
     plan = sub.add_parser(
         "plan",
         help="plan a stretch-budget artifact fleet from the strategy "
@@ -1173,12 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 3, 4.5, inf)",
     )
     plan.add_argument("--graph", help="edge-list file to plan for (instead of --n)")
-    plan.add_argument("--n", type=int, default=96, help="number of nodes")
-    plan.add_argument("--degree", type=float, default=8.0, help="average degree")
-    plan.add_argument("--max-weight", type=int, default=16, dest="max_weight")
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument("--epsilon", type=float, default=0.5)
-    plan.add_argument("--grid", action="store_true", help="use a grid workload")
+    _add_graph_source(plan)
     plan.add_argument(
         "--max-query-cost", type=float, default=math.inf,
         dest="max_query_cost",
@@ -1203,21 +1061,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="build with this many worker processes (as in oracle build)",
     )
-    plan.set_defaults(func=cmd_plan, weighted=True)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve one or more oracle artifacts with coalescing and routing",
-    )
-    _add_serving_options(serve)
-    serve.add_argument("--queries", type=int, default=2000,
-                       help="self-test queries driven through the server")
-    serve.add_argument("--concurrency", type=int, default=64)
-    serve.set_defaults(func=cmd_serve)
+    plan.set_defaults(func=cmd_plan)
 
     loadgen = sub.add_parser(
         "loadgen",
-        help="closed/open-loop load generation against an in-process server",
+        help="drive a closed- or open-loop workload through an in-process "
+             "server and report it",
     )
     _add_serving_options(loadgen)
     loadgen.add_argument("--mode", choices=("closed", "open"), default="closed")
@@ -1258,26 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="spawn N worker processes + a front tier on one address",
     )
-    _add_serving_options(net_serve, window=False)
-    net_serve.add_argument("--workers", type=int, default=2,
-                           help="worker processes to spawn")
-    net_serve.add_argument("--port", type=int, default=0,
-                           help="frontend port (0 picks an ephemeral port)")
-    net_serve.add_argument("--host", default="127.0.0.1")
-    net_serve.add_argument("--worker-base-port", type=int, default=0,
-                           dest="worker_base_port",
-                           help="first worker port (0 = ephemeral per worker)")
-    net_serve.add_argument("--self-test", type=int, default=0,
-                           dest="self_test", metavar="N",
-                           help="drive N verified queries through the fleet "
-                                "over TCP, then exit")
-    net_serve.add_argument("--concurrency", type=int, default=32,
-                           help="closed-loop clients for --self-test")
-    net_serve.add_argument("--trace-sample", type=float, default=None,
-                           dest="trace_sample", metavar="RATE",
-                           help="sample this fraction of requests for "
-                                "cross-tier tracing (fleet-wide; workers "
-                                "inherit the rate through the environment)")
+    _add_serving_options(net_serve, fleet=True)
     net_serve.set_defaults(func=cmd_net_serve)
 
     chaos = sub.add_parser(
@@ -1314,19 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="net serve with a fault plan active fleet-wide")
     chaos_run.add_argument("--plan", required=True,
                            help="plan JSON, a path, or @path")
-    _add_serving_options(chaos_run, window=False)
-    chaos_run.add_argument("--workers", type=int, default=2)
-    chaos_run.add_argument("--port", type=int, default=0)
-    chaos_run.add_argument("--host", default="127.0.0.1")
-    chaos_run.add_argument("--worker-base-port", type=int, default=0,
-                           dest="worker_base_port")
-    chaos_run.add_argument("--self-test", type=int, default=0,
-                           dest="self_test", metavar="N",
-                           help="drive N verified queries through the "
-                                "faulted fleet, then exit")
-    chaos_run.add_argument("--concurrency", type=int, default=32)
-    chaos_run.add_argument("--trace-sample", type=float, default=None,
-                           dest="trace_sample", metavar="RATE")
+    _add_serving_options(chaos_run, fleet=True)
     chaos_run.set_defaults(func=cmd_chaos_run)
 
     obs = sub.add_parser(
@@ -1365,9 +1183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -14,13 +14,7 @@ top of numpy: asyncio sockets and multiprocessing, no new dependencies.
 """
 
 from repro.net.cluster import Cluster, free_port
-from repro.net.frontend import (
-    Frontend,
-    NetClient,
-    WorkerLink,
-    WorkerUnavailable,
-    wait_until_healthy,
-)
+from repro.net.frontend import Frontend, NetClient, WorkerLink, WorkerUnavailable
 from repro.net.protocol import NetError, ProtocolError, Request
 from repro.net.worker import DistanceWorker, NetServiceBase, run_worker, worker_main
 
@@ -37,6 +31,5 @@ __all__ = [
     "WorkerUnavailable",
     "free_port",
     "run_worker",
-    "wait_until_healthy",
     "worker_main",
 ]

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.protocol import NetError
 from repro.net.worker import worker_main
 from repro.obs.metrics import publish
+from repro.serve.server import ServerConfig
 
 logger = logging.getLogger("repro.net.cluster")
 
@@ -91,13 +92,13 @@ class Cluster:
         Bind address; ``base_port=0`` (default) lets :func:`free_port`
         pick an ephemeral port per worker, ``base_port=P`` binds
         ``P, P+1, ...``.
-    config_kwargs:
-        Forwarded to :class:`~repro.serve.server.ServerConfig` in each
-        worker (e.g. ``{"max_batch": 512}``).  A worker answers through
-        ``gather()`` alone, which reads only ``max_batch``: it never parks
-        a request in the coalescing window, and it takes and releases its
-        queue slot with no ``await`` between, so the queue never fills and
-        ``queue_capacity``/``overload_policy`` cannot take effect.
+    max_batch:
+        Most keys per engine gather in each worker: the one
+        :class:`~repro.serve.server.ServerConfig` key a worker reads.  It
+        answers through ``gather()`` alone, which never parks a request in
+        the coalescing window and takes and releases its queue slot with no
+        ``await`` between, so the window and queue settings cannot take
+        effect there.
     capacity:
         Per-worker registry LRU capacity (resident engines).
     start_timeout:
@@ -122,7 +123,7 @@ class Cluster:
 
     def __init__(self, artifacts: Sequence[str], num_workers: int = 2,
                  host: str = "127.0.0.1", base_port: int = 0, *,
-                 config_kwargs: Optional[dict] = None, capacity: int = 4,
+                 max_batch: int = ServerConfig.max_batch, capacity: int = 4,
                  start_timeout: float = 60.0, supervise: bool = False,
                  supervise_interval: float = 0.5, stuck_after: int = 3,
                  respawn_backoff: float = 0.5,
@@ -132,7 +133,7 @@ class Cluster:
         self.artifacts = [str(path) for path in artifacts]
         self.host = host
         self.num_workers = num_workers
-        self.config_kwargs = dict(config_kwargs or {})
+        self.max_batch = max_batch
         self.capacity = capacity
         self.start_timeout = start_timeout
         self.supervise = supervise
@@ -188,7 +189,7 @@ class Cluster:
             target=worker_main,
             args=(self.artifacts, self.host, self.ports[index]),
             kwargs={"worker_id": index, "capacity": self.capacity,
-                    "config_kwargs": self.config_kwargs},
+                    "max_batch": self.max_batch},
             name=f"repro-net-worker-{index}",
             daemon=True,
         )

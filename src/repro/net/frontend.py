@@ -541,7 +541,7 @@ class Frontend(NetServiceBase):
                  workers: Sequence[Tuple[str, int]],
                  host: str = "127.0.0.1", port: int = 0, *,
                  request_timeout: float = 5.0, max_attempts: int = 3,
-                 eject_after: int = 3, capacity: int = 8,
+                 eject_after: int = 3,
                  failure_rate_threshold: float = 0.5,
                  failure_window: int = 20,
                  breaker_cooldown: float = 1.0,
@@ -551,8 +551,7 @@ class Frontend(NetServiceBase):
         super().__init__(host=host, port=port)
         if not workers:
             raise ValueError("frontend needs at least one worker address")
-        self._router = StretchRouter(
-            build_registry(artifacts, capacity=capacity))
+        self._router = StretchRouter(build_registry(artifacts))
         self._links = [
             WorkerLink(worker_host, worker_port, name=f"worker-{index}")
             for index, (worker_host, worker_port) in enumerate(workers)
@@ -1092,9 +1091,10 @@ class NetClient:
         wall = time.time()
         tick = time.perf_counter_ns()
         try:
-            values = await self.link.request(
+            values = checked_reply(await self.link.request(
                 keys, *budget, timeout=self.request_timeout, trace=trace_blob,
-                deadline=time.monotonic() + self.request_timeout)
+                deadline=time.monotonic() + self.request_timeout),
+                len(keys), self.link.name)
         finally:
             self._close_chunk_traces(contexts, wall, tick)
         return values.tolist()
@@ -1129,26 +1129,6 @@ class NetClient:
             self.tracer.finish(context)
 
 
-async def wait_until_healthy(addresses: Sequence[Tuple[str, int]],
-                             timeout: float = 30.0,
-                             interval: float = 0.1) -> None:
-    """Block until every address answers a PING (cluster startup barrier)."""
-    deadline = time.monotonic() + timeout
-    for host, port in addresses:
-        link = WorkerLink(host, port, name=f"probe-{host}:{port}")
-        try:
-            while True:
-                if await link.ping(timeout=min(1.0, timeout)):
-                    break
-                if time.monotonic() >= deadline:
-                    raise NetError(
-                        f"worker at {host}:{port} not healthy after "
-                        f"{timeout:.1f}s")
-                await asyncio.sleep(interval)
-        finally:
-            await link.close()
-
-
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -1162,5 +1142,4 @@ __all__ = [
     "WorkerLink",
     "WorkerUnavailable",
     "map_wire_error",
-    "wait_until_healthy",
 ]

@@ -558,9 +558,12 @@ async def run_worker(artifacts: Sequence[str], host: str, port: int,
 
 def worker_main(artifacts: Sequence[str], host: str, port: int,
                 worker_id: int = 0, capacity: int = 4,
-                config_kwargs: Optional[dict] = None) -> None:
-    """``multiprocessing`` entry point: one worker process, one event loop."""
-    config = ServerConfig(**(config_kwargs or {}))
+                max_batch: int = ServerConfig.max_batch) -> None:
+    """``multiprocessing`` entry point: one worker process, one event loop.
+
+    ``max_batch`` is the one :class:`ServerConfig` key a worker reads (see
+    :class:`~repro.net.cluster.Cluster`)."""
+    config = ServerConfig(max_batch=max_batch)
     try:
         asyncio.run(run_worker(artifacts, host, port,
                                worker_id=worker_id, capacity=capacity,

@@ -51,7 +51,6 @@ _EXPORTS = {
     "build_oracle": "build",
     "AnswerCache": "cache",
     "QueryEngine": "engine",
-    "measure_throughput": "engine",
     "SHARD_MANIFEST_SUFFIX": "sharding",
     "SHARD_MANIFEST_VERSION": "sharding",
     "ShardedOracleArtifact": "sharding",

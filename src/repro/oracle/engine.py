@@ -472,22 +472,3 @@ class QueryEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QueryEngine(strategy={self.strategy!r}, n={self.n}, "
                 f"queries={self._queries})")
-
-
-def measure_throughput(engine: QueryEngine,
-                       pairs: Sequence[Tuple[int, int]]) -> Dict[str, float]:
-    """Time a cold pass then a cached pass of ``pairs`` through ``engine``.
-
-    The shared measurement protocol behind ``repro oracle bench`` and the
-    benchmark harness: the first pass populates the cache (``cold_qps``),
-    the second replays the same working set (``cached_qps``).
-    """
-    if not pairs:
-        raise ValueError("need at least one query pair to measure throughput")
-    start = time.perf_counter()
-    engine.batch(pairs)
-    cold_qps = len(pairs) / max(1e-9, time.perf_counter() - start)
-    start = time.perf_counter()
-    engine.batch(pairs)
-    cached_qps = len(pairs) / max(1e-9, time.perf_counter() - start)
-    return {"cold_qps": cold_qps, "cached_qps": cached_qps}

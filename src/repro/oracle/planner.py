@@ -25,7 +25,7 @@ registered :class:`~repro.oracle.strategies.StrategySpec` carries:
 :class:`~repro.oracle.build.OracleBuilder` (``jobs`` supported), registers
 the artifacts, re-checks admissibility against the *actual* built
 guarantees, and pins everything to a registry manifest that ``repro net
-serve`` / ``repro serve`` boot unmodified.
+serve`` / ``repro loadgen`` boot unmodified.
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ from repro.serve.server import (
     ServerClosed,
     ServerConfig,
     ServerOverloaded,
-    serve_artifacts,
 )
 
 __all__ = [
@@ -90,6 +89,5 @@ __all__ = [
     "residency_report",
     "run_closed_loop",
     "run_open_loop",
-    "serve_artifacts",
     "zipf_pairs",
 ]

@@ -386,7 +386,7 @@ class ArtifactRegistry:
 def build_registry(paths: Iterable[PathLike], capacity: int = 4) -> ArtifactRegistry:
     """Registry from a mixed list of artifact files, directories, manifests.
 
-    The shared front end behind ``repro serve`` and ``repro loadgen``:
+    The shared front end behind ``repro loadgen`` and ``repro net serve``:
     each path may be an artifact (its ``.shards.json``, its base path, or
     that base with ``.npz``), a directory to
     :meth:`~ArtifactRegistry.discover`, or a registry manifest JSON

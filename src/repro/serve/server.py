@@ -539,21 +539,10 @@ class DistanceServer:
                 break
 
 
-async def serve_artifacts(paths: Sequence[Union[str, Path]],
-                          config: Optional[ServerConfig] = None,
-                          capacity: int = 4) -> DistanceServer:
-    """Convenience: registry over ``paths`` behind a started server."""
-    from repro.serve.registry import build_registry
-
-    registry = build_registry(paths, capacity=capacity)
-    return await DistanceServer(registry, config=config).start()
-
-
 __all__ = [
     "DeadlineExceeded",
     "DistanceServer",
     "ServerClosed",
     "ServerConfig",
     "ServerOverloaded",
-    "serve_artifacts",
 ]

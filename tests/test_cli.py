@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -9,7 +10,56 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+#: Every runnable subcommand with its sorted option strings.  A flag added
+#: or removed shows up here, in the diff.
+SURFACE = {
+    "apsp": "--breakdown --compare-baseline --degree --epsilon --grid --max-weight --n --seed --weighted",
+    "mssp": "--breakdown --compare-baseline --degree --epsilon --grid --max-weight --n --seed --sources",
+    "sssp": "--breakdown --compare-baseline --degree --epsilon --grid --max-weight --n --seed --source",
+    "diameter": "--breakdown --compare-baseline --degree --epsilon --grid --max-weight --n --seed",
+    "hopset": "--breakdown --compare-baseline --degree --epsilon --grid --max-weight --n --seed",
+    "matmul": "--density --n --seed",
+    "oracle build": "--degree --epsilon --graph --grid --jobs --k --kernel --max-weight --n --seed --shards --strategy --verbose",
+    "oracle strategies": "--degree --epsilon --max-weight --n",
+    "oracle shard": "--shards",
+    "oracle query": "--k-nearest --pairs --stats",
+    "plan": "--budget --degree --epsilon --graph --grid --jobs --max-query-cost --max-resident-mb --max-weight --n --out --seed --shard-target-mb",
+    "loadgen": "--additive --capacity --concurrency --json-out --max-batch --mode --policy --qps --queries --queue-capacity --raw-jsonl --report-residency --seed --stretch --stretch-mix --verify --window-ms --zipf",
+    "net serve": "--additive --capacity --concurrency --host --max-batch --port --seed --self-test --stretch --trace-sample --worker-base-port --workers --zipf",
+    "chaos plan": "--example",
+    "chaos corrupt": "--no-backup --restore",
+    "chaos run": "--additive --capacity --concurrency --host --max-batch --plan --port --seed --self-test --stretch --trace-sample --worker-base-port --workers --zipf",
+    "obs snapshot": "--host --port --timeout",
+    "obs top": "--host --limit --port --timeout",
+    "obs export": "--format --host --out --port --timeout",
+}
+
+
+def leaf_parsers(parser, path=()):
+    """``(subcommand path, parser)`` for every runnable subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_command_surface_is_pinned():
+    leaves = dict(leaf_parsers(build_parser()))
+    surface = {
+        path: " ".join(sorted(option for action in parser._actions
+                              for option in action.option_strings
+                              if option not in ("-h", "--help")))
+        for path, parser in leaves.items()}
+    assert surface == SURFACE
+    funcs = {parser.get_default("func") for parser in leaves.values()}
+    orphans = sorted(name for name, value in vars(repro.cli).items()
+                     if name.startswith("cmd_") and value not in funcs)
+    assert orphans == []
 
 
 class TestParser:
@@ -20,6 +70,19 @@ class TestParser:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
+
+    @pytest.mark.parametrize("argv, name", [
+        (["serve", "x"], "'serve'"),
+        (["oracle", "bench", "x"], "'bench'"),
+    ], ids=["serve", "oracle-bench"])
+    def test_retired_command_is_invalid_choice(self, argv, name, capsys):
+        """``serve`` folded into ``loadgen``; ``oracle bench`` into bench/."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert name in err
 
     def test_defaults(self):
         args = build_parser().parse_args(["apsp"])
@@ -80,7 +143,7 @@ class TestSubcommands:
 
 
 class TestOracleSubcommands:
-    """The oracle build/query/bench pipeline through the CLI, on disk."""
+    """The oracle build/query pipeline through the CLI, on disk."""
 
     def _build(self, tmp_path, capsys, *extra):
         artifact = tmp_path / "oracle.npz"
@@ -108,13 +171,6 @@ class TestOracleSubcommands:
         out = capsys.readouterr().out
         assert "nearest(0)" in out
         assert "cache hit rate" in out
-
-    def test_bench_reports_throughput(self, tmp_path, capsys):
-        artifact = self._build(tmp_path, capsys, "--strategy", "dense-apsp")
-        assert main(["oracle", "bench", str(artifact), "--queries", "2000"]) == 0
-        out = capsys.readouterr().out
-        assert "cached queries/sec" in out
-        assert "P50/P95/P99" in out
 
     def test_build_from_edge_list_file(self, tmp_path, capsys):
         edges = tmp_path / "graph.txt"
@@ -162,15 +218,6 @@ class TestOracleErrorPaths:
                      "--pairs", "0:1"]) == 1
         err = capsys.readouterr().err
         assert "not found" in err
-
-    def test_missing_artifact_for_bench(self, tmp_path, capsys):
-        assert main(["oracle", "bench", str(tmp_path / "absent.npz")]) == 1
-        assert "not found" in capsys.readouterr().err
-
-    def test_bench_rejects_non_positive_queries(self, tmp_path, capsys):
-        assert main(["oracle", "bench", str(tmp_path / "absent.npz"),
-                     "--queries", "0"]) == 2
-        assert "--queries must be positive" in capsys.readouterr().err
 
     def test_build_with_missing_graph_file(self, tmp_path, capsys):
         assert main(["oracle", "build", str(tmp_path / "o.npz"),
@@ -249,7 +296,7 @@ class TestQueryDeduplication:
 
 
 class TestServeSubcommands:
-    """repro serve / repro loadgen over on-disk artifacts."""
+    """repro loadgen over on-disk artifacts."""
 
     @pytest.fixture(scope="class")
     def artifact_dir(self, tmp_path_factory):
@@ -261,7 +308,7 @@ class TestServeSubcommands:
         return root
 
     def test_serve_self_test(self, artifact_dir, capsys):
-        assert main(["serve", str(artifact_dir), "--queries", "200",
+        assert main(["loadgen", str(artifact_dir), "--queries", "200",
                      "--window-ms", "1", "--concurrency", "16"]) == 0
         out = capsys.readouterr().out
         assert "serving 2 artifact(s)" in out
@@ -270,13 +317,13 @@ class TestServeSubcommands:
         assert "cheap" in out
 
     def test_serve_single_artifact_file(self, artifact_dir, capsys):
-        assert main(["serve", str(artifact_dir / "exact.npz"),
+        assert main(["loadgen", str(artifact_dir / "exact.npz"),
                      "--queries", "100"]) == 0
         out = capsys.readouterr().out
         assert "serving 1 artifact(s)" in out
 
     def test_serve_missing_artifact_is_clean_error(self, tmp_path, capsys):
-        assert main(["serve", str(tmp_path / "absent.npz")]) == 1
+        assert main(["loadgen", str(tmp_path / "absent.npz")]) == 1
         assert "not found" in capsys.readouterr().err
 
     def test_loadgen_closed_with_verify_and_json(self, artifact_dir, tmp_path,
@@ -329,21 +376,21 @@ class TestServeSubcommands:
         assert main(["oracle", "build", str(big), "--n", "48", "--seed", "3",
                      "--strategy", "landmark-mssp"]) == 0
         capsys.readouterr()
-        assert main(["serve", str(artifact_dir / "cheap.npz"), str(big),
+        assert main(["loadgen", str(artifact_dir / "cheap.npz"), str(big),
                      "--queries", "150"]) == 0
         out = capsys.readouterr().out
         assert "serving 2 artifact(s)" in out
         assert "availability     : 1.0000" in out
 
     def test_serve_accepts_shard_manifest_path(self, artifact_dir, capsys):
-        assert main(["serve", str(artifact_dir / "exact.shards.json"),
+        assert main(["loadgen", str(artifact_dir / "exact.shards.json"),
                      "--queries", "50"]) == 0
         assert "serving 1 artifact(s)" in capsys.readouterr().out
 
     def test_leftover_monolithic_pair_is_clean_error(self, monolithic_pair,
                                                      capsys):
-        for argv in (["serve", str(monolithic_pair)],
-                     ["serve", str(monolithic_pair.parent)],
+        for argv in (["loadgen", str(monolithic_pair)],
+                     ["loadgen", str(monolithic_pair.parent)],
                      ["oracle", "query", str(monolithic_pair), "--pairs", "0:1"]):
             assert main(argv) == 1
             assert "repro oracle build" in capsys.readouterr().err
@@ -351,13 +398,13 @@ class TestServeSubcommands:
     def test_serve_non_manifest_json_is_clean_error(self, tmp_path, capsys):
         stray = tmp_path / "notes.json"
         stray.write_text('{"hello": "world"}')
-        assert main(["serve", str(stray)]) == 1
+        assert main(["loadgen", str(stray)]) == 1
         assert "not a registry manifest" in capsys.readouterr().err
 
     def test_serve_bad_manifest_version_is_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "fleet.json"
         bad.write_text('{"manifest_version": 99, "artifacts": []}')
-        assert main(["serve", str(bad)]) == 1
+        assert main(["loadgen", str(bad)]) == 1
         assert "manifest_version" in capsys.readouterr().err
 
 
@@ -409,9 +456,6 @@ class TestShardingSubcommands:
         assert main(["oracle", "query", str(tmp_path / "s.shards.json"),
                      "--pairs", "0:5,3:7"]) == 0
         assert "dist(0, 5)" in capsys.readouterr().out
-        assert main(["oracle", "bench", str(tmp_path / "s.shards.json"),
-                     "--queries", "500"]) == 0
-        assert "cached queries/sec" in capsys.readouterr().out
 
     def test_shard_command_reshards_an_artifact(self, tmp_path, capsys):
         assert main(["oracle", "build", str(tmp_path / "m.npz"), "--n", "32",
@@ -467,11 +511,11 @@ class TestShardingSubcommands:
         capsys.readouterr()
         # The window is a plain number of milliseconds: argparse's error.
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", str(tmp_path / "b.npz"), "--queries", "10",
+            main(["loadgen", str(tmp_path / "b.npz"), "--queries", "10",
                   "--window-ms", "soon"])
         assert excinfo.value.code == 2
         assert "--window-ms" in capsys.readouterr().err
-        assert main(["serve", str(tmp_path / "b.npz"), "--queries", "10",
+        assert main(["loadgen", str(tmp_path / "b.npz"), "--queries", "10",
                      "--window-ms", "-1"]) == 1
         assert "coalesce_window" in capsys.readouterr().err
 
@@ -487,9 +531,6 @@ class TestShardingSubcommands:
         shard.write_bytes(bytes(data))
         assert main(["oracle", "query", str(tmp_path / "c.shards.json"),
                      "--pairs", "8:9"]) == 1
-        assert "checksum" in capsys.readouterr().err
-        assert main(["oracle", "bench", str(tmp_path / "c.shards.json"),
-                     "--queries", "100"]) == 1
         assert "checksum" in capsys.readouterr().err
 
 
@@ -516,12 +557,49 @@ class TestNetSubcommands:
     def test_net_serve_has_no_queue_flags(self, flag, capsys):
         """A worker's only door, gather(), takes and frees its queue slot
         with no await between: the queue never fills, so the flags that
-        tune it would be dead and are not offered (serve/loadgen keep
-        them — dist() parks there)."""
+        tune it would be dead and are not offered (loadgen keeps them —
+        dist() parks there)."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["net", "serve", "a", *flag])
         assert excinfo.value.code == 2
-        build_parser().parse_args(["serve", "a", *flag])
+        build_parser().parse_args(["loadgen", "a", *flag])
+
+    def test_net_serve_trace_sample_does_not_outlive_the_command(
+            self, tmp_path, capsys, monkeypatch):
+        """The rate reaches the fleet through the environment and this
+        process's tracer; neither keeps it once the command returns."""
+        from repro.obs.tracing import SAMPLE_ENV_VAR, get_tracer
+
+        monkeypatch.delenv(SAMPLE_ENV_VAR, raising=False)
+        assert main(["oracle", "build", str(tmp_path / "t.npz"), "--n", "24",
+                     "--seed", "7", "--strategy", "exact-fallback"]) == 0
+        prior = get_tracer().sample_rate
+        assert main(["net", "serve", str(tmp_path / "t.npz"), "--workers",
+                     "1", "--self-test", "20", "--trace-sample", "1"]) == 0
+        assert "answer mismatches: 0" in capsys.readouterr().out
+        assert SAMPLE_ENV_VAR not in os.environ
+        assert get_tracer().sample_rate == prior
+
+    def test_fleet_environment_restores_prior_values_on_error(
+            self, monkeypatch):
+        """A variable set before the fleet gets its old value back, one
+        that was unset is unset again, even when the fleet raises."""
+        from repro.chaos.plan import CHAOS_ENV_VAR
+        from repro.cli import _fleet_environment
+        from repro.obs.tracing import SAMPLE_ENV_VAR, get_tracer
+
+        monkeypatch.setenv(SAMPLE_ENV_VAR, "0.25")
+        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+        prior = get_tracer().sample_rate
+        with pytest.raises(RuntimeError):
+            with _fleet_environment(1.0, {CHAOS_ENV_VAR: "{}"}):
+                assert os.environ[SAMPLE_ENV_VAR] == "1.0"
+                assert os.environ[CHAOS_ENV_VAR] == "{}"
+                assert get_tracer().sample_rate == 1.0
+                raise RuntimeError("fleet failed")
+        assert os.environ[SAMPLE_ENV_VAR] == "0.25"
+        assert CHAOS_ENV_VAR not in os.environ
+        assert get_tracer().sample_rate == prior
 
     def test_net_serve_bad_artifact_is_clean_error(self, tmp_path, capsys):
         assert main(["net", "serve", str(tmp_path / "missing.npz"),
@@ -547,10 +625,10 @@ class TestNetSubcommands:
         assert main(["oracle", "build", str(tmp_path / "w.npz"), "--n", "24",
                      "--seed", "7", "--strategy", "landmark-mssp"]) == 0
         capsys.readouterr()
-        assert main(["serve", str(tmp_path / "w.npz"), "--queries", "400",
+        assert main(["loadgen", str(tmp_path / "w.npz"), "--queries", "400",
                      "--window-ms", "2.5"]) == 0
         out = capsys.readouterr().out
         assert "coalescing       : mode=fixed window=2.5ms" in out
-        assert main(["serve", str(tmp_path / "w.npz"), "--queries", "50",
+        assert main(["loadgen", str(tmp_path / "w.npz"), "--queries", "50",
                      "--window-ms", "0"]) == 0
         assert "coalescing       : mode=off window=0ms" in capsys.readouterr().out

@@ -378,7 +378,7 @@ class TestNetClientCoalescing:
     def test_short_reply_settles_every_caller_of_the_frame(self, table):
         """A reply with fewer values than the frame had pairs (a worker
         bug, a truncated frame that still parses): all three callers get
-        an error naming both counts — at the parent the third hangs."""
+        the typed miscount error naming both counts, not a hang."""
         async def drive():
             async def drop_last(request):
                 return table[request.u, request.v][:-1]
@@ -399,8 +399,9 @@ class TestNetClientCoalescing:
         errors, requests = asyncio.run(drive())
         assert requests == 1
         for error in errors:  # None: stranded
-            assert isinstance(error, RuntimeError)
-            assert "2 values for a frame of 3 keys" in str(error)
+            assert isinstance(error, MiscountedReply)
+            assert "answered 2 distance(s) to a request of 3 pair(s)" \
+                in str(error)
 
     def test_timed_out_caller_does_not_cancel_the_others_answer(self, table):
         """Two callers of one pair, the first under a ``wait_for`` that
@@ -624,17 +625,20 @@ class TestAttemptBudget:
                                            r"request of 8 pair"):
             asyncio.run(frontend.handle_request(frame_request(shard_frame(0))))
 
-        async def direct():
-            client = NetClient("127.0.0.1", 1)
+        async def direct(**client_options):
+            client = NetClient("127.0.0.1", 1, **client_options)
             scripted(client.link, table, one_short)
             try:
-                with pytest.raises(MiscountedReply) as caught:
-                    await client.batch(shard_frame(0))
-                assert caught.value.code == ERR_BAD_FRAME
+                for ask in (lambda: client.batch(shard_frame(0)),
+                            lambda: client.dist(3, 40)):
+                    with pytest.raises(MiscountedReply) as caught:
+                        await ask()
+                    assert caught.value.code == ERR_BAD_FRAME
             finally:
                 await client.aclose()
 
-        asyncio.run(direct())
+        asyncio.run(direct())                   # dist() through the coalescer
+        asyncio.run(direct(coalesce_window=0))  # dist() as a frame of one
 
     def test_no_admitting_link_says_so(self, artifacts, table):
         """Three runs; every breaker opens while the first is out.  The

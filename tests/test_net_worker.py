@@ -48,11 +48,11 @@ def reference(artifact_path):
     return QueryEngine(load_artifact(artifact_path))
 
 
-def make_worker(artifact_path, **config_kwargs) -> DistanceWorker:
+def make_worker(artifact_path, **config) -> DistanceWorker:
     registry = ArtifactRegistry()
     registry.register(artifact_path)
     server = DistanceServer(StretchRouter(registry),
-                            config=ServerConfig(**config_kwargs))
+                            config=ServerConfig(**config))
     return DistanceWorker(server)
 
 
