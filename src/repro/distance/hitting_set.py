@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from itertools import chain
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.cclique.accounting import Clique
 
 
 def greedy_hitting_set(
-    sets: Sequence[Sequence[int]],
+    sets: Union[Sequence[Sequence[int]], np.ndarray],
     universe_size: int,
     clique: Optional[Clique] = None,
     label: str = "hitting-set",
@@ -29,7 +32,8 @@ def greedy_hitting_set(
     Parameters
     ----------
     sets:
-        The subsets to hit (empty subsets are ignored).
+        The subsets to hit (empty subsets are ignored): node-id sequences,
+        or a 2-D id array with one subset a row, padded with ``-1``.
     universe_size:
         Number of nodes ``n``.
     clique:
@@ -38,47 +42,35 @@ def greedy_hitting_set(
     Returns
     -------
     A sorted list of chosen nodes.  The greedy rule (always pick the node
-    covering the most not-yet-hit subsets) guarantees a set of size at most
-    ``(ln m + 1) · OPT`` where ``m`` is the number of subsets; since
-    ``OPT <= ceil(n / k)`` for subsets of size ``>= k`` this matches the
-    ``O(n log n / k)`` bound of Lemma 4.
+    covering the most not-yet-hit subsets, ties to the smallest id)
+    guarantees a set of size at most ``(ln m + 1) · OPT`` where ``m`` is
+    the number of subsets; since ``OPT <= ceil(n / k)`` for subsets of
+    size ``>= k`` this matches the ``O(n log n / k)`` bound of Lemma 4.
     """
     if clique is not None:
         clique.charge_hitting_set(label=label)
 
-    import heapq
-
-    alive: Dict[int, Set[int]] = {}
-    for index, subset in enumerate(sets):
-        if subset:
-            alive[index] = set(subset)
-
-    membership: Dict[int, Set[int]] = {}
-    for index, subset in alive.items():
-        for node in subset:
-            membership.setdefault(node, set()).add(index)
-
-    # Lazy-deletion max-heap keyed by (uncovered count, node id) so the
-    # selection is deterministic; counts are refreshed on pop.
-    covered: Set[int] = set()
-    heap = [(-len(indices), node) for node, indices in membership.items()]
-    heapq.heapify(heap)
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        rows, slots = np.nonzero(sets >= 0)
+        nodes = sets[rows, slots]
+    else:
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        nodes = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                            count=int(sizes.sum()))
+    # member[s, v]: subset s holds node v and is not hit yet.
+    member = np.zeros((len(sets), universe_size), dtype=bool)
+    member[rows, nodes] = True
+    counts = member.sum(axis=0)
     chosen: List[int] = []
-    remaining = len(alive)
-    while remaining > 0 and heap:
-        neg_count, node = heapq.heappop(heap)
-        current = sum(1 for index in membership[node] if index not in covered)
-        if current == 0:
-            continue
-        if -neg_count != current:
-            heapq.heappush(heap, (-current, node))
-            continue
+    while True:
+        node = int(np.argmax(counts))  # the first maximum: the smallest id
+        if counts[node] == 0:
+            return sorted(chosen)
         chosen.append(node)
-        for index in membership[node]:
-            if index not in covered:
-                covered.add(index)
-                remaining -= 1
-    return sorted(chosen)
+        hit = np.flatnonzero(member[:, node])
+        counts -= member[hit].sum(axis=0)
+        member[hit] = False
 
 
 def random_hitting_set(

@@ -5,18 +5,21 @@ each of the ``n`` machines owns one row slab of the semiring product and
 never writes outside it.  This module exploits that decomposition on real
 cores for the build-side APSP closure:
 
-* Operands are shared **read-only** between worker processes as raw
-  memory-mapped files in a temporary directory — a spawn-context pool
-  (safe under threads, identical semantics on every platform) receives
-  picklable :class:`SharedArray` handles, never array payloads.
+* With a pool (``jobs > 1``), operands are shared **read-only** between
+  worker processes as raw memory-mapped files in a temporary directory —
+  a spawn-context pool (safe under threads, identical semantics on every
+  platform) receives picklable :class:`SharedArray` handles, never array
+  payloads.  Without one (``jobs=1``) they are :class:`LocalArray`
+  handles on private in-process arrays: the tasks run inline, and nothing
+  is written to disk.
 * Each task computes one contiguous **row slab** of the output and writes
-  it into its disjoint slice of a shared output map, so stitching is
+  it into its disjoint slice of a shared output, so stitching is
   deterministic regardless of completion order.
 * Per-row results depend only on the operands — never on the slab
   boundaries or the worker count — so ``jobs=1`` (which runs every task
-  inline, no pool, no pickling) is **bit-identical** to ``jobs=K`` for any
-  ``K``.  The oracle build path relies on this for its jobs-parity
-  guarantee (same per-shard SHA-256 at any job count).
+  inline: no pool, no pickling and no files) is **bit-identical** to
+  ``jobs=K`` for any ``K``.  The oracle build path relies on this for its
+  jobs-parity guarantee (same per-shard SHA-256 at any job count).
 
 The closure (:func:`minplus_closure`) iterates the product with the
 **sparse** adjacency matrix, as the paper's exact routines do (Theorems 3
@@ -27,11 +30,11 @@ nearly complete graphs (``m > n²/4``), where the table is the graph.  It
 synchronises once per step: row ``v`` of the next ``D`` is a minimum — order
 free, hence exact — over ``D[v]`` and ``w(v, u) + D[u]``, each a single
 add, read from the same shared ``D`` of the previous step whatever slab
-``v`` falls in; the maps swap, and the loop stops at the first step where
-no row moved — a global condition, hence the same step count (and the same
-bits) at every job count.  Nothing is ``msync``-ed: ``MAP_SHARED`` mappings
-of one file see each other's writes through the page cache, the pool's
-``map`` is the barrier, and a temporary file needs no durability.
+``v`` falls in; the two outputs swap, and the loop stops at the first step
+where no row moved — a global condition, hence the same step count (and the
+same bits) at every job count.  Nothing is ``msync``-ed: ``MAP_SHARED``
+mappings of one file see each other's writes through the page cache, the
+pool's ``map`` is the barrier, and a temporary file needs no durability.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import os
 import shutil
 import tempfile
 import uuid
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,8 +91,27 @@ class SharedArray:
                          shape=self.shape)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class LocalArray:
+    """:class:`SharedArray`'s in-process twin, for tasks that run inline."""
+
+    array: np.ndarray
+
+    def open(self, mode: str = "r") -> np.ndarray:
+        """The array itself; read-only for ``"r"``, as a map would be."""
+        if mode != "r":
+            return self.array
+        view = self.array.view()
+        view.flags.writeable = False
+        return view
+
+
+#: What :class:`SlabExecutor` hands its tasks: both have ``open(mode)``.
+Handle = Union[SharedArray, LocalArray]
+
+
 class SlabExecutor:
-    """Run row-slab tasks over memmap-shared arrays, serially or on a pool.
+    """Run row-slab tasks inline on private arrays, or on a pool over maps.
 
     Use as a context manager::
 
@@ -98,13 +120,15 @@ class SlabExecutor:
             closure, steps = minplus_closure(ex, W)
             dist = np.array(closure.open())
 
-    ``jobs=1`` never creates a pool: every task runs inline in submission
-    order, which doubles as the bit-exact serial baseline.  An existing
-    spawn-context pool can be injected via ``pool=`` (the executor then
-    does not close it) — the test suite shares one pool across hypothesis
-    examples this way.  The temporary directory holding the shared maps is
-    removed on exit, so results needed afterwards must be copied out with
-    ``np.array`` (``np.asarray`` of a map is a view of it).
+    ``jobs=1`` never creates a pool and writes no file: every task runs
+    inline in submission order on :class:`LocalArray` handles, which
+    doubles as the bit-exact serial baseline.  ``jobs > 1`` shares
+    :class:`SharedArray` maps in a temporary directory with a spawn pool.
+    An existing spawn-context pool can be injected via ``pool=`` (the
+    executor then does not close it) — the test suite shares one pool
+    across hypothesis examples this way.  The temporary directory is
+    removed on exit, so results of a pooled run needed afterwards must be
+    copied out with ``np.array`` (``np.asarray`` of a map is a view of it).
     """
 
     def __init__(self, jobs: int = 1, pool=None, tmp_dir: Optional[str] = None):
@@ -115,13 +139,15 @@ class SlabExecutor:
         self._pool = None
         self._tmp_root = tmp_dir
         self._tmp: Optional[str] = None
+        self._entered = False
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "SlabExecutor":
-        self._tmp = tempfile.mkdtemp(prefix="repro-slab-", dir=self._tmp_root)
         if self.jobs > 1:
+            self._tmp = tempfile.mkdtemp(prefix="repro-slab-", dir=self._tmp_root)
             pool = self._injected_pool
             self._pool = pool if pool is not None else SPAWN_CONTEXT.Pool(self.jobs)
+        self._entered = True
         return self
 
     def __exit__(self, *exc) -> None:
@@ -132,25 +158,35 @@ class SlabExecutor:
         if self._tmp is not None:
             shutil.rmtree(self._tmp, ignore_errors=True)
             self._tmp = None
+        self._entered = False
 
-    def _path(self, name: str) -> str:
-        if self._tmp is None:
+    def _path(self, name: str) -> Optional[str]:
+        """A fresh file for a pooled run; ``None`` when tasks run inline."""
+        if not self._entered:
             raise RuntimeError("SlabExecutor must be entered before use")
+        if self._tmp is None:
+            return None
         return os.path.join(self._tmp, f"{name}-{uuid.uuid4().hex[:8]}.bin")
 
     # -- shared arrays --------------------------------------------------
-    def share(self, name: str, array: np.ndarray) -> SharedArray:
-        """Copy ``array`` into a shared read-only map; returns its handle."""
+    def share(self, name: str, array: np.ndarray) -> Handle:
+        """Copy ``array`` into a read-only operand; returns its handle."""
+        path = self._path(name)
+        if path is None:
+            return LocalArray(np.array(array, order="C"))
         array = np.ascontiguousarray(array)
-        handle = SharedArray(self._path(name), str(array.dtype), array.shape)
-        np.memmap(handle.path, dtype=array.dtype, mode="w+",
+        handle = SharedArray(path, str(array.dtype), array.shape)
+        np.memmap(path, dtype=array.dtype, mode="w+",
                   shape=array.shape)[...] = array
         return handle
 
-    def empty(self, name: str, dtype, shape: Tuple[int, ...]) -> SharedArray:
-        """Allocate an uninitialised shared output map."""
-        handle = SharedArray(self._path(name), str(np.dtype(dtype)), tuple(shape))
-        np.memmap(handle.path, dtype=np.dtype(dtype), mode="w+",
+    def empty(self, name: str, dtype, shape: Tuple[int, ...]) -> Handle:
+        """Allocate an uninitialised output; returns its handle."""
+        path = self._path(name)
+        if path is None:
+            return LocalArray(np.empty(shape, dtype=dtype))
+        handle = SharedArray(path, str(np.dtype(dtype)), tuple(shape))
+        np.memmap(path, dtype=np.dtype(dtype), mode="w+",
                   shape=tuple(shape))
         return handle
 
@@ -210,9 +246,9 @@ def _relax_slab(task) -> np.ndarray:
 
 def minplus_closure(
     executor: SlabExecutor,
-    W: SharedArray,
+    W: Handle,
     slabs: Optional[int] = None,
-) -> Tuple[SharedArray, int]:
+) -> Tuple[Handle, int]:
     """All-pairs min-plus closure of ``W`` by step-synchronised relaxation.
 
     ``W`` must carry a zero diagonal (``d(v, v) = 0``).  Each step replaces
@@ -225,11 +261,11 @@ def minplus_closure(
     that moved — so the step count, and therefore every bit of the result,
     is identical at every job count.
 
-    Returns ``(closure_handle, steps)``; the handle lives in the
-    executor's temporary directory and dies with it.
+    Returns ``(closure_handle, steps)``; a pooled run's handle lives in
+    the executor's temporary directory and dies with it.
     """
-    n = W.shape[0]
     dense = np.asarray(W.open())
+    n = len(dense)
     rows, cols = np.nonzero(np.isfinite(dense) & ~np.eye(n, dtype=bool))
     if len(rows) == 0:  # no edges (an empty file cannot be mapped either)
         return W, 1
@@ -242,11 +278,12 @@ def minplus_closure(
     weights = executor.share("weights", dense[rows, cols][order])
     ranges = slab_ranges(n, min(slabs or max(executor.jobs, 1), n))
     # W stays the caller's read-only operand: the steps ping/pong between
-    # two maps of their own.
-    maps = [executor.empty("closure", W.dtype, W.shape) for _ in range(2)]
+    # two outputs of their own.
+    outputs = [executor.empty("closure", dense.dtype, dense.shape)
+               for _ in range(2)]
     current, moved, steps = W, np.ones(n, dtype=bool), 0
     while moved.any() and steps < n - 1:
-        out = maps[steps % 2]
+        out = outputs[steps % 2]
         moved = np.concatenate(executor.map(
             _relax_slab,
             [(index, weights, current, out, moved, start, stop)
@@ -257,6 +294,7 @@ def minplus_closure(
 
 
 __all__ = [
+    "LocalArray",
     "SharedArray",
     "SlabExecutor",
     "minplus_closure",

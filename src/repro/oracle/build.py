@@ -91,8 +91,9 @@ class BuildReport:
     #: Worker processes the build ran on (1 for the classic simulated path).
     jobs: int = 1
     #: ``"simulated-clique"`` (the strategy's ``build_fn``, whatever
-    #: ``jobs`` asked for) or ``"parallel"`` (its slab build ran; a slab
-    #: build simulates no rounds).
+    #: ``jobs`` asked for), ``"inline"`` (its slab build ran in this
+    #: process, ``jobs=1``) or ``"parallel"`` (its slab build ran on a pool
+    #: of ``jobs`` workers).  A slab build simulates no rounds.
     mode: str = "simulated-clique"
     #: Per-phase wall-clock seconds (in execution order off ``build()``; a
     #: manifest sorts its keys).
@@ -147,8 +148,8 @@ class OracleBuilder:
         the closure and the ball rows, ``rounds=0.0`` recorded) if it has
         one; ``spanner-greedy`` and ``hopset-landmark`` have none and run
         their ``build_fn`` at every ``jobs``, with no pool.  ``jobs=1``
-        runs the slab tasks inline — the byte-exact serial baseline the
-        parity tests and benchmarks compare against.
+        runs the slab tasks inline, in memory — the byte-exact serial
+        baseline the parity tests and benchmarks compare against.
     pool:
         Optional pre-started spawn-context pool for the slab builds
         (test hook: shares one pool across many small builds).
@@ -172,8 +173,8 @@ class OracleBuilder:
     def _payload(self, graph: Graph):
         """Run the strategy's build function: yields ``(metadata, arrays)``.
 
-        A slab build's row arrays are the executor's maps, which close
-        with the block — copy them or write them out inside it.
+        A pooled slab build's row arrays are the executor's maps, which
+        close with the block — copy them or write them out inside it.
         """
         if graph.directed:
             raise ValueError("distance oracles require an undirected graph")
@@ -201,8 +202,9 @@ class OracleBuilder:
                           "seconds": time.perf_counter() - start,
                           "kernel": ("edge-relaxation" if slab_build
                                      else self.kernel or "auto"),
-                          "mode": ("parallel" if slab_build
-                                   else "simulated-clique"),
+                          "mode": ("simulated-clique" if not slab_build
+                                   else "parallel" if self.jobs > 1
+                                   else "inline"),
                           "jobs": self.jobs if slab_build else 1,
                           "phases": {name: round(value, 6)
                                      for name, value in phases.items()},
@@ -213,7 +215,8 @@ class OracleBuilder:
     def build(self, graph: Graph) -> OracleArtifact:
         """Run the strategy's build computation and package the artifact."""
         with self._payload(graph) as (metadata, arrays):
-            # The maps are deleted with the block: a product owns its memory.
+            # A pool's maps are deleted with the block: a product owns its
+            # memory (an inline build's arrays are its own already).
             arrays = {name: np.array(value) if isinstance(value, np.memmap)
                       else value for name, value in arrays.items()}
         record_build_phases(self.spec.name, metadata["build"]["phases"])
@@ -230,8 +233,8 @@ class OracleBuilder:
         ShardedOracleArtifact`: rows served from the maps, so holding it
         pins no payload).  The shard writer streams row slices (views) of
         the build's arrays to disk one shard at a time — out of the
-        executor's maps for a slab build — so no second full copy of the
-        payload is ever materialised.  The write is the build's last
+        executor's outputs for a slab build — so no second full copy of
+        the payload is ever materialised.  The write is the build's last
         phase, ``shard-write``, and ``build.seconds`` ends after it.
         """
         start = time.perf_counter()

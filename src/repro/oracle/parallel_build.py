@@ -18,9 +18,11 @@ are the two phases it ever sped up (README "Parallel oracle builds").
 Packaging, metadata and the shard files are :class:`~repro.oracle.build.
 OracleBuilder`'s, the same for every build function.
 
-The row arrays come back as **the executor's maps** (``np.memmap``: an
-n×n table is never copied into the parent's heap; the shard writer streams
-rows from the map to the shard file), so they are valid only while the
+The row arrays come back as **the executor's outputs**, never copied: at
+``jobs=1`` the in-process arrays the inline tasks filled (nothing touches
+the disk before the shard write); at ``jobs=K`` its maps (``np.memmap``:
+an n×n table is never copied into the parent's heap; the shard writer
+streams rows from the map to the shard file), valid only while the
 executor is open.  ``landmarks`` and ``landmark_dist`` are resident.
 
 Determinism — ``jobs=K`` is bit-identical to ``jobs=1``: the closure's
@@ -42,6 +44,7 @@ from typing import Dict
 import numpy as np
 
 from repro.distance.hitting_set import greedy_hitting_set
+from repro.distance.products import edge_arrays
 from repro.graphs.graph import Graph
 from repro.matmul.parallel import SlabExecutor, minplus_closure, slab_ranges
 from repro.oracle.build import default_ball_size
@@ -53,9 +56,8 @@ def weight_matrix(graph: Graph) -> np.ndarray:
     """The graph's dense adjacency: ``inf`` off-edges, zero diagonal."""
     W = np.full((graph.n, graph.n), np.inf, dtype=np.float64)
     np.fill_diagonal(W, 0.0)
-    for u in range(graph.n):
-        for v, weight in graph.adj[u].items():
-            W[u, v] = float(weight)
+    src, dst, weight = edge_arrays(graph)
+    W[src, dst] = weight
     return W
 
 
@@ -112,9 +114,7 @@ def closure_landmark_arrays(builder, graph: Graph, executor: SlabExecutor):
 
     tick = time.perf_counter()
     ball_idx = idx_h.open()
-    ball_sets = [set(int(u) for u in row if u >= 0)
-                 for row in np.asarray(ball_idx)]
-    landmarks = np.asarray(greedy_hitting_set(ball_sets, n), dtype=np.int64)
+    landmarks = np.asarray(greedy_hitting_set(ball_idx, n), dtype=np.int64)
     phases["hitting-set"] = time.perf_counter() - tick
 
     arrays = {

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cclique import Clique
@@ -16,6 +17,39 @@ from repro.distance.hitting_set import verify_hitting_set
 def random_sets(n, k, count, seed):
     rng = random.Random(seed)
     return [rng.sample(range(n), k) for _ in range(count)]
+
+
+def reference_greedy_hitting_set(sets):
+    """The greedy rule over Python sets: a lazy max-heap keyed by
+    (not-yet-hit subsets, node id), counts refreshed on pop."""
+    alive = {index: set(subset) for index, subset in enumerate(sets) if subset}
+    membership = {}
+    for index, subset in alive.items():
+        for node in subset:
+            membership.setdefault(node, set()).add(index)
+    covered = set()
+    heap = [(-len(indices), node) for node, indices in membership.items()]
+    heapq.heapify(heap)
+    chosen = []
+    while len(covered) < len(alive) and heap:
+        neg_count, node = heapq.heappop(heap)
+        current = len(membership[node] - covered)
+        if current == 0:
+            continue
+        if -neg_count != current:
+            heapq.heappush(heap, (-current, node))
+            continue
+        chosen.append(node)
+        covered |= membership[node]
+    return sorted(chosen)
+
+
+def padded(sets, width):
+    """``sets`` as a 2-D id array, one row a subset, padded with ``-1``."""
+    table = np.full((len(sets), width), -1, dtype=np.int64)
+    for row, subset in enumerate(sets):
+        table[row, :len(subset)] = subset
+    return table
 
 
 class TestGreedyHittingSet:
@@ -61,6 +95,25 @@ class TestGreedyHittingSet:
         hitting = greedy_hitting_set(sets, 6)
         assert len(hitting) == 3
         assert verify_hitting_set(sets, hitting)
+
+    def test_ties_go_to_the_smallest_id(self):
+        assert greedy_hitting_set([[3, 1], [1, 3], [5, 4]], 6) == [1, 4]
+
+    def test_padded_array_matches_sequences(self):
+        sets = [[4, 2, 9], [], [7], [2, 2, 5], [0, 1, 8]]
+        table = padded(sets, 4)
+        assert greedy_hitting_set(table, 10) == greedy_hitting_set(sets, 10)
+        assert greedy_hitting_set(np.full((3, 2), -1), 5) == []
+
+    def test_matches_the_heap_reference(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            sets = [rng.sample(range(n), rng.randint(0, min(n, 8)))
+                    for _ in range(rng.randint(0, 2 * n))]
+            expected = reference_greedy_hitting_set(sets)
+            assert greedy_hitting_set(sets, n) == expected
+            assert greedy_hitting_set(padded(sets, 8), n) == expected
 
 
 class TestRandomHittingSet:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -91,13 +93,38 @@ class TestSlabExecutor:
         with pytest.raises(RuntimeError, match="entered"):
             ex.share("x", np.zeros(3))
 
-    def test_share_roundtrip_and_cleanup(self):
+    def test_inline_share_is_a_private_copy_and_writes_no_file(
+            self, tmp_path, monkeypatch):
+        slab_dir, env_dir = tmp_path / "slab", tmp_path / "env"
+        slab_dir.mkdir()
+        env_dir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(env_dir))
+        monkeypatch.setattr(tempfile, "tempdir", str(env_dir))
         data = np.arange(12, dtype=np.float64).reshape(3, 4)
-        with SlabExecutor(jobs=1) as ex:
+        graph = random_weighted_graph(20, 4.0, max_weight=9, seed=24)
+        with SlabExecutor(jobs=1, tmp_dir=str(slab_dir)) as ex:
+            handle = ex.share("data", data)
+            np.testing.assert_array_equal(handle.open(), data)
+            data[0, 0] = -1.0  # the caller's array, not the handle's
+            assert handle.open()[0, 0] == 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                handle.open()[0, 0] = 1.0
+            closure, _ = minplus_closure(ex, ex.share(
+                "W", weight_matrix(graph)))
+            np.testing.assert_array_equal(
+                closure.open(), np.asarray(all_pairs_dijkstra(graph)))
+        OracleBuilder("landmark-mssp", jobs=1).build(graph)
+        assert list(slab_dir.iterdir()) == list(env_dir.iterdir()) == []
+
+    def test_pooled_share_roundtrip_and_cleanup(self, tmp_path, spawn_pool):
+        data = np.arange(12, dtype=np.float64).reshape(3, 4)
+        with SlabExecutor(jobs=2, pool=spawn_pool,
+                          tmp_dir=str(tmp_path)) as ex:
             handle = ex.share("data", data)
             np.testing.assert_array_equal(np.asarray(handle.open()), data)
-            path = handle.path
-        assert not __import__("os").path.exists(path)
+            assert os.path.exists(handle.path)
+        assert not os.path.exists(handle.path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def closure_of(graph, slabs):
@@ -376,7 +403,7 @@ class TestOnePipeline:
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=13)
         artifact = OracleBuilder(jobs=1).build(graph)
         build = artifact.metadata["build"]
-        assert build["mode"] == "parallel"
+        assert build["mode"] == "inline"
         assert build["jobs"] == 1
         assert build["rounds"] == 0.0
         assert build["closure_steps"] == max(1, shortest_path_diameter(graph))
@@ -385,9 +412,15 @@ class TestOnePipeline:
     def test_builder_routes_jobs_to_slab_build(self):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)
         artifact = OracleBuilder(strategy="exact-fallback", jobs=1).build(graph)
-        assert artifact.metadata["build"]["mode"] == "parallel"
+        assert artifact.metadata["build"]["mode"] == "inline"
         exact = np.asarray(all_pairs_dijkstra(graph))
         np.testing.assert_array_equal(artifact.arrays["dist"], exact)
+
+    def test_pooled_build_records_parallel_mode(self, spawn_pool):
+        graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)
+        build = OracleBuilder("dense-apsp", jobs=2, pool=spawn_pool).build(
+            graph).metadata["build"]
+        assert (build["mode"], build["jobs"]) == ("parallel", 2)
 
     def test_in_memory_product_owns_its_memory(self):
         # The executor's maps are deleted when the build returns.
@@ -446,7 +479,7 @@ class TestBuildReportAndCLI:
         artifact = builder.build(graph)
         report = builder.report(artifact)
         assert report.jobs == 1
-        assert report.mode == "parallel"
+        assert report.mode == "inline"
         assert report.phases and all(v >= 0 for v in report.phases.values())
         text = report.summary(verbose=True)
         assert "workers" in text and "phase" in text
@@ -457,7 +490,7 @@ class TestBuildReportAndCLI:
         assert main(["oracle", "build", str(artifact), "--n", "16",
                      "--jobs", "1", "--shards", "2", "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "workers           : 1 (parallel)" in out
+        assert "workers           : 1 (inline)" in out
         assert "phase" in out
         assert "manifest" in out
         engine = QueryEngine(load_artifact(artifact))
