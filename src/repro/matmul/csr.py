@@ -40,10 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.matmul.matrix import (  # noqa: F401  (re-exported: original home)
+from repro.matmul.matrix import (
     CSRMatrix,
     SemiringMatrix,
-    csr_supported,
     dict_rows,
     from_csr,
     min_per_position,

@@ -2,11 +2,10 @@
 
 Two layers live here:
 
-* **Array kernels** — numpy (and optionally numba) implementations of the
-  dense min-plus product over the encodings of
-  :class:`~repro.matmul.matrix.CSRMatrix` (``float64`` with ``inf`` for
-  plain min-plus, order-preserving ``int64`` codes for the augmented
-  semiring):
+* **Array kernels** — numpy implementations of the dense min-plus
+  product over the encodings of :class:`~repro.matmul.matrix.CSRMatrix`
+  (``float64`` with ``inf`` for plain min-plus, order-preserving ``int64``
+  codes for the augmented semiring):
 
   - :func:`minplus_matmul_arrays` — the original row-block broadcast
     kernel (the ``"dense"`` dispatch tier): one ``(block, n, n)``
@@ -17,14 +16,9 @@ Two layers live here:
     a running elementwise minimum across the K tiles.  Same values as the
     row-block kernel (min is exact, so reduction order cannot change the
     result), typically 2-3x faster at n >= 512 because the temporaries stop
-    thrashing memory bandwidth, and it accepts rectangular operands — the
-    row-slab shape the parallel build executor multiplies.
-  - :func:`minplus_jit` — a numba-compiled triple loop (the ``"jit"``
-    tier).  numba is an optional dependency (the ``perf`` extra): import
-    is guarded, :data:`HAVE_NUMBA` reports availability, and the dispatch
-    layer simply never offers the tier when numba is absent.
+    thrashing memory bandwidth, and it accepts rectangular operands.
 
-  All three produce bit-identical arrays on their common domain
+  Both produce bit-identical arrays on their common domain
   (property-tested in ``tests/test_blocked_kernels.py``); the dict kernel
   of :mod:`repro.matmul.kernels` remains the semantic reference.
 
@@ -44,14 +38,6 @@ from repro.cclique.accounting import Clique
 from repro.matmul.matrix import CSRMatrix, SemiringMatrix, from_csr, to_csr
 from repro.matmul.results import MatMulResult
 from repro.semiring.base import Semiring
-
-try:  # optional perf extra — never required
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised by the no-numba CI leg
-    _numba = None
-
-#: Whether the numba-backed ``"jit"`` kernel tier is available.
-HAVE_NUMBA = _numba is not None
 
 #: Row-block size for the numpy broadcast kernel (memory / speed trade-off).
 _BLOCK_ROWS = 32
@@ -124,8 +110,7 @@ def minplus_blocked(
     """Cache-tiled dense min-plus product ``min_k A[i, k] + B[k, j]``.
 
     Accepts rectangular operands — ``A`` of shape ``(r, m)`` against ``B``
-    of shape ``(m, c)`` — which is the shape the row-slab parallel executor
-    (:mod:`repro.matmul.parallel`) multiplies.  The tile walk order (ties
+    of shape ``(m, c)``.  The tile walk order (ties
     broken by the exact elementwise minimum) makes the result independent
     of the tile sizes, so callers may tune them freely without changing a
     single bit of output.
@@ -147,60 +132,6 @@ def minplus_blocked(
                 np.minimum(
                     out[i0:i1, j0:j1], tile.min(axis=1), out=out[i0:i1, j0:j1]
                 )
-    return out
-
-
-# Lazily-compiled numba kernel, shared across dtypes (numba specialises per
-# signature on first call).  Compilation happens once per process per dtype.
-_JIT_KERNEL = None
-
-
-def _jit_kernel():
-    global _JIT_KERNEL
-    if _JIT_KERNEL is None:
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "the 'jit' kernel requires numba; install the 'perf' extra "
-                "(pip install repro-congested-clique[perf])"
-            )
-
-        @_numba.njit(cache=False)
-        def _minplus_inner(A, B, out, skip_at):  # pragma: no cover - compiled
-            rows, mids = A.shape
-            cols = B.shape[1]
-            for i in range(rows):
-                for k in range(mids):
-                    a = A[i, k]
-                    if a >= skip_at:
-                        continue
-                    for j in range(cols):
-                        v = a + B[k, j]
-                        if v < out[i, j]:
-                            out[i, j] = v
-
-        _JIT_KERNEL = _minplus_inner
-    return _JIT_KERNEL
-
-
-def minplus_jit(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Numba-compiled dense min-plus product (requires the ``perf`` extra).
-
-    Bit-identical to :func:`minplus_blocked`: rows of ``A`` at or above the
-    encoding's infinity never contribute a *finite* sum, and every finite
-    result is a plain ``a + b`` minimum, which the triple loop reproduces
-    exactly.  Raises ``RuntimeError`` when numba is not installed — the
-    dispatch layer checks :data:`HAVE_NUMBA` and never routes here without
-    it.
-    """
-    rows, mids = A.shape
-    mids_b, cols = B.shape
-    if mids != mids_b:
-        raise ValueError(f"shape mismatch: {A.shape} x {B.shape}")
-    init = _init_value(A.dtype)
-    out = np.full((rows, cols), init, dtype=A.dtype)
-    A = np.ascontiguousarray(A)
-    B = np.ascontiguousarray(B)
-    _jit_kernel()(A, B, out, init)
     return out
 
 

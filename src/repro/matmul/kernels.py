@@ -2,7 +2,7 @@
 
 In the Congested Clique algorithms each node computes products of the
 submatrices it has learned *locally* — local computation is free in the
-model, only communication costs rounds.  Five kernels provide that local
+model, only communication costs rounds.  Four kernels provide that local
 computation:
 
 * ``dict`` — the reference dictionary-based sparse semiring product: a pure
@@ -25,11 +25,7 @@ computation:
   (:func:`repro.matmul.dense.minplus_blocked`): same ``n³`` product walked
   in cache-sized ``(i, k, j)`` tiles with a running minimum, so the
   temporaries stop thrashing memory bandwidth.  2-3x faster than
-  ``dense`` at n >= 512 and the tier the parallel build executor uses for
-  its row-slab products.
-* ``jit`` — a numba-compiled triple loop
-  (:func:`repro.matmul.dense.minplus_jit`).  Only offered when numba is
-  importable (the optional ``perf`` extra); never required.
+  ``dense`` at n >= 512.
 
 Every vectorised tier takes its operands' encoded arrays (encoding a
 dictionary-built operand once, cached on it) and returns an array-resident
@@ -54,7 +50,7 @@ products.  The choice never affects the result — all tiers are
 bit-identical on their common domain (property-tested).
 
 Pinning a kernel: every product entry point accepts ``kernel="dict" |
-"csr" | "dense" | "dense-blocked" | "jit"``, and the ``REPRO_KERNEL``
+"csr" | "dense" | "dense-blocked"``, and the ``REPRO_KERNEL``
 environment variable pins the default process-wide (benchmarks and tests
 use this; an env-pinned kernel that cannot handle the semiring or operation
 at hand falls back to the cost model over the kernels that can, while an
@@ -75,7 +71,13 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.matmul import csr as _csr
 from repro.matmul import dense as _dense
-from repro.matmul.matrix import SemiringMatrix
+from repro.matmul.matrix import (
+    CSRMatrix,
+    SemiringMatrix,
+    csr_supported,
+    from_csr,
+    to_csr,
+)
 from repro.semiring.augmented import AugmentedMinPlusSemiring
 from repro.semiring.base import Semiring
 from repro.semiring.minplus import MinPlusSemiring
@@ -84,10 +86,10 @@ from repro.semiring.minplus import MinPlusSemiring
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 #: Valid kernel names ("auto" defers to the cost model).
-KERNEL_NAMES = ("auto", "dict", "csr", "dense", "dense-blocked", "jit")
+KERNEL_NAMES = ("auto", "dict", "csr", "dense", "dense-blocked")
 
-#: The dense-array tiers (one densified product, three inner loops).
-DENSE_TIERS = ("dense", "dense-blocked", "jit")
+#: The dense-array tiers (densify both operands, one n³ min-plus each).
+DENSE_TIERS = ("dense", "dense-blocked")
 
 
 class KernelDispatch:
@@ -111,7 +113,6 @@ class KernelDispatch:
         dense_setup: float = 150.0,
         dense_per_cell: float = 0.02,
         dense_blocked_op: float = 0.002,
-        jit_op: float = 0.0006,
     ):
         self.dict_op = dict_op
         self.csr_op = csr_op
@@ -121,7 +122,6 @@ class KernelDispatch:
         self.dense_setup = dense_setup
         self.dense_per_cell = dense_per_cell
         self.dense_blocked_op = dense_blocked_op
-        self.jit_op = jit_op
         #: Per-kernel selection counts; surfaced as
         #: ``repro_kernel_selected_total{kernel=...}`` on the obs registry.
         self.selections: Dict[str, int] = {}
@@ -129,16 +129,11 @@ class KernelDispatch:
     # -- eligibility ----------------------------------------------------
     @staticmethod
     def csr_eligible(semiring: Semiring) -> bool:
-        return _csr.csr_supported(semiring)
+        return csr_supported(semiring)
 
     @staticmethod
     def dense_eligible(semiring: Semiring) -> bool:
         return isinstance(semiring, (MinPlusSemiring, AugmentedMinPlusSemiring))
-
-    @staticmethod
-    def jit_eligible(semiring: Semiring) -> bool:
-        """The jit tier needs numba *and* a min-plus-family semiring."""
-        return _dense.HAVE_NUMBA and KernelDispatch.dense_eligible(semiring)
 
     # -- cost model -----------------------------------------------------
     @staticmethod
@@ -208,8 +203,6 @@ class KernelDispatch:
             cube = float(n) ** 3
             out["dense"] = densify + cube * self.dense_op
             out["dense-blocked"] = densify + cube * self.dense_blocked_op
-            if self.jit_eligible(S.semiring):
-                out["jit"] = densify + cube * self.jit_op
         return out
 
     # -- selection ------------------------------------------------------
@@ -227,8 +220,8 @@ class KernelDispatch:
         (falls back to the cost model if ineligible), then the cost model.
         ``allowed`` restricts the menu for callers that lack a kernel
         variant (e.g. witnessed products have no dense form); listing
-        ``"dense"`` admits the whole dense-array family (``dense``,
-        ``dense-blocked``, and — with numba — ``jit``).
+        ``"dense"`` admits the whole dense-array family (``dense`` and
+        ``dense-blocked``).
         """
         eligible = {"dict"}
         if "csr" in allowed and self.csr_eligible(S.semiring):
@@ -236,8 +229,6 @@ class KernelDispatch:
         if "dense" in allowed and self.dense_eligible(S.semiring):
             eligible.add("dense")
             eligible.add("dense-blocked")
-            if self.jit_eligible(S.semiring):
-                eligible.add("jit")
 
         if kernel is not None:
             if kernel not in KERNEL_NAMES:
@@ -246,13 +237,10 @@ class KernelDispatch:
                 )
             if kernel != "auto":
                 if kernel not in eligible:
-                    detail = ""
-                    if kernel == "jit" and not _dense.HAVE_NUMBA:
-                        detail = " — numba is not installed (perf extra)"
                     raise ValueError(
                         f"kernel {kernel!r} does not support the "
                         f"{S.semiring.name} semiring (or this operation); "
-                        f"eligible: {sorted(eligible)}{detail}"
+                        f"eligible: {sorted(eligible)}"
                     )
                 return self._record_selection(kernel)
 
@@ -265,8 +253,8 @@ class KernelDispatch:
                 )
             if pinned in eligible:
                 return self._record_selection(pinned)
-            # Pinned kernel can't run this call (wrong semiring, missing
-            # numba, or no such variant): fall through to the cost model
+            # Pinned kernel can't run this call (wrong semiring or no such
+            # variant): fall through to the cost model
             # over the eligible set.
 
         costs = self.costs(S, T)
@@ -402,15 +390,13 @@ def _numpy_product(S: SemiringMatrix, T: SemiringMatrix,
     Sums involving an absent entry land at or above the encoding's
     infinity, which :meth:`CSRMatrix.from_dense` drops.
     """
-    A = _csr.to_csr(S).dense()
-    B = _csr.to_csr(T).dense()
+    A = to_csr(S).dense()
+    B = to_csr(T).dense()
     if variant == "dense-blocked":
         C = _dense.minplus_blocked(A, B)
-    elif variant == "jit":
-        C = _dense.minplus_jit(A, B)
     else:
         C = _dense.minplus_matmul_arrays(A, B)
-    return _csr.from_csr(_csr.CSRMatrix.from_dense(C, S.semiring, keep))
+    return from_csr(CSRMatrix.from_dense(C, S.semiring, keep))
 
 
 def iterated_squaring(

@@ -513,19 +513,6 @@ class SemiringMatrix:
             result.rows[i] = {j: fn(v) for j, v in self.rows[i].items()}
         return result
 
-    def submatrix_nnz(self, row_set: Sequence[int], col_set: Sequence[int]) -> int:
-        """Number of non-zero entries in the submatrix ``M[row_set, col_set]``."""
-        cols = set(col_set)
-        total = 0
-        rows = self.rows
-        for i in row_set:
-            row = rows[i]
-            if len(row) <= len(cols):
-                total += sum(1 for j in row if j in cols)
-            else:
-                total += sum(1 for j in cols if j in row)
-        return total
-
     # ------------------------------------------------------------------
     # element-wise combination
     # ------------------------------------------------------------------

@@ -13,20 +13,19 @@ array schema (names *and* shapes) both sides are checked against.
 
 A freshly built artifact is served through the same **row-access
 protocol** — ``array_shape`` / ``row`` / ``rows`` / ``gather`` /
-``iter_shards`` / ``common`` — which is all
-:class:`~repro.oracle.engine.QueryEngine` knows about an artifact.  Here
-the accessors are plain indexing over the arrays: the one-shard case
-(``iter_shards`` yields one block starting at row 0, nothing is mapped,
-nothing faults, nothing can be quarantined because no file is behind it)
-of what :class:`~repro.oracle.sharding.ShardedOracleArtifact` answers
-shard by shard from memory maps.
+``common`` — which is all :class:`~repro.oracle.engine.QueryEngine` knows
+about an artifact.  Here the accessors are plain indexing over the arrays:
+the one-shard case (nothing is mapped, nothing faults, nothing can be
+quarantined because no file is behind it) of what
+:class:`~repro.oracle.sharding.ShardedOracleArtifact` answers shard by
+shard from memory maps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,9 +176,6 @@ class OracleArtifact(ArtifactMetadata):
 
     def gather(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.arrays[name][rows, cols]
-
-    def iter_shards(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
-        yield 0, self.arrays[name]
 
     def common(self, name: str) -> np.ndarray:
         return self.arrays[name]

@@ -136,7 +136,7 @@ class OracleBuilder:
         3-spanner).
     kernel:
         Pin the local-product kernel used by the build's matrix products
-        (``"dict"``/``"csr"``/``"dense"``/``"dense-blocked"``/``"jit"``);
+        (``"dict"``/``"csr"``/``"dense"``/``"dense-blocked"``);
         ``None`` lets the cost model choose per product.  Recorded in the
         artifact's build metadata so benchmark artifacts are
         self-describing.

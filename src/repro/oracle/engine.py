@@ -3,7 +3,7 @@
 :class:`QueryEngine` answers distance queries over a loaded artifact in
 microseconds.  There is **one kernel family over the row-access
 protocol**: the engine knows an artifact only through ``array_shape`` /
-``row`` / ``rows`` / ``gather`` / ``iter_shards`` / ``common``, which a
+``row`` / ``rows`` / ``gather`` / ``common``, which a
 memory-mapped :class:`~repro.oracle.sharding.ShardedOracleArtifact`
 answers shard by shard and a resident
 :class:`~repro.oracle.artifact.OracleArtifact` answers by plain indexing —
@@ -30,10 +30,11 @@ thrashing.  To see what it costs and saves on the wire path, run
 ``python3 bench/run.py --workload wire-batch --trace 1`` and read
 ``oracle.engine.self_ms`` and ``oracle.engine.cache_hit_ratio.*``.
 
-Which kernel triple (``_point`` / ``_point_batch`` / ``_row``) serves an
-artifact is the strategy's declared ``query_kind``
+Which kernel pair (``_point`` / ``_point_batch``) serves an artifact is
+the strategy's declared ``query_kind``
 (:mod:`repro.oracle.strategies`), so registered strategies plug in without
-touching this module:
+touching this module.  A k-nearest query is the batch kernel over one
+node's ``n`` pairs, so a kind is its two kernels and nothing else:
 
 * ``"dense"`` (dense-apsp / exact-fallback) — a single matrix lookup;
   batch misses gather elementwise (on a mapped artifact, touching only the
@@ -124,7 +125,7 @@ class QueryEngine:
         # engine a reference cycle, and a dropped or evicted engine would
         # keep its tables and maps until the cyclic collector runs.
         self._kernels = tuple(getattr(type(self), f"_{role}_{self.query_kind}")
-                              for role in ("point", "point_batch", "row"))
+                              for role in ("point", "point_batch"))
         if self.query_kind == "spanner":
             self._init_spanner_overlay()
 
@@ -139,16 +140,15 @@ class QueryEngine:
         the array, so ``searchsorted`` always lands on a valid slot.
         """
         common = self.artifact.common
-        self._csr_indptr = np.asarray(common("spanner_indptr"), dtype=np.int64)
-        self._csr_indices = np.asarray(common("spanner_indices"), dtype=np.int64)
-        self._csr_weights = np.asarray(common("spanner_weights"), dtype=np.float64)
-        sources = np.repeat(np.arange(self.n, dtype=np.int64),
-                            np.diff(self._csr_indptr))
-        upper = np.flatnonzero(sources < self._csr_indices)
-        codes = sources[upper] * self.n + self._csr_indices[upper]
+        indptr = np.asarray(common("spanner_indptr"), dtype=np.int64)
+        indices = np.asarray(common("spanner_indices"), dtype=np.int64)
+        weights = np.asarray(common("spanner_weights"), dtype=np.float64)
+        sources = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        upper = np.flatnonzero(sources < indices)
+        codes = sources[upper] * self.n + indices[upper]
         order = np.argsort(codes, kind="stable")
         self._edge_codes = np.append(codes[order], np.iinfo(np.int64).max)
-        self._edge_weights = np.append(self._csr_weights[upper][order], np.inf)
+        self._edge_weights = np.append(weights[upper][order], np.inf)
 
     def _register_metrics(self) -> None:
         """Publish :attr:`SERIES` and attach the latency window.
@@ -286,7 +286,10 @@ class QueryEngine:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._queries += 1
-        row = self._row(u).copy()
+        # The batch kernel over every (min(u, v), max(u, v)) pair: the
+        # kernels take their pairs normalised, as the cache keys them.
+        others = np.arange(self.n, dtype=np.int64)
+        row = self._point_batch(np.minimum(others, u), np.maximum(others, u))
         row[u] = np.inf  # a node is not its own neighbour
         order = np.lexsort((np.arange(self.n), row))
         result: List[Tuple[int, float]] = []
@@ -341,9 +344,6 @@ class QueryEngine:
     def _point_batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self._kernels[1](self, us, vs)
 
-    def _row(self, u: int) -> np.ndarray:
-        return self._kernels[2](self, u)
-
     def _point_dense(self, u: int, v: int) -> float:
         return float(self.artifact.row("dist", u)[v])
 
@@ -351,9 +351,6 @@ class QueryEngine:
         # Elementwise gather straight off the rows: on a mapped artifact
         # only the pages holding the requested entries are faulted in.
         return self.artifact.gather("dist", us, vs)
-
-    def _row_dense(self, u: int) -> np.ndarray:
-        return self.artifact.row("dist", u)
 
     def _point_landmark(self, u: int, v: int) -> float:
         # Ball distances are exact and routes only compose overestimates,
@@ -409,31 +406,6 @@ class QueryEngine:
             out[start:stop] = part
         return out
 
-    def _row_landmark(self, u: int) -> np.ndarray:
-        # A row query needs every node's best estimate, so it scans all
-        # shards — but one shard at a time, never materialising a second
-        # copy of the landmark table.
-        artifact = self.artifact
-        ld_u = artifact.row("landmark_dist", u)
-        row = np.empty(self.n, dtype=np.float64)
-        for start, block in artifact.iter_shards("landmark_dist"):
-            row[start:start + block.shape[0]] = np.min(block + ld_u, axis=1)
-        # Overlay the exact balls: u's own, then every ball u sits in.
-        ball_u = artifact.row("ball_idx", u)
-        filled = np.flatnonzero(ball_u >= 0)
-        np.minimum.at(row, ball_u[filled], artifact.row("ball_dist", u)[filled])
-        for (start, idx_block), (_, dist_block) in zip(
-                artifact.iter_shards("ball_idx"),
-                artifact.iter_shards("ball_dist")):
-            # Scanned flat: a 1-D nonzero is several times cheaper than
-            # the 2-D one over the same block.
-            hits = np.flatnonzero(idx_block.reshape(-1) == u)
-            if hits.size:
-                rows = start + hits // idx_block.shape[1]
-                row[rows] = np.minimum(row[rows], dist_block.reshape(-1)[hits])
-        row[u] = 0.0
-        return row
-
     # ------------------------------------------------------------------
     # spanner kernels: the landmark kernels plus a direct spanner-edge
     # override, which only ever tightens an answer.
@@ -455,12 +427,6 @@ class QueryEngine:
                                 & (direct < out))
         out[better] = direct[better]
         return out
-
-    def _row_spanner(self, u: int) -> np.ndarray:
-        row = self._row_landmark(u)
-        edges = slice(self._csr_indptr[u], self._csr_indptr[u + 1])
-        np.minimum.at(row, self._csr_indices[edges], self._csr_weights[edges])
-        return row
 
     # ------------------------------------------------------------------
     # helpers

@@ -11,8 +11,8 @@ at every ``jobs``, goes through its two steps) and
 reader.  The in-memory build product
 (:class:`~repro.oracle.artifact.OracleArtifact`) and an opened artifact
 are served by one kernel family through the same row-access protocol
-(``array_shape`` / ``row`` / ``rows`` / ``gather`` / ``iter_shards`` /
-``common``); :class:`ShardedOracleArtifact` routes each access to the
+(``array_shape`` / ``row`` / ``rows`` / ``gather`` / ``common``);
+:class:`ShardedOracleArtifact` routes each access to the
 shard that owns the rows and reads through its memory map:
 
 * ``<name>.shard-K.npz`` — shard ``K`` holds rows ``[row_start, row_stop)``
@@ -58,7 +58,7 @@ import time
 import zipfile
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -445,7 +445,7 @@ class ShardedOracleArtifact(ArtifactMetadata):
     Shards open lazily (``faults`` counts the opens) and their arrays are
     memory-mapped, so the only payload bytes that ever become resident are
     the rows a query actually gathers.  The row accessors (:meth:`row`,
-    :meth:`rows`, :meth:`gather`, :meth:`iter_shards`, :meth:`common`)
+    :meth:`rows`, :meth:`gather`, :meth:`common`)
     return values bit-identical to the same accesses on the in-memory
     :class:`~repro.oracle.artifact.OracleArtifact` it was written from —
     shards store exact row slices, never re-encoded data.
@@ -713,11 +713,6 @@ class ShardedOracleArtifact(ArtifactMetadata):
             block = self.open_shard(shard)[name]
             out[where] = block.reshape(-1)[flat[where]]
         return out
-
-    def iter_shards(self, name: str) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(row_start, mapped_block)`` per shard, for full scans."""
-        for index, (start, _stop) in enumerate(self.row_ranges):
-            yield start, self.open_shard(index)[name]
 
     def common(self, name: str) -> np.ndarray:
         """A non-sharded array, read from shard 0 once and cached."""

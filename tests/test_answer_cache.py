@@ -1,8 +1,10 @@
 """The engine's answer cache is only ever a cache.
 
 A model test of :class:`~repro.oracle.cache.AnswerCache` against a plain
-dict (it may forget, it may never lie), and engine parity: with the cache
-thrashing, off, or absent, ``batch`` and ``dist`` give the same bits.
+dict (it may forget, it may never lie), and how ``batch`` takes its
+input.  That ``batch`` and ``dist`` give the same bits with the cache
+off, thrashing or roomy is the conformance matrix's
+(``test_engine_reference.py``).
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import random_weighted_graph
-from repro.oracle import (
-    STRATEGY_NAMES,
-    AnswerCache,
-    QueryEngine,
-    build_oracle,
-    load_artifact,
-)
+from repro.oracle import AnswerCache, QueryEngine, build_oracle
 
 # A narrow key range so sets collide constantly, plus keys beyond 2^32 and
 # 2^61 where a wrapped int64 product would part the scalar and array hash.
@@ -164,57 +160,6 @@ def pairs(graph):
     drawn[::7, 1] = drawn[::7, 0]          # self-pairs
     drawn[40:80] = drawn[:40, ::-1]        # repeats, as (v, u)
     return drawn
-
-
-@pytest.fixture(scope="module", params=STRATEGY_NAMES)
-def artifacts(request, graph, tmp_path_factory):
-    """``{"in-memory": ..., "sharded": ...}`` loaders for one strategy."""
-    artifact = build_oracle(graph, strategy=request.param, epsilon=0.5)
-    root = tmp_path_factory.mktemp(f"parity-{request.param}")
-    artifact.save_sharded(root / "oracle", 3)
-    return {"in-memory": lambda: artifact,
-            "sharded": lambda: load_artifact(root / "oracle.shards.json")}
-
-
-@pytest.mark.parametrize("layout", ["in-memory", "sharded"])
-class TestEngineParity:
-    def test_cached_thrashing_and_uncached_engines_agree(self, artifacts,
-                                                         layout, pairs):
-        load = artifacts[layout]
-        reference = QueryEngine(load(), cache_size=0).batch(pairs)
-        proper = int(np.count_nonzero(pairs[:, 0] != pairs[:, 1]))
-        for cache_size in (8, 0):
-            batched = QueryEngine(load(), cache_size=cache_size)
-            # Frames of 1, 2, ... pairs: single-miss, multi-miss, all-hit.
-            got, start, width = [], 0, 1
-            while start < len(pairs):
-                got.append(batched.batch(pairs[start:start + width]))
-                start, width = start + width, width + 1
-            assert np.array_equal(np.concatenate(got), reference)
-
-            pointwise = QueryEngine(load(), cache_size=cache_size)
-            assert [pointwise.dist(int(u), int(v)) for u, v in pairs] \
-                == reference.tolist()
-
-            for engine in (batched, pointwise):
-                stats = engine.stats()
-                # Self-pairs never reach the cache; every other pair is
-                # exactly one hit or one miss.
-                assert stats["cache_hits"] + stats["cache_misses"] == proper
-                assert len(engine.cache) <= cache_size
-                if cache_size == 0:
-                    assert stats["cache_hits"] == 0
-                else:
-                    assert len(engine.cache) > 0
-
-    def test_quarantine_rows_leaves_the_table_empty(self, artifacts, layout,
-                                                    pairs):
-        engine = QueryEngine(artifacts[layout](), cache_size=64)
-        before = engine.batch(pairs)
-        assert len(engine.cache) > 0
-        engine.quarantine_rows([0, 1])
-        assert len(engine.cache) == 0
-        assert np.array_equal(engine.batch(pairs), before)
 
 
 class TestBatchInput:

@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-import math
-import random
-
-import pytest
-
+from conftest import random_matrix, submatrix_nnz
 from repro.cclique import Clique
-from repro.matmul import SemiringMatrix
 from repro.matmul.balancing import (
     assign_subcubes_to_nodes,
     charge_cube_partition,
@@ -18,15 +13,6 @@ from repro.matmul.balancing import (
     subcube_loads,
 )
 from repro.matmul.partition import cube_partition
-from repro.semiring import MIN_PLUS
-
-
-def random_matrix(n, nnz, seed):
-    rng = random.Random(seed)
-    matrix = SemiringMatrix(n, MIN_PLUS)
-    for _ in range(nnz):
-        matrix.set(rng.randrange(n), rng.randrange(n), float(rng.randint(1, 9)))
-    return matrix
 
 
 class TestSubcubeLoads:
@@ -50,7 +36,7 @@ class TestSubcubeLoads:
         subcubes = partition.subcubes()
         assert len(s_loads) == len(subcubes) == len(t_loads)
         for load, (_, _, _, rows, mids, cols) in zip(s_loads, subcubes):
-            assert load == S.submatrix_nnz(rows, mids)
+            assert load == submatrix_nnz(S, rows, mids)
 
 
 class TestAssignment:

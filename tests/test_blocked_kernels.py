@@ -1,6 +1,6 @@
-"""Tests for the blocked / jit dense kernel tiers and cost memoization.
+"""Tests for the blocked dense kernel tier and cost memoization.
 
-Contract: the ``dense-blocked`` and ``jit`` tiers are bit-identical to the
+Contract: the ``dense-blocked`` tier is bit-identical to the
 dict reference on their domain (the min-plus family, including the
 augmented encoding), ineligible pins fall back (env) or raise (explicit),
 and the dispatcher's cost estimates are memoized across a call chain.
@@ -15,12 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.matmul import SemiringMatrix
-from repro.matmul.dense import (
-    HAVE_NUMBA,
-    minplus_blocked,
-    minplus_jit,
-    minplus_matmul_arrays,
-)
+from repro.matmul.dense import minplus_blocked, minplus_matmul_arrays
 from repro.matmul.kernels import (
     DISPATCH,
     KERNEL_ENV_VAR,
@@ -32,9 +27,6 @@ from repro.matmul.kernels import (
 from repro.matmul.witness import witnessed_product
 from repro.semiring import BOOLEAN, MIN_PLUS, augmented_semiring_for
 from repro.semiring.base import Semiring
-
-BLOCKED_TIERS = ("dense-blocked", "jit") if HAVE_NUMBA else ("dense-blocked",)
-
 
 def random_matrix(n, nnz, seed, semiring=MIN_PLUS, max_value=40):
     """Random sparse matrix; nnz entry *attempts* (duplicates collapse)."""
@@ -70,7 +62,7 @@ class TestBlockedArrays:
         np.testing.assert_array_equal(got, expected)
 
     def test_blocked_rectangular_slab(self):
-        # The row-slab shape the parallel executor multiplies: (r, m)x(m, c).
+        # Rectangular operands: (r, m) x (m, c).
         rng = np.random.default_rng(4)
         A = rng.uniform(0.0, 9.0, size=(5, 17))
         B = rng.uniform(0.0, 9.0, size=(17, 11))
@@ -93,20 +85,6 @@ class TestBlockedArrays:
         with pytest.raises(ValueError, match="shape mismatch"):
             minplus_blocked(np.zeros((3, 4)), np.zeros((5, 3)))
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_matches_blocked(self):
-        rng = np.random.default_rng(6)
-        A = rng.uniform(0.0, 50.0, size=(19, 19))
-        B = rng.uniform(0.0, 50.0, size=(19, 19))
-        A[rng.random(A.shape) < 0.3] = np.inf
-        B[rng.random(B.shape) < 0.3] = np.inf
-        np.testing.assert_array_equal(minplus_jit(A, B), minplus_blocked(A, B))
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_jit_requires_numba(self):
-        with pytest.raises(RuntimeError, match="perf"):
-            minplus_jit(np.zeros((2, 2)), np.zeros((2, 2)))
-
 
 # ----------------------------------------------------------------------
 # matrix-level tiers vs the dict reference
@@ -126,8 +104,7 @@ class TestBlockedTiers:
         S = random_matrix(n, nnz, seed, semiring=semiring)
         T = random_matrix(n, nnz, seed + 1, semiring=semiring)
         expected = sparse_dict_product(S, T)
-        for tier in BLOCKED_TIERS:
-            assert local_product(S, T, kernel=tier).equals(expected), tier
+        assert local_product(S, T, kernel="dense-blocked").equals(expected)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -146,8 +123,7 @@ class TestBlockedTiers:
     def test_iterated_squaring_blocked(self):
         W = random_matrix(13, 50, 17)
         expected = iterated_squaring(W, 8, kernel="dict")
-        for tier in BLOCKED_TIERS:
-            assert iterated_squaring(W, 8, kernel=tier).equals(expected), tier
+        assert iterated_squaring(W, 8, kernel="dense-blocked").equals(expected)
 
     def test_explicit_blocked_rejected_for_boolean(self):
         S = random_matrix(8, 20, 1, semiring=MIN_PLUS)
@@ -172,24 +148,6 @@ class TestBlockedTiers:
         assert local_product(B, B).equals(expected)
         S = random_matrix(10, 30, 3)
         assert DISPATCH.select(S, S) == "dense-blocked"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_explicit_jit_raises_without_numba(self):
-        S = random_matrix(6, 12, 4)
-        with pytest.raises(ValueError, match="numba is not installed"):
-            local_product(S, S, kernel="jit")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_env_pinned_jit_falls_back_without_numba(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "jit")
-        S = random_matrix(6, 12, 5)
-        expected = sparse_dict_product(S, S)
-        assert local_product(S, S).equals(expected)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jit_offered_only_with_numba(self):
-        S = random_matrix(10, 30, 6)
-        assert "jit" in DISPATCH.costs(S, S)
 
 
 # ----------------------------------------------------------------------

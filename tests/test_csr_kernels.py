@@ -16,11 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.matmul import SemiringMatrix, from_csr, to_csr
-from repro.matmul.csr import (
-    csr_product,
-    csr_supported,
-    csr_witnessed_product,
-)
+from repro.matmul.csr import csr_product, csr_witnessed_product
+from repro.matmul.matrix import csr_supported
 from repro.matmul.kernels import (
     DISPATCH,
     KERNEL_ENV_VAR,
@@ -361,24 +358,3 @@ def test_k_nearest_independent_of_kernel():
         assert results[kernel].neighbors == results["dict"].neighbors, kernel
         assert results[kernel].matrix.equals(results["dict"].matrix), kernel
 
-
-def test_engine_batch_matches_dist_loop():
-    from repro.graphs import random_weighted_graph
-    from repro.oracle import QueryEngine, build_oracle
-
-    graph = random_weighted_graph(32, average_degree=6, max_weight=9, seed=34)
-    rng = random.Random(35)
-    pairs = [(rng.randrange(32), rng.randrange(32)) for _ in range(500)]
-    pairs += [(v, v) for v in range(0, 32, 5)]
-    for strategy in ("landmark-mssp", "dense-apsp", "exact-fallback"):
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        loop_engine = QueryEngine(artifact)
-        batch_engine = QueryEngine(artifact)
-        expected = np.array([loop_engine.dist(u, v) for u, v in pairs])
-        got = batch_engine.batch(pairs)
-        assert np.array_equal(expected, got), strategy
-        # Second pass is served from the cache with identical answers.
-        assert np.array_equal(batch_engine.batch(pairs), got)
-        assert batch_engine.cache.hits > 0
-        with pytest.raises(ValueError):
-            batch_engine.batch([(0, 99)])

@@ -92,12 +92,6 @@ class TestDensities:
         matrix = build([(0, 1, 5), (0, 2, 2), (3, 1, 4)])
         assert matrix.max_row_nnz() == 2
 
-    def test_submatrix_nnz(self):
-        matrix = build([(0, 1, 5), (0, 2, 2), (3, 1, 4), (4, 5, 1)])
-        assert matrix.submatrix_nnz([0, 3], [1, 2]) == 3
-        assert matrix.submatrix_nnz([4], [5]) == 1
-        assert matrix.submatrix_nnz([1, 2], [0, 1]) == 0
-
 
 class TestTransforms:
     def test_transpose(self):

@@ -1,19 +1,21 @@
-"""Front-tier tests: shard-affinity partitioning with verified answers,
+"""Front-tier tests: what shard-affinity partitioning refuses or sends,
 artifact pinning for cross-worker determinism, failover with bounded
 retries, dead-worker ejection and re-routing, and the coalescing
 NetClient — real workers on localhost sockets, fleets of one to three.
 The failure-path cases (attempt budget, hedging, timeouts) script what a
-link's wire does instead, so they need neither sockets nor sleeps."""
+link's wire does instead, so they need neither sockets nor sleeps.  That
+the wire answers every payload bit for bit is the conformance matrix's
+(``test_engine_reference.py``)."""
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import make_worker, running_fleet, start_fleet, stop_fleet
 from repro.net.bench import synthetic_sharded_artifact
 from repro.net.frontend import (
     HEDGE_DELAY_REFRESH,
@@ -35,15 +37,13 @@ from repro.net.protocol import (
     read_frame,
     unpack_request,
 )
-from repro.net.worker import DistanceWorker
 from repro.obs.metrics import LatencyRecorder, get_registry
 from repro.obs.tracing import TraceContext
 from repro.oracle import OracleArtifact, load_artifact
-from repro.serve import DistanceServer, RoutingError, StretchRouter, build_registry
+from repro.serve import RoutingError, build_registry
 
 N = 64
 FLEET_SIZES = (1, 2, 3)
-LAYOUTS = ("4-shard", "1-shard")
 
 
 @pytest.fixture(scope="module")
@@ -73,59 +73,8 @@ def reference(manifest):
     return registry.engine(registry.entries()[0].name)
 
 
-def make_worker(manifest) -> DistanceWorker:
-    return DistanceWorker(
-        DistanceServer(StretchRouter(build_registry([str(manifest)]))))
-
-
-async def start_fleet(manifest, num_workers=2, **frontend_kwargs):
-    workers = []
-    for _ in range(num_workers):
-        worker = make_worker(manifest)
-        await worker.server.__aenter__()
-        await worker.start()
-        workers.append(worker)
-    frontend = Frontend([str(manifest)],
-                        [worker.address for worker in workers],
-                        **frontend_kwargs)
-    await frontend.start()
-    return frontend, workers
-
-
-async def stop_fleet(frontend, workers):
-    await frontend.stop()
-    for worker in workers:
-        await worker.stop()
-        await worker.server.__aexit__(None, None, None)
-
-
-@contextlib.asynccontextmanager
-async def running_fleet(manifest, num_workers=2, **frontend_kwargs):
-    frontend, workers = await start_fleet(manifest, num_workers,
-                                          **frontend_kwargs)
-    try:
-        yield frontend, workers
-    finally:
-        await stop_fleet(frontend, workers)
-
-
 def pairs_covering_all_shards(count=200):
     return [(index % N, (index * 13 + 7) % N) for index in range(count)]
-
-
-def frames():
-    """Frame shapes the partition step treats differently."""
-    rng = np.random.default_rng(11)
-    low = rng.integers(0, N // 4, size=90)  # rows of shard 0: one owner
-    high = rng.integers(N // 4, N, size=90)
-    return {
-        "one-owner": np.stack([low, rng.integers(0, N, size=90)], axis=1),
-        "multi-owner": np.asarray(pairs_covering_all_shards()),
-        "empty": np.zeros((0, 2), dtype=np.int64),
-        "duplicates": np.asarray([(3, 40)] * 50 + [(40, 3)] * 20
-                                 + [(7, 7)] * 5 + [(63, 0)] * 9),
-        "u>v": np.stack([high, low], axis=1),
-    }
 
 
 def scripted(link: WorkerLink, table: np.ndarray, behave=None) -> None:
@@ -168,27 +117,6 @@ def shard_frame(shard: int, count: int = 8) -> np.ndarray:
 
 
 class TestPartitioning:
-    def test_batch_spans_both_workers_and_matches_reference(
-            self, manifest, reference):
-        async def drive():
-            # No hedging: a duplicate sent on a slow box would be counted.
-            frontend, workers = await start_fleet(manifest, hedge_ratio=0.0)
-            try:
-                pairs = pairs_covering_all_shards()
-                async with NetClient(*frontend.address) as client:
-                    got = await client.batch(pairs)
-                served = [worker.server.stats()["served"]
-                          for worker in workers]
-                return got, pairs, served
-            finally:
-                await stop_fleet(frontend, workers)
-
-        got, pairs, served = asyncio.run(drive())
-        assert np.allclose(got, reference.batch(pairs))
-        # Shard affinity striped the batch across both workers.
-        assert all(count > 0 for count in served)
-        assert sum(served) == len(pairs)
-
     @pytest.mark.parametrize("num_workers", FLEET_SIZES)
     def test_empty_batch(self, manifest, num_workers):
         async def drive():
@@ -230,20 +158,6 @@ class TestPartitioning:
                 await stop_fleet(frontend, workers)
 
         asyncio.run(drive())
-
-    def test_single_worker_fleet(self, manifest, reference):
-        async def drive():
-            frontend, workers = await start_fleet(manifest, num_workers=1)
-            try:
-                pairs = pairs_covering_all_shards(60)
-                async with NetClient(*frontend.address) as client:
-                    return pairs, await client.batch(pairs)
-            finally:
-                await stop_fleet(frontend, workers)
-
-        pairs, got = asyncio.run(drive())
-        assert np.allclose(got, reference.batch(pairs))
-
 
 class TestFailover:
     def test_dead_worker_is_retried_ejected_and_rerouted(
@@ -324,19 +238,6 @@ class TestNetClientCoalescing:
         assert np.allclose(values, reference.batch(pairs))
         # 80 awaited pairs collapsed into far fewer wire round trips.
         assert wire_requests < len(pairs) / 2
-
-    def test_dist_without_coalescing(self, manifest, reference):
-        async def drive():
-            frontend, workers = await start_fleet(manifest)
-            try:
-                async with NetClient(*frontend.address,
-                                     coalesce_window=0.0) as client:
-                    return await client.dist(3, 9)
-            finally:
-                await stop_fleet(frontend, workers)
-
-        assert asyncio.run(drive()) == pytest.approx(
-            float(reference.batch([(3, 9)])[0]))
 
     def test_close_settles_callers_of_a_frame_in_flight(self):
         """``aclose()`` while a coalesced frame is out: its ``dist()``
@@ -456,39 +357,6 @@ class TestNetClientCoalescing:
 
 class TestFramePath:
     """frame -> partition into per-owner runs -> workers -> frame."""
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("num_workers", FLEET_SIZES)
-    def test_frames_equal_the_table(self, artifacts, table, num_workers,
-                                    layout):
-        async def drive():
-            # No hedging: a duplicate sent on a slow box is correct, but
-            # the send counts below would not be exact.
-            async with running_fleet(artifacts[layout], num_workers,
-                                     hedge_ratio=0.0) as (frontend, workers):
-                async with NetClient(*frontend.address) as client:
-                    for kind, pairs in frames().items():
-                        sent = [link.requests for link in frontend.links()]
-                        served = sum(w.server.stats()["served"]
-                                     for w in workers)
-                        got = await client.batch(pairs)
-                        want = table[pairs[:, 0], pairs[:, 1]]
-                        assert np.array_equal(got, want), kind
-                        # Every pair reached exactly one worker, once.
-                        assert sum(w.server.stats()["served"]
-                                   for w in workers) - served == len(pairs)
-                        moved = [link.requests - before for link, before
-                                 in zip(frontend.links(), sent)]
-                        if kind == "empty":
-                            assert moved == [0] * num_workers
-                        elif kind == "one-owner" and layout == "4-shard":
-                            # The whole frame went out as one sub-batch.
-                            assert sorted(moved) == \
-                                [0] * (num_workers - 1) + [1]
-                        elif kind == "multi-owner":
-                            assert moved == [1] * num_workers
-
-        asyncio.run(drive())
 
     @pytest.mark.parametrize("num_links", FLEET_SIZES)
     def test_one_owner_frame_goes_out_and_comes_back_as_it_is(

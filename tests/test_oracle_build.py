@@ -1,5 +1,6 @@
-"""Tests for the oracle builder: every strategy's artifact must honour its
-advertised stretch guarantee against exact sequential Dijkstra."""
+"""Tests for the oracle builder: build metadata, the advertised guarantee,
+and the refused inputs.  That every build honours its guarantee against
+exact Dijkstra is ``test_engine_reference.py``'s."""
 
 from __future__ import annotations
 
@@ -7,78 +8,17 @@ import math
 
 import pytest
 
-from repro.graphs import (
-    Graph,
-    all_pairs_dijkstra,
-    disjoint_cliques,
-    grid_graph,
-    random_weighted_graph,
-)
-from repro.oracle import (
-    STRATEGY_NAMES,
-    OracleBuilder,
-    QueryEngine,
-    build_oracle,
-    get_strategy,
-)
+from repro.graphs import Graph, random_weighted_graph
+from repro.oracle import OracleBuilder, build_oracle, get_strategy
 
 
-def assert_within_guarantee(graph, artifact, exact):
-    """Every estimate is sandwiched between exact and the advertised bound."""
-    engine = QueryEngine(artifact)
-    bound = artifact.stretch
-    for u in range(graph.n):
-        for v in range(graph.n):
-            estimate = engine.dist(u, v)
-            true = exact[u][v]
-            if u == v:
-                assert estimate == 0.0
-                continue
-            if true == math.inf:
-                assert estimate == math.inf
-                continue
-            assert estimate >= true - 1e-9, (u, v, estimate, true)
-            assert estimate <= bound.upper_bound(true) + 1e-9, (
-                u, v, estimate, true, bound)
-
-
-class TestStrategies:
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_random_weighted_graph_within_stretch(self, strategy):
-        graph = random_weighted_graph(48, average_degree=8, max_weight=16, seed=5)
-        exact = all_pairs_dijkstra(graph)
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        assert_within_guarantee(graph, artifact, exact)
-
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
-    def test_grid_graph_within_stretch(self, strategy):
-        graph = grid_graph(6, 6, max_weight=9, seed=6)
-        exact = all_pairs_dijkstra(graph)
-        artifact = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        assert_within_guarantee(graph, artifact, exact)
-
-    def test_exact_fallback_is_exact(self):
-        graph = random_weighted_graph(32, average_degree=6, max_weight=8, seed=7)
-        exact = all_pairs_dijkstra(graph)
-        engine = QueryEngine(build_oracle(graph, strategy="exact-fallback"))
-        for u in range(graph.n):
-            for v in range(graph.n):
-                assert engine.dist(u, v) == pytest.approx(exact[u][v])
-
-    def test_disconnected_graph_reports_inf_across_components(self):
-        graph = disjoint_cliques(3, 8)
-        exact = all_pairs_dijkstra(graph)
-        artifact = build_oracle(graph, strategy="landmark-mssp", epsilon=0.5)
-        assert_within_guarantee(graph, artifact, exact)
-
+class TestBuildMetadata:
     def test_tighter_epsilon_tightens_the_advertised_guarantee(self):
         graph = random_weighted_graph(32, average_degree=6, max_weight=8, seed=9)
         loose = build_oracle(graph, strategy="landmark-mssp", epsilon=1.0)
         tight = build_oracle(graph, strategy="landmark-mssp", epsilon=0.25)
         assert tight.stretch.multiplicative < loose.stretch.multiplicative
 
-
-class TestBuildMetadata:
     def test_build_records_rounds_and_provenance(self):
         graph = random_weighted_graph(32, average_degree=6, max_weight=8, seed=10)
         builder = OracleBuilder(strategy="landmark-mssp", epsilon=0.5)
@@ -97,14 +37,16 @@ class TestBuildMetadata:
         assert "simulated rounds" in summary
         assert "stretch guarantee" in summary
 
-    def test_landmark_artifact_is_smaller_than_dense(self):
-        """The point of the landmark strategy: o(n^2) stored numbers."""
-        graph = random_weighted_graph(96, average_degree=8, max_weight=16, seed=12)
-        dense = build_oracle(graph, strategy="dense-apsp", epsilon=0.5)
-        landmark = build_oracle(graph, strategy="landmark-mssp", epsilon=0.5)
-        dense_numbers = sum(a.size for a in dense.arrays.values())
-        landmark_numbers = sum(a.size for a in landmark.arrays.values())
-        assert landmark_numbers < dense_numbers
+    def test_approximate_artifacts_are_smaller_than_dense(self, tmp_path):
+        """The point of the approximate strategies: o(n^2) stored bytes."""
+        graph = random_weighted_graph(96, average_degree=6, max_weight=9, seed=11)
+        sizes = {}
+        for name in ("dense-apsp", "landmark-mssp", "spanner-greedy"):
+            _, shards = build_oracle(graph, strategy=name,
+                                     epsilon=0.5).save_sharded(tmp_path / name, 4)
+            sizes[name] = sum(path.stat().st_size for path in shards)
+        assert sizes["landmark-mssp"] < sizes["dense-apsp"]
+        assert sizes["spanner-greedy"] < sizes["dense-apsp"]
 
 
 class TestBuildErrors:

@@ -1,14 +1,12 @@
-"""Tests for the query engine: point/batch/k-nearest answers, the answer
-cache, and the latency statistics."""
+"""Tests for the query engine's front end: refused queries, the answer
+cache, batch deduplication, lifetime and the latency statistics.  Its
+answers through every door are ``test_engine_reference.py``'s."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.graphs import all_pairs_dijkstra, random_weighted_graph
+from repro.graphs import random_weighted_graph
 from repro.obs.metrics import LatencyRecorder
 from repro.oracle import AnswerCache, QueryEngine, build_oracle
 
@@ -19,70 +17,17 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def exact(graph):
-    return all_pairs_dijkstra(graph)
-
-
-@pytest.fixture(scope="module")
 def engine(graph):
     return QueryEngine(build_oracle(graph, strategy="landmark-mssp", epsilon=0.5))
 
 
-class TestPointQueries:
-    def test_self_distance_is_zero(self, engine, graph):
-        for v in range(graph.n):
-            assert engine.dist(v, v) == 0.0
-
-    def test_symmetry(self, engine, graph):
-        for u in range(0, graph.n, 3):
-            for v in range(0, graph.n, 5):
-                assert engine.dist(u, v) == engine.dist(v, u)
-
+class TestRefusedQueries:
     def test_out_of_range_rejected(self, engine):
         with pytest.raises(ValueError, match="out of range"):
             engine.dist(0, 10_000)
 
-    def test_estimates_upper_bound_exact(self, engine, graph, exact):
-        for u in range(graph.n):
-            for v in range(graph.n):
-                if exact[u][v] == math.inf:
-                    continue
-                assert engine.dist(u, v) >= exact[u][v] - 1e-9
-
-
-class TestBatchQueries:
-    def test_batch_matches_point_queries(self, engine, graph):
-        pairs = [(u, v) for u in range(0, graph.n, 4) for v in range(0, graph.n, 3)]
-        batch = engine.batch(pairs)
-        assert batch.shape == (len(pairs),)
-        for (u, v), value in zip(pairs, batch):
-            assert value == engine.dist(u, v)
-
     def test_empty_batch(self, engine):
         assert engine.batch([]).shape == (0,)
-
-
-class TestKNearest:
-    def test_matches_reference_on_exact_strategy(self, graph, exact):
-        engine = QueryEngine(build_oracle(graph, strategy="exact-fallback"))
-        for u in (0, 7, 23):
-            result = engine.k_nearest(u, 5)
-            expected = sorted(
-                ((v, exact[u][v]) for v in range(graph.n)
-                 if v != u and exact[u][v] != math.inf),
-                key=lambda item: (item[1], item[0]),
-            )[:5]
-            assert result == [(v, pytest.approx(d)) for v, d in expected]
-
-    def test_sorted_and_excludes_self(self, engine, graph):
-        result = engine.k_nearest(0, 10)
-        assert all(node != 0 for node, _ in result)
-        distances = [d for _, d in result]
-        assert distances == sorted(distances)
-
-    def test_k_larger_than_graph_is_capped(self, engine, graph):
-        result = engine.k_nearest(0, graph.n * 10)
-        assert len(result) <= graph.n - 1
 
     def test_non_positive_k_rejected(self, engine):
         with pytest.raises(ValueError, match="k must be positive"):
@@ -103,14 +48,6 @@ class TestCacheAndStats:
         engine.dist(3, 4)
         engine.dist(4, 3)
         assert engine.stats()["cache_hits"] == 1
-
-    def test_cache_can_be_disabled(self, graph):
-        engine = QueryEngine(build_oracle(graph, strategy="dense-apsp"),
-                             cache_size=0)
-        engine.dist(1, 2)
-        engine.dist(1, 2)
-        assert engine.stats()["cache_hits"] == 0
-        assert len(engine.cache) == 0
 
     def test_stats_shape(self, graph):
         engine = QueryEngine(build_oracle(graph, strategy="dense-apsp"))
@@ -164,17 +101,6 @@ class TestBatchDeduplication:
         engine._point_batch = inner
         assert list(values) == [engine.dist(u, v) for u, v in pairs]
 
-    def test_batch_core_matches_batch(self, graph):
-        import numpy as np
-
-        engine = QueryEngine(build_oracle(graph, strategy="landmark-mssp",
-                                          epsilon=0.5))
-        pairs = [(2, 9), (9, 2), (0, 0), (4, 11)]
-        lo = np.array([min(u, v) for u, v in pairs], dtype=np.int64)
-        hi = np.array([max(u, v) for u, v in pairs], dtype=np.int64)
-        core = engine.batch_core(lo, hi)
-        assert list(core) == [engine.dist(u, v) for u, v in pairs]
-
 
 class TestEngineLifetime:
     def test_dropped_engine_is_freed_without_the_cyclic_collector(self, graph):
@@ -199,16 +125,6 @@ class TestEngineLifetime:
 
 
 class TestAnswerCache:
-    def test_eviction_order_is_least_recently_used(self):
-        cache = AnswerCache(capacity=2)  # one set of two ways
-        cache.put(1, 1.0)
-        cache.put(2, 2.0)
-        assert cache.get(1) == 1.0  # refresh 1
-        cache.put(3, 3.0)  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) == 1.0
-        assert cache.get(3) == 3.0
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             AnswerCache(capacity=-1)

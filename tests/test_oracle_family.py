@@ -1,17 +1,12 @@
-"""End-to-end tests for the PR 10 oracle family additions.
-
-``spanner-greedy`` and ``hopset-landmark`` must behave exactly like the
-original strategies across the whole artifact lifecycle: guarantee held
-against brute-force distances, ``--jobs`` builds bit-identical to serial
-ones, router admission by the declared guarantee, and (for the spanner)
-an artifact decisively smaller than the dense table.  Round trips and
-answer parity across layouts are ``test_engine_reference.py``'s, for
-every registered strategy.
+"""The internals of ``spanner-greedy`` and ``hopset-landmark``: the greedy
+spanner's two-ended search against the one-ended one it replaced, the
+spanner CSR and the hopset's landmark table.  Guarantees, round trips
+and answer parity across layouts and doors are
+``test_engine_reference.py``'s, for every registered strategy.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 
@@ -19,17 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_families
 from repro.graphs import Graph, all_pairs_dijkstra, random_weighted_graph
-from repro.graphs.generators import (
-    disjoint_cliques,
-    grid_graph,
-    power_law_graph,
-)
-from repro.oracle import OracleBuilder, QueryEngine, build_oracle
+from repro.oracle import OracleBuilder
 from repro.oracle.spanner import build_greedy_spanner, spanner_csr
 from repro.oracle.hopset_landmark import landmark_table
-
-NEW_STRATEGIES = ("spanner-greedy", "hopset-landmark")
 
 
 @pytest.fixture(scope="module")
@@ -40,52 +29,6 @@ def graph():
 @pytest.fixture(scope="module")
 def exact(graph):
     return all_pairs_dijkstra(graph)
-
-
-@pytest.fixture(scope="module", params=NEW_STRATEGIES)
-def built(request, graph):
-    return build_oracle(graph, strategy=request.param, epsilon=0.5)
-
-
-class TestGuarantees:
-    def test_all_pairs_within_declared_stretch(self, graph, exact, built):
-        engine = QueryEngine(built)
-        guarantee = built.stretch
-        pairs = [(u, v) for u in range(graph.n) for v in range(graph.n)]
-        estimates = engine.batch(pairs)
-        for (u, v), est in zip(pairs, estimates.tolist()):
-            true = exact[u][v]
-            if true == math.inf:
-                assert est == math.inf
-            else:
-                assert true - 1e-9 <= est <= guarantee.upper_bound(true) + 1e-9
-
-    def test_disconnected_pairs_stay_infinite(self, exact):
-        pieces = disjoint_cliques(3, 5)
-        truth = all_pairs_dijkstra(pieces)
-        for name in NEW_STRATEGIES:
-            engine = QueryEngine(build_oracle(pieces, strategy=name,
-                                              epsilon=0.5))
-            for u in range(pieces.n):
-                for v in range(pieces.n):
-                    if truth[u][v] == math.inf:
-                        assert engine.dist(u, v) == math.inf
-
-    def test_grid_graph_within_stretch(self):
-        grid = grid_graph(5, 5, max_weight=6, seed=2)
-        truth = all_pairs_dijkstra(grid)
-        for name in NEW_STRATEGIES:
-            artifact = build_oracle(grid, strategy=name, epsilon=0.5)
-            engine = QueryEngine(artifact)
-            for u in range(grid.n):
-                for v in range(grid.n):
-                    est = engine.dist(u, v)
-                    assert truth[u][v] - 1e-9 <= est
-                    assert est <= artifact.stretch.upper_bound(truth[u][v]) + 1e-9
-
-    def test_metadata_declares_query_kind(self, built):
-        assert built.metadata["query_kind"] in ("landmark", "spanner")
-        assert built.query_kind == built.metadata["query_kind"]
 
 
 def one_ended_distance(graph, source, target, limit):
@@ -140,13 +83,7 @@ def edge_lists(draw, weights):
 
 
 #: ``bench/inputs.build_graph``'s five families, at half its size.
-BUILD_FAMILIES = {
-    "er-deg8": lambda: random_weighted_graph(96, 8, 32, 11),
-    "power-law": lambda: power_law_graph(96, 3, seed=11, max_weight=32),
-    "grid": lambda: grid_graph(12, 8, max_weight=8, seed=11),
-    "er-deg4": lambda: random_weighted_graph(96, 4, 32, 11),
-    "er-deg16": lambda: random_weighted_graph(96, 16, 32, 11),
-}
+BUILD_FAMILIES = build_families(96, 11)
 
 
 class TestTwoEndedSearch:
@@ -162,7 +99,7 @@ class TestTwoEndedSearch:
     @pytest.mark.parametrize("family", sorted(BUILD_FAMILIES))
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_same_edges_on_build_families(self, family, k):
-        graph = BUILD_FAMILIES[family]()
+        graph = BUILD_FAMILIES[family]
         assert (list(build_greedy_spanner(graph, k).edges())
                 == list(reference_greedy_spanner(graph, k).edges()))
 
@@ -227,59 +164,3 @@ class TestHopsetInternals:
         for v in range(graph.n):
             assert table[v, 0] == pytest.approx(truth[0][v])
 
-
-class TestParallelParity:
-    @pytest.mark.parametrize("strategy", NEW_STRATEGIES)
-    def test_jobs_builds_are_bit_identical(self, graph, strategy, tmp_path):
-        serial = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        _, serial_shards = serial.save_sharded(tmp_path / "serial", 3)
-        digests = {}
-        for jobs in (1, 2):
-            builder = OracleBuilder(strategy=strategy, epsilon=0.5, jobs=jobs)
-            _, _, shards = builder.build_sharded(
-                graph, tmp_path / f"jobs{jobs}", 3)
-            digests[jobs] = [hashlib.sha256(p.read_bytes()).hexdigest()
-                             for p in shards]
-        serial_digest = [hashlib.sha256(p.read_bytes()).hexdigest()
-                         for p in serial_shards]
-        assert digests[1] == digests[2] == serial_digest
-
-    @pytest.mark.parametrize("strategy", NEW_STRATEGIES)
-    def test_parallel_metadata_keeps_rounds_and_guarantee(self, graph,
-                                                          strategy):
-        parallel = OracleBuilder(strategy=strategy, epsilon=0.5,
-                                 jobs=2).build(graph)
-        classic = build_oracle(graph, strategy=strategy, epsilon=0.5)
-        assert parallel.stretch == classic.stretch
-        assert parallel.build_rounds == classic.build_rounds
-        # No slab build ran: the metadata says the classic path did.
-        assert parallel.metadata["build"]["mode"] == "simulated-clique"
-        assert parallel.metadata["build"]["jobs"] == 1
-
-
-class TestServingIntegration:
-    def test_router_admits_by_declared_guarantee(self, graph, tmp_path):
-        from repro.serve import ArtifactRegistry, RoutingError, StretchRouter
-
-        registry = ArtifactRegistry()
-        for name in NEW_STRATEGIES:
-            manifest, _ = build_oracle(
-                graph, strategy=name, epsilon=0.5).save_sharded(tmp_path / name)
-            registry.register(manifest, name=name)
-        router = StretchRouter(registry)
-        assert router.route(multiplicative=3.0).name == "hopset-landmark"
-        decision = router.route(multiplicative=9.0)
-        assert decision.name in NEW_STRATEGIES
-        with pytest.raises(RoutingError):
-            router.route(multiplicative=1.5)
-
-    def test_spanner_artifact_smaller_than_dense(self, tmp_path):
-        big = random_weighted_graph(96, average_degree=6, max_weight=9,
-                                    seed=11)
-        sizes = {}
-        for name in ("dense-apsp", "spanner-greedy"):
-            _, shard_paths = build_oracle(big, strategy=name,
-                                          epsilon=0.5).save_sharded(
-                tmp_path / name, 4)
-            sizes[name] = sum(p.stat().st_size for p in shard_paths)
-        assert sizes["spanner-greedy"] < sizes["dense-apsp"]

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos.disk import corrupt_shard_file
 from repro.graphs import random_weighted_graph
@@ -91,13 +91,6 @@ class TestFormat:
             loaded.common("landmarks"),
             artifacts["landmark-mssp"].arrays["landmarks"])
 
-    def test_load_artifact_takes_manifest_base_or_npz_path(self, sharded_dir):
-        for name in ("dense-apsp-sharded.shards.json", "dense-apsp-sharded",
-                     "dense-apsp-sharded.npz"):
-            loaded = load_artifact(sharded_dir / name)
-            assert isinstance(loaded, ShardedOracleArtifact)
-            assert loaded.num_shards == 5
-
     def test_load_artifact_missing_everything_raises(self, tmp_path):
         with pytest.raises(ArtifactError, match="not found"):
             load_artifact(tmp_path / "nope.npz")
@@ -108,13 +101,6 @@ class TestFormat:
         with pytest.raises(ValueError, match="num_shards"):
             artifacts["dense-apsp"].save_sharded(tmp_path / "bad",
                                                  num_shards=10_000)
-
-    def test_single_shard_round_trips(self, artifacts, tmp_path):
-        artifacts["dense-apsp"].save_sharded(tmp_path / "one", num_shards=1)
-        loaded = load_artifact(tmp_path / "one")
-        assert loaded.num_shards == 1
-        np.testing.assert_array_equal(
-            loaded.materialize("dist"), artifacts["dense-apsp"].arrays["dist"])
 
     def test_reshard_of_sharded_artifact_identical(self, sharded_dir,
                                                    tmp_path):
@@ -157,30 +143,6 @@ def accessor_artifacts(artifacts, tmp_path_factory):
     return opened
 
 
-def draw_rows(data, mapped):
-    """Row indices in one of the shapes the accessors special-case."""
-    n, ranges = mapped.n, mapped.row_ranges
-    anywhere = st.lists(st.integers(0, n - 1), max_size=60)
-    kind = data.draw(st.sampled_from(
-        ["unsorted", "sorted", "duplicates", "empty", "one-shard",
-         "every-shard"]))
-    if kind == "unsorted":
-        return data.draw(anywhere)
-    if kind == "sorted":
-        return sorted(data.draw(anywhere))
-    if kind == "duplicates":
-        few = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-        return data.draw(st.lists(st.sampled_from(few), max_size=60))
-    if kind == "empty":
-        return []
-    if kind == "one-shard":
-        start, stop = data.draw(st.sampled_from(ranges))
-        return data.draw(st.lists(st.integers(start, stop - 1), max_size=60))
-    covering = [data.draw(st.integers(start, stop - 1))
-                for start, stop in ranges]
-    return data.draw(st.permutations(covering + data.draw(anywhere)))
-
-
 def assert_accessors_agree(arrays, mapped, names, rows, cols):
     """``rows``/``gather``/``row`` against plain indexing of the resident table."""
     index = np.asarray(rows, dtype=np.int64)
@@ -200,20 +162,6 @@ def assert_accessors_agree(arrays, mapped, names, rows, cols):
 
 class TestAccessors:
     """``rows``/``gather``/``row`` are plain indexing, shard layout unseen."""
-
-    @given(data=st.data(),
-           strategy=st.sampled_from(sorted(ACCESSOR_ARRAYS)),
-           num_shards=st.sampled_from(ACCESSOR_SHARDS))
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_property_accessors_equal_plain_indexing(
-            self, accessor_artifacts, data, strategy, num_shards):
-        arrays, mapped = accessor_artifacts[strategy, num_shards]
-        rows = list(draw_rows(data, mapped))
-        cols = data.draw(st.lists(st.integers(0, mapped.n - 1),
-                                  min_size=len(rows), max_size=len(rows)))
-        assert_accessors_agree(arrays, mapped, ACCESSOR_ARRAYS[strategy],
-                               rows, cols)
 
     @pytest.mark.parametrize("strategy", sorted(ACCESSOR_ARRAYS))
     @pytest.mark.parametrize("num_shards", ACCESSOR_SHARDS)

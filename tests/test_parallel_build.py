@@ -10,7 +10,6 @@ paths run inline and are exercised densely via hypothesis.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
 import warnings
@@ -38,7 +37,6 @@ from repro.oracle import (
     STRATEGY_NAMES,
     OracleBuilder,
     QueryEngine,
-    ShardedOracleArtifact,
     load_artifact,
 )
 from repro.oracle.parallel_build import weight_matrix
@@ -254,23 +252,6 @@ class TestShardParity:
             pool=spawn_pool)
         assert shard_digests(serial) == shard_digests(pooled)
 
-    @pytest.mark.parametrize("jobs", [None, 1])
-    def test_in_memory_matches_sharded_payload(self, tmp_path, jobs):
-        graph = random_weighted_graph(20, 5.0, max_weight=9, seed=9)
-        builder = OracleBuilder(strategy="landmark-mssp", jobs=jobs)
-        artifact = builder.build(graph)
-        sharded, manifest, _ = builder.build_sharded(
-            graph, tmp_path / "s.npz", 2)
-        # The opened artifact on every path: holding it pins no payload.
-        assert isinstance(sharded, ShardedOracleArtifact)
-        assert sharded.manifest_path == manifest
-        sharded = load_artifact(manifest, verify="eager")
-        for name in ("landmark_dist", "ball_idx", "ball_dist"):
-            np.testing.assert_array_equal(
-                sharded.materialize(name), artifact.arrays[name])
-        np.testing.assert_array_equal(
-            sharded.common("landmarks"), artifact.arrays["landmarks"])
-
     def test_deterministic_across_runs(self, tmp_path):
         # Byte determinism in time, not just across job counts: two runs
         # of the same build hash identically (fixed zip timestamps).
@@ -383,22 +364,6 @@ def test_payload_digests_are_pinned(tmp_path):
 
 
 class TestOnePipeline:
-    def test_engine_serves_within_guarantee(self):
-        graph = random_weighted_graph(26, 4.0, max_weight=9, seed=12)
-        exact = all_pairs_dijkstra(graph)
-        artifact = OracleBuilder("landmark-mssp", epsilon=0.5,
-                                 jobs=1).build(graph)
-        engine = QueryEngine(artifact)
-        stretch = artifact.stretch
-        for u in range(graph.n):
-            for v in range(graph.n):
-                est = engine.dist(u, v)
-                if exact[u][v] == math.inf:
-                    assert est == math.inf
-                    continue
-                assert est >= exact[u][v] - 1e-9
-                assert est <= stretch.upper_bound(exact[u][v]) + 1e-9
-
     def test_build_metadata_records_parallel_mode(self):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=13)
         artifact = OracleBuilder(jobs=1).build(graph)
@@ -408,13 +373,6 @@ class TestOnePipeline:
         assert build["rounds"] == 0.0
         assert build["closure_steps"] == max(1, shortest_path_diameter(graph))
         assert set(build["phases"]) >= {"closure", "balls", "hitting-set"}
-
-    def test_builder_routes_jobs_to_slab_build(self):
-        graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)
-        artifact = OracleBuilder(strategy="exact-fallback", jobs=1).build(graph)
-        assert artifact.metadata["build"]["mode"] == "inline"
-        exact = np.asarray(all_pairs_dijkstra(graph))
-        np.testing.assert_array_equal(artifact.arrays["dist"], exact)
 
     def test_pooled_build_records_parallel_mode(self, spawn_pool):
         graph = random_weighted_graph(12, 4.0, max_weight=5, seed=14)

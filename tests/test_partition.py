@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.matmul import SemiringMatrix
+from conftest import random_matrix, submatrix_nnz
 from repro.matmul.partition import (
     balanced_equal_size_partition,
     compute_split_parameters,
@@ -16,15 +16,6 @@ from repro.matmul.partition import (
     consecutive_partition_two_weights,
     cube_partition,
 )
-from repro.semiring import MIN_PLUS
-
-
-def random_matrix(n, nnz, seed):
-    rng = random.Random(seed)
-    matrix = SemiringMatrix(n, MIN_PLUS)
-    for _ in range(nnz):
-        matrix.set(rng.randrange(n), rng.randrange(n), float(rng.randint(1, 9)))
-    return matrix
 
 
 class TestLemma5:
@@ -196,5 +187,5 @@ class TestCubePartition:
         bound_s = 4 * (rho_s * n / (b * c) + n)
         bound_t = 4 * (rho_t * n / (a * c) + n)
         for _, _, _, rows, mids, cols in partition.subcubes():
-            assert S.submatrix_nnz(rows, mids) <= bound_s
-            assert T.submatrix_nnz(mids, cols) <= bound_t
+            assert submatrix_nnz(S, rows, mids) <= bound_s
+            assert submatrix_nnz(T, mids, cols) <= bound_t

@@ -105,16 +105,6 @@ class TestCoalescing:
         assert values == [reference.dist(u, v) for u, v in pairs]
         assert stats["engine_batches"] == len(pairs)
 
-    def test_batch_convenience_matches_engine(self, graph, engine, reference):
-        pairs = distinct_pairs(graph.n, 25) + [(4, 4), (2, 9), (2, 9)]
-
-        async def drive():
-            async with DistanceServer(engine) as server:
-                return await server.batch(pairs)
-
-        values = asyncio.run(drive())
-        assert values == [reference.dist(u, v) for u, v in pairs]
-
     def test_self_pairs_answer_without_engine_work(self, engine):
         async def drive():
             async with DistanceServer(engine) as server:
@@ -365,26 +355,3 @@ class TestCoalescingWindow:
             "coalesce_window", "max_batch", "queue_capacity",
             "overload_policy"]
 
-
-class TestShardedServing:
-    def test_server_over_sharded_artifact_matches_the_build(
-            self, graph, artifact_dir, tmp_path):
-        artifact = build_oracle(graph, strategy="dense-apsp", epsilon=0.5)
-        artifact.save_sharded(tmp_path / "mapped", num_shards=3)
-        registry = ArtifactRegistry()
-        registry.register(tmp_path / "mapped.shards.json")
-        pairs = distinct_pairs(graph.n, 150)
-
-        async def scenario():
-            async with DistanceServer(registry) as server:
-                return await asyncio.gather(
-                    *(server.dist(u, v) for u, v in pairs))
-
-        answers = asyncio.run(scenario())
-        reference = QueryEngine(artifact)
-        assert answers == [reference.dist(u, v) for u, v in pairs]
-        engine = registry.loaded_engines()["mapped"]
-        stats = engine.stats()
-        assert engine.artifact.num_shards == 3
-        assert stats["shard_faults"] >= 1
-        assert stats["mapped_bytes"] > stats["resident_bytes"]
